@@ -70,7 +70,6 @@ OSCILLATORY_BOUND_CONSTANT = 16336
 
 class Regime(enum.Enum):
     SUPERCRITICAL = "supercritical"
-    CRITICAL = "critical"
     SUBCRITICAL = "subcritical"
     DEGENERATE = "degenerate"
 
@@ -83,8 +82,8 @@ def classify(r: Fraction) -> Regime:
     """Classify the exact rational ratio against the threshold 3 + 2*sqrt(2).
 
     The test is the sign of r**2 - 6r + 1 = (r - 3 - 2*sqrt(2))(r - 3 + 2*sqrt(2)),
-    evaluated in exact rational arithmetic.  Equality (the critical case)
-    cannot occur for rational r but is checked anyway.
+    evaluated in exact rational arithmetic.  It is never zero: its roots
+    3 +- 2*sqrt(2) are irrational, so a rational r is always on one side.
     """
     r = Fraction(r)
     if r <= 1:
@@ -92,8 +91,6 @@ def classify(r: Fraction) -> Regime:
     disc = r * r - 6 * r + 1
     if disc > 0:
         return Regime.SUPERCRITICAL
-    if disc == 0:
-        return Regime.CRITICAL
     return Regime.SUBCRITICAL
 
 
@@ -161,9 +158,6 @@ def saddle_data(r: Fraction, prec: int = DEFAULT_PRECISION) -> SaddleData:
             m_val = (1 - 2 * rho - rho**2) / ((1 + rho) * (1 - rho) ** 2)
             f_rho = rm * mp.log(1 + rho) + mp.log(1 - rho) - mp.log(rho)
             return SaddleData(r=r, regime=regime, prec=prec, rho=rho, M=m_val, f_rho=f_rho)
-        if regime is Regime.CRITICAL:  # unreachable for rational r
-            rho, m_val = critical_boundary_constants(prec)
-            return SaddleData(r=r, regime=regime, prec=prec, rho=rho, M=m_val)
         rho = 1 / _sqrt_fraction(r)
         cos_alpha = rational_to_real(r - 1, prec + GUARD_BITS) / (2 * _sqrt_fraction(r))
         alpha = mp.acos(min(max(cos_alpha, mpf(-1)), mpf(1)))
@@ -376,11 +370,14 @@ def oscillation_cosine(
     """
     p_eff = max(prec, 96 + pair.lambda1.bit_length() + 32)
     with workprec(p_eff + GUARD_BITS):
-        g1, g2 = gamma_angles(pair.ratio, p_eff)
-        angle = pair.lambda1 * g1 + pair.lambda2 * g2
         if half_phase:
             sd = saddle_data(pair.ratio, p_eff)
-            angle += sd.gamma3
+            if sd.regime is not Regime.SUBCRITICAL:
+                raise RegimeError(f"oscillation angles require 1 <= r <= 3 + 2*sqrt(2), got r = {pair.ratio}")
+            angle = pair.lambda1 * sd.gamma1 + pair.lambda2 * sd.gamma2 + sd.gamma3
+        else:
+            g1, g2 = gamma_angles(pair.ratio, p_eff)
+            angle = pair.lambda1 * g1 + pair.lambda2 * g2
         two_pi = 2 * mp.pi
         angle -= two_pi * mp.floor(angle / two_pi + mpf("0.5"))
         return mp.cos(angle), angle
@@ -426,8 +423,6 @@ def predict(
     regime = classify(r)
     if regime is Regime.DEGENERATE:
         raise RegimeError(f"prediction requires r > 1, got r = {r}")
-    if regime is Regime.CRITICAL:
-        raise RegimeError("the critical ratio r = 3 + 2*sqrt(2) is unsupported")
     lam = pair.lambda2
     slack = slack_value(slack_exponent)
     if regime is Regime.SUPERCRITICAL:

@@ -429,23 +429,13 @@ def _entry_json(e: ScanEntry) -> str:
     )
 
 
-def _scan_one(args: tuple) -> tuple:
+def _scan_one(args: tuple) -> ScanEntry:
     l1, l2, budget, prec, slack_exponent, timed = args
     start = time.perf_counter() if timed else 0.0
-    cert = certify(PartitionPair(l1, l2), budget=budget, prec=prec, slack_exponent=slack_exponent)
+    pair = PartitionPair(l1, l2)
+    cert = certify(pair, budget=budget, prec=prec, slack_exponent=slack_exponent)
     usec = int((time.perf_counter() - start) * 1e6) if timed else 0
-    return (
-        l1,
-        l2,
-        cert.kind.value,
-        cert.rule,
-        cert.margin,
-        cert.exact_sign,
-        cert.bit_length,
-        cert.clause,
-        cert.reason,
-        usec,
-    )
+    return ScanEntry(pair, cert, usec)
 
 
 def scan_range(
@@ -459,10 +449,10 @@ def scan_range(
 ) -> ScanReport:
     """Certify every pair generated by `rule` over an inclusive lambda2 range.
 
-    The result order is (lambda2, lambda1) regardless of the worker
-    schedule, so reports are byte-identical across parallelism settings
-    (per-pair timing is recorded only when `timings` is set, since wall
-    clock readings are not reproducible).
+    Tasks are generated in (lambda2, lambda1) order and both `map` and the
+    pool's `map` keep input order, so reports are byte-identical across
+    parallelism settings (per-pair timing is recorded only when `timings`
+    is set, since wall clock readings are not reproducible).
     """
     lo, hi = lambda2_range
     if hi < lo or lo < 1:
@@ -477,27 +467,10 @@ def scan_range(
     if not tasks:
         raise ValueError("the scan rule generates no pairs on this range")
     if parallelism == 1:
-        raw = [_scan_one(t) for t in tasks]
-    else:
-        chunk = max(1, len(tasks) // (parallelism * 8))
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            raw = list(pool.map(_scan_one, tasks, chunksize=chunk))
-    entries = []
-    for l1, l2, kind, rule_name, margin, sign, bits, clause, reason, usec in raw:
-        pair = PartitionPair(l1, l2)
-        cert = Certificate(
-            pair,
-            CertificateKind(kind),
-            rule_name,
-            margin=margin,
-            exact_sign=sign,
-            bit_length=bits,
-            clause=clause,
-            reason=reason,
-        )
-        entries.append(ScanEntry(pair, cert, usec))
-    entries.sort(key=lambda e: (e.pair.lambda2, e.pair.lambda1))
-    return ScanReport(tuple(entries))
+        return ScanReport(tuple(map(_scan_one, tasks)))
+    chunk = max(1, len(tasks) // (parallelism * 8))
+    with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        return ScanReport(tuple(pool.map(_scan_one, tasks, chunksize=chunk)))
 
 
 # --------------------------------------------------------------------------

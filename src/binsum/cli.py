@@ -14,14 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from mpmath import mp, workprec
 
 from . import asymptotics, certifier, polynomials, validators
 from .exact import PartitionPair, Route, evaluate
-from .numerics import DEFAULT_PRECISION, DEFAULT_SLACK_EXPONENT, GUARD_BITS
+from .numerics import DEFAULT_PRECISION, DEFAULT_SLACK_EXPONENT, GUARD_BITS, check_precision
 
 FORMATS = ("jsonl", "csv", "human")
 
@@ -36,8 +36,7 @@ class RunConfig:
     timings: bool = False
 
     def validate(self) -> None:
-        if self.precision_bits < 53:
-            raise ValueError("precision must be >= 53 bits")
+        check_precision(self.precision_bits)
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
         if self.output_format not in FORMATS:
@@ -97,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact evaluation, explicit asymptotics, and nonvanishing certificates "
         "for the alternating binomial sums S(l1, l2).",
     )
-    parser.add_argument("--precision", type=int, default=None, help="working precision in bits (default 128)")
+    parser.add_argument("--precision", dest="precision_bits", type=int, default=None, help="working precision in bits (default 128)")
     parser.add_argument("--budget", type=int, default=None, help="exact-evaluation cost budget in word multiplications")
     parser.add_argument("--format", dest="output_format", choices=FORMATS, default=None, help="output format")
     parser.add_argument("--parallelism", type=int, default=None, help="scan worker count")
@@ -161,24 +160,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         for attr, value in load_config_file(args.config).items():
             setattr(config, attr, value)
-    overrides = {
-        "precision": "precision_bits",
-        "budget": "budget",
-        "output_format": "output_format",
-        "parallelism": "parallelism",
-        "slack_exponent": "slack_exponent",
-        "timings": "timings",
-    }
-    for flag, attr in overrides.items():
-        value = getattr(args, flag, None)
+    for field in fields(RunConfig):
+        value = getattr(args, field.name)
         if value is not None:
-            setattr(config, attr, value)
+            setattr(config, field.name, value)
     config.validate()
     return config
-
-
-def _cert_json(cert: certifier.Certificate, usec: int = 0) -> str:
-    return certifier._entry_json(certifier.ScanEntry(cert.pair, cert, usec))
 
 
 def cmd_eval(args, config: RunConfig) -> int:
@@ -238,7 +225,7 @@ def cmd_certify(args, config: RunConfig) -> int:
         if cert.reason is not None:
             print(f"reason      {cert.reason}")
     else:
-        print(_cert_json(cert))
+        print(certifier._entry_json(certifier.ScanEntry(pair, cert, 0)))
     return 0
 
 

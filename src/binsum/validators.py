@@ -32,6 +32,7 @@ from mpmath import mp, mpf, workprec
 
 from .asymptotics import (
     Regime,
+    SaddleData,
     classify,
     saddle_data,
     _cubic_coefficient,
@@ -117,16 +118,15 @@ def _theta_region(lemma_id: str, r: Fraction, prec: int) -> tuple[mpf, mpf]:
         raise ValueError(f"unknown lemma id {lemma_id!r}; known: {', '.join(LEMMA_IDS)}")
 
 
-def _margin(lemma_id: str, r: Fraction, theta: mpf, prec: int) -> mpf:
+def _margin(lemma_id: str, sd: SaddleData, theta: mpf) -> mpf:
     """Left side minus right side of the inequality at one grid point."""
+    r, prec = sd.r, sd.prec
     with workprec(prec + GUARD_BITS):
         rm = rational_to_real(r, prec + GUARD_BITS)
-        sd = saddle_data(r, prec)
         rho = sd.rho
         if lemma_id.startswith("super-"):
-            f0 = rm * mp.log(1 + rho) + mp.log(1 - rho) - mp.log(rho)
             fv = _f_on_circle(rm, rho, theta)
-            g_diff = fv.real - f0
+            g_diff = fv.real - sd.f_rho
             if lemma_id == "super-g-decay":
                 return g_diff + 2 / mp.pi**2 * sd.M * theta**2
             if lemma_id == "super-g-strict":
@@ -180,7 +180,11 @@ def default_r_grid(lemma_id: str, n_r: int) -> list[Fraction]:
 
 def region_theta_grid(lemma_id: str, r: Fraction, n_theta: int, prec: int = DEFAULT_PRECISION) -> list[mpf]:
     """n_theta angles strictly inside the lemma's theta region for this r."""
-    lo, hi = _theta_region(lemma_id, r, prec)
+    return _spread(*_theta_region(lemma_id, r, prec), n_theta, prec)
+
+
+def _spread(lo: mpf, hi: mpf, n_theta: int, prec: int) -> list[mpf]:
+    """n_theta cell midpoints of [lo, hi], or [lo] for a degenerate interval."""
     with workprec(prec + GUARD_BITS):
         width = hi - lo
         if width == 0:
@@ -215,7 +219,7 @@ def validate_inequality(
     for r in rs:
         lo, hi = _theta_region(lemma_id, r, prec)
         if theta_grid is None:
-            thetas = region_theta_grid(lemma_id, r, n_theta, prec)
+            thetas = _spread(lo, hi, n_theta, prec)
         else:
             thetas = [mpf(t) for t in theta_grid]
             for t in thetas:
@@ -223,8 +227,9 @@ def validate_inequality(
                     raise ValueError(
                         f"theta = {t} outside the hypothesis region [{lo}, {hi}] of {lemma_id} at r = {r}"
                     )
+        sd = saddle_data(r, prec)
         for t in thetas:
-            m = _margin(lemma_id, r, t, prec)
+            m = _margin(lemma_id, sd, t)
             points += 1
             if worst is None or m > worst[0]:
                 worst = (m, r, t)

@@ -201,6 +201,18 @@ def test_predict_near_diagonal_route_has_no_half_phase():
     assert p.normalizer.startswith("sqrt(pi*lam2)")
 
 
+def test_oscillation_cosine_half_phase_adds_gamma3_and_needs_subcritical():
+    pair = PartitionPair(2000, 1000)
+    _, plain = oscillation_cosine(pair, 128, half_phase=False)
+    _, half = oscillation_cosine(pair, 128, half_phase=True)
+    with workprec(160):
+        shift = half - plain - saddle_data(Fraction(2), 128).gamma3
+        assert abs(shift - 2 * mp.pi * mp.nint(shift / (2 * mp.pi))) < mpf("1e-30")
+    for half_phase in (False, True):
+        with pytest.raises(RegimeError):
+            oscillation_cosine(PartitionPair(7, 1), 128, half_phase=half_phase)
+
+
 def test_predict_rejects_degenerate():
     with pytest.raises(RegimeError):
         predict(PartitionPair(5, 5))

@@ -170,6 +170,23 @@ def test_scan_parallel_matches_serial():
     assert list(serial.csv_lines()) == list(parallel.csv_lines())
 
 
+def test_scan_keeps_task_order_across_parallelism():
+    # duplicates and unsorted values: the order comes from task generation
+    rule = ListRule((9, 6, 9, 2))
+    serial = scan_range((5, 7), rule, budget=10**9, parallelism=1)
+    parallel = scan_range((5, 7), rule, budget=10**9, parallelism=2)
+    assert serial.entries == parallel.entries
+    assert [(e.pair.lambda2, e.pair.lambda1) for e in serial.entries] == [
+        (5, 6),
+        (5, 9),
+        (5, 9),
+        (6, 9),
+        (6, 9),
+        (7, 9),
+        (7, 9),
+    ]
+
+
 def test_scan_rules():
     report = scan_range((1, 10), RatioRule(Fraction(7, 2)), budget=10**9)
     assert [(e.pair.lambda1, e.pair.lambda2) for e in report.entries] == [

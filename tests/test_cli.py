@@ -181,6 +181,12 @@ def test_config_file_unknown_key(capsys, tmp_path):
     assert "unknown key" in err
 
 
+def test_precision_below_minimum_exits_2(capsys):
+    code, _, err = run_cli(capsys, "--precision", "40", "certify", "7", "1")
+    assert code == 2
+    assert err == "error: working precision must be >= 53 bits, got 40\n"
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -1,9 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
-from binsum.asymptotics import saddle_data
+from binsum.asymptotics import RegimeError, saddle_data
 from binsum.validators import LEMMA_IDS, region_theta_grid, validate_inequality
 
 
@@ -66,3 +66,26 @@ def test_theta_grids_stay_inside_regions():
         assert len(thetas) == 9
         # re-validating the generated grid must not raise
         validate_inequality(lemma_id, r_grid=[r], theta_grid=thetas)
+
+
+def test_grid_report_is_max_of_single_point_reports():
+    # two ratios sharing two angles inside both regions: a combined run must
+    # equal its single-point runs, so no per-ratio state reaches the next ratio
+    for lemma_id in LEMMA_IDS:
+        if lemma_id.startswith("super-"):
+            rs, thetas = [Fraction(7), Fraction(15, 2)], [mpf("0.3"), mpf("-0.9")]
+        else:
+            rs, thetas = [Fraction(3, 2), Fraction(2)], [mpf("1.0"), mpf("1.5")]
+        combined = validate_inequality(lemma_id, r_grid=rs, theta_grid=thetas)
+        singles = [validate_inequality(lemma_id, r_grid=[r], theta_grid=[t]) for r in rs for t in thetas]
+        worst = max(singles, key=lambda rep: rep.max_margin)
+        assert combined.points == 4
+        assert combined.max_margin == worst.max_margin, lemma_id
+        assert (combined.worst_r, combined.worst_theta) == (worst.worst_r, worst.worst_theta), lemma_id
+
+
+def test_near1_f_cubic_at_r1_has_point_region_but_no_saddle():
+    thetas = region_theta_grid("near1-f-cubic", Fraction(1), 3)
+    assert len(thetas) == 1 and abs(thetas[0] - mp.pi / 2) < mpf(2) ** -50
+    with pytest.raises(RegimeError):
+        validate_inequality("near1-f-cubic", r_grid=[Fraction(1)])
