@@ -22,6 +22,7 @@ exceptions the theory allows, and they must surface in reports.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -438,6 +439,14 @@ def _scan_one(args: tuple) -> ScanEntry:
     return ScanEntry(pair, cert, usec)
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # sched_getaffinity exists only on some platforms
+        return os.cpu_count() or 1
+
+
 def scan_range(
     lambda2_range: tuple[int, int],
     rule,
@@ -452,7 +461,8 @@ def scan_range(
     Tasks are generated in (lambda2, lambda1) order and both `map` and the
     pool's `map` keep input order, so reports are byte-identical across
     parallelism settings (per-pair timing is recorded only when `timings`
-    is set, since wall clock readings are not reproducible).
+    is set, since wall clock readings are not reproducible).  The pool gets
+    at most as many workers as there are usable CPUs and tasks.
     """
     lo, hi = lambda2_range
     if hi < lo or lo < 1:
@@ -466,10 +476,11 @@ def scan_range(
     ]
     if not tasks:
         raise ValueError("the scan rule generates no pairs on this range")
-    if parallelism == 1:
+    workers = min(parallelism, _usable_cpus(), len(tasks))
+    if workers == 1:
         return ScanReport(tuple(map(_scan_one, tasks)))
-    chunk = max(1, len(tasks) // (parallelism * 8))
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    chunk = max(1, len(tasks) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return ScanReport(tuple(pool.map(_scan_one, tasks, chunksize=chunk)))
 
 

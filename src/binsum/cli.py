@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -74,7 +75,10 @@ def load_config_file(path: str) -> dict:
 
 
 def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
 
 
 def parse_range(text: str) -> tuple[int, int]:
@@ -171,7 +175,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 def cmd_eval(args, config: RunConfig) -> int:
     pair = PartitionPair(args.lambda1, args.lambda2)
     route = None if args.route == "auto" else Route(args.route)
-    print(evaluate(pair, route).value)
+    value = evaluate(pair, route).value
+    # lift the interpreter's cap on int-to-decimal conversion (4300 digits by
+    # default) for this print only, so in-process callers keep theirs
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        print(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 
@@ -302,6 +314,8 @@ def cmd_poly(args, config: RunConfig) -> int:
 
 
 def cmd_exceptions(args, config: RunConfig) -> int:
+    if not math.isfinite(args.x):
+        raise ValueError(f"x must be finite, got {args.x}")
     prec = config.precision_bits
     r = args.ratio
     count = certifier.exception_count_bound(r, args.x, prec)

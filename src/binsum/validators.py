@@ -31,6 +31,7 @@ from typing import Sequence
 from mpmath import mp, mpf, workprec
 
 from .asymptotics import (
+    REFINED_BOUND_MAX_RATIO,
     Regime,
     SaddleData,
     classify,
@@ -53,7 +54,6 @@ LEMMA_IDS = (
 
 _NEAR1_F_MAX_RATIO = Fraction(2282, 1000)
 _NEAR1_G_MAX_RATIO = Fraction(211952, 100000)
-_STRICT_DECAY_MAX_RATIO = Fraction(7686899, 1000000)
 
 # tolerance for deciding that a grid point sits inside its hypothesis region
 _REGION_TOL = mpf(2) ** -38
@@ -89,9 +89,9 @@ def _theta_region(lemma_id: str, r: Fraction, prec: int) -> tuple[mpf, mpf]:
     with workprec(prec + GUARD_BITS):
         if lemma_id == "super-g-strict":
             _require_supercritical(r)
-            if r > _STRICT_DECAY_MAX_RATIO:
+            if r > REFINED_BOUND_MAX_RATIO:
                 raise ValueError(
-                    f"inequality requires r <= {_STRICT_DECAY_MAX_RATIO}, got r = {r}"
+                    f"inequality requires r <= {REFINED_BOUND_MAX_RATIO}, got r = {r}"
                 )
             return -mp.pi / 3, mp.pi / 3
         if lemma_id.startswith("super-"):

@@ -1,8 +1,10 @@
+import os
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf, workprec
 
+from binsum import certifier
 from binsum.certifier import (
     AllUpToRule,
     CertificateKind,
@@ -185,6 +187,48 @@ def test_scan_keeps_task_order_across_parallelism():
         (7, 9),
         (7, 9),
     ]
+
+
+def test_scan_caps_workers_at_cpus_and_tasks(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor and starts no process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(certifier, "ProcessPoolExecutor", RecordingPool)
+    rule = ListRule((9, 6, 2))
+    serial = scan_range((5, 7), rule, budget=10**9)  # 4 tasks
+    assert started == []
+    monkeypatch.setattr(certifier, "_usable_cpus", lambda: 3)
+    for parallelism, workers in [(2, 2), (3, 3), (10**6, 3)]:
+        started.clear()
+        report = scan_range((5, 7), rule, budget=10**9, parallelism=parallelism)
+        assert started == [workers]
+        assert report.entries == serial.entries
+    started.clear()
+    scan_range((5, 5), rule, budget=10**9, parallelism=8)  # 2 tasks
+    assert started == [2]
+    started.clear()
+    scan_range((7, 7), rule, budget=10**9, parallelism=8)  # 1 task
+    monkeypatch.setattr(certifier, "_usable_cpus", lambda: 1)
+    scan_range((5, 7), rule, budget=10**9, parallelism=8)
+    assert started == []
+
+
+def test_usable_cpus_is_within_cpu_count():
+    assert 1 <= certifier._usable_cpus() <= (os.cpu_count() or 1)
 
 
 def test_scan_rules():

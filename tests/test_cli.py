@@ -1,8 +1,10 @@
 import json
+import sys
 
 import pytest
 
 from binsum.cli import main
+from binsum.exact import PartitionPair, evaluate
 
 
 def run_cli(capsys, *argv):
@@ -24,6 +26,19 @@ def test_eval_routes_agree(capsys):
         assert code == 0
         values.add(out.strip())
     assert len(values) == 1
+
+
+def test_eval_prints_values_past_the_int_str_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run_cli(capsys, "eval", "100702", "100000")
+    assert code == 0
+    assert len(out.strip()) > 4300
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(out) == evaluate(PartitionPair(100702, 100000)).value
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_eval_rejects_bad_pair(capsys):
@@ -197,3 +212,26 @@ def test_bad_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["scan", "--l2", "1..5"])  # missing rule choice
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan", "--l2", "1..3", "--ratio", "1/0"),
+        ("exceptions", "1/0", "10"),
+    ],
+)
+def test_zero_denominator_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith("invalid parse_fraction value: '1/0'")
+
+
+@pytest.mark.parametrize("x", ["nan", "1e400"])
+def test_exceptions_rejects_non_finite_x(capsys, x):
+    code, out, err = run_cli(capsys, "exceptions", "2", x)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: x must be finite") and err.count("\n") == 1

@@ -1,11 +1,15 @@
+import math
 import random
 
 import pytest
 from fractions import Fraction
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from binsum.exact import (
     PartitionPair,
     Route,
+    _comb,
     binomial,
     eval_diagonal,
     eval_direct,
@@ -136,3 +140,33 @@ def test_random_pairs_cross_route():
         l1 = l2 + rng.randrange(0, 150)
         pair = PartitionPair(l1, l2)
         assert eval_direct(pair).value == eval_reduced(pair).value
+
+
+def test_comb_matches_math_comb():
+    # n = 1400 is the last n whose central binomial goes to math.comb
+    for n in sorted(set(range(0, 3001, 37)) | {1399, 1400, 1401, 1402, 2000, 3000}):
+        edge = math.isqrt(350 * n)
+        for k in {0, 1, edge, edge + 1, n // 3, n // 2, max(0, n - edge - 1), n, n + 1, n + 5}:
+            assert _comb(n, k) == math.comb(n, k), (n, k)
+        with pytest.raises(ValueError):
+            _comb(n, -1)
+    for n, k in [(100000, 50000), (78660, 39330)]:
+        assert _comb(n, k) == math.comb(n, k), (n, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 400), st.integers(0, 400))
+@example(7, 0)     # odd diagonal: empty sum
+@example(8, 0)     # even diagonal: one term
+@example(8, 1)     # one term off the diagonal
+@example(100, 64)  # 32 term ratios: the running-term loop
+@example(100, 66)  # 33 term ratios: binary splitting
+@example(400, 400)
+def test_reduced_matches_direct(l2, diff):
+    pair = PartitionPair(l2 + diff, l2)
+    assert eval_reduced(pair).value == eval_direct(pair).value
+
+
+def test_reduced_matches_direct_mid_size():
+    pair = PartitionPair(20001, 19000)
+    assert eval_reduced(pair).value == eval_direct(pair).value
