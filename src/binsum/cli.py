@@ -12,6 +12,7 @@ recorded under --timings because it is inherently irreproducible.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -78,7 +79,7 @@ def parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except ZeroDivisionError as exc:
-        raise ValueError(f"zero denominator in {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from exc
 
 
 def parse_range(text: str) -> tuple[int, int]:
@@ -172,18 +173,29 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
+@contextlib.contextmanager
+def _unlimited_int_str():
+    """Lift the interpreter's cap on int-to-decimal conversion (4300 digits by
+    default since CPython 3.10.7; earlier versions have none) inside the
+    block and restore it after, so in-process callers keep theirs."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def cmd_eval(args, config: RunConfig) -> int:
     pair = PartitionPair(args.lambda1, args.lambda2)
     route = None if args.route == "auto" else Route(args.route)
     value = evaluate(pair, route).value
-    # lift the interpreter's cap on int-to-decimal conversion (4300 digits by
-    # default) for this print only, so in-process callers keep theirs
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
+    with _unlimited_int_str():
         print(value)
-    finally:
-        sys.set_int_max_str_digits(limit)
     return 0
 
 

@@ -21,8 +21,7 @@ starting binomial C(l2, ceil(l2/2)) from prime powers (Goetgheluck, "Computing
 binomial coefficients", Amer. Math. Monthly 1987) and binary-splits the sum
 over its term ratio, whose numerator and denominator are small integers
 (Haible-Papanikolaou, "Fast multiprecision evaluation of series of rational
-numbers", ANTS 1998); a sum short enough to fit in one leaf keeps the
-running-term loop.  The diagonal closed form uses the same binomial.
+numbers", ANTS 1998).  The diagonal closed form uses the same binomial.
 """
 
 from __future__ import annotations
@@ -85,11 +84,13 @@ class ExactValue:
 
 
 # math.comb beats the prime-power product while k**2 <= 350*n for the smaller
-# of k and n - k (measured on CPython 3.11); this covers every n < 1400.
+# of k and n - k; this covers every n < 1400.  Measured on CPython 3.11 only:
+# math.comb's algorithm differs between CPython versions, so on others the
+# crossover (and whether the prime-power route wins at all) is unverified.
 _COMB_CROSSOVER = 350
 
-# Reduced sums of at most this many term ratios keep the running-term loop;
-# longer ones are binary-split into leaves of at most this many ratios.
+# Binary splitting of the reduced sum stops at leaves of at most this many
+# term ratios, which a plain loop accumulates.
 _LEAF_RATIOS = 32
 
 
@@ -183,14 +184,16 @@ def _split_ratios(l2: int, d: int, j0: int, m0: int, a: int, b: int) -> tuple[in
     """
     if b - a <= _LEAF_RATIOS:
         p_prod, q_prod, t = 1, 1, 0
-        for s in range(a, b):
-            j = j0 + s
-            m = m0 - 2 * s
+        m = m0 - 2 * a
+        c = d - m
+        for j in range(j0 + a, j0 + b):
             p = (j - l2) * m * (m - 1)
-            q = (j + 1) * (d - m + 1) * (d - m + 2)
+            q = (j + 1) * (c + 1) * (c + 2)
             t = t * q + p_prod * p
             p_prod *= p
             q_prod *= q
+            m -= 2
+            c += 2
         return p_prod, q_prod, t
     mid = (a + b) // 2
     p1, q1, t1 = _split_ratios(l2, d, j0, m0, a, mid)
@@ -201,10 +204,9 @@ def _split_ratios(l2: int, d: int, j0: int, m0: int, a: int, b: int) -> tuple[in
 def eval_reduced(pair: PartitionPair) -> ExactValue:
     """Evaluate the short difference-indexed sum; requires lambda1 >= lambda2.
 
-    The terms run over j0 = ceil(l2/2) <= j <= floor(l1/2) = j1.  With more
-    than _LEAF_RATIOS ratios between them, the sum is t0 * (Q + T) / Q for
-    the first term t0 and (P, Q, T) from `_split_ratios`; the division is
-    exact because the sum is an integer.
+    The terms run over j0 = ceil(l2/2) <= j <= floor(l1/2) = j1, and the sum
+    is t0 * (Q + T) / Q for the first term t0 and (P, Q, T) from
+    `_split_ratios`; the division is exact because the sum is an integer.
     """
     l1, l2 = pair.lambda1, pair.lambda2
     d = l1 - l2
@@ -213,26 +215,9 @@ def eval_reduced(pair: PartitionPair) -> ExactValue:
     if j0 > j1:
         return ExactValue(0, pair, Route.REDUCED)
     m = l1 - 2 * j0
-    b_small = _comb(l2, j0)
-    b_diff = _comb(d, m)
-    if j1 - j0 > _LEAF_RATIOS:
-        t0 = b_small * b_diff
-        _, q, t = _split_ratios(l2, d, j0, m, 0, j1 - j0)
-        total = (-t0 if j0 % 2 else t0) * (q + t) // q
-        return ExactValue(total, pair, Route.REDUCED)
-    total = 0
-    j = j0
-    while True:
-        term = b_small * b_diff
-        total += -term if j % 2 else term
-        if j == j1:
-            break
-        b_small = b_small * (l2 - j) // (j + 1)
-        b_diff = b_diff * m // (d - m + 1)
-        m -= 1
-        b_diff = b_diff * m // (d - m + 1)
-        m -= 1
-        j += 1
+    t0 = _comb(l2, j0) * _comb(d, m)
+    _, q, t = _split_ratios(l2, d, j0, m, 0, j1 - j0)
+    total = (-t0 if j0 % 2 else t0) * (q + t) // q
     return ExactValue(total, pair, Route.REDUCED)
 
 

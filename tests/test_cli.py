@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from binsum.cli import main
+from binsum.cli import main, _unlimited_int_str
 from binsum.exact import PartitionPair, evaluate
 
 
@@ -28,17 +28,29 @@ def test_eval_routes_agree(capsys):
     assert len(values) == 1
 
 
+def _int_str_limit():
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    return get_limit() if get_limit else None
+
+
 def test_eval_prints_values_past_the_int_str_limit(capsys):
-    limit = sys.get_int_max_str_digits()
+    limit = _int_str_limit()
     code, out, _ = run_cli(capsys, "eval", "100702", "100000")
     assert code == 0
     assert len(out.strip()) > 4300
-    sys.set_int_max_str_digits(0)
-    try:
+    assert _int_str_limit() == limit
+    with _unlimited_int_str():
         assert int(out) == evaluate(PartitionPair(100702, 100000)).value
-    finally:
-        sys.set_int_max_str_digits(limit)
-    assert sys.get_int_max_str_digits() == limit
+    assert _int_str_limit() == limit
+
+
+def test_eval_without_int_str_limit_functions(capsys, monkeypatch):
+    # interpreters before CPython 3.10.7 have neither function and no limit
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+    code, out, _ = run_cli(capsys, "eval", "40", "17")
+    assert code == 0
+    assert int(out) == evaluate(PartitionPair(40, 17)).value
 
 
 def test_eval_rejects_bad_pair(capsys):
@@ -226,7 +238,7 @@ def test_zero_denominator_exits_2(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.splitlines()[-1].endswith("invalid parse_fraction value: '1/0'")
+    assert err.splitlines()[-1].endswith("zero denominator in '1/0'")
 
 
 @pytest.mark.parametrize("x", ["nan", "1e400"])

@@ -159,8 +159,8 @@ def test_comb_matches_math_comb():
 @example(7, 0)     # odd diagonal: empty sum
 @example(8, 0)     # even diagonal: one term
 @example(8, 1)     # one term off the diagonal
-@example(100, 64)  # 32 term ratios: the running-term loop
-@example(100, 66)  # 33 term ratios: binary splitting
+@example(100, 64)  # 32 term ratios: one leaf
+@example(100, 66)  # 33 term ratios: two leaves
 @example(400, 400)
 def test_reduced_matches_direct(l2, diff):
     pair = PartitionPair(l2 + diff, l2)
