@@ -26,6 +26,7 @@ scalings are combined in the log domain and exponentiated once.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -66,6 +67,12 @@ NEAR_DIAGONAL_ROWS = (
 NEAR_DIAGONAL_FLAT = "0.0165"
 
 OSCILLATORY_BOUND_CONSTANT = 16336
+
+# entries kept by each per-ratio cache below, keyed by (r, prec).  A scan
+# line or a validator needs one or two live keys at a time (the ratio at the
+# working precision and at the raised precision of `oscillation_cosine`);
+# the bound only keeps a long-running process from growing without limit.
+RATIO_CACHE_SIZE = 32
 
 
 class Regime(enum.Enum):
@@ -124,6 +131,7 @@ def _sqrt_fraction(q: Fraction) -> mpf:
     return mp.sqrt(mpf(q.numerator) / mpf(q.denominator))
 
 
+@functools.lru_cache(maxsize=RATIO_CACHE_SIZE)
 def gamma_angles(r: Fraction, prec: int = DEFAULT_PRECISION) -> tuple[mpf, mpf]:
     """The oscillation angles gamma1 = arccos((3r-1)/(2*sqrt(2)*r)) and
     gamma2 = -arccos((r-3)/(2*sqrt(2))), defined for 1 <= r <= 3 + 2*sqrt(2).
@@ -143,6 +151,7 @@ def gamma_angles(r: Fraction, prec: int = DEFAULT_PRECISION) -> tuple[mpf, mpf]:
         return mp.acos(a1), -mp.acos(a2)
 
 
+@functools.lru_cache(maxsize=RATIO_CACHE_SIZE)
 def saddle_data(r: Fraction, prec: int = DEFAULT_PRECISION) -> SaddleData:
     """Compute every saddle constant applicable to the regime of r (r > 1)."""
     check_precision(prec)
@@ -193,6 +202,26 @@ def critical_boundary_constants(prec: int = DEFAULT_PRECISION) -> tuple[mpf, mpf
         return mp.sqrt(mpf(2)) - 1, mpf(0)
 
 
+@functools.lru_cache(maxsize=RATIO_CACHE_SIZE)
+def _supercritical_constants(r: Fraction, prec: int) -> tuple[mpf, ...]:
+    """The lambda-independent factors of `supercritical_error_bound`:
+    M, 3*crit*pi**5, M**2, 5*crit, M**3, sqrt(2), pi**2 and pi**1.5, each
+    rounded exactly as the bound's formula rounds it."""
+    m_val = saddle_data(r, prec).M
+    with workprec(prec + GUARD_BITS):
+        crit = 3 + 2 * mp.sqrt(mpf(2))
+        return (
+            m_val,
+            3 * crit * mp.pi**5,
+            m_val**2,
+            5 * crit,
+            m_val**3,
+            mp.sqrt(mpf(2)),
+            mp.pi**2,
+            mp.pi ** mpf("1.5"),
+        )
+
+
 def supercritical_error_bound(r: Fraction, lam: int, prec: int = DEFAULT_PRECISION) -> mpf:
     """The explicit bound Phi1(r, lam) on |sqrt(2*pi*lam*M) * I / exp(lam*f(rho)) - 1|:
 
@@ -208,14 +237,12 @@ def supercritical_error_bound(r: Fraction, lam: int, prec: int = DEFAULT_PRECISI
         raise RegimeError(f"bound requires r > 3 + 2*sqrt(2), got r = {r}")
     if lam < 1:
         raise ValueError("lambda must be >= 1")
-    sd = saddle_data(r, prec)
+    m_val, c1, m_sq, c2, m_cube, sqrt2, pi_sq, pi_15 = _supercritical_constants(r, prec)
     with workprec(prec + GUARD_BITS):
-        m_val = sd.M
         lamf = mpf(lam)
-        crit = 3 + 2 * mp.sqrt(mpf(2))
-        t1 = 3 * crit * mp.pi**5 / (256 * lamf * m_val**2)
-        t2 = 5 * crit / (24 * lamf * m_val**3)
-        t3 = mp.sqrt(mpf(2)) * mp.exp(-lamf * m_val * mp.pi**2 / 2) / (mp.pi ** mpf("1.5") * mp.sqrt(lamf * m_val))
+        t1 = c1 / (256 * lamf * m_sq)
+        t2 = c2 / (24 * lamf * m_cube)
+        t3 = sqrt2 * mp.exp(-lamf * m_val * pi_sq / 2) / (pi_15 * mp.sqrt(lamf * m_val))
         return t1 + t2 + t3
 
 
@@ -233,6 +260,16 @@ def _cubic_coefficient(rho: mpf, c: mpf) -> mpf:
     f1 = (1 + rho**2) * (rho**2 + 4 * rho - 1) / (6 * (1 - rho) ** 3 * (1 + rho) ** 2)
     f2 = (1 + rho**2) * (1 - 2 * rho * (1 + c) - rho**2) / (6 * (1 - rho) * ((1 + rho**2) ** 2 - 4 * rho**2 * c**2))
     return max(f1, f2, mpf(0))
+
+
+def check_delta(delta, prec: int = DEFAULT_PRECISION) -> mpf:
+    """The split angle of the refined bound at the working precision; raises
+    ValueError unless 0 < delta <= pi/3 (so also for nan and infinities)."""
+    with workprec(prec + GUARD_BITS):
+        d = mpf(delta)
+        if not 0 < d <= mp.pi / 3 * (1 + mpf(2) ** -40):
+            raise ValueError(f"delta must lie in (0, pi/3], got {delta}")
+        return d
 
 
 def supercritical_error_bound_refined(
@@ -257,11 +294,9 @@ def supercritical_error_bound_refined(
         raise ValueError(f"refined bound requires r <= {REFINED_BOUND_MAX_RATIO}, got {r}")
     if lam < 1:
         raise ValueError("lambda must be >= 1")
+    d = check_delta(delta, prec)
     sd = saddle_data(r, prec)
     with workprec(prec + GUARD_BITS):
-        d = mpf(delta)
-        if not 0 < d <= mp.pi / 3 * (1 + mpf(2) ** -40):
-            raise ValueError(f"delta must lie in (0, pi/3], got {delta}")
         m_val = sd.M
         lamf = mpf(lam)
         c = mp.cos(d)
@@ -273,6 +308,16 @@ def supercritical_error_bound_refined(
             -lamf * m_val * d**2 / 2
         )
         return t1 + t2 + tail
+
+
+@functools.lru_cache(maxsize=RATIO_CACHE_SIZE)
+def _oscillatory_constants(r: Fraction, prec: int) -> tuple[mpf, mpf]:
+    """(-r**2+6r-1)**(11/4) and the validity threshold of `oscillatory_error_bound`."""
+    negdisc = -r * r + 6 * r - 1
+    with workprec(prec + GUARD_BITS):
+        nd = rational_to_real(negdisc, prec + GUARD_BITS)
+        rm = rational_to_real(r, prec + GUARD_BITS)
+        return nd ** (mpf(11) / 4), 512 * rm ** mpf("1.5") / ((rm + 1) * nd ** mpf("1.5"))
 
 
 def oscillatory_error_bound(
@@ -292,13 +337,9 @@ def oscillatory_error_bound(
         raise RegimeError(f"bound requires 1 < r < 3 + 2*sqrt(2), got r = {r}")
     if lam < 1:
         raise ValueError("lambda must be >= 1")
-    negdisc = -r * r + 6 * r - 1
+    nd_power, threshold = _oscillatory_constants(r, prec)
     with workprec(prec + GUARD_BITS):
-        nd = rational_to_real(negdisc, prec + GUARD_BITS)
-        rm = rational_to_real(r, prec + GUARD_BITS)
-        bound = OSCILLATORY_BOUND_CONSTANT / (mp.sqrt(mpf(lam)) * nd ** (mpf(11) / 4))
-        threshold = 512 * rm ** mpf("1.5") / ((rm + 1) * nd ** mpf("1.5"))
-        return bound, threshold
+        return OSCILLATORY_BOUND_CONSTANT / (mp.sqrt(mpf(lam)) * nd_power), threshold
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from .asymptotics import (
     NEAR_DIAGONAL_MIN_DIFFERENCE,
     Regime,
     RegimeError,
+    check_delta,
     classify,
     cos_lower_bound,
     near_diagonal_error_bound,
@@ -161,10 +162,10 @@ def _oscillatory_step(pair, prec, slack) -> Certificate | None:
     )
 
 
-def _window_step(pair, prec) -> Certificate | None:
+def _window_step(pair, prec, slack_exponent) -> Certificate | None:
     if pair.difference < NEAR_DIAGONAL_MIN_DIFFERENCE:
         return None
-    for win in difference_windows(pair.lambda2, prec):
+    for win in difference_windows(pair.lambda2, prec, slack_exponent):
         if (
             win.basis == "window-table"
             and win.residue_class == pair.congruence_class
@@ -211,9 +212,12 @@ def certify(
     Pairs with lambda1 <= lambda2 or lambda2 = 0 are refused: the diagonal
     genuinely vanishes for odd lambda, so no nonvanishing claim is possible
     there.  An optional `delta` in (0, pi/3] enables the refined
-    supercritical bound when the ratio allows it.
+    supercritical bound when the ratio allows it; any other value raises
+    ValueError, whatever the pair.
     """
     check_precision(prec)
+    if delta is not None:
+        check_delta(delta, prec)
     if pair.lambda2 == 0:
         return Certificate(pair, CertificateKind.REFUSED, "input check", reason="lambda2 = 0 row excluded")
     if pair.lambda1 <= pair.lambda2:
@@ -233,12 +237,16 @@ def certify(
         cert = _oscillatory_step(pair, prec, slack)
         if cert is not None:
             return cert
-        cert = _window_step(pair, prec)
-        if cert is not None:
-            return cert
-        cert = _near_diagonal_step(pair, prec, slack_exponent)
-        if cert is not None:
-            return cert
+        # every window-table window and every near-diagonal row ends below
+        # d = sqrt(8*pi*l2), and 8*pi < 26, so neither step applies when d*d >= 26*l2
+        d = pair.difference
+        if d * d < 26 * pair.lambda2:
+            cert = _window_step(pair, prec, slack_exponent)
+            if cert is not None:
+                return cert
+            cert = _near_diagonal_step(pair, prec, slack_exponent)
+            if cert is not None:
+                return cert
     return Certificate(
         pair,
         CertificateKind.INCONCLUSIVE,
@@ -279,20 +287,25 @@ def _int_below(x: mpf, slack: mpf) -> int:
     return int(mp.ceil(x - slack)) - 1
 
 
-def difference_windows(lambda2: int, prec: int = DEFAULT_PRECISION) -> list[DifferenceWindow]:
+def difference_windows(
+    lambda2: int,
+    prec: int = DEFAULT_PRECISION,
+    slack_exponent: int = DEFAULT_SLACK_EXPONENT,
+) -> list[DifferenceWindow]:
     """The certified lambda1 windows for one lambda2, per congruence class.
 
-    Endpoints are computed at the working precision and rounded inward so
-    every emitted integer lies strictly inside the real window (the one
-    exact-integer endpoint, the 702 floor of the class-2 clause, is kept
-    inclusively).  Windows are split at difference 702: the part below is
-    emitted with basis "small-difference", the rest with "window-table".
+    Endpoints are computed at the working precision and rounded inward by
+    the decision slack 2**-slack_exponent, so every emitted integer lies
+    strictly inside the real window (the one exact-integer endpoint, the 702
+    floor of the class-2 clause, is kept inclusively).  Windows are split at
+    difference 702: the part below is emitted with basis "small-difference",
+    the rest with "window-table".
     """
     check_precision(prec)
     if lambda2 < 1:
         raise ValueError("lambda2 must be >= 1")
     out: list[DifferenceWindow] = []
-    slack = slack_value()
+    slack = slack_value(slack_exponent)
     with workprec(prec + GUARD_BITS):
         l2 = mpf(lambda2)
 

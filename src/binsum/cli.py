@@ -291,7 +291,7 @@ def cmd_scan(args, config: RunConfig) -> int:
 
 
 def cmd_intervals(args, config: RunConfig) -> int:
-    windows = certifier.difference_windows(args.lambda2, config.precision_bits)
+    windows = certifier.difference_windows(args.lambda2, config.precision_bits, config.slack_exponent)
     if config.output_format == "human":
         for w in windows:
             print(

@@ -6,9 +6,11 @@ integer oracles, and the fixed decision slack 2**-40 wherever a floating
 bound is compared.
 """
 
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from mpmath import mp, mpf, workprec
 
@@ -209,12 +211,16 @@ def test_criterion_11_continued_fractions():
 
 
 def test_criterion_12_scan_determinism():
+    # the child imports binsum from this checkout's src/, installed or not
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     outputs = []
     for parallelism in ("1", "8"):
         proc = subprocess.run(
             [sys.executable, "-m", "binsum", "--parallelism", parallelism,
              "scan", "--l2", "1..60", "--all-l1-up-to", "120"],
             capture_output=True,
+            env=env,
             timeout=600,
         )
         assert proc.returncode == 0, proc.stderr.decode()

@@ -1,10 +1,14 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
 
 from binsum.asymptotics import (
+    OSCILLATORY_BOUND_CONSTANT,
     Regime,
     RegimeError,
     classify,
@@ -20,8 +24,13 @@ from binsum.asymptotics import (
     saddle_data,
     supercritical_error_bound,
     supercritical_error_bound_refined,
+    _oscillatory_constants,
+    _supercritical_constants,
 )
 from binsum.exact import PartitionPair
+from binsum.numerics import GUARD_BITS, rational_to_real
+
+RATIO_CACHES = (saddle_data, gamma_angles, _supercritical_constants, _oscillatory_constants)
 
 
 def test_classification_is_exact():
@@ -279,3 +288,83 @@ def test_cos_lower_bound_sound_on_spot_pairs():
             continue
         cosv, _ = oscillation_cosine(pair, 128, half_phase=False)
         assert bound <= abs(cosv) + mpf(2) ** -40
+
+
+def _bits(x):
+    """mpf values by their exact (sign, mantissa, exponent, bits) tuple."""
+    if dataclasses.is_dataclass(x):
+        return tuple(_bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, tuple):
+        return tuple(_bits(v) for v in x)
+    return x._mpf_ if isinstance(x, mpf) else x
+
+
+def _clear_ratio_caches():
+    for cached in RATIO_CACHES:
+        cached.cache_clear()
+
+
+def _reference_supercritical_bound(r, lam, prec):
+    """`supercritical_error_bound` as one formula, every factor rebuilt."""
+    sd = saddle_data.__wrapped__(r, prec)
+    with workprec(prec + GUARD_BITS):
+        m_val = sd.M
+        lamf = mpf(lam)
+        crit = 3 + 2 * mp.sqrt(mpf(2))
+        t1 = 3 * crit * mp.pi**5 / (256 * lamf * m_val**2)
+        t2 = 5 * crit / (24 * lamf * m_val**3)
+        t3 = mp.sqrt(mpf(2)) * mp.exp(-lamf * m_val * mp.pi**2 / 2) / (mp.pi ** mpf("1.5") * mp.sqrt(lamf * m_val))
+        return t1 + t2 + t3
+
+
+def _reference_oscillatory_bound(r, lam, prec):
+    """`oscillatory_error_bound` as one formula, every factor rebuilt."""
+    negdisc = -r * r + 6 * r - 1
+    with workprec(prec + GUARD_BITS):
+        nd = rational_to_real(negdisc, prec + GUARD_BITS)
+        rm = rational_to_real(r, prec + GUARD_BITS)
+        bound = OSCILLATORY_BOUND_CONSTANT / (mp.sqrt(mpf(lam)) * nd ** (mpf(11) / 4))
+        threshold = 512 * rm ** mpf("1.5") / ((rm + 1) * nd ** mpf("1.5"))
+        return bound, threshold
+
+
+def _ratios(lo, hi):
+    return st.builds(Fraction, st.integers(lo, hi), st.just(10000))
+
+
+def _cold_and_warm(r, prec, other_prec, compute):
+    """compute() with the ratio caches cleared, and again after a neighbouring
+    key has joined them (a key that dropped prec would show)."""
+    _clear_ratio_caches()
+    cold = _bits(compute())
+    saddle_data(r, other_prec)
+    warm = _bits(compute())
+    assert cold == warm
+    return warm
+
+
+# about one example in fifty rounds the last bit of the bound differently if
+# its per-lambda operations are reordered, hence the example counts
+@given(r=_ratios(58285, 200000), lam=st.integers(1, 10**7), prec=st.integers(53, 256), other_prec=st.integers(53, 256))
+@settings(max_examples=400, deadline=None)
+def test_supercritical_caches_are_bit_identical(r, lam, prec, other_prec):
+    got = _cold_and_warm(r, prec, other_prec, lambda: (saddle_data(r, prec), supercritical_error_bound(r, lam, prec)))
+    assert got == _bits((saddle_data.__wrapped__(r, prec), _reference_supercritical_bound(r, lam, prec)))
+
+
+@given(r=_ratios(10001, 58284), lam=st.integers(1, 10**7), prec=st.integers(53, 256), other_prec=st.integers(53, 256))
+@settings(max_examples=200, deadline=None)
+def test_subcritical_caches_are_bit_identical(r, lam, prec, other_prec):
+    def compute():
+        return saddle_data(r, prec), gamma_angles(r, prec), oscillatory_error_bound(r, lam, prec)
+
+    got = _cold_and_warm(r, prec, other_prec, compute)
+    uncached = (saddle_data.__wrapped__(r, prec), gamma_angles.__wrapped__(r, prec), _reference_oscillatory_bound(r, lam, prec))
+    assert got == _bits(uncached)
+
+
+def test_ratio_caches_are_small():
+    # the reuse needed is one or two live keys; a larger cache would only
+    # carry constants from one command to the next inside one process
+    for cached in RATIO_CACHES:
+        assert cached.cache_parameters()["maxsize"] <= 32

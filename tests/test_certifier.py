@@ -1,16 +1,21 @@
+import math
 import os
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf, workprec
 
-from binsum import certifier
+from binsum import asymptotics, certifier
 from binsum.certifier import (
     AllUpToRule,
     CertificateKind,
     DiffRule,
     ListRule,
     RatioRule,
+    ScanEntry,
+    _entry_json,
+    _near_diagonal_step,
+    _window_step,
     certify,
     certify_by_term_growth,
     continued_fraction,
@@ -153,6 +158,56 @@ def test_difference_windows_bases_split_at_702():
             assert w.hi - 78660 <= 701
         else:
             assert w.lo - 78660 >= 702
+
+
+def test_difference_windows_follow_the_slack_exponent():
+    default = difference_windows(10**6)
+    loose = difference_windows(10**6, slack_exponent=0)
+    assert [(w.clause, w.basis) for w in loose] == [(w.clause, w.basis) for w in default]
+    # slack 1 instead of 2**-40 rounds every computed endpoint one further inward
+    for d, w in zip(default, loose):
+        assert d.lo <= w.lo <= w.hi <= d.hi
+    assert max(d.hi - w.hi for d, w in zip(default, loose)) == 1
+    class0_b = next(w for w in default if w.clause == "class0-b" and w.basis == "window-table")
+    pair = PartitionPair(class0_b.hi, 10**6)
+    assert _window_step(pair, 128, 40).clause == "class0-b"
+    assert _window_step(pair, 128, 0) is None
+
+
+def test_window_stages_cannot_apply_beyond_26_l2():
+    # certify skips both stages when d*d >= 26*l2: every window-table window
+    # and every near-diagonal row ends below d = sqrt(8*pi*l2), and 8*pi < 26
+    skipped = 0
+    for l2 in (19700, 31416, 78660, 100000, 250007, 10**6):
+        flat_edge = math.isqrt(int(8 * math.pi * l2))
+        skip_edge = math.isqrt(26 * l2)
+        for d in [*range(flat_edge - 2, flat_edge + 4), *range(skip_edge - 2, skip_edge + 4)]:
+            pair = PartitionPair(l2 + d, l2)
+            if 702 <= d < flat_edge:
+                # just inside the edge the flat near-diagonal window applies
+                assert asymptotics.near_diagonal_error_bound(pair).valid, (l2, d)
+            if d > flat_edge:
+                assert _window_step(pair, 128, 40) is None, (l2, d)
+                assert _near_diagonal_step(pair, 128, 40) is None, (l2, d)
+                skipped += d * d >= 26 * l2 and d >= 702
+    assert skipped >= 18
+
+
+def test_scan_with_ratio_caches_equals_uncached_pairs():
+    caches = (
+        asymptotics.saddle_data,
+        asymptotics.gamma_angles,
+        asymptotics._supercritical_constants,
+        asymptotics._oscillatory_constants,
+    )
+    for rule in (RatioRule(Fraction(6)), RatioRule(Fraction(2)), DiffRule(800)):
+        report = scan_range((100000, 100015), rule, budget=0)
+        expected = []
+        for entry in report.entries:
+            for cached in caches:
+                cached.cache_clear()
+            expected.append(_entry_json(ScanEntry(entry.pair, certify(entry.pair, budget=0), 0)))
+        assert list(report.jsonl_lines()) == expected
 
 
 def test_scan_counts_and_order():

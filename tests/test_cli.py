@@ -247,3 +247,23 @@ def test_exceptions_rejects_non_finite_x(capsys, x):
     assert code == 2
     assert out == ""
     assert err.startswith("error: x must be finite") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("delta", ["nan", "5", "-1", "inf", "0"])
+@pytest.mark.parametrize("pair", [("1200", "200"), ("60", "10")])
+def test_certify_rejects_bad_delta_for_every_pair(capsys, delta, pair):
+    # (1200, 200) is decided by the plain bound, (60, 10) would try the refined one
+    code, out, err = run_cli(capsys, "--budget", "0", "certify", "--delta", delta, *pair)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: delta must lie in (0, pi/3]") and err.count("\n") == 1
+
+
+def test_intervals_follow_the_slack_exponent(capsys):
+    code, default, _ = run_cli(capsys, "intervals", "1000000")
+    assert code == 0
+    code, loose, _ = run_cli(capsys, "--slack-exponent", "0", "intervals", "1000000")
+    assert code == 0
+    assert loose != default
+    code, explicit, _ = run_cli(capsys, "--slack-exponent", "40", "intervals", "1000000")
+    assert explicit == default

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,35 @@ from binsum.polynomials import (
     tilde_poly,
     tilde_prefactor,
 )
+
+
+def _c_poly_interpolated(lambda2: int) -> list[Fraction]:
+    """Newton interpolation of X -> S(X, lambda2) on the nodes lambda2..2*lambda2."""
+    nodes = list(range(lambda2, 2 * lambda2 + 1))
+    values = [Fraction(eval_direct(PartitionPair(x, lambda2)).value) for x in nodes]
+    # divided differences in place
+    dd = values[:]
+    for level in range(1, len(nodes)):
+        for i in range(len(nodes) - 1, level - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (nodes[i] - nodes[i - level])
+    # expand the Newton form to monomials
+    coeffs = [Fraction(0)] * len(nodes)
+    basis = [Fraction(1)]  # product of (X - nodes[0]) ... ascending
+    for level, c in enumerate(dd):
+        for i, b in enumerate(basis):
+            coeffs[i] += c * b
+        nb = [Fraction(0)] * (len(basis) + 1)
+        for i, b in enumerate(basis):
+            nb[i] -= nodes[level] * b
+            nb[i + 1] += b
+        basis = nb
+    return coeffs
+
+
+def test_c_poly_matches_interpolation_of_the_sums():
+    for lambda2 in [*range(0, 31), 38, 45, 60]:
+        poly = c_poly(lambda2)
+        assert [Fraction(c, poly.scale) for c in poly.coefficients] == _c_poly_interpolated(lambda2), lambda2
 
 
 def test_c_poly_small_cases():
