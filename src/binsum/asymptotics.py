@@ -267,7 +267,7 @@ def check_delta(delta, prec: int = DEFAULT_PRECISION) -> mpf:
     ValueError unless 0 < delta <= pi/3 (so also for nan and infinities)."""
     with workprec(prec + GUARD_BITS):
         d = mpf(delta)
-        if not 0 < d <= mp.pi / 3 * (1 + mpf(2) ** -40):
+        if not 0 < d <= mp.pi / 3 * (1 + slack_value()):
             raise ValueError(f"delta must lie in (0, pi/3], got {delta}")
         return d
 
@@ -586,27 +586,21 @@ def cos_lower_bound(
         def leq(x, y) -> bool:
             return certified_compare(x, y, slack) is Comparison.CERTIFIED_LESS
 
+        # the first window of each class ends at (2, 3, 4, 1)*pi/4
         cls = pair.congruence_class
-        if cls == 0:
-            if leq(qm, pi_v / 2):
+        if leq(qm, (2, 3, 4, 1)[cls] * pi_v / 4):
+            if cls == 0:
                 return mp.cos(qm), True
-            if r != 3 and leq(pi_v / three_minus_r, qm) and leq(qm, 3 * pi_v / 2):
-                return min(mp.cos(pi_v - qm), mp.cos(pi_v - halfshrink * qm)), True
-            return None, False
-        if cls == 1:
-            if leq(qm, 3 * pi_v / 4):
+            if cls == 1:
                 return min(1 / mp.sqrt(mpf(2)), mp.cos(pi_v / 4 - qm)), True
-            if r != 3 and leq(3 * pi_v / (2 * three_minus_r), qm) and leq(qm, 7 * pi_v / 4):
-                return min(mp.cos(5 * pi_v / 4 - qm), mp.cos(5 * pi_v / 4 - halfshrink * qm)), True
-            return None, False
-        if cls == 2:
-            if leq(qm, pi_v):
+            if cls == 2:
                 return min(mp.cos(pi_v / 2 - qm), mp.cos(pi_v / 2 - halfshrink * qm)), True
-            if r != 3 and leq(2 * pi_v / three_minus_r, qm) and leq(qm, 2 * pi_v):
-                return min(mp.cos(3 * pi_v / 2 - qm), mp.cos(3 * pi_v / 2 - halfshrink * qm)), True
-            return None, False
-        if leq(qm, pi_v / 4):
             return mp.cos(pi_v / 4 + qm), True
-        if r != 3 and leq(pi_v / (2 * three_minus_r), qm) and leq(qm, 5 * pi_v / 4):
-            return min(mp.cos(3 * pi_v / 4 - qm), mp.cos(3 * pi_v / 4 - halfshrink * qm)), True
+        # the second window is 2*(c - pi/2)/(3 - r) <= q <= c + pi/2 around the
+        # centre c = k*pi/4, k = (4, 5, 6, 3); each multiple of pi is rounded
+        # once and then scaled by a power of two, which is exact
+        k = (4, 5, 6, 3)[cls]
+        if r != 3 and leq((k - 2) * pi_v / (2 * three_minus_r), qm) and leq(qm, (k + 2) * pi_v / 4):
+            centre = k * pi_v / 4
+            return min(mp.cos(centre - qm), mp.cos(centre - halfshrink * qm)), True
         return None, False

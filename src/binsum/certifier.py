@@ -163,8 +163,6 @@ def _oscillatory_step(pair, prec, slack) -> Certificate | None:
 
 
 def _window_step(pair, prec, slack_exponent) -> Certificate | None:
-    if pair.difference < NEAR_DIAGONAL_MIN_DIFFERENCE:
-        return None
     for win in difference_windows(pair.lambda2, prec, slack_exponent):
         if (
             win.basis == "window-table"
@@ -181,8 +179,6 @@ def _window_step(pair, prec, slack_exponent) -> Certificate | None:
 
 
 def _near_diagonal_step(pair, prec, slack_exponent) -> Certificate | None:
-    if pair.difference < NEAR_DIAGONAL_MIN_DIFFERENCE or pair.ratio > 3:
-        return None
     bound = near_diagonal_error_bound(pair, prec, slack_exponent)
     if not bound.valid:
         return None
@@ -237,10 +233,12 @@ def certify(
         cert = _oscillatory_step(pair, prec, slack)
         if cert is not None:
             return cert
-        # every window-table window and every near-diagonal row ends below
-        # d = sqrt(8*pi*l2), and 8*pi < 26, so neither step applies when d*d >= 26*l2
+        # both steps need d >= 702, and every window-table window and every
+        # near-diagonal row ends below d = sqrt(8*pi*l2) < sqrt(26*l2).  Inside
+        # the gate l2 > 702**2/26 > 18953 and r = 1 + d/l2 < 1 + 26/d < 1.04,
+        # so neither step needs its own d >= 702 or r <= 3 check.
         d = pair.difference
-        if d * d < 26 * pair.lambda2:
+        if NEAR_DIAGONAL_MIN_DIFFERENCE <= d and d * d < 26 * pair.lambda2:
             cert = _window_step(pair, prec, slack_exponent)
             if cert is not None:
                 return cert
@@ -313,9 +311,10 @@ def difference_windows(
             return mp.sqrt(k * mp.pi * l2)
 
         quarter_root = mpf("2.0582") * l2 ** mpf("0.25")
-        if certified_compare(quarter_root, 702, slack) is Comparison.CERTIFIED_LESS:
+        versus_702 = certified_compare(quarter_root, 702, slack)
+        if versus_702 is Comparison.CERTIFIED_LESS:
             class2_lo = 702
-        elif certified_compare(quarter_root, 702, slack) is Comparison.CERTIFIED_GREATER:
+        elif versus_702 is Comparison.CERTIFIED_GREATER:
             class2_lo = _int_above(quarter_root, slack)
         else:
             class2_lo = 703
@@ -427,14 +426,15 @@ class ScanReport:
             )
 
 
-def format_float(x: float | None) -> str:
-    """17-significant-digit decimal, empty for missing values (CSV cell)."""
-    return "" if x is None else format(x, ".17g")
+def format_float(x) -> str:
+    """A float or mpf at 17 significant digits, which round-trips a float
+    losslessly; empty for a missing value (CSV cell)."""
+    return "" if x is None else format(float(x), ".17g")
 
 
 def _entry_json(e: ScanEntry) -> str:
     c = e.certificate
-    margin = "null" if c.margin is None else format(c.margin, ".17g")
+    margin = "null" if c.margin is None else format_float(c.margin)
     sign = "null" if c.exact_sign is None else str(c.exact_sign)
     return (
         f'{{"lambda1":{e.pair.lambda1},"lambda2":{e.pair.lambda2},'
@@ -460,6 +460,19 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def rule_pairs(lambda2_range: tuple[int, int], rule) -> list[tuple[int, int]]:
+    """The (lambda1, lambda2) pairs `rule` generates over an inclusive lambda2
+    range, in (lambda2, lambda1) order; raises ValueError for an empty or
+    invalid range and when the rule generates no pairs."""
+    lo, hi = lambda2_range
+    if hi < lo or lo < 1:
+        raise ValueError(f"empty or invalid lambda2 range {lambda2_range}")
+    pairs = [(l1, l2) for l2 in range(lo, hi + 1) for l1 in sorted(rule.lambda1_values(l2))]
+    if not pairs:
+        raise ValueError("the scan rule generates no pairs on this range")
+    return pairs
+
+
 def scan_range(
     lambda2_range: tuple[int, int],
     rule,
@@ -477,18 +490,9 @@ def scan_range(
     is set, since wall clock readings are not reproducible).  The pool gets
     at most as many workers as there are usable CPUs and tasks.
     """
-    lo, hi = lambda2_range
-    if hi < lo or lo < 1:
-        raise ValueError(f"empty or invalid lambda2 range {lambda2_range}")
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-    tasks = [
-        (l1, l2, budget, prec, slack_exponent, timings)
-        for l2 in range(lo, hi + 1)
-        for l1 in sorted(rule.lambda1_values(l2))
-    ]
-    if not tasks:
-        raise ValueError("the scan rule generates no pairs on this range")
+    tasks = [(l1, l2, budget, prec, slack_exponent, timings) for l1, l2 in rule_pairs(lambda2_range, rule)]
     workers = min(parallelism, _usable_cpus(), len(tasks))
     if workers == 1:
         return ScanReport(tuple(map(_scan_one, tasks)))
@@ -532,9 +536,7 @@ class CFExpansion:
         return True
 
 
-def continued_fraction(
-    x, depth: int, prec: int = DEFAULT_PRECISION, abs_err=None
-) -> CFExpansion:
+def continued_fraction(x, depth: int, prec: int = DEFAULT_PRECISION) -> CFExpansion:
     """Partial-quotient expansion of x with pessimistic error tracking.
 
     The absolute error of the current remainder is propagated through each
@@ -547,7 +549,7 @@ def continued_fraction(
         raise ValueError("depth must be >= 1")
     with workprec(prec + GUARD_BITS):
         cur = mpf(x)
-        err = mpf(abs_err) if abs_err is not None else (abs(cur) + 1) * mpf(2) ** (2 - prec)
+        err = (abs(cur) + 1) * mpf(2) ** (2 - prec)
         quotients: list[int] = []
         convergents: list[tuple[int, int]] = []
         h_prev, h_prev2 = 1, 0
@@ -600,19 +602,19 @@ def exception_count_bound(r: Fraction, x, prec: int = DEFAULT_PRECISION) -> Exce
     """Main-term bound 102644/((6r-1-r**2)**(11/4) * log(golden)) * sqrt(x)*log(x).
 
     For supercritical r the count is bounded by a constant depending only on
-    r and a flag result is returned instead.
+    r and a flag result is returned instead.  Every ratio needs a finite x >= 1.
     """
     check_precision(prec)
     r = Fraction(r)
     regime = classify(r)
     if regime is Regime.DEGENERATE:
         raise RegimeError(f"exception counting requires r > 1, got r = {r}")
-    if regime is Regime.SUPERCRITICAL:
-        return ExceptionCount("bounded-count", None, None, remainder_unquantified=True)
     with workprec(prec + GUARD_BITS):
         xv = mpf(x)
-        if xv < 1:
-            raise ValueError("x must be >= 1")
+        if not (mp.isfinite(xv) and xv >= 1):
+            raise ValueError(f"x must be finite and >= 1, got {x}")
+        if regime is Regime.SUPERCRITICAL:
+            return ExceptionCount("bounded-count", None, None, remainder_unquantified=True)
         negdisc = -r * r + 6 * r - 1
         nd = mpf(negdisc.numerator) / mpf(negdisc.denominator)
         golden = (1 + mp.sqrt(mpf(5))) / 2

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -22,6 +21,7 @@ from fractions import Fraction
 from mpmath import mp, workprec
 
 from . import asymptotics, certifier, polynomials, validators
+from .certifier import format_float
 from .exact import PartitionPair, Route, evaluate
 from .numerics import DEFAULT_PRECISION, DEFAULT_SLACK_EXPONENT, GUARD_BITS, check_precision
 
@@ -88,11 +88,6 @@ def parse_range(text: str) -> tuple[int, int]:
         raise ValueError(f"expected a range like 10..20, got {text!r}")
     lo, hi = text.split("..", 1)
     return int(lo), int(hi)
-
-
-def ff(x) -> str:
-    """Floats at 17 significant digits; round-trips losslessly."""
-    return format(float(x), ".17g")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,21 +200,21 @@ def cmd_predict(args, config: RunConfig) -> int:
     if config.output_format == "human":
         print(f"pair           ({pair.lambda1}, {pair.lambda2}), class {pair.congruence_class}")
         print(f"regime         {pred.regime.value}")
-        print(f"normalized main {ff(pred.normalized_main)}")
-        print(f"error bound     {ff(pred.error_bound)}")
+        print(f"normalized main {format_float(pred.normalized_main)}")
+        print(f"error bound     {format_float(pred.error_bound)}")
         print(f"valid           {pred.valid}")
         print(f"normalizer      {pred.normalizer}")
-        print(f"log normalizer  {ff(pred.log_normalizer)}")
+        print(f"log normalizer  {format_float(pred.log_normalizer)}")
         if pred.threshold is not None:
-            print(f"valid from      lambda2 >= {ff(pred.threshold)}")
+            print(f"valid from      lambda2 >= {format_float(pred.threshold)}")
         if pred.detail:
             print(f"detail          {pred.detail}")
     else:
         row = (
             f'{{"lambda1":{pair.lambda1},"lambda2":{pair.lambda2},'
-            f'"regime":"{pred.regime.value}","normalized_main":{ff(pred.normalized_main)},'
-            f'"error_bound":{ff(pred.error_bound)},"valid":{"true" if pred.valid else "false"},'
-            f'"normalizer":{json.dumps(pred.normalizer)},"log_normalizer":{ff(pred.log_normalizer)}}}'
+            f'"regime":"{pred.regime.value}","normalized_main":{format_float(pred.normalized_main)},'
+            f'"error_bound":{format_float(pred.error_bound)},"valid":{"true" if pred.valid else "false"},'
+            f'"normalizer":{json.dumps(pred.normalizer)},"log_normalizer":{format_float(pred.log_normalizer)}}}'
         )
         print(row)
     return 0
@@ -239,7 +234,7 @@ def cmd_certify(args, config: RunConfig) -> int:
         print(f"certificate {cert.kind.value}")
         print(f"rule        {cert.rule}")
         if cert.margin is not None:
-            print(f"margin      {ff(cert.margin)}")
+            print(f"margin      {format_float(cert.margin)}")
         if cert.exact_sign is not None:
             print(f"exact sign  {cert.exact_sign}")
         if cert.bit_length is not None:
@@ -326,8 +321,6 @@ def cmd_poly(args, config: RunConfig) -> int:
 
 
 def cmd_exceptions(args, config: RunConfig) -> int:
-    if not math.isfinite(args.x):
-        raise ValueError(f"x must be finite, got {args.x}")
     prec = config.precision_bits
     r = args.ratio
     count = certifier.exception_count_bound(r, args.x, prec)
@@ -379,20 +372,11 @@ def cmd_validate(args, config: RunConfig) -> int:
 
 
 def cmd_plotdata(args, config: RunConfig) -> int:
-    rule = certifier.RatioRule(args.ratio) if args.ratio is not None else certifier.DiffRule(args.diff)
-    lo, hi = args.l2
-    if hi < lo or lo < 1:
-        raise ValueError(f"empty or invalid lambda2 range {args.l2}")
+    pairs = certifier.rule_pairs(args.l2, _scan_rule(args))
     print("lambda2,residual,bound")
-    emitted = 0
-    for l2 in range(lo, hi + 1):
-        for l1 in rule.lambda1_values(l2):
-            pair = PartitionPair(l1, l2)
-            residual, pred, _ = asymptotics.normalized_residual(pair, config.precision_bits)
-            print(f"{l2},{ff(residual)},{ff(pred.error_bound)}")
-            emitted += 1
-    if not emitted:
-        raise ValueError("the rule generates no pairs on this range")
+    for l1, l2 in pairs:
+        residual, pred, _ = asymptotics.normalized_residual(PartitionPair(l1, l2), config.precision_bits)
+        print(f"{l2},{format_float(residual)},{format_float(pred.error_bound)}")
     return 0
 
 

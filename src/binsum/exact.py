@@ -239,12 +239,15 @@ def reduced_term_count(pair: PartitionPair) -> int:
     return max(0, pair.lambda1 // 2 - (pair.lambda2 + 1) // 2 + 1)
 
 
-def evaluate(pair: PartitionPair, route: Route | None = None) -> ExactValue:
-    """Evaluate by the requested route, or pick the cheaper one.
+def _reduced_is_shorter(pair: PartitionPair) -> bool:
+    """The automatic route rule: the reduced route sums at most lambda2
+    terms, fewer than the direct route's lambda2 + 1."""
+    return reduced_term_count(pair) <= pair.lambda2
 
-    Auto-selection: the short route wins when its term count is below a
-    quarter of the direct route's lambda2 terms.
-    """
+
+def evaluate(pair: PartitionPair, route: Route | None = None) -> ExactValue:
+    """Evaluate by the requested route, or pick the one with fewer terms
+    (the diagonal closed form on the diagonal)."""
     if route is Route.DIRECT:
         return eval_direct(pair)
     if route is Route.REDUCED:
@@ -255,7 +258,7 @@ def evaluate(pair: PartitionPair, route: Route | None = None) -> ExactValue:
         return eval_diagonal(pair.lambda1)
     if pair.lambda1 == pair.lambda2:
         return eval_diagonal(pair.lambda1)
-    if 4 * reduced_term_count(pair) < pair.lambda2:
+    if _reduced_is_shorter(pair):
         return eval_reduced(pair)
     return eval_direct(pair)
 
@@ -263,11 +266,11 @@ def evaluate(pair: PartitionPair, route: Route | None = None) -> ExactValue:
 def evaluation_cost(pair: PartitionPair) -> int:
     """Cost estimate in 64-bit word multiplications for an exact evaluation.
 
-    Term count is the cheaper route's; each term costs about one product of
-    lambda1-bit numbers, i.e. (lambda1/64)**2 word multiplies.
+    Term count is the automatic route's; each term costs about one product
+    of lambda1-bit numbers, i.e. (lambda1/64)**2 word multiplies.
     """
     words = max(1, (pair.lambda1 + 63) // 64)
-    nterms = min(pair.lambda2 + 1, reduced_term_count(pair))
+    nterms = reduced_term_count(pair) if _reduced_is_shorter(pair) else pair.lambda2 + 1
     return max(1, nterms) * words * words
 
 

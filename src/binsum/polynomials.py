@@ -14,7 +14,6 @@ actual parameter pairs).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -92,9 +91,6 @@ class IntPolynomial:
             "coefficients": [str(c) for c in self.coefficients],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 def _poly_add_scaled(acc: list[int], poly: list[int], w: int) -> None:
     for i, c in enumerate(poly):
@@ -110,8 +106,23 @@ def _poly_mul_linear(poly: list[int], a: int) -> list[int]:
     return out
 
 
-def _c_poly_symbolic(lambda2: int) -> IntPolynomial:
-    """Expand l2! * sum_j (-1)**j C(l2,j) C(X,j) into monomial coefficients."""
+def _divide_linear(poly: list[int], root: int) -> tuple[list[int], int]:
+    """Synthetic division of ascending `poly` by (X - root): (quotient, remainder)."""
+    desc = [poly[-1]]
+    for c in reversed(poly[:-1]):
+        desc.append(c + root * desc[-1])
+    remainder = desc.pop()
+    return desc[::-1], remainder
+
+
+def c_poly(lambda2: int) -> IntPolynomial:
+    """The degree-lambda2 polynomial P with P(l1)/scale = S(l1, l2) for all l1 >= 0.
+
+    Expands l2! * sum_j (-1)**j C(l2,j) C(X,j) into monomial coefficients
+    (the tests check it against exact interpolation of the sums themselves).
+    """
+    if lambda2 < 0:
+        raise ValueError("lambda2 must be nonnegative")
     fact = math.factorial(lambda2)
     coeffs = [0] * (lambda2 + 1)
     falling = [1]  # X*(X-1)*...*(X-j+1), ascending
@@ -121,16 +132,7 @@ def _c_poly_symbolic(lambda2: int) -> IntPolynomial:
             w = -w
         _poly_add_scaled(coeffs, falling, w)
         falling = _poly_mul_linear(falling, -j)
-    return IntPolynomial(tuple(coeffs), fact, "c", (lambda2,))
-
-
-def c_poly(lambda2: int) -> IntPolynomial:
-    """The degree-lambda2 polynomial P with P(l1)/scale = S(l1, l2) for all l1 >= 0,
-    by symbolic expansion (the tests check it against exact interpolation of
-    the sums themselves)."""
-    if lambda2 < 0:
-        raise ValueError("lambda2 must be nonnegative")
-    return _c_poly_symbolic(lambda2).reduced()
+    return IntPolynomial(tuple(coeffs), fact, "c", (lambda2,)).reduced()
 
 
 def _prod_linear_range(lo: int, hi: int) -> list[int]:
@@ -157,27 +159,16 @@ def tilde_poly(l: int, eps1: int, eps2: int) -> IntPolynomial:
     if eps1 not in (0, 1) or eps2 not in (0, 1):
         raise ValueError("eps1 and eps2 must be 0 or 1")
     n = 2 * l + eps2
-    degree_cap = l + 1
-    coeffs = [0] * (degree_cap + 1)
+    coeffs = [0] * (l + 2)
     jmax = l - 1 if (eps1, eps2) == (1, 0) else l
+    # term = k(k-1)...(k-j+1) * (k+j+1+eps1)...(k+l+eps1*eps2); stepping to
+    # j + 1 multiplies in (k - j) and divides out (k + j + 1 + eps1) exactly
+    term = _prod_linear_range(1 + eps1, l + eps1 * eps2)
     for j in range(jmax + 1):
         w = math.comb(n, 2 * j + eps1)
-        if j % 2:
-            w = -w
-        if eps1 == 0:
-            rising = _prod_linear_range(j + 1, l)
-        elif eps2 == 0:
-            rising = _prod_linear_range(j + 2, l)
-        else:
-            rising = _prod_linear_range(j + 2, l + 1)
-        falling = [1]
-        for i in range(j):
-            falling = _poly_mul_linear(falling, -i)
-        term = [0] * (len(rising) + len(falling) - 1)
-        for i, a in enumerate(rising):
-            for ii, b in enumerate(falling):
-                term[i + ii] += a * b
-        _poly_add_scaled(coeffs, term, w)
+        _poly_add_scaled(coeffs, term, -w if j % 2 else w)
+        if j < jmax:
+            term, _ = _divide_linear(_poly_mul_linear(term, -j), -(j + 1 + eps1))
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return IntPolynomial(tuple(coeffs), 1, "tilde", (l, eps1, eps2)).reduced()
@@ -296,13 +287,9 @@ def factor_linear(poly: IntPolynomial, root: int) -> IntPolynomial:
     """
     if poly.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    desc = list(reversed(poly.coefficients[: poly.degree + 1]))
-    out = [desc[0]]
-    for c in desc[1:]:
-        out.append(c + root * out[-1])
-    remainder = out.pop()
+    quotient, remainder = _divide_linear(list(poly.coefficients[: poly.degree + 1]), root)
     if remainder != 0:
         raise ValueError(f"{root} is not a root (remainder {remainder})")
-    if not out:
+    if not quotient:
         raise ValueError("degree-zero polynomial has no linear factor")
-    return IntPolynomial(tuple(reversed(out)), poly.scale)
+    return IntPolynomial(tuple(quotient), poly.scale)

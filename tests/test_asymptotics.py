@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -288,6 +289,54 @@ def test_cos_lower_bound_sound_on_spot_pairs():
             continue
         cosv, _ = oscillation_cosine(pair, 128, half_phase=False)
         assert bound <= abs(cosv) + mpf(2) ** -40
+
+
+# per class: the first window's end, the second window's start as a function
+# of r, and the second window's end, for q = d*d/(4*l2)
+COSINE_WINDOWS = {
+    0: (math.pi / 2, lambda r: math.pi / (3 - r), 3 * math.pi / 2),
+    1: (3 * math.pi / 4, lambda r: 3 * math.pi / (2 * (3 - r)), 7 * math.pi / 4),
+    2: (math.pi, lambda r: 2 * math.pi / (3 - r), 2 * math.pi),
+    3: (math.pi / 4, lambda r: math.pi / (2 * (3 - r)), 5 * math.pi / 4),
+}
+
+
+def _pairs_around(cls, edge):
+    """The class-cls pairs near l2 = 1e5 whose q lies closest below and
+    closest above edge(r)."""
+    below = above = None
+    for l2 in range(100000, 100100):
+        d0 = math.isqrt(int(4 * l2 * edge(1.0)))
+        for d in range(d0 - 60, d0 + 61):
+            if (2 * l2 + d) % 4 != cls:
+                continue
+            gap = d * d / (4 * l2) - edge((l2 + d) / l2)
+            if gap < -1e-9 and (below is None or gap > below[0]):
+                below = (gap, PartitionPair(l2 + d, l2))
+            if gap > 1e-9 and (above is None or gap < above[0]):
+                above = (gap, PartitionPair(l2 + d, l2))
+    return below[1], above[1]
+
+
+@pytest.mark.parametrize("cls", range(4))
+def test_cos_lower_bound_window_edges(cls):
+    first_end, second_start, second_end = COSINE_WINDOWS[cls]
+    expected = []  # (pair, applicable): inside and outside each end
+    inside, outside = _pairs_around(cls, lambda r: first_end)
+    expected += [(inside, True), (outside, False)]
+    outside, inside = _pairs_around(cls, second_start)
+    expected += [(inside, True), (outside, False)]
+    inside, outside = _pairs_around(cls, lambda r: second_end)
+    expected += [(inside, True), (outside, False)]
+    for pair, applicable in expected:
+        assert pair.congruence_class == cls
+        bound, ok = cos_lower_bound(pair)
+        assert ok is applicable, (pair, float(Fraction(pair.difference**2, 4 * pair.lambda2)))
+        if ok:
+            cosv, _ = oscillation_cosine(pair, 128, half_phase=False)
+            assert 0 < bound <= abs(cosv) + mpf(2) ** -40
+        else:
+            assert bound is None
 
 
 def _bits(x):

@@ -397,3 +397,19 @@ def test_exception_count_edge_cases():
         exception_count_bound(Fraction(2), mpf("0.5"))
     with pytest.raises(ValueError):
         exception_count_bound(Fraction(1, 2), 10)
+
+
+@pytest.mark.parametrize("r", [Fraction(6), Fraction(2)])  # supercritical and subcritical
+@pytest.mark.parametrize("x", [-5, 0, 0.5, float("nan"), float("inf")])
+def test_exception_count_checks_x_for_every_regime(r, x):
+    with pytest.raises(ValueError, match="x must be finite and >= 1"):
+        exception_count_bound(r, x)
+
+
+def test_rule_pairs_order_and_errors():
+    pairs = certifier.rule_pairs((4, 6), ListRule((9, 5, 7)))
+    assert pairs == [(5, 4), (7, 4), (9, 4), (7, 5), (9, 5), (7, 6), (9, 6)]
+    with pytest.raises(ValueError, match="empty or invalid lambda2 range"):
+        certifier.rule_pairs((6, 4), DiffRule(1))
+    with pytest.raises(ValueError, match="generates no pairs"):
+        certifier.rule_pairs((1, 3), DiffRule(0))

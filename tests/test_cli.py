@@ -249,6 +249,31 @@ def test_exceptions_rejects_non_finite_x(capsys, x):
     assert err.startswith("error: x must be finite") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("ratio", ["6", "2"])  # supercritical and subcritical
+@pytest.mark.parametrize("x", ["-5", "0", "0.5"])
+def test_exceptions_rejects_x_below_one_for_every_ratio(capsys, ratio, x):
+    code, out, err = run_cli(capsys, "exceptions", ratio, x)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: x must be finite and >= 1, got {float(x)}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("plotdata", "--diff", "0", "--l2", "1..3"),
+        ("plotdata", "--ratio", "1", "--l2", "1..3"),
+        ("scan", "--diff", "0", "--l2", "1..3"),
+        ("scan", "--l1-list", "2,3", "--l2", "5..9"),
+    ],
+)
+def test_rules_without_pairs_exit_2_with_empty_stdout(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: the scan rule generates no pairs on this range\n"
+
+
 @pytest.mark.parametrize("delta", ["nan", "5", "-1", "inf", "0"])
 @pytest.mark.parametrize("pair", [("1200", "200"), ("60", "10")])
 def test_certify_rejects_bad_delta_for_every_pair(capsys, delta, pair):

@@ -101,6 +101,23 @@ def test_evaluate_route_selection():
         evaluate(PartitionPair(9, 8), Route.DIAGONAL)
 
 
+def test_evaluate_route_is_the_shorter_one():
+    # on both sides of reduced_term_count == l2 the automatic route is the
+    # reduced one exactly when it sums at most l2 terms, and evaluation_cost
+    # charges that route's term count
+    for l2 in range(1, 81):
+        edge = 2 * (l2 + (l2 + 1) // 2 - 1)  # the largest even l1 with count l2
+        for l1 in range(max(l2 + 1, edge - 3), edge + 4):
+            pair = PartitionPair(l1, l2)
+            nterms = reduced_term_count(pair)
+            reduced = nterms <= l2
+            result = evaluate(pair)
+            assert result.route is (Route.REDUCED if reduced else Route.DIRECT), (l1, l2)
+            assert result.value == eval_direct(pair).value
+            words = (l1 + 63) // 64
+            assert evaluation_cost(pair) == (nterms if reduced else l2 + 1) * words * words
+
+
 def test_term_growth_beyond_threshold():
     # for l1 > l2*(l2+1) - 1 the summand magnitudes increase strictly from j=1
     for l2 in range(1, 31):

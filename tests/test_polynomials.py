@@ -113,7 +113,7 @@ def test_tilde_degree_lower_bounds():
 
 
 def test_tilde_prefactor_identity():
-    for l in range(0, 41, 4):
+    for l in range(61):
         for eps1 in (0, 1):
             for eps2 in (0, 1):
                 poly = tilde_poly(l, eps1, eps2)
