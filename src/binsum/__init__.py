@@ -46,8 +46,10 @@ from .exact import (
     eval_diagonal,
     eval_direct,
     eval_reduced,
+    eval_row,
     evaluate,
     normalized_I,
+    row_step,
 )
 from .numerics import Comparison, certified_compare, slack_value, to_real
 from .polynomials import IntPolynomial, c_poly, factor_linear, integer_roots, tilde_poly

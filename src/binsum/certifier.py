@@ -2,7 +2,9 @@
 
 `certify` runs a cascade of sound checks, cheapest first:
 
-  1. exact evaluation, when the estimated cost fits the budget (definitive);
+  1. exact evaluation, when the estimated cost fits the budget (definitive;
+     a range scan walks each l2 row by the three-term recurrence in l1,
+     so a pair whose two predecessors were evaluated costs one step);
   2. the term-growth criterion: for l1 > l2*(l2+1) - 1 the alternating
      summands grow strictly in absolute value, so the sum cannot vanish;
   3. supercritical: the explicit error bound certified below 1 forces the
@@ -22,6 +24,7 @@ exceptions the theory allows, and they must surface in reports.
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -117,10 +120,26 @@ def certify_by_term_growth(pair: PartitionPair) -> bool:
     return l2 >= 1 and l1 > l2 and l1 > l2 * (l2 + 1) - 1
 
 
-def _exact_step(pair: PartitionPair, budget: int) -> Certificate | None:
+@dataclass(slots=True)
+class RowWalk:
+    """The state of a walk along one scan row (fixed lambda2): the last exactly
+    evaluated lambda1, S(lambda1 - 1, lambda2) when known (else None) and
+    S(lambda1, lambda2).  A row's values are not kept beyond these two."""
+
+    lambda1: int = -1
+    before: int | None = None
+    value: int | None = None
+
+
+def _exact_step(pair: PartitionPair, budget: int, row: RowWalk | None) -> Certificate | None:
     if evaluation_cost(pair) > budget:
         return None
-    value = evaluate(pair).value
+    follows = row is not None and row.lambda1 == pair.lambda1 - 1
+    prior = (row.before, row.value) if follows and row.before is not None else None
+    value = evaluate(pair, prior=prior).value
+    if row is not None:
+        row.before = row.value if follows else None
+        row.lambda1, row.value = pair.lambda1, value
     if value == 0:
         return Certificate(pair, CertificateKind.ZERO_EXACT, "exact evaluation", exact_sign=0)
     return Certificate(
@@ -202,6 +221,7 @@ def certify(
     prec: int = DEFAULT_PRECISION,
     slack_exponent: int = DEFAULT_SLACK_EXPONENT,
     delta=None,
+    row: RowWalk | None = None,
 ) -> Certificate:
     """Run the certification cascade on one pair.
 
@@ -209,7 +229,10 @@ def certify(
     genuinely vanishes for odd lambda, so no nonvanishing claim is possible
     there.  An optional `delta` in (0, pi/3] enables the refined
     supercritical bound when the ratio allows it; any other value raises
-    ValueError, whatever the pair.
+    ValueError, whatever the pair.  A scan passes the `RowWalk` of the
+    pair's row, which must have seen only pairs of this lambda2; the exact
+    step then takes S(lambda1, lambda2) by one recurrence step from the two
+    values before it when it has them.  The verdict is the same either way.
     """
     check_precision(prec)
     if delta is not None:
@@ -218,7 +241,7 @@ def certify(
         return Certificate(pair, CertificateKind.REFUSED, "input check", reason="lambda2 = 0 row excluded")
     if pair.lambda1 <= pair.lambda2:
         return Certificate(pair, CertificateKind.REFUSED, "input check", reason="diagonal pair excluded")
-    cert = _exact_step(pair, budget)
+    cert = _exact_step(pair, budget, row)
     if cert is not None:
         return cert
     if certify_by_term_growth(pair):
@@ -443,13 +466,18 @@ def _entry_json(e: ScanEntry) -> str:
     )
 
 
-def _scan_one(args: tuple) -> ScanEntry:
-    l1, l2, budget, prec, slack_exponent, timed = args
-    start = time.perf_counter() if timed else 0.0
-    pair = PartitionPair(l1, l2)
-    cert = certify(pair, budget=budget, prec=prec, slack_exponent=slack_exponent)
-    usec = int((time.perf_counter() - start) * 1e6) if timed else 0
-    return ScanEntry(pair, cert, usec)
+def _scan_row(args: tuple) -> list[ScanEntry]:
+    """Certify one row: every lambda1 of `lambda1s` (sorted) at one lambda2."""
+    lambda1s, l2, budget, prec, slack_exponent, timed = args
+    row = RowWalk()
+    out = []
+    for l1 in lambda1s:
+        start = time.perf_counter() if timed else 0.0
+        pair = PartitionPair(l1, l2)
+        cert = certify(pair, budget=budget, prec=prec, slack_exponent=slack_exponent, row=row)
+        usec = int((time.perf_counter() - start) * 1e6) if timed else 0
+        out.append(ScanEntry(pair, cert, usec))
+    return out
 
 
 def _usable_cpus() -> int:
@@ -460,17 +488,23 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def rule_pairs(lambda2_range: tuple[int, int], rule) -> list[tuple[int, int]]:
-    """The (lambda1, lambda2) pairs `rule` generates over an inclusive lambda2
-    range, in (lambda2, lambda1) order; raises ValueError for an empty or
-    invalid range and when the rule generates no pairs."""
+def rule_rows(lambda2_range: tuple[int, int], rule) -> list[tuple[list[int], int]]:
+    """The nonempty rows (sorted lambda1 values, lambda2) that `rule` generates
+    over an inclusive lambda2 range, in lambda2 order; raises ValueError for
+    an empty or invalid range and when the rule generates no pairs."""
     lo, hi = lambda2_range
     if hi < lo or lo < 1:
         raise ValueError(f"empty or invalid lambda2 range {lambda2_range}")
-    pairs = [(l1, l2) for l2 in range(lo, hi + 1) for l1 in sorted(rule.lambda1_values(l2))]
-    if not pairs:
+    rows = [(sorted(rule.lambda1_values(l2)), l2) for l2 in range(lo, hi + 1)]
+    rows = [row for row in rows if row[0]]
+    if not rows:
         raise ValueError("the scan rule generates no pairs on this range")
-    return pairs
+    return rows
+
+
+def rule_pairs(lambda2_range: tuple[int, int], rule) -> list[tuple[int, int]]:
+    """The (lambda1, lambda2) pairs of `rule_rows`, in (lambda2, lambda1) order."""
+    return [(l1, l2) for lambda1s, l2 in rule_rows(lambda2_range, rule) for l1 in lambda1s]
 
 
 def scan_range(
@@ -484,21 +518,28 @@ def scan_range(
 ) -> ScanReport:
     """Certify every pair generated by `rule` over an inclusive lambda2 range.
 
-    Tasks are generated in (lambda2, lambda1) order and both `map` and the
-    pool's `map` keep input order, so reports are byte-identical across
-    parallelism settings (per-pair timing is recorded only when `timings`
-    is set, since wall clock readings are not reproducible).  The pool gets
-    at most as many workers as there are usable CPUs and tasks.
+    A task is one row: a lambda2 and its sorted lambda1 values.  Within a
+    row, each pair whose two predecessors S(lambda1 - 2, lambda2) and
+    S(lambda1 - 1, lambda2) were evaluated exactly is evaluated by one step
+    of the row recurrence (see `exact.row_step`); the budget gate and the
+    verdicts are those of `certify` on the pair alone.  Rows run in lambda2
+    order and both `map` and the pool's `map` keep input order, so reports
+    are byte-identical across parallelism settings (per-pair timing is
+    recorded only when `timings` is set, since wall clock readings are not
+    reproducible).  The pool gets at most as many workers as there are
+    usable CPUs and rows.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-    tasks = [(l1, l2, budget, prec, slack_exponent, timings) for l1, l2 in rule_pairs(lambda2_range, rule)]
+    tasks = [(lambda1s, l2, budget, prec, slack_exponent, timings) for lambda1s, l2 in rule_rows(lambda2_range, rule)]
     workers = min(parallelism, _usable_cpus(), len(tasks))
     if workers == 1:
-        return ScanReport(tuple(map(_scan_one, tasks)))
-    chunk = max(1, len(tasks) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return ScanReport(tuple(pool.map(_scan_one, tasks, chunksize=chunk)))
+        rows = map(_scan_row, tasks)
+    else:
+        chunk = max(1, len(tasks) // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_scan_row, tasks, chunksize=chunk))
+    return ScanReport(tuple(itertools.chain.from_iterable(rows)))
 
 
 # --------------------------------------------------------------------------

@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="exact value of S(lambda1, lambda2)")
     p.add_argument("lambda1", type=int)
     p.add_argument("lambda2", type=int)
-    p.add_argument("--route", choices=["auto", "direct", "reduced", "diagonal"], default="auto")
+    p.add_argument("--route", choices=["auto", *(r.value for r in Route)], default="auto")
 
     p = sub.add_parser("predict", help="normalized main term and rigorous error bound")
     p.add_argument("lambda1", type=int)

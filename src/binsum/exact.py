@@ -4,15 +4,22 @@ The central quantity is the integer
 
     S(l1, l2) = sum_{j=0}^{l2} (-1)**j * C(l1, j) * C(l2, j),
 
-computed here with no rounding anywhere.  Two independent summation routes
-are provided so that each can serve as an oracle for the other: the defining
-sum above (l2 + 1 terms) and a short difference-indexed sum
+computed here with no rounding anywhere.  Three independent routes are
+provided so that each can serve as an oracle for the others: the defining
+sum above (l2 + 1 terms), a short difference-indexed sum
 
     S(l1, l2) = sum_{l2 <= 2j <= l1} (-1)**j * C(l2, j) * C(l1 - l2, l1 - 2j)
 
 with at most floor(l1/2) - ceil(l2/2) + 1 terms, which is dramatically
-shorter when l1 - l2 is small.  On the diagonal l1 == l2 there is a closed
-form.
+shorter when l1 - l2 is small, and a walk along the row of fixed l2 by the
+three-term recurrence in l1
+
+    (n + 2) S(n + 2, m) = (3n + 4 - m) S(n + 1, m) - 2(n + 1) S(n, m)
+
+(the Krawtchouk recurrence; Zeilberger's algorithm finds it too, see
+Petkovsek-Wilf-Zeilberger, "A = B", 1996).  On the diagonal l1 == l2 there
+is a closed form.  A scan that knows S(l1 - 2, l2) and S(l1 - 1, l2) gets
+S(l1, l2) from one step of the recurrence (`evaluate` with `prior`).
 
 The direct route stays the plain running-term loop (each term updated from
 the previous one by exact integer multiply/divide steps), so that it is an
@@ -41,6 +48,7 @@ class Route(enum.Enum):
     DIRECT = "direct"
     REDUCED = "reduced"
     DIAGONAL = "diagonal"
+    ROW = "row"
 
 
 @dataclass(frozen=True)
@@ -174,6 +182,25 @@ def eval_direct(pair: PartitionPair) -> ExactValue:
     return ExactValue(total, pair, Route.DIRECT)
 
 
+def row_step(n: int, m: int, s0: int, s1: int) -> int:
+    """S(n + 2, m) from s0 = S(n, m) and s1 = S(n + 1, m), n >= 0.
+
+    The three-term recurrence in the first argument; the numerator is
+    (n + 2) S(n + 2, m), so the floor division is exact.
+    """
+    return ((3 * n + 4 - m) * s1 - 2 * (n + 1) * s0) // (n + 2)
+
+
+def eval_row(pair: PartitionPair) -> ExactValue:
+    """Walk `row_step` up the row of fixed lambda2 from S(0, m) = 1 and
+    S(1, m) = 1 - m; lambda1 - 1 steps of O(bits) each."""
+    l1, m = pair.lambda1, pair.lambda2
+    s0, s1 = 1, 1 - m
+    for n in range(l1 - 1):
+        s0, s1 = s1, row_step(n, m, s0, s1)
+    return ExactValue(s1 if l1 else s0, pair, Route.ROW)
+
+
 def _split_ratios(l2: int, d: int, j0: int, m0: int, a: int, b: int) -> tuple[int, int, int]:
     """Binary splitting of the reduced sum's term ratios a <= s < b.
 
@@ -239,26 +266,48 @@ def reduced_term_count(pair: PartitionPair) -> int:
     return max(0, pair.lambda1 // 2 - (pair.lambda2 + 1) // 2 + 1)
 
 
-def _reduced_is_shorter(pair: PartitionPair) -> bool:
-    """The automatic route rule: the reduced route sums at most lambda2
-    terms, fewer than the direct route's lambda2 + 1."""
-    return reduced_term_count(pair) <= pair.lambda2
+def _automatic_route(pair: PartitionPair) -> tuple[Route, int]:
+    """The route rule off the diagonal and the chosen route's term count:
+    the reduced route when it sums at most lambda2 terms, fewer than the
+    direct route's lambda2 + 1."""
+    nterms = reduced_term_count(pair)
+    if nterms <= pair.lambda2:
+        return Route.REDUCED, nterms
+    return Route.DIRECT, pair.lambda2 + 1
 
 
-def evaluate(pair: PartitionPair, route: Route | None = None) -> ExactValue:
+def evaluate(
+    pair: PartitionPair,
+    route: Route | None = None,
+    prior: tuple[int, int] | None = None,
+) -> ExactValue:
     """Evaluate by the requested route, or pick the one with fewer terms
-    (the diagonal closed form on the diagonal)."""
+    (the diagonal closed form on the diagonal).
+
+    With `prior` = (S(lambda1 - 2, lambda2), S(lambda1 - 1, lambda2)) the
+    value is one `row_step` from those two, by route ROW; the caller vouches
+    for them.  `prior` excludes every other explicit route.
+    """
+    if prior is not None:
+        if route is not None and route is not Route.ROW:
+            raise ValueError(f"prior applies to the row route only, not {route.value}")
+        n = pair.lambda1 - 2
+        if n < 0:
+            raise ValueError("prior requires lambda1 >= 2")
+        return ExactValue(row_step(n, pair.lambda2, *prior), pair, Route.ROW)
     if route is Route.DIRECT:
         return eval_direct(pair)
     if route is Route.REDUCED:
         return eval_reduced(pair)
+    if route is Route.ROW:
+        return eval_row(pair)
     if route is Route.DIAGONAL:
         if pair.lambda1 != pair.lambda2:
             raise ValueError("diagonal route requires lambda1 == lambda2")
         return eval_diagonal(pair.lambda1)
     if pair.lambda1 == pair.lambda2:
         return eval_diagonal(pair.lambda1)
-    if _reduced_is_shorter(pair):
+    if _automatic_route(pair)[0] is Route.REDUCED:
         return eval_reduced(pair)
     return eval_direct(pair)
 
@@ -267,11 +316,11 @@ def evaluation_cost(pair: PartitionPair) -> int:
     """Cost estimate in 64-bit word multiplications for an exact evaluation.
 
     Term count is the automatic route's; each term costs about one product
-    of lambda1-bit numbers, i.e. (lambda1/64)**2 word multiplies.
+    of lambda1-bit numbers, i.e. (lambda1/64)**2 word multiplies.  A scan
+    that walks its row pays far less, but is charged the same.
     """
     words = max(1, (pair.lambda1 + 63) // 64)
-    nterms = reduced_term_count(pair) if _reduced_is_shorter(pair) else pair.lambda2 + 1
-    return max(1, nterms) * words * words
+    return max(1, _automatic_route(pair)[1]) * words * words
 
 
 def normalized_I(pair: PartitionPair, prec: int = DEFAULT_PRECISION) -> mpf:

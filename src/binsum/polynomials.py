@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .exact import PartitionPair
 
 
@@ -221,6 +219,8 @@ def _primes_for_bound(search_bound: int) -> list[int]:
 
 def _roots_mod_p(coeffs: list[int], p: int) -> list[int]:
     """All residues x with poly(x) == 0 mod p, by a vectorized Horner sweep."""
+    import numpy as np  # here, not at module level: every CLI process would pay for it
+
     xs = np.arange(p, dtype=np.int64)
     acc = np.zeros(p, dtype=np.int64)
     for c in reversed(coeffs):

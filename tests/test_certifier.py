@@ -23,7 +23,7 @@ from binsum.certifier import (
     exception_count_bound,
     scan_range,
 )
-from binsum.exact import PartitionPair, evaluate
+from binsum.exact import PartitionPair, Route, evaluate, evaluation_cost
 
 
 def test_refusals():
@@ -244,6 +244,48 @@ def test_scan_keeps_task_order_across_parallelism():
     ]
 
 
+SCAN_CASES = [
+    # (lambda2 range, rule, budget); budgets 10 and 7 cut rows part-way
+    # inside one word of lambda1, budget 60 cuts them at lambda1 = 65 or 129
+    ((1, 30), AllUpToRule(150), 10**9),
+    ((1, 30), AllUpToRule(150), 60),
+    ((1, 30), AllUpToRule(150), 10),
+    ((1, 8), ListRule((9, 6, 9, 2)), 10**9),
+    ((60, 80), ListRule((70, 71, 72, 75, 76, 77, 78, 90)), 10**9),
+    ((60, 80), ListRule((70, 71, 72, 75, 76, 77, 78, 90)), 7),
+]
+
+
+@pytest.mark.parametrize("lambda2_range, rule, budget", SCAN_CASES)
+def test_scan_rows_match_certify_per_pair(monkeypatch, lambda2_range, rule, budget):
+    pairs = [PartitionPair(l1, l2) for l1, l2 in certifier.rule_pairs(lambda2_range, rule)]
+    expected = certifier.ScanReport(tuple(ScanEntry(p, certify(p, budget), 0) for p in pairs))
+    evaluated = []
+
+    def recording_evaluate(pair, route=None, prior=None):
+        result = evaluate(pair, route, prior)
+        evaluated.append((pair, result.route))
+        return result
+
+    monkeypatch.setattr(certifier, "evaluate", recording_evaluate)
+    serial = scan_range(lambda2_range, rule, budget=budget)
+    monkeypatch.undo()
+    parallel = scan_range(lambda2_range, rule, budget=budget, parallelism=2)
+    for report in (serial, parallel):
+        assert report.entries == expected.entries
+        assert list(report.jsonl_lines()) == list(expected.jsonl_lines())
+        assert list(report.csv_lines()) == list(expected.csv_lines())
+    # every pair the budget admits is evaluated once, and walked exactly when
+    # the two lambda1 before it in its row were evaluated too
+    admitted = [p for p in pairs if evaluation_cost(p) <= budget]
+    assert [p for p, _ in evaluated] == admitted
+    seen = {(p.lambda1, p.lambda2) for p in admitted}
+    for pair, route in evaluated:
+        l1, l2 = pair.lambda1, pair.lambda2
+        walked = (l1 - 1, l2) in seen and (l1 - 2, l2) in seen
+        assert (route is Route.ROW) is walked, pair
+
+
 def test_scan_caps_workers_at_cpus_and_tasks(monkeypatch):
     started = []
 
@@ -264,19 +306,19 @@ def test_scan_caps_workers_at_cpus_and_tasks(monkeypatch):
 
     monkeypatch.setattr(certifier, "ProcessPoolExecutor", RecordingPool)
     rule = ListRule((9, 6, 2))
-    serial = scan_range((5, 7), rule, budget=10**9)  # 4 tasks
+    serial = scan_range((5, 8), rule, budget=10**9)  # 4 tasks: one row per lambda2
     assert started == []
     monkeypatch.setattr(certifier, "_usable_cpus", lambda: 3)
     for parallelism, workers in [(2, 2), (3, 3), (10**6, 3)]:
         started.clear()
-        report = scan_range((5, 7), rule, budget=10**9, parallelism=parallelism)
+        report = scan_range((5, 8), rule, budget=10**9, parallelism=parallelism)
         assert started == [workers]
         assert report.entries == serial.entries
     started.clear()
-    scan_range((5, 5), rule, budget=10**9, parallelism=8)  # 2 tasks
+    scan_range((6, 7), rule, budget=10**9, parallelism=8)  # 2 tasks
     assert started == [2]
     started.clear()
-    scan_range((7, 7), rule, budget=10**9, parallelism=8)  # 1 task
+    scan_range((5, 5), rule, budget=10**9, parallelism=8)  # 1 task of 2 pairs
     monkeypatch.setattr(certifier, "_usable_cpus", lambda: 1)
     scan_range((5, 7), rule, budget=10**9, parallelism=8)
     assert started == []

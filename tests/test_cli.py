@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,12 +23,17 @@ def test_eval_matches_known_value(capsys):
 
 
 def test_eval_routes_agree(capsys):
-    values = set()
-    for route in ("auto", "direct", "reduced"):
-        code, out, _ = run_cli(capsys, "eval", "40", "17", "--route", route)
-        assert code == 0
-        values.add(out.strip())
-    assert len(values) == 1
+    for pair, routes in [
+        (("40", "17"), ("auto", "direct", "reduced", "row")),
+        (("0", "0"), ("auto", "direct", "reduced", "row", "diagonal")),
+        (("40", "40"), ("auto", "direct", "reduced", "row", "diagonal")),
+    ]:
+        values = set()
+        for route in routes:
+            code, out, _ = run_cli(capsys, "eval", *pair, "--route", route)
+            assert code == 0
+            values.add(out.strip())
+        assert len(values) == 1, pair
 
 
 def _int_str_limit():
@@ -292,3 +300,19 @@ def test_intervals_follow_the_slack_exponent(capsys):
     assert loose != default
     code, explicit, _ = run_cli(capsys, "--slack-exponent", "40", "intervals", "1000000")
     assert explicit == default
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy costs every process tens of milliseconds; only the root screen of
+    # `poly --roots` needs it, and imports it there
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, binsum.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        env=env,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -14,10 +14,12 @@ from binsum.exact import (
     eval_diagonal,
     eval_direct,
     eval_reduced,
+    eval_row,
     evaluate,
     evaluation_cost,
     normalized_I,
     reduced_term_count,
+    row_step,
     signed_terms,
 )
 
@@ -187,3 +189,43 @@ def test_reduced_matches_direct(l2, diff):
 def test_reduced_matches_direct_mid_size():
     pair = PartitionPair(20001, 19000)
     assert eval_reduced(pair).value == eval_direct(pair).value
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 150), st.integers(0, 300))
+@example(0, 0)    # S(0, 0): the walk takes no step
+@example(0, 1)    # S(1, 0): the second starting value
+@example(0, 7)    # lambda2 = 0 rows are all ones
+@example(1, 0)    # diagonal, lambda1 = 1
+@example(2, 0)    # diagonal, the first step
+@example(40, 3)   # lambda1 < 3 * lambda2
+@example(60, 120) # lambda1 = 3 * lambda2
+def test_row_walk_matches_direct_and_reduced(l2, diff):
+    pair = PartitionPair(l2 + diff, l2)
+    value = eval_row(pair).value
+    assert value == eval_direct(pair).value == eval_reduced(pair).value
+    assert evaluate(pair, Route.ROW) == eval_row(pair)
+    if diff == 0:
+        assert value == eval_diagonal(l2).value
+
+
+def test_row_step_continues_a_row():
+    for l2 in (0, 1, 5, 40):
+        row = [eval_direct(PartitionPair(l1, l2)).value for l1 in range(l2, l2 + 60)]
+        for n in range(l2, l2 + 58):
+            pair = PartitionPair(n + 2, l2)
+            assert row_step(n, l2, row[n - l2], row[n + 1 - l2]) == row[n + 2 - l2]
+            walked = evaluate(pair, prior=(row[n - l2], row[n + 1 - l2]))
+            assert walked == eval_row(pair)
+            assert walked.route is Route.ROW
+
+
+def test_evaluate_prior_needs_the_row_route_and_two_predecessors():
+    pair = PartitionPair(10, 4)
+    prior = (eval_direct(PartitionPair(8, 4)).value, eval_direct(PartitionPair(9, 4)).value)
+    assert evaluate(pair, Route.ROW, prior=prior).value == eval_direct(pair).value
+    for route in (Route.DIRECT, Route.REDUCED):
+        with pytest.raises(ValueError):
+            evaluate(pair, route, prior=prior)
+    with pytest.raises(ValueError):
+        evaluate(PartitionPair(1, 1), prior=(1, 0))
