@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -320,6 +321,24 @@ def _oscillatory_constants(r: Fraction, prec: int) -> tuple[mpf, mpf]:
         return nd ** (mpf(11) / 4), 512 * rm ** mpf("1.5") / ((rm + 1) * nd ** mpf("1.5"))
 
 
+@functools.lru_cache(maxsize=RATIO_CACHE_SIZE)
+def oscillatory_bound_reach(r: Fraction) -> int:
+    """The largest lam at which the bound of `oscillatory_error_bound` is
+    still >= 1, decided in exact integers.
+
+    With r = a/b in lowest terms and N = 6ab - a**2 - b**2 (so that
+    -r**2+6r-1 = N/b**2), the bound is >= 1 exactly when
+    lam**2 <= 16336**4 * b**22 / N**11.  Up to this lam the bound cannot
+    exceed |cos| <= 1, so the oscillatory stage cannot decide a pair.
+    """
+    r = Fraction(r)
+    a, b = r.numerator, r.denominator
+    n = 6 * a * b - a * a - b * b
+    if a <= b or n <= 0:  # the subcritical test of `classify`, times b**2
+        raise RegimeError(f"bound requires 1 < r < 3 + 2*sqrt(2), got r = {r}")
+    return math.isqrt(OSCILLATORY_BOUND_CONSTANT**4 * b**22 // n**11)
+
+
 def oscillatory_error_bound(
     r: Fraction, lam: int, prec: int = DEFAULT_PRECISION
 ) -> tuple[mpf, mpf]:
@@ -381,17 +400,15 @@ def near_diagonal_error_bound(
         dm = mpf(d)
         candidates: list[tuple[mpf, str]] = []
         sqrt_l2 = mp.sqrt(mpf(l2))
-        edge = mp.sqrt(8 * mp.pi * mpf(l2))
-        if certified_compare(dm, edge, slack) is Comparison.CERTIFIED_LESS:
+        # row k spans [edges[k-1], edges[k]] with edges[0] = log(l2) and
+        # edges[k] = sqrt(k*pi*l2); edges[8] is also the edge of the flat bound
+        edges = [mp.log(mpf(l2))] + [mp.sqrt(k * mp.pi * mpf(l2)) for k in range(1, len(NEAR_DIAGONAL_ROWS) + 1)]
+        sides = [certified_compare(dm, edge, slack) for edge in edges]
+        if sides[-1] is Comparison.CERTIFIED_LESS:
             candidates.append((mpf(NEAR_DIAGONAL_FLAT), "flat"))
-        if certified_compare(mp.log(mpf(l2)), dm, slack) is Comparison.CERTIFIED_LESS:
+        if sides[0] is Comparison.CERTIFIED_GREATER:
             for k, row in enumerate(NEAR_DIAGONAL_ROWS, start=1):
-                hi = mp.sqrt(k * mp.pi * mpf(l2))
-                lo = mp.log(mpf(l2)) if k == 1 else mp.sqrt((k - 1) * mp.pi * mpf(l2))
-                if (
-                    certified_compare(dm, hi, slack) is Comparison.CERTIFIED_LESS
-                    and certified_compare(dm, lo, slack) is Comparison.CERTIFIED_GREATER
-                ):
+                if sides[k] is Comparison.CERTIFIED_LESS and sides[k - 1] is Comparison.CERTIFIED_GREATER:
                     candidates.append((mpf(row) / sqrt_l2, f"row{k}"))
         if not candidates:
             return NearDiagonalBound(None, False, "difference outside every proved window")

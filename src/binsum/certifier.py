@@ -10,7 +10,10 @@
   3. supercritical: the explicit error bound certified below 1 forces the
      scaled integral to stay near 1, hence nonzero;
   4. subcritical: |cos((r*gamma1+gamma2)*lam + gamma3)| certified above the
-     explicit oscillatory bound;
+     explicit oscillatory bound, tried only above the exact-integer reach
+     `oscillatory_bound_reach(r)`, the largest lam at which that bound is
+     still >= 1 >= |cos| (near the diagonal the reach stays below 130,306;
+     it grows without limit as r approaches 3 + 2*sqrt(2));
   5. certified difference windows (table of proved lambda1 intervals per
      congruence class), applied only where the window machinery is actually
      proved, i.e. lambda1 - lambda2 >= 702;
@@ -44,6 +47,7 @@ from .asymptotics import (
     cos_lower_bound,
     near_diagonal_error_bound,
     oscillation_cosine,
+    oscillatory_bound_reach,
     oscillatory_error_bound,
     supercritical_error_bound,
     supercritical_error_bound_refined,
@@ -57,6 +61,7 @@ from .numerics import (
     Comparison,
     certified_compare,
     check_precision,
+    check_slack_exponent,
     slack_value,
 )
 
@@ -167,6 +172,9 @@ def _supercritical_step(pair, prec, slack, delta) -> Certificate | None:
 
 
 def _oscillatory_step(pair, prec, slack) -> Certificate | None:
+    # up to the reach the bound is >= 1 >= |cos|, so no comparison can accept
+    if pair.lambda2 <= oscillatory_bound_reach(pair.ratio):
+        return None
     bound, threshold = oscillatory_error_bound(pair.ratio, pair.lambda2, prec)
     if certified_compare(mpf(pair.lambda2), threshold, slack) is not Comparison.CERTIFIED_GREATER:
         return None
@@ -182,12 +190,8 @@ def _oscillatory_step(pair, prec, slack) -> Certificate | None:
 
 
 def _window_step(pair, prec, slack_exponent) -> Certificate | None:
-    for win in difference_windows(pair.lambda2, prec, slack_exponent):
-        if (
-            win.basis == "window-table"
-            and win.residue_class == pair.congruence_class
-            and win.lo <= pair.lambda1 <= win.hi
-        ):
+    for win in difference_windows(pair.lambda2, prec, slack_exponent, residue_class=pair.congruence_class):
+        if win.basis == "window-table" and win.lo <= pair.lambda1 <= win.hi:
             return Certificate(
                 pair,
                 CertificateKind.NONZERO_INTERVAL,
@@ -229,12 +233,14 @@ def certify(
     genuinely vanishes for odd lambda, so no nonvanishing claim is possible
     there.  An optional `delta` in (0, pi/3] enables the refined
     supercritical bound when the ratio allows it; any other value raises
-    ValueError, whatever the pair.  A scan passes the `RowWalk` of the
-    pair's row, which must have seen only pairs of this lambda2; the exact
-    step then takes S(lambda1, lambda2) by one recurrence step from the two
-    values before it when it has them.  The verdict is the same either way.
+    ValueError, whatever the pair, as does a negative `slack_exponent`.  A
+    scan passes the `RowWalk` of the pair's row, which must have seen only
+    pairs of this lambda2; the exact step then takes S(lambda1, lambda2) by
+    one recurrence step from the two values before it when it has them.  The
+    verdict is the same either way.
     """
     check_precision(prec)
+    check_slack_exponent(slack_exponent)
     if delta is not None:
         check_delta(delta, prec)
     if pair.lambda2 == 0:
@@ -308,12 +314,40 @@ def _int_below(x: mpf, slack: mpf) -> int:
     return int(mp.ceil(x - slack)) - 1
 
 
+# the proved windows of each congruence class, in order: (clause, lower end,
+# upper end) of lambda1 - lambda2, an end (m, k, c) standing for
+# m*sqrt(k*pi*lambda2) + c at the lower and m*sqrt(k*pi*lambda2) - c at the
+# upper end; a lower end None is the floor of the class (1, or for class 2
+# the larger of 702 and 2.0582 * lambda2**(1/4))
+WINDOW_CLAUSES = (
+    (("class0-a", None, (1, 2, "1.0443")), ("class0-b", (1, 2, "3.1407"), (1, 6, "0.9275"))),
+    (("class1-a", None, (1, 3, "0.984")), ("class1-b", (1, 3, "3.8433"), (1, 7, "0.9231"))),
+    (("class2-a", None, (1, 2, "0.9535")), ("class2-b", (2, 1, "4.5938"), (2, 2, "0.9218"))),
+    (("class3-a", None, (1, 1, "1.1958")), ("class3-b", (1, 1, "2.5913"), (1, 5, "0.9367"))),
+)
+
+
+def _class2_floor(l2: mpf, slack: mpf) -> int:
+    """The least difference of clause class2-a: 702, or the first integer
+    above 2.0582 * l2**(1/4) once that is certifiedly larger."""
+    quarter_root = mpf("2.0582") * l2 ** mpf("0.25")
+    versus_702 = certified_compare(quarter_root, 702, slack)
+    if versus_702 is Comparison.CERTIFIED_LESS:
+        return 702
+    if versus_702 is Comparison.CERTIFIED_GREATER:
+        return _int_above(quarter_root, slack)
+    return 703
+
+
 def difference_windows(
     lambda2: int,
     prec: int = DEFAULT_PRECISION,
     slack_exponent: int = DEFAULT_SLACK_EXPONENT,
+    *,
+    residue_class: int | None = None,
 ) -> list[DifferenceWindow]:
-    """The certified lambda1 windows for one lambda2, per congruence class.
+    """The certified lambda1 windows for one lambda2, per congruence class
+    (only those of `residue_class` when it is given).
 
     Endpoints are computed at the working precision and rounded inward by
     the decision slack 2**-slack_exponent, so every emitted integer lies
@@ -327,31 +361,20 @@ def difference_windows(
         raise ValueError("lambda2 must be >= 1")
     out: list[DifferenceWindow] = []
     slack = slack_value(slack_exponent)
+    classes = range(len(WINDOW_CLAUSES)) if residue_class is None else (residue_class,)
+    # (class, clause, lo_difference, hi_difference) with real-valued ends
+    clauses = []
     with workprec(prec + GUARD_BITS):
         l2 = mpf(lambda2)
 
         def s(k: int) -> mpf:
             return mp.sqrt(k * mp.pi * l2)
 
-        quarter_root = mpf("2.0582") * l2 ** mpf("0.25")
-        versus_702 = certified_compare(quarter_root, 702, slack)
-        if versus_702 is Comparison.CERTIFIED_LESS:
-            class2_lo = 702
-        elif versus_702 is Comparison.CERTIFIED_GREATER:
-            class2_lo = _int_above(quarter_root, slack)
-        else:
-            class2_lo = 703
-        # (class, clause, lo_difference, hi_difference) with real-valued ends
-        clauses = [
-            (0, "class0-a", 1, _int_below(s(2) - mpf("1.0443"), slack)),
-            (0, "class0-b", _int_above(s(2) + mpf("3.1407"), slack), _int_below(s(6) - mpf("0.9275"), slack)),
-            (1, "class1-a", 1, _int_below(s(3) - mpf("0.984"), slack)),
-            (1, "class1-b", _int_above(s(3) + mpf("3.8433"), slack), _int_below(s(7) - mpf("0.9231"), slack)),
-            (2, "class2-a", class2_lo, _int_below(s(2) - mpf("0.9535"), slack)),
-            (2, "class2-b", _int_above(2 * s(1) + mpf("4.5938"), slack), _int_below(2 * s(2) - mpf("0.9218"), slack)),
-            (3, "class3-a", 1, _int_below(s(1) - mpf("1.1958"), slack)),
-            (3, "class3-b", _int_above(s(1) + mpf("2.5913"), slack), _int_below(s(5) - mpf("0.9367"), slack)),
-        ]
+        for cls in classes:
+            floor = _class2_floor(l2, slack) if cls == 2 else 1
+            for clause, lo, (m_hi, k_hi, c_hi) in WINDOW_CLAUSES[cls]:
+                d_lo = floor if lo is None else _int_above(lo[0] * s(lo[1]) + mpf(lo[2]), slack)
+                clauses.append((cls, clause, d_lo, _int_below(m_hi * s(k_hi) - mpf(c_hi), slack)))
     for cls, clause, d_lo, d_hi in clauses:
         if d_hi < d_lo:
             continue

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -23,7 +24,7 @@ from mpmath import mp, workprec
 from . import asymptotics, certifier, polynomials, validators
 from .certifier import format_float
 from .exact import PartitionPair, Route, evaluate
-from .numerics import DEFAULT_PRECISION, DEFAULT_SLACK_EXPONENT, GUARD_BITS, check_precision
+from .numerics import DEFAULT_PRECISION, DEFAULT_SLACK_EXPONENT, GUARD_BITS, check_precision, check_slack_exponent
 
 FORMATS = ("jsonl", "csv", "human")
 
@@ -39,6 +40,7 @@ class RunConfig:
 
     def validate(self) -> None:
         check_precision(self.precision_bits)
+        check_slack_exponent(self.slack_exponent)
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
         if self.output_format not in FORMATS:
@@ -90,7 +92,10 @@ def parse_range(text: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, so every `main` call can share it."""
     parser = argparse.ArgumentParser(
         prog="binsum",
         description="Exact evaluation, explicit asymptotics, and nonvanishing certificates "

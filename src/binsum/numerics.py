@@ -43,11 +43,15 @@ def check_precision(prec: int) -> int:
     return prec
 
 
+def check_slack_exponent(exponent: int) -> int:
+    if exponent < 0:
+        raise ValueError(f"slack exponent must be nonnegative, got {exponent}")
+    return exponent
+
+
 def slack_value(exponent: int = DEFAULT_SLACK_EXPONENT) -> mpf:
     """The additive comparison margin 2**-exponent."""
-    if exponent < 0:
-        raise ValueError("slack exponent must be nonnegative")
-    return mpf(2) ** (-exponent)
+    return mpf(2) ** (-check_slack_exponent(exponent))
 
 
 def to_real(n: int, prec: int = DEFAULT_PRECISION) -> mpf:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
 
 from binsum.asymptotics import (
+    NEAR_DIAGONAL_ROWS,
     OSCILLATORY_BOUND_CONSTANT,
     Regime,
     RegimeError,
@@ -20,6 +21,7 @@ from binsum.asymptotics import (
     near_diagonal_error_bound,
     normalized_residual,
     oscillation_cosine,
+    oscillatory_bound_reach,
     oscillatory_error_bound,
     predict,
     saddle_data,
@@ -29,9 +31,9 @@ from binsum.asymptotics import (
     _supercritical_constants,
 )
 from binsum.exact import PartitionPair
-from binsum.numerics import GUARD_BITS, rational_to_real
+from binsum.numerics import GUARD_BITS, Comparison, certified_compare, rational_to_real, slack_value
 
-RATIO_CACHES = (saddle_data, gamma_angles, _supercritical_constants, _oscillatory_constants)
+RATIO_CACHES = (saddle_data, gamma_angles, _supercritical_constants, _oscillatory_constants, oscillatory_bound_reach)
 
 
 def test_classification_is_exact():
@@ -168,6 +170,124 @@ def test_near_diagonal_rows():
     assert not nb.valid
     with pytest.raises(ValueError):
         near_diagonal_error_bound(PartitionPair(l2 + 701, l2))
+
+
+def _reference_near_diagonal_bound(pair, prec, slack_exponent):
+    """`near_diagonal_error_bound` with every row edge computed where it is
+    used, as (value bits, detail)."""
+    d, l2 = pair.difference, pair.lambda2
+    slack = slack_value(slack_exponent)
+    with workprec(prec + GUARD_BITS):
+        dm = mpf(d)
+        candidates = []
+        if certified_compare(dm, mp.sqrt(8 * mp.pi * mpf(l2)), slack) is Comparison.CERTIFIED_LESS:
+            candidates.append((mpf("0.0165"), "flat"))
+        if certified_compare(mp.log(mpf(l2)), dm, slack) is Comparison.CERTIFIED_LESS:
+            for k, row in enumerate(NEAR_DIAGONAL_ROWS, start=1):
+                hi = mp.sqrt(k * mp.pi * mpf(l2))
+                lo = mp.log(mpf(l2)) if k == 1 else mp.sqrt((k - 1) * mp.pi * mpf(l2))
+                if (
+                    certified_compare(dm, hi, slack) is Comparison.CERTIFIED_LESS
+                    and certified_compare(dm, lo, slack) is Comparison.CERTIFIED_GREATER
+                ):
+                    candidates.append((mpf(row) / mp.sqrt(mpf(l2)), f"row{k}"))
+        if not candidates:
+            return None, "difference outside every proved window"
+        value, detail = min(candidates, key=lambda t: t[0])
+        return value._mpf_, detail
+
+
+def test_near_diagonal_edges_computed_once_are_bit_identical():
+    checked = 0
+    for l2 in (19609, 100000, 250007, 10**6):
+        edges = [math.isqrt(int(k * math.pi * l2)) for k in range(1, 9)]
+        for edge in edges:
+            for d in range(max(702, edge - 1), edge + 3):
+                pair = PartitionPair(l2 + d, l2)
+                for prec in (53, 128):
+                    for slack_exponent in (0, 40):
+                        got = near_diagonal_error_bound(pair, prec, slack_exponent)
+                        value = None if got.value is None else got.value._mpf_
+                        assert (value, got.detail) == _reference_near_diagonal_bound(pair, prec, slack_exponent)
+                        checked += 1
+    assert checked >= 300
+
+
+def _gate_flips(l2):
+    """The differences d around which `l2 <= oscillatory_bound_reach` flips,
+    on each side of r = 3 where the reach turns from falling to rising, and
+    the largest subcritical difference."""
+    def gated(d):
+        return l2 <= oscillatory_bound_reach(Fraction(l2 + d, l2))
+
+    # the largest subcritical d: (l2 + d)/l2 < 3 + 2*sqrt(2) <=> (d - 2*l2)**2 < 8*l2**2
+    top = 2 * l2 + math.isqrt(8 * l2 * l2)
+    if (top - 2 * l2) ** 2 == 8 * l2 * l2:
+        top -= 1
+    flips = [top]
+    lo, hi = 1, 2 * l2  # falling branch: gated up to some d
+    if gated(lo) and not gated(hi):
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if gated(mid) else (lo, mid)
+        flips.append(lo)
+    lo, hi = 2 * l2, top  # rising branch: gated from some d on
+    if not gated(lo) and gated(hi):
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if gated(mid) else (mid, hi)
+        flips.append(hi)
+    return top, flips
+
+
+def _check_reach(r, l2):
+    """`l2 <= reach` holds exactly when the oscillatory bound is >= 1, and on
+    an integer pair the gated cosine could never be certified above it."""
+    gated = l2 <= oscillatory_bound_reach(r)
+    bound, _ = oscillatory_error_bound(r, l2)
+    assert gated == (bound >= 1), (r, l2, bound)
+    l1 = r * l2
+    if gated and l1.denominator == 1:
+        cosv, _ = oscillation_cosine(PartitionPair(int(l1), l2), 128, half_phase=True)
+        assert certified_compare(abs(cosv), bound, slack_value(40)) is not Comparison.CERTIFIED_GREATER
+    return gated
+
+
+def test_oscillatory_reach_matches_the_bound_at_its_boundary():
+    outcomes = set()
+    for l2 in (20, 100, 2000, 2880, 2881, 5000, 18953, 50000, 100000, 126401, 130000, 130299, 130300):
+        top, flips = _gate_flips(l2)
+        for flip in flips:
+            for d in range(max(1, flip - 3), min(top, flip + 3) + 1):
+                outcomes.add(_check_reach(Fraction(l2 + d, l2), l2))
+    assert outcomes == {True, False}
+
+
+def test_oscillatory_reach_near_the_diagonal_ends_at_130299():
+    # the reach falls with r on (1, 3], so (l2 + 1, l2) is the last pair to check
+    assert 130299 <= oscillatory_bound_reach(Fraction(130300, 130299))
+    assert 130300 > oscillatory_bound_reach(Fraction(130301, 130300))
+    assert oscillatory_bound_reach(Fraction(10**12 + 1, 10**12)) == 16336**2 // 2048
+
+
+def test_oscillatory_reach_near_the_threshold_ratio():
+    l2 = 10**6
+    crit = 3 + 2 * mp.sqrt(2)
+    below = [Fraction(int(mp.floor(crit * 10**k)), 10**k) for k in range(2, 13)]
+    # the ratio n/10**6 at which the gate starts to fire for this l2
+    lo, hi = 3 * 10**6, 5828427
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if l2 <= oscillatory_bound_reach(Fraction(mid, 10**6)) else (mid, hi)
+    around = [Fraction(n, 10**6) for n in range(hi - 3, hi + 4)]
+    assert [_check_reach(r, l2) for r in around] == [False] * 3 + [True] * 4
+    assert all(_check_reach(r, l2) for r in below)
+
+
+def test_oscillatory_reach_rejects_other_regimes():
+    for r in (Fraction(1), Fraction(6), Fraction(1, 2)):
+        with pytest.raises(RegimeError):
+            oscillatory_bound_reach(r)
 
 
 def test_near_diagonal_flat_window():

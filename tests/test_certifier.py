@@ -174,6 +174,25 @@ def test_difference_windows_follow_the_slack_exponent():
     assert _window_step(pair, 128, 0) is None
 
 
+@pytest.mark.parametrize("lambda2", [1, 702, 18953, 10**5, 10**6 + 3])
+def test_difference_windows_of_one_class_equal_the_filtered_table(lambda2):
+    for prec in (53, 128, 200):
+        for slack_exponent in (0, 40):
+            every = difference_windows(lambda2, prec, slack_exponent)
+            assert [w.residue_class for w in every] == sorted(w.residue_class for w in every)
+            for cls in range(4):
+                own = difference_windows(lambda2, prec, slack_exponent, residue_class=cls)
+                assert own == [w for w in every if w.residue_class == cls]
+
+
+def test_certify_rejects_a_negative_slack_exponent_for_every_pair():
+    # (100, 3) is decided by exact evaluation before any slack is needed
+    assert certify(PartitionPair(100, 3)).kind is CertificateKind.NONZERO_EXACT
+    for pair in (PartitionPair(100, 3), PartitionPair(600000, 100000), PartitionPair(4, 4)):
+        with pytest.raises(ValueError, match="slack exponent must be nonnegative"):
+            certify(pair, slack_exponent=-1)
+
+
 def test_window_stages_cannot_apply_beyond_26_l2():
     # certify skips both stages when d*d >= 26*l2: every window-table window
     # and every near-diagonal row ends below d = sqrt(8*pi*l2), and 8*pi < 26
@@ -199,6 +218,7 @@ def test_scan_with_ratio_caches_equals_uncached_pairs():
         asymptotics.gamma_angles,
         asymptotics._supercritical_constants,
         asymptotics._oscillatory_constants,
+        asymptotics.oscillatory_bound_reach,
     )
     for rule in (RatioRule(Fraction(6)), RatioRule(Fraction(2)), DiffRule(800)):
         report = scan_range((100000, 100015), rule, budget=0)

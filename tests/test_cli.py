@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from binsum.cli import main, _unlimited_int_str
+from binsum.cli import build_parser, main, _unlimited_int_str
 from binsum.exact import PartitionPair, evaluate
 
 
@@ -316,3 +316,42 @@ def test_cli_import_leaves_numpy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("pair", [("100", "3"), ("600000", "100000")])
+def test_negative_slack_exponent_exits_2_for_every_pair(capsys, pair):
+    # (100, 3) is decided exactly, before any comparison would need the slack
+    code, out, err = run_cli(capsys, "--slack-exponent", "-1", "certify", *pair)
+    assert code == 2
+    assert out == ""
+    assert err == "error: slack exponent must be nonnegative, got -1\n"
+
+
+def _run_any(capsys, argv):
+    """(exit code, stdout, stderr) of one in-process call, argparse exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (("--timings", "--format", "csv", "scan", "--l2", "1..4", "--all-l1-up-to", "9"), ("scan", "--l2", "1..4", "--all-l1-up-to", "9")),
+        (("scan", "--l2", "5..8", "--ratio", "3"), ("scan", "--l2", "5..8", "--diff", "4")),
+        (("scan", "--l2", "1..5"), ("certify", "7", "1")),  # argparse error: no rule
+        (("--precision", "40", "certify", "7", "1"), ("certify", "7", "1")),
+        (("--format", "human", "--budget", "0", "certify", "1200", "200"), ("certify", "1200", "200")),
+    ],
+)
+def test_consecutive_main_calls_share_no_state(capsys, first, second):
+    assert build_parser() is build_parser()
+    _run_any(capsys, first)
+    after = _run_any(capsys, second)
+    build_parser.cache_clear()
+    fresh = _run_any(capsys, second)
+    assert after == fresh
+    assert after[0] == 0
