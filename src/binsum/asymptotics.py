@@ -41,6 +41,7 @@ from .numerics import (
     Comparison,
     certified_compare,
     check_precision,
+    decimal_constant,
     rational_to_real,
     slack_value,
 )
@@ -396,7 +397,8 @@ def near_diagonal_error_bound(
     if classify(pair.ratio) is not Regime.SUBCRITICAL:
         raise RegimeError(f"near-diagonal bound requires a subcritical ratio, got r = {pair.ratio}")
     slack = slack_value(slack_exponent)
-    with workprec(prec + GUARD_BITS):
+    wp = prec + GUARD_BITS
+    with workprec(wp):
         dm = mpf(d)
         candidates: list[tuple[mpf, str]] = []
         sqrt_l2 = mp.sqrt(mpf(l2))
@@ -405,11 +407,11 @@ def near_diagonal_error_bound(
         edges = [mp.log(mpf(l2))] + [mp.sqrt(k * mp.pi * mpf(l2)) for k in range(1, len(NEAR_DIAGONAL_ROWS) + 1)]
         sides = [certified_compare(dm, edge, slack) for edge in edges]
         if sides[-1] is Comparison.CERTIFIED_LESS:
-            candidates.append((mpf(NEAR_DIAGONAL_FLAT), "flat"))
+            candidates.append((decimal_constant(NEAR_DIAGONAL_FLAT, wp), "flat"))
         if sides[0] is Comparison.CERTIFIED_GREATER:
             for k, row in enumerate(NEAR_DIAGONAL_ROWS, start=1):
                 if sides[k] is Comparison.CERTIFIED_LESS and sides[k - 1] is Comparison.CERTIFIED_GREATER:
-                    candidates.append((mpf(row) / sqrt_l2, f"row{k}"))
+                    candidates.append((decimal_constant(row, wp) / sqrt_l2, f"row{k}"))
         if not candidates:
             return NearDiagonalBound(None, False, "difference outside every proved window")
         value, detail = min(candidates, key=lambda t: t[0])

@@ -27,9 +27,10 @@ exceptions the theory allows, and they must surface in reports.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -53,7 +54,7 @@ from .asymptotics import (
     supercritical_error_bound_refined,
     REFINED_BOUND_MAX_RATIO,
 )
-from .exact import PartitionPair, evaluate, evaluation_cost
+from .exact import PartitionPair, congruence_class, evaluate, evaluation_cost
 from .numerics import (
     DEFAULT_PRECISION,
     DEFAULT_SLACK_EXPONENT,
@@ -62,6 +63,7 @@ from .numerics import (
     certified_compare,
     check_precision,
     check_slack_exponent,
+    decimal_constant,
     slack_value,
 )
 
@@ -327,10 +329,11 @@ WINDOW_CLAUSES = (
 )
 
 
-def _class2_floor(l2: mpf, slack: mpf) -> int:
+def _class2_floor(l2: mpf, slack: mpf, wp: int) -> int:
     """The least difference of clause class2-a: 702, or the first integer
-    above 2.0582 * l2**(1/4) once that is certifiedly larger."""
-    quarter_root = mpf("2.0582") * l2 ** mpf("0.25")
+    above 2.0582 * l2**(1/4) once that is certifiedly larger (l2 and the
+    constants at `wp` bits)."""
+    quarter_root = decimal_constant("2.0582", wp) * l2 ** decimal_constant("0.25", wp)
     versus_702 = certified_compare(quarter_root, 702, slack)
     if versus_702 is Comparison.CERTIFIED_LESS:
         return 702
@@ -364,17 +367,18 @@ def difference_windows(
     classes = range(len(WINDOW_CLAUSES)) if residue_class is None else (residue_class,)
     # (class, clause, lo_difference, hi_difference) with real-valued ends
     clauses = []
-    with workprec(prec + GUARD_BITS):
+    wp = prec + GUARD_BITS
+    with workprec(wp):
         l2 = mpf(lambda2)
 
         def s(k: int) -> mpf:
             return mp.sqrt(k * mp.pi * l2)
 
         for cls in classes:
-            floor = _class2_floor(l2, slack) if cls == 2 else 1
+            floor = _class2_floor(l2, slack, wp) if cls == 2 else 1
             for clause, lo, (m_hi, k_hi, c_hi) in WINDOW_CLAUSES[cls]:
-                d_lo = floor if lo is None else _int_above(lo[0] * s(lo[1]) + mpf(lo[2]), slack)
-                clauses.append((cls, clause, d_lo, _int_below(m_hi * s(k_hi) - mpf(c_hi), slack)))
+                d_lo = floor if lo is None else _int_above(lo[0] * s(lo[1]) + decimal_constant(lo[2], wp), slack)
+                clauses.append((cls, clause, d_lo, _int_below(m_hi * s(k_hi) - decimal_constant(c_hi, wp), slack)))
     for cls, clause, d_lo, d_hi in clauses:
         if d_hi < d_lo:
             continue
@@ -436,40 +440,99 @@ class ScanEntry:
     usec: int
 
 
+# A scan record is one certified pair of a row as a flat tuple of builtins and
+# the CertificateKind member:
+#   (lambda1, kind, rule, margin, exact_sign, bit_length, clause, reason, usec)
+# with the fields of `Certificate` in its order.  Workers send rows of records,
+# which pickle as plain data, and reports format them without building objects.
+
+
+def certificate_record(cert: Certificate, usec: int = 0) -> tuple:
+    """The scan record of `cert`, taken in `usec` microseconds."""
+    return (
+        cert.pair.lambda1,
+        cert.kind,
+        cert.rule,
+        cert.margin,
+        cert.exact_sign,
+        cert.bit_length,
+        cert.clause,
+        cert.reason,
+        usec,
+    )
+
+
+CSV_HEADER = "lambda1,lambda2,class,certificate,margin,exact_sign,usec"
+
+
+def record_jsonl(lambda2: int, record: tuple) -> str:
+    """The jsonl row of the scan record of one pair at `lambda2`; `scan` and
+    `certify` print this."""
+    l1, kind, _, margin, sign, _, _, _, usec = record
+    return (
+        f'{{"lambda1":{l1},"lambda2":{lambda2},'
+        f'"class":{congruence_class(l1, lambda2)},"certificate":"{kind.value}",'
+        f'"margin":{"null" if margin is None else format_float(margin)},'
+        f'"exact_sign":{"null" if sign is None else sign},"usec":{usec}}}'
+    )
+
+
+def record_csv(lambda2: int, record: tuple) -> str:
+    """The CSV row (columns `CSV_HEADER`) of the scan record of one pair at `lambda2`."""
+    l1, kind, _, margin, sign, _, _, _, usec = record
+    return (
+        f"{l1},{lambda2},{congruence_class(l1, lambda2)},{kind.value},{format_float(margin)},"
+        f"{'' if sign is None else sign},{usec}"
+    )
+
+
 @dataclass(frozen=True)
 class ScanReport:
-    """Per-pair certificates in deterministic (lambda2, lambda1) order."""
+    """Per-pair scan records in deterministic (lambda2, lambda1) order.
 
-    entries: tuple[ScanEntry, ...]
+    `rows` holds one (lambda2, records) per scanned lambda2, in lambda2
+    order, with the records of `certificate_record` in lambda1 order.
+    """
+
+    rows: tuple[tuple[int, tuple[tuple, ...]], ...]
+
+    def _records(self) -> Iterable[tuple[int, tuple]]:
+        for l2, records in self.rows:
+            for record in records:
+                yield l2, record
+
+    @functools.cached_property
+    def entries(self) -> tuple[ScanEntry, ...]:
+        """The records as `ScanEntry` objects, built on first use."""
+        out = []
+        for l2, (l1, *fields, usec) in self._records():
+            pair = PartitionPair(l1, l2)
+            out.append(ScanEntry(pair, Certificate(pair, *fields), usec))
+        return tuple(out)
 
     @property
     def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for e in self.entries:
-            out[e.certificate.kind.value] = out.get(e.certificate.kind.value, 0) + 1
-        return out
+        return dict(Counter(record[1].value for _, record in self._records()))
+
+    def _pairs_of(self, kind: CertificateKind) -> list[PartitionPair]:
+        return [PartitionPair(record[0], l2) for l2, record in self._records() if record[1] is kind]
 
     @property
     def inconclusive_pairs(self) -> list[PartitionPair]:
-        return [e.pair for e in self.entries if e.certificate.kind is CertificateKind.INCONCLUSIVE]
+        return self._pairs_of(CertificateKind.INCONCLUSIVE)
 
     @property
     def zero_pairs(self) -> list[PartitionPair]:
-        return [e.pair for e in self.entries if e.certificate.kind is CertificateKind.ZERO_EXACT]
+        return self._pairs_of(CertificateKind.ZERO_EXACT)
 
     def jsonl_lines(self) -> Iterable[str]:
-        for e in self.entries:
-            yield _entry_json(e)
+        for l2, record in self._records():
+            yield record_jsonl(l2, record)
 
     def csv_lines(self) -> Iterable[str]:
-        yield "lambda1,lambda2,class,certificate,margin,exact_sign,usec"
-        for e in self.entries:
-            c = e.certificate
-            yield (
-                f"{e.pair.lambda1},{e.pair.lambda2},{e.pair.congruence_class},"
-                f"{c.kind.value},{format_float(c.margin)},"
-                f"{'' if c.exact_sign is None else c.exact_sign},{e.usec}"
-            )
+        yield CSV_HEADER
+        for l2, record in self._records():
+            yield record_csv(l2, record)
 
 
 def format_float(x) -> str:
@@ -478,29 +541,18 @@ def format_float(x) -> str:
     return "" if x is None else format(float(x), ".17g")
 
 
-def _entry_json(e: ScanEntry) -> str:
-    c = e.certificate
-    margin = "null" if c.margin is None else format_float(c.margin)
-    sign = "null" if c.exact_sign is None else str(c.exact_sign)
-    return (
-        f'{{"lambda1":{e.pair.lambda1},"lambda2":{e.pair.lambda2},'
-        f'"class":{e.pair.congruence_class},"certificate":"{c.kind.value}",'
-        f'"margin":{margin},"exact_sign":{sign},"usec":{e.usec}}}'
-    )
-
-
-def _scan_row(args: tuple) -> list[ScanEntry]:
-    """Certify one row: every lambda1 of `lambda1s` (sorted) at one lambda2."""
+def _scan_row(args: tuple) -> tuple[int, tuple[tuple, ...]]:
+    """Certify one row, every lambda1 of `lambda1s` (sorted) at one lambda2,
+    into (lambda2, records)."""
     lambda1s, l2, budget, prec, slack_exponent, timed = args
     row = RowWalk()
-    out = []
+    records = []
     for l1 in lambda1s:
         start = time.perf_counter() if timed else 0.0
-        pair = PartitionPair(l1, l2)
-        cert = certify(pair, budget=budget, prec=prec, slack_exponent=slack_exponent, row=row)
+        cert = certify(PartitionPair(l1, l2), budget=budget, prec=prec, slack_exponent=slack_exponent, row=row)
         usec = int((time.perf_counter() - start) * 1e6) if timed else 0
-        out.append(ScanEntry(pair, cert, usec))
-    return out
+        records.append(certificate_record(cert, usec))
+    return l2, tuple(records)
 
 
 def _usable_cpus() -> int:
@@ -557,12 +609,10 @@ def scan_range(
     tasks = [(lambda1s, l2, budget, prec, slack_exponent, timings) for lambda1s, l2 in rule_rows(lambda2_range, rule)]
     workers = min(parallelism, _usable_cpus(), len(tasks))
     if workers == 1:
-        rows = map(_scan_row, tasks)
-    else:
-        chunk = max(1, len(tasks) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_row, tasks, chunksize=chunk))
-    return ScanReport(tuple(itertools.chain.from_iterable(rows)))
+        return ScanReport(tuple(map(_scan_row, tasks)))
+    chunk = max(1, len(tasks) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return ScanReport(tuple(pool.map(_scan_row, tasks, chunksize=chunk)))
 
 
 # --------------------------------------------------------------------------

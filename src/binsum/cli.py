@@ -249,7 +249,7 @@ def cmd_certify(args, config: RunConfig) -> int:
         if cert.reason is not None:
             print(f"reason      {cert.reason}")
     else:
-        print(certifier._entry_json(certifier.ScanEntry(pair, cert, 0)))
+        print(certifier.record_jsonl(pair.lambda2, certifier.certificate_record(cert)))
     return 0
 
 

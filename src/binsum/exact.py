@@ -79,7 +79,12 @@ class PartitionPair:
 
     @property
     def congruence_class(self) -> int:
-        return (self.lambda1 + self.lambda2) % 4
+        return congruence_class(self.lambda1, self.lambda2)
+
+
+def congruence_class(lambda1: int, lambda2: int) -> int:
+    """The class (lambda1 + lambda2) mod 4 that picks the window clauses."""
+    return (lambda1 + lambda2) % 4
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ decision slack defaults to 2**-40, vastly above 128-bit rounding noise.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from fractions import Fraction
 
@@ -70,6 +71,16 @@ def rational_to_real(q: Fraction, prec: int = DEFAULT_PRECISION) -> mpf:
     check_precision(prec)
     with workprec(prec + GUARD_BITS):
         return mpf(q.numerator) / mpf(q.denominator)
+
+
+@functools.lru_cache(maxsize=128)
+def decimal_constant(text: str, prec: int) -> mpf:
+    """The decimal `text` rounded to `prec` bits, the same mpf as `mpf(text)`
+    under `workprec(prec)`, parsed once per (text, prec) instead of per use.
+    The bound formulas ask for a few dozen constants at one or two
+    precisions, so the cache stays far below its size."""
+    with workprec(prec):
+        return mpf(text)
 
 
 def exact_fraction(x) -> Fraction:

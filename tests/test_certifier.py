@@ -1,5 +1,8 @@
 import math
 import os
+import pickle
+import pickletools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,14 +16,17 @@ from binsum.certifier import (
     ListRule,
     RatioRule,
     ScanEntry,
-    _entry_json,
     _near_diagonal_step,
+    _scan_row,
     _window_step,
+    certificate_record,
     certify,
     certify_by_term_growth,
     continued_fraction,
     difference_windows,
     exception_count_bound,
+    record_csv,
+    record_jsonl,
     scan_range,
 )
 from binsum.exact import PartitionPair, Route, evaluate, evaluation_cost
@@ -226,7 +232,7 @@ def test_scan_with_ratio_caches_equals_uncached_pairs():
         for entry in report.entries:
             for cached in caches:
                 cached.cache_clear()
-            expected.append(_entry_json(ScanEntry(entry.pair, certify(entry.pair, budget=0), 0)))
+            expected.append(record_jsonl(entry.pair.lambda2, certificate_record(certify(entry.pair, budget=0))))
         assert list(report.jsonl_lines()) == expected
 
 
@@ -279,7 +285,10 @@ SCAN_CASES = [
 @pytest.mark.parametrize("lambda2_range, rule, budget", SCAN_CASES)
 def test_scan_rows_match_certify_per_pair(monkeypatch, lambda2_range, rule, budget):
     pairs = [PartitionPair(l1, l2) for l1, l2 in certifier.rule_pairs(lambda2_range, rule)]
-    expected = certifier.ScanReport(tuple(ScanEntry(p, certify(p, budget), 0) for p in pairs))
+    certs = [certify(p, budget) for p in pairs]
+    expected_entries = tuple(ScanEntry(p, c, 0) for p, c in zip(pairs, certs))
+    expected_jsonl = [record_jsonl(p.lambda2, certificate_record(c)) for p, c in zip(pairs, certs)]
+    expected_csv = [certifier.CSV_HEADER] + [record_csv(p.lambda2, certificate_record(c)) for p, c in zip(pairs, certs)]
     evaluated = []
 
     def recording_evaluate(pair, route=None, prior=None):
@@ -292,9 +301,9 @@ def test_scan_rows_match_certify_per_pair(monkeypatch, lambda2_range, rule, budg
     monkeypatch.undo()
     parallel = scan_range(lambda2_range, rule, budget=budget, parallelism=2)
     for report in (serial, parallel):
-        assert report.entries == expected.entries
-        assert list(report.jsonl_lines()) == list(expected.jsonl_lines())
-        assert list(report.csv_lines()) == list(expected.csv_lines())
+        assert report.entries == expected_entries
+        assert list(report.jsonl_lines()) == expected_jsonl
+        assert list(report.csv_lines()) == expected_csv
     # every pair the budget admits is evaluated once, and walked exactly when
     # the two lambda1 before it in its row were evaluated too
     admitted = [p for p in pairs if evaluation_cost(p) <= budget]
@@ -304,6 +313,80 @@ def test_scan_rows_match_certify_per_pair(monkeypatch, lambda2_range, rule, budg
         l1, l2 = pair.lambda1, pair.lambda2
         walked = (l1 - 1, l2) in seen and (l1 - 2, l2) in seen
         assert (route is Route.ROW) is walked, pair
+
+
+def test_scan_records_keep_every_certificate_field():
+    # at budget 0 the diff band certifies by difference windows (a clause) and
+    # the near-diagonal bound (a margin), the ratio-2 band by the oscillatory
+    # bound (a margin) or not at all (a reason)
+    bands = [
+        ((100000, 100015), DiffRule(1000), {"nonzero_interval": 8, "nonzero_oscillatory": 8}),
+        ((100000, 100059), RatioRule(Fraction(2)), {"nonzero_oscillatory": 50, "inconclusive": 10}),
+    ]
+    for lambda2_range, rule, counts in bands:
+        pairs = [PartitionPair(l1, l2) for l1, l2 in certifier.rule_pairs(lambda2_range, rule)]
+        expected = tuple(ScanEntry(p, certify(p, budget=0), 0) for p in pairs)
+        assert Counter(e.certificate.kind.value for e in expected) == counts
+        for e in expected:
+            c = e.certificate
+            assert (c.clause is not None) is (c.kind is CertificateKind.NONZERO_INTERVAL)
+            assert (c.margin is not None) is (c.kind is CertificateKind.NONZERO_OSCILLATORY)
+            assert (c.reason is not None) is (c.kind is CertificateKind.INCONCLUSIVE)
+        for parallelism in (1, 2):
+            report = scan_range(lambda2_range, rule, budget=0, parallelism=parallelism)
+            assert report.entries == expected
+            assert report.counts == counts
+
+
+def _pickled_globals(data: bytes) -> set[tuple[str, str]]:
+    """(module, name) of every global that unpickling `data` would load,
+    read from its opcodes: GLOBAL names it in its argument, STACK_GLOBAL takes
+    the last two strings pushed, directly or from the memo."""
+    memo, strings, found = {}, [], set()
+    top = None  # the string on top of the stack, if the last push was one
+    for op, arg, _ in pickletools.genops(data):
+        if op.name in ("SHORT_BINUNICODE", "BINUNICODE", "BINUNICODE8", "UNICODE"):
+            top = arg
+            strings.append(arg)
+        elif op.name == "MEMOIZE":
+            memo[len(memo)] = top
+        elif op.name in ("PUT", "BINPUT", "LONG_BINPUT"):
+            memo[arg] = top
+        elif op.name in ("GET", "BINGET", "LONG_BINGET"):
+            top = memo[arg]
+            if top is not None:
+                strings.append(top)
+        else:
+            if op.name == "GLOBAL":
+                found.add(tuple(arg.split(" ", 1)))
+            elif op.name == "STACK_GLOBAL":
+                found.add((strings[-2], strings[-1]))
+            top = None
+    return found
+
+
+def test_scan_row_pickles_no_binsum_class_but_the_kind():
+    rows = [
+        _scan_row(([3, 4, 30], 3, 10**9, 128, 40, True)),
+        _scan_row(([100006, 101006, 200012, 200014, 10**10 + 1], 100006, 0, 128, 40, False)),
+    ]
+    kinds = {record[1].value for _, records in rows for record in records}
+    assert kinds == {
+        "refused",
+        "nonzero_exact",
+        "nonzero_interval",
+        "inconclusive",
+        "nonzero_oscillatory",
+        "nonzero_supercritical",
+    }
+    for protocol in {pickle.DEFAULT_PROTOCOL, pickle.HIGHEST_PROTOCOL, 2}:
+        found = _pickled_globals(pickle.dumps(rows, protocol))
+        assert {g for g in found if g[0].split(".")[0] == "binsum"} == {("binsum.certifier", "CertificateKind")}
+        assert pickle.loads(pickle.dumps(rows, protocol)) == rows
+    # the opcode reader sees the classes that per-entry objects would bring
+    entries = certifier.ScanReport(tuple(rows)).entries
+    found = _pickled_globals(pickle.dumps(entries))
+    assert {("binsum.certifier", "ScanEntry"), ("binsum.certifier", "Certificate"), ("binsum.exact", "PartitionPair")} <= found
 
 
 def test_scan_caps_workers_at_cpus_and_tasks(monkeypatch):

@@ -355,3 +355,21 @@ def test_consecutive_main_calls_share_no_state(capsys, first, second):
     fresh = _run_any(capsys, second)
     assert after == fresh
     assert after[0] == 0
+
+
+@pytest.mark.parametrize("output_format", ["csv", "human"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("scan", "--l2", "1..40", "--all-l1-up-to", "80"), 0),
+        # 10 of the 60 pairs stay inconclusive: human lists them, exit 3
+        (("--budget", "0", "scan", "--l2", "100000..100059", "--ratio", "2"), 3),
+    ],
+)
+def test_scan_output_is_the_same_at_parallelism_1_and_2(capsys, output_format, argv, code):
+    serial = run_cli(capsys, "--format", output_format, "--parallelism", "1", *argv)
+    parallel = run_cli(capsys, "--format", output_format, "--parallelism", "2", *argv)
+    assert serial == parallel
+    assert serial[0] == code
+    if code == 3 and output_format == "human":
+        assert serial[1].count("inconclusive pair (") == 10

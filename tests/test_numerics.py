@@ -2,17 +2,20 @@ import random
 
 import pytest
 from fractions import Fraction
-from mpmath import mpf
+from mpmath import mpf, workprec
 
+from binsum.certifier import WINDOW_CLAUSES
 from binsum.numerics import (
+    GUARD_BITS,
     Comparison,
     certified_compare,
+    decimal_constant,
     exact_fraction,
     rational_to_real,
     slack_value,
     to_real,
 )
-from binsum.asymptotics import supercritical_error_bound
+from binsum.asymptotics import NEAR_DIAGONAL_FLAT, NEAR_DIAGONAL_ROWS, supercritical_error_bound
 
 
 def test_to_real_exact_small_values():
@@ -103,3 +106,18 @@ def test_rational_to_real_accuracy():
     q = Fraction(1, 3)
     x = rational_to_real(q, 128)
     assert abs(exact_fraction(x) - q) < Fraction(1, 2**126)
+
+
+def test_decimal_constants_are_rounded_once_and_bit_identical():
+    ends = [end[2] for clauses in WINDOW_CLAUSES for _, lo, hi in clauses for end in (lo, hi) if end is not None]
+    # the window ends, the class2-a floor 2.0582 * l2**0.25 and the
+    # near-diagonal constants
+    texts = [*ends, "2.0582", "0.25", *NEAR_DIAGONAL_ROWS, NEAR_DIAGONAL_FLAT]
+    assert len(set(ends)) == 12
+    for prec in (53, 128, 200):
+        wp = prec + GUARD_BITS
+        for text in texts:
+            cached = decimal_constant(text, wp)
+            assert cached is decimal_constant(text, wp)
+            with workprec(wp):
+                assert cached._mpf_ == mpf(text)._mpf_, (text, prec)
