@@ -17,8 +17,8 @@ geometry and hence the shape of the asymptotics:
     sharper windowed bound on the same cosine main term without the
     half-phase correction.
 
-Regime classification is decided on the exact rational r (sign of
-r**2 - 6r + 1); floating arithmetic enters only the constants.  Normalizers
+Regime classification is the sign of one exact rational, `negated_discriminant`
+(6r - 1 - r**2); floating arithmetic enters only the constants.  Normalizers
 of the form 2**((r+1)*lambda/2) overflow any fixed-exponent float, so all
 scalings are combined in the log domain and exponentiated once.
 """
@@ -87,18 +87,21 @@ class RegimeError(ValueError):
     """Raised when an operation is applied outside its regime."""
 
 
-def classify(r: Fraction) -> Regime:
-    """Classify the exact rational ratio against the threshold 3 + 2*sqrt(2).
+def negated_discriminant(r: Fraction) -> Fraction:
+    """6r - 1 - r**2 exactly, as (6ab - a**2 - b**2)/b**2 (lowest terms) for r = a/b: positive
+    below 3 + 2*sqrt(2), negative above, never zero (its roots are irrational)."""
+    a, b = r.numerator, r.denominator
+    return Fraction(6 * a * b - a * a - b * b, b * b)
 
-    The test is the sign of r**2 - 6r + 1 = (r - 3 - 2*sqrt(2))(r - 3 + 2*sqrt(2)),
-    evaluated in exact rational arithmetic.  It is never zero: its roots
-    3 +- 2*sqrt(2) are irrational, so a rational r is always on one side.
-    """
+
+def classify(r: Fraction) -> Regime:
+    """Classify the exact rational ratio against the threshold 3 + 2*sqrt(2):
+    DEGENERATE for r <= 1, else SUPERCRITICAL or SUBCRITICAL as the exact
+    `negated_discriminant(r)` is negative or positive."""
     r = Fraction(r)
     if r <= 1:
         return Regime.DEGENERATE
-    disc = r * r - 6 * r + 1
-    if disc > 0:
+    if negated_discriminant(r) < 0:
         return Regime.SUPERCRITICAL
     return Regime.SUBCRITICAL
 
@@ -140,8 +143,7 @@ def gamma_angles(r: Fraction, prec: int = DEFAULT_PRECISION) -> tuple[mpf, mpf]:
     """
     check_precision(prec)
     r = Fraction(r)
-    disc = r * r - 6 * r + 1
-    if r < 1 or disc > 0:
+    if r != 1 and classify(r) is not Regime.SUBCRITICAL:
         raise RegimeError(f"oscillation angles require 1 <= r <= 3 + 2*sqrt(2), got r = {r}")
     with workprec(prec + GUARD_BITS):
         sqrt2 = mp.sqrt(mpf(2))
@@ -164,16 +166,14 @@ def saddle_data(r: Fraction, prec: int = DEFAULT_PRECISION) -> SaddleData:
     with workprec(prec + GUARD_BITS):
         rm = rational_to_real(r, prec + GUARD_BITS)
         if regime is Regime.SUPERCRITICAL:
-            disc = r * r - 6 * r + 1
-            rho = (rm - 1 - _sqrt_fraction(disc)) / (2 * rm)
+            rho = (rm - 1 - _sqrt_fraction(-negated_discriminant(r))) / (2 * rm)
             m_val = (1 - 2 * rho - rho**2) / ((1 + rho) * (1 - rho) ** 2)
             f_rho = rm * mp.log(1 + rho) + mp.log(1 - rho) - mp.log(rho)
             return SaddleData(r=r, regime=regime, prec=prec, rho=rho, M=m_val, f_rho=f_rho)
         rho = 1 / _sqrt_fraction(r)
         cos_alpha = rational_to_real(r - 1, prec + GUARD_BITS) / (2 * _sqrt_fraction(r))
         alpha = mp.acos(min(max(cos_alpha, mpf(-1)), mpf(1)))
-        negdisc = -r * r + 6 * r - 1
-        cos_beta = rational_to_real(r + 1, prec + GUARD_BITS) * _sqrt_fraction(negdisc) / (4 * rm)
+        cos_beta = rational_to_real(r + 1, prec + GUARD_BITS) * _sqrt_fraction(negated_discriminant(r)) / (4 * rm)
         beta = mp.acos(min(max(cos_beta, mpf(-1)), mpf(1)))
         sin_beta = rational_to_real((r - 1) ** 2 / (4 * r), prec + GUARD_BITS)
         gamma3 = mp.asin(min(max(sin_beta, mpf(-1)), mpf(1))) / 2
@@ -315,9 +315,8 @@ def supercritical_error_bound_refined(
 @functools.lru_cache(maxsize=RATIO_CACHE_SIZE)
 def _oscillatory_constants(r: Fraction, prec: int) -> tuple[mpf, mpf]:
     """(-r**2+6r-1)**(11/4) and the validity threshold of `oscillatory_error_bound`."""
-    negdisc = -r * r + 6 * r - 1
     with workprec(prec + GUARD_BITS):
-        nd = rational_to_real(negdisc, prec + GUARD_BITS)
+        nd = rational_to_real(negated_discriminant(r), prec + GUARD_BITS)
         rm = rational_to_real(r, prec + GUARD_BITS)
         return nd ** (mpf(11) / 4), 512 * rm ** mpf("1.5") / ((rm + 1) * nd ** mpf("1.5"))
 
@@ -327,17 +326,17 @@ def oscillatory_bound_reach(r: Fraction) -> int:
     """The largest lam at which the bound of `oscillatory_error_bound` is
     still >= 1, decided in exact integers.
 
-    With r = a/b in lowest terms and N = 6ab - a**2 - b**2 (so that
-    -r**2+6r-1 = N/b**2), the bound is >= 1 exactly when
-    lam**2 <= 16336**4 * b**22 / N**11.  Up to this lam the bound cannot
-    exceed |cos| <= 1, so the oscillatory stage cannot decide a pair.
+    With `negated_discriminant(r)` = nd = N/b**2, the bound is >= 1 exactly
+    when lam**2 <= 16336**4 * b**22 / N**11.  Up to this lam the bound cannot
+    exceed |cos| <= 1, so the oscillatory stage cannot decide a pair.  The
+    reach implies the bound's validity threshold: reach ~ 16336**2/nd**5.5 and
+    nd <= 8 put every lam above it past 61 times the threshold, for every r.
     """
     r = Fraction(r)
-    a, b = r.numerator, r.denominator
-    n = 6 * a * b - a * a - b * b
-    if a <= b or n <= 0:  # the subcritical test of `classify`, times b**2
+    if classify(r) is not Regime.SUBCRITICAL:
         raise RegimeError(f"bound requires 1 < r < 3 + 2*sqrt(2), got r = {r}")
-    return math.isqrt(OSCILLATORY_BOUND_CONSTANT**4 * b**22 // n**11)
+    nd = negated_discriminant(r)
+    return math.isqrt(OSCILLATORY_BOUND_CONSTANT**4 * nd.denominator**11 // nd.numerator**11)
 
 
 def oscillatory_error_bound(
@@ -505,7 +504,6 @@ def predict(
     if pair.difference >= NEAR_DIAGONAL_MIN_DIFFERENCE:
         near = near_diagonal_error_bound(pair, prec, slack_exponent)
     use_near = near is not None and near.valid and (not osc_valid or near.value < bound)
-    negdisc = -r * r + 6 * r - 1
     with workprec(prec + GUARD_BITS):
         if use_near:
             main, _ = oscillation_cosine(pair, prec, half_phase=False)
@@ -521,7 +519,7 @@ def predict(
                 detail=f"near-diagonal {near.detail}",
             )
         main, _ = oscillation_cosine(pair, prec, half_phase=True)
-        nd = rational_to_real(negdisc, prec + GUARD_BITS)
+        nd = rational_to_real(negated_discriminant(r), prec + GUARD_BITS)
         log_norm = mp.log(nd) / 4 + mp.log(mp.pi * lam) / 2 - (1 + mpf(pair.lambda1 + pair.lambda2) / 2) * mp.log(mpf(2))
         return Prediction(
             pair=pair,

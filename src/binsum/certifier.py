@@ -47,6 +47,7 @@ from .asymptotics import (
     classify,
     cos_lower_bound,
     near_diagonal_error_bound,
+    negated_discriminant,
     oscillation_cosine,
     oscillatory_bound_reach,
     oscillatory_error_bound,
@@ -177,9 +178,8 @@ def _oscillatory_step(pair, prec, slack) -> Certificate | None:
     # up to the reach the bound is >= 1 >= |cos|, so no comparison can accept
     if pair.lambda2 <= oscillatory_bound_reach(pair.ratio):
         return None
-    bound, threshold = oscillatory_error_bound(pair.ratio, pair.lambda2, prec)
-    if certified_compare(mpf(pair.lambda2), threshold, slack) is not Comparison.CERTIFIED_GREATER:
-        return None
+    # above the reach lam is far past the bound's validity threshold (see the reach)
+    bound, _ = oscillatory_error_bound(pair.ratio, pair.lambda2, prec)
     cosv, _ = oscillation_cosine(pair, prec, half_phase=True)
     if certified_compare(abs(cosv), bound, slack) is not Comparison.CERTIFIED_GREATER:
         return None
@@ -192,8 +192,9 @@ def _oscillatory_step(pair, prec, slack) -> Certificate | None:
 
 
 def _window_step(pair, prec, slack_exponent) -> Certificate | None:
+    # the gate admits only d >= 702 and every small-difference window ends at d <= 701
     for win in difference_windows(pair.lambda2, prec, slack_exponent, residue_class=pair.congruence_class):
-        if win.basis == "window-table" and win.lo <= pair.lambda1 <= win.hi:
+        if win.lo <= pair.lambda1 <= win.hi:
             return Certificate(
                 pair,
                 CertificateKind.NONZERO_INTERVAL,
@@ -255,12 +256,11 @@ def certify(
     if certify_by_term_growth(pair):
         return Certificate(pair, CertificateKind.NONZERO_TERM_GROWTH, "ascending alternating terms")
     slack = slack_value(slack_exponent)
-    regime = classify(pair.ratio)
-    if regime is Regime.SUPERCRITICAL:
+    if classify(pair.ratio) is Regime.SUPERCRITICAL:
         cert = _supercritical_step(pair, prec, slack, delta)
         if cert is not None:
             return cert
-    elif regime is Regime.SUBCRITICAL:
+    else:  # r > 1 here, since the refusals above took every r <= 1
         cert = _oscillatory_step(pair, prec, slack)
         if cert is not None:
             return cert
@@ -334,12 +334,12 @@ def _class2_floor(l2: mpf, slack: mpf, wp: int) -> int:
     above 2.0582 * l2**(1/4) once that is certifiedly larger (l2 and the
     constants at `wp` bits)."""
     quarter_root = decimal_constant("2.0582", wp) * l2 ** decimal_constant("0.25", wp)
-    versus_702 = certified_compare(quarter_root, 702, slack)
+    versus_702 = certified_compare(quarter_root, NEAR_DIAGONAL_MIN_DIFFERENCE, slack)
     if versus_702 is Comparison.CERTIFIED_LESS:
-        return 702
+        return NEAR_DIAGONAL_MIN_DIFFERENCE
     if versus_702 is Comparison.CERTIFIED_GREATER:
         return _int_above(quarter_root, slack)
-    return 703
+    return NEAR_DIAGONAL_MIN_DIFFERENCE + 1
 
 
 def difference_windows(
@@ -380,8 +380,6 @@ def difference_windows(
                 d_lo = floor if lo is None else _int_above(lo[0] * s(lo[1]) + decimal_constant(lo[2], wp), slack)
                 clauses.append((cls, clause, d_lo, _int_below(m_hi * s(k_hi) - decimal_constant(c_hi, wp), slack)))
     for cls, clause, d_lo, d_hi in clauses:
-        if d_hi < d_lo:
-            continue
         cut = NEAR_DIAGONAL_MIN_DIFFERENCE
         if d_lo <= min(d_hi, cut - 1):
             out.append(
@@ -729,7 +727,7 @@ def exception_count_bound(r: Fraction, x, prec: int = DEFAULT_PRECISION) -> Exce
             raise ValueError(f"x must be finite and >= 1, got {x}")
         if regime is Regime.SUPERCRITICAL:
             return ExceptionCount("bounded-count", None, None, remainder_unquantified=True)
-        negdisc = -r * r + 6 * r - 1
+        negdisc = negated_discriminant(r)
         nd = mpf(negdisc.numerator) / mpf(negdisc.denominator)
         golden = (1 + mp.sqrt(mpf(5))) / 2
         coefficient = EXCEPTION_COUNT_CONSTANT / (nd ** (mpf(11) / 4) * mp.log(golden))

@@ -249,7 +249,8 @@ def cmd_certify(args, config: RunConfig) -> int:
         if cert.reason is not None:
             print(f"reason      {cert.reason}")
     else:
-        print(certifier.record_jsonl(pair.lambda2, certifier.certificate_record(cert)))
+        row = (pair.lambda2, (certifier.certificate_record(cert),))
+        print(_record_text(certifier.ScanReport((row,)), config))
     return 0
 
 
@@ -264,6 +265,10 @@ def _scan_rule(args):
     return certifier.ListRule(values)
 
 
+def _record_text(report: certifier.ScanReport, config: RunConfig) -> str:
+    return "\n".join(report.csv_lines() if config.output_format == "csv" else report.jsonl_lines())
+
+
 def cmd_scan(args, config: RunConfig) -> int:
     report = certifier.scan_range(
         args.l2,
@@ -274,12 +279,8 @@ def cmd_scan(args, config: RunConfig) -> int:
         parallelism=config.parallelism,
         timings=config.timings,
     )
-    if config.output_format == "csv":
-        for line in report.csv_lines():
-            print(line)
-    elif config.output_format == "jsonl":
-        for line in report.jsonl_lines():
-            print(line)
+    if config.output_format != "human":
+        print(_record_text(report, config))
     else:
         for kind, count in sorted(report.counts.items()):
             print(f"{kind:24s} {count}")
@@ -403,6 +404,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = resolve_config(args)
+        if config.output_format == "csv" and args.command in ("predict", "poly", "exceptions", "validate"):
+            raise ValueError(f"{args.command} has no csv output; use --format jsonl or human")
         return _COMMANDS[args.command](args, config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,6 +35,7 @@ from .asymptotics import (
     Regime,
     SaddleData,
     classify,
+    negated_discriminant,
     saddle_data,
     _cubic_coefficient,
     _quartic_coefficient,
@@ -141,12 +142,12 @@ def _margin(lemma_id: str, sd: SaddleData, theta: mpf) -> mpf:
         fv = _f_on_circle(rm, rho, theta)
         u = theta - alpha
         if lemma_id == "sub-f-cubic":
-            negdisc = rational_to_real(-r * r + 6 * r - 1, prec + GUARD_BITS)
+            negdisc = rational_to_real(negated_discriminant(r), prec + GUARD_BITS)
             model = mp.sqrt(negdisc) / 4 * mp.mpc(mp.cos(-sd.beta), mp.sin(-sd.beta)) * u**2
             rhs = mpf("0.33846") * (rm + 1) ** 2 / rm**2 * abs(u) ** 3
             return abs(fv - f_alpha + model) - rhs
         if lemma_id == "sub-g-decay":
-            negdisc = rational_to_real(-r * r + 6 * r - 1, prec + GUARD_BITS)
+            negdisc = rational_to_real(negated_discriminant(r), prec + GUARD_BITS)
             rhs = -(rm + 1) * negdisc / (16 * rm) * u**2 + (rm + 1) / 4 * abs(u) ** 3
             return (fv.real - f_alpha.real) - rhs
         if lemma_id == "near1-f-cubic":

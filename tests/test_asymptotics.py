@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
 
@@ -19,6 +19,7 @@ from binsum.asymptotics import (
     gamma_angles,
     gamma_cubic_bounds,
     near_diagonal_error_bound,
+    negated_discriminant,
     normalized_residual,
     oscillation_cosine,
     oscillatory_bound_reach,
@@ -46,6 +47,35 @@ def test_classification_is_exact():
     assert classify(Fraction(582843, 100000)) is Regime.SUPERCRITICAL
     assert classify(Fraction(5828427124, 10**9)) is Regime.SUBCRITICAL
     assert classify(Fraction(5828427125, 10**9)) is Regime.SUPERCRITICAL
+
+
+def _reference_regime(r):
+    """The regime rule written out: the sign of r*r - 6*r + 1 above r = 1."""
+    if r <= 1:
+        return Regime.DEGENERATE
+    return Regime.SUPERCRITICAL if r * r - 6 * r + 1 > 0 else Regime.SUBCRITICAL
+
+
+def _near_threshold(k, offset):
+    """floor((3 + 2*sqrt(2)) * 10**k) + offset, over 10**k."""
+    return Fraction(3 * 10**k + math.isqrt(8 * 10 ** (2 * k)) + offset, 10**k)
+
+
+@given(
+    r=st.fractions(min_value=0, max_value=20)
+    | st.builds(Fraction, st.integers(1, 10**15), st.integers(1, 10**14))
+    | st.builds(_near_threshold, st.integers(0, 15), st.integers(-2, 3))
+)
+@example(Fraction(1))
+@example(Fraction(1, 2))
+@example(Fraction(5828427124, 10**9))
+@example(Fraction(5828427125, 10**9))
+@settings(max_examples=500, deadline=None)
+def test_classify_is_the_sign_of_the_discriminant(r):
+    assert classify(r) is _reference_regime(r)
+    nd = negated_discriminant(r)
+    assert nd == 6 * r - 1 - r * r
+    assert nd.denominator == r.denominator**2
 
 
 def test_saddle_data_supercritical_r6_closed_form():
@@ -282,6 +312,19 @@ def test_oscillatory_reach_near_the_threshold_ratio():
     around = [Fraction(n, 10**6) for n in range(hi - 3, hi + 4)]
     assert [_check_reach(r, l2) for r in around] == [False] * 3 + [True] * 4
     assert all(_check_reach(r, l2) for r in below)
+
+
+@pytest.mark.parametrize("prec", [53, 128])
+def test_oscillatory_reach_implies_the_validity_threshold(prec):
+    # the oscillatory stage runs only above the reach and does not compare
+    # lambda with the threshold itself, even at the loosest slack 2**0
+    ratios = [Fraction(n, 1000) for n in range(1001, 5829)]
+    ratios += [1 + Fraction(1, 10**k) for k in range(4, 12)]
+    ratios += [_near_threshold(k, 0) for k in range(4, 16)]
+    for r in ratios:
+        _, threshold = oscillatory_error_bound(r, 1, prec)
+        reach = oscillatory_bound_reach(r)
+        assert certified_compare(reach + 1, threshold, slack_value(0)) is Comparison.CERTIFIED_GREATER, r
 
 
 def test_oscillatory_reach_rejects_other_regimes():

@@ -101,6 +101,33 @@ def test_near_diagonal_branch_and_soundness():
     assert evaluate(pair).value != 0
 
 
+def test_plain_and_refined_bounds_both_at_least_one_is_inconclusive():
+    pair = PartitionPair(60, 10)
+    assert asymptotics.supercritical_error_bound(pair.ratio, 10) >= 1
+    assert asymptotics.supercritical_error_bound_refined(pair.ratio, 10, 1.0) >= 1
+    assert certify(pair, budget=0, delta=1.0).kind is CertificateKind.INCONCLUSIVE
+
+
+def test_near_diagonal_pair_outside_every_row_is_inconclusive():
+    # d**2 lies between 8*pi*l2, where the last row ends, and the gate's 26*l2
+    pair = PartitionPair(101600, 100000)
+    assert 8 * math.pi * pair.lambda2 < pair.difference**2 < 26 * pair.lambda2
+    assert not asymptotics.near_diagonal_error_bound(pair).valid
+    assert certify(pair, budget=0).kind is CertificateKind.INCONCLUSIVE
+    assert evaluate(pair).value != 0
+
+
+def test_near_diagonal_pair_past_every_cosine_window_is_inconclusive():
+    # class 0 with q = d**2/(4*l2) = 5.625, beyond the second window's end 6*pi/4
+    pair = PartitionPair(101500, 100000)
+    assert pair.congruence_class == 0
+    assert Fraction(pair.difference**2, 4 * pair.lambda2) == Fraction(45, 8)
+    assert asymptotics.near_diagonal_error_bound(pair).valid
+    assert asymptotics.cos_lower_bound(pair) == (None, False)
+    assert certify(pair, budget=0).kind is CertificateKind.INCONCLUSIVE
+    assert evaluate(pair).value != 0
+
+
 def test_term_growth_soundness_window():
     # just beyond the growth threshold the exact values are indeed nonzero
     from binsum.exact import signed_terms
@@ -150,6 +177,14 @@ def test_difference_windows_class2_lower_is_inclusive_702():
     assert len(windows) == 1
     assert windows[0].lo == 78660 + 702
     assert windows[0].basis == "window-table"
+
+
+def test_difference_windows_class2_lower_follows_the_quarter_root():
+    # 2.0582 * l2**(1/4) passes 702 at l2 = (702/2.0582)**4 = 1.3533e10
+    assert 2.0582 * 1.35e10**0.25 < 702 < 2.0582 * 1.36e10**0.25
+    windows = difference_windows(2 * 10**10, residue_class=2)
+    assert [w.clause for w in windows] == ["class2-a", "class2-b"]
+    assert windows[0].lo - 2 * 10**10 == 775 == math.floor(2.0582 * (2 * 10**10) ** 0.25) + 1
 
 
 def test_difference_windows_tiny_lambda2():

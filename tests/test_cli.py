@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from binsum import cli
+from binsum.certifier import CSV_HEADER
 from binsum.cli import build_parser, main, _unlimited_int_str
 from binsum.exact import PartitionPair, evaluate
 
@@ -80,6 +82,53 @@ def test_certify_human_names_rule(capsys):
     assert "exact evaluation" in out
 
 
+@pytest.mark.parametrize("budget", ["0", "100000000"])
+def test_certify_csv_is_the_scan_csv_of_the_pair(capsys, budget):
+    code, out, _ = run_cli(capsys, "--format", "csv", "--budget", budget, "certify", "300", "100")
+    assert code == 0
+    assert out.splitlines()[0] == CSV_HEADER
+    assert out.count("\n") == 2
+    code, scanned, _ = run_cli(capsys, "--format", "csv", "--budget", budget, "scan", "--l2", "100..100", "--l1-list", "300")
+    assert code == (3 if budget == "0" else 0)
+    assert out == scanned
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("predict", "300", "100"),
+        ("poly", "--c", "3"),
+        ("exceptions", "2", "100"),
+        ("validate", "--lemma", "near1-g-decay", "--grid", "3x3"),
+    ],
+)
+@pytest.mark.parametrize("from_config", [False, True])
+def test_commands_without_csv_refuse_it_before_any_work(capsys, monkeypatch, tmp_path, argv, from_config):
+    def must_not_run(args, config):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setitem(cli._COMMANDS, argv[0], must_not_run)
+    config = tmp_path / "run.conf"
+    config.write_text("format = csv\n")
+    flags = ("--config", str(config)) if from_config else ("--format", "csv")
+    code, out, err = run_cli(capsys, *flags, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {argv[0]} has no csv output; use --format jsonl or human\n"
+
+
+def test_predict_human_lines(capsys):
+    code, out, _ = run_cli(capsys, "--format", "human", "predict", "100702", "100000")
+    assert code == 0
+    assert "detail          near-diagonal row" in out
+    assert "valid from" not in out
+    code, out, _ = run_cli(capsys, "--format", "human", "predict", "2000", "1000")
+    assert code == 0
+    assert "regime         subcritical" in out
+    assert "valid from      lambda2 >= " in out
+    assert "detail" not in out
+
+
 def test_predict_jsonl_fields(capsys):
     code, out, _ = run_cli(capsys, "predict", "1200", "200")
     assert code == 0
@@ -126,6 +175,24 @@ def test_intervals_output(capsys):
     assert any(r["basis"] == "window-table" for r in rows)
 
 
+@pytest.mark.parametrize("output_format", ["csv", "human"])
+def test_intervals_csv_and_human_list_the_jsonl_windows(capsys, output_format):
+    _, out, _ = run_cli(capsys, "intervals", "100000")
+    rows = [json.loads(line) for line in out.splitlines()]
+    code, out, _ = run_cli(capsys, "--format", output_format, "intervals", "100000")
+    assert code == 0
+    lines = out.splitlines()
+    if output_format == "csv":
+        assert lines[0] == "class,clause,lambda1_lo,lambda1_hi,basis"
+        assert lines[1:] == [f"{r['class']},{r['clause']},{r['lambda1_lo']},{r['lambda1_hi']},{r['basis']}" for r in rows]
+    else:
+        assert len(lines) == len(rows)
+        for line, r in zip(lines, rows):
+            assert line.startswith(f"class {r['class']}  {r['clause']}")
+            assert f"[{r['lambda1_lo']}, {r['lambda1_hi']}]" in line and line.endswith(r["basis"])
+            assert f"(diff [{r['lambda1_lo'] - 100000}, {r['lambda1_hi'] - 100000}])" in line
+
+
 def test_poly_with_roots(capsys):
     code, out, _ = run_cli(capsys, "poly", "--c", "3", "--roots", "1000000")
     assert code == 0
@@ -166,6 +233,14 @@ def test_validate_command(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert payload["points"] == 36
+
+
+def test_validate_human(capsys):
+    code, out, _ = run_cli(capsys, "--format", "human", "validate", "--lemma", "near1-g-decay", "--grid", "6x6")
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split()[0] for line in lines] == ["lemma", "points", "max_margin", "worst_r", "worst_theta", "passed"]
+    assert "points       36" in lines and "passed       True" in lines
 
 
 def test_plotdata_columns(capsys):
