@@ -33,6 +33,7 @@ numbers", ANTS 1998).  The diagonal closed form uses the same binomial.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import itertools
 import math
@@ -107,14 +108,24 @@ _COMB_CROSSOVER = 350
 _LEAF_RATIOS = 32
 
 
+# The primes up to the largest n sieved so far, one list: a smaller n reads
+# a prefix, so a run of big binomials of about one size sieves once.
+_sieved_primes: list[int] = []
+_sieved_to = 1
+
+
 def _primes_upto(n: int) -> list[int]:
-    """The primes p <= n, by the sieve of Eratosthenes."""
-    sieve = bytearray([1]) * (n + 1)
-    sieve[:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-    return list(itertools.compress(range(n + 1), sieve))
+    """The primes p <= n, by the sieve of Eratosthenes, kept for later calls."""
+    global _sieved_primes, _sieved_to
+    if n > _sieved_to:
+        sieve = bytearray([1]) * (n + 1)
+        sieve[:2] = b"\x00\x00"
+        for p in range(2, math.isqrt(n) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+        _sieved_primes = list(itertools.compress(range(n + 1), sieve))
+        _sieved_to = n
+    return _sieved_primes[: bisect.bisect_right(_sieved_primes, n)]
 
 
 def _product(factors: list[int]) -> int:

@@ -14,6 +14,7 @@ actual parameter pairs).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -192,49 +193,134 @@ def tilde_prefactor(pair: PartitionPair) -> Fraction:
     )
 
 
-def _primes_for_bound(search_bound: int) -> list[int]:
-    """Primes below 2**16 whose product exceeds 2*search_bound (CRT moduli)."""
-
-    def is_prime(n: int) -> bool:
-        if n < 2:
-            return False
-        f = 2
-        while f * f <= n:
-            if n % f == 0:
-                return False
-            f += 1
-        return True
-
-    primes: list[int] = []
-    product = 1
-    p = 65535
-    while product <= 2 * search_bound:
-        while not is_prime(p):
-            p -= 1
-        primes.append(p)
-        product *= p
-        p -= 1
-    return primes
+def _primes():
+    """2, 3, 5, 7, ... by trial division by the primes found so far."""
+    found: list[int] = []
+    for n in itertools.count(2):
+        if all(n % q for q in itertools.takewhile(lambda q: q * q <= n, found)):
+            found.append(n)
+            yield n
 
 
-def _roots_mod_p(coeffs: list[int], p: int) -> list[int]:
-    """All residues x with poly(x) == 0 mod p, by a vectorized Horner sweep."""
-    import numpy as np  # here, not at module level: every CLI process would pay for it
-
-    xs = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
+def _horner_mod(coeffs: list[int], x: int, m: int) -> int:
+    """poly(x) mod m for ascending `coeffs` already reduced mod m."""
+    acc = 0
     for c in reversed(coeffs):
-        acc = (acc * xs + (c % p)) % p
-    return [int(x) for x in np.nonzero(acc == 0)[0]]
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _derivative(coeffs: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(coeffs)][1:]
+
+
+def _primitive(coeffs: list[int]) -> list[int]:
+    """Divide out the content and make the leading coefficient positive."""
+    g = 0
+    for c in coeffs:
+        g = math.gcd(g, c)
+    if coeffs[-1] < 0:
+        g = -g
+    return [c // g for c in coeffs]
+
+
+def _pseudo_divide(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with lead(b)**k * a == q*b + r for some k >= 0 and deg r < deg b.
+
+    The remainder carries no trailing zeros, so an exact division leaves [].
+    """
+    a = list(a)
+    lead, db = b[-1], len(b) - 1
+    q = [0] * max(len(a) - db, 0)
+    while len(a) > db:
+        c, shift = a[-1], len(a) - 1 - db
+        q = [lead * x for x in q]
+        q[shift] += c
+        a = [lead * x for x in a]
+        for i, y in enumerate(b):
+            a[shift + i] -= c * y
+        while a and a[-1] == 0:
+            a.pop()
+    return q, a
+
+
+def _gcd_degree_mod(a: list[int], b: list[int], q: int) -> int:
+    """Degree of gcd(a, b) over the field of q elements, for a prime q
+    dividing neither leading coefficient."""
+
+    def trimmed(poly: list[int]) -> list[int]:
+        while poly and poly[-1] == 0:
+            poly.pop()
+        return poly
+
+    a = trimmed([c % q for c in a])
+    b = trimmed([c % q for c in b])
+    while b:
+        inv = pow(b[-1], -1, q)
+        while len(a) >= len(b):
+            c, shift = a[-1] * inv % q, len(a) - len(b)
+            for i, y in enumerate(b):
+                a[shift + i] = (a[shift + i] - c * y) % q
+            trimmed(a)
+        a, b = b, a
+    return len(a) - 1
+
+
+# a Mersenne prime, so no search is needed; a leading coefficient it divides
+# sends the polynomial to the exact remainder sequence
+_SQUAREFREE_TEST_PRIME = 2**61 - 1
+
+
+def _squarefree_part(coeffs: list[int]) -> list[int]:
+    """f / gcd(f, f') for a primitive f of degree >= 1 with a positive
+    leading coefficient: the same roots, each simple.
+
+    A repeated factor of f divides f' too, so it divides gcd(f, f') modulo
+    every prime q not dividing the leading coefficient: when that gcd is
+    constant modulo _SQUAREFREE_TEST_PRIME, f is squarefree and is returned
+    as it is.  Otherwise the gcd g comes from a primitive remainder sequence
+    over the integers, and f / g is the primitive part of the pseudo-quotient.
+    """
+    df = _derivative(coeffs)
+    q = _SQUAREFREE_TEST_PRIME
+    if coeffs[-1] % q and _gcd_degree_mod(coeffs, df, q) == 0:
+        return coeffs
+    a, b = coeffs, _primitive(df)
+    while True:
+        r = _pseudo_divide(a, b)[1]
+        if not r:
+            return _primitive(_pseudo_divide(coeffs, b)[0])
+        a, b = b, _primitive(r)
+
+
+def _simple_roots_mod_p(coeffs: list[int], p: int) -> list[int] | None:
+    """The roots of the polynomial modulo p, or None at the first multiple root."""
+    f = [c % p for c in coeffs]
+    df = [c % p for c in _derivative(coeffs)]
+    roots = []
+    for x in range(p):
+        if _horner_mod(f, x, p) == 0:
+            if _horner_mod(df, x, p) == 0:
+                return None
+            roots.append(x)
+    return roots
 
 
 def integer_roots(poly: IntPolynomial, search_bound: int) -> list[int]:
     """All integer roots x with |x| <= search_bound, complete within the bound.
 
-    An integer root reduces to a root modulo every prime; screening modulo a
-    set of primes whose product exceeds 2*search_bound pins each candidate
-    to a unique representative in the symmetric range, which is then
-    verified by exact evaluation.  The scale is irrelevant to the roots.
+    After the zero roots and the content are stripped, f is replaced by its
+    squarefree part f / gcd(f, f'), which has the same roots, each simple.
+    Then take the smallest prime p that does not divide the leading
+    coefficient and at which every root of f modulo p is simple (f' does
+    not vanish there).  Only the finitely many primes dividing the
+    discriminant of the squarefree f can fail, so the search ends.  Each
+    integer root x of f reduces to one of those roots, and a simple root
+    modulo p has exactly one lift modulo p**e for every e (Hensel's lemma),
+    so Newton-lifting every root to a modulus p**e > 2*search_bound leaves
+    x as the symmetric representative of one lift.  Every representative
+    within the bound is verified by exact evaluation.  The scale is
+    irrelevant to the roots.
     """
     if poly.is_zero:
         raise ValueError("the zero polynomial has every integer as a root")
@@ -250,28 +336,24 @@ def integer_roots(poly: IntPolynomial, search_bound: int) -> list[int]:
         roots.add(0)
     if len(coeffs) == 1:
         return sorted(roots)
-    content = 0
-    for c in coeffs:
-        content = math.gcd(content, c)
-    coeffs = [c // content for c in coeffs]
-    candidates: list[int] = [0]
-    modulus = 1
-    for p in _primes_for_bound(search_bound):
-        residues = _roots_mod_p(coeffs, p)
-        if not residues:
-            candidates = []
-            break
-        merged = []
-        # CRT merge: x = a (mod modulus), x = b (mod p)
-        inv = pow(modulus % p, -1, p) if modulus > 1 else 1
-        for a in candidates:
-            for b in residues:
-                t = ((b - a) * inv) % p
-                merged.append(a + modulus * t)
-        candidates = merged
-        modulus *= p
+    coeffs = _squarefree_part(_primitive(coeffs))
+    for p in _primes():
+        if coeffs[-1] % p:
+            residues = _simple_roots_mod_p(coeffs, p)
+            if residues is not None:
+                break
+    modulus = p
+    derivative = _derivative(coeffs)
+    while modulus <= 2 * search_bound and residues:
+        modulus *= modulus
+        f = [c % modulus for c in coeffs]
+        df = [c % modulus for c in derivative]
+        residues = [
+            (x - _horner_mod(f, x, modulus) * pow(_horner_mod(df, x, modulus), -1, modulus)) % modulus
+            for x in residues
+        ]
     half = modulus // 2
-    for x in candidates:
+    for x in residues:
         if x > half:
             x -= modulus
         if abs(x) <= search_bound and poly.scaled_value(x) == 0:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from mpmath import mp, mpf, workprec
 
@@ -119,43 +119,75 @@ def _theta_region(lemma_id: str, r: Fraction, prec: int) -> tuple[mpf, mpf]:
         raise ValueError(f"unknown lemma id {lemma_id!r}; known: {', '.join(LEMMA_IDS)}")
 
 
-def _margin(lemma_id: str, sd: SaddleData, theta: mpf) -> mpf:
-    """Left side minus right side of the inequality at one grid point."""
-    r, prec = sd.r, sd.prec
-    with workprec(prec + GUARD_BITS):
-        rm = rational_to_real(r, prec + GUARD_BITS)
-        rho = sd.rho
-        if lemma_id.startswith("super-"):
-            fv = _f_on_circle(rm, rho, theta)
-            g_diff = fv.real - sd.f_rho
-            if lemma_id == "super-g-decay":
-                return g_diff + 2 / mp.pi**2 * sd.M * theta**2
-            if lemma_id == "super-g-strict":
-                return g_diff + sd.M * theta**2 / 2
-            if lemma_id == "super-g-quartic":
-                cg = _quartic_coefficient(rho, mp.cos(theta))
-                return abs(g_diff + sd.M * theta**2 / 2) - cg * theta**4
-            ch = _cubic_coefficient(rho, mp.cos(theta))
-            return abs(fv.imag) - ch * abs(theta) ** 3
-        alpha = sd.alpha
-        f_alpha = _f_on_circle(rm, rho, alpha)
-        fv = _f_on_circle(rm, rho, theta)
-        u = theta - alpha
-        if lemma_id == "sub-f-cubic":
-            negdisc = rational_to_real(negated_discriminant(r), prec + GUARD_BITS)
-            model = mp.sqrt(negdisc) / 4 * mp.mpc(mp.cos(-sd.beta), mp.sin(-sd.beta)) * u**2
-            rhs = mpf("0.33846") * (rm + 1) ** 2 / rm**2 * abs(u) ** 3
-            return abs(fv - f_alpha + model) - rhs
-        if lemma_id == "sub-g-decay":
-            negdisc = rational_to_real(negated_discriminant(r), prec + GUARD_BITS)
-            rhs = -(rm + 1) * negdisc / (16 * rm) * u**2 + (rm + 1) / 4 * abs(u) ** 3
-            return (fv.real - f_alpha.real) - rhs
-        if lemma_id == "near1-f-cubic":
-            rhs = abs(u) ** 3 / 3 + (rm - 1) / 4 * u**2
-            return abs(fv - f_alpha + u**2 / 2) - rhs
-        if lemma_id == "near1-g-decay":
-            return (fv.real - f_alpha.real) + u**2 / 2 - abs(u) ** 3 / 2
-        raise ValueError(f"unknown lemma id {lemma_id!r}")
+def _margin_function(lemma_id: str, sd: SaddleData) -> Callable[[mpf], mpf]:
+    """theta -> left side minus right side of the inequality at ratio sd.r.
+
+    Everything that depends on the ratio alone (r as a real, the
+    discriminant, the model coefficients, f at the saddle angle) is computed
+    here, once per ratio.  Call this and the returned function under
+    workprec(sd.prec + GUARD_BITS).
+    """
+    rm = rational_to_real(sd.r, sd.prec + GUARD_BITS)
+    rho = sd.rho
+    if lemma_id.startswith("super-"):
+        g0, M = sd.f_rho, sd.M
+        if lemma_id == "super-g-decay":
+            decay = 2 / mp.pi**2 * M
+
+            def margin(t):
+                return _f_on_circle(rm, rho, t).real - g0 + decay * t**2
+
+        elif lemma_id == "super-g-strict":
+
+            def margin(t):
+                return _f_on_circle(rm, rho, t).real - g0 + M * t**2 / 2
+
+        elif lemma_id == "super-g-quartic":
+
+            def margin(t):
+                g_diff = _f_on_circle(rm, rho, t).real - g0
+                return abs(g_diff + M * t**2 / 2) - _quartic_coefficient(rho, mp.cos(t)) * t**4
+
+        else:
+
+            def margin(t):
+                return abs(_f_on_circle(rm, rho, t).imag) - _cubic_coefficient(rho, mp.cos(t)) * abs(t) ** 3
+
+        return margin
+    alpha = sd.alpha
+    f_alpha = _f_on_circle(rm, rho, alpha)
+    if lemma_id == "sub-f-cubic":
+        negdisc = rational_to_real(negated_discriminant(sd.r), sd.prec + GUARD_BITS)
+        quadratic = mp.sqrt(negdisc) / 4 * mp.mpc(mp.cos(-sd.beta), mp.sin(-sd.beta))
+        cubic = mpf("0.33846") * (rm + 1) ** 2 / rm**2
+
+        def margin(t):
+            u = t - alpha
+            return abs(_f_on_circle(rm, rho, t) - f_alpha + quadratic * u**2) - cubic * abs(u) ** 3
+
+    elif lemma_id == "sub-g-decay":
+        negdisc = rational_to_real(negated_discriminant(sd.r), sd.prec + GUARD_BITS)
+        quadratic = -(rm + 1) * negdisc / (16 * rm)
+        cubic = (rm + 1) / 4
+
+        def margin(t):
+            u = t - alpha
+            return (_f_on_circle(rm, rho, t).real - f_alpha.real) - (quadratic * u**2 + cubic * abs(u) ** 3)
+
+    elif lemma_id == "near1-f-cubic":
+        quadratic = (rm - 1) / 4
+
+        def margin(t):
+            u = t - alpha
+            return abs(_f_on_circle(rm, rho, t) - f_alpha + u**2 / 2) - (abs(u) ** 3 / 3 + quadratic * u**2)
+
+    else:
+
+        def margin(t):
+            u = t - alpha
+            return (_f_on_circle(rm, rho, t).real - f_alpha.real) + u**2 / 2 - abs(u) ** 3 / 2
+
+    return margin
 
 
 _DEFAULT_R_RANGES: dict[str, tuple[Fraction, Fraction]] = {
@@ -229,11 +261,13 @@ def validate_inequality(
                         f"theta = {t} outside the hypothesis region [{lo}, {hi}] of {lemma_id} at r = {r}"
                     )
         sd = saddle_data(r, prec)
-        for t in thetas:
-            m = _margin(lemma_id, sd, t)
-            points += 1
-            if worst is None or m > worst[0]:
-                worst = (m, r, t)
+        with workprec(prec + GUARD_BITS):
+            margin = _margin_function(lemma_id, sd)
+            for t in thetas:
+                m = margin(t)
+                points += 1
+                if worst is None or m > worst[0]:
+                    worst = (m, r, t)
     if worst is None:
         raise ValueError("empty grid")
     max_margin, worst_r, worst_theta = worst

@@ -378,19 +378,20 @@ def test_intervals_follow_the_slack_exponent(capsys):
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    # numpy costs every process tens of milliseconds; only the root screen of
-    # `poly --roots` needs it, and imports it there
+    # numpy costs every process tens of milliseconds and binsum needs none of
+    # it, not even for the root search of `poly --roots`
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, binsum.cli; print('numpy' in sys.modules)"],
-        capture_output=True,
-        env=env,
-        text=True,
-        timeout=60,
+    script = (
+        "import contextlib, io, sys, binsum.cli\n"
+        "print('numpy' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = binsum.cli.main(['poly', '--c', '38', '--roots', '1000000000'])\n"
+        "print(code, 'numpy' in sys.modules)\n"
     )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "0", "False"]
 
 
 @pytest.mark.parametrize("pair", [("100", "3"), ("600000", "100000")])

@@ -173,6 +173,14 @@ def test_comb_matches_math_comb():
         assert _comb(n, k) == math.comb(n, k), (n, k)
 
 
+def test_comb_is_exact_while_the_kept_sieve_grows_and_shrinks():
+    # every n goes the prime-power route; a stale or wrongly sliced sieve of
+    # an earlier n would miss or add primes
+    for n in (10**5, 3000, 10**5 + 17, 1500):
+        for k in (n // 2, n // 2 + 1, n // 3):
+            assert _comb(n, k) == math.comb(n, k), (n, k)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 400), st.integers(0, 400))
 @example(7, 0)     # odd diagonal: empty sum

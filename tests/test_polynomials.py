@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from binsum.exact import PartitionPair, eval_direct
 from binsum.polynomials import (
@@ -159,6 +161,57 @@ def test_integer_roots_respects_bound():
     poly = IntPolynomial((-big, 1))
     assert integer_roots(poly, 10**5) == []
     assert integer_roots(poly, 10**7) == [big]
+
+
+def _product_of_linear_factors(factors: list[tuple[int, int]], multiplier: int = 1) -> IntPolynomial:
+    """multiplier * prod (a*X - b) as an IntPolynomial."""
+    coeffs = [multiplier]
+    for a, b in factors:
+        out = [0] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            out[i] -= b * c
+            out[i + 1] += a * c
+        coeffs = out
+    return IntPolynomial(tuple(coeffs))
+
+
+@st.composite
+def _linear_factor_products(draw):
+    """(bound, factors, multiplier): integer roots at and just past the bound,
+    zero, repeated factors, and non-monic factors whose roots are integral or
+    not, so the leading coefficient may be divisible by 2, 3 and 5."""
+    bound = draw(st.integers(0, 2000))
+    edge = st.sampled_from([bound, -bound, bound + 1, -bound - 1, 0])
+    root = st.one_of(edge, st.integers(-bound - 3, bound + 3))
+    monic = st.builds(lambda b: (1, b), root)
+    scaled = st.builds(lambda a, x, s: (a, a * x + s), st.sampled_from([2, 3, 5, 6, 10, 15, 30]), root, st.integers(0, 2))
+    factor = st.one_of(monic, scaled)
+    factors = draw(st.lists(st.tuples(factor, st.integers(1, 3)), min_size=1, max_size=4))
+    multiplier = draw(st.sampled_from([1, -1, 2, -6, 30]))
+    return bound, [f for f, times in factors for _ in range(times)], multiplier
+
+
+@settings(max_examples=120, deadline=None)
+@given(_linear_factor_products())
+@example((2000, [(1, 2000), (1, 2000), (1, -2001), (1, 0)], 1))
+@example((7, [(30, 7), (2, -14), (3, 3)], -6))
+def test_integer_roots_match_brute_force(case):
+    bound, factors, multiplier = case
+    poly = _product_of_linear_factors(factors, multiplier)
+    brute = [x for x in range(-bound, bound + 1) if poly.scaled_value(x) == 0]
+    assert integer_roots(poly, bound) == brute
+
+
+def test_integer_roots_of_a_repeated_factor():
+    # (X - 1000003)**2 is a double root modulo every prime, so the search
+    # for a prime needs the squarefree part
+    big = 10**6 + 3
+    poly = _product_of_linear_factors([(1, big), (1, big), (1, -7)])
+    assert integer_roots(poly, 10**9) == [-7, big]
+    # a leading coefficient divisible by the prime 2**61 - 1 of the quick
+    # squarefree test takes the exact remainder sequence instead
+    poly = _product_of_linear_factors([(2**61 - 1, 1), (1, -4), (1, -4), (1, 9)])
+    assert integer_roots(poly, 10**9) == [-4, 9]
 
 
 def test_integer_roots_zero_polynomial_rejected():

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpf, workprec
 
 from binsum.asymptotics import RegimeError, saddle_data
+from binsum.numerics import GUARD_BITS
 from binsum.validators import LEMMA_IDS, region_theta_grid, validate_inequality
 
 
@@ -89,3 +90,17 @@ def test_near1_f_cubic_at_r1_has_point_region_but_no_saddle():
     assert len(thetas) == 1 and abs(thetas[0] - mp.pi / 2) < mpf(2) ** -50
     with pytest.raises(RegimeError):
         validate_inequality("near1-f-cubic", r_grid=[Fraction(1)])
+
+
+@pytest.mark.parametrize("prec", [53, 128])
+@pytest.mark.parametrize("lemma_id", ["sub-f-cubic", "sub-g-decay", "near1-f-cubic", "near1-g-decay"])
+def test_margin_vanishes_at_the_saddle_angle(lemma_id, prec):
+    # f at the saddle angle is computed once per ratio; at theta = alpha the
+    # margin is f(alpha) minus that value plus terms in theta - alpha = 0, so
+    # it is exactly zero only if both come out of the same computation.  The
+    # call runs at the working precision so that theta keeps every bit of alpha.
+    r = Fraction(21, 10)
+    alpha = saddle_data(r, prec).alpha
+    with workprec(prec + GUARD_BITS):
+        report = validate_inequality(lemma_id, r_grid=[r], theta_grid=[alpha], prec=prec)
+    assert report.max_margin == 0.0
