@@ -1,24 +1,27 @@
 """Nonvanishing certificates for single pairs and ranges.
 
-`certify` runs a cascade of sound checks, cheapest first:
+`certify` first evaluates exactly when the estimated cost fits the budget
+(definitive; a range scan walks each l2 row by the three-term recurrence in
+l1, so a pair whose two predecessors were evaluated costs one step).  Then
+it runs the sound checks of `STAGES`, the one statement of their order and
+of the exact gate in front of each.  Why each stage is sound, and why its
+gate loses nothing:
 
-  1. exact evaluation, when the estimated cost fits the budget (definitive;
-     a range scan walks each l2 row by the three-term recurrence in l1,
-     so a pair whose two predecessors were evaluated costs one step);
-  2. the term-growth criterion: for l1 > l2*(l2+1) - 1 the alternating
-     summands grow strictly in absolute value, so the sum cannot vanish;
-  3. supercritical: the explicit error bound certified below 1 forces the
-     scaled integral to stay near 1, hence nonzero;
-  4. subcritical: |cos((r*gamma1+gamma2)*lam + gamma3)| certified above the
-     explicit oscillatory bound, tried only above the exact-integer reach
-     `oscillatory_bound_reach(r)`, the largest lam at which that bound is
-     still >= 1 >= |cos| (near the diagonal the reach stays below 130,306;
-     it grows without limit as r approaches 3 + 2*sqrt(2));
-  5. certified difference windows (table of proved lambda1 intervals per
-     congruence class), applied only where the window machinery is actually
-     proved, i.e. lambda1 - lambda2 >= 702;
-  6. near the diagonal: the congruence-class cosine lower bound certified
-     above the windowed near-diagonal bound.
+  term-growth: for l1 > l2*(l2+1) - 1 the alternating summands grow
+      strictly in absolute value, so the sum cannot vanish;
+  supercritical: the explicit error bound certified below 1 forces the
+      scaled integral to stay near 1, hence nonzero;
+  oscillatory: |cos((r*gamma1+gamma2)*lam + gamma3)| certified above the
+      explicit oscillatory bound.  The gate admits only lam above the
+      exact-integer reach `oscillatory_bound_reach(r)`, the largest lam at
+      which that bound is still >= 1 >= |cos| (near the diagonal the reach
+      stays below 130,306; it grows without limit as r approaches
+      3 + 2*sqrt(2));
+  window: certified difference windows (table of proved lambda1 intervals
+      per congruence class), applied only where the window machinery is
+      actually proved, i.e. lambda1 - lambda2 >= 702;
+  near-diagonal: the congruence-class cosine lower bound certified above
+      the windowed near-diagonal bound.
 
 Inconclusive is an honest outcome and is never retried with looser slack:
 pairs where the cosine is certifiably small are exactly the possible
@@ -159,9 +162,14 @@ def _exact_step(pair: PartitionPair, budget: int, row: RowWalk | None) -> Certif
     )
 
 
-def _supercritical_step(pair, prec, slack, delta) -> Certificate | None:
+def _term_growth_step(pair, prec, slack_exponent, delta) -> Certificate:
+    return Certificate(pair, CertificateKind.NONZERO_TERM_GROWTH, "ascending alternating terms")
+
+
+def _supercritical_step(pair, prec, slack_exponent, delta) -> Certificate | None:
     r = pair.ratio
     lam = pair.lambda2
+    slack = slack_value(slack_exponent)
     bound = supercritical_error_bound(r, lam, prec)
     rule = "supercritical saddle bound"
     if certified_compare(bound, 1, slack) is not Comparison.CERTIFIED_LESS:
@@ -174,52 +182,65 @@ def _supercritical_step(pair, prec, slack, delta) -> Certificate | None:
     return Certificate(pair, CertificateKind.NONZERO_SUPERCRITICAL, rule, margin=float(1 - bound))
 
 
-def _oscillatory_step(pair, prec, slack) -> Certificate | None:
+def _oscillatory_gate(pair: PartitionPair) -> bool:
     # up to the reach the bound is >= 1 >= |cos|, so no comparison can accept
-    if pair.lambda2 <= oscillatory_bound_reach(pair.ratio):
-        return None
+    r = pair.ratio
+    return classify(r) is Regime.SUBCRITICAL and pair.lambda2 > oscillatory_bound_reach(r)
+
+
+def _oscillatory_step(pair, prec, slack_exponent, delta) -> Certificate | None:
     # above the reach lam is far past the bound's validity threshold (see the reach)
     bound, _ = oscillatory_error_bound(pair.ratio, pair.lambda2, prec)
     cosv, _ = oscillation_cosine(pair, prec, half_phase=True)
-    if certified_compare(abs(cosv), bound, slack) is not Comparison.CERTIFIED_GREATER:
+    if certified_compare(abs(cosv), bound, slack_value(slack_exponent)) is not Comparison.CERTIFIED_GREATER:
         return None
-    return Certificate(
-        pair,
-        CertificateKind.NONZERO_OSCILLATORY,
-        "oscillatory main-term bound",
-        margin=float(abs(cosv) - bound),
-    )
+    margin = float(abs(cosv) - bound)
+    return Certificate(pair, CertificateKind.NONZERO_OSCILLATORY, "oscillatory main-term bound", margin=margin)
 
 
-def _window_step(pair, prec, slack_exponent) -> Certificate | None:
+def _near_diagonal_gate(pair: PartitionPair) -> bool:
+    # both steps need d >= 702, and every window-table window and every
+    # near-diagonal row ends below d = sqrt(8*pi*l2) < sqrt(26*l2).  Inside
+    # the gate l2 > 702**2/26 > 18953 and r = 1 + d/l2 < 1 + 26/d < 1.04,
+    # so the pair is subcritical and neither step needs its own d >= 702 or
+    # r <= 3 check.
+    d = pair.difference
+    return NEAR_DIAGONAL_MIN_DIFFERENCE <= d and d * d < 26 * pair.lambda2
+
+
+def _window_step(pair, prec, slack_exponent, delta) -> Certificate | None:
     # the gate admits only d >= 702 and every small-difference window ends at d <= 701
     for win in difference_windows(pair.lambda2, prec, slack_exponent, residue_class=pair.congruence_class):
         if win.lo <= pair.lambda1 <= win.hi:
-            return Certificate(
-                pair,
-                CertificateKind.NONZERO_INTERVAL,
-                "certified difference window",
-                clause=win.clause,
-            )
+            return Certificate(pair, CertificateKind.NONZERO_INTERVAL, "certified difference window", clause=win.clause)
     return None
 
 
-def _near_diagonal_step(pair, prec, slack_exponent) -> Certificate | None:
+def _near_diagonal_step(pair, prec, slack_exponent, delta) -> Certificate | None:
     bound = near_diagonal_error_bound(pair, prec, slack_exponent)
     if not bound.valid:
         return None
     lower, applicable = cos_lower_bound(pair, prec, slack_exponent)
     if not applicable:
         return None
-    slack = slack_value(slack_exponent)
-    if certified_compare(lower, bound.value, slack) is not Comparison.CERTIFIED_GREATER:
+    if certified_compare(lower, bound.value, slack_value(slack_exponent)) is not Comparison.CERTIFIED_GREATER:
         return None
-    return Certificate(
-        pair,
-        CertificateKind.NONZERO_OSCILLATORY,
-        "near-diagonal window bound",
-        margin=float(lower - bound.value),
-    )
+    margin = float(lower - bound.value)
+    return Certificate(pair, CertificateKind.NONZERO_OSCILLATORY, "near-diagonal window bound", margin=margin)
+
+
+# The cascade after exact evaluation, in order: (stage id, gate, step).  A
+# gate is an exact test of the pair alone; a step runs only behind its gate,
+# as step(pair, prec, slack_exponent, delta), and returns a Certificate or
+# None.  Gates and steps reach the bounds through module globals, so that a
+# wrapped global is seen by every call.
+STAGES = (
+    ("term-growth", certify_by_term_growth, _term_growth_step),
+    ("supercritical", lambda pair: classify(pair.ratio) is Regime.SUPERCRITICAL, _supercritical_step),
+    ("oscillatory", _oscillatory_gate, _oscillatory_step),
+    ("window", _near_diagonal_gate, _window_step),
+    ("near-diagonal", _near_diagonal_gate, _near_diagonal_step),
+)
 
 
 def certify(
@@ -230,7 +251,8 @@ def certify(
     delta=None,
     row: RowWalk | None = None,
 ) -> Certificate:
-    """Run the certification cascade on one pair.
+    """Run the certification cascade on one pair: exact evaluation within
+    the budget, then the `STAGES` in order.
 
     Pairs with lambda1 <= lambda2 or lambda2 = 0 are refused: the diagonal
     genuinely vanishes for odd lambda, so no nonvanishing claim is possible
@@ -253,35 +275,13 @@ def certify(
     cert = _exact_step(pair, budget, row)
     if cert is not None:
         return cert
-    if certify_by_term_growth(pair):
-        return Certificate(pair, CertificateKind.NONZERO_TERM_GROWTH, "ascending alternating terms")
-    slack = slack_value(slack_exponent)
-    if classify(pair.ratio) is Regime.SUPERCRITICAL:
-        cert = _supercritical_step(pair, prec, slack, delta)
-        if cert is not None:
-            return cert
-    else:  # r > 1 here, since the refusals above took every r <= 1
-        cert = _oscillatory_step(pair, prec, slack)
-        if cert is not None:
-            return cert
-        # both steps need d >= 702, and every window-table window and every
-        # near-diagonal row ends below d = sqrt(8*pi*l2) < sqrt(26*l2).  Inside
-        # the gate l2 > 702**2/26 > 18953 and r = 1 + d/l2 < 1 + 26/d < 1.04,
-        # so neither step needs its own d >= 702 or r <= 3 check.
-        d = pair.difference
-        if NEAR_DIAGONAL_MIN_DIFFERENCE <= d and d * d < 26 * pair.lambda2:
-            cert = _window_step(pair, prec, slack_exponent)
+    for _, gate, step in STAGES:
+        if gate(pair):
+            cert = step(pair, prec, slack_exponent, delta)
             if cert is not None:
                 return cert
-            cert = _near_diagonal_step(pair, prec, slack_exponent)
-            if cert is not None:
-                return cert
-    return Certificate(
-        pair,
-        CertificateKind.INCONCLUSIVE,
-        "cascade exhausted",
-        reason="no certified bound applies at this size",
-    )
+    reason = "no certified bound applies at this size"
+    return Certificate(pair, CertificateKind.INCONCLUSIVE, "cascade exhausted", reason=reason)
 
 
 # --------------------------------------------------------------------------

@@ -248,9 +248,11 @@ def cmd_certify(args, config: RunConfig) -> int:
             print(f"clause      {cert.clause}")
         if cert.reason is not None:
             print(f"reason      {cert.reason}")
+    elif config.output_format == "csv":
+        print(certifier.CSV_HEADER)
+        print(certifier.record_csv(pair.lambda2, certifier.certificate_record(cert)))
     else:
-        row = (pair.lambda2, (certifier.certificate_record(cert),))
-        print(_record_text(certifier.ScanReport((row,)), config))
+        print(certifier.record_jsonl(pair.lambda2, certifier.certificate_record(cert)))
     return 0
 
 
@@ -265,10 +267,6 @@ def _scan_rule(args):
     return certifier.ListRule(values)
 
 
-def _record_text(report: certifier.ScanReport, config: RunConfig) -> str:
-    return "\n".join(report.csv_lines() if config.output_format == "csv" else report.jsonl_lines())
-
-
 def cmd_scan(args, config: RunConfig) -> int:
     report = certifier.scan_range(
         args.l2,
@@ -280,7 +278,7 @@ def cmd_scan(args, config: RunConfig) -> int:
         timings=config.timings,
     )
     if config.output_format != "human":
-        print(_record_text(report, config))
+        print("\n".join(report.csv_lines() if config.output_format == "csv" else report.jsonl_lines()))
     else:
         for kind, count in sorted(report.counts.items()):
             print(f"{kind:24s} {count}")
@@ -398,14 +396,19 @@ _COMMANDS = {
     "plotdata": cmd_plotdata,
 }
 
+# the output formats a command has no layout for; it refuses them before any work
+_REFUSED_FORMATS = {"predict": ("csv",), "poly": ("csv", "human"), "exceptions": ("csv", "human"), "validate": ("csv",)}
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         config = resolve_config(args)
-        if config.output_format == "csv" and args.command in ("predict", "poly", "exceptions", "validate"):
-            raise ValueError(f"{args.command} has no csv output; use --format jsonl or human")
+        refused = _REFUSED_FORMATS.get(args.command, ())
+        if config.output_format in refused:
+            usable = " or ".join(f for f in FORMATS if f not in refused)
+            raise ValueError(f"{args.command} has no {config.output_format} output; use --format {usable}")
         return _COMMANDS[args.command](args, config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

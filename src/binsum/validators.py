@@ -7,7 +7,9 @@ worst margin (left side minus right side; every margin should be <= 0 up to
 the decision slack).  The validators check consequences only; the helper
 functions used inside the proofs are not exported.
 
-Registered inequalities (hypothesis region in brackets):
+`_LEMMAS` is the registry: one entry per lemma id, holding its default
+ratio range, its theta region and its margin.  The registered inequalities
+(hypothesis region in brackets):
 
   super-g-decay    g(t)-g(0) <= -(2/pi**2)*M*t**2            [r > 3+2*sqrt(2), |t| <= pi]
   super-g-strict   g(t)-g(0) <= -M*t**2/2                    [3+2*sqrt(2) < r <= 7.686899, |t| <= pi/3]
@@ -42,17 +44,6 @@ from .asymptotics import (
 )
 from .numerics import DEFAULT_PRECISION, DEFAULT_SLACK_EXPONENT, GUARD_BITS, check_precision, rational_to_real, slack_value
 
-LEMMA_IDS = (
-    "super-g-decay",
-    "super-g-strict",
-    "super-g-quartic",
-    "super-h-cubic",
-    "sub-f-cubic",
-    "sub-g-decay",
-    "near1-f-cubic",
-    "near1-g-decay",
-)
-
 _NEAR1_F_MAX_RATIO = Fraction(2282, 1000)
 _NEAR1_G_MAX_RATIO = Fraction(211952, 100000)
 
@@ -85,126 +76,154 @@ def _require_subcritical(r: Fraction) -> None:
         raise ValueError(f"inequality requires 1 < r < 3 + 2*sqrt(2), got r = {r}")
 
 
-def _theta_region(lemma_id: str, r: Fraction, prec: int) -> tuple[mpf, mpf]:
-    """The closed theta interval of the hypothesis for this lemma and r."""
-    with workprec(prec + GUARD_BITS):
-        if lemma_id == "super-g-strict":
-            _require_supercritical(r)
-            if r > REFINED_BOUND_MAX_RATIO:
-                raise ValueError(
-                    f"inequality requires r <= {REFINED_BOUND_MAX_RATIO}, got r = {r}"
-                )
-            return -mp.pi / 3, mp.pi / 3
-        if lemma_id.startswith("super-"):
-            _require_supercritical(r)
-            return -mp.pi, mp.pi
-        if lemma_id in ("sub-f-cubic", "sub-g-decay"):
-            _require_subcritical(r)
-            alpha = saddle_data(r, prec).alpha
-            return alpha / 2, mp.pi - alpha / 2
-        if lemma_id == "near1-f-cubic":
-            if not 1 <= r <= _NEAR1_F_MAX_RATIO:
-                raise ValueError(f"inequality requires 1 <= r <= {_NEAR1_F_MAX_RATIO}, got r = {r}")
-            if r == 1:
-                alpha = mp.pi / 2
-                return alpha, alpha
-            alpha = saddle_data(r, prec).alpha
-            w = mp.sqrt(rational_to_real(r - 1, prec))
-            return alpha - w, alpha + w
-        if lemma_id == "near1-g-decay":
-            if not 1 < r <= _NEAR1_G_MAX_RATIO:
-                raise ValueError(f"inequality requires 1 < r <= {_NEAR1_G_MAX_RATIO}, got r = {r}")
-            alpha = saddle_data(r, prec).alpha
-            return alpha / 2, 3 * alpha / 2
-        raise ValueError(f"unknown lemma id {lemma_id!r}; known: {', '.join(LEMMA_IDS)}")
+def _super_region(r: Fraction, prec: int) -> tuple[mpf, mpf]:
+    _require_supercritical(r)
+    return -mp.pi, mp.pi
 
 
-def _margin_function(lemma_id: str, sd: SaddleData) -> Callable[[mpf], mpf]:
-    """theta -> left side minus right side of the inequality at ratio sd.r.
+def _super_strict_region(r: Fraction, prec: int) -> tuple[mpf, mpf]:
+    _require_supercritical(r)
+    if r > REFINED_BOUND_MAX_RATIO:
+        raise ValueError(f"inequality requires r <= {REFINED_BOUND_MAX_RATIO}, got r = {r}")
+    return -mp.pi / 3, mp.pi / 3
 
-    Everything that depends on the ratio alone (r as a real, the
-    discriminant, the model coefficients, f at the saddle angle) is computed
-    here, once per ratio.  Call this and the returned function under
-    workprec(sd.prec + GUARD_BITS).
-    """
-    rm = rational_to_real(sd.r, sd.prec + GUARD_BITS)
-    rho = sd.rho
-    if lemma_id.startswith("super-"):
-        g0, M = sd.f_rho, sd.M
-        if lemma_id == "super-g-decay":
-            decay = 2 / mp.pi**2 * M
 
-            def margin(t):
-                return _f_on_circle(rm, rho, t).real - g0 + decay * t**2
+def _sub_region(r: Fraction, prec: int) -> tuple[mpf, mpf]:
+    _require_subcritical(r)
+    alpha = saddle_data(r, prec).alpha
+    return alpha / 2, mp.pi - alpha / 2
 
-        elif lemma_id == "super-g-strict":
 
-            def margin(t):
-                return _f_on_circle(rm, rho, t).real - g0 + M * t**2 / 2
+def _near1_f_region(r: Fraction, prec: int) -> tuple[mpf, mpf]:
+    if not 1 <= r <= _NEAR1_F_MAX_RATIO:
+        raise ValueError(f"inequality requires 1 <= r <= {_NEAR1_F_MAX_RATIO}, got r = {r}")
+    if r == 1:
+        alpha = mp.pi / 2
+        return alpha, alpha
+    alpha = saddle_data(r, prec).alpha
+    w = mp.sqrt(rational_to_real(r - 1, prec))
+    return alpha - w, alpha + w
 
-        elif lemma_id == "super-g-quartic":
 
-            def margin(t):
-                g_diff = _f_on_circle(rm, rho, t).real - g0
-                return abs(g_diff + M * t**2 / 2) - _quartic_coefficient(rho, mp.cos(t)) * t**4
+def _near1_g_region(r: Fraction, prec: int) -> tuple[mpf, mpf]:
+    if not 1 < r <= _NEAR1_G_MAX_RATIO:
+        raise ValueError(f"inequality requires 1 < r <= {_NEAR1_G_MAX_RATIO}, got r = {r}")
+    alpha = saddle_data(r, prec).alpha
+    return alpha / 2, 3 * alpha / 2
 
-        else:
 
-            def margin(t):
-                return abs(_f_on_circle(rm, rho, t).imag) - _cubic_coefficient(rho, mp.cos(t)) * abs(t) ** 3
+# Margin factories: (saddle data of r, r as a real) -> the function theta ->
+# left side minus right side of the inequality at r.  Everything that
+# depends on the ratio alone (the discriminant, the model coefficients, f at
+# the saddle angle) is computed by the factory, once per ratio.  Call the
+# factory and the function it returns under workprec(sd.prec + GUARD_BITS).
 
-        return margin
-    alpha = sd.alpha
-    f_alpha = _f_on_circle(rm, rho, alpha)
-    if lemma_id == "sub-f-cubic":
-        negdisc = rational_to_real(negated_discriminant(sd.r), sd.prec + GUARD_BITS)
-        quadratic = mp.sqrt(negdisc) / 4 * mp.mpc(mp.cos(-sd.beta), mp.sin(-sd.beta))
-        cubic = mpf("0.33846") * (rm + 1) ** 2 / rm**2
 
-        def margin(t):
-            u = t - alpha
-            return abs(_f_on_circle(rm, rho, t) - f_alpha + quadratic * u**2) - cubic * abs(u) ** 3
+def _super_g_decay(sd: SaddleData, rm: mpf) -> Callable[[mpf], mpf]:
+    decay = 2 / mp.pi**2 * sd.M
+    return lambda t: _f_on_circle(rm, sd.rho, t).real - sd.f_rho + decay * t**2
 
-    elif lemma_id == "sub-g-decay":
-        negdisc = rational_to_real(negated_discriminant(sd.r), sd.prec + GUARD_BITS)
-        quadratic = -(rm + 1) * negdisc / (16 * rm)
-        cubic = (rm + 1) / 4
 
-        def margin(t):
-            u = t - alpha
-            return (_f_on_circle(rm, rho, t).real - f_alpha.real) - (quadratic * u**2 + cubic * abs(u) ** 3)
+def _super_g_strict(sd: SaddleData, rm: mpf) -> Callable[[mpf], mpf]:
+    return lambda t: _f_on_circle(rm, sd.rho, t).real - sd.f_rho + sd.M * t**2 / 2
 
-    elif lemma_id == "near1-f-cubic":
-        quadratic = (rm - 1) / 4
 
-        def margin(t):
-            u = t - alpha
-            return abs(_f_on_circle(rm, rho, t) - f_alpha + u**2 / 2) - (abs(u) ** 3 / 3 + quadratic * u**2)
-
-    else:
-
-        def margin(t):
-            u = t - alpha
-            return (_f_on_circle(rm, rho, t).real - f_alpha.real) + u**2 / 2 - abs(u) ** 3 / 2
+def _super_g_quartic(sd: SaddleData, rm: mpf) -> Callable[[mpf], mpf]:
+    def margin(t):
+        g_diff = _f_on_circle(rm, sd.rho, t).real - sd.f_rho
+        return abs(g_diff + sd.M * t**2 / 2) - _quartic_coefficient(sd.rho, mp.cos(t)) * t**4
 
     return margin
 
 
-_DEFAULT_R_RANGES: dict[str, tuple[Fraction, Fraction]] = {
-    "super-g-decay": (Fraction(584, 100), Fraction(12)),
-    "super-g-strict": (Fraction(584, 100), Fraction(76868, 10000)),
-    "super-g-quartic": (Fraction(584, 100), Fraction(12)),
-    "super-h-cubic": (Fraction(584, 100), Fraction(12)),
-    "sub-f-cubic": (Fraction(105, 100), Fraction(580, 100)),
-    "sub-g-decay": (Fraction(105, 100), Fraction(580, 100)),
-    "near1-f-cubic": (Fraction(101, 100), Fraction(228, 100)),
-    "near1-g-decay": (Fraction(101, 100), Fraction(211, 100)),
+def _super_h_cubic(sd: SaddleData, rm: mpf) -> Callable[[mpf], mpf]:
+    return lambda t: abs(_f_on_circle(rm, sd.rho, t).imag) - _cubic_coefficient(sd.rho, mp.cos(t)) * abs(t) ** 3
+
+
+def _sub_f_cubic(sd: SaddleData, rm: mpf) -> Callable[[mpf], mpf]:
+    alpha, f_alpha = sd.alpha, _f_on_circle(rm, sd.rho, sd.alpha)
+    negdisc = rational_to_real(negated_discriminant(sd.r), sd.prec + GUARD_BITS)
+    quadratic = mp.sqrt(negdisc) / 4 * mp.mpc(mp.cos(-sd.beta), mp.sin(-sd.beta))
+    cubic = mpf("0.33846") * (rm + 1) ** 2 / rm**2
+
+    def margin(t):
+        u = t - alpha
+        return abs(_f_on_circle(rm, sd.rho, t) - f_alpha + quadratic * u**2) - cubic * abs(u) ** 3
+
+    return margin
+
+
+def _sub_g_decay(sd: SaddleData, rm: mpf) -> Callable[[mpf], mpf]:
+    alpha, f_alpha = sd.alpha, _f_on_circle(rm, sd.rho, sd.alpha)
+    negdisc = rational_to_real(negated_discriminant(sd.r), sd.prec + GUARD_BITS)
+    quadratic = -(rm + 1) * negdisc / (16 * rm)
+    cubic = (rm + 1) / 4
+
+    def margin(t):
+        u = t - alpha
+        return (_f_on_circle(rm, sd.rho, t).real - f_alpha.real) - (quadratic * u**2 + cubic * abs(u) ** 3)
+
+    return margin
+
+
+def _near1_f_cubic(sd: SaddleData, rm: mpf) -> Callable[[mpf], mpf]:
+    alpha, f_alpha = sd.alpha, _f_on_circle(rm, sd.rho, sd.alpha)
+    quadratic = (rm - 1) / 4
+
+    def margin(t):
+        u = t - alpha
+        return abs(_f_on_circle(rm, sd.rho, t) - f_alpha + u**2 / 2) - (abs(u) ** 3 / 3 + quadratic * u**2)
+
+    return margin
+
+
+def _near1_g_decay(sd: SaddleData, rm: mpf) -> Callable[[mpf], mpf]:
+    alpha, f_alpha = sd.alpha, _f_on_circle(rm, sd.rho, sd.alpha)
+
+    def margin(t):
+        u = t - alpha
+        return (_f_on_circle(rm, sd.rho, t).real - f_alpha.real) + u**2 / 2 - abs(u) ** 3 / 2
+
+    return margin
+
+
+_SUPER_R_RANGE = (Fraction(584, 100), Fraction(12))
+_SUB_R_RANGE = (Fraction(105, 100), Fraction(580, 100))
+
+# The registry: lemma id -> (default ratio range, theta region of the
+# hypothesis at (r, prec), margin factory).  A region function runs under
+# workprec(prec + GUARD_BITS) and raises ValueError for an r outside the
+# hypothesis.
+_LEMMAS: dict[str, tuple[tuple[Fraction, Fraction], Callable, Callable]] = {
+    "super-g-decay": (_SUPER_R_RANGE, _super_region, _super_g_decay),
+    "super-g-strict": ((Fraction(584, 100), Fraction(76868, 10000)), _super_strict_region, _super_g_strict),
+    "super-g-quartic": (_SUPER_R_RANGE, _super_region, _super_g_quartic),
+    "super-h-cubic": (_SUPER_R_RANGE, _super_region, _super_h_cubic),
+    "sub-f-cubic": (_SUB_R_RANGE, _sub_region, _sub_f_cubic),
+    "sub-g-decay": (_SUB_R_RANGE, _sub_region, _sub_g_decay),
+    "near1-f-cubic": ((Fraction(101, 100), Fraction(228, 100)), _near1_f_region, _near1_f_cubic),
+    "near1-g-decay": ((Fraction(101, 100), Fraction(211, 100)), _near1_g_region, _near1_g_decay),
 }
+LEMMA_IDS = tuple(_LEMMAS)
+
+
+def _lemma(lemma_id: str) -> tuple:
+    """The registry entry of `lemma_id`; ValueError for an unknown id."""
+    try:
+        return _LEMMAS[lemma_id]
+    except KeyError:
+        raise ValueError(f"unknown lemma id {lemma_id!r}; known: {', '.join(LEMMA_IDS)}") from None
+
+
+def _theta_region(region: Callable, r: Fraction, prec: int) -> tuple[mpf, mpf]:
+    """The closed theta interval that `region` gives for r."""
+    with workprec(prec + GUARD_BITS):
+        return region(r, prec)
 
 
 def default_r_grid(lemma_id: str, n_r: int) -> list[Fraction]:
     """n_r exact rationals spanning the lemma's default ratio range."""
-    lo, hi = _DEFAULT_R_RANGES[lemma_id]
+    lo, hi = _lemma(lemma_id)[0]
     if n_r == 1:
         return [lo]
     step = (hi - lo) / (n_r - 1)
@@ -213,7 +232,7 @@ def default_r_grid(lemma_id: str, n_r: int) -> list[Fraction]:
 
 def region_theta_grid(lemma_id: str, r: Fraction, n_theta: int, prec: int = DEFAULT_PRECISION) -> list[mpf]:
     """n_theta angles strictly inside the lemma's theta region for this r."""
-    return _spread(*_theta_region(lemma_id, r, prec), n_theta, prec)
+    return _spread(*_theta_region(_lemma(lemma_id)[1], r, prec), n_theta, prec)
 
 
 def _spread(lo: mpf, hi: mpf, n_theta: int, prec: int) -> list[mpf]:
@@ -242,15 +261,14 @@ def validate_inequality(
     an argument error when outside; that is not a lemma violation.
     """
     check_precision(prec)
-    if lemma_id not in LEMMA_IDS:
-        raise ValueError(f"unknown lemma id {lemma_id!r}; known: {', '.join(LEMMA_IDS)}")
+    _, region, margin_of = _lemma(lemma_id)
     n_r, n_theta = grid_size
     rs = [Fraction(r) for r in r_grid] if r_grid is not None else default_r_grid(lemma_id, n_r)
     slack = slack_value(slack_exponent)
     worst = None
     points = 0
     for r in rs:
-        lo, hi = _theta_region(lemma_id, r, prec)
+        lo, hi = _theta_region(region, r, prec)
         if theta_grid is None:
             thetas = _spread(lo, hi, n_theta, prec)
         else:
@@ -262,7 +280,7 @@ def validate_inequality(
                     )
         sd = saddle_data(r, prec)
         with workprec(prec + GUARD_BITS):
-            margin = _margin_function(lemma_id, sd)
+            margin = margin_of(sd, rational_to_real(r, prec + GUARD_BITS))
             for t in thetas:
                 m = margin(t)
                 points += 1

@@ -14,6 +14,7 @@ from binsum.certifier import (
     CertificateKind,
     DiffRule,
     ListRule,
+    STAGES,
     RatioRule,
     ScanEntry,
     _near_diagonal_step,
@@ -211,8 +212,8 @@ def test_difference_windows_follow_the_slack_exponent():
     assert max(d.hi - w.hi for d, w in zip(default, loose)) == 1
     class0_b = next(w for w in default if w.clause == "class0-b" and w.basis == "window-table")
     pair = PartitionPair(class0_b.hi, 10**6)
-    assert _window_step(pair, 128, 40).clause == "class0-b"
-    assert _window_step(pair, 128, 0) is None
+    assert _window_step(pair, 128, 40, None).clause == "class0-b"
+    assert _window_step(pair, 128, 0, None) is None
 
 
 @pytest.mark.parametrize("lambda2", [1, 702, 18953, 10**5, 10**6 + 3])
@@ -247,10 +248,60 @@ def test_window_stages_cannot_apply_beyond_26_l2():
                 # just inside the edge the flat near-diagonal window applies
                 assert asymptotics.near_diagonal_error_bound(pair).valid, (l2, d)
             if d > flat_edge:
-                assert _window_step(pair, 128, 40) is None, (l2, d)
-                assert _near_diagonal_step(pair, 128, 40) is None, (l2, d)
+                assert _window_step(pair, 128, 40, None) is None, (l2, d)
+                assert _near_diagonal_step(pair, 128, 40, None) is None, (l2, d)
                 skipped += d * d >= 26 * l2 and d >= 702
     assert skipped >= 18
+
+
+STAGE_IDS = ("term-growth", "supercritical", "oscillatory", "window", "near-diagonal")
+
+# per stage, a pair it decides once exact evaluation is refused, and its rule
+STAGE_PAIRS = {
+    "term-growth": (PartitionPair(100, 3), "ascending alternating terms"),
+    "supercritical": (PartitionPair(600000, 100000), "supercritical saddle bound"),
+    "oscillatory": (PartitionPair(20000, 10000), "oscillatory main-term bound"),
+    "window": (PartitionPair(10**6 + 702, 10**6), "certified difference window"),
+    "near-diagonal": (PartitionPair(10**6 + 3362, 10**6), "near-diagonal window bound"),
+}
+
+
+def test_stages_run_in_the_paper_order():
+    assert tuple(stage_id for stage_id, _, _ in STAGES) == STAGE_IDS
+
+
+@pytest.mark.parametrize("stage_id", STAGE_IDS)
+def test_every_stage_stays_reachable(stage_id):
+    pair, rule = STAGE_PAIRS[stage_id]
+    cert = certify(pair, budget=0)
+    assert cert.nonzero and cert.rule == rule
+    index = STAGE_IDS.index(stage_id)
+    _, gate, step = STAGES[index]
+    assert gate(pair)
+    assert step(pair, 128, 40, None) == cert
+    # every earlier stage is gated out or fails, so this stage decides
+    for _, gate, step in STAGES[:index]:
+        assert not gate(pair) or step(pair, 128, 40, None) is None
+
+
+def test_refined_supercritical_bound_is_reachable_with_delta():
+    pair = PartitionPair(300, 50)
+    assert certify(pair, budget=0).kind is CertificateKind.INCONCLUSIVE
+    cert = certify(pair, budget=0, delta=1.0)
+    assert cert.kind is CertificateKind.NONZERO_SUPERCRITICAL
+    assert cert.rule == "refined supercritical saddle bound"
+
+
+@pytest.mark.parametrize("ratio", [Fraction(2), Fraction(4), Fraction(5)])
+def test_oscillatory_gate_rejects_exactly_the_pairs_up_to_the_reach(ratio):
+    _, gate, step = STAGES[STAGE_IDS.index("oscillatory")]
+    reach = asymptotics.oscillatory_bound_reach(ratio)
+    at_reach = PartitionPair(int(ratio * reach), reach)
+    assert not gate(at_reach)
+    # at the reach the bound is still >= 1 >= |cos|, so the step cannot decide
+    assert step(at_reach, 128, 40, None) is None
+    assert step(at_reach, 128, 0, None) is None
+    assert gate(PartitionPair(int(ratio * (reach + 1)), reach + 1))
 
 
 def test_scan_with_ratio_caches_equals_uncached_pairs():

@@ -104,17 +104,22 @@ def test_certify_csv_is_the_scan_csv_of_the_pair(capsys, budget):
 )
 @pytest.mark.parametrize("from_config", [False, True])
 def test_commands_without_csv_refuse_it_before_any_work(capsys, monkeypatch, tmp_path, argv, from_config):
+    # poly and exceptions print JSON only, so they refuse human as well as csv
+    json_only = argv[0] in ("poly", "exceptions")
+    usable = "jsonl" if json_only else "jsonl or human"
+
     def must_not_run(args, config):
         raise AssertionError("the command ran")
 
     monkeypatch.setitem(cli._COMMANDS, argv[0], must_not_run)
-    config = tmp_path / "run.conf"
-    config.write_text("format = csv\n")
-    flags = ("--config", str(config)) if from_config else ("--format", "csv")
-    code, out, err = run_cli(capsys, *flags, *argv)
-    assert code == 2
-    assert out == ""
-    assert err == f"error: {argv[0]} has no csv output; use --format jsonl or human\n"
+    for output_format in ("csv", "human") if json_only else ("csv",):
+        config = tmp_path / "run.conf"
+        config.write_text(f"format = {output_format}\n")
+        flags = ("--config", str(config)) if from_config else ("--format", output_format)
+        code, out, err = run_cli(capsys, *flags, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {argv[0]} has no {output_format} output; use --format {usable}\n"
 
 
 def test_predict_human_lines(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf, workprec
 
+from binsum import asymptotics
 from binsum.asymptotics import RegimeError, saddle_data
 from binsum.numerics import GUARD_BITS
 from binsum.validators import LEMMA_IDS, region_theta_grid, validate_inequality
@@ -104,3 +105,45 @@ def test_margin_vanishes_at_the_saddle_angle(lemma_id, prec):
     with workprec(prec + GUARD_BITS):
         report = validate_inequality(lemma_id, r_grid=[r], theta_grid=[alpha], prec=prec)
     assert report.max_margin == 0.0
+
+
+def _reference_margin(lemma_id, r, theta, sd):
+    """Left side minus right side of each inequality as the module docstring
+    states it, computed from the definition of f at one point."""
+    rm = mpf(r.numerator) / r.denominator
+
+    def f(t):
+        z = sd.rho * mp.expj(t)
+        return rm * mp.log(1 + z) + mp.log(1 - z) - mp.log(z)
+
+    if lemma_id.startswith("super-"):
+        g_diff = f(theta).real - f(0).real
+        return {
+            "super-g-decay": g_diff + 2 / mp.pi**2 * sd.M * theta**2,
+            "super-g-strict": g_diff + sd.M * theta**2 / 2,
+            "super-g-quartic": abs(g_diff + sd.M * theta**2 / 2)
+            - asymptotics._quartic_coefficient(sd.rho, mp.cos(theta)) * theta**4,
+            "super-h-cubic": abs(f(theta).imag) - asymptotics._cubic_coefficient(sd.rho, mp.cos(theta)) * abs(theta) ** 3,
+        }[lemma_id]
+    u = theta - sd.alpha
+    nd = 6 * rm - 1 - rm**2
+    step = f(theta) - f(sd.alpha)
+    return {
+        "sub-f-cubic": abs(step + mp.sqrt(nd) / 4 * mp.expj(-sd.beta) * u**2) - mpf("0.33846") * (rm + 1) ** 2 / rm**2 * abs(u) ** 3,
+        "sub-g-decay": step.real + (rm + 1) * nd / (16 * rm) * u**2 - (rm + 1) / 4 * abs(u) ** 3,
+        "near1-f-cubic": abs(step + u**2 / 2) - (abs(u) ** 3 / 3 + (rm - 1) / 4 * u**2),
+        "near1-g-decay": step.real + u**2 / 2 - abs(u) ** 3 / 2,
+    }[lemma_id]
+
+
+@pytest.mark.parametrize("lemma_id", LEMMA_IDS)
+def test_each_registered_margin_is_the_stated_inequality(lemma_id):
+    # one point inside each region, away from the touching point, so that a
+    # registry entry pointing at another lemma's margin shows
+    r = {"super": Fraction(15, 2), "sub": Fraction(5, 2), "near1": Fraction(3, 2)}[lemma_id.split("-")[0]]
+    sd = saddle_data(r, 128)
+    theta = mpf("0.4") if lemma_id.startswith("super-") else sd.alpha + mpf("0.2")
+    report = validate_inequality(lemma_id, r_grid=[r], theta_grid=[theta])
+    with workprec(128 + GUARD_BITS):
+        expected = _reference_margin(lemma_id, r, theta, sd)
+    assert abs(report.max_margin - float(expected)) <= 1e-12 * max(1.0, abs(float(expected)))

@@ -1,0 +1,145 @@
+"""Byte-identity harness: one hash per command of a fixed binsum command set.
+
+    python3 tools/identity.py > identity.txt
+
+Run it from anywhere; it imports binsum from `src/` of the checkout it sits
+in and the benchmark's scans from `perfbench/workloads.py` there.  Every
+command runs in-process through `binsum.cli.main`, and one line per command
+is printed:
+
+    sha256(stdout) exit-code argv
+
+Diff the files of two checkouts to see which commands changed their output
+bytes or their exit code.  The set covers:
+
+* every scan of the scan-exact, scan-exact-par2 and scan-lines workloads,
+  seeds 1-3, in jsonl, csv and human, at --parallelism 1 and 2;
+* `certify` (with and without --delta) and `predict` at pairs that each
+  cascade stage decides, at an exact pair and at refused pairs, with
+  --budget 0, --slack-exponent 0 and --precision 53 and 200;
+* `intervals`, `poly`, `exceptions` and `plotdata` in every format;
+* `validate` for every lemma at two grids;
+* `eval` of three pairs on every route.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import shlex
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FORMATS = ("jsonl", "csv", "human")
+SEEDS = (1, 2, 3)
+SCAN_WORKLOADS = ("scan-exact", "scan-exact-par2", "scan-lines")
+LEMMAS = (
+    "super-g-decay",
+    "super-g-strict",
+    "super-g-quartic",
+    "super-h-cubic",
+    "sub-f-cubic",
+    "sub-g-decay",
+    "near1-f-cubic",
+    "near1-g-decay",
+)
+ROUTES = ("auto", "direct", "reduced", "row", "diagonal")
+# term growth, supercritical, refined supercritical (with --delta),
+# oscillatory, window, near-diagonal, exact, and three refusals
+CERTIFY_PAIRS = (
+    (100, 3),
+    (600000, 100000),
+    (300, 50),
+    (20000, 10000),
+    (1000702, 1000000),
+    (1003362, 1000000),
+    (300, 100),
+    (4, 4),
+    (7, 0),
+    (3, 5),
+)
+CERTIFY_OPTIONS = (
+    (),
+    ("--budget", "0"),
+    ("--budget", "0", "--slack-exponent", "0"),
+    ("--budget", "0", "--precision", "53"),
+    ("--budget", "0", "--precision", "200"),
+)
+
+
+def _workloads():
+    """perfbench/workloads.py, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def commands() -> list[list[str]]:
+    """The argv of every command, each once, in a fixed order."""
+    workloads = _workloads()
+    out = []
+    for name in SCAN_WORKLOADS:
+        for seed in SEEDS:
+            for scan in workloads.build(name, seed).scans:
+                for parallelism in (1, 2):
+                    out.extend(["--format", fmt, *scan.argv(parallelism)] for fmt in FORMATS)
+    for l1, l2 in CERTIFY_PAIRS:
+        for options in CERTIFY_OPTIONS:
+            for fmt in FORMATS:
+                flags = ["--format", fmt, *options]
+                out.append([*flags, "certify", str(l1), str(l2)])
+                out.append([*flags, "certify", str(l1), str(l2), "--delta", "1.0"])
+                out.append([*flags, "predict", str(l1), str(l2)])
+    tails = [
+        ["intervals", "702"],
+        ["intervals", "100000"],
+        ["intervals", "1000003"],
+        ["poly", "--c", "3"],
+        ["poly", "--c", "38", "--roots", "1000000000"],
+        ["poly", "--tilde", "1", "0", "1"],
+        ["poly", "--tilde", "36", "1", "0", "--roots", "1000000000"],
+        ["exceptions", "2", "1000000", "--depth", "8"],
+        ["exceptions", "3/2", "1e6"],
+        ["exceptions", "6", "100"],
+        ["plotdata", "--l2", "20..40", "--ratio", "3"],
+        ["plotdata", "--l2", "700..720", "--diff", "3"],
+    ]
+    for lemma in LEMMAS:
+        for grid in ("4x5", "8x10"):
+            tails.append(["validate", "--lemma", lemma, "--grid", grid])
+    for tail in tails:
+        out.extend(["--format", fmt, *tail] for fmt in FORMATS)
+    for l1, l2 in ((40, 17), (300, 100), (31, 31)):
+        out.extend(["eval", str(l1), str(l2), "--route", route] for route in ROUTES)
+    # two workloads may draw the same rectangle; run it once
+    return [list(argv) for argv in dict.fromkeys(map(tuple, out))]
+
+
+def run(argv: list[str]) -> tuple[str, object]:
+    """sha256 of the stdout of `binsum argv` and its exit code; stderr is dropped."""
+    from binsum import cli
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects an argument
+            code = exc.code
+    return hashlib.sha256(out.getvalue().encode()).hexdigest(), code
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    for argv in commands():
+        digest, code = run(argv)
+        print(f"{digest} {code} {shlex.join(argv)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
