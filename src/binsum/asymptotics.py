@@ -99,9 +99,9 @@ def classify(r: Fraction) -> Regime:
     DEGENERATE for r <= 1, else SUPERCRITICAL or SUBCRITICAL as the exact
     `negated_discriminant(r)` is negative or positive."""
     r = Fraction(r)
-    if r <= 1:
+    if r.numerator <= r.denominator:
         return Regime.DEGENERATE
-    if negated_discriminant(r) < 0:
+    if negated_discriminant(r).numerator < 0:
         return Regime.SUPERCRITICAL
     return Regime.SUBCRITICAL
 

@@ -2,10 +2,10 @@
 
 `certify` first evaluates exactly when the estimated cost fits the budget
 (definitive; a range scan walks each l2 row by the three-term recurrence in
-l1, so a pair whose two predecessors were evaluated costs one step).  Then
-it runs the sound checks of `STAGES`, the one statement of their order and
-of the exact gate in front of each.  Why each stage is sound, and why its
-gate loses nothing:
+l1 with an `exact.RowWalk`, so a pair whose two predecessors were evaluated
+costs one step).  Then it runs the sound checks of `STAGES`, the one
+statement of their order and of the exact gate in front of each.  Why each
+stage is sound, and why its gate loses nothing:
 
   term-growth: for l1 > l2*(l2+1) - 1 the alternating summands grow
       strictly in absolute value, so the sum cannot vanish;
@@ -30,7 +30,6 @@ exceptions the theory allows, and they must surface in reports.
 
 from __future__ import annotations
 
-import functools
 import os
 import time
 from collections import Counter
@@ -58,6 +57,7 @@ from .asymptotics import (
     supercritical_error_bound_refined,
     REFINED_BOUND_MAX_RATIO,
 )
+from . import exact
 from .exact import PartitionPair, congruence_class, evaluate, evaluation_cost
 from .numerics import (
     DEFAULT_PRECISION,
@@ -131,26 +131,10 @@ def certify_by_term_growth(pair: PartitionPair) -> bool:
     return l2 >= 1 and l1 > l2 and l1 > l2 * (l2 + 1) - 1
 
 
-@dataclass(slots=True)
-class RowWalk:
-    """The state of a walk along one scan row (fixed lambda2): the last exactly
-    evaluated lambda1, S(lambda1 - 1, lambda2) when known (else None) and
-    S(lambda1, lambda2).  A row's values are not kept beyond these two."""
-
-    lambda1: int = -1
-    before: int | None = None
-    value: int | None = None
-
-
-def _exact_step(pair: PartitionPair, budget: int, row: RowWalk | None) -> Certificate | None:
+def _exact_step(pair: PartitionPair, budget: int, row: exact.RowWalk | None) -> Certificate | None:
     if evaluation_cost(pair) > budget:
         return None
-    follows = row is not None and row.lambda1 == pair.lambda1 - 1
-    prior = (row.before, row.value) if follows and row.before is not None else None
-    value = evaluate(pair, prior=prior).value
-    if row is not None:
-        row.before = row.value if follows else None
-        row.lambda1, row.value = pair.lambda1, value
+    value = evaluate(pair).value if row is None else row.evaluate(pair)
     if value == 0:
         return Certificate(pair, CertificateKind.ZERO_EXACT, "exact evaluation", exact_sign=0)
     return Certificate(
@@ -249,7 +233,7 @@ def certify(
     prec: int = DEFAULT_PRECISION,
     slack_exponent: int = DEFAULT_SLACK_EXPONENT,
     delta=None,
-    row: RowWalk | None = None,
+    row: exact.RowWalk | None = None,
 ) -> Certificate:
     """Run the certification cascade on one pair: exact evaluation within
     the budget, then the `STAGES` in order.
@@ -259,10 +243,9 @@ def certify(
     there.  An optional `delta` in (0, pi/3] enables the refined
     supercritical bound when the ratio allows it; any other value raises
     ValueError, whatever the pair, as does a negative `slack_exponent`.  A
-    scan passes the `RowWalk` of the pair's row, which must have seen only
-    pairs of this lambda2; the exact step then takes S(lambda1, lambda2) by
-    one recurrence step from the two values before it when it has them.  The
-    verdict is the same either way.
+    scan passes its `exact.RowWalk`, which evaluates the pair by one
+    recurrence step when it holds the two values before it in the pair's
+    row.  The verdict is the same either way.
     """
     check_precision(prec)
     check_slack_exponent(slack_exponent)
@@ -431,13 +414,6 @@ class AllUpToRule:
         return list(range(lambda2 + 1, self.max_lambda1 + 1))
 
 
-@dataclass(frozen=True)
-class ScanEntry:
-    pair: PartitionPair
-    certificate: Certificate
-    usec: int
-
-
 # A scan record is one certified pair of a row as a flat tuple of builtins and
 # the CertificateKind member:
 #   (lambda1, kind, rule, margin, exact_sign, bit_length, clause, reason, usec)
@@ -494,26 +470,18 @@ class ScanReport:
 
     rows: tuple[tuple[int, tuple[tuple, ...]], ...]
 
-    def _records(self) -> Iterable[tuple[int, tuple]]:
+    def records(self) -> Iterable[tuple[int, tuple]]:
+        """(lambda2, record) for every scanned pair, in scan order."""
         for l2, records in self.rows:
             for record in records:
                 yield l2, record
 
-    @functools.cached_property
-    def entries(self) -> tuple[ScanEntry, ...]:
-        """The records as `ScanEntry` objects, built on first use."""
-        out = []
-        for l2, (l1, *fields, usec) in self._records():
-            pair = PartitionPair(l1, l2)
-            out.append(ScanEntry(pair, Certificate(pair, *fields), usec))
-        return tuple(out)
-
     @property
     def counts(self) -> dict[str, int]:
-        return dict(Counter(record[1].value for _, record in self._records()))
+        return dict(Counter(record[1].value for _, record in self.records()))
 
     def _pairs_of(self, kind: CertificateKind) -> list[PartitionPair]:
-        return [PartitionPair(record[0], l2) for l2, record in self._records() if record[1] is kind]
+        return [PartitionPair(record[0], l2) for l2, record in self.records() if record[1] is kind]
 
     @property
     def inconclusive_pairs(self) -> list[PartitionPair]:
@@ -524,12 +492,12 @@ class ScanReport:
         return self._pairs_of(CertificateKind.ZERO_EXACT)
 
     def jsonl_lines(self) -> Iterable[str]:
-        for l2, record in self._records():
+        for l2, record in self.records():
             yield record_jsonl(l2, record)
 
     def csv_lines(self) -> Iterable[str]:
         yield CSV_HEADER
-        for l2, record in self._records():
+        for l2, record in self.records():
             yield record_csv(l2, record)
 
 
@@ -543,7 +511,7 @@ def _scan_row(args: tuple) -> tuple[int, tuple[tuple, ...]]:
     """Certify one row, every lambda1 of `lambda1s` (sorted) at one lambda2,
     into (lambda2, records)."""
     lambda1s, l2, budget, prec, slack_exponent, timed = args
-    row = RowWalk()
+    row = exact.RowWalk()
     records = []
     for l1 in lambda1s:
         start = time.perf_counter() if timed else 0.0
@@ -591,15 +559,15 @@ def scan_range(
 ) -> ScanReport:
     """Certify every pair generated by `rule` over an inclusive lambda2 range.
 
-    A task is one row: a lambda2 and its sorted lambda1 values.  Within a
-    row, each pair whose two predecessors S(lambda1 - 2, lambda2) and
-    S(lambda1 - 1, lambda2) were evaluated exactly is evaluated by one step
-    of the row recurrence (see `exact.row_step`); the budget gate and the
-    verdicts are those of `certify` on the pair alone.  Rows run in lambda2
-    order and both `map` and the pool's `map` keep input order, so reports
-    are byte-identical across parallelism settings (per-pair timing is
-    recorded only when `timings` is set, since wall clock readings are not
-    reproducible).  The pool gets at most as many workers as there are
+    A task is one row: a lambda2 and its sorted lambda1 values, certified
+    with one `exact.RowWalk`, so each pair whose two predecessors
+    S(lambda1 - 2, lambda2) and S(lambda1 - 1, lambda2) were evaluated
+    exactly is evaluated by one step of the row recurrence; the budget gate
+    and the verdicts are those of `certify` on the pair alone.  Rows run in
+    lambda2 order and both `map` and the pool's `map` keep input order, so
+    reports are byte-identical across parallelism settings (per-pair timing
+    is recorded only when `timings` is set, since wall clock readings are
+    not reproducible).  The pool gets at most as many workers as there are
     usable CPUs and rows.
     """
     if parallelism < 1:

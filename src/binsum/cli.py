@@ -73,7 +73,10 @@ def load_config_file(path: str) -> dict:
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             attr, conv = _CONFIG_KEYS[key]
-            out[attr] = conv(value)
+            try:
+                out[attr] = conv(value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from exc
     return out
 
 

@@ -18,8 +18,8 @@ three-term recurrence in l1
 
 (the Krawtchouk recurrence; Zeilberger's algorithm finds it too, see
 Petkovsek-Wilf-Zeilberger, "A = B", 1996).  On the diagonal l1 == l2 there
-is a closed form.  A scan that knows S(l1 - 2, l2) and S(l1 - 1, l2) gets
-S(l1, l2) from one step of the recurrence (`evaluate` with `prior`).
+is a closed form.  A `RowWalk` hands a scan S(l1, l2) by one step of the
+recurrence when it holds S(l1 - 2, l2) and S(l1 - 1, l2) of the same row.
 
 The direct route stays the plain running-term loop (each term updated from
 the previous one by exact integer multiply/divide steps), so that it is an
@@ -292,25 +292,9 @@ def _automatic_route(pair: PartitionPair) -> tuple[Route, int]:
     return Route.DIRECT, pair.lambda2 + 1
 
 
-def evaluate(
-    pair: PartitionPair,
-    route: Route | None = None,
-    prior: tuple[int, int] | None = None,
-) -> ExactValue:
+def evaluate(pair: PartitionPair, route: Route | None = None) -> ExactValue:
     """Evaluate by the requested route, or pick the one with fewer terms
-    (the diagonal closed form on the diagonal).
-
-    With `prior` = (S(lambda1 - 2, lambda2), S(lambda1 - 1, lambda2)) the
-    value is one `row_step` from those two, by route ROW; the caller vouches
-    for them.  `prior` excludes every other explicit route.
-    """
-    if prior is not None:
-        if route is not None and route is not Route.ROW:
-            raise ValueError(f"prior applies to the row route only, not {route.value}")
-        n = pair.lambda1 - 2
-        if n < 0:
-            raise ValueError("prior requires lambda1 >= 2")
-        return ExactValue(row_step(n, pair.lambda2, *prior), pair, Route.ROW)
+    (the diagonal closed form on the diagonal)."""
     if route is Route.DIRECT:
         return eval_direct(pair)
     if route is Route.REDUCED:
@@ -326,6 +310,32 @@ def evaluate(
     if _automatic_route(pair)[0] is Route.REDUCED:
         return eval_reduced(pair)
     return eval_direct(pair)
+
+
+@dataclass(slots=True)
+class RowWalk:
+    """A walk along the rows of a scan: the last evaluated pair's lambda2 and
+    lambda1, S(lambda1 - 1, lambda2) when known (else None) and
+    S(lambda1, lambda2).  No other value of a row is kept."""
+
+    lambda2: int = -1
+    lambda1: int = -1
+    before: int | None = None
+    value: int | None = None
+
+    def evaluate(self, pair: PartitionPair) -> int:
+        """S(lambda1, lambda2) of `pair`: one `row_step` when the pair comes
+        right after the last one in the same row and both its predecessors
+        are known, else a fresh `evaluate`."""
+        l1, l2 = pair.lambda1, pair.lambda2
+        follows = l2 == self.lambda2 and l1 == self.lambda1 + 1
+        if follows and self.before is not None:
+            value = row_step(l1 - 2, l2, self.before, self.value)
+        else:
+            value = evaluate(pair).value
+        self.before = self.value if follows else None
+        self.lambda2, self.lambda1, self.value = l2, l1, value
+        return value
 
 
 def evaluation_cost(pair: PartitionPair) -> int:

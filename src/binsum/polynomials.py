@@ -372,6 +372,4 @@ def factor_linear(poly: IntPolynomial, root: int) -> IntPolynomial:
     quotient, remainder = _divide_linear(list(poly.coefficients[: poly.degree + 1]), root)
     if remainder != 0:
         raise ValueError(f"{root} is not a root (remainder {remainder})")
-    if not quotient:
-        raise ValueError("degree-zero polynomial has no linear factor")
     return IntPolynomial(tuple(quotient), poly.scale)

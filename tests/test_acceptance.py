@@ -25,6 +25,7 @@ from binsum.asymptotics import (
     supercritical_error_bound_refined,
 )
 from binsum.certifier import (
+    NONZERO_KINDS,
     AllUpToRule,
     continued_fraction,
     difference_windows,
@@ -56,7 +57,7 @@ def test_criterion_02_exhaustive_small_scan_and_row_roots():
     report = scan_range((1, 60), AllUpToRule(120), budget=10**12)
     assert not report.inconclusive_pairs
     assert not report.zero_pairs
-    assert all(entry.certificate.nonzero for entry in report.entries)
+    assert all(record[1] in NONZERO_KINDS for _, record in report.records())
     offenders = {}
     for lambda2 in range(0, 61):
         roots = integer_roots(c_poly(lambda2), 10**9)

@@ -8,15 +8,15 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf, workprec
 
-from binsum import asymptotics, certifier
+from binsum import asymptotics, certifier, exact
 from binsum.certifier import (
     AllUpToRule,
+    Certificate,
     CertificateKind,
     DiffRule,
     ListRule,
     STAGES,
     RatioRule,
-    ScanEntry,
     _near_diagonal_step,
     _scan_row,
     _window_step,
@@ -30,7 +30,7 @@ from binsum.certifier import (
     record_jsonl,
     scan_range,
 )
-from binsum.exact import PartitionPair, Route, evaluate, evaluation_cost
+from binsum.exact import PartitionPair, evaluate, evaluation_cost, row_step
 
 
 def test_refusals():
@@ -152,10 +152,10 @@ def test_small_difference_is_inconclusive_without_budget():
 
 def test_scan_example_pairs_get_interval_certificates():
     report = scan_range((78656, 78660), DiffRule(703), budget=0)
-    kinds = {e.certificate.kind for e in report.entries}
+    kinds = {record[1] for _, record in report.records()}
     assert kinds == {CertificateKind.NONZERO_INTERVAL}
-    for entry in report.entries:
-        assert evaluate(entry.pair).value != 0
+    for l2, record in report.records():
+        assert evaluate(PartitionPair(record[0], l2)).value != 0
 
 
 def test_difference_windows_reference_lambda2_1e6():
@@ -315,18 +315,18 @@ def test_scan_with_ratio_caches_equals_uncached_pairs():
     for rule in (RatioRule(Fraction(6)), RatioRule(Fraction(2)), DiffRule(800)):
         report = scan_range((100000, 100015), rule, budget=0)
         expected = []
-        for entry in report.entries:
+        for l2, record in report.records():
             for cached in caches:
                 cached.cache_clear()
-            expected.append(record_jsonl(entry.pair.lambda2, certificate_record(certify(entry.pair, budget=0))))
+            expected.append(record_jsonl(l2, certificate_record(certify(PartitionPair(record[0], l2), budget=0))))
         assert list(report.jsonl_lines()) == expected
 
 
 def test_scan_counts_and_order():
     report = scan_range((1, 12), AllUpToRule(24), budget=10**9)
-    assert sum(report.counts.values()) == len(report.entries)
-    assert report.counts.get("nonzero_exact") == len(report.entries)
-    keys = [(e.pair.lambda2, e.pair.lambda1) for e in report.entries]
+    keys = [(l2, record[0]) for l2, record in report.records()]
+    assert sum(report.counts.values()) == len(keys)
+    assert report.counts.get("nonzero_exact") == len(keys)
     assert keys == sorted(keys)
     assert not report.inconclusive_pairs
     assert not report.zero_pairs
@@ -344,8 +344,8 @@ def test_scan_keeps_task_order_across_parallelism():
     rule = ListRule((9, 6, 9, 2))
     serial = scan_range((5, 7), rule, budget=10**9, parallelism=1)
     parallel = scan_range((5, 7), rule, budget=10**9, parallelism=2)
-    assert serial.entries == parallel.entries
-    assert [(e.pair.lambda2, e.pair.lambda1) for e in serial.entries] == [
+    assert serial.rows == parallel.rows
+    assert [(l2, record[0]) for l2, record in serial.records()] == [
         (5, 6),
         (5, 9),
         (5, 9),
@@ -372,33 +372,36 @@ SCAN_CASES = [
 def test_scan_rows_match_certify_per_pair(monkeypatch, lambda2_range, rule, budget):
     pairs = [PartitionPair(l1, l2) for l1, l2 in certifier.rule_pairs(lambda2_range, rule)]
     certs = [certify(p, budget) for p in pairs]
-    expected_entries = tuple(ScanEntry(p, c, 0) for p, c in zip(pairs, certs))
+    expected_records = [(p.lambda2, certificate_record(c)) for p, c in zip(pairs, certs)]
     expected_jsonl = [record_jsonl(p.lambda2, certificate_record(c)) for p, c in zip(pairs, certs)]
     expected_csv = [certifier.CSV_HEADER] + [record_csv(p.lambda2, certificate_record(c)) for p, c in zip(pairs, certs)]
-    evaluated = []
+    evaluated = []  # (lambda1, lambda2, walked) per exact evaluation
 
-    def recording_evaluate(pair, route=None, prior=None):
-        result = evaluate(pair, route, prior)
-        evaluated.append((pair, result.route))
-        return result
+    def recording_evaluate(pair, route=None):
+        evaluated.append((pair.lambda1, pair.lambda2, False))
+        return evaluate(pair, route)
 
-    monkeypatch.setattr(certifier, "evaluate", recording_evaluate)
+    def recording_row_step(n, m, s0, s1):
+        evaluated.append((n + 2, m, True))
+        return row_step(n, m, s0, s1)
+
+    for module in (certifier, exact):
+        monkeypatch.setattr(module, "evaluate", recording_evaluate)
+    monkeypatch.setattr(exact, "row_step", recording_row_step)
     serial = scan_range(lambda2_range, rule, budget=budget)
     monkeypatch.undo()
     parallel = scan_range(lambda2_range, rule, budget=budget, parallelism=2)
     for report in (serial, parallel):
-        assert report.entries == expected_entries
+        assert list(report.records()) == expected_records
         assert list(report.jsonl_lines()) == expected_jsonl
         assert list(report.csv_lines()) == expected_csv
     # every pair the budget admits is evaluated once, and walked exactly when
     # the two lambda1 before it in its row were evaluated too
-    admitted = [p for p in pairs if evaluation_cost(p) <= budget]
-    assert [p for p, _ in evaluated] == admitted
-    seen = {(p.lambda1, p.lambda2) for p in admitted}
-    for pair, route in evaluated:
-        l1, l2 = pair.lambda1, pair.lambda2
-        walked = (l1 - 1, l2) in seen and (l1 - 2, l2) in seen
-        assert (route is Route.ROW) is walked, pair
+    admitted = [(p.lambda1, p.lambda2) for p in pairs if evaluation_cost(p) <= budget]
+    assert [(l1, l2) for l1, l2, _ in evaluated] == admitted
+    seen = set(admitted)
+    for l1, l2, walked in evaluated:
+        assert walked is ((l1 - 1, l2) in seen and (l1 - 2, l2) in seen), (l1, l2)
 
 
 def test_scan_records_keep_every_certificate_field():
@@ -411,16 +414,15 @@ def test_scan_records_keep_every_certificate_field():
     ]
     for lambda2_range, rule, counts in bands:
         pairs = [PartitionPair(l1, l2) for l1, l2 in certifier.rule_pairs(lambda2_range, rule)]
-        expected = tuple(ScanEntry(p, certify(p, budget=0), 0) for p in pairs)
-        assert Counter(e.certificate.kind.value for e in expected) == counts
-        for e in expected:
-            c = e.certificate
+        certs = [certify(p, budget=0) for p in pairs]
+        assert Counter(c.kind.value for c in certs) == counts
+        for c in certs:
             assert (c.clause is not None) is (c.kind is CertificateKind.NONZERO_INTERVAL)
             assert (c.margin is not None) is (c.kind is CertificateKind.NONZERO_OSCILLATORY)
             assert (c.reason is not None) is (c.kind is CertificateKind.INCONCLUSIVE)
         for parallelism in (1, 2):
             report = scan_range(lambda2_range, rule, budget=0, parallelism=parallelism)
-            assert report.entries == expected
+            assert list(report.records()) == [(p.lambda2, certificate_record(c)) for p, c in zip(pairs, certs)]
             assert report.counts == counts
 
 
@@ -469,10 +471,10 @@ def test_scan_row_pickles_no_binsum_class_but_the_kind():
         found = _pickled_globals(pickle.dumps(rows, protocol))
         assert {g for g in found if g[0].split(".")[0] == "binsum"} == {("binsum.certifier", "CertificateKind")}
         assert pickle.loads(pickle.dumps(rows, protocol)) == rows
-    # the opcode reader sees the classes that per-entry objects would bring
-    entries = certifier.ScanReport(tuple(rows)).entries
-    found = _pickled_globals(pickle.dumps(entries))
-    assert {("binsum.certifier", "ScanEntry"), ("binsum.certifier", "Certificate"), ("binsum.exact", "PartitionPair")} <= found
+    # the opcode reader sees the classes that per-pair objects would bring
+    certs = [Certificate(PartitionPair(l1, l2), *fields) for l2, records in rows for l1, *fields, _ in records]
+    found = _pickled_globals(pickle.dumps(certs))
+    assert {("binsum.certifier", "Certificate"), ("binsum.exact", "PartitionPair")} <= found
 
 
 def test_scan_caps_workers_at_cpus_and_tasks(monkeypatch):
@@ -502,7 +504,7 @@ def test_scan_caps_workers_at_cpus_and_tasks(monkeypatch):
         started.clear()
         report = scan_range((5, 8), rule, budget=10**9, parallelism=parallelism)
         assert started == [workers]
-        assert report.entries == serial.entries
+        assert report.rows == serial.rows
     started.clear()
     scan_range((6, 7), rule, budget=10**9, parallelism=8)  # 2 tasks
     assert started == [2]
@@ -519,7 +521,7 @@ def test_usable_cpus_is_within_cpu_count():
 
 def test_scan_rules():
     report = scan_range((1, 10), RatioRule(Fraction(7, 2)), budget=10**9)
-    assert [(e.pair.lambda1, e.pair.lambda2) for e in report.entries] == [
+    assert [(record[0], l2) for l2, record in report.records()] == [
         (7, 2),
         (14, 4),
         (21, 6),
@@ -527,7 +529,7 @@ def test_scan_rules():
         (35, 10),
     ]
     report = scan_range((5, 7), ListRule((9, 6, 2)), budget=10**9)
-    assert [(e.pair.lambda1, e.pair.lambda2) for e in report.entries] == [
+    assert [(record[0], l2) for l2, record in report.records()] == [
         (6, 5),
         (9, 5),
         (9, 6),
@@ -605,9 +607,7 @@ def test_ratio_scan_example_supercritical_only():
     # fixed ratio 6 with no exact budget: every pair in 241..300 certifies
     # through the supercritical bound
     report = scan_range((241, 300), RatioRule(Fraction(6)), budget=0)
-    kinds = {e.certificate.kind for e in report.entries}
-    assert kinds == {CertificateKind.NONZERO_SUPERCRITICAL}
-    assert len(report.entries) == 60
+    assert report.counts == {"nonzero_supercritical": 60}
 
 
 def test_exception_count_values():

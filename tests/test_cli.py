@@ -296,6 +296,26 @@ def test_config_file_unknown_key(capsys, tmp_path):
     assert "unknown key" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("budget = abc\n", ":2: budget: invalid literal for int() with base 10: 'abc'"),
+        ("budget\n", ":2: expected key=value, got 'budget'"),
+        ("format = xml\n", "unknown output format 'xml'"),
+        ("budget = -1\n", "budget must be nonnegative"),
+    ],
+    ids=["not-an-int", "no-equals", "unknown-format", "negative-budget"],
+)
+def test_config_file_bad_values_exit_2_with_one_error_line(capsys, tmp_path, text, message):
+    config = tmp_path / "bad.conf"
+    config.write_text("# one bad line\n" + text)
+    code, out, err = run_cli(capsys, "--config", str(config), "eval", "6", "1")
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1 and err.endswith("\n") and err.count("\n") == 1
+    assert message in err
+
+
 def test_precision_below_minimum_exits_2(capsys):
     code, _, err = run_cli(capsys, "--precision", "40", "certify", "7", "1")
     assert code == 2

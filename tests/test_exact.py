@@ -6,9 +6,11 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from binsum import exact
 from binsum.exact import (
     PartitionPair,
     Route,
+    RowWalk,
     _comb,
     binomial,
     eval_diagonal,
@@ -221,19 +223,21 @@ def test_row_step_continues_a_row():
     for l2 in (0, 1, 5, 40):
         row = [eval_direct(PartitionPair(l1, l2)).value for l1 in range(l2, l2 + 60)]
         for n in range(l2, l2 + 58):
-            pair = PartitionPair(n + 2, l2)
             assert row_step(n, l2, row[n - l2], row[n + 1 - l2]) == row[n + 2 - l2]
-            walked = evaluate(pair, prior=(row[n - l2], row[n + 1 - l2]))
-            assert walked == eval_row(pair)
-            assert walked.route is Route.ROW
+        walk = RowWalk()
+        assert [walk.evaluate(PartitionPair(l1, l2)) for l1 in range(l2, l2 + 60)] == row
 
 
-def test_evaluate_prior_needs_the_row_route_and_two_predecessors():
-    pair = PartitionPair(10, 4)
-    prior = (eval_direct(PartitionPair(8, 4)).value, eval_direct(PartitionPair(9, 4)).value)
-    assert evaluate(pair, Route.ROW, prior=prior).value == eval_direct(pair).value
-    for route in (Route.DIRECT, Route.REDUCED):
-        with pytest.raises(ValueError):
-            evaluate(pair, route, prior=prior)
-    with pytest.raises(ValueError):
-        evaluate(PartitionPair(1, 1), prior=(1, 0))
+def test_row_walk_steps_only_within_its_row(monkeypatch):
+    # a pair from another row mid-walk, gaps and duplicates restart the walk
+    pairs = [(l1, 4) for l1 in range(4, 12)] + [(12, 5), (13, 4), (14, 4), (15, 4)]
+    pairs += [(l1, 5) for l1 in (13, 14, 16, 17, 17, 18, 19)] + [(20, 4), (21, 4), (22, 4), (23, 9), (24, 9)]
+    stepped = []
+    monkeypatch.setattr(exact, "row_step", lambda n, m, s0, s1: stepped.append((n + 2, m)) or row_step(n, m, s0, s1))
+    walk = RowWalk()
+    for l1, l2 in pairs:
+        pair = PartitionPair(l1, l2)
+        assert walk.evaluate(pair) == eval_direct(pair).value, pair
+    # a step needs the two lambda1 before the pair evaluated in turn in its row
+    expected = [(l1, 4) for l1 in range(6, 12)] + [(15, 4), (19, 5), (22, 4)]
+    assert stepped == expected

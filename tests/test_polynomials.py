@@ -224,6 +224,9 @@ def test_factor_linear_requires_a_root():
         factor_linear(c_poly(3), 2)
     quotient = factor_linear(IntPolynomial((-1, 1)), 1)
     assert quotient.coefficients == (1,)
+    # a nonzero constant leaves itself as the remainder, so it has no root
+    with pytest.raises(ValueError, match=r"1 is not a root \(remainder 5\)"):
+        factor_linear(IntPolynomial((5,)), 1)
 
 
 def test_reduced_scale_prefactor_product_is_integral():

@@ -14,6 +14,8 @@ bytes or their exit code.  The set covers:
 
 * every scan of the scan-exact, scan-exact-par2 and scan-lines workloads,
   seeds 1-3, in jsonl, csv and human, at --parallelism 1 and 2;
+* scans whose budget or gaps cut rows part-way through the row walk, in
+  the same formats and at the same parallelism;
 * `certify` (with and without --delta) and `predict` at pairs that each
   cascade stage decides, at an exact pair and at refused pairs, with
   --budget 0, --slack-exponent 0 and --precision 53 and 200;
@@ -61,6 +63,13 @@ CERTIFY_PAIRS = (
     (7, 0),
     (3, 5),
 )
+# budgets 10 and 7 stop each row's walk inside one word of lambda1, budget 60
+# at lambda1 = 65 or 129; the list leaves gaps after 72 and 78
+WALK_SCANS = (
+    ("--budget", "10", "scan", "--l2", "1..30", "--all-l1-up-to", "150"),
+    ("--budget", "60", "scan", "--l2", "1..30", "--all-l1-up-to", "150"),
+    ("--budget", "7", "scan", "--l2", "60..80", "--l1-list", "70,71,72,75,76,77,78,90"),
+)
 CERTIFY_OPTIONS = (
     (),
     ("--budget", "0"),
@@ -88,6 +97,9 @@ def commands() -> list[list[str]]:
             for scan in workloads.build(name, seed).scans:
                 for parallelism in (1, 2):
                     out.extend(["--format", fmt, *scan.argv(parallelism)] for fmt in FORMATS)
+    for scan in WALK_SCANS:
+        for flags in ((), ("--parallelism", "2")):
+            out.extend(["--format", fmt, *flags, *scan] for fmt in FORMATS)
     for l1, l2 in CERTIFY_PAIRS:
         for options in CERTIFY_OPTIONS:
             for fmt in FORMATS:
