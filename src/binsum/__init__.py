@@ -51,7 +51,7 @@ from .exact import (
     normalized_I,
     row_step,
 )
-from .numerics import Comparison, certified_compare, slack_value, to_real
+from .numerics import SLACK, Comparison, certified_compare, to_real
 from .polynomials import IntPolynomial, c_poly, factor_linear, integer_roots, tilde_poly
 from .validators import LemmaReport, validate_inequality
 

@@ -36,14 +36,13 @@ from mpmath import mp, mpf, workprec
 from .exact import PartitionPair, evaluate
 from .numerics import (
     DEFAULT_PRECISION,
-    DEFAULT_SLACK_EXPONENT,
     GUARD_BITS,
+    SLACK,
     Comparison,
     certified_compare,
     check_precision,
     decimal_constant,
     rational_to_real,
-    slack_value,
 )
 
 # exact checkpoints used by the windowed bounds (decimal constants are exact
@@ -269,7 +268,7 @@ def check_delta(delta, prec: int = DEFAULT_PRECISION) -> mpf:
     ValueError unless 0 < delta <= pi/3 (so also for nan and infinities)."""
     with workprec(prec + GUARD_BITS):
         d = mpf(delta)
-        if not 0 < d <= mp.pi / 3 * (1 + slack_value()):
+        if not 0 < d <= mp.pi / 3 * (1 + SLACK):
             raise ValueError(f"delta must lie in (0, pi/3], got {delta}")
         return d
 
@@ -370,11 +369,7 @@ class NearDiagonalBound:
     detail: str
 
 
-def near_diagonal_error_bound(
-    pair: PartitionPair,
-    prec: int = DEFAULT_PRECISION,
-    slack_exponent: int = DEFAULT_SLACK_EXPONENT,
-) -> NearDiagonalBound:
+def near_diagonal_error_bound(pair: PartitionPair, prec: int = DEFAULT_PRECISION) -> NearDiagonalBound:
     """Bound on |sqrt(pi*l2)/2**((l1+l2+1)/2) * I - cos(l1*gamma1 + l2*gamma2)|.
 
     Requires difference d = l1 - l2 >= 702.  The flat bound 0.0165 applies
@@ -395,7 +390,6 @@ def near_diagonal_error_bound(
         )
     if classify(pair.ratio) is not Regime.SUBCRITICAL:
         raise RegimeError(f"near-diagonal bound requires a subcritical ratio, got r = {pair.ratio}")
-    slack = slack_value(slack_exponent)
     wp = prec + GUARD_BITS
     with workprec(wp):
         dm = mpf(d)
@@ -404,7 +398,7 @@ def near_diagonal_error_bound(
         # row k spans [edges[k-1], edges[k]] with edges[0] = log(l2) and
         # edges[k] = sqrt(k*pi*l2); edges[8] is also the edge of the flat bound
         edges = [mp.log(mpf(l2))] + [mp.sqrt(k * mp.pi * mpf(l2)) for k in range(1, len(NEAR_DIAGONAL_ROWS) + 1)]
-        sides = [certified_compare(dm, edge, slack) for edge in edges]
+        sides = [certified_compare(dm, edge, SLACK) for edge in edges]
         if sides[-1] is Comparison.CERTIFIED_LESS:
             candidates.append((decimal_constant(NEAR_DIAGONAL_FLAT, wp), "flat"))
         if sides[0] is Comparison.CERTIFIED_GREATER:
@@ -465,11 +459,7 @@ class Prediction:
     detail: str = ""
 
 
-def predict(
-    pair: PartitionPair,
-    prec: int = DEFAULT_PRECISION,
-    slack_exponent: int = DEFAULT_SLACK_EXPONENT,
-) -> Prediction:
+def predict(pair: PartitionPair, prec: int = DEFAULT_PRECISION) -> Prediction:
     """Select the applicable regime bound and assemble the prediction.
 
     In the subcritical regime the near-diagonal bound is used instead of the
@@ -483,7 +473,6 @@ def predict(
     if regime is Regime.DEGENERATE:
         raise RegimeError(f"prediction requires r > 1, got r = {r}")
     lam = pair.lambda2
-    slack = slack_value(slack_exponent)
     if regime is Regime.SUPERCRITICAL:
         sd = saddle_data(r, prec)
         bound = supercritical_error_bound(r, lam, prec)
@@ -499,10 +488,10 @@ def predict(
                 log_normalizer=log_norm,
             )
     bound, threshold = oscillatory_error_bound(r, lam, prec)
-    osc_valid = certified_compare(mpf(lam), threshold, slack) is Comparison.CERTIFIED_GREATER
+    osc_valid = certified_compare(mpf(lam), threshold, SLACK) is Comparison.CERTIFIED_GREATER
     near = None
     if pair.difference >= NEAR_DIAGONAL_MIN_DIFFERENCE:
-        near = near_diagonal_error_bound(pair, prec, slack_exponent)
+        near = near_diagonal_error_bound(pair, prec)
     use_near = near is not None and near.valid and (not osc_valid or near.value < bound)
     with workprec(prec + GUARD_BITS):
         if use_near:
@@ -573,11 +562,7 @@ def gamma_cubic_bounds(r: Fraction, prec: int = DEFAULT_PRECISION) -> tuple[mpf,
         return mpf(0), hi, middle
 
 
-def cos_lower_bound(
-    pair: PartitionPair,
-    prec: int = DEFAULT_PRECISION,
-    slack_exponent: int = DEFAULT_SLACK_EXPONENT,
-) -> tuple[mpf | None, bool]:
+def cos_lower_bound(pair: PartitionPair, prec: int = DEFAULT_PRECISION) -> tuple[mpf | None, bool]:
     """Certified lower bound on |cos(l1*gamma1 + l2*gamma2)| for 1 < r <= 3.
 
     Dispatches on (l1 + l2) mod 4 and on the window containing the exact
@@ -593,7 +578,6 @@ def cos_lower_bound(
         raise ValueError(f"cosine lower bound requires r > 1, got r = {r}")
     d = pair.difference
     q = Fraction(d * d, 4 * pair.lambda2)
-    slack = slack_value(slack_exponent)
     with workprec(prec + GUARD_BITS):
         qm = rational_to_real(q, prec + GUARD_BITS)
         three_minus_r = rational_to_real(3 - r, prec + GUARD_BITS)
@@ -601,7 +585,7 @@ def cos_lower_bound(
         pi_v = mp.pi
 
         def leq(x, y) -> bool:
-            return certified_compare(x, y, slack) is Comparison.CERTIFIED_LESS
+            return certified_compare(x, y, SLACK) is Comparison.CERTIFIED_LESS
 
         # the first window of each class ends at (2, 3, 4, 1)*pi/4
         cls = pair.congruence_class

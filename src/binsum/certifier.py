@@ -61,14 +61,12 @@ from . import exact
 from .exact import PartitionPair, congruence_class, evaluate, evaluation_cost
 from .numerics import (
     DEFAULT_PRECISION,
-    DEFAULT_SLACK_EXPONENT,
     GUARD_BITS,
+    SLACK,
     Comparison,
     certified_compare,
     check_precision,
-    check_slack_exponent,
     decimal_constant,
-    slack_value,
 )
 
 # cost units are 64-bit word multiplications; this is roughly one second of
@@ -146,22 +144,21 @@ def _exact_step(pair: PartitionPair, budget: int, row: exact.RowWalk | None) -> 
     )
 
 
-def _term_growth_step(pair, prec, slack_exponent, delta) -> Certificate:
+def _term_growth_step(pair, prec, delta) -> Certificate:
     return Certificate(pair, CertificateKind.NONZERO_TERM_GROWTH, "ascending alternating terms")
 
 
-def _supercritical_step(pair, prec, slack_exponent, delta) -> Certificate | None:
+def _supercritical_step(pair, prec, delta) -> Certificate | None:
     r = pair.ratio
     lam = pair.lambda2
-    slack = slack_value(slack_exponent)
     bound = supercritical_error_bound(r, lam, prec)
     rule = "supercritical saddle bound"
-    if certified_compare(bound, 1, slack) is not Comparison.CERTIFIED_LESS:
+    if certified_compare(bound, 1, SLACK) is not Comparison.CERTIFIED_LESS:
         if delta is None or r > REFINED_BOUND_MAX_RATIO:
             return None
         bound = supercritical_error_bound_refined(r, lam, delta, prec)
         rule = "refined supercritical saddle bound"
-        if certified_compare(bound, 1, slack) is not Comparison.CERTIFIED_LESS:
+        if certified_compare(bound, 1, SLACK) is not Comparison.CERTIFIED_LESS:
             return None
     return Certificate(pair, CertificateKind.NONZERO_SUPERCRITICAL, rule, margin=float(1 - bound))
 
@@ -172,11 +169,11 @@ def _oscillatory_gate(pair: PartitionPair) -> bool:
     return classify(r) is Regime.SUBCRITICAL and pair.lambda2 > oscillatory_bound_reach(r)
 
 
-def _oscillatory_step(pair, prec, slack_exponent, delta) -> Certificate | None:
+def _oscillatory_step(pair, prec, delta) -> Certificate | None:
     # above the reach lam is far past the bound's validity threshold (see the reach)
     bound, _ = oscillatory_error_bound(pair.ratio, pair.lambda2, prec)
     cosv, _ = oscillation_cosine(pair, prec, half_phase=True)
-    if certified_compare(abs(cosv), bound, slack_value(slack_exponent)) is not Comparison.CERTIFIED_GREATER:
+    if certified_compare(abs(cosv), bound, SLACK) is not Comparison.CERTIFIED_GREATER:
         return None
     margin = float(abs(cosv) - bound)
     return Certificate(pair, CertificateKind.NONZERO_OSCILLATORY, "oscillatory main-term bound", margin=margin)
@@ -192,22 +189,22 @@ def _near_diagonal_gate(pair: PartitionPair) -> bool:
     return NEAR_DIAGONAL_MIN_DIFFERENCE <= d and d * d < 26 * pair.lambda2
 
 
-def _window_step(pair, prec, slack_exponent, delta) -> Certificate | None:
+def _window_step(pair, prec, delta) -> Certificate | None:
     # the gate admits only d >= 702 and every small-difference window ends at d <= 701
-    for win in difference_windows(pair.lambda2, prec, slack_exponent, residue_class=pair.congruence_class):
+    for win in difference_windows(pair.lambda2, prec, residue_class=pair.congruence_class):
         if win.lo <= pair.lambda1 <= win.hi:
             return Certificate(pair, CertificateKind.NONZERO_INTERVAL, "certified difference window", clause=win.clause)
     return None
 
 
-def _near_diagonal_step(pair, prec, slack_exponent, delta) -> Certificate | None:
-    bound = near_diagonal_error_bound(pair, prec, slack_exponent)
+def _near_diagonal_step(pair, prec, delta) -> Certificate | None:
+    bound = near_diagonal_error_bound(pair, prec)
     if not bound.valid:
         return None
-    lower, applicable = cos_lower_bound(pair, prec, slack_exponent)
+    lower, applicable = cos_lower_bound(pair, prec)
     if not applicable:
         return None
-    if certified_compare(lower, bound.value, slack_value(slack_exponent)) is not Comparison.CERTIFIED_GREATER:
+    if certified_compare(lower, bound.value, SLACK) is not Comparison.CERTIFIED_GREATER:
         return None
     margin = float(lower - bound.value)
     return Certificate(pair, CertificateKind.NONZERO_OSCILLATORY, "near-diagonal window bound", margin=margin)
@@ -215,9 +212,9 @@ def _near_diagonal_step(pair, prec, slack_exponent, delta) -> Certificate | None
 
 # The cascade after exact evaluation, in order: (stage id, gate, step).  A
 # gate is an exact test of the pair alone; a step runs only behind its gate,
-# as step(pair, prec, slack_exponent, delta), and returns a Certificate or
-# None.  Gates and steps reach the bounds through module globals, so that a
-# wrapped global is seen by every call.
+# as step(pair, prec, delta), compares beyond the fixed `SLACK` and returns a
+# Certificate or None.  Gates and steps reach the bounds through module
+# globals, so that a wrapped global is seen by every call.
 STAGES = (
     ("term-growth", certify_by_term_growth, _term_growth_step),
     ("supercritical", lambda pair: classify(pair.ratio) is Regime.SUPERCRITICAL, _supercritical_step),
@@ -231,7 +228,6 @@ def certify(
     pair: PartitionPair,
     budget: int = DEFAULT_BUDGET,
     prec: int = DEFAULT_PRECISION,
-    slack_exponent: int = DEFAULT_SLACK_EXPONENT,
     delta=None,
     row: exact.RowWalk | None = None,
 ) -> Certificate:
@@ -242,13 +238,13 @@ def certify(
     genuinely vanishes for odd lambda, so no nonvanishing claim is possible
     there.  An optional `delta` in (0, pi/3] enables the refined
     supercritical bound when the ratio allows it; any other value raises
-    ValueError, whatever the pair, as does a negative `slack_exponent`.  A
-    scan passes its `exact.RowWalk`, which evaluates the pair by one
-    recurrence step when it holds the two values before it in the pair's
-    row.  The verdict is the same either way.
+    ValueError, whatever the pair.  Every floating decision certifies beyond
+    the fixed slack `numerics.SLACK` = 2**-40.  A scan passes its
+    `exact.RowWalk`, which evaluates the pair by one recurrence step when it
+    holds the two values before it in the pair's row.  The verdict is the
+    same either way.
     """
     check_precision(prec)
-    check_slack_exponent(slack_exponent)
     if delta is not None:
         check_delta(delta, prec)
     if pair.lambda2 == 0:
@@ -260,7 +256,7 @@ def certify(
         return cert
     for _, gate, step in STAGES:
         if gate(pair):
-            cert = step(pair, prec, slack_exponent, delta)
+            cert = step(pair, prec, delta)
             if cert is not None:
                 return cert
     reason = "no certified bound applies at this size"
@@ -289,14 +285,14 @@ class DifferenceWindow:
     basis: str
 
 
-def _int_above(x: mpf, slack: mpf) -> int:
+def _int_above(x: mpf) -> int:
     """Smallest integer certifiedly > x (inward rounding of a lower endpoint)."""
-    return int(mp.floor(x + slack)) + 1
+    return int(mp.floor(x + SLACK)) + 1
 
 
-def _int_below(x: mpf, slack: mpf) -> int:
+def _int_below(x: mpf) -> int:
     """Largest integer certifiedly < x (inward rounding of an upper endpoint)."""
-    return int(mp.ceil(x - slack)) - 1
+    return int(mp.ceil(x - SLACK)) - 1
 
 
 # the proved windows of each congruence class, in order: (clause, lower end,
@@ -312,23 +308,22 @@ WINDOW_CLAUSES = (
 )
 
 
-def _class2_floor(l2: mpf, slack: mpf, wp: int) -> int:
+def _class2_floor(l2: mpf, wp: int) -> int:
     """The least difference of clause class2-a: 702, or the first integer
     above 2.0582 * l2**(1/4) once that is certifiedly larger (l2 and the
     constants at `wp` bits)."""
     quarter_root = decimal_constant("2.0582", wp) * l2 ** decimal_constant("0.25", wp)
-    versus_702 = certified_compare(quarter_root, NEAR_DIAGONAL_MIN_DIFFERENCE, slack)
+    versus_702 = certified_compare(quarter_root, NEAR_DIAGONAL_MIN_DIFFERENCE, SLACK)
     if versus_702 is Comparison.CERTIFIED_LESS:
         return NEAR_DIAGONAL_MIN_DIFFERENCE
     if versus_702 is Comparison.CERTIFIED_GREATER:
-        return _int_above(quarter_root, slack)
+        return _int_above(quarter_root)
     return NEAR_DIAGONAL_MIN_DIFFERENCE + 1
 
 
 def difference_windows(
     lambda2: int,
     prec: int = DEFAULT_PRECISION,
-    slack_exponent: int = DEFAULT_SLACK_EXPONENT,
     *,
     residue_class: int | None = None,
 ) -> list[DifferenceWindow]:
@@ -336,7 +331,7 @@ def difference_windows(
     (only those of `residue_class` when it is given).
 
     Endpoints are computed at the working precision and rounded inward by
-    the decision slack 2**-slack_exponent, so every emitted integer lies
+    the decision slack `SLACK` = 2**-40, so every emitted integer lies
     strictly inside the real window (the one exact-integer endpoint, the 702
     floor of the class-2 clause, is kept inclusively).  Windows are split at
     difference 702: the part below is emitted with basis "small-difference",
@@ -346,7 +341,6 @@ def difference_windows(
     if lambda2 < 1:
         raise ValueError("lambda2 must be >= 1")
     out: list[DifferenceWindow] = []
-    slack = slack_value(slack_exponent)
     classes = range(len(WINDOW_CLAUSES)) if residue_class is None else (residue_class,)
     # (class, clause, lo_difference, hi_difference) with real-valued ends
     clauses = []
@@ -358,10 +352,10 @@ def difference_windows(
             return mp.sqrt(k * mp.pi * l2)
 
         for cls in classes:
-            floor = _class2_floor(l2, slack, wp) if cls == 2 else 1
+            floor = _class2_floor(l2, wp) if cls == 2 else 1
             for clause, lo, (m_hi, k_hi, c_hi) in WINDOW_CLAUSES[cls]:
-                d_lo = floor if lo is None else _int_above(lo[0] * s(lo[1]) + decimal_constant(lo[2], wp), slack)
-                clauses.append((cls, clause, d_lo, _int_below(m_hi * s(k_hi) - decimal_constant(c_hi, wp), slack)))
+                d_lo = floor if lo is None else _int_above(lo[0] * s(lo[1]) + decimal_constant(lo[2], wp))
+                clauses.append((cls, clause, d_lo, _int_below(m_hi * s(k_hi) - decimal_constant(c_hi, wp))))
     for cls, clause, d_lo, d_hi in clauses:
         cut = NEAR_DIAGONAL_MIN_DIFFERENCE
         if d_lo <= min(d_hi, cut - 1):
@@ -510,12 +504,12 @@ def format_float(x) -> str:
 def _scan_row(args: tuple) -> tuple[int, tuple[tuple, ...]]:
     """Certify one row, every lambda1 of `lambda1s` (sorted) at one lambda2,
     into (lambda2, records)."""
-    lambda1s, l2, budget, prec, slack_exponent, timed = args
+    lambda1s, l2, budget, prec, timed = args
     row = exact.RowWalk()
     records = []
     for l1 in lambda1s:
         start = time.perf_counter() if timed else 0.0
-        cert = certify(PartitionPair(l1, l2), budget=budget, prec=prec, slack_exponent=slack_exponent, row=row)
+        cert = certify(PartitionPair(l1, l2), budget=budget, prec=prec, row=row)
         usec = int((time.perf_counter() - start) * 1e6) if timed else 0
         records.append(certificate_record(cert, usec))
     return l2, tuple(records)
@@ -553,7 +547,6 @@ def scan_range(
     rule,
     budget: int = DEFAULT_BUDGET,
     prec: int = DEFAULT_PRECISION,
-    slack_exponent: int = DEFAULT_SLACK_EXPONENT,
     parallelism: int = 1,
     timings: bool = False,
 ) -> ScanReport:
@@ -572,7 +565,7 @@ def scan_range(
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-    tasks = [(lambda1s, l2, budget, prec, slack_exponent, timings) for lambda1s, l2 in rule_rows(lambda2_range, rule)]
+    tasks = [(lambda1s, l2, budget, prec, timings) for lambda1s, l2 in rule_rows(lambda2_range, rule)]
     workers = min(parallelism, _usable_cpus(), len(tasks))
     if workers == 1:
         return ScanReport(tuple(map(_scan_row, tasks)))
@@ -600,18 +593,17 @@ class CFExpansion:
     convergents: tuple[tuple[int, int], ...]
     truncated: bool
 
-    def legendre_quality(self, prec: int = DEFAULT_PRECISION, slack_exponent: int = DEFAULT_SLACK_EXPONENT) -> bool:
+    def legendre_quality(self, prec: int = DEFAULT_PRECISION) -> bool:
         """True when every convergent satisfies |target - p/q| < 1/q**2.
 
         Checked at the working precision with the decision slack; convergents
         of a genuine expansion always satisfy it (the last one of a truncated
         expansion may sit within slack of equality and still count).
         """
-        slack = slack_value(slack_exponent)
         with workprec(prec + GUARD_BITS):
             for p, q in self.convergents:
                 gap = abs(self.target - mpf(p) / q) - 1 / (mpf(q) * q)
-                if certified_compare(gap, 0, slack) is Comparison.CERTIFIED_GREATER:
+                if certified_compare(gap, 0, SLACK) is Comparison.CERTIFIED_GREATER:
                     return False
         return True
 

@@ -24,7 +24,7 @@ from mpmath import mp, workprec
 from . import asymptotics, certifier, polynomials, validators
 from .certifier import format_float
 from .exact import PartitionPair, Route, evaluate
-from .numerics import DEFAULT_PRECISION, DEFAULT_SLACK_EXPONENT, GUARD_BITS, check_precision, check_slack_exponent
+from .numerics import DEFAULT_PRECISION, GUARD_BITS, check_precision
 
 FORMATS = ("jsonl", "csv", "human")
 
@@ -33,20 +33,28 @@ FORMATS = ("jsonl", "csv", "human")
 class RunConfig:
     precision_bits: int = DEFAULT_PRECISION
     budget: int = certifier.DEFAULT_BUDGET
-    output_format: str = "jsonl"
+    output_format: str | None = None  # None: the command's default
     parallelism: int = 1
-    slack_exponent: int = DEFAULT_SLACK_EXPONENT
     timings: bool = False
 
     def validate(self) -> None:
         check_precision(self.precision_bits)
-        check_slack_exponent(self.slack_exponent)
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        if self.output_format not in FORMATS:
+        if self.output_format not in (None, *FORMATS):
             raise ValueError(f"unknown output format {self.output_format!r}")
         if self.budget < 0:
             raise ValueError("budget must be nonnegative")
+
+
+def parse_bool(text: str) -> bool:
+    """1/true/yes or 0/false/no, in any case."""
+    value = text.lower()
+    if value in ("1", "true", "yes"):
+        return True
+    if value in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected 1/true/yes or 0/false/no, got {text!r}")
 
 
 _CONFIG_KEYS = {
@@ -54,8 +62,7 @@ _CONFIG_KEYS = {
     "budget": ("budget", int),
     "format": ("output_format", str),
     "parallelism": ("parallelism", int),
-    "slack_exponent": ("slack_exponent", int),
-    "timings": ("timings", lambda v: v.lower() in ("1", "true", "yes")),
+    "timings": ("timings", parse_bool),
 }
 
 
@@ -104,11 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact evaluation, explicit asymptotics, and nonvanishing certificates "
         "for the alternating binomial sums S(l1, l2).",
     )
-    parser.add_argument("--precision", dest="precision_bits", type=int, default=None, help="working precision in bits (default 128)")
+    parser.add_argument("--precision", dest="precision_bits", type=int, default=None, help=f"working precision in bits (default {DEFAULT_PRECISION})")
     parser.add_argument("--budget", type=int, default=None, help="exact-evaluation cost budget in word multiplications")
     parser.add_argument("--format", dest="output_format", choices=FORMATS, default=None, help="output format")
     parser.add_argument("--parallelism", type=int, default=None, help="scan worker count")
-    parser.add_argument("--slack-exponent", type=int, default=None, help="certified comparisons use slack 2**-N (default 40)")
     parser.add_argument("--timings", action="store_true", default=None, help="record per-pair wall-clock microseconds (not reproducible)")
     parser.add_argument("--config", default=None, help="key=value configuration file; flags override it")
 
@@ -204,7 +210,7 @@ def cmd_eval(args, config: RunConfig) -> int:
 
 def cmd_predict(args, config: RunConfig) -> int:
     pair = PartitionPair(args.lambda1, args.lambda2)
-    pred = asymptotics.predict(pair, config.precision_bits, config.slack_exponent)
+    pred = asymptotics.predict(pair, config.precision_bits)
     if config.output_format == "human":
         print(f"pair           ({pair.lambda1}, {pair.lambda2}), class {pair.congruence_class}")
         print(f"regime         {pred.regime.value}")
@@ -234,7 +240,6 @@ def cmd_certify(args, config: RunConfig) -> int:
         pair,
         budget=config.budget,
         prec=config.precision_bits,
-        slack_exponent=config.slack_exponent,
         delta=args.delta,
     )
     if config.output_format == "human":
@@ -264,7 +269,7 @@ def _scan_rule(args):
         return certifier.RatioRule(args.ratio)
     if args.diff is not None:
         return certifier.DiffRule(args.diff)
-    if getattr(args, "all_l1_up_to", None) is not None:
+    if args.all_l1_up_to is not None:
         return certifier.AllUpToRule(args.all_l1_up_to)
     values = tuple(int(v) for v in args.l1_list.split(","))
     return certifier.ListRule(values)
@@ -276,7 +281,6 @@ def cmd_scan(args, config: RunConfig) -> int:
         _scan_rule(args),
         budget=config.budget,
         prec=config.precision_bits,
-        slack_exponent=config.slack_exponent,
         parallelism=config.parallelism,
         timings=config.timings,
     )
@@ -293,7 +297,7 @@ def cmd_scan(args, config: RunConfig) -> int:
 
 
 def cmd_intervals(args, config: RunConfig) -> int:
-    windows = certifier.difference_windows(args.lambda2, config.precision_bits, config.slack_exponent)
+    windows = certifier.difference_windows(args.lambda2, config.precision_bits)
     if config.output_format == "human":
         for w in windows:
             print(
@@ -344,7 +348,7 @@ def cmd_exceptions(args, config: RunConfig) -> int:
         with workprec(prec + GUARD_BITS):
             angle = (g1 * r.numerator + g2 * r.denominator) / r.denominator
         cf = certifier.continued_fraction(angle, args.depth, prec)
-        legendre_ok = cf.legendre_quality(prec, config.slack_exponent)
+        legendre_ok = cf.legendre_quality(prec)
         payload["angle"] = float(angle)
         payload["cf_quotients"] = list(cf.partial_quotients)
         payload["cf_convergents"] = [[str(p), str(q)] for p, q in cf.convergents]
@@ -359,7 +363,6 @@ def cmd_validate(args, config: RunConfig) -> int:
     report = validators.validate_inequality(
         args.lemma,
         prec=config.precision_bits,
-        slack_exponent=config.slack_exponent,
         grid_size=(int(n_r), int(n_theta or n_r)),
     )
     payload = {
@@ -387,20 +390,19 @@ def cmd_plotdata(args, config: RunConfig) -> int:
     return 0
 
 
+# each command with the output formats it prints, its default first; it
+# refuses any other format before any work
 _COMMANDS = {
-    "eval": cmd_eval,
-    "predict": cmd_predict,
-    "certify": cmd_certify,
-    "scan": cmd_scan,
-    "intervals": cmd_intervals,
-    "poly": cmd_poly,
-    "exceptions": cmd_exceptions,
-    "validate": cmd_validate,
-    "plotdata": cmd_plotdata,
+    "eval": (cmd_eval, FORMATS),
+    "predict": (cmd_predict, ("jsonl", "human")),
+    "certify": (cmd_certify, FORMATS),
+    "scan": (cmd_scan, FORMATS),
+    "intervals": (cmd_intervals, FORMATS),
+    "poly": (cmd_poly, ("jsonl",)),
+    "exceptions": (cmd_exceptions, ("jsonl",)),
+    "validate": (cmd_validate, ("jsonl", "human")),
+    "plotdata": (cmd_plotdata, ("csv",)),
 }
-
-# the output formats a command has no layout for; it refuses them before any work
-_REFUSED_FORMATS = {"predict": ("csv",), "poly": ("csv", "human"), "exceptions": ("csv", "human"), "validate": ("csv",)}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -408,11 +410,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = resolve_config(args)
-        refused = _REFUSED_FORMATS.get(args.command, ())
-        if config.output_format in refused:
-            usable = " or ".join(f for f in FORMATS if f not in refused)
+        command, formats = _COMMANDS[args.command]
+        if config.output_format is None:
+            config.output_format = formats[0]
+        elif config.output_format not in formats:
+            usable = " or ".join(formats)
             raise ValueError(f"{args.command} has no {config.output_format} output; use --format {usable}")
-        return _COMMANDS[args.command](args, config)
+        return command(args, config)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,7 +8,9 @@ precision p carries an absolute error of order k * 2**(1-p) * |result|.
 Decisions are never taken on raw floating comparisons: `certified_compare`
 demands an explicit additive slack from the caller that must dominate the
 accumulated rounding error of both operands.  Throughout the package the
-decision slack defaults to 2**-40, vastly above 128-bit rounding noise.
+decision slack is `SLACK` = 2**-40, vastly above 128-bit rounding noise and
+still 2**37 times the unit 2**-(MIN_PRECISION + GUARD_BITS) of the coarsest
+formula chain.
 """
 
 from __future__ import annotations
@@ -23,11 +25,13 @@ from mpmath.libmp import to_rational
 
 DEFAULT_PRECISION = 128
 MIN_PRECISION = 53
-DEFAULT_SLACK_EXPONENT = 40
 
 # extra bits used inside formula chains so that results are good to the
 # requested precision even after a few dozen operations
 GUARD_BITS = 24
+
+# the additive margin of every certified decision in the package
+SLACK = mpf(2) ** -40
 
 
 class Comparison(enum.Enum):
@@ -42,17 +46,6 @@ def check_precision(prec: int) -> int:
     if prec < MIN_PRECISION:
         raise ValueError(f"working precision must be >= {MIN_PRECISION} bits, got {prec}")
     return prec
-
-
-def check_slack_exponent(exponent: int) -> int:
-    if exponent < 0:
-        raise ValueError(f"slack exponent must be nonnegative, got {exponent}")
-    return exponent
-
-
-def slack_value(exponent: int = DEFAULT_SLACK_EXPONENT) -> mpf:
-    """The additive comparison margin 2**-exponent."""
-    return mpf(2) ** (-check_slack_exponent(exponent))
 
 
 def to_real(n: int, prec: int = DEFAULT_PRECISION) -> mpf:

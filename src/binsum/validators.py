@@ -42,7 +42,7 @@ from .asymptotics import (
     _cubic_coefficient,
     _quartic_coefficient,
 )
-from .numerics import DEFAULT_PRECISION, DEFAULT_SLACK_EXPONENT, GUARD_BITS, check_precision, rational_to_real, slack_value
+from .numerics import DEFAULT_PRECISION, GUARD_BITS, SLACK, check_precision, rational_to_real
 
 _NEAR1_F_MAX_RATIO = Fraction(2282, 1000)
 _NEAR1_G_MAX_RATIO = Fraction(211952, 100000)
@@ -249,7 +249,6 @@ def validate_inequality(
     r_grid: Sequence[Fraction] | None = None,
     theta_grid: Sequence | None = None,
     prec: int = DEFAULT_PRECISION,
-    slack_exponent: int = DEFAULT_SLACK_EXPONENT,
     grid_size: tuple[int, int] = (50, 50),
 ) -> LemmaReport:
     """Assert one registered inequality pointwise on a grid.
@@ -264,7 +263,6 @@ def validate_inequality(
     _, region, margin_of = _lemma(lemma_id)
     n_r, n_theta = grid_size
     rs = [Fraction(r) for r in r_grid] if r_grid is not None else default_r_grid(lemma_id, n_r)
-    slack = slack_value(slack_exponent)
     worst = None
     points = 0
     for r in rs:
@@ -295,5 +293,5 @@ def validate_inequality(
         max_margin=float(max_margin),
         worst_r=worst_r,
         worst_theta=float(worst_theta),
-        passed=bool(max_margin <= slack),
+        passed=bool(max_margin <= SLACK),
     )

@@ -32,7 +32,7 @@ from binsum.asymptotics import (
     _supercritical_constants,
 )
 from binsum.exact import PartitionPair
-from binsum.numerics import GUARD_BITS, Comparison, certified_compare, rational_to_real, slack_value
+from binsum.numerics import GUARD_BITS, SLACK, Comparison, certified_compare, rational_to_real
 
 RATIO_CACHES = (saddle_data, gamma_angles, _supercritical_constants, _oscillatory_constants, oscillatory_bound_reach)
 
@@ -202,23 +202,22 @@ def test_near_diagonal_rows():
         near_diagonal_error_bound(PartitionPair(l2 + 701, l2))
 
 
-def _reference_near_diagonal_bound(pair, prec, slack_exponent):
+def _reference_near_diagonal_bound(pair, prec):
     """`near_diagonal_error_bound` with every row edge computed where it is
     used, as (value bits, detail)."""
     d, l2 = pair.difference, pair.lambda2
-    slack = slack_value(slack_exponent)
     with workprec(prec + GUARD_BITS):
         dm = mpf(d)
         candidates = []
-        if certified_compare(dm, mp.sqrt(8 * mp.pi * mpf(l2)), slack) is Comparison.CERTIFIED_LESS:
+        if certified_compare(dm, mp.sqrt(8 * mp.pi * mpf(l2)), SLACK) is Comparison.CERTIFIED_LESS:
             candidates.append((mpf("0.0165"), "flat"))
-        if certified_compare(mp.log(mpf(l2)), dm, slack) is Comparison.CERTIFIED_LESS:
+        if certified_compare(mp.log(mpf(l2)), dm, SLACK) is Comparison.CERTIFIED_LESS:
             for k, row in enumerate(NEAR_DIAGONAL_ROWS, start=1):
                 hi = mp.sqrt(k * mp.pi * mpf(l2))
                 lo = mp.log(mpf(l2)) if k == 1 else mp.sqrt((k - 1) * mp.pi * mpf(l2))
                 if (
-                    certified_compare(dm, hi, slack) is Comparison.CERTIFIED_LESS
-                    and certified_compare(dm, lo, slack) is Comparison.CERTIFIED_GREATER
+                    certified_compare(dm, hi, SLACK) is Comparison.CERTIFIED_LESS
+                    and certified_compare(dm, lo, SLACK) is Comparison.CERTIFIED_GREATER
                 ):
                     candidates.append((mpf(row) / mp.sqrt(mpf(l2)), f"row{k}"))
         if not candidates:
@@ -229,17 +228,16 @@ def _reference_near_diagonal_bound(pair, prec, slack_exponent):
 
 def test_near_diagonal_edges_computed_once_are_bit_identical():
     checked = 0
-    for l2 in (19609, 100000, 250007, 10**6):
+    for l2 in (19609, 100000, 250007, 500009, 10**6):
         edges = [math.isqrt(int(k * math.pi * l2)) for k in range(1, 9)]
         for edge in edges:
             for d in range(max(702, edge - 1), edge + 3):
                 pair = PartitionPair(l2 + d, l2)
-                for prec in (53, 128):
-                    for slack_exponent in (0, 40):
-                        got = near_diagonal_error_bound(pair, prec, slack_exponent)
-                        value = None if got.value is None else got.value._mpf_
-                        assert (value, got.detail) == _reference_near_diagonal_bound(pair, prec, slack_exponent)
-                        checked += 1
+                for prec in (53, 128, 200):
+                    got = near_diagonal_error_bound(pair, prec)
+                    value = None if got.value is None else got.value._mpf_
+                    assert (value, got.detail) == _reference_near_diagonal_bound(pair, prec)
+                    checked += 1
     assert checked >= 300
 
 
@@ -279,7 +277,7 @@ def _check_reach(r, l2):
     l1 = r * l2
     if gated and l1.denominator == 1:
         cosv, _ = oscillation_cosine(PartitionPair(int(l1), l2), 128, half_phase=True)
-        assert certified_compare(abs(cosv), bound, slack_value(40)) is not Comparison.CERTIFIED_GREATER
+        assert certified_compare(abs(cosv), bound, SLACK) is not Comparison.CERTIFIED_GREATER
     return gated
 
 
@@ -324,7 +322,7 @@ def test_oscillatory_reach_implies_the_validity_threshold(prec):
     for r in ratios:
         _, threshold = oscillatory_error_bound(r, 1, prec)
         reach = oscillatory_bound_reach(r)
-        assert certified_compare(reach + 1, threshold, slack_value(0)) is Comparison.CERTIFIED_GREATER, r
+        assert certified_compare(reach + 1, threshold, mpf(1)) is Comparison.CERTIFIED_GREATER, r
 
 
 def test_oscillatory_reach_rejects_other_regimes():

@@ -202,37 +202,14 @@ def test_difference_windows_bases_split_at_702():
             assert w.lo - 78660 >= 702
 
 
-def test_difference_windows_follow_the_slack_exponent():
-    default = difference_windows(10**6)
-    loose = difference_windows(10**6, slack_exponent=0)
-    assert [(w.clause, w.basis) for w in loose] == [(w.clause, w.basis) for w in default]
-    # slack 1 instead of 2**-40 rounds every computed endpoint one further inward
-    for d, w in zip(default, loose):
-        assert d.lo <= w.lo <= w.hi <= d.hi
-    assert max(d.hi - w.hi for d, w in zip(default, loose)) == 1
-    class0_b = next(w for w in default if w.clause == "class0-b" and w.basis == "window-table")
-    pair = PartitionPair(class0_b.hi, 10**6)
-    assert _window_step(pair, 128, 40, None).clause == "class0-b"
-    assert _window_step(pair, 128, 0, None) is None
-
-
 @pytest.mark.parametrize("lambda2", [1, 702, 18953, 10**5, 10**6 + 3])
 def test_difference_windows_of_one_class_equal_the_filtered_table(lambda2):
     for prec in (53, 128, 200):
-        for slack_exponent in (0, 40):
-            every = difference_windows(lambda2, prec, slack_exponent)
-            assert [w.residue_class for w in every] == sorted(w.residue_class for w in every)
-            for cls in range(4):
-                own = difference_windows(lambda2, prec, slack_exponent, residue_class=cls)
-                assert own == [w for w in every if w.residue_class == cls]
-
-
-def test_certify_rejects_a_negative_slack_exponent_for_every_pair():
-    # (100, 3) is decided by exact evaluation before any slack is needed
-    assert certify(PartitionPair(100, 3)).kind is CertificateKind.NONZERO_EXACT
-    for pair in (PartitionPair(100, 3), PartitionPair(600000, 100000), PartitionPair(4, 4)):
-        with pytest.raises(ValueError, match="slack exponent must be nonnegative"):
-            certify(pair, slack_exponent=-1)
+        every = difference_windows(lambda2, prec)
+        assert [w.residue_class for w in every] == sorted(w.residue_class for w in every)
+        for cls in range(4):
+            own = difference_windows(lambda2, prec, residue_class=cls)
+            assert own == [w for w in every if w.residue_class == cls]
 
 
 def test_window_stages_cannot_apply_beyond_26_l2():
@@ -248,8 +225,8 @@ def test_window_stages_cannot_apply_beyond_26_l2():
                 # just inside the edge the flat near-diagonal window applies
                 assert asymptotics.near_diagonal_error_bound(pair).valid, (l2, d)
             if d > flat_edge:
-                assert _window_step(pair, 128, 40, None) is None, (l2, d)
-                assert _near_diagonal_step(pair, 128, 40, None) is None, (l2, d)
+                assert _window_step(pair, 128, None) is None, (l2, d)
+                assert _near_diagonal_step(pair, 128, None) is None, (l2, d)
                 skipped += d * d >= 26 * l2 and d >= 702
     assert skipped >= 18
 
@@ -278,10 +255,10 @@ def test_every_stage_stays_reachable(stage_id):
     index = STAGE_IDS.index(stage_id)
     _, gate, step = STAGES[index]
     assert gate(pair)
-    assert step(pair, 128, 40, None) == cert
+    assert step(pair, 128, None) == cert
     # every earlier stage is gated out or fails, so this stage decides
     for _, gate, step in STAGES[:index]:
-        assert not gate(pair) or step(pair, 128, 40, None) is None
+        assert not gate(pair) or step(pair, 128, None) is None
 
 
 def test_refined_supercritical_bound_is_reachable_with_delta():
@@ -299,8 +276,7 @@ def test_oscillatory_gate_rejects_exactly_the_pairs_up_to_the_reach(ratio):
     at_reach = PartitionPair(int(ratio * reach), reach)
     assert not gate(at_reach)
     # at the reach the bound is still >= 1 >= |cos|, so the step cannot decide
-    assert step(at_reach, 128, 40, None) is None
-    assert step(at_reach, 128, 0, None) is None
+    assert step(at_reach, 128, None) is None
     assert gate(PartitionPair(int(ratio * (reach + 1)), reach + 1))
 
 
@@ -455,8 +431,8 @@ def _pickled_globals(data: bytes) -> set[tuple[str, str]]:
 
 def test_scan_row_pickles_no_binsum_class_but_the_kind():
     rows = [
-        _scan_row(([3, 4, 30], 3, 10**9, 128, 40, True)),
-        _scan_row(([100006, 101006, 200012, 200014, 10**10 + 1], 100006, 0, 128, 40, False)),
+        _scan_row(([3, 4, 30], 3, 10**9, 128, True)),
+        _scan_row(([100006, 101006, 200012, 200014, 10**10 + 1], 100006, 0, 128, False)),
     ]
     kinds = {record[1].value for _, records in rows for record in records}
     assert kinds == {

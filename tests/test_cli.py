@@ -100,19 +100,24 @@ def test_certify_csv_is_the_scan_csv_of_the_pair(capsys, budget):
         ("poly", "--c", "3"),
         ("exceptions", "2", "100"),
         ("validate", "--lemma", "near1-g-decay", "--grid", "3x3"),
+        ("plotdata", "--l2", "20..40", "--ratio", "3"),
     ],
 )
 @pytest.mark.parametrize("from_config", [False, True])
 def test_commands_without_csv_refuse_it_before_any_work(capsys, monkeypatch, tmp_path, argv, from_config):
-    # poly and exceptions print JSON only, so they refuse human as well as csv
-    json_only = argv[0] in ("poly", "exceptions")
-    usable = "jsonl" if json_only else "jsonl or human"
+    # poly and exceptions print JSON only, so they refuse human as well as
+    # csv; plotdata prints csv only, so it refuses jsonl and human
+    refused, usable = {
+        "poly": (("csv", "human"), "jsonl"),
+        "exceptions": (("csv", "human"), "jsonl"),
+        "plotdata": (("jsonl", "human"), "csv"),
+    }.get(argv[0], (("csv",), "jsonl or human"))
 
     def must_not_run(args, config):
         raise AssertionError("the command ran")
 
-    monkeypatch.setitem(cli._COMMANDS, argv[0], must_not_run)
-    for output_format in ("csv", "human") if json_only else ("csv",):
+    monkeypatch.setitem(cli._COMMANDS, argv[0], (must_not_run, cli._COMMANDS[argv[0]][1]))
+    for output_format in refused:
         config = tmp_path / "run.conf"
         config.write_text(f"format = {output_format}\n")
         flags = ("--config", str(config)) if from_config else ("--format", output_format)
@@ -296,6 +301,27 @@ def test_config_file_unknown_key(capsys, tmp_path):
     assert "unknown key" in err
 
 
+def test_the_decision_slack_is_no_option(capsys, tmp_path):
+    # the slack is the fixed numerics.SLACK: neither a flag nor a config key sets it
+    code, out, err = _run_any(capsys, ("--slack-exponent", "40", "certify", "300", "100"))
+    assert code == 2
+    assert out == ""
+    assert "binsum: error:" in err
+    config = tmp_path / "slack.conf"
+    config.write_text("slack_exponent = 40\n")
+    code, out, err = run_cli(capsys, "--config", str(config), "certify", "300", "100")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {config}:1: unknown key 'slack_exponent'\n"
+
+
+@pytest.mark.parametrize("text, value", [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("NO", False)])
+def test_config_file_timings_take_either_truth_value(tmp_path, text, value):
+    config = tmp_path / "run.conf"
+    config.write_text(f"timings = {text}\n")
+    assert cli.load_config_file(str(config)) == {"timings": value}
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -303,8 +329,10 @@ def test_config_file_unknown_key(capsys, tmp_path):
         ("budget\n", ":2: expected key=value, got 'budget'"),
         ("format = xml\n", "unknown output format 'xml'"),
         ("budget = -1\n", "budget must be nonnegative"),
+        ("timings = banana\n", ":2: timings: expected 1/true/yes or 0/false/no, got 'banana'"),
+        ("timings =\n", ":2: timings: expected 1/true/yes or 0/false/no, got ''"),
     ],
-    ids=["not-an-int", "no-equals", "unknown-format", "negative-budget"],
+    ids=["not-an-int", "no-equals", "unknown-format", "negative-budget", "not-a-bool", "empty-bool"],
 )
 def test_config_file_bad_values_exit_2_with_one_error_line(capsys, tmp_path, text, message):
     config = tmp_path / "bad.conf"
@@ -392,16 +420,6 @@ def test_certify_rejects_bad_delta_for_every_pair(capsys, delta, pair):
     assert err.startswith("error: delta must lie in (0, pi/3]") and err.count("\n") == 1
 
 
-def test_intervals_follow_the_slack_exponent(capsys):
-    code, default, _ = run_cli(capsys, "intervals", "1000000")
-    assert code == 0
-    code, loose, _ = run_cli(capsys, "--slack-exponent", "0", "intervals", "1000000")
-    assert code == 0
-    assert loose != default
-    code, explicit, _ = run_cli(capsys, "--slack-exponent", "40", "intervals", "1000000")
-    assert explicit == default
-
-
 def test_cli_import_leaves_numpy_unloaded():
     # numpy costs every process tens of milliseconds and binsum needs none of
     # it, not even for the root search of `poly --roots`
@@ -417,15 +435,6 @@ def test_cli_import_leaves_numpy_unloaded():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "0", "False"]
-
-
-@pytest.mark.parametrize("pair", [("100", "3"), ("600000", "100000")])
-def test_negative_slack_exponent_exits_2_for_every_pair(capsys, pair):
-    # (100, 3) is decided exactly, before any comparison would need the slack
-    code, out, err = run_cli(capsys, "--slack-exponent", "-1", "certify", *pair)
-    assert code == 2
-    assert out == ""
-    assert err == "error: slack exponent must be nonnegative, got -1\n"
 
 
 def _run_any(capsys, argv):

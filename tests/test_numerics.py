@@ -7,12 +7,13 @@ from mpmath import mpf, workprec
 from binsum.certifier import WINDOW_CLAUSES
 from binsum.numerics import (
     GUARD_BITS,
+    MIN_PRECISION,
+    SLACK,
     Comparison,
     certified_compare,
     decimal_constant,
     exact_fraction,
     rational_to_real,
-    slack_value,
     to_real,
 )
 from binsum.asymptotics import NEAR_DIAGONAL_FLAT, NEAR_DIAGONAL_ROWS, supercritical_error_bound
@@ -91,14 +92,20 @@ def test_certified_compare_is_exact_on_dyadics():
     assert certified_compare(a, well_above, slack) is Comparison.CERTIFIED_LESS
 
 
+def test_the_decision_slack_dominates_the_coarsest_rounding_unit():
+    # the soundness precondition of every certified decision: 2**-40, with
+    # a factor 2**32 to spare above the unit of a chain at the least precision
+    assert SLACK == mpf(2) ** -40
+    assert SLACK > 2**32 * mpf(2) ** -(MIN_PRECISION + GUARD_BITS)
+
+
 def test_doubling_precision_never_flips_verdicts():
-    slack = slack_value(40)
     for r_num in (6, 7, 13):
         r = Fraction(r_num)
         low = supercritical_error_bound(r, 241, 64)
         high = supercritical_error_bound(r, 241, 256)
-        v_low = certified_compare(low, 1, slack)
-        v_high = certified_compare(high, 1, slack)
+        v_low = certified_compare(low, 1, SLACK)
+        v_high = certified_compare(high, 1, SLACK)
         assert v_low is v_high is Comparison.CERTIFIED_LESS
 
 

@@ -18,7 +18,7 @@ bytes or their exit code.  The set covers:
   the same formats and at the same parallelism;
 * `certify` (with and without --delta) and `predict` at pairs that each
   cascade stage decides, at an exact pair and at refused pairs, with
-  --budget 0, --slack-exponent 0 and --precision 53 and 200;
+  --budget 0 and --precision 53 and 200;
 * `intervals`, `poly`, `exceptions` and `plotdata` in every format;
 * `validate` for every lemma at two grids;
 * `eval` of three pairs on every route.
@@ -73,7 +73,6 @@ WALK_SCANS = (
 CERTIFY_OPTIONS = (
     (),
     ("--budget", "0"),
-    ("--budget", "0", "--slack-exponent", "0"),
     ("--budget", "0", "--precision", "53"),
     ("--budget", "0", "--precision", "200"),
 )
