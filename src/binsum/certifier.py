@@ -1,10 +1,12 @@
 """Nonvanishing certificates for single pairs and ranges.
 
 `certify` first evaluates exactly when the estimated cost fits the budget
-(definitive; a range scan walks each l2 row by the three-term recurrence in
-l1 with an `exact.RowWalk`, so a pair whose two predecessors were evaluated
-costs one step).  Then it runs the sound checks of `STAGES`, the one
-statement of their order and of the exact gate in front of each.  Why each
+(definitive).  Then it runs the sound checks of `STAGES`, the one statement
+of their order and of the exact gate in front of each.  A range scan takes
+a row of fixed l2 at a time: the pairs that the budget admits form a prefix
+of the sorted row, evaluated in one walk of `exact.row_values` (a pair whose
+two predecessors were evaluated costs one step of the three-term recurrence
+in l1), and the rest of the row goes straight to the `STAGES`.  Why each
 stage is sound, and why its gate loses nothing:
 
   term-growth: for l1 > l2*(l2+1) - 1 the alternating summands grow
@@ -30,6 +32,7 @@ exceptions the theory allows, and they must surface in reports.
 
 from __future__ import annotations
 
+import bisect
 import os
 import time
 from collections import Counter
@@ -37,7 +40,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from mpmath import mp, mpf, workprec
 
@@ -129,19 +132,14 @@ def certify_by_term_growth(pair: PartitionPair) -> bool:
     return l2 >= 1 and l1 > l2 and l1 > l2 * (l2 + 1) - 1
 
 
-def _exact_step(pair: PartitionPair, budget: int, row: exact.RowWalk | None) -> Certificate | None:
-    if evaluation_cost(pair) > budget:
-        return None
-    value = evaluate(pair).value if row is None else row.evaluate(pair)
+EXACT_RULE = "exact evaluation"
+
+
+def _exact_fields(value: int) -> tuple[CertificateKind, int, int | None]:
+    """(kind, exact_sign, bit_length) of the certificate of an exactly evaluated value."""
     if value == 0:
-        return Certificate(pair, CertificateKind.ZERO_EXACT, "exact evaluation", exact_sign=0)
-    return Certificate(
-        pair,
-        CertificateKind.NONZERO_EXACT,
-        "exact evaluation",
-        exact_sign=1 if value > 0 else -1,
-        bit_length=abs(value).bit_length(),
-    )
+        return CertificateKind.ZERO_EXACT, 0, None
+    return CertificateKind.NONZERO_EXACT, 1 if value > 0 else -1, abs(value).bit_length()
 
 
 def _term_growth_step(pair, prec, delta) -> Certificate:
@@ -229,7 +227,6 @@ def certify(
     budget: int = DEFAULT_BUDGET,
     prec: int = DEFAULT_PRECISION,
     delta=None,
-    row: exact.RowWalk | None = None,
 ) -> Certificate:
     """Run the certification cascade on one pair: exact evaluation within
     the budget, then the `STAGES` in order.
@@ -239,10 +236,7 @@ def certify(
     there.  An optional `delta` in (0, pi/3] enables the refined
     supercritical bound when the ratio allows it; any other value raises
     ValueError, whatever the pair.  Every floating decision certifies beyond
-    the fixed slack `numerics.SLACK` = 2**-40.  A scan passes its
-    `exact.RowWalk`, which evaluates the pair by one recurrence step when it
-    holds the two values before it in the pair's row.  The verdict is the
-    same either way.
+    the fixed slack `numerics.SLACK` = 2**-40.
     """
     check_precision(prec)
     if delta is not None:
@@ -251,9 +245,15 @@ def certify(
         return Certificate(pair, CertificateKind.REFUSED, "input check", reason="lambda2 = 0 row excluded")
     if pair.lambda1 <= pair.lambda2:
         return Certificate(pair, CertificateKind.REFUSED, "input check", reason="diagonal pair excluded")
-    cert = _exact_step(pair, budget, row)
-    if cert is not None:
-        return cert
+    if evaluation_cost(pair) <= budget:
+        kind, sign, bits = _exact_fields(evaluate(pair).value)
+        return Certificate(pair, kind, EXACT_RULE, exact_sign=sign, bit_length=bits)
+    return _cascade(pair, prec, delta)
+
+
+def _cascade(pair: PartitionPair, prec: int, delta) -> Certificate:
+    """The first certificate of the `STAGES` whose gate admits the pair, else
+    inconclusive; for a pair that `certify` neither refuses nor evaluates."""
     for _, gate, step in STAGES:
         if gate(pair):
             cert = step(pair, prec, delta)
@@ -415,8 +415,8 @@ class AllUpToRule:
 # which pickle as plain data, and reports format them without building objects.
 
 
-def certificate_record(cert: Certificate, usec: int = 0) -> tuple:
-    """The scan record of `cert`, taken in `usec` microseconds."""
+def certificate_record(cert: Certificate) -> tuple:
+    """The scan record of `cert`, with usec 0."""
     return (
         cert.pair.lambda1,
         cert.kind,
@@ -426,7 +426,7 @@ def certificate_record(cert: Certificate, usec: int = 0) -> tuple:
         cert.bit_length,
         cert.clause,
         cert.reason,
-        usec,
+        0,
     )
 
 
@@ -501,18 +501,37 @@ def format_float(x) -> str:
     return "" if x is None else format(float(x), ".17g")
 
 
+def _row_records(lambda1s: list[int], l2: int, budget: int, prec: int) -> Iterator[tuple]:
+    """The scan record (usec 0) of each lambda1 of `lambda1s` (sorted) at
+    lambda2 = l2, in turn, with the verdicts of `certify`."""
+    # certify refuses lambda1 <= lambda2 and a whole lambda2 = 0 row; sorted, these come first
+    lo = bisect.bisect_right(lambda1s, l2) if l2 else len(lambda1s)
+    # evaluation_cost is nondecreasing in lambda1, so the pairs the budget admits come next
+    hi = bisect.bisect_right(lambda1s, budget, lo, key=lambda l1: evaluation_cost(PartitionPair(l1, l2)))
+    for l1 in lambda1s[:lo]:
+        yield certificate_record(certify(PartitionPair(l1, l2), budget, prec))
+    admitted = lambda1s[lo:hi]
+    for l1, value in zip(admitted, exact.row_values(l2, admitted)):
+        kind, sign, bits = _exact_fields(value)
+        yield l1, kind, EXACT_RULE, None, sign, bits, None, None, 0
+    for l1 in lambda1s[hi:]:
+        yield certificate_record(_cascade(PartitionPair(l1, l2), prec, None))
+
+
 def _scan_row(args: tuple) -> tuple[int, tuple[tuple, ...]]:
     """Certify one row, every lambda1 of `lambda1s` (sorted) at one lambda2,
-    into (lambda2, records)."""
+    into (lambda2, records); when `timed`, each record's usec is the time
+    taken to produce it."""
     lambda1s, l2, budget, prec, timed = args
-    row = exact.RowWalk()
-    records = []
-    for l1 in lambda1s:
-        start = time.perf_counter() if timed else 0.0
-        cert = certify(PartitionPair(l1, l2), budget=budget, prec=prec, row=row)
-        usec = int((time.perf_counter() - start) * 1e6) if timed else 0
-        records.append(certificate_record(cert, usec))
-    return l2, tuple(records)
+    records = _row_records(lambda1s, l2, budget, prec)
+    if not timed:
+        return l2, tuple(records)
+    timed_records = []
+    start = time.perf_counter()
+    for record in records:
+        timed_records.append((*record[:-1], int((time.perf_counter() - start) * 1e6)))
+        start = time.perf_counter()
+    return l2, tuple(timed_records)
 
 
 def _usable_cpus() -> int:
@@ -552,17 +571,22 @@ def scan_range(
 ) -> ScanReport:
     """Certify every pair generated by `rule` over an inclusive lambda2 range.
 
-    A task is one row: a lambda2 and its sorted lambda1 values, certified
-    with one `exact.RowWalk`, so each pair whose two predecessors
-    S(lambda1 - 2, lambda2) and S(lambda1 - 1, lambda2) were evaluated
-    exactly is evaluated by one step of the row recurrence; the budget gate
-    and the verdicts are those of `certify` on the pair alone.  Rows run in
+    A task is one row: a lambda2 and its sorted lambda1 values.  Since
+    `exact.evaluation_cost` is nondecreasing in lambda1, the pairs of a row
+    that the budget admits form a prefix (after any pairs that `certify`
+    refuses), found by bisection and evaluated in one `exact.row_values`
+    walk, so each pair whose two predecessors S(lambda1 - 2, lambda2) and
+    S(lambda1 - 1, lambda2) were evaluated costs one step of the row
+    recurrence; the rest of the row goes straight to the `STAGES`.  The
+    verdicts are those of `certify` on each pair alone.  Rows run in
     lambda2 order and both `map` and the pool's `map` keep input order, so
     reports are byte-identical across parallelism settings (per-pair timing
     is recorded only when `timings` is set, since wall clock readings are
     not reproducible).  The pool gets at most as many workers as there are
-    usable CPUs and rows.
+    usable CPUs and rows.  An invalid precision or parallelism raises
+    ValueError before any work.
     """
+    check_precision(prec)
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     tasks = [(lambda1s, l2, budget, prec, timings) for lambda1s, l2 in rule_rows(lambda2_range, rule)]

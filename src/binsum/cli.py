@@ -105,11 +105,13 @@ def parse_range(text: str) -> tuple[int, int]:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it as it
-    was, so every `main` call can share it."""
+    was, so every `main` call can share it.  It raises its errors instead of
+    exiting, so that `main` can name an unknown option."""
     parser = argparse.ArgumentParser(
         prog="binsum",
         description="Exact evaluation, explicit asymptotics, and nonvanishing certificates "
         "for the alternating binomial sums S(l1, l2).",
+        exit_on_error=False,
     )
     parser.add_argument("--precision", dest="precision_bits", type=int, default=None, help=f"working precision in bits (default {DEFAULT_PRECISION})")
     parser.add_argument("--budget", type=int, default=None, help="exact-evaluation cost budget in word multiplications")
@@ -405,9 +407,31 @@ _COMMANDS = {
 }
 
 
+def _unknown_option(parser: argparse.ArgumentParser, argv: list[str]) -> str | None:
+    """The first option before the command that `parser` does not know, even
+    as an abbreviation.  argparse takes the value after such an option for
+    the command and would name that value instead."""
+    known = parser._option_string_actions
+    for token in argv:
+        if token in _COMMANDS:
+            return None
+        flag = token.split("=", 1)[0]
+        # argparse reads a negative number as a value, never as an option
+        if flag.startswith("-") and not flag[1:2].isdigit() and not any(option.startswith(flag) for option in known):
+            return flag
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        flag = _unknown_option(parser, argv)
+        if flag is None:
+            parser.error(str(exc))
+        parser.exit(2, f"{parser.prog}: error: unrecognized option {flag}\n")
     try:
         config = resolve_config(args)
         command, formats = _COMMANDS[args.command]

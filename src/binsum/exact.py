@@ -18,8 +18,9 @@ three-term recurrence in l1
 
 (the Krawtchouk recurrence; Zeilberger's algorithm finds it too, see
 Petkovsek-Wilf-Zeilberger, "A = B", 1996).  On the diagonal l1 == l2 there
-is a closed form.  A `RowWalk` hands a scan S(l1, l2) by one step of the
-recurrence when it holds S(l1 - 2, l2) and S(l1 - 1, l2) of the same row.
+is a closed form.  `row_values` evaluates a sorted run of l1 in one row for
+a scan, each l1 whose two predecessors it evaluated by one step of the
+recurrence.
 
 The direct route stays the plain running-term loop (each term updated from
 the previous one by exact integer multiply/divide steps), so that it is an
@@ -39,6 +40,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 from mpmath import mpf
 
@@ -312,38 +314,30 @@ def evaluate(pair: PartitionPair, route: Route | None = None) -> ExactValue:
     return eval_direct(pair)
 
 
-@dataclass(slots=True)
-class RowWalk:
-    """A walk along the rows of a scan: the last evaluated pair's lambda2 and
-    lambda1, S(lambda1 - 1, lambda2) when known (else None) and
-    S(lambda1, lambda2).  No other value of a row is kept."""
-
-    lambda2: int = -1
-    lambda1: int = -1
-    before: int | None = None
-    value: int | None = None
-
-    def evaluate(self, pair: PartitionPair) -> int:
-        """S(lambda1, lambda2) of `pair`: one `row_step` when the pair comes
-        right after the last one in the same row and both its predecessors
-        are known, else a fresh `evaluate`."""
-        l1, l2 = pair.lambda1, pair.lambda2
-        follows = l2 == self.lambda2 and l1 == self.lambda1 + 1
-        if follows and self.before is not None:
-            value = row_step(l1 - 2, l2, self.before, self.value)
+def row_values(lambda2: int, lambda1s: Iterable[int]) -> Iterator[int]:
+    """S(l1, lambda2) for each l1 of `lambda1s` in turn: one `row_step` when
+    l1 comes right after the last one and the two values before it are
+    known, else a fresh `evaluate` (the first l1, a gap or a repeat)."""
+    last = before = value = None
+    for l1 in lambda1s:
+        follows = l1 - 1 == last
+        if follows and before is not None:
+            new = row_step(l1 - 2, lambda2, before, value)
         else:
-            value = evaluate(pair).value
-        self.before = self.value if follows else None
-        self.lambda2, self.lambda1, self.value = l2, l1, value
-        return value
+            new = evaluate(PartitionPair(l1, lambda2)).value
+        before = value if follows else None
+        last, value = l1, new
+        yield new
 
 
 def evaluation_cost(pair: PartitionPair) -> int:
     """Cost estimate in 64-bit word multiplications for an exact evaluation.
 
     Term count is the automatic route's; each term costs about one product
-    of lambda1-bit numbers, i.e. (lambda1/64)**2 word multiplies.  A scan
-    that walks its row pays far less, but is charged the same.
+    of lambda1-bit numbers, i.e. (lambda1/64)**2 word multiplies.  Both
+    factors are nondecreasing in lambda1 at fixed lambda2, so the pairs of a
+    sorted row that a budget admits form a prefix.  A scan that walks its
+    row by `row_values` pays far less, but is charged the same.
     """
     words = max(1, (pair.lambda1 + 63) // 64)
     return max(1, _automatic_route(pair)[1]) * words * words

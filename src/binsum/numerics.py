@@ -103,6 +103,10 @@ def _exact_or_none(x) -> Fraction | None:
         return None
 
 
+# SLACK as an exact rational, converted once rather than on every comparison
+_EXACT_SLACK = exact_fraction(SLACK)
+
+
 def certified_compare(a, b, slack) -> Comparison:
     """Compare a and b, certifying an order only beyond the given slack.
 
@@ -112,7 +116,7 @@ def certified_compare(a, b, slack) -> Comparison:
     only errors in play are the ones the caller already budgeted into
     `slack`.  Non-finite operands are INDETERMINATE.
     """
-    es = exact_fraction(slack)
+    es = _EXACT_SLACK if slack is SLACK else exact_fraction(slack)
     if es < 0:
         raise ValueError("slack must be nonnegative")
     ea = _exact_or_none(a)

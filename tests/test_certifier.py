@@ -380,6 +380,34 @@ def test_scan_rows_match_certify_per_pair(monkeypatch, lambda2_range, rule, budg
         assert walked is ((l1 - 1, l2) in seen and (l1 - 2, l2) in seen), (l1, l2)
 
 
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_scan_checks_the_precision_before_any_work(monkeypatch, parallelism):
+    # every pair of this scan is evaluated exactly, so no certify call would check it
+    def no_work(*args, **kwargs):
+        raise AssertionError("scan did work at an invalid precision")
+
+    for name in ("rule_rows", "evaluation_cost", "ProcessPoolExecutor"):
+        monkeypatch.setattr(certifier, name, no_work)
+    monkeypatch.setattr(exact, "row_values", no_work)
+    with pytest.raises(ValueError, match="precision"):
+        scan_range((1, 30), AllUpToRule(40), budget=10**9, prec=40, parallelism=parallelism)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_timed_scan_cut_by_the_budget_records_what_an_untimed_one_does(parallelism):
+    # budget 60 cuts the rows at lambda1 = 65 or 129; the ListRule rows add
+    # gaps and a repeat, and budget 40 refuses lambda1 = 200 from lambda2 = 2 on
+    for lambda2_range, rule, budget in [((1, 30), AllUpToRule(150), 60), ((1, 12), ListRule((9, 6, 9, 2, 200)), 40)]:
+        untimed = scan_range(lambda2_range, rule, budget=budget, parallelism=parallelism)
+        timed = scan_range(lambda2_range, rule, budget=budget, parallelism=parallelism, timings=True)
+        assert [(l2, record[:-1]) for l2, record in timed.records()] == [
+            (l2, record[:-1]) for l2, record in untimed.records()
+        ]
+        assert {record[-1] for _, record in untimed.records()} == {0}
+        assert all(isinstance(record[-1], int) and record[-1] >= 0 for _, record in timed.records())
+        assert {record[1] for _, record in timed.records()} > {CertificateKind.NONZERO_EXACT}
+
+
 def test_scan_records_keep_every_certificate_field():
     # at budget 0 the diff band certifies by difference windows (a clause) and
     # the near-diagonal bound (a margin), the ratio-2 band by the oscillatory

@@ -315,6 +315,36 @@ def test_the_decision_slack_is_no_option(capsys, tmp_path):
     assert err == f"error: {config}:1: unknown key 'slack_exponent'\n"
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("--slack-exponent", "40", "certify", "300", "100"), "--slack-exponent"),
+        (("--budget", "-5", "--bogus", "7", "scan", "--l2", "1..2", "--diff", "1"), "--bogus"),
+        (("--prec", "53", "-q", "1", "eval", "6", "1"), "-q"),
+    ],
+)
+def test_an_unknown_option_before_the_command_is_named(capsys, argv, flag):
+    # argparse would take the value after the option for the command and name that value
+    code, out, err = _run_any(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"binsum: error: unrecognized option {flag}\n"
+
+
+def test_abbreviated_and_malformed_options_keep_their_argparse_handling(capsys):
+    code, out, _ = _run_any(capsys, ("--prec", "53", "--bud", "10", "eval", "6", "1"))
+    assert (code, out) == (0, "-5\n")
+    for argv, message in [
+        (("--budget", "abc", "eval", "6", "1"), "argument --budget: invalid int value: 'abc'"),
+        (("bogus", "1"), "argument command: invalid choice: 'bogus'"),
+        (("--slack-exponent=40", "eval", "6", "1"), "unrecognized arguments: --slack-exponent=40"),
+    ]:
+        code, out, err = _run_any(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: binsum")
+        assert f"binsum: error: {message}" in err
+
+
 @pytest.mark.parametrize("text, value", [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("NO", False)])
 def test_config_file_timings_take_either_truth_value(tmp_path, text, value):
     config = tmp_path / "run.conf"

@@ -10,7 +10,6 @@ from binsum import exact
 from binsum.exact import (
     PartitionPair,
     Route,
-    RowWalk,
     _comb,
     binomial,
     eval_diagonal,
@@ -22,6 +21,7 @@ from binsum.exact import (
     normalized_I,
     reduced_term_count,
     row_step,
+    row_values,
     signed_terms,
 )
 
@@ -147,6 +147,21 @@ def test_normalized_value_signs():
         normalized_I(PartitionPair(3, 0))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3000), st.integers(1, 9000))
+@example(1, 1)
+@example(80, 159)   # lambda1 = 239 -> 240: the reduced/direct switch at l2 = 80
+@example(63, 1)     # lambda1 = 64: the last one-word pair
+@example(2000, 4000)
+def test_evaluation_cost_is_nondecreasing_in_lambda1(l2, diff):
+    # scans bisect each row for the pairs the budget admits, so this must hold
+    # everywhere, in particular across the switch from the reduced to the
+    # direct term count near lambda1 = 3 * lambda2
+    edge = 2 * (l2 + (l2 + 1) // 2 - 1)  # the largest even lambda1 with l2 reduced terms
+    for l1 in sorted({*range(max(l2, edge - 4), edge + 5), l2 + diff}):
+        assert evaluation_cost(PartitionPair(l1, l2)) <= evaluation_cost(PartitionPair(l1 + 1, l2)), (l1, l2)
+
+
 def test_evaluation_cost_scales_with_width():
     cheap = evaluation_cost(PartitionPair(703, 702))
     pricey = evaluation_cost(PartitionPair(100000, 50000))
@@ -224,20 +239,25 @@ def test_row_step_continues_a_row():
         row = [eval_direct(PartitionPair(l1, l2)).value for l1 in range(l2, l2 + 60)]
         for n in range(l2, l2 + 58):
             assert row_step(n, l2, row[n - l2], row[n + 1 - l2]) == row[n + 2 - l2]
-        walk = RowWalk()
-        assert [walk.evaluate(PartitionPair(l1, l2)) for l1 in range(l2, l2 + 60)] == row
+        assert list(row_values(l2, range(l2, l2 + 60))) == row
 
 
 def test_row_walk_steps_only_within_its_row(monkeypatch):
-    # a pair from another row mid-walk, gaps and duplicates restart the walk
-    pairs = [(l1, 4) for l1 in range(4, 12)] + [(12, 5), (13, 4), (14, 4), (15, 4)]
-    pairs += [(l1, 5) for l1 in (13, 14, 16, 17, 17, 18, 19)] + [(20, 4), (21, 4), (22, 4), (23, 9), (24, 9)]
-    stepped = []
+    # gaps and repeats restart the walk; each row is walked on its own
+    rows = [
+        (4, [*range(4, 12), 13, 14, 15, 20, 21, 22]),
+        (5, [12, 13, 14, 16, 17, 17, 18, 19]),
+        (9, [23, 24]),
+        (0, [0, 1, 2, 3, 3, 4, 5]),
+    ]
+    stepped, fresh = [], []
     monkeypatch.setattr(exact, "row_step", lambda n, m, s0, s1: stepped.append((n + 2, m)) or row_step(n, m, s0, s1))
-    walk = RowWalk()
-    for l1, l2 in pairs:
-        pair = PartitionPair(l1, l2)
-        assert walk.evaluate(pair) == eval_direct(pair).value, pair
+    monkeypatch.setattr(exact, "evaluate", lambda pair: fresh.append((pair.lambda1, pair.lambda2)) or evaluate(pair))
+    for l2, lambda1s in rows:
+        values = list(row_values(l2, lambda1s))
+        assert values == [eval_direct(PartitionPair(l1, l2)).value for l1 in lambda1s], l2
     # a step needs the two lambda1 before the pair evaluated in turn in its row
-    expected = [(l1, 4) for l1 in range(6, 12)] + [(15, 4), (19, 5), (22, 4)]
+    expected = [(l1, 4) for l1 in range(6, 12)] + [(15, 4), (22, 4), (14, 5), (19, 5), (2, 0), (3, 0), (5, 0)]
     assert stepped == expected
+    # every other value is one fresh evaluation
+    assert sorted(fresh + stepped) == sorted((l1, l2) for l2, lambda1s in rows for l1 in lambda1s)

@@ -28,7 +28,7 @@ def test_every_identity_command_parses_and_the_set_covers_lemmas_and_routes():
     argvs = tool.commands()
     parser = build_parser()
     for argv in argvs:
-        parser.parse_args(argv)  # exits on an argument the parser does not know
+        parser.parse_args(argv)  # raises or exits on an argument the parser does not know
     assert len(argvs) == len({tuple(argv) for argv in argvs})
     assert set(tool.LEMMAS) == set(LEMMA_IDS)
     assert set(tool.ROUTES) == {"auto", *(route.value for route in Route)}

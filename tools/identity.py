@@ -64,11 +64,17 @@ CERTIFY_PAIRS = (
     (3, 5),
 )
 # budgets 10 and 7 stop each row's walk inside one word of lambda1, budget 60
-# at lambda1 = 65 or 129; the list leaves gaps after 72 and 78
+# at lambda1 = 65 or 129; the first list leaves gaps after 72 and 78, the
+# second repeats 9 and leaves gaps below it;
+# budget 100 stops the rows with lambda2 <= 25 beyond lambda1 = 3 * lambda2
+# (at 129 or 193), where the cost counts direct terms, and the others inside
+# the reduced route
 WALK_SCANS = (
     ("--budget", "10", "scan", "--l2", "1..30", "--all-l1-up-to", "150"),
     ("--budget", "60", "scan", "--l2", "1..30", "--all-l1-up-to", "150"),
     ("--budget", "7", "scan", "--l2", "60..80", "--l1-list", "70,71,72,75,76,77,78,90"),
+    ("scan", "--l2", "1..8", "--l1-list", "9,6,9,2"),
+    ("--budget", "100", "scan", "--l2", "1..40", "--all-l1-up-to", "200"),
 )
 CERTIFY_OPTIONS = (
     (),
