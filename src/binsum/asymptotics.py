@@ -18,7 +18,9 @@ geometry and hence the shape of the asymptotics:
     half-phase correction.
 
 Regime classification is the sign of one exact rational, `negated_discriminant`
-(6r - 1 - r**2); floating arithmetic enters only the constants.  Normalizers
+(6r - 1 - r**2), read off the integer 6ab - a**2 - b**2 for r = a/b
+(`ratio_regime`, which takes a pair's lambda1 and lambda2 as they are);
+floating arithmetic enters only the constants.  Normalizers
 of the form 2**((r+1)*lambda/2) overflow any fixed-exponent float, so all
 scalings are combined in the log domain and exponentiated once.
 """
@@ -69,6 +71,9 @@ NEAR_DIAGONAL_FLAT = "0.0165"
 
 OSCILLATORY_BOUND_CONSTANT = 16336
 
+# 1/2 is exact at every precision, so one mpf serves every call
+_HALF = mpf(0.5)
+
 # entries kept by each per-ratio cache below, keyed by (r, prec).  A scan
 # line or a validator needs one or two live keys at a time (the ratio at the
 # working precision and at the raised precision of `oscillation_cosine`);
@@ -93,16 +98,23 @@ def negated_discriminant(r: Fraction) -> Fraction:
     return Fraction(6 * a * b - a * a - b * b, b * b)
 
 
+def ratio_regime(a: int, b: int) -> Regime:
+    """The regime of r = a/b for integers a >= 0 and b > 0, in any terms (a
+    pair's lambda1 and lambda2 will do): DEGENERATE for a <= b, else
+    SUPERCRITICAL or SUBCRITICAL as 6ab - a**2 - b**2, which is
+    b**2 * `negated_discriminant(a/b)`, is negative or positive."""
+    if a <= b:
+        return Regime.DEGENERATE
+    return Regime.SUPERCRITICAL if 6 * a * b < a * a + b * b else Regime.SUBCRITICAL
+
+
 def classify(r: Fraction) -> Regime:
     """Classify the exact rational ratio against the threshold 3 + 2*sqrt(2):
-    DEGENERATE for r <= 1, else SUPERCRITICAL or SUBCRITICAL as the exact
-    `negated_discriminant(r)` is negative or positive."""
+    DEGENERATE for r <= 1, else SUPERCRITICAL or SUBCRITICAL as
+    `negated_discriminant(r)` is negative or positive, decided on its
+    integer numerator by `ratio_regime`."""
     r = Fraction(r)
-    if r.numerator <= r.denominator:
-        return Regime.DEGENERATE
-    if negated_discriminant(r).numerator < 0:
-        return Regime.SUPERCRITICAL
-    return Regime.SUBCRITICAL
+    return ratio_regime(r.numerator, r.denominator)
 
 
 @dataclass(frozen=True)
@@ -230,7 +242,14 @@ def supercritical_error_bound(r: Fraction, lam: int, prec: int = DEFAULT_PRECISI
       + 5*(3+2*sqrt(2)) / (24*lam*M**3)
       + sqrt(2)*exp(-lam*M*pi**2/2) / (pi**(3/2)*sqrt(lam*M))
 
-    Decreasing in both r and lam.
+    Decreasing in both r and lam.  The sum is rounded to prec + GUARD_BITS
+    bits, and the third term is not evaluated once it provably cannot move
+    the last of them: when lam*M >= 1 and x = lam*M*pi**2/2 exceeds that
+    precision plus a margin of 16 bits, minus the binary exponent of the
+    sum of the first two terms, the third term is below 2**-x, far under
+    half an ulp of that sum, so adding it and rounding to nearest gives
+    back the sum bit for bit.  At lam near 1e5 this skips an exp of about
+    10**-80000.
     """
     check_precision(prec)
     r = Fraction(r)
@@ -239,12 +258,21 @@ def supercritical_error_bound(r: Fraction, lam: int, prec: int = DEFAULT_PRECISI
     if lam < 1:
         raise ValueError("lambda must be >= 1")
     m_val, c1, m_sq, c2, m_cube, sqrt2, pi_sq, pi_15 = _supercritical_constants(r, prec)
-    with workprec(prec + GUARD_BITS):
+    wp = prec + GUARD_BITS
+    with workprec(wp):
         lamf = mpf(lam)
-        t1 = c1 / (256 * lamf * m_sq)
-        t2 = c2 / (24 * lamf * m_cube)
-        t3 = sqrt2 * mp.exp(-lamf * m_val * pi_sq / 2) / (pi_15 * mp.sqrt(lamf * m_val))
-        return t1 + t2 + t3
+        head = c1 / (256 * lamf * m_sq) + c2 / (24 * lamf * m_cube)
+        lam_m = lamf * m_val
+        x = lam_m * pi_sq / 2
+        # The sum head lies in [2**(E-1), 2**E) for E = mag(head), so half an
+        # ulp of it at wp bits is 2**(E-wp-1).  With lam*M >= 1 the prefactor
+        # sqrt(2)/(pi**1.5*sqrt(lam*M)) is below 0.26 and exp(-x) < 2**-x, so
+        # the tail as computed here is below 2**-x < 2**(E-wp-16) (Brent and
+        # Zimmermann, Modern Computer Arithmetic, 2010, section 3.1: a term
+        # below half an ulp leaves a round-to-nearest sum unchanged).
+        if lam_m >= 1 and x > wp + 16 - mp.mag(head):
+            return head
+        return head + sqrt2 * mp.exp(-x) / (pi_15 * mp.sqrt(lam_m))
 
 
 def _quartic_coefficient(rho: mpf, c: mpf) -> mpf:
@@ -388,7 +416,7 @@ def near_diagonal_error_bound(pair: PartitionPair, prec: int = DEFAULT_PRECISION
         raise ValueError(
             f"near-diagonal bound requires lambda1 - lambda2 >= {NEAR_DIAGONAL_MIN_DIFFERENCE}, got {d}"
         )
-    if classify(pair.ratio) is not Regime.SUBCRITICAL:
+    if ratio_regime(pair.lambda1, l2) is not Regime.SUBCRITICAL:
         raise RegimeError(f"near-diagonal bound requires a subcritical ratio, got r = {pair.ratio}")
     wp = prec + GUARD_BITS
     with workprec(wp):
@@ -432,7 +460,7 @@ def oscillation_cosine(
             g1, g2 = gamma_angles(pair.ratio, p_eff)
             angle = pair.lambda1 * g1 + pair.lambda2 * g2
         two_pi = 2 * mp.pi
-        angle -= two_pi * mp.floor(angle / two_pi + mpf("0.5"))
+        angle -= two_pi * mp.floor(angle / two_pi + _HALF)
         return mp.cos(angle), angle
 
 

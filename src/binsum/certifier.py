@@ -56,6 +56,7 @@ from .asymptotics import (
     oscillation_cosine,
     oscillatory_bound_reach,
     oscillatory_error_bound,
+    ratio_regime,
     supercritical_error_bound,
     supercritical_error_bound_refined,
     REFINED_BOUND_MAX_RATIO,
@@ -163,8 +164,8 @@ def _supercritical_step(pair, prec, delta) -> Certificate | None:
 
 def _oscillatory_gate(pair: PartitionPair) -> bool:
     # up to the reach the bound is >= 1 >= |cos|, so no comparison can accept
-    r = pair.ratio
-    return classify(r) is Regime.SUBCRITICAL and pair.lambda2 > oscillatory_bound_reach(r)
+    l2 = pair.lambda2
+    return ratio_regime(pair.lambda1, l2) is Regime.SUBCRITICAL and l2 > oscillatory_bound_reach(pair.ratio)
 
 
 def _oscillatory_step(pair, prec, delta) -> Certificate | None:
@@ -215,7 +216,7 @@ def _near_diagonal_step(pair, prec, delta) -> Certificate | None:
 # globals, so that a wrapped global is seen by every call.
 STAGES = (
     ("term-growth", certify_by_term_growth, _term_growth_step),
-    ("supercritical", lambda pair: classify(pair.ratio) is Regime.SUPERCRITICAL, _supercritical_step),
+    ("supercritical", lambda pair: ratio_regime(pair.lambda1, pair.lambda2) is Regime.SUPERCRITICAL, _supercritical_step),
     ("oscillatory", _oscillatory_gate, _oscillatory_step),
     ("window", _near_diagonal_gate, _window_step),
     ("near-diagonal", _near_diagonal_gate, _near_diagonal_step),

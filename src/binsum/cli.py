@@ -16,13 +16,14 @@ import contextlib
 import functools
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from mpmath import mp, workprec
 
 from . import asymptotics, certifier, polynomials, validators
-from .certifier import format_float
+from .certifier import CertificateKind, format_float
 from .exact import PartitionPair, Route, evaluate
 from .numerics import DEFAULT_PRECISION, GUARD_BITS, check_precision
 
@@ -286,16 +287,35 @@ def cmd_scan(args, config: RunConfig) -> int:
         parallelism=config.parallelism,
         timings=config.timings,
     )
-    if config.output_format != "human":
-        print("\n".join(report.csv_lines() if config.output_format == "csv" else report.jsonl_lines()))
-    else:
-        for kind, count in sorted(report.counts.items()):
+    # one walk over the records prints the report and collects the
+    # inconclusive pairs, which set the exit code
+    inconclusive = []
+    if config.output_format == "human":
+        counts, zeros = Counter(), []
+        for l2, records in report.rows:
+            for l1, kind, *_ in records:
+                counts[kind.value] += 1
+                if kind is CertificateKind.INCONCLUSIVE:
+                    inconclusive.append((l1, l2))
+                elif kind is CertificateKind.ZERO_EXACT:
+                    zeros.append((l1, l2))
+        for kind, count in sorted(counts.items()):
             print(f"{kind:24s} {count}")
-        for pair in report.inconclusive_pairs:
-            print(f"inconclusive pair ({pair.lambda1}, {pair.lambda2})")
-        for pair in report.zero_pairs:
-            print(f"ZERO VALUE at ({pair.lambda1}, {pair.lambda2})")
-    return 3 if report.inconclusive_pairs else 0
+        for l1, l2 in inconclusive:
+            print(f"inconclusive pair ({l1}, {l2})")
+        for l1, l2 in zeros:
+            print(f"ZERO VALUE at ({l1}, {l2})")
+    else:
+        csv = config.output_format == "csv"
+        line = certifier.record_csv if csv else certifier.record_jsonl
+        lines = [certifier.CSV_HEADER] if csv else []
+        for l2, records in report.rows:
+            for record in records:
+                lines.append(line(l2, record))
+                if record[1] is CertificateKind.INCONCLUSIVE:
+                    inconclusive.append((record[0], l2))
+        print("\n".join(lines))
+    return 3 if inconclusive else 0
 
 
 def cmd_intervals(args, config: RunConfig) -> int:

@@ -7,21 +7,24 @@ within a couple of ulps of the true value, so a chain of k operations at
 precision p carries an absolute error of order k * 2**(1-p) * |result|.
 Decisions are never taken on raw floating comparisons: `certified_compare`
 demands an explicit additive slack from the caller that must dominate the
-accumulated rounding error of both operands.  Throughout the package the
-decision slack is `SLACK` = 2**-40, vastly above 128-bit rounding noise and
-still 2**37 times the unit 2**-(MIN_PRECISION + GUARD_BITS) of the coarsest
-formula chain.
+accumulated rounding error of both operands, and decides exactly.  Ints,
+floats and mpfs are dyadic rationals man * 2**exp; it takes their
+difference with mpmath's unrounded (precision 0) subtraction and compares it
+with -slack and +slack by `mpf_cmp`, so no step rounds.  A Fraction operand
+is compared by integer cross-multiplication instead.  Throughout the
+package the decision slack is `SLACK` = 2**-40, vastly above 128-bit
+rounding noise and still 2**37 times the unit 2**-(MIN_PRECISION +
+GUARD_BITS) of the coarsest formula chain.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import math
 from fractions import Fraction
 
-from mpmath import mp, mpf, workprec
-from mpmath.libmp import to_rational
+from mpmath import mpf, workprec
+from mpmath.libmp import from_float, from_int, mpf_cmp, mpf_neg, mpf_sub
 
 DEFAULT_PRECISION = 128
 MIN_PRECISION = 53
@@ -76,55 +79,70 @@ def decimal_constant(text: str, prec: int) -> mpf:
         return mpf(text)
 
 
-def exact_fraction(x) -> Fraction:
-    """The exact rational value of an int, float, Fraction, or mpf.
-
-    Never re-rounds: mpf and float values are dyadic rationals and convert
-    losslessly.  Raises for non-finite values.
-    """
+def _exact_form(x):
+    """x without rounding: an mpf, int or float as its raw mpf tuple (sign,
+    mantissa, exponent, bit count), whose value is (-1)**sign * mantissa *
+    2**exponent, and a Fraction as it is.  nan and the infinities map to
+    mpmath's special values, the only raw mpfs with a zero mantissa and a
+    nonzero exponent."""
+    if isinstance(x, mpf):
+        return x._mpf_
+    if isinstance(x, int):
+        return from_int(x)
+    if isinstance(x, float):
+        return from_float(x)
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ValueError(f"cannot convert non-finite value {x!r} to a fraction")
-        return Fraction(x)
-    if not mp.isfinite(x):
-        raise ValueError(f"cannot convert non-finite value {x!r} to a fraction")
-    p, q = to_rational(x._mpf_)
-    return Fraction(int(p), int(q))
+    raise TypeError(f"cannot compare {type(x).__name__} values exactly")
 
 
-def _exact_or_none(x) -> Fraction | None:
-    try:
-        return exact_fraction(x)
-    except ValueError:
-        return None
+def _is_finite(form) -> bool:
+    return type(form) is not tuple or bool(form[1]) or not form[2]
 
 
-# SLACK as an exact rational, converted once rather than on every comparison
-_EXACT_SLACK = exact_fraction(SLACK)
+def _integer_terms(form) -> tuple[int, int]:
+    """(n, q) with q > 0 and n/q the value of a finite exact form, not in lowest terms."""
+    if type(form) is not tuple:
+        return form.numerator, form.denominator
+    sign, man, exp, _ = form
+    if sign:
+        man = -man
+    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
 
 
 def certified_compare(a, b, slack) -> Comparison:
     """Compare a and b, certifying an order only beyond the given slack.
 
     Returns CERTIFIED_LESS only if a + slack < b, CERTIFIED_GREATER only if
-    a - slack > b, and INDETERMINATE otherwise.  The comparison is performed
-    exactly on the operands' dyadic values (no rounding of its own), so the
-    only errors in play are the ones the caller already budgeted into
-    `slack`.  Non-finite operands are INDETERMINATE.
+    a - slack > b, and INDETERMINATE otherwise, so operands exactly `slack`
+    apart are INDETERMINATE.  Operands and slack may be ints, floats,
+    Fractions or mpfs.  Both tests compare the one difference a - b with
+    -slack and +slack, exactly and without building a Fraction: with
+    dyadic operands (int, float, mpf) a - b is an mpmath subtraction at
+    precision 0, which never rounds, compared by `mpf_cmp`; when any of the
+    three is a Fraction, a - b and slack are integer cross-products over
+    one positive denominator.  So the only errors in play are the ones the
+    caller already budgeted into `slack`.  Non-finite operands are
+    INDETERMINATE; a negative or non-finite slack raises ValueError.
     """
-    es = _EXACT_SLACK if slack is SLACK else exact_fraction(slack)
-    if es < 0:
-        raise ValueError("slack must be nonnegative")
-    ea = _exact_or_none(a)
-    eb = _exact_or_none(b)
-    if ea is None or eb is None:
+    fa, fb, fs = map(_exact_form, (a, b, slack))
+    if not _is_finite(fs) or (fs[0] if type(fs) is tuple else fs < 0):
+        raise ValueError(f"slack must be finite and nonnegative, got {slack!r}")
+    if not (_is_finite(fa) and _is_finite(fb)):
         return Comparison.INDETERMINATE
-    if ea + es < eb:
+    if type(fa) is type(fb) is type(fs) is tuple:
+        gap = mpf_sub(fa, fb)  # a - b; precision 0 never rounds
+        below = mpf_cmp(gap, mpf_neg(fs))  # the sign of a + slack - b
+        above = mpf_cmp(gap, fs)  # the sign of a - slack - b
+    else:
+        (an, aq), (bn, bq), (sn, sq) = map(_integer_terms, (fa, fb, fs))
+        # a - b and slack over the common denominator aq * bq * sq > 0
+        gap = (an * bq - bn * aq) * sq
+        margin = sn * aq * bq
+        below = gap + margin
+        above = gap - margin
+    if below < 0:
         return Comparison.CERTIFIED_LESS
-    if ea - es > eb:
+    if above > 0:
         return Comparison.CERTIFIED_GREATER
     return Comparison.INDETERMINATE

@@ -562,6 +562,45 @@ def test_supercritical_caches_are_bit_identical(r, lam, prec, other_prec):
     assert got == _bits((saddle_data.__wrapped__(r, prec), _reference_supercritical_bound(r, lam, prec)))
 
 
+# the scanned supercritical lines, ratios on either side of them, and one
+# ratio so close to 3 + 2*sqrt(2) that M is about 1e-17: there lam*M < 1
+# and the first two terms are about 2**171, and the tail, near 2**26, still
+# moves the last bits of the sum
+TAIL_RATIOS = (Fraction(59, 10), Fraction(6), Fraction(7), Fraction(13), Fraction(100), Fraction(10**6, 7))
+NEAR_THRESHOLD_RATIO = _near_threshold(35, 1)
+
+
+def _tail_dropped(r, lam, prec):
+    """The stated cutoff of `supercritical_error_bound`: lam*M >= 1 and
+    x = lam*M*pi**2/2 > prec + GUARD_BITS + 16 - E, where 2**(E-1) <= t1 + t2 < 2**E."""
+    m_val = saddle_data.__wrapped__(r, prec).M
+    wp = prec + GUARD_BITS
+    with workprec(wp):
+        crit = 3 + 2 * mp.sqrt(mpf(2))
+        head = 3 * crit * mp.pi**5 / (256 * lam * m_val**2) + 5 * crit / (24 * lam * m_val**3)
+        _, e = mp.frexp(head)
+        return lam * m_val >= 1 and lam * m_val * mp.pi**2 / 2 > wp + 16 - e
+
+
+@pytest.mark.parametrize("prec", (53, 128, 200))
+@pytest.mark.parametrize("r", (*TAIL_RATIOS, NEAR_THRESHOLD_RATIO))
+def test_supercritical_bound_drops_its_tail_only_past_the_stated_cutoff(r, prec, monkeypatch):
+    exp = mp.exp
+    exps = []
+    monkeypatch.setattr(mp, "exp", lambda x: exps.append(x) or exp(x))
+    dropped = []
+    for lam in (*range(1, 261), 10**3, 10**5, 10**7):
+        exps.clear()
+        got = supercritical_error_bound(r, lam, prec)
+        dropped.append(not exps)
+        assert dropped[-1] is _tail_dropped(r, lam, prec), lam
+        assert got._mpf_ == _reference_supercritical_bound(r, lam, prec)._mpf_, lam
+    # the lambdas straddle the cutoff: the tail is evaluated up to it and dropped past it
+    assert dropped == sorted(dropped)
+    assert dropped[-1] is (r != NEAR_THRESHOLD_RATIO)
+    assert not dropped[0]
+
+
 @given(r=_ratios(10001, 58284), lam=st.integers(1, 10**7), prec=st.integers(53, 256), other_prec=st.integers(53, 256))
 @settings(max_examples=200, deadline=None)
 def test_subcritical_caches_are_bit_identical(r, lam, prec, other_prec):

@@ -1,8 +1,12 @@
+import math
 import random
 
 import pytest
 from fractions import Fraction
-from mpmath import mpf, workprec
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpf, workprec
+from mpmath.libmp import to_rational
 
 from binsum.certifier import WINDOW_CLAUSES
 from binsum.numerics import (
@@ -12,11 +16,18 @@ from binsum.numerics import (
     Comparison,
     certified_compare,
     decimal_constant,
-    exact_fraction,
     rational_to_real,
     to_real,
 )
 from binsum.asymptotics import NEAR_DIAGONAL_FLAT, NEAR_DIAGONAL_ROWS, supercritical_error_bound
+
+
+def exact_fraction(x) -> Fraction:
+    """The exact rational value of a finite int, float, Fraction or mpf."""
+    if isinstance(x, (int, float, Fraction)):
+        return Fraction(x)
+    p, q = to_rational(x._mpf_)
+    return Fraction(int(p), int(q))
 
 
 def test_to_real_exact_small_values():
@@ -64,8 +75,12 @@ def test_certified_compare_tight_threshold_value():
 
 
 def test_certified_compare_negative_slack_rejected():
-    with pytest.raises(ValueError):
-        certified_compare(1, 2, -1)
+    # and a non-finite one, in every operand type
+    for slack in (-1, -0.5, -SLACK, Fraction(-1, 3), math.inf, math.nan, mpf("inf"), mpf("nan")):
+        with pytest.raises(ValueError):
+            certified_compare(1, 2, slack)
+        with pytest.raises(ValueError):
+            certified_compare(Fraction(1, 3), mpf(2), slack)
 
 
 def test_certified_compare_never_contradicts_itself():
@@ -128,3 +143,75 @@ def test_decimal_constants_are_rounded_once_and_bit_identical():
             assert cached is decimal_constant(text, wp)
             with workprec(wp):
                 assert cached._mpf_ == mpf(text)._mpf_, (text, prec)
+
+
+# ---------------------------------------------------------------------------
+# certified_compare against a Fraction reference
+# ---------------------------------------------------------------------------
+
+def _reference_compare(a, b, slack) -> Comparison:
+    """`certified_compare` on exact Fractions: a + slack < b, a - slack > b."""
+    if not all(isinstance(x, Fraction) or mp.isfinite(x) for x in (a, b)):
+        return Comparison.INDETERMINATE
+    ea, eb, es = exact_fraction(a), exact_fraction(b), exact_fraction(slack)
+    if ea + es < eb:
+        return Comparison.CERTIFIED_LESS
+    if ea - es > eb:
+        return Comparison.CERTIFIED_GREATER
+    return Comparison.INDETERMINATE
+
+
+def _mpf_exactly(q: Fraction) -> mpf:
+    """The dyadic rational q (denominator a power of two) as an mpf, unrounded."""
+    shift = q.denominator.bit_length() - 1
+    assert q.denominator == 1 << shift
+    with workprec(max(53, abs(q.numerator).bit_length())):
+        return mpf((q.numerator, -shift))
+
+
+@st.composite
+def _mpfs(draw):
+    """An mpf of 53 to 400 bits with a binary exponent in about -2000..2000."""
+    prec = draw(st.integers(53, 400))
+    man = draw(st.integers(-(2**prec) + 1, 2**prec - 1))
+    exp = draw(st.integers(-2000 - prec, 2000 - prec))
+    with workprec(prec):
+        return mpf((man, exp))
+
+
+_FINITE = st.one_of(
+    _mpfs(),
+    st.integers(-(2**3000), 2**3000),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.fractions(),
+    st.builds(Fraction, st.integers(-(2**600), 2**600), st.integers(1, 2**600)),
+)
+_NON_FINITE = st.sampled_from([mpf("inf"), mpf("-inf"), mpf("nan"), math.inf, -math.inf, math.nan])
+_SLACKS = st.one_of(
+    st.just(0),
+    st.just(SLACK),
+    _mpfs().map(abs),
+    st.floats(min_value=0, allow_infinity=False),
+    st.fractions(min_value=0),
+)
+
+
+@given(a=_FINITE | _NON_FINITE, b=_FINITE | _NON_FINITE, slack=_SLACKS)
+@example(a=mpf(1), b=mpf(1) + SLACK, slack=SLACK)
+@example(a=Fraction(1, 3), b=Fraction(1, 3), slack=0)
+@example(a=mpf("inf"), b=mpf("inf"), slack=0)
+@settings(max_examples=1000, deadline=None)
+def test_certified_compare_matches_a_fraction_reference(a, b, slack):
+    assert certified_compare(a, b, slack) is _reference_compare(a, b, slack)
+
+
+@given(a=_FINITE, slack=_SLACKS, as_fraction=st.booleans(), below=st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_operands_exactly_the_slack_apart_are_indeterminate(a, slack, as_fraction, below):
+    # b = a + slack (or a - slack) exactly, as a Fraction or, when a and the
+    # slack are both dyadic, as an mpf
+    b = exact_fraction(a) + exact_fraction(slack) if below else exact_fraction(a) - exact_fraction(slack)
+    if not as_fraction and b.denominator & (b.denominator - 1) == 0:
+        b = _mpf_exactly(b)
+    assert certified_compare(a, b, slack) is Comparison.INDETERMINATE
+    assert certified_compare(b, a, slack) is Comparison.INDETERMINATE

@@ -14,11 +14,15 @@ bytes or their exit code.  The set covers:
 
 * every scan of the scan-exact, scan-exact-par2 and scan-lines workloads,
   seeds 1-3, in jsonl, csv and human, at --parallelism 1 and 2;
-* scans whose budget or gaps cut rows part-way through the row walk, in
-  the same formats and at the same parallelism;
+* scans whose budget or gaps cut rows part-way through the row walk, and
+  supercritical cascade scans across the lambda2 where the supercritical
+  bound stops evaluating its exponential tail, in the same formats and at
+  the same parallelism;
 * `certify` (with and without --delta) and `predict` at pairs that each
   cascade stage decides, at an exact pair and at refused pairs, with
   --budget 0 and --precision 53 and 200;
+* `predict` on the ratio-6 line on both sides of that tail cutoff, at
+  --precision 53, 128 and 200, in jsonl and human;
 * `intervals`, `poly`, `exceptions` and `plotdata` in every format;
 * `validate` for every lemma at two grids;
 * `eval` of three pairs on every route.
@@ -75,7 +79,16 @@ WALK_SCANS = (
     ("--budget", "7", "scan", "--l2", "60..80", "--l1-list", "70,71,72,75,76,77,78,90"),
     ("scan", "--l2", "1..8", "--l1-list", "9,6,9,2"),
     ("--budget", "100", "scan", "--l2", "1..40", "--all-l1-up-to", "200"),
+    # every pair goes to the cascade: term growth, then inconclusive up to
+    # where the supercritical bound falls below 1, then supercritical; the
+    # bound's exponential tail drops out from lambda2 = 91 (ratio 6) and 38
+    # (ratio 13) at the default precision
+    ("--budget", "0", "scan", "--l2", "1..400", "--ratio", "6"),
+    ("--budget", "0", "scan", "--l2", "1..200", "--ratio", "13"),
 )
+# (6 * lambda2, lambda2) around the tail cutoff, which lies at lambda2 = 50,
+# 91 and 130 at --precision 53, 128 and 200
+PREDICT_LAMBDA2S = (60, 90, 120)
 CERTIFY_OPTIONS = (
     (),
     ("--budget", "0"),
@@ -112,6 +125,9 @@ def commands() -> list[list[str]]:
                 out.append([*flags, "certify", str(l1), str(l2)])
                 out.append([*flags, "certify", str(l1), str(l2), "--delta", "1.0"])
                 out.append([*flags, "predict", str(l1), str(l2)])
+    for l2 in PREDICT_LAMBDA2S:
+        for options in ((), ("--precision", "53"), ("--precision", "200")):
+            out.extend(["--format", fmt, *options, "predict", str(6 * l2), str(l2)] for fmt in ("jsonl", "human"))
     tails = [
         ["intervals", "702"],
         ["intervals", "100000"],
