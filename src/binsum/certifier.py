@@ -62,7 +62,7 @@ from .asymptotics import (
     REFINED_BOUND_MAX_RATIO,
 )
 from . import exact
-from .exact import PartitionPair, congruence_class, evaluate, evaluation_cost
+from .exact import PartitionPair, evaluate, evaluation_cost
 from .numerics import (
     DEFAULT_PRECISION,
     GUARD_BITS,
@@ -73,9 +73,23 @@ from .numerics import (
     decimal_constant,
 )
 
-# cost units are 64-bit word multiplications; this is roughly one second of
-# single-core big-integer work
+# cost units are 64-bit word multiplications of the incremental loop.  On a
+# 2-core Intel Xeon with CPython 3.11 the scan of the ratio-3 line at
+# l2 = 2000-2039 evaluates 7.32*10**8 units in 0.27-0.34 s, so 10**8 units
+# take about 40 ms there (near l2 = 600 a unit takes about four times longer)
 DEFAULT_BUDGET = 10**8
+
+# A scan starts a process pool only when its estimated work in cost units
+# (`_scan_tasks`) reaches POOL_MIN_WORK.  Measured on the same machine (best
+# of 5, in-process `cli.main`): starting and joining a pool of two workers
+# takes 10-15 ms, and parallelism 2 draws level with 1 at about 40 ms of
+# serial work.  Ratio-3 rows at l2 = 1000-1019 (4.6*10**7 units) took 36 ms
+# serially and 41 ms in the pool, at l2 = 1500-1509 (7.6*10**7) 43 and 36 ms;
+# on the ratio-6 line the pool drew level between 400 and 800 cascade pairs.
+POOL_MIN_WORK = 6 * 10**7
+# the work charged for a pair that the budget sends to the cascade stages,
+# which take 50-150 us per pair on the ratio-6 and ratio-2 lines
+CASCADE_PAIR_COST = 10**5
 
 
 class CertificateKind(str, Enum):
@@ -433,26 +447,9 @@ def certificate_record(cert: Certificate) -> tuple:
 
 CSV_HEADER = "lambda1,lambda2,class,certificate,margin,exact_sign,usec"
 
-
-def record_jsonl(lambda2: int, record: tuple) -> str:
-    """The jsonl row of the scan record of one pair at `lambda2`; `scan` and
-    `certify` print this."""
-    l1, kind, _, margin, sign, _, _, _, usec = record
-    return (
-        f'{{"lambda1":{l1},"lambda2":{lambda2},'
-        f'"class":{congruence_class(l1, lambda2)},"certificate":"{kind.value}",'
-        f'"margin":{"null" if margin is None else format_float(margin)},'
-        f'"exact_sign":{"null" if sign is None else sign},"usec":{usec}}}'
-    )
-
-
-def record_csv(lambda2: int, record: tuple) -> str:
-    """The CSV row (columns `CSV_HEADER`) of the scan record of one pair at `lambda2`."""
-    l1, kind, _, margin, sign, _, _, _, usec = record
-    return (
-        f"{l1},{lambda2},{congruence_class(l1, lambda2)},{kind.value},{format_float(margin)},"
-        f"{'' if sign is None else sign},{usec}"
-    )
+# the certificate text of each kind: a dict lookup takes 25 ns per record
+# where the enum's `value` property takes 167 ns (timeit, CPython 3.11)
+_KIND_TEXT = {kind: kind.value for kind in CertificateKind}
 
 
 @dataclass(frozen=True)
@@ -460,7 +457,9 @@ class ScanReport:
     """Per-pair scan records in deterministic (lambda2, lambda1) order.
 
     `rows` holds one (lambda2, records) per scanned lambda2, in lambda2
-    order, with the records of `certificate_record` in lambda1 order.
+    order, with the records of `certificate_record` in lambda1 order.  The
+    `*_lines` methods are the one formatter of each output format, for
+    `scan` and `certify` alike.
     """
 
     rows: tuple[tuple[int, tuple[tuple, ...]], ...]
@@ -473,27 +472,44 @@ class ScanReport:
 
     @property
     def counts(self) -> dict[str, int]:
-        return dict(Counter(record[1].value for _, record in self.records()))
+        return dict(Counter(_KIND_TEXT[record[1]] for _, record in self.records()))
 
-    def _pairs_of(self, kind: CertificateKind) -> list[PartitionPair]:
-        return [PartitionPair(record[0], l2) for l2, record in self.records() if record[1] is kind]
+    def pairs(self, kind: CertificateKind) -> list[tuple[int, int]]:
+        """(lambda1, lambda2) of every record of `kind`, in scan order."""
+        return [(record[0], l2) for l2, records in self.rows for record in records if record[1] is kind]
 
-    @property
-    def inconclusive_pairs(self) -> list[PartitionPair]:
-        return self._pairs_of(CertificateKind.INCONCLUSIVE)
+    def jsonl_lines(self) -> list[str]:
+        """One json object per record.  The class is (lambda1 + lambda2) mod 4,
+        and the text up to it is built once per row."""
+        lines = []
+        for l2, records in self.rows:
+            head = f',"lambda2":{l2},"class":'
+            lines += [
+                f'{{"lambda1":{l1}{head}{(l1 + l2) % 4},"certificate":"{_KIND_TEXT[kind]}",'
+                f'"margin":{"null" if margin is None else format_float(margin)},'
+                f'"exact_sign":{"null" if sign is None else sign},"usec":{usec}}}'
+                for l1, kind, _, margin, sign, _, _, _, usec in records
+            ]
+        return lines
 
-    @property
-    def zero_pairs(self) -> list[PartitionPair]:
-        return self._pairs_of(CertificateKind.ZERO_EXACT)
+    def csv_lines(self) -> list[str]:
+        """`CSV_HEADER`, then one row per record."""
+        lines = [CSV_HEADER]
+        for l2, records in self.rows:
+            head = f",{l2},"
+            lines += [
+                f"{l1}{head}{(l1 + l2) % 4},{_KIND_TEXT[kind]},{'' if margin is None else format_float(margin)},"
+                f"{'' if sign is None else sign},{usec}"
+                for l1, kind, _, margin, sign, _, _, _, usec in records
+            ]
+        return lines
 
-    def jsonl_lines(self) -> Iterable[str]:
-        for l2, record in self.records():
-            yield record_jsonl(l2, record)
-
-    def csv_lines(self) -> Iterable[str]:
-        yield CSV_HEADER
-        for l2, record in self.records():
-            yield record_csv(l2, record)
+    def human_lines(self) -> list[str]:
+        """The count of each kind, then every inconclusive and every zero pair."""
+        lines = [f"{kind:24s} {count}" for kind, count in sorted(self.counts.items())]
+        lines += [f"inconclusive pair ({l1}, {l2})" for l1, l2 in self.pairs(CertificateKind.INCONCLUSIVE)]
+        lines += [f"ZERO VALUE at ({l1}, {l2})" for l1, l2 in self.pairs(CertificateKind.ZERO_EXACT)]
+        return lines
 
 
 def format_float(x) -> str:
@@ -502,15 +518,29 @@ def format_float(x) -> str:
     return "" if x is None else format(float(x), ".17g")
 
 
-def _row_records(lambda1s: list[int], l2: int, budget: int, prec: int) -> Iterator[tuple]:
+def _row_cut(lambda1s: list[int], l2: int, budget: int) -> tuple[int, int, int]:
+    """(lo, hi, cost) for the sorted lambda1 values of a row at lambda2 = l2 >= 1:
+    `certify` refuses lambda1s[:lo], the budget admits lambda1s[lo:hi], and
+    cost is the `evaluation_cost` of lambda1s[lo] when it is admitted, else 0."""
+    # certify refuses lambda1 <= lambda2; sorted, these come first
+    lo = bisect.bisect_right(lambda1s, l2)
+    if lo == len(lambda1s):
+        return lo, lo, 0
+    cost = evaluation_cost(PartitionPair(lambda1s[lo], l2))
+    if cost > budget:
+        return lo, lo, 0
+    # evaluation_cost is nondecreasing in lambda1, so the admitted pairs form a prefix
+    hi = bisect.bisect_right(lambda1s, budget, lo + 1, key=lambda l1: evaluation_cost(PartitionPair(l1, l2)))
+    return lo, hi, cost
+
+
+def _row_records(lambda1s: list[int], l2: int, lo: int, hi: int, prec: int) -> Iterator[tuple]:
     """The scan record (usec 0) of each lambda1 of `lambda1s` (sorted) at
-    lambda2 = l2, in turn, with the verdicts of `certify`."""
-    # certify refuses lambda1 <= lambda2 and a whole lambda2 = 0 row; sorted, these come first
-    lo = bisect.bisect_right(lambda1s, l2) if l2 else len(lambda1s)
-    # evaluation_cost is nondecreasing in lambda1, so the pairs the budget admits come next
-    hi = bisect.bisect_right(lambda1s, budget, lo, key=lambda l1: evaluation_cost(PartitionPair(l1, l2)))
+    lambda2 = l2, in turn, with the verdicts of `certify`, for the cut
+    (lo, hi) of `_row_cut`."""
     for l1 in lambda1s[:lo]:
-        yield certificate_record(certify(PartitionPair(l1, l2), budget, prec))
+        # refused before the budget is read
+        yield certificate_record(certify(PartitionPair(l1, l2), prec=prec))
     admitted = lambda1s[lo:hi]
     for l1, value in zip(admitted, exact.row_values(l2, admitted)):
         kind, sign, bits = _exact_fields(value)
@@ -520,11 +550,11 @@ def _row_records(lambda1s: list[int], l2: int, budget: int, prec: int) -> Iterat
 
 
 def _scan_row(args: tuple) -> tuple[int, tuple[tuple, ...]]:
-    """Certify one row, every lambda1 of `lambda1s` (sorted) at one lambda2,
-    into (lambda2, records); when `timed`, each record's usec is the time
-    taken to produce it."""
-    lambda1s, l2, budget, prec, timed = args
-    records = _row_records(lambda1s, l2, budget, prec)
+    """Certify one task of `_scan_tasks`, every lambda1 of a row at one
+    lambda2, into (lambda2, records); when `timed`, each record's usec is
+    the time taken to produce it."""
+    lambda1s, l2, lo, hi, prec, timed = args
+    records = _row_records(lambda1s, l2, lo, hi, prec)
     if not timed:
         return l2, tuple(records)
     timed_records = []
@@ -562,6 +592,20 @@ def rule_pairs(lambda2_range: tuple[int, int], rule) -> list[tuple[int, int]]:
     return [(l1, l2) for lambda1s, l2 in rule_rows(lambda2_range, rule) for l1 in lambda1s]
 
 
+def _scan_tasks(rows: list[tuple[list[int], int]], budget: int, prec: int, timed: bool) -> tuple[list[tuple], int]:
+    """The `_scan_row` task of each row of `rule_rows`, and the scan's
+    estimated work in cost units, read from the rows alone: the
+    `evaluation_cost` of each row's first admitted pair, which the row walk
+    evaluates afresh, plus `CASCADE_PAIR_COST` for each pair past the budget.
+    Walk steps are not charged."""
+    tasks, work = [], 0
+    for lambda1s, l2 in rows:
+        lo, hi, cost = _row_cut(lambda1s, l2, budget)
+        tasks.append((lambda1s, l2, lo, hi, prec, timed))
+        work += cost + CASCADE_PAIR_COST * (len(lambda1s) - hi)
+    return tasks, work
+
+
 def scan_range(
     lambda2_range: tuple[int, int],
     rule,
@@ -575,24 +619,28 @@ def scan_range(
     A task is one row: a lambda2 and its sorted lambda1 values.  Since
     `exact.evaluation_cost` is nondecreasing in lambda1, the pairs of a row
     that the budget admits form a prefix (after any pairs that `certify`
-    refuses), found by bisection and evaluated in one `exact.row_values`
-    walk, so each pair whose two predecessors S(lambda1 - 2, lambda2) and
-    S(lambda1 - 1, lambda2) were evaluated costs one step of the row
-    recurrence; the rest of the row goes straight to the `STAGES`.  The
-    verdicts are those of `certify` on each pair alone.  Rows run in
-    lambda2 order and both `map` and the pool's `map` keep input order, so
-    reports are byte-identical across parallelism settings (per-pair timing
-    is recorded only when `timings` is set, since wall clock readings are
-    not reproducible).  The pool gets at most as many workers as there are
-    usable CPUs and rows.  An invalid precision or parallelism raises
+    refuses), which this process finds by bisection and passes in the task.
+    The prefix is evaluated in one `exact.row_values` walk, so each pair
+    whose two predecessors S(lambda1 - 2, lambda2) and S(lambda1 - 1,
+    lambda2) were evaluated costs one step of the row recurrence; the rest
+    of the row goes straight to the `STAGES`.  The verdicts are those of
+    `certify` on each pair alone.
+
+    The rows run in a process pool only when the scan's estimated work (see
+    `_scan_tasks`) reaches `POOL_MIN_WORK`, with at most as many workers as
+    there are usable CPUs and rows; otherwise they run in this process.
+    Rows run in lambda2 order and both `map` and the pool's `map` keep input
+    order, so reports are byte-identical across parallelism settings (per-pair
+    timing is recorded only when `timings` is set, since wall clock readings
+    are not reproducible).  An invalid precision or parallelism raises
     ValueError before any work.
     """
     check_precision(prec)
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-    tasks = [(lambda1s, l2, budget, prec, timings) for lambda1s, l2 in rule_rows(lambda2_range, rule)]
+    tasks, work = _scan_tasks(rule_rows(lambda2_range, rule), budget, prec, timings)
     workers = min(parallelism, _usable_cpus(), len(tasks))
-    if workers == 1:
+    if workers == 1 or work < POOL_MIN_WORK:
         return ScanReport(tuple(map(_scan_row, tasks)))
     chunk = max(1, len(tasks) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -16,7 +16,6 @@ import contextlib
 import functools
 import json
 import sys
-from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -259,11 +258,9 @@ def cmd_certify(args, config: RunConfig) -> int:
             print(f"clause      {cert.clause}")
         if cert.reason is not None:
             print(f"reason      {cert.reason}")
-    elif config.output_format == "csv":
-        print(certifier.CSV_HEADER)
-        print(certifier.record_csv(pair.lambda2, certifier.certificate_record(cert)))
     else:
-        print(certifier.record_jsonl(pair.lambda2, certifier.certificate_record(cert)))
+        report = certifier.ScanReport(((pair.lambda2, (certifier.certificate_record(cert),)),))
+        print("\n".join(report.csv_lines() if config.output_format == "csv" else report.jsonl_lines()))
     return 0
 
 
@@ -287,35 +284,9 @@ def cmd_scan(args, config: RunConfig) -> int:
         parallelism=config.parallelism,
         timings=config.timings,
     )
-    # one walk over the records prints the report and collects the
-    # inconclusive pairs, which set the exit code
-    inconclusive = []
-    if config.output_format == "human":
-        counts, zeros = Counter(), []
-        for l2, records in report.rows:
-            for l1, kind, *_ in records:
-                counts[kind.value] += 1
-                if kind is CertificateKind.INCONCLUSIVE:
-                    inconclusive.append((l1, l2))
-                elif kind is CertificateKind.ZERO_EXACT:
-                    zeros.append((l1, l2))
-        for kind, count in sorted(counts.items()):
-            print(f"{kind:24s} {count}")
-        for l1, l2 in inconclusive:
-            print(f"inconclusive pair ({l1}, {l2})")
-        for l1, l2 in zeros:
-            print(f"ZERO VALUE at ({l1}, {l2})")
-    else:
-        csv = config.output_format == "csv"
-        line = certifier.record_csv if csv else certifier.record_jsonl
-        lines = [certifier.CSV_HEADER] if csv else []
-        for l2, records in report.rows:
-            for record in records:
-                lines.append(line(l2, record))
-                if record[1] is CertificateKind.INCONCLUSIVE:
-                    inconclusive.append((record[0], l2))
-        print("\n".join(lines))
-    return 3 if inconclusive else 0
+    lines = {"jsonl": report.jsonl_lines, "csv": report.csv_lines, "human": report.human_lines}
+    print("\n".join(lines[config.output_format]()))
+    return 3 if report.pairs(CertificateKind.INCONCLUSIVE) else 0
 
 
 def cmd_intervals(args, config: RunConfig) -> int:

@@ -172,18 +172,6 @@ def binomial(n: int, k: int) -> int:
     return _comb(n, k)
 
 
-def signed_terms(pair: PartitionPair) -> list[int]:
-    """The summand sequence (-1)**j C(l1,j) C(l2,j) for j = 0..l2."""
-    l1, l2 = pair.lambda1, pair.lambda2
-    term = 1
-    out = [1]
-    for j in range(1, l2 + 1):
-        term = term * (l1 - j + 1) // j
-        term = term * (l2 - j + 1) // j
-        out.append(-term if j % 2 else term)
-    return out
-
-
 def eval_direct(pair: PartitionPair) -> ExactValue:
     """Evaluate the defining sum, updating each term from the previous one.
 

@@ -27,6 +27,7 @@ from binsum.asymptotics import (
 from binsum.certifier import (
     NONZERO_KINDS,
     AllUpToRule,
+    CertificateKind,
     continued_fraction,
     difference_windows,
     scan_range,
@@ -55,8 +56,8 @@ def test_criterion_01_route_equivalence():
 
 def test_criterion_02_exhaustive_small_scan_and_row_roots():
     report = scan_range((1, 60), AllUpToRule(120), budget=10**12)
-    assert not report.inconclusive_pairs
-    assert not report.zero_pairs
+    assert not report.pairs(CertificateKind.INCONCLUSIVE)
+    assert not report.pairs(CertificateKind.ZERO_EXACT)
     assert all(record[1] in NONZERO_KINDS for _, record in report.records())
     offenders = {}
     for lambda2 in range(0, 61):
@@ -215,17 +216,21 @@ def test_criterion_12_scan_determinism():
     # the child imports binsum from this checkout's src/, installed or not
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    outputs = []
-    for parallelism in ("1", "8"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "binsum", "--parallelism", parallelism,
-             "scan", "--l2", "1..60", "--all-l1-up-to", "120"],
-            capture_output=True,
-            env=env,
-            timeout=600,
-        )
-        assert proc.returncode == 0, proc.stderr.decode()
-        outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
-    assert len(outputs[0].splitlines()) == sum(max(0, 120 - l2) for l2 in range(1, 61))
-    _report(12, "byte-identical jsonl from the same scan at parallelism 1 and 8")
+    # the rectangle runs in-process at every parallelism; the ten exact
+    # ratio-3 pairs are heavy enough to start the worker pool
+    scans = (("--l2", "1..60", "--all-l1-up-to", "120"), ("--l2", "2000..2009", "--ratio", "3"))
+    outputs = {}
+    for scan in scans:
+        for parallelism in ("1", "8"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "binsum", "--parallelism", parallelism, "scan", *scan],
+                capture_output=True,
+                env=env,
+                timeout=600,
+            )
+            assert proc.returncode == 0, proc.stderr.decode()
+            outputs[scan, parallelism] = proc.stdout
+        assert outputs[scan, "1"] == outputs[scan, "8"]
+    assert len(outputs[scans[0], "1"].splitlines()) == sum(max(0, 120 - l2) for l2 in range(1, 61))
+    assert len(outputs[scans[1], "1"].splitlines()) == 10
+    _report(12, "byte-identical jsonl from the same scans at parallelism 1 and 8, in-process and pooled")

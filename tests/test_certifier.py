@@ -1,8 +1,10 @@
+import json
 import math
 import os
 import pickle
 import pickletools
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -17,8 +19,10 @@ from binsum.certifier import (
     ListRule,
     STAGES,
     RatioRule,
+    ScanReport,
     _near_diagonal_step,
     _scan_row,
+    _scan_tasks,
     _window_step,
     certificate_record,
     certify,
@@ -26,11 +30,33 @@ from binsum.certifier import (
     continued_fraction,
     difference_windows,
     exception_count_bound,
-    record_csv,
-    record_jsonl,
     scan_range,
 )
 from binsum.exact import PartitionPair, evaluate, evaluation_cost, row_step
+
+
+def _one_pair_rows(records) -> ScanReport:
+    """A report with one row per (lambda2, record), the layout `certify` prints."""
+    return ScanReport(tuple((l2, (record,)) for l2, record in records))
+
+
+@pytest.fixture
+def pool_starts():
+    """Lowers the pool threshold to 0, so that a scan at parallelism 2 runs
+    its rows in a real ProcessPoolExecutor of two workers, even on one CPU;
+    lists the worker count of every pool started."""
+    started = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(certifier, "POOL_MIN_WORK", 0)
+        patch.setattr(certifier, "ProcessPoolExecutor", CountingPool)
+        patch.setattr(certifier, "_usable_cpus", lambda: 2)
+        yield started
 
 
 def test_refusals():
@@ -131,15 +157,13 @@ def test_near_diagonal_pair_past_every_cosine_window_is_inconclusive():
 
 def test_term_growth_soundness_window():
     # just beyond the growth threshold the exact values are indeed nonzero
-    from binsum.exact import signed_terms
-
     for l2 in range(1, 31):
         threshold = l2 * (l2 + 1) - 1
         for l1 in range(threshold + 1, threshold + 21):
             pair = PartitionPair(l1, l2)
             assert certify_by_term_growth(pair)
             assert evaluate(pair).value != 0
-            magnitudes = [abs(t) for t in signed_terms(pair)][1:]
+            magnitudes = [math.comb(l1, j) * math.comb(l2, j) for j in range(1, l2 + 1)]
             assert all(a < b for a, b in zip(magnitudes, magnitudes[1:]))
 
 
@@ -294,8 +318,8 @@ def test_scan_with_ratio_caches_equals_uncached_pairs():
         for l2, record in report.records():
             for cached in caches:
                 cached.cache_clear()
-            expected.append(record_jsonl(l2, certificate_record(certify(PartitionPair(record[0], l2), budget=0))))
-        assert list(report.jsonl_lines()) == expected
+            expected.append((l2, certificate_record(certify(PartitionPair(record[0], l2), budget=0))))
+        assert report.jsonl_lines() == _one_pair_rows(expected).jsonl_lines()
 
 
 def test_scan_counts_and_order():
@@ -304,22 +328,25 @@ def test_scan_counts_and_order():
     assert sum(report.counts.values()) == len(keys)
     assert report.counts.get("nonzero_exact") == len(keys)
     assert keys == sorted(keys)
-    assert not report.inconclusive_pairs
-    assert not report.zero_pairs
+    assert not report.pairs(CertificateKind.INCONCLUSIVE)
+    assert not report.pairs(CertificateKind.ZERO_EXACT)
 
 
-def test_scan_parallel_matches_serial():
+def test_scan_parallel_matches_serial(pool_starts):
     serial = scan_range((1, 25), AllUpToRule(40), budget=10**9, parallelism=1)
     parallel = scan_range((1, 25), AllUpToRule(40), budget=10**9, parallelism=2)
-    assert list(serial.jsonl_lines()) == list(parallel.jsonl_lines())
-    assert list(serial.csv_lines()) == list(parallel.csv_lines())
+    assert pool_starts == [2]
+    assert serial.jsonl_lines() == parallel.jsonl_lines()
+    assert serial.csv_lines() == parallel.csv_lines()
+    assert serial.human_lines() == parallel.human_lines()
 
 
-def test_scan_keeps_task_order_across_parallelism():
+def test_scan_keeps_task_order_across_parallelism(pool_starts):
     # duplicates and unsorted values: the order comes from task generation
     rule = ListRule((9, 6, 9, 2))
     serial = scan_range((5, 7), rule, budget=10**9, parallelism=1)
     parallel = scan_range((5, 7), rule, budget=10**9, parallelism=2)
+    assert pool_starts == [2]
     assert serial.rows == parallel.rows
     assert [(l2, record[0]) for l2, record in serial.records()] == [
         (5, 6),
@@ -345,12 +372,12 @@ SCAN_CASES = [
 
 
 @pytest.mark.parametrize("lambda2_range, rule, budget", SCAN_CASES)
-def test_scan_rows_match_certify_per_pair(monkeypatch, lambda2_range, rule, budget):
+def test_scan_rows_match_certify_per_pair(monkeypatch, pool_starts, lambda2_range, rule, budget):
     pairs = [PartitionPair(l1, l2) for l1, l2 in certifier.rule_pairs(lambda2_range, rule)]
     certs = [certify(p, budget) for p in pairs]
     expected_records = [(p.lambda2, certificate_record(c)) for p, c in zip(pairs, certs)]
-    expected_jsonl = [record_jsonl(p.lambda2, certificate_record(c)) for p, c in zip(pairs, certs)]
-    expected_csv = [certifier.CSV_HEADER] + [record_csv(p.lambda2, certificate_record(c)) for p, c in zip(pairs, certs)]
+    expected_jsonl = _one_pair_rows(expected_records).jsonl_lines()
+    expected_csv = _one_pair_rows(expected_records).csv_lines()
     evaluated = []  # (lambda1, lambda2, walked) per exact evaluation
 
     def recording_evaluate(pair, route=None):
@@ -367,10 +394,11 @@ def test_scan_rows_match_certify_per_pair(monkeypatch, lambda2_range, rule, budg
     serial = scan_range(lambda2_range, rule, budget=budget)
     monkeypatch.undo()
     parallel = scan_range(lambda2_range, rule, budget=budget, parallelism=2)
+    assert pool_starts == [2]
     for report in (serial, parallel):
         assert list(report.records()) == expected_records
-        assert list(report.jsonl_lines()) == expected_jsonl
-        assert list(report.csv_lines()) == expected_csv
+        assert report.jsonl_lines() == expected_jsonl
+        assert report.csv_lines() == expected_csv
     # every pair the budget admits is evaluated once, and walked exactly when
     # the two lambda1 before it in its row were evaluated too
     admitted = [(p.lambda1, p.lambda2) for p in pairs if evaluation_cost(p) <= budget]
@@ -394,7 +422,7 @@ def test_scan_checks_the_precision_before_any_work(monkeypatch, parallelism):
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])
-def test_timed_scan_cut_by_the_budget_records_what_an_untimed_one_does(parallelism):
+def test_timed_scan_cut_by_the_budget_records_what_an_untimed_one_does(pool_starts, parallelism):
     # budget 60 cuts the rows at lambda1 = 65 or 129; the ListRule rows add
     # gaps and a repeat, and budget 40 refuses lambda1 = 200 from lambda2 = 2 on
     for lambda2_range, rule, budget in [((1, 30), AllUpToRule(150), 60), ((1, 12), ListRule((9, 6, 9, 2, 200)), 40)]:
@@ -406,9 +434,10 @@ def test_timed_scan_cut_by_the_budget_records_what_an_untimed_one_does(paralleli
         assert {record[-1] for _, record in untimed.records()} == {0}
         assert all(isinstance(record[-1], int) and record[-1] >= 0 for _, record in timed.records())
         assert {record[1] for _, record in timed.records()} > {CertificateKind.NONZERO_EXACT}
+    assert pool_starts == ([2] * 4 if parallelism == 2 else [])
 
 
-def test_scan_records_keep_every_certificate_field():
+def test_scan_records_keep_every_certificate_field(pool_starts):
     # at budget 0 the diff band certifies by difference windows (a clause) and
     # the near-diagonal bound (a margin), the ratio-2 band by the oscillatory
     # bound (a margin) or not at all (a reason)
@@ -428,6 +457,7 @@ def test_scan_records_keep_every_certificate_field():
             report = scan_range(lambda2_range, rule, budget=0, parallelism=parallelism)
             assert list(report.records()) == [(p.lambda2, certificate_record(c)) for p, c in zip(pairs, certs)]
             assert report.counts == counts
+    assert pool_starts == [2, 2]
 
 
 def _pickled_globals(data: bytes) -> set[tuple[str, str]]:
@@ -458,10 +488,11 @@ def _pickled_globals(data: bytes) -> set[tuple[str, str]]:
 
 
 def test_scan_row_pickles_no_binsum_class_but_the_kind():
-    rows = [
-        _scan_row(([3, 4, 30], 3, 10**9, 128, True)),
-        _scan_row(([100006, 101006, 200012, 200014, 10**10 + 1], 100006, 0, 128, False)),
+    tasks = [
+        *_scan_tasks([([3, 4, 30], 3)], 10**9, 128, True)[0],
+        *_scan_tasks([([100006, 101006, 200012, 200014, 10**10 + 1], 100006)], 0, 128, False)[0],
     ]
+    rows = [_scan_row(task) for task in tasks]
     kinds = {record[1].value for _, records in rows for record in records}
     assert kinds == {
         "refused",
@@ -481,7 +512,10 @@ def test_scan_row_pickles_no_binsum_class_but_the_kind():
     assert {("binsum.certifier", "Certificate"), ("binsum.exact", "PartitionPair")} <= found
 
 
-def test_scan_caps_workers_at_cpus_and_tasks(monkeypatch):
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    """Replaces ProcessPoolExecutor by a pool that runs the tasks in this
+    process; lists the worker count of every pool started."""
     started = []
 
     class RecordingPool:
@@ -500,6 +534,12 @@ def test_scan_caps_workers_at_cpus_and_tasks(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(certifier, "ProcessPoolExecutor", RecordingPool)
+    return started
+
+
+def test_scan_caps_workers_at_cpus_and_tasks(monkeypatch, recorded_pools):
+    started = recorded_pools
+    monkeypatch.setattr(certifier, "POOL_MIN_WORK", 0)
     rule = ListRule((9, 6, 2))
     serial = scan_range((5, 8), rule, budget=10**9)  # 4 tasks: one row per lambda2
     assert started == []
@@ -517,6 +557,87 @@ def test_scan_caps_workers_at_cpus_and_tasks(monkeypatch):
     monkeypatch.setattr(certifier, "_usable_cpus", lambda: 1)
     scan_range((5, 7), rule, budget=10**9, parallelism=8)
     assert started == []
+
+
+def test_scan_starts_the_pool_only_from_the_work_threshold_on(monkeypatch, recorded_pools):
+    monkeypatch.setattr(certifier, "_usable_cpus", lambda: 2)
+    # the benchmark's exact rectangle and the 60 ratio-2 cascade pairs are cheap
+    cheap = [((1, 100), AllUpToRule(200), certifier.DEFAULT_BUDGET), ((100000, 100059), RatioRule(Fraction(2)), 0)]
+    for lambda2_range, rule, budget in cheap:
+        _, work = _scan_tasks(certifier.rule_rows(lambda2_range, rule), budget, 128, False)
+        assert work < certifier.POOL_MIN_WORK
+        serial = scan_range(lambda2_range, rule, budget=budget)
+        assert scan_range(lambda2_range, rule, budget=budget, parallelism=2).rows == serial.rows
+    assert recorded_pools == []
+    # ten exact ratio-3 pairs of about 8 ms each repay the pool
+    heavy = ((2000, 2009), RatioRule(Fraction(3)))
+    assert _scan_tasks(certifier.rule_rows(*heavy), certifier.DEFAULT_BUDGET, 128, False)[1] >= certifier.POOL_MIN_WORK
+    scan_range(*heavy, parallelism=2)
+    assert recorded_pools == [2]
+    # the gate is exactly work >= POOL_MIN_WORK
+    lambda2_range, rule = (1, 30), AllUpToRule(60)
+    _, work = _scan_tasks(certifier.rule_rows(lambda2_range, rule), 10, 128, False)
+    for threshold, started in [(work + 1, []), (work, [2])]:
+        recorded_pools.clear()
+        monkeypatch.setattr(certifier, "POOL_MIN_WORK", threshold)
+        scan_range(lambda2_range, rule, budget=10, parallelism=2)
+        assert recorded_pools == started
+
+
+def test_scan_work_estimate_reads_nothing_but_the_rows(monkeypatch):
+    def no_clock(*args, **kwargs):
+        raise AssertionError("the work estimate read the machine")
+
+    for name in ("perf_counter", "monotonic", "time", "process_time"):
+        monkeypatch.setattr(certifier.time, name, no_clock)
+    monkeypatch.setattr(certifier, "_usable_cpus", no_clock)
+    # budget 100 cuts each row part-way, and admits no pair of the last row
+    rows = [*certifier.rule_rows((20, 30), AllUpToRule(200)), ([5000, 6000], 31)]
+    tasks, work = _scan_tasks(rows, 100, 128, False)
+    firsts = [evaluation_cost(PartitionPair(lambda1s[0], l2)) for lambda1s, l2 in rows]
+    fresh = [cost for cost in firsts if cost <= 100]
+    cascade = sum(len(lambda1s) - (hi - lo) for (lambda1s, _, lo, hi, _, _) in tasks)
+    assert len(fresh) == len(rows) - 1 and cascade
+    assert work == sum(fresh) + certifier.CASCADE_PAIR_COST * cascade
+    assert _scan_tasks(rows, 100, 128, True)[1] == work
+    for lambda1s, l2, lo, hi, _, _ in tasks:
+        costs = [evaluation_cost(PartitionPair(l1, l2)) for l1 in lambda1s]
+        assert lo == 0 and all(c <= 100 for c in costs[:hi]) and all(c > 100 for c in costs[hi:])
+
+
+def test_scan_lines_read_back_to_the_records():
+    # exact values of both signs, term growth, supercritical and oscillatory
+    # margins, difference windows and inconclusive pairs
+    scans = [
+        ((2, 8), ListRule((3, 9, 10, 200)), 100),
+        ((241, 244), RatioRule(Fraction(6)), 0),
+        ((100000, 100007), DiffRule(1000), 0),
+        ((720, 721), DiffRule(1), 0),
+    ]
+    report = ScanReport(sum((scan_range(*scan[:2], budget=scan[2]).rows for scan in scans), ()))
+    records = list(report.records())
+    assert {record[1] for _, record in records} == set(CertificateKind) - {
+        CertificateKind.ZERO_EXACT,
+        CertificateKind.REFUSED,
+    }
+    assert {record[4] for _, record in records} == {-1, 1, None}
+    jsonl = report.jsonl_lines()
+    csv = report.csv_lines()
+    assert csv[0] == certifier.CSV_HEADER
+    assert len(jsonl) == len(csv) - 1 == len(records)
+    for (l2, (l1, kind, _, margin, sign, _, _, _, usec)), line, row in zip(records, jsonl, csv[1:]):
+        fields = (l1, l2, exact.congruence_class(l1, l2), kind.value, margin, sign, usec)
+        assert tuple(json.loads(line).values()) == fields
+        l1_cell, l2_cell, class_cell, kind_cell, margin_cell, sign_cell, usec_cell = row.split(",")
+        assert (
+            int(l1_cell),
+            int(l2_cell),
+            int(class_cell),
+            kind_cell,
+            float(margin_cell) if margin_cell else None,
+            int(sign_cell) if sign_cell else None,
+            int(usec_cell),
+        ) == fields
 
 
 def test_usable_cpus_is_within_cpu_count():

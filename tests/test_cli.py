@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from binsum import cli
+from binsum import certifier, cli
 from binsum.certifier import CSV_HEADER
 from binsum.cli import build_parser, main, _unlimited_int_str
 from binsum.exact import PartitionPair, evaluate
@@ -506,7 +506,10 @@ def test_consecutive_main_calls_share_no_state(capsys, first, second):
         (("--budget", "0", "scan", "--l2", "100000..100059", "--ratio", "2"), 3),
     ],
 )
-def test_scan_output_is_the_same_at_parallelism_1_and_2(capsys, output_format, argv, code):
+def test_scan_output_is_the_same_at_parallelism_1_and_2(capsys, monkeypatch, output_format, argv, code):
+    # both scans are below the pool threshold; lowered, parallelism 2 runs a real pool
+    monkeypatch.setattr(certifier, "POOL_MIN_WORK", 0)
+    monkeypatch.setattr(certifier, "_usable_cpus", lambda: 2)
     serial = run_cli(capsys, "--format", output_format, "--parallelism", "1", *argv)
     parallel = run_cli(capsys, "--format", output_format, "--parallelism", "2", *argv)
     assert serial == parallel

@@ -22,8 +22,13 @@ from binsum.exact import (
     reduced_term_count,
     row_step,
     row_values,
-    signed_terms,
 )
+
+
+def signed_terms(pair: PartitionPair) -> list[int]:
+    """The summand sequence (-1)**j C(l1,j) C(l2,j) for j = 0..l2, from
+    `math.comb` (the reference the term-growth tests read)."""
+    return [(-1) ** j * math.comb(pair.lambda1, j) * math.comb(pair.lambda2, j) for j in range(pair.lambda2 + 1)]
 
 
 def test_pair_normalization_enforced():

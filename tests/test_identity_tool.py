@@ -39,3 +39,20 @@ def test_identity_line_hashes_stdout_and_keeps_the_exit_code():
     tool = _load_tool()
     assert tool.run(["eval", "6", "1"]) == (hashlib.sha256(b"-5\n").hexdigest(), 0)
     assert tool.run(["--format", "csv", "predict", "300", "100"]) == (hashlib.sha256(b"").hexdigest(), 2)
+
+
+def test_identity_exits_1_on_the_first_scan_that_differs_from_its_parallelism_1_twin(monkeypatch, capsys):
+    tool = _load_tool()
+    scan = ["scan", "--l2", "1..3", "--diff", "1"]
+    par2 = ["--parallelism", "2", *scan]
+    argvs = [scan, par2, ["--format", "csv", *scan], ["--format", "csv", "--parallelism", "2", *scan]]
+    assert [tool.serial_twin(argv) for argv in argvs] == [None, scan, None, argvs[2]]
+    monkeypatch.setattr(tool, "commands", lambda: argvs)
+    assert tool.main() == 0
+    assert capsys.readouterr().out.count("\n") == 4
+    real_run = tool.run
+    monkeypatch.setattr(tool, "run", lambda argv: ("0" * 64, 0) if "--parallelism" in argv else real_run(argv))
+    assert tool.main() == 1
+    out, err = capsys.readouterr()
+    assert out.count("\n") == 4
+    assert err == "error: --parallelism 2 scan --l2 1..3 --diff 1 differs from scan --l2 1..3 --diff 1\n"

@@ -10,14 +10,17 @@ is printed:
     sha256(stdout) exit-code argv
 
 Diff the files of two checkouts to see which commands changed their output
-bytes or their exit code.  The set covers:
+bytes or their exit code.  Every scan runs at --parallelism 1 and 2; the
+harness exits 1 and names the first scan whose hash or exit code at 2
+differs from its twin at 1.  The set covers:
 
 * every scan of the scan-exact, scan-exact-par2 and scan-lines workloads,
   seeds 1-3, in jsonl, csv and human, at --parallelism 1 and 2;
 * scans whose budget or gaps cut rows part-way through the row walk, and
   supercritical cascade scans across the lambda2 where the supercritical
-  bound stops evaluating its exponential tail, in the same formats and at
-  the same parallelism;
+  bound stops evaluating its exponential tail, and a scan heavy enough to
+  start the worker pool at --parallelism 2, in the same formats and at the
+  same parallelism;
 * `certify` (with and without --delta) and `predict` at pairs that each
   cascade stage decides, at an exact pair and at refused pairs, with
   --budget 0 and --precision 53 and 200;
@@ -86,6 +89,9 @@ WALK_SCANS = (
     ("--budget", "0", "scan", "--l2", "1..400", "--ratio", "6"),
     ("--budget", "0", "scan", "--l2", "1..200", "--ratio", "13"),
 )
+# ten exact ratio-3 pairs, whose estimated work starts the pool at
+# --parallelism 2 (`certifier.POOL_MIN_WORK`)
+POOL_SCANS = (("scan", "--l2", "2000..2009", "--ratio", "3"),)
 # (6 * lambda2, lambda2) around the tail cutoff, which lies at lambda2 = 50,
 # 91 and 130 at --precision 53, 128 and 200
 PREDICT_LAMBDA2S = (60, 90, 120)
@@ -115,7 +121,7 @@ def commands() -> list[list[str]]:
             for scan in workloads.build(name, seed).scans:
                 for parallelism in (1, 2):
                     out.extend(["--format", fmt, *scan.argv(parallelism)] for fmt in FORMATS)
-    for scan in WALK_SCANS:
+    for scan in (*WALK_SCANS, *POOL_SCANS):
         for flags in ((), ("--parallelism", "2")):
             out.extend(["--format", fmt, *flags, *scan] for fmt in FORMATS)
     for l1, l2 in CERTIFY_PAIRS:
@@ -166,11 +172,26 @@ def run(argv: list[str]) -> tuple[str, object]:
     return hashlib.sha256(out.getvalue().encode()).hexdigest(), code
 
 
+def serial_twin(argv: list[str]) -> list[str] | None:
+    """`argv` without its --parallelism 2, or None when it has none."""
+    if "--parallelism" not in argv:
+        return None
+    i = argv.index("--parallelism")
+    return argv[:i] + argv[i + 2 :]
+
+
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
+    results = {}
     for argv in commands():
         digest, code = run(argv)
+        results[tuple(argv)] = digest, code
         print(f"{digest} {code} {shlex.join(argv)}", flush=True)
+    for argv, result in results.items():
+        twin = serial_twin(list(argv))
+        if twin is not None and results.get(tuple(twin)) != result:
+            print(f"error: {shlex.join(argv)} differs from {shlex.join(twin)}", file=sys.stderr)
+            return 1
     return 0
 
 
