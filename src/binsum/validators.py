@@ -1,33 +1,59 @@
 """Numeric grid validators for the supporting inequalities of the error bounds.
 
-Each validator evaluates g(theta) = Re f(rho*e^{i*theta}) and
-h(theta) = Im f(rho*e^{i*theta}) directly from the definition of f and
-asserts one proved inequality pointwise on an (r, theta) grid, reporting the
-worst margin (left side minus right side; every margin should be <= 0 up to
-the decision slack).  The validators check consequences only; the helper
-functions used inside the proofs are not exported.
+The saddle-point bounds rest on eight inequalities for
+f(z) = r*log(1+z) + log(1-z) - log(z) on the circle z = rho*e^(i*t), through
+g(t) = Re f and h(t) = Im f.  Every lemma has 0 < rho < 1, so
+Re(1 +- z) >= 1 - rho > 0: both log(1 +- z) are principal logs of points in
+the right half-plane, with real part log|1 +- z| and imaginary part an
+atan2.  And log z = log(rho) + i*t for -pi < t <= pi (at t = -pi the
+principal log has i*pi instead, which flips only the sign of h = pi, and h
+enters its lemma as |h|).  So, exactly,
+
+  g(t) = (r*log(1 + 2*rho*cos t + rho**2) + log(1 - 2*rho*cos t + rho**2))/2 - log(rho)
+  h(t) = r*atan2(rho*sin t, 1 + rho*cos t) + atan2(-rho*sin t, 1 - rho*cos t) - t
+
+with log(rho) computed once per ratio and no complex log.  A lemma on g
+never computes h, and h takes its cosine and sine from one `mp.cos_sin`.
+
+Each lemma is one row (F, c, Q, side, R2, R3, R4) of one margin form, a
+centre c, a quadratic model Q and a polynomial remainder in u = t - c:
+
+  margin(t) = side(F(t) - F(c) + Q*u**2) - (R2*u**2 + R3*|u|**3 + R4*u**4)
+
+with F one of g, h and f = g + i*h, and side abs or the identity.  The
+margin is the left side minus the right side of the inequality, so it
+should be <= 0 (up to the decision slack) at every point of the
+hypothesis region.  F(c) comes from the same F as F(t), so every margin is
+exactly 0 at t = c.  `validate_inequality` asserts it pointwise on an
+(r, theta) grid and reports the worst margin.  The validators check
+consequences only; the helper functions used inside the proofs are not
+exported.
 
 `_LEMMAS` is the registry: one entry per lemma id, holding its default
-ratio range, its theta region and its margin.  The registered inequalities
-(hypothesis region in brackets):
+ratio range, its theta region and its row.  The rows, with M, the saddle
+angle a and the phase beta from `saddle_data`, nd = 6r - 1 - r**2, and the
+hypothesis region in brackets:
 
-  super-g-decay    g(t)-g(0) <= -(2/pi**2)*M*t**2            [r > 3+2*sqrt(2), |t| <= pi]
-  super-g-strict   g(t)-g(0) <= -M*t**2/2                    [3+2*sqrt(2) < r <= 7.686899, |t| <= pi/3]
-  super-g-quartic  |g(t)-g(0)+M*t**2/2| <= C_g(cos t)*t**4   [r > 3+2*sqrt(2), |t| <= pi]
-  super-h-cubic    |h(t)| <= C_h(cos t)*|t|**3               [same region]
-  sub-f-cubic      |f on circle - quadratic saddle model|
-                     <= 0.33846*(r+1)**2/r**2*|t-a|**3       [1 < r < 3+2*sqrt(2), a/2 <= t <= pi-a/2]
-  sub-g-decay      g(t)-g(a) <= -(r+1)*(6r-1-r**2)/(16r)*(t-a)**2
-                     + (r+1)/4*|t-a|**3                      [same region]
-  near1-f-cubic    |f on circle + (t-a)**2/2 shift| <= |t-a|**3/3
-                     + (r-1)/4*(t-a)**2                      [1 <= r <= 2.282, |t-a| <= sqrt(r-1)]
-  near1-g-decay    g(t)-g(a) <= -(t-a)**2/2 + |t-a|**3/2     [1 < r <= 2.11952, a/2 <= t <= 3a/2]
+  super-g-decay    (g, 0, 2M/pi**2, id, 0, 0, 0)        [r > 3+2*sqrt(2), |t| <= pi]
+  super-g-strict   (g, 0, M/2, id, 0, 0, 0)             [3+2*sqrt(2) < r <= 7.686899, |t| <= pi/3]
+  super-g-quartic  (g, 0, M/2, abs, 0, 0, C_g(cos t))   [r > 3+2*sqrt(2), |t| <= pi]
+  super-h-cubic    (h, 0, 0, abs, 0, C_h(cos t), 0)     [same region]
+  sub-f-cubic      (f, a, sqrt(nd)/4*e^(-i*beta), abs, 0, 0.33846*(r+1)**2/r**2, 0)
+                                                        [1 < r < 3+2*sqrt(2), a/2 <= t <= pi-a/2]
+  sub-g-decay      (g, a, (r+1)*nd/(16r), id, 0, (r+1)/4, 0)   [same region]
+  near1-f-cubic    (f, a, 1/2, abs, (r-1)/4, 1/3, 0)    [1 <= r <= 2.282, |t-a| <= sqrt(r-1)]
+  near1-g-decay    (g, a, 1/2, id, 0, 1/2, 0)           [1 < r <= 2.11952, a/2 <= t <= 3a/2]
+
+So super-g-decay reads g(t) - g(0) <= -(2/pi**2)*M*t**2, and sub-f-cubic
+bounds |f(t) - f(a) - quadratic saddle model| by a cubic in |t - a|.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from operator import pos
 from typing import Callable, Sequence
 
 from mpmath import mp, mpf, workprec
@@ -59,11 +85,6 @@ class LemmaReport:
     worst_r: Fraction | None
     worst_theta: float | None
     passed: bool
-
-
-def _f_on_circle(rm: mpf, rho: mpf, theta: mpf):
-    z = rho * mp.mpc(mp.cos(theta), mp.sin(theta))
-    return rm * mp.log(1 + z) + mp.log(1 - z) - mp.log(z)
 
 
 def _require_supercritical(r: Fraction) -> None:
@@ -112,97 +133,72 @@ def _near1_g_region(r: Fraction, prec: int) -> tuple[mpf, mpf]:
     return alpha / 2, 3 * alpha / 2
 
 
-# Margin factories: (saddle data of r, r as a real) -> the function theta ->
-# left side minus right side of the inequality at r.  Everything that
-# depends on the ratio alone (the discriminant, the model coefficients, f at
-# the saddle angle) is computed by the factory, once per ratio.  Call the
-# factory and the function it returns under workprec(sd.prec + GUARD_BITS).
+class _Circle:
+    """g, h and f = g + i*h at z = rho*e^(i*theta) for the ratio of `sd`,
+    with the real constants of the ratio computed once.  Build and call it
+    under workprec(sd.prec + GUARD_BITS)."""
+
+    def __init__(self, sd: SaddleData):
+        self.rho, self.M, self.alpha, self.beta = sd.rho, sd.M, sd.alpha, sd.beta
+        self.r = rational_to_real(sd.r, sd.prec + GUARD_BITS)
+        self.nd = rational_to_real(negated_discriminant(sd.r), sd.prec + GUARD_BITS)
+        self._two_rho, self._rho2, self._log_rho = 2 * sd.rho, sd.rho**2, mp.log(sd.rho)
+
+    def _g(self, c: mpf) -> mpf:
+        x = self._two_rho * c  # 1 +- x + rho**2 = |1 +- z|**2
+        return (self.r * mp.log(1 + x + self._rho2) + mp.log(1 - x + self._rho2)) / 2 - self._log_rho
+
+    def _h(self, t: mpf, c: mpf, s: mpf) -> mpf:
+        rho = self.rho
+        return self.r * mp.atan2(rho * s, 1 + rho * c) + mp.atan2(-rho * s, 1 - rho * c) - t
+
+    def g(self, t: mpf) -> mpf:
+        return self._g(mp.cos(t))
+
+    def h(self, t: mpf) -> mpf:
+        return self._h(t, *mp.cos_sin(t))
+
+    def f(self, t: mpf):
+        c, s = mp.cos_sin(t)
+        return mp.mpc(self._g(c), self._h(t, c, s))
 
 
-def _super_g_decay(sd: SaddleData, rm: mpf) -> Callable[[mpf], mpf]:
-    decay = 2 / mp.pi**2 * sd.M
-    return lambda t: _f_on_circle(rm, sd.rho, t).real - sd.f_rho + decay * t**2
+def _margin(F: Callable, c, Q, side: Callable, R2, R3, R4) -> Callable[[mpf], mpf]:
+    """theta -> side(F(theta) - F(c) + Q*u**2) - (R2*u**2 + R3*|u|**3 + R4*u**4)
+    with u = theta - c: the left side minus the right side of one lemma.  A
+    remainder coefficient is a number or a function of cos(theta).  F(c)
+    comes from F itself, so the margin at theta = c is exactly 0."""
+    F_c = F(c)
+    terms = [(n, R) for n, R in ((2, R2), (3, R3), (4, R4)) if R]
 
-
-def _super_g_strict(sd: SaddleData, rm: mpf) -> Callable[[mpf], mpf]:
-    return lambda t: _f_on_circle(rm, sd.rho, t).real - sd.f_rho + sd.M * t**2 / 2
-
-
-def _super_g_quartic(sd: SaddleData, rm: mpf) -> Callable[[mpf], mpf]:
     def margin(t):
-        g_diff = _f_on_circle(rm, sd.rho, t).real - sd.f_rho
-        return abs(g_diff + sd.M * t**2 / 2) - _quartic_coefficient(sd.rho, mp.cos(t)) * t**4
+        u = abs(t - c)
+        return side(F(t) - F_c + Q * u**2) - sum((R(mp.cos(t)) if callable(R) else R) * u**n for n, R in terms)
 
     return margin
 
 
-def _super_h_cubic(sd: SaddleData, rm: mpf) -> Callable[[mpf], mpf]:
-    return lambda t: abs(_f_on_circle(rm, sd.rho, t).imag) - _cubic_coefficient(sd.rho, mp.cos(t)) * abs(t) ** 3
-
-
-def _sub_f_cubic(sd: SaddleData, rm: mpf) -> Callable[[mpf], mpf]:
-    alpha, f_alpha = sd.alpha, _f_on_circle(rm, sd.rho, sd.alpha)
-    negdisc = rational_to_real(negated_discriminant(sd.r), sd.prec + GUARD_BITS)
-    quadratic = mp.sqrt(negdisc) / 4 * mp.mpc(mp.cos(-sd.beta), mp.sin(-sd.beta))
-    cubic = mpf("0.33846") * (rm + 1) ** 2 / rm**2
-
-    def margin(t):
-        u = t - alpha
-        return abs(_f_on_circle(rm, sd.rho, t) - f_alpha + quadratic * u**2) - cubic * abs(u) ** 3
-
-    return margin
-
-
-def _sub_g_decay(sd: SaddleData, rm: mpf) -> Callable[[mpf], mpf]:
-    alpha, f_alpha = sd.alpha, _f_on_circle(rm, sd.rho, sd.alpha)
-    negdisc = rational_to_real(negated_discriminant(sd.r), sd.prec + GUARD_BITS)
-    quadratic = -(rm + 1) * negdisc / (16 * rm)
-    cubic = (rm + 1) / 4
-
-    def margin(t):
-        u = t - alpha
-        return (_f_on_circle(rm, sd.rho, t).real - f_alpha.real) - (quadratic * u**2 + cubic * abs(u) ** 3)
-
-    return margin
-
-
-def _near1_f_cubic(sd: SaddleData, rm: mpf) -> Callable[[mpf], mpf]:
-    alpha, f_alpha = sd.alpha, _f_on_circle(rm, sd.rho, sd.alpha)
-    quadratic = (rm - 1) / 4
-
-    def margin(t):
-        u = t - alpha
-        return abs(_f_on_circle(rm, sd.rho, t) - f_alpha + u**2 / 2) - (abs(u) ** 3 / 3 + quadratic * u**2)
-
-    return margin
-
-
-def _near1_g_decay(sd: SaddleData, rm: mpf) -> Callable[[mpf], mpf]:
-    alpha, f_alpha = sd.alpha, _f_on_circle(rm, sd.rho, sd.alpha)
-
-    def margin(t):
-        u = t - alpha
-        return (_f_on_circle(rm, sd.rho, t).real - f_alpha.real) + u**2 / 2 - abs(u) ** 3 / 2
-
-    return margin
-
-
-_SUPER_R_RANGE = (Fraction(584, 100), Fraction(12))
-_SUB_R_RANGE = (Fraction(105, 100), Fraction(580, 100))
+_SUPER = ((Fraction(584, 100), Fraction(12)), _super_region)
+_SUPER_STRICT = ((Fraction(584, 100), Fraction(76868, 10000)), _super_strict_region)
+_SUB = ((Fraction(105, 100), Fraction(580, 100)), _sub_region)
+_NEAR1_F = ((Fraction(101, 100), Fraction(228, 100)), _near1_f_region)
+_NEAR1_G = ((Fraction(101, 100), Fraction(211, 100)), _near1_g_region)
 
 # The registry: lemma id -> (default ratio range, theta region of the
-# hypothesis at (r, prec), margin factory).  A region function runs under
+# hypothesis at (r, prec), row).  A region function runs under
 # workprec(prec + GUARD_BITS) and raises ValueError for an r outside the
-# hypothesis.
+# hypothesis.  A row maps the _Circle k of one ratio to the arguments
+# (F, c, Q, side, R2, R3, R4) of `_margin`, with side abs or the identity pos.
 _LEMMAS: dict[str, tuple[tuple[Fraction, Fraction], Callable, Callable]] = {
-    "super-g-decay": (_SUPER_R_RANGE, _super_region, _super_g_decay),
-    "super-g-strict": ((Fraction(584, 100), Fraction(76868, 10000)), _super_strict_region, _super_g_strict),
-    "super-g-quartic": (_SUPER_R_RANGE, _super_region, _super_g_quartic),
-    "super-h-cubic": (_SUPER_R_RANGE, _super_region, _super_h_cubic),
-    "sub-f-cubic": (_SUB_R_RANGE, _sub_region, _sub_f_cubic),
-    "sub-g-decay": (_SUB_R_RANGE, _sub_region, _sub_g_decay),
-    "near1-f-cubic": ((Fraction(101, 100), Fraction(228, 100)), _near1_f_region, _near1_f_cubic),
-    "near1-g-decay": ((Fraction(101, 100), Fraction(211, 100)), _near1_g_region, _near1_g_decay),
+    "super-g-decay": (*_SUPER, lambda k: (k.g, 0, 2 / mp.pi**2 * k.M, pos, 0, 0, 0)),
+    "super-g-strict": (*_SUPER_STRICT, lambda k: (k.g, 0, k.M / 2, pos, 0, 0, 0)),
+    "super-g-quartic": (*_SUPER, lambda k: (k.g, 0, k.M / 2, abs, 0, 0, partial(_quartic_coefficient, k.rho))),
+    "super-h-cubic": (*_SUPER, lambda k: (k.h, 0, 0, abs, 0, partial(_cubic_coefficient, k.rho), 0)),
+    "sub-f-cubic": (*_SUB, lambda k: (k.f, k.alpha, mp.sqrt(k.nd) / 4 * mp.expj(-k.beta), abs,
+                                      0, mpf("0.33846") * (k.r + 1) ** 2 / k.r**2, 0)),
+    "sub-g-decay": (*_SUB, lambda k: (k.g, k.alpha, (k.r + 1) * k.nd / (16 * k.r), pos, 0, (k.r + 1) / 4, 0)),
+    "near1-f-cubic": (*_NEAR1_F, lambda k: (k.f, k.alpha, mpf(1) / 2, abs, (k.r - 1) / 4, mpf(1) / 3, 0)),
+    "near1-g-decay": (*_NEAR1_G, lambda k: (k.g, k.alpha, mpf(1) / 2, pos, 0, mpf(1) / 2, 0)),
 }
 LEMMA_IDS = tuple(_LEMMAS)
 
@@ -260,7 +256,7 @@ def validate_inequality(
     an argument error when outside; that is not a lemma violation.
     """
     check_precision(prec)
-    _, region, margin_of = _lemma(lemma_id)
+    _, region, row = _lemma(lemma_id)
     n_r, n_theta = grid_size
     rs = [Fraction(r) for r in r_grid] if r_grid is not None else default_r_grid(lemma_id, n_r)
     worst = None
@@ -278,7 +274,7 @@ def validate_inequality(
                     )
         sd = saddle_data(r, prec)
         with workprec(prec + GUARD_BITS):
-            margin = margin_of(sd, rational_to_real(r, prec + GUARD_BITS))
+            margin = _margin(*row(_Circle(sd)))
             for t in thetas:
                 m = margin(t)
                 points += 1

@@ -384,6 +384,18 @@ def test_oscillation_cosine_half_phase_adds_gamma3_and_needs_subcritical():
             oscillation_cosine(PartitionPair(7, 1), 128, half_phase=half_phase)
 
 
+def test_oscillation_cosine_holds_its_angle_at_lambda_two_to_the_100_and_precision_53():
+    # the raw angle is about 2**101, so a 53-bit angle would carry an absolute
+    # error near 2**48; the cosine must still match a 400-bit evaluation
+    lam = 2**100 + 12345
+    pair = PartitionPair(2 * lam + 1, lam)
+    cosv, _ = oscillation_cosine(pair, 53)
+    with workprec(400):
+        sd = saddle_data(pair.ratio, 400)
+        reference = mp.cos(pair.lambda1 * sd.gamma1 + pair.lambda2 * sd.gamma2 + sd.gamma3)
+        assert abs(cosv - reference) < mpf(2) ** -40
+
+
 def test_predict_rejects_degenerate():
     with pytest.raises(RegimeError):
         predict(PartitionPair(5, 5))

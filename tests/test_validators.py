@@ -1,12 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
 
-from binsum import asymptotics
+from binsum import asymptotics, validators
 from binsum.asymptotics import RegimeError, saddle_data
 from binsum.numerics import GUARD_BITS
-from binsum.validators import LEMMA_IDS, region_theta_grid, validate_inequality
+from binsum.validators import LEMMA_IDS, default_r_grid, region_theta_grid, validate_inequality
 
 
 def test_all_lemmas_pass_on_small_grids():
@@ -93,18 +95,42 @@ def test_near1_f_cubic_at_r1_has_point_region_but_no_saddle():
         validate_inequality("near1-f-cubic", r_grid=[Fraction(1)])
 
 
-@pytest.mark.parametrize("prec", [53, 128])
-@pytest.mark.parametrize("lemma_id", ["sub-f-cubic", "sub-g-decay", "near1-f-cubic", "near1-g-decay"])
+@pytest.mark.parametrize("prec", [53, 128, 200])
+@pytest.mark.parametrize("lemma_id", LEMMA_IDS)
 def test_margin_vanishes_at_the_saddle_angle(lemma_id, prec):
-    # f at the saddle angle is computed once per ratio; at theta = alpha the
-    # margin is f(alpha) minus that value plus terms in theta - alpha = 0, so
-    # it is exactly zero only if both come out of the same computation.  The
-    # call runs at the working precision so that theta keeps every bit of alpha.
-    r = Fraction(21, 10)
-    alpha = saddle_data(r, prec).alpha
+    # every margin is F(theta) - F(c) plus terms in theta - c, with F(c) taken
+    # from the same F, so at the centre c (the saddle angle, or 0 for the
+    # supercritical lemmas) it is exactly zero.  The call runs at the working
+    # precision so that theta keeps every bit of alpha.
+    r = Fraction(7) if lemma_id.startswith("super-") else Fraction(21, 10)
     with workprec(prec + GUARD_BITS):
-        report = validate_inequality(lemma_id, r_grid=[r], theta_grid=[alpha], prec=prec)
+        centre = mpf(0) if lemma_id.startswith("super-") else saddle_data(r, prec).alpha
+        report = validate_inequality(lemma_id, r_grid=[r], theta_grid=[centre], prec=prec)
     assert report.max_margin == 0.0
+
+
+def _region(lemma_id, r, sd):
+    """The theta region of each lemma as the module docstring states it."""
+    if lemma_id == "super-g-strict":
+        return -mp.pi / 3, mp.pi / 3
+    if lemma_id.startswith("super-"):
+        return -mp.pi, mp.pi
+    a = sd.alpha
+    if lemma_id == "near1-f-cubic":
+        w = mp.sqrt(mpf(r.numerator) / r.denominator - 1)
+        return a - w, a + w
+    return (a / 2, 3 * a / 2) if lemma_id == "near1-g-decay" else (a / 2, mp.pi - a / 2)
+
+
+@pytest.mark.parametrize("lemma_id", LEMMA_IDS)
+def test_region_tolerance_admits_rounding_but_not_a_step_outside(lemma_id):
+    r = Fraction(7) if lemma_id.startswith("super-") else Fraction(3, 2)
+    lo, hi = _region(lemma_id, r, saddle_data(r, 128))
+    for theta in (lo - mpf(2) ** -30, hi + mpf(2) ** -30):
+        with pytest.raises(ValueError):
+            validate_inequality(lemma_id, r_grid=[r], theta_grid=[theta])
+    for theta in (lo - mpf(2) ** -45, hi + mpf(2) ** -45):
+        assert validate_inequality(lemma_id, r_grid=[r], theta_grid=[theta]).points == 1
 
 
 def _reference_margin(lemma_id, r, theta, sd):
@@ -147,3 +173,31 @@ def test_each_registered_margin_is_the_stated_inequality(lemma_id):
     with workprec(128 + GUARD_BITS):
         expected = _reference_margin(lemma_id, r, theta, sd)
     assert abs(report.max_margin - float(expected)) <= 1e-12 * max(1.0, abs(float(expected)))
+
+
+def _margin(lemma_id, r, theta, prec):
+    """The module's margin of one lemma at one point, as an mpf."""
+    sd = saddle_data(r, prec)
+    with workprec(prec + GUARD_BITS):
+        return validators._margin(*validators._LEMMAS[lemma_id][2](validators._Circle(sd)))(theta)
+
+
+@pytest.mark.parametrize("prec", [53, 128, 200])
+@pytest.mark.parametrize("lemma_id", LEMMA_IDS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_margin_matches_the_complex_definition_to_the_last_bits(lemma_id, prec, data):
+    # the real-valued g and h, and the margin form, agree with the complex
+    # f = r*log(1+z) + log(1-z) - log(z) to within 2**-(prec+8), anywhere in
+    # the default ratio range and the theta region, its ends and centre included
+    lo_r, hi_r = default_r_grid(lemma_id, 2)
+    r = lo_r + (hi_r - lo_r) * Fraction(data.draw(st.integers(0, 1000), label="r step"), 1000)
+    sd = saddle_data(r, prec)
+    with workprec(prec + GUARD_BITS):
+        lo, hi = _region(lemma_id, r, sd)
+        centre = mpf(0) if lemma_id.startswith("super-") else sd.alpha
+        x = data.draw(st.integers(0, 2**20), label="theta step")
+        where = data.draw(st.sampled_from(["lo", "hi", "centre", "inside"]), label="theta")
+        theta = {"lo": lo, "hi": hi, "centre": centre, "inside": lo + (hi - lo) * x / 2**20}[where]
+        expected = _reference_margin(lemma_id, r, theta, sd)
+    assert abs(_margin(lemma_id, r, theta, prec) - expected) <= mpf(2) ** -(prec + 8), (r, theta)

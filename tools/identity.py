@@ -27,7 +27,8 @@ differs from its twin at 1.  The set covers:
 * `predict` on the ratio-6 line on both sides of that tail cutoff, at
   --precision 53, 128 and 200, in jsonl and human;
 * `intervals`, `poly`, `exceptions` and `plotdata` in every format;
-* `validate` for every lemma at two grids;
+* `validate` for every lemma at two grids, and on the 4x5 grid also at
+  --precision 53 and 200, in jsonl and human;
 * `eval` of three pairs on every route.
 """
 
@@ -153,6 +154,12 @@ def commands() -> list[list[str]]:
             tails.append(["validate", "--lemma", lemma, "--grid", grid])
     for tail in tails:
         out.extend(["--format", fmt, *tail] for fmt in FORMATS)
+    # the 4x5 grid puts a point at the centre of the super and near1 lemmas,
+    # where the margin is 0 or rounding noise at the working precision
+    for lemma in LEMMAS:
+        for precision in ("53", "200"):
+            argv = ["--precision", precision, "validate", "--lemma", lemma, "--grid", "4x5"]
+            out.extend(["--format", fmt, *argv] for fmt in ("jsonl", "human"))
     for l1, l2 in ((40, 17), (300, 100), (31, 31)):
         out.extend(["eval", str(l1), str(l2), "--route", route] for route in ROUTES)
     # two workloads may draw the same rectangle; run it once
