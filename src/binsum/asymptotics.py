@@ -32,6 +32,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from mpmath import mp, mpf, workprec
 
@@ -275,20 +276,32 @@ def supercritical_error_bound(r: Fraction, lam: int, prec: int = DEFAULT_PRECISI
         return head + sqrt2 * mp.exp(-x) / (pi_15 * mp.sqrt(lam_m))
 
 
-def _quartic_coefficient(rho: mpf, c: mpf) -> mpf:
-    """C_g(r, c): |g(theta) - g(0) + M*theta**2/2| <= C_g * theta**4 for cos(theta) >= c."""
+def _quartic_coefficient(rho: mpf) -> Callable[[mpf], mpf]:
+    """c -> C_g(r, c): |g(theta) - g(0) + M*theta**2/2| <= C_g * theta**4 for
+    cos(theta) >= c.  The terms in rho alone are rounded once, here; call the
+    result at the working precision of this call."""
     first = (1 - 2 * rho - rho**2) / (24 * (1 + rho) * (1 - rho) ** 2)
-    second = (rho**4 + 6 * rho**3 + 2 * rho**2 + 4 * rho - 1) / (24 * (1 + rho) * (1 - rho) ** 4) + rho / (
-        4 * (1 - rho**2) * (1 + rho**2 + 2 * rho * c)
-    )
-    return max(first, second)
+    head = (rho**4 + 6 * rho**3 + 2 * rho**2 + 4 * rho - 1) / (24 * (1 + rho) * (1 - rho) ** 4)
+    scale, base, two_rho = 4 * (1 - rho**2), 1 + rho**2, 2 * rho
+
+    def coefficient(c: mpf) -> mpf:
+        return max(first, head + rho / (scale * (base + two_rho * c)))
+
+    return coefficient
 
 
-def _cubic_coefficient(rho: mpf, c: mpf) -> mpf:
-    """C_h(r, c): |h(theta)| <= C_h * |theta|**3 for cos(theta) >= c."""
-    f1 = (1 + rho**2) * (rho**2 + 4 * rho - 1) / (6 * (1 - rho) ** 3 * (1 + rho) ** 2)
-    f2 = (1 + rho**2) * (1 - 2 * rho * (1 + c) - rho**2) / (6 * (1 - rho) * ((1 + rho**2) ** 2 - 4 * rho**2 * c**2))
-    return max(f1, f2, mpf(0))
+def _cubic_coefficient(rho: mpf) -> Callable[[mpf], mpf]:
+    """c -> C_h(r, c): |h(theta)| <= C_h * |theta|**3 for cos(theta) >= c,
+    with the terms in rho alone rounded once, as in `_quartic_coefficient`."""
+    base, two_rho, rho2 = 1 + rho**2, 2 * rho, rho**2
+    f1 = base * (rho2 + 4 * rho - 1) / (6 * (1 - rho) ** 3 * (1 + rho) ** 2)
+    scale, base2, four_rho2 = 6 * (1 - rho), base**2, 4 * rho2
+
+    def coefficient(c: mpf) -> mpf:
+        f2 = base * (1 - two_rho * (1 + c) - rho2) / (scale * (base2 - four_rho2 * c**2))
+        return max(f1, f2, mpf(0))
+
+    return coefficient
 
 
 def check_delta(delta, prec: int = DEFAULT_PRECISION) -> mpf:
@@ -329,8 +342,8 @@ def supercritical_error_bound_refined(
         m_val = sd.M
         lamf = mpf(lam)
         c = mp.cos(d)
-        cg = _quartic_coefficient(sd.rho, c)
-        ch = _cubic_coefficient(sd.rho, c)
+        cg = _quartic_coefficient(sd.rho)(c)
+        ch = _cubic_coefficient(sd.rho)(c)
         t1 = 3 * cg / (lamf * m_val**2)
         t2 = 15 * ch**2 / (2 * lamf * m_val**3)
         tail = (mp.sqrt(mpf(2)) / (d * mp.sqrt(mp.pi * lamf * m_val)) + (1 - d / mp.pi) * mp.sqrt(2 * mp.pi * lamf * m_val)) * mp.exp(

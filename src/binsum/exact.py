@@ -24,12 +24,19 @@ recurrence.
 
 The direct route stays the plain running-term loop (each term updated from
 the previous one by exact integer multiply/divide steps), so that it is an
-oracle independent of the faster code below.  The reduced route builds its
-starting binomial C(l2, ceil(l2/2)) from prime powers (Goetgheluck, "Computing
-binomial coefficients", Amer. Math. Monthly 1987) and binary-splits the sum
-over its term ratio, whose numerator and denominator are small integers
-(Haible-Papanikolaou, "Fast multiprecision evaluation of series of rational
-numbers", ANTS 1998).  The diagonal closed form uses the same binomial.
+oracle independent of the faster code below.  The reduced route binary-splits
+the sum over its term ratio, whose numerator and denominator are small
+integers (Haible-Papanikolaou, "Fast multiprecision evaluation of series of
+rational numbers", ANTS 1998), into a first term t0 times (Q + T) / Q.  Both
+t0 and Q are ratios of factorials, so from lambda2 = 4000 on, and while Q is
+at most twice as long as t0, one pass of Legendre exponents writes t0 / Q as
+N / D in lowest terms and the sum as N * ((Q + T) // D): a short division
+instead of a long one.  Otherwise it stays t0 * (Q + T) // Q.  Binomials
+(the diagonal closed form and the uncancelled t0) and N and D are prime-power
+products (Goetgheluck, "Computing binomial coefficients", Amer. Math. Monthly
+1987) from one factorial-ratio helper.  Near the diagonal at lambda2 ~ 1e5 a
+reduced value takes about 4-5 ms on CPython 3.11 (2-core Xeon), against 9-10
+ms when dividing by Q.
 """
 
 from __future__ import annotations
@@ -105,6 +112,16 @@ class ExactValue:
 # crossover (and whether the prime-power route wins at all) is unverified.
 _COMB_CROSSOVER = 350
 
+# The reduced route cancels its first term against Q (see `eval_reduced`)
+# from this lambda2 on, and while Q has at most 2 * lambda2 bits, about
+# twice the first term's (C(l2, j0) ~ 2**l2 times C(d, m), which is 1 or d).
+# Measured on CPython 3.11 (2-core Xeon), against t0 * (Q + T) // Q: 10-20%
+# slower for d >= 100 at lambda2 = 1500-2500, level at 3000-3500 and faster
+# from 4000 on, 1.03x at Q ~ 2 * lambda2 bits there; near the diagonal
+# 1.2x at lambda2 = 5000 and 2.1x at 1e5.  Past 2 * lambda2 bits the
+# division by the denominator costs about as much as the one it replaces.
+_CANCEL_MIN_LAMBDA2 = 4000
+
 # Binary splitting of the reduced sum stops at leaves of at most this many
 # term ratios, which a plain loop accumulates.
 _LEAF_RATIOS = 32
@@ -131,38 +148,66 @@ def _primes_upto(n: int) -> list[int]:
 
 
 def _product(factors: list[int]) -> int:
-    """Product of a nonempty list in a balanced tree, so that operands of
-    each big multiplication have about the same size."""
+    """Product of a list (1 for an empty one) in a balanced tree, so that
+    operands of each big multiplication have about the same size."""
     while len(factors) > 1:
         paired = [a * b for a, b in zip(factors[::2], factors[1::2])]
         if len(factors) % 2:
             paired.append(factors[-1])
         factors = paired
-    return factors[0]
+    return factors[0] if factors else 1
+
+
+def _factorial_ratio(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """prod(n! for n in num) / prod(n! for n in den) in lowest terms, as
+    (the prime powers of its numerator, those of its denominator).
+
+    The prime p divides n! exactly sum_{i >= 1} n // p**i times (Legendre's
+    formula); a prime's exponent is that count over num minus the count over
+    den.  Primes up to low ~ top**(2/3), top the largest n, sum the series.
+    Above low, p**2 > top leaves the one term n // p, which is below
+    top // low and changes only at the cuts n // k: the primes between two
+    neighbouring cuts share one exponent, found once for the whole run.
+    """
+    top = max(*num, *den)
+    primes = _primes_upto(top)
+    up: list[int] = []
+    down: list[int] = []
+    low = max(1, math.isqrt(top), round(top ** (2 / 3)))
+    i = bisect.bisect_right(primes, low)
+    for p in primes[:i]:
+        e = 0
+        for n in num:
+            while n >= p:
+                n //= p
+                e += n
+        for n in den:
+            while n >= p:
+                n //= p
+                e -= n
+        if e:
+            (up if e > 0 else down).append(p ** abs(e))
+    cuts = sorted({c for n in (*num, *den) for k in range(1, top // low + 1) if (c := n // k) > low})
+    for cut in cuts:
+        j = bisect.bisect_right(primes, cut, i)
+        e = sum([n // cut for n in num]) - sum([n // cut for n in den])
+        if e and j > i:
+            run = primes[i:j]
+            (up if e > 0 else down).extend(run if abs(e) == 1 else [p ** abs(e) for p in run])
+        i = j
+    return up, down
 
 
 def _comb(n: int, k: int) -> int:
     """C(n, k), equal to math.comb(n, k) for all integer arguments.
 
-    Away from the small cases that math.comb handles faster, the prime p
-    divides C(n, k) exactly sum_{i >= 1} (n//p**i - k//p**i - (n-k)//p**i)
-    times (Legendre's formula), and the prime powers are multiplied in a
-    balanced product tree.
+    Away from the small cases that math.comb handles faster, the prime
+    powers of n! / (k! (n-k)!) are multiplied in a balanced product tree.
     """
     small = min(k, n - k)
     if small < 0 or small * small <= _COMB_CROSSOVER * n:
         return math.comb(n, k)
-    rest = n - small
-    factors = []
-    for p in _primes_upto(n):
-        e = 0
-        q = p
-        while q <= n:
-            e += n // q - small // q - rest // q
-            q *= p
-        if e:
-            factors.append(p**e)
-    return _product(factors)
+    return _product(_factorial_ratio((n,), (small, n - small))[0])
 
 
 def binomial(n: int, k: int) -> int:
@@ -238,8 +283,12 @@ def eval_reduced(pair: PartitionPair) -> ExactValue:
     """Evaluate the short difference-indexed sum; requires lambda1 >= lambda2.
 
     The terms run over j0 = ceil(l2/2) <= j <= floor(l1/2) = j1, and the sum
-    is t0 * (Q + T) / Q for the first term t0 and (P, Q, T) from
-    `_split_ratios`; the division is exact because the sum is an integer.
+    is +-t0 * (Q + T) / Q for the first term t0 = C(l2, j0) C(d, m) and
+    (P, Q, T) from `_split_ratios`.  Q = j1!/j0! * (2 j1 - l2)!/(2 j0 - l2)!,
+    so t0 / Q = l2! d! / (j1! (l2 - j0)! m! (2 j1 - l2)!) = N / D in lowest
+    terms, and D divides Q + T because the sum is an integer.  Where that
+    pays, the sum is N * ((Q + T) // D), a short division; elsewhere it is
+    t0 * (Q + T) // Q.  Both are exact, so the rule never changes a value.
     """
     l1, l2 = pair.lambda1, pair.lambda2
     d = l1 - l2
@@ -248,10 +297,14 @@ def eval_reduced(pair: PartitionPair) -> ExactValue:
     if j0 > j1:
         return ExactValue(0, pair, Route.REDUCED)
     m = l1 - 2 * j0
-    t0 = _comb(l2, j0) * _comb(d, m)
     _, q, t = _split_ratios(l2, d, j0, m, 0, j1 - j0)
-    total = (-t0 if j0 % 2 else t0) * (q + t) // q
-    return ExactValue(total, pair, Route.REDUCED)
+    if l2 >= _CANCEL_MIN_LAMBDA2 and q.bit_length() <= 2 * l2:
+        up, down = _factorial_ratio((l2, d), (j1, l2 - j0, m, 2 * j1 - l2))
+        up.append((q + t) // _product(down))
+        total = _product(up)
+    else:
+        total = _comb(l2, j0) * _comb(d, m) * (q + t) // q
+    return ExactValue(-total if j0 % 2 else total, pair, Route.REDUCED)
 
 
 def eval_diagonal(lam: int) -> ExactValue:

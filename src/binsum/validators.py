@@ -52,7 +52,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from operator import pos
 from typing import Callable, Sequence
 
@@ -135,8 +134,9 @@ def _near1_g_region(r: Fraction, prec: int) -> tuple[mpf, mpf]:
 
 class _Circle:
     """g, h and f = g + i*h at z = rho*e^(i*theta) for the ratio of `sd`,
-    with the real constants of the ratio computed once.  Build and call it
-    under workprec(sd.prec + GUARD_BITS)."""
+    with the real constants of the ratio computed once.  Each returns its
+    value and the cos(theta) it took.  Build and call it under
+    workprec(sd.prec + GUARD_BITS)."""
 
     def __init__(self, sd: SaddleData):
         self.rho, self.M, self.alpha, self.beta = sd.rho, sd.M, sd.alpha, sd.beta
@@ -152,28 +152,32 @@ class _Circle:
         rho = self.rho
         return self.r * mp.atan2(rho * s, 1 + rho * c) + mp.atan2(-rho * s, 1 - rho * c) - t
 
-    def g(self, t: mpf) -> mpf:
-        return self._g(mp.cos(t))
+    def g(self, t: mpf) -> tuple[mpf, mpf]:
+        c = mp.cos(t)
+        return self._g(c), c
 
-    def h(self, t: mpf) -> mpf:
-        return self._h(t, *mp.cos_sin(t))
-
-    def f(self, t: mpf):
+    def h(self, t: mpf) -> tuple[mpf, mpf]:
         c, s = mp.cos_sin(t)
-        return mp.mpc(self._g(c), self._h(t, c, s))
+        return self._h(t, c, s), c
+
+    def f(self, t: mpf) -> tuple:
+        c, s = mp.cos_sin(t)
+        return mp.mpc(self._g(c), self._h(t, c, s)), c
 
 
 def _margin(F: Callable, c, Q, side: Callable, R2, R3, R4) -> Callable[[mpf], mpf]:
     """theta -> side(F(theta) - F(c) + Q*u**2) - (R2*u**2 + R3*|u|**3 + R4*u**4)
     with u = theta - c: the left side minus the right side of one lemma.  A
-    remainder coefficient is a number or a function of cos(theta).  F(c)
-    comes from F itself, so the margin at theta = c is exactly 0."""
-    F_c = F(c)
+    remainder coefficient is a number or a function of cos(theta), which F
+    returns next to its value.  F(c) comes from F itself, so the margin at
+    theta = c is exactly 0."""
+    F_c = F(c)[0]
     terms = [(n, R) for n, R in ((2, R2), (3, R3), (4, R4)) if R]
 
     def margin(t):
         u = abs(t - c)
-        return side(F(t) - F_c + Q * u**2) - sum((R(mp.cos(t)) if callable(R) else R) * u**n for n, R in terms)
+        value, cos_t = F(t)
+        return side(value - F_c + Q * u**2) - sum((R(cos_t) if callable(R) else R) * u**n for n, R in terms)
 
     return margin
 
@@ -192,8 +196,8 @@ _NEAR1_G = ((Fraction(101, 100), Fraction(211, 100)), _near1_g_region)
 _LEMMAS: dict[str, tuple[tuple[Fraction, Fraction], Callable, Callable]] = {
     "super-g-decay": (*_SUPER, lambda k: (k.g, 0, 2 / mp.pi**2 * k.M, pos, 0, 0, 0)),
     "super-g-strict": (*_SUPER_STRICT, lambda k: (k.g, 0, k.M / 2, pos, 0, 0, 0)),
-    "super-g-quartic": (*_SUPER, lambda k: (k.g, 0, k.M / 2, abs, 0, 0, partial(_quartic_coefficient, k.rho))),
-    "super-h-cubic": (*_SUPER, lambda k: (k.h, 0, 0, abs, 0, partial(_cubic_coefficient, k.rho), 0)),
+    "super-g-quartic": (*_SUPER, lambda k: (k.g, 0, k.M / 2, abs, 0, 0, _quartic_coefficient(k.rho))),
+    "super-h-cubic": (*_SUPER, lambda k: (k.h, 0, 0, abs, 0, _cubic_coefficient(k.rho), 0)),
     "sub-f-cubic": (*_SUB, lambda k: (k.f, k.alpha, mp.sqrt(k.nd) / 4 * mp.expj(-k.beta), abs,
                                       0, mpf("0.33846") * (k.r + 1) ** 2 / k.r**2, 0)),
     "sub-g-decay": (*_SUB, lambda k: (k.g, k.alpha, (k.r + 1) * k.nd / (16 * k.r), pos, 0, (k.r + 1) / 4, 0)),
@@ -266,7 +270,8 @@ def validate_inequality(
         if theta_grid is None:
             thetas = _spread(lo, hi, n_theta, prec)
         else:
-            thetas = [mpf(t) for t in theta_grid]
+            with workprec(prec + GUARD_BITS):
+                thetas = [mpf(t) for t in theta_grid]
             for t in thetas:
                 if t < lo - _REGION_TOL or t > hi + _REGION_TOL:
                     raise ValueError(

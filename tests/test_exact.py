@@ -11,6 +11,7 @@ from binsum.exact import (
     PartitionPair,
     Route,
     _comb,
+    _factorial_ratio,
     binomial,
     eval_diagonal,
     eval_direct,
@@ -191,7 +192,9 @@ def test_comb_matches_math_comb():
             assert _comb(n, k) == math.comb(n, k), (n, k)
         with pytest.raises(ValueError):
             _comb(n, -1)
-    for n, k in [(100000, 50000), (78660, 39330)]:
+    # n = p**2 and p**2 +- 1 move the largest prime whose square reaches n
+    squares = [(n, k) for p in (37, 47, 101, 211) for n in (p * p - 1, p * p, p * p + 1) for k in (n // 2, n // 3, n - p)]
+    for n, k in [(100000, 50000), (78660, 39330), *squares]:
         assert _comb(n, k) == math.comb(n, k), (n, k)
 
 
@@ -266,3 +269,78 @@ def test_row_walk_steps_only_within_its_row(monkeypatch):
     assert stepped == expected
     # every other value is one fresh evaluation
     assert sorted(fresh + stepped) == sorted((l1, l2) for l2, lambda1s in rows for l1 in lambda1s)
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [
+        ((0,), (0,)),
+        ((1, 2), (3,)),
+        ((10,), (3, 7)),
+        ((100,), (50, 49)),
+        ((1369, 100), (684, 685, 99)),       # 37**2: the prime 37 divides 1369! twice over
+        ((1368,), (400, 500, 468)),
+        ((1015, 7), (500, 515, 3, 4)),       # round(1015**(2/3)) = 101, a prime
+        ((10201, 10200), (5100, 5101, 10000)),
+        ((4913, 4912), (2456, 2457, 4912)),  # 17**3: the runs start at 17**2
+        ((5000, 300), (2650, 2500, 300, 300)),
+        ((3, 4), (12,)),
+    ],
+)
+def test_factorial_ratio_is_the_ratio_of_factorials_in_lowest_terms(num, den):
+    up, down = _factorial_ratio(num, den)
+    expected = Fraction(math.prod(map(math.factorial, num)), math.prod(map(math.factorial, den)))
+    numerator, denominator = math.prod(up), math.prod(down)
+    assert Fraction(numerator, denominator) == expected
+    assert math.gcd(numerator, denominator) == 1
+    assert all(f > 1 for f in up + down)
+
+
+def _cancels(monkeypatch, pair):
+    """Whether `eval_reduced` takes the cancelled step at `pair`, and its value."""
+    calls = []
+    real = exact._factorial_ratio
+    monkeypatch.setattr(exact, "_factorial_ratio", lambda num, den: calls.append(len(den)) or real(num, den))
+    value = eval_reduced(pair).value
+    return 4 in calls, value
+
+
+def test_reduced_route_takes_each_side_of_the_size_rule(monkeypatch):
+    # from lambda2 = 4000 on, and while Q has at most 2 * lambda2 bits
+    for l1, l2, cancels in [
+        (4001, 4000, True),
+        (4000, 3999, False),    # below the lambda2 threshold
+        (5200, 5000, True),
+        (5500, 5000, True),     # Q ~ 1.3 * lambda2 bits
+        (6000, 5000, False),    # Q ~ 2.8 * lambda2 bits
+        (12000, 6000, False),   # a wide pair: Q ~ 17 * lambda2 bits
+        (100002, 100000, True),
+    ]:
+        pair = PartitionPair(l1, l2)
+        taken, value = _cancels(monkeypatch, pair)
+        assert taken is cancels, (l1, l2)
+        if l1 < 50000:
+            assert value == eval_direct(pair).value, (l1, l2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(3990, 6500), st.integers(0, 2000))
+@example(3999, 1)     # below the lambda2 threshold
+@example(4000, 1)     # the first cancelled lambda2, j0 = 2000 even
+@example(4001, 0)     # j0 = 2001 odd, one term
+@example(4002, 13)    # j0 = 2001 odd
+@example(4000, 700)   # Q ~ 2.4 * lambda2 bits: divides by Q
+@example(6500, 2000)
+def test_reduced_matches_direct_on_both_sides_of_the_size_rule(l2, diff):
+    pair = PartitionPair(l2 + diff, l2)
+    assert eval_reduced(pair).value == eval_direct(pair).value
+
+
+def test_reduced_values_at_proof_check_size_satisfy_the_row_recurrence():
+    # one triple per congruence class at lambda2 ~ 1e5, d = 700-1600, every
+    # value cancelled: the recurrence shares no step with the cancellation
+    l2 = 100018
+    for l1 in (100718, 101045, 101384, 101599):
+        s0, s1, s2 = (eval_reduced(PartitionPair(n, l2)).value for n in (l1, l1 + 1, l1 + 2))
+        assert row_step(l1, l2, s0, s1) == s2, l1
+    assert {(l1 + l2) % 4 for l1 in (100718, 101045, 101384, 101599)} == {0, 1, 2, 3}

@@ -109,6 +109,14 @@ def test_margin_vanishes_at_the_saddle_angle(lemma_id, prec):
     assert report.max_margin == 0.0
 
 
+def test_explicit_angle_keeps_its_bits_without_an_enclosing_workprec():
+    # alpha carries prec + GUARD_BITS bits; converting the explicit grid at
+    # the ambient precision would round it, and the margin would not vanish
+    alpha = saddle_data(Fraction(21, 10), 128).alpha
+    report = validate_inequality("near1-g-decay", r_grid=[Fraction(21, 10)], theta_grid=[alpha], prec=128)
+    assert report.max_margin == 0.0
+
+
 def _region(lemma_id, r, sd):
     """The theta region of each lemma as the module docstring states it."""
     if lemma_id == "super-g-strict":
@@ -148,8 +156,8 @@ def _reference_margin(lemma_id, r, theta, sd):
             "super-g-decay": g_diff + 2 / mp.pi**2 * sd.M * theta**2,
             "super-g-strict": g_diff + sd.M * theta**2 / 2,
             "super-g-quartic": abs(g_diff + sd.M * theta**2 / 2)
-            - asymptotics._quartic_coefficient(sd.rho, mp.cos(theta)) * theta**4,
-            "super-h-cubic": abs(f(theta).imag) - asymptotics._cubic_coefficient(sd.rho, mp.cos(theta)) * abs(theta) ** 3,
+            - asymptotics._quartic_coefficient(sd.rho)(mp.cos(theta)) * theta**4,
+            "super-h-cubic": abs(f(theta).imag) - asymptotics._cubic_coefficient(sd.rho)(mp.cos(theta)) * abs(theta) ** 3,
         }[lemma_id]
     u = theta - sd.alpha
     nd = 6 * rm - 1 - rm**2

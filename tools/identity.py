@@ -29,7 +29,10 @@ differs from its twin at 1.  The set covers:
 * `intervals`, `poly`, `exceptions` and `plotdata` in every format;
 * `validate` for every lemma at two grids, and on the 4x5 grid also at
   --precision 53 and 200, in jsonl and human;
-* `eval` of three pairs on every route.
+* `eval` of three pairs on every route; on the auto and reduced routes, of
+  two pairs where the reduced route cancels its first term against its
+  denominator and one where it divides by it; and one diagonal pair past
+  the math.comb crossover.
 """
 
 from __future__ import annotations
@@ -96,6 +99,9 @@ POOL_SCANS = (("scan", "--l2", "2000..2009", "--ratio", "3"),)
 # (6 * lambda2, lambda2) around the tail cutoff, which lies at lambda2 = 50,
 # 91 and 130 at --precision 53, 128 and 200
 PREDICT_LAMBDA2S = (60, 90, 120)
+# the reduced route cancels at the first two (a proof-check window sample at
+# lambda2 ~ 1e5, and a mid-size pair) and divides by Q at the wide third
+CANCEL_PAIRS = ((101045, 100018), (20001, 19000), (12000, 6000))
 CERTIFY_OPTIONS = (
     (),
     ("--budget", "0"),
@@ -162,6 +168,9 @@ def commands() -> list[list[str]]:
             out.extend(["--format", fmt, *argv] for fmt in ("jsonl", "human"))
     for l1, l2 in ((40, 17), (300, 100), (31, 31)):
         out.extend(["eval", str(l1), str(l2), "--route", route] for route in ROUTES)
+    for l1, l2 in CANCEL_PAIRS:
+        out.extend(["eval", str(l1), str(l2), "--route", route] for route in ("auto", "reduced"))
+    out.append(["eval", "5000", "5000", "--route", "diagonal"])
     # two workloads may draw the same rectangle; run it once
     return [list(argv) for argv in dict.fromkeys(map(tuple, out))]
 
