@@ -23,6 +23,18 @@ Regime classification is the sign of one exact rational, `negated_discriminant`
 floating arithmetic enters only the constants.  Normalizers
 of the form 2**((r+1)*lambda/2) overflow any fixed-exponent float, so all
 scalings are combined in the log domain and exponentiated once.
+
+The per-pair arithmetic of the certification cascade runs on raw libmp
+tuples (`_mpf_`) instead of mpf objects: the head of
+`supercritical_error_bound`, `oscillatory_error_bound`,
+`oscillation_cosine`, and the lambda2-only edges log(lambda2) and
+sqrt(k*pi*lambda2) of `window_edge`.  Each step is the `mpf_*` call that
+the mpf expression it replaces makes: the same operation, on the same
+operands, in the same order, at the same precision, rounding to nearest.
+So every returned mpf equals the mpf expression's bit for bit, and none
+depends on the ambient mpmath precision.  What depends only on the ratio is
+cached once per (r, prec): the factors of the bounds, and the phase
+constants gamma1, gamma2, gamma3 and 2*pi at the cosine's raised precision.
 """
 
 from __future__ import annotations
@@ -35,6 +47,26 @@ from fractions import Fraction
 from typing import Callable
 
 from mpmath import mp, mpf, workprec
+from mpmath.libmp import (
+    fhalf,
+    fone,
+    from_int,
+    ftwo,
+    mpf_add,
+    mpf_cos,
+    mpf_div,
+    mpf_floor,
+    mpf_ge,
+    mpf_gt,
+    mpf_log,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_pi,
+    mpf_rdiv_int,
+    mpf_sqrt,
+    mpf_sub,
+    round_nearest,
+)
 
 from .exact import PartitionPair, evaluate
 from .numerics import (
@@ -72,13 +104,14 @@ NEAR_DIAGONAL_FLAT = "0.0165"
 
 OSCILLATORY_BOUND_CONSTANT = 16336
 
-# 1/2 is exact at every precision, so one mpf serves every call
-_HALF = mpf(0.5)
+# the rounding of every mpf operation under mpmath's default context
+_RND = round_nearest
 
 # entries kept by each per-ratio cache below, keyed by (r, prec).  A scan
 # line or a validator needs one or two live keys at a time (the ratio at the
 # working precision and at the raised precision of `oscillation_cosine`);
 # the bound only keeps a long-running process from growing without limit.
+# `window_edge` keeps as many edges, about three lambda2 values' worth.
 RATIO_CACHE_SIZE = 32
 
 
@@ -254,25 +287,34 @@ def supercritical_error_bound(r: Fraction, lam: int, prec: int = DEFAULT_PRECISI
     """
     check_precision(prec)
     r = Fraction(r)
-    if classify(r) is not Regime.SUPERCRITICAL:
+    if ratio_regime(r.numerator, r.denominator) is not Regime.SUPERCRITICAL:
         raise RegimeError(f"bound requires r > 3 + 2*sqrt(2), got r = {r}")
     if lam < 1:
         raise ValueError("lambda must be >= 1")
     m_val, c1, m_sq, c2, m_cube, sqrt2, pi_sq, pi_15 = _supercritical_constants(r, prec)
     wp = prec + GUARD_BITS
+    # c1/(256*lam*M**2) + c2/(24*lam*M**3), lam*M and x = lam*M*pi**2/2, as
+    # the mpf expressions round them at wp bits
+    lamf = from_int(lam, wp, _RND)
+    head = mpf_add(
+        mpf_div(c1._mpf_, mpf_mul(mpf_mul_int(lamf, 256, wp, _RND), m_sq._mpf_, wp, _RND), wp, _RND),
+        mpf_div(c2._mpf_, mpf_mul(mpf_mul_int(lamf, 24, wp, _RND), m_cube._mpf_, wp, _RND), wp, _RND),
+        wp,
+        _RND,
+    )
+    lam_m = mpf_mul(lamf, m_val._mpf_, wp, _RND)
+    x = mpf_div(mpf_mul(lam_m, pi_sq._mpf_, wp, _RND), ftwo, wp, _RND)
+    # The sum head lies in [2**(E-1), 2**E) for E = mag(head), its exponent
+    # plus its bit count, so half an ulp of it at wp bits is 2**(E-wp-1).
+    # With lam*M >= 1 the prefactor sqrt(2)/(pi**1.5*sqrt(lam*M)) is below
+    # 0.26 and exp(-x) < 2**-x, so the tail as computed here is below
+    # 2**-x < 2**(E-wp-16) (Brent and Zimmermann, Modern Computer Arithmetic,
+    # 2010, section 3.1: a term below half an ulp leaves a round-to-nearest
+    # sum unchanged).
+    if mpf_ge(lam_m, fone) and mpf_gt(x, from_int(wp + 16 - head[2] - head[3])):
+        return mp.make_mpf(head)
     with workprec(wp):
-        lamf = mpf(lam)
-        head = c1 / (256 * lamf * m_sq) + c2 / (24 * lamf * m_cube)
-        lam_m = lamf * m_val
-        x = lam_m * pi_sq / 2
-        # The sum head lies in [2**(E-1), 2**E) for E = mag(head), so half an
-        # ulp of it at wp bits is 2**(E-wp-1).  With lam*M >= 1 the prefactor
-        # sqrt(2)/(pi**1.5*sqrt(lam*M)) is below 0.26 and exp(-x) < 2**-x, so
-        # the tail as computed here is below 2**-x < 2**(E-wp-16) (Brent and
-        # Zimmermann, Modern Computer Arithmetic, 2010, section 3.1: a term
-        # below half an ulp leaves a round-to-nearest sum unchanged).
-        if lam_m >= 1 and x > wp + 16 - mp.mag(head):
-            return head
+        head, x, lam_m = map(mp.make_mpf, (head, x, lam_m))
         return head + sqrt2 * mp.exp(-x) / (pi_15 * mp.sqrt(lam_m))
 
 
@@ -392,13 +434,28 @@ def oscillatory_error_bound(
     """
     check_precision(prec)
     r = Fraction(r)
-    if classify(r) is not Regime.SUBCRITICAL:
+    if ratio_regime(r.numerator, r.denominator) is not Regime.SUBCRITICAL:
         raise RegimeError(f"bound requires 1 < r < 3 + 2*sqrt(2), got r = {r}")
     if lam < 1:
         raise ValueError("lambda must be >= 1")
     nd_power, threshold = _oscillatory_constants(r, prec)
-    with workprec(prec + GUARD_BITS):
-        return OSCILLATORY_BOUND_CONSTANT / (mp.sqrt(mpf(lam)) * nd_power), threshold
+    wp = prec + GUARD_BITS
+    root = mpf_sqrt(from_int(lam, wp, _RND), wp, _RND)
+    bound = mpf_rdiv_int(OSCILLATORY_BOUND_CONSTANT, mpf_mul(root, nd_power._mpf_, wp, _RND), wp, _RND)
+    return mp.make_mpf(bound), threshold
+
+
+@functools.lru_cache(maxsize=RATIO_CACHE_SIZE)
+def window_edge(lambda2: int, k: int, wp: int) -> tuple:
+    """Edge k of the near-diagonal rows and of the difference windows at
+    lambda2, as a raw tuple rounded as mpf arithmetic under workprec(wp)
+    rounds it: log(mpf(lambda2)) for k = 0, else
+    sqrt(k * pi * mpf(lambda2)) for k = 1..8.  The window step and the
+    near-diagonal step of one pair share them."""
+    l2 = from_int(lambda2, wp, _RND)
+    if k == 0:
+        return mpf_log(l2, wp, _RND)
+    return mpf_sqrt(mpf_mul(mpf_mul_int(mpf_pi(wp, _RND), k, wp, _RND), l2, wp, _RND), wp, _RND)
 
 
 @dataclass(frozen=True)
@@ -432,24 +489,41 @@ def near_diagonal_error_bound(pair: PartitionPair, prec: int = DEFAULT_PRECISION
     if ratio_regime(pair.lambda1, l2) is not Regime.SUBCRITICAL:
         raise RegimeError(f"near-diagonal bound requires a subcritical ratio, got r = {pair.ratio}")
     wp = prec + GUARD_BITS
-    with workprec(wp):
-        dm = mpf(d)
-        candidates: list[tuple[mpf, str]] = []
-        sqrt_l2 = mp.sqrt(mpf(l2))
-        # row k spans [edges[k-1], edges[k]] with edges[0] = log(l2) and
-        # edges[k] = sqrt(k*pi*l2); edges[8] is also the edge of the flat bound
-        edges = [mp.log(mpf(l2))] + [mp.sqrt(k * mp.pi * mpf(l2)) for k in range(1, len(NEAR_DIAGONAL_ROWS) + 1)]
-        sides = [certified_compare(dm, edge, SLACK) for edge in edges]
-        if sides[-1] is Comparison.CERTIFIED_LESS:
-            candidates.append((decimal_constant(NEAR_DIAGONAL_FLAT, wp), "flat"))
-        if sides[0] is Comparison.CERTIFIED_GREATER:
-            for k, row in enumerate(NEAR_DIAGONAL_ROWS, start=1):
-                if sides[k] is Comparison.CERTIFIED_LESS and sides[k - 1] is Comparison.CERTIFIED_GREATER:
-                    candidates.append((decimal_constant(row, wp) / sqrt_l2, f"row{k}"))
-        if not candidates:
-            return NearDiagonalBound(None, False, "difference outside every proved window")
-        value, detail = min(candidates, key=lambda t: t[0])
-        return NearDiagonalBound(value, True, detail)
+    dm = mp.make_mpf(from_int(d, wp, _RND))
+    candidates: list[tuple[mpf, str]] = []
+    # row k spans [edge k-1, edge k] of `window_edge`; edge 8 is also the
+    # edge of the flat bound
+    sides = [
+        certified_compare(dm, mp.make_mpf(window_edge(l2, k, wp)), SLACK) for k in range(len(NEAR_DIAGONAL_ROWS) + 1)
+    ]
+    if sides[-1] is Comparison.CERTIFIED_LESS:
+        candidates.append((decimal_constant(NEAR_DIAGONAL_FLAT, wp), "flat"))
+    if sides[0] is Comparison.CERTIFIED_GREATER:
+        sqrt_l2 = mpf_sqrt(from_int(l2, wp, _RND), wp, _RND)
+        for k, row in enumerate(NEAR_DIAGONAL_ROWS, start=1):
+            if sides[k] is Comparison.CERTIFIED_LESS and sides[k - 1] is Comparison.CERTIFIED_GREATER:
+                value = mpf_div(decimal_constant(row, wp)._mpf_, sqrt_l2, wp, _RND)
+                candidates.append((mp.make_mpf(value), f"row{k}"))
+    if not candidates:
+        return NearDiagonalBound(None, False, "difference outside every proved window")
+    value, detail = min(candidates, key=lambda t: t[0])
+    return NearDiagonalBound(value, True, detail)
+
+
+@functools.lru_cache(maxsize=RATIO_CACHE_SIZE)
+def _phase_constants(r: Fraction, p_eff: int, half_phase: bool) -> tuple:
+    """Raw (gamma1, gamma2, gamma3, 2*pi) of `oscillation_cosine` at p_eff,
+    with 2*pi rounded at p_eff + GUARD_BITS bits and gamma3 None without the
+    half phase."""
+    if half_phase:
+        sd = saddle_data(r, p_eff)
+        if sd.regime is not Regime.SUBCRITICAL:
+            raise RegimeError(f"oscillation angles require 1 <= r <= 3 + 2*sqrt(2), got r = {r}")
+        g1, g2, g3 = sd.gamma1, sd.gamma2, sd.gamma3._mpf_
+    else:
+        (g1, g2), g3 = gamma_angles(r, p_eff), None
+    wp = p_eff + GUARD_BITS
+    return g1._mpf_, g2._mpf_, g3, mpf_mul_int(mpf_pi(wp, _RND), 2, wp, _RND)
 
 
 def oscillation_cosine(
@@ -463,18 +537,15 @@ def oscillation_cosine(
     dominant hazard.  Returns (cosine, reduced_angle).
     """
     p_eff = max(prec, 96 + pair.lambda1.bit_length() + 32)
-    with workprec(p_eff + GUARD_BITS):
-        if half_phase:
-            sd = saddle_data(pair.ratio, p_eff)
-            if sd.regime is not Regime.SUBCRITICAL:
-                raise RegimeError(f"oscillation angles require 1 <= r <= 3 + 2*sqrt(2), got r = {pair.ratio}")
-            angle = pair.lambda1 * sd.gamma1 + pair.lambda2 * sd.gamma2 + sd.gamma3
-        else:
-            g1, g2 = gamma_angles(pair.ratio, p_eff)
-            angle = pair.lambda1 * g1 + pair.lambda2 * g2
-        two_pi = 2 * mp.pi
-        angle -= two_pi * mp.floor(angle / two_pi + _HALF)
-        return mp.cos(angle), angle
+    wp = p_eff + GUARD_BITS
+    g1, g2, g3, two_pi = _phase_constants(pair.ratio, p_eff, half_phase)
+    angle = mpf_add(mpf_mul_int(g1, pair.lambda1, wp, _RND), mpf_mul_int(g2, pair.lambda2, wp, _RND), wp, _RND)
+    if half_phase:
+        angle = mpf_add(angle, g3, wp, _RND)
+    # angle - 2*pi * floor(angle/(2*pi) + 1/2)
+    turns = mpf_floor(mpf_add(mpf_div(angle, two_pi, wp, _RND), fhalf, wp, _RND), wp, _RND)
+    angle = mpf_sub(angle, mpf_mul(two_pi, turns, wp, _RND), wp, _RND)
+    return mp.make_mpf(mpf_cos(angle, wp, _RND)), mp.make_mpf(angle)
 
 
 @dataclass(frozen=True)
@@ -529,7 +600,7 @@ def predict(pair: PartitionPair, prec: int = DEFAULT_PRECISION) -> Prediction:
                 log_normalizer=log_norm,
             )
     bound, threshold = oscillatory_error_bound(r, lam, prec)
-    osc_valid = certified_compare(mpf(lam), threshold, SLACK) is Comparison.CERTIFIED_GREATER
+    osc_valid = certified_compare(lam, threshold, SLACK) is Comparison.CERTIFIED_GREATER
     near = None
     if pair.difference >= NEAR_DIAGONAL_MIN_DIFFERENCE:
         near = near_diagonal_error_bound(pair, prec)

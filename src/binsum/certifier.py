@@ -43,6 +43,21 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from mpmath import mp, mpf, workprec
+from mpmath.libmp import (
+    fone,
+    from_int,
+    mpf_abs,
+    mpf_add,
+    mpf_ceil,
+    mpf_floor,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_pow,
+    mpf_sub,
+    round_nearest,
+    to_float,
+    to_int,
+)
 
 from .asymptotics import (
     NEAR_DIAGONAL_MIN_DIFFERENCE,
@@ -59,6 +74,7 @@ from .asymptotics import (
     ratio_regime,
     supercritical_error_bound,
     supercritical_error_bound_refined,
+    window_edge,
     REFINED_BOUND_MAX_RATIO,
 )
 from . import exact
@@ -84,12 +100,18 @@ DEFAULT_BUDGET = 10**8
 # of 5, in-process `cli.main`): starting and joining a pool of two workers
 # takes 10-15 ms, and parallelism 2 draws level with 1 at about 40 ms of
 # serial work.  Ratio-3 rows at l2 = 1000-1019 (4.6*10**7 units) took 36 ms
-# serially and 41 ms in the pool, at l2 = 1500-1509 (7.6*10**7) 43 and 36 ms;
-# on the ratio-6 line the pool drew level between 400 and 800 cascade pairs.
+# serially and 41 ms in the pool, at l2 = 1500-1509 (7.6*10**7) 43 and 36 ms.
 POOL_MIN_WORK = 6 * 10**7
-# the work charged for a pair that the budget sends to the cascade stages,
-# which take 50-150 us per pair on the ratio-6 and ratio-2 lines
-CASCADE_PAIR_COST = 10**5
+# the work charged for a pair that the budget sends to the cascade stages.
+# A cascade pair takes 35-45 us on the ratio-6 line at l2 = 1e5 and 70-100 us
+# on the ratio-2 line, and in a pool it also crosses as a task and a record.
+# Measured as above (best of 3) with the pool forced on, serial against pool:
+# ratio-6 lines of 2,400 pairs 117 against 145 ms, of 4,800 pairs 200-270
+# against 159-239 ms, of 6,000 pairs 267 against 167 ms; ratio-2 lines of
+# 600 pairs 52 against 55 ms, of 1,200 pairs 124 against 73 ms.  At 10**4
+# units a pair the pool starts from 6,000 cascade pairs, where it pays on
+# both lines.
+CASCADE_PAIR_COST = 10**4
 
 
 class CertificateKind(str, Enum):
@@ -150,6 +172,16 @@ def certify_by_term_growth(pair: PartitionPair) -> bool:
 EXACT_RULE = "exact evaluation"
 
 
+# printed margins are rounded at 53 bits, mpmath's default precision,
+# whatever precision the caller has set
+MARGIN_PRECISION = 53
+
+
+def _margin(a: tuple, b: tuple) -> float:
+    """a - b of two raw mpf tuples, rounded to `MARGIN_PRECISION` bits, as a float."""
+    return to_float(mpf_sub(a, b, MARGIN_PRECISION, round_nearest))
+
+
 def _exact_fields(value: int) -> tuple[CertificateKind, int, int | None]:
     """(kind, exact_sign, bit_length) of the certificate of an exactly evaluated value."""
     if value == 0:
@@ -173,7 +205,7 @@ def _supercritical_step(pair, prec, delta) -> Certificate | None:
         rule = "refined supercritical saddle bound"
         if certified_compare(bound, 1, SLACK) is not Comparison.CERTIFIED_LESS:
             return None
-    return Certificate(pair, CertificateKind.NONZERO_SUPERCRITICAL, rule, margin=float(1 - bound))
+    return Certificate(pair, CertificateKind.NONZERO_SUPERCRITICAL, rule, margin=_margin(fone, bound._mpf_))
 
 
 def _oscillatory_gate(pair: PartitionPair) -> bool:
@@ -186,9 +218,10 @@ def _oscillatory_step(pair, prec, delta) -> Certificate | None:
     # above the reach lam is far past the bound's validity threshold (see the reach)
     bound, _ = oscillatory_error_bound(pair.ratio, pair.lambda2, prec)
     cosv, _ = oscillation_cosine(pair, prec, half_phase=True)
-    if certified_compare(abs(cosv), bound, SLACK) is not Comparison.CERTIFIED_GREATER:
+    # decide on |cos| exactly; the printed margin rounds it to 53 bits first
+    if certified_compare(mp.make_mpf(mpf_abs(cosv._mpf_)), bound, SLACK) is not Comparison.CERTIFIED_GREATER:
         return None
-    margin = float(abs(cosv) - bound)
+    margin = _margin(mpf_abs(cosv._mpf_, MARGIN_PRECISION, round_nearest), bound._mpf_)
     return Certificate(pair, CertificateKind.NONZERO_OSCILLATORY, "oscillatory main-term bound", margin=margin)
 
 
@@ -219,7 +252,7 @@ def _near_diagonal_step(pair, prec, delta) -> Certificate | None:
         return None
     if certified_compare(lower, bound.value, SLACK) is not Comparison.CERTIFIED_GREATER:
         return None
-    margin = float(lower - bound.value)
+    margin = _margin(lower._mpf_, bound.value._mpf_)
     return Certificate(pair, CertificateKind.NONZERO_OSCILLATORY, "near-diagonal window bound", margin=margin)
 
 
@@ -300,14 +333,16 @@ class DifferenceWindow:
     basis: str
 
 
-def _int_above(x: mpf) -> int:
-    """Smallest integer certifiedly > x (inward rounding of a lower endpoint)."""
-    return int(mp.floor(x + SLACK)) + 1
+def _int_above(x: tuple, wp: int) -> int:
+    """Smallest integer certifiedly > x (inward rounding of a lower endpoint),
+    for a raw x, with x + SLACK rounded at wp bits."""
+    return to_int(mpf_floor(mpf_add(x, SLACK._mpf_, wp, round_nearest), wp, round_nearest)) + 1
 
 
-def _int_below(x: mpf) -> int:
-    """Largest integer certifiedly < x (inward rounding of an upper endpoint)."""
-    return int(mp.ceil(x - SLACK)) - 1
+def _int_below(x: tuple, wp: int) -> int:
+    """Largest integer certifiedly < x (inward rounding of an upper endpoint),
+    for a raw x, with x - SLACK rounded at wp bits."""
+    return to_int(mpf_ceil(mpf_sub(x, SLACK._mpf_, wp, round_nearest), wp, round_nearest)) - 1
 
 
 # the proved windows of each congruence class, in order: (clause, lower end,
@@ -323,16 +358,21 @@ WINDOW_CLAUSES = (
 )
 
 
-def _class2_floor(l2: mpf, wp: int) -> int:
+def _class2_floor(lambda2: int, wp: int) -> int:
     """The least difference of clause class2-a: 702, or the first integer
-    above 2.0582 * l2**(1/4) once that is certifiedly larger (l2 and the
-    constants at `wp` bits)."""
-    quarter_root = decimal_constant("2.0582", wp) * l2 ** decimal_constant("0.25", wp)
-    versus_702 = certified_compare(quarter_root, NEAR_DIAGONAL_MIN_DIFFERENCE, SLACK)
+    above 2.0582 * lambda2**(1/4) once that is certifiedly larger (lambda2
+    and the constants at `wp` bits)."""
+    quarter_root = mpf_mul(
+        decimal_constant("2.0582", wp)._mpf_,
+        mpf_pow(from_int(lambda2, wp, round_nearest), decimal_constant("0.25", wp)._mpf_, wp, round_nearest),
+        wp,
+        round_nearest,
+    )
+    versus_702 = certified_compare(mp.make_mpf(quarter_root), NEAR_DIAGONAL_MIN_DIFFERENCE, SLACK)
     if versus_702 is Comparison.CERTIFIED_LESS:
         return NEAR_DIAGONAL_MIN_DIFFERENCE
     if versus_702 is Comparison.CERTIFIED_GREATER:
-        return _int_above(quarter_root)
+        return _int_above(quarter_root, wp)
     return NEAR_DIAGONAL_MIN_DIFFERENCE + 1
 
 
@@ -360,17 +400,17 @@ def difference_windows(
     # (class, clause, lo_difference, hi_difference) with real-valued ends
     clauses = []
     wp = prec + GUARD_BITS
-    with workprec(wp):
-        l2 = mpf(lambda2)
 
-        def s(k: int) -> mpf:
-            return mp.sqrt(k * mp.pi * l2)
+    def end(m: int, k: int, c: str, add) -> tuple:
+        # m * sqrt(k*pi*lambda2) +- c, rounded as the mpf expression at wp bits
+        root = mpf_mul_int(window_edge(lambda2, k, wp), m, wp, round_nearest)
+        return add(root, decimal_constant(c, wp)._mpf_, wp, round_nearest)
 
-        for cls in classes:
-            floor = _class2_floor(l2, wp) if cls == 2 else 1
-            for clause, lo, (m_hi, k_hi, c_hi) in WINDOW_CLAUSES[cls]:
-                d_lo = floor if lo is None else _int_above(lo[0] * s(lo[1]) + decimal_constant(lo[2], wp))
-                clauses.append((cls, clause, d_lo, _int_below(m_hi * s(k_hi) - decimal_constant(c_hi, wp))))
+    for cls in classes:
+        floor = _class2_floor(lambda2, wp) if cls == 2 else 1
+        for clause, lo, hi in WINDOW_CLAUSES[cls]:
+            d_lo = floor if lo is None else _int_above(end(*lo, mpf_add), wp)
+            clauses.append((cls, clause, d_lo, _int_below(end(*hi, mpf_sub), wp)))
     for cls, clause, d_lo, d_hi in clauses:
         cut = NEAR_DIAGONAL_MIN_DIFFERENCE
         if d_lo <= min(d_hi, cut - 1):
@@ -395,8 +435,8 @@ class RatioRule:
     ratio: Fraction
 
     def lambda1_values(self, lambda2: int) -> list[int]:
-        v = self.ratio * lambda2
-        return [int(v)] if v.denominator == 1 and v > lambda2 else []
+        v, rest = divmod(self.ratio.numerator * lambda2, self.ratio.denominator)
+        return [v] if rest == 0 and v > lambda2 else []
 
 
 @dataclass(frozen=True)

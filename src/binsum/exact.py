@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -76,9 +77,10 @@ class PartitionPair:
                 f"pair must satisfy lambda1 >= lambda2 >= 0, got ({self.lambda1}, {self.lambda2})"
             )
 
-    @property
+    @functools.cached_property
     def ratio(self) -> Fraction:
-        """The ratio r = lambda1/lambda2, kept exact.  Undefined for lambda2 = 0."""
+        """The ratio r = lambda1/lambda2, kept exact and built once per pair.
+        Undefined for lambda2 = 0."""
         if self.lambda2 == 0:
             raise ValueError("ratio undefined for lambda2 = 0")
         return Fraction(self.lambda1, self.lambda2)

@@ -29,12 +29,22 @@ from binsum.asymptotics import (
     supercritical_error_bound,
     supercritical_error_bound_refined,
     _oscillatory_constants,
+    _phase_constants,
     _supercritical_constants,
+    window_edge,
 )
 from binsum.exact import PartitionPair
 from binsum.numerics import GUARD_BITS, SLACK, Comparison, certified_compare, rational_to_real
 
-RATIO_CACHES = (saddle_data, gamma_angles, _supercritical_constants, _oscillatory_constants, oscillatory_bound_reach)
+RATIO_CACHES = (
+    saddle_data,
+    gamma_angles,
+    _supercritical_constants,
+    _oscillatory_constants,
+    _phase_constants,
+    oscillatory_bound_reach,
+    window_edge,
+)
 
 
 def test_classification_is_exact():
@@ -239,6 +249,15 @@ def test_near_diagonal_edges_computed_once_are_bit_identical():
                     assert (value, got.detail) == _reference_near_diagonal_bound(pair, prec)
                     checked += 1
     assert checked >= 300
+
+
+@given(lambda2=st.integers(1, 10**12), k=st.integers(0, len(NEAR_DIAGONAL_ROWS)), prec=st.integers(53, 256))
+@settings(max_examples=300, deadline=None)
+def test_window_edges_are_bit_identical_to_mpf_arithmetic(lambda2, k, prec):
+    wp = prec + GUARD_BITS
+    with workprec(wp):
+        expected = mp.log(mpf(lambda2)) if k == 0 else mp.sqrt(k * mp.pi * mpf(lambda2))
+    assert window_edge(lambda2, k, wp) == expected._mpf_
 
 
 def _gate_flips(l2):
@@ -629,3 +648,37 @@ def test_ratio_caches_are_small():
     # carry constants from one command to the next inside one process
     for cached in RATIO_CACHES:
         assert cached.cache_parameters()["maxsize"] <= 32
+
+
+def _reference_oscillation_cosine(pair, prec, half_phase):
+    """`oscillation_cosine` in mpf arithmetic, as (cosine bits, angle bits)."""
+    p_eff = max(prec, 96 + pair.lambda1.bit_length() + 32)
+    with workprec(p_eff + GUARD_BITS):
+        if half_phase:
+            sd = saddle_data(pair.ratio, p_eff)
+            angle = pair.lambda1 * sd.gamma1 + pair.lambda2 * sd.gamma2 + sd.gamma3
+        else:
+            g1, g2 = gamma_angles(pair.ratio, p_eff)
+            angle = pair.lambda1 * g1 + pair.lambda2 * g2
+        two_pi = 2 * mp.pi
+        angle -= two_pi * mp.floor(angle / two_pi + mpf(0.5))
+        return mp.cos(angle)._mpf_, angle._mpf_
+
+
+@st.composite
+def _subcritical_pairs_near_a_power_of_two(draw):
+    """A subcritical pair whose lambda1 lies within 3 of a power of two, on
+    either side of the bit length at which `oscillation_cosine` raises p_eff."""
+    lambda1 = 2 ** draw(st.integers(3, 120)) + draw(st.integers(-3, 3))
+    # lambda1/lambda2 < 5.82 < 3 + 2*sqrt(2)
+    return PartitionPair(lambda1, draw(st.integers(lambda1 * 100 // 582 + 1, lambda1 - 1)))
+
+
+@given(pair=_subcritical_pairs_near_a_power_of_two(), prec=st.integers(53, 256), half_phase=st.booleans())
+@example(pair=PartitionPair(2**17 - 2, 2**16 - 1), prec=128, half_phase=True)
+@example(pair=PartitionPair(2**17, 2**16), prec=128, half_phase=True)
+@example(pair=PartitionPair(2**17, 2**16), prec=145, half_phase=False)
+@settings(max_examples=300, deadline=None)
+def test_oscillation_cosine_is_bit_identical_to_mpf_arithmetic(pair, prec, half_phase):
+    cosv, angle = oscillation_cosine(pair, prec, half_phase)
+    assert (cosv._mpf_, angle._mpf_) == _reference_oscillation_cosine(pair, prec, half_phase)

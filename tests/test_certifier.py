@@ -33,6 +33,7 @@ from binsum.certifier import (
     scan_range,
 )
 from binsum.exact import PartitionPair, evaluate, evaluation_cost, row_step
+from binsum.numerics import GUARD_BITS, SLACK, Comparison, certified_compare
 
 
 def _one_pair_rows(records) -> ScanReport:
@@ -212,6 +213,58 @@ def test_difference_windows_class2_lower_follows_the_quarter_root():
     assert windows[0].lo - 2 * 10**10 == 775 == math.floor(2.0582 * (2 * 10**10) ** 0.25) + 1
 
 
+def _reference_difference_windows(lambda2, prec):
+    """`difference_windows` in mpf arithmetic, every edge computed where it is used."""
+    wp = prec + GUARD_BITS
+    clauses = []
+    with workprec(wp):
+        l2 = mpf(lambda2)
+
+        def int_above(x):
+            return int(mp.floor(x + SLACK)) + 1
+
+        def s(k):
+            return mp.sqrt(k * mp.pi * l2)
+
+        def class2_floor():
+            quarter_root = mpf("2.0582") * l2 ** mpf("0.25")
+            versus_702 = certified_compare(quarter_root, 702, SLACK)
+            if versus_702 is Comparison.CERTIFIED_LESS:
+                return 702
+            if versus_702 is Comparison.CERTIFIED_GREATER:
+                return int_above(quarter_root)
+            return 703
+
+        for cls, table in enumerate(certifier.WINDOW_CLAUSES):
+            floor = class2_floor() if cls == 2 else 1
+            for clause, lo, (m_hi, k_hi, c_hi) in table:
+                d_lo = floor if lo is None else int_above(lo[0] * s(lo[1]) + mpf(lo[2]))
+                d_hi = int(mp.ceil(m_hi * s(k_hi) - mpf(c_hi) - SLACK)) - 1
+                clauses.append((cls, clause, d_lo, d_hi))
+    out = []
+    for cls, clause, d_lo, d_hi in clauses:
+        for lo, hi, basis in ((d_lo, min(d_hi, 701), "small-difference"), (max(d_lo, 702), d_hi, "window-table")):
+            if lo <= hi:
+                out.append(certifier.DifferenceWindow(cls, clause, lambda2 + lo, lambda2 + hi, basis))
+    return out
+
+
+def test_difference_windows_match_mpf_arithmetic_around_the_class2_floor_changes():
+    # the floor of class2-a leaves 702 where 2.0582 * lambda2**(1/4) passes
+    # 702, at lambda2 = (702/2.0582)**4, and then steps at each integer n
+    floors = set()
+    for n in (702, 703, 704, 800):
+        first = math.ceil(Fraction(n * 10000, 20582) ** 4)
+        for lambda2 in range(first - 2, first + 3):
+            for prec in (53, 128, 200):
+                got = difference_windows(lambda2, prec)
+                assert got == _reference_difference_windows(lambda2, prec)
+                floors.add(next(w.lo for w in got if w.clause == "class2-a") - lambda2)
+    assert floors == {702, 703, 704, 705, 800, 801}
+    for lambda2 in (1, 702, 18953, 10**5, 10**6 + 3):
+        assert difference_windows(lambda2) == _reference_difference_windows(lambda2, 128)
+
+
 def test_difference_windows_tiny_lambda2():
     # at lambda2 = 1 the class-3 first window is empty (sqrt(pi) - 1.1958 < 1)
     clauses = {w.clause for w in difference_windows(1)}
@@ -310,7 +363,9 @@ def test_scan_with_ratio_caches_equals_uncached_pairs():
         asymptotics.gamma_angles,
         asymptotics._supercritical_constants,
         asymptotics._oscillatory_constants,
+        asymptotics._phase_constants,
         asymptotics.oscillatory_bound_reach,
+        asymptotics.window_edge,
     )
     for rule in (RatioRule(Fraction(6)), RatioRule(Fraction(2)), DiffRule(800)):
         report = scan_range((100000, 100015), rule, budget=0)
@@ -320,6 +375,33 @@ def test_scan_with_ratio_caches_equals_uncached_pairs():
                 cached.cache_clear()
             expected.append((l2, certificate_record(certify(PartitionPair(record[0], l2), budget=0))))
         assert report.jsonl_lines() == _one_pair_rows(expected).jsonl_lines()
+
+
+def _ambient_outcomes():
+    return (
+        # |cos| = 0.244862 falls 2.4e-5 short of the oscillatory bound, but
+        # rounded to 3 or 4 bits it would pass it
+        certify(PartitionPair(200150, 100075), budget=0),
+        certify(PartitionPair(600000, 100000), budget=0),
+        scan_range((100070, 100081), RatioRule(Fraction(2)), budget=0).rows,
+        scan_range((100000, 100011), DiffRule(800), budget=0).rows,
+        # lambda2 = 44 lies below the validity threshold 44.23 of r = 4
+        asymptotics.predict(PartitionPair(176, 44)),
+        asymptotics.predict(PartitionPair(200150, 100075)),
+    )
+
+
+def test_verdicts_and_margins_do_not_depend_on_the_ambient_precision():
+    outcomes = []
+    for ambient in (3, 53, 300):
+        with workprec(ambient):
+            outcomes.append(_ambient_outcomes())
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    near, super_, ratio2, diff, below, _ = outcomes[1]
+    assert near.kind is CertificateKind.INCONCLUSIVE and not below.valid
+    rules = {record[2] for _, records in ratio2 + diff for record in records}
+    assert {"oscillatory main-term bound", "near-diagonal window bound", "certified difference window"} <= rules
+    assert super_.margin is not None
 
 
 def test_scan_counts_and_order():
@@ -569,6 +651,10 @@ def test_scan_starts_the_pool_only_from_the_work_threshold_on(monkeypatch, recor
         serial = scan_range(lambda2_range, rule, budget=budget)
         assert scan_range(lambda2_range, rule, budget=budget, parallelism=2).rows == serial.rows
     assert recorded_pools == []
+    # cascade-only lines stay serial up to 6,000 pairs, where the pool first pays
+    for pairs, rule in ((4800, RatioRule(Fraction(6))), (4800, RatioRule(Fraction(2))), (6000, RatioRule(Fraction(6)))):
+        rows = certifier.rule_rows((100000, 100000 + pairs - 1), rule)
+        assert (_scan_tasks(rows, 0, 128, False)[1] >= certifier.POOL_MIN_WORK) is (pairs == 6000)
     # ten exact ratio-3 pairs of about 8 ms each repay the pool
     heavy = ((2000, 2009), RatioRule(Fraction(3)))
     assert _scan_tasks(certifier.rule_rows(*heavy), certifier.DEFAULT_BUDGET, 128, False)[1] >= certifier.POOL_MIN_WORK

@@ -21,11 +21,16 @@ differs from its twin at 1.  The set covers:
   bound stops evaluating its exponential tail, and a scan heavy enough to
   start the worker pool at --parallelism 2, in the same formats and at the
   same parallelism;
+* cascade scans where `oscillation_cosine` raises its precision, ratio-3
+  and difference lines at --precision 53 and 200, and a difference line
+  across a step of the class-2 window floor, in the same formats and at the
+  same parallelism;
 * `certify` (with and without --delta) and `predict` at pairs that each
   cascade stage decides, at an exact pair and at refused pairs, with
   --budget 0 and --precision 53 and 200;
 * `predict` on the ratio-6 line on both sides of that tail cutoff, at
-  --precision 53, 128 and 200, in jsonl and human;
+  --precision 53, 128 and 200, and just below and above the validity
+  threshold of the oscillatory bound, in jsonl and human;
 * `intervals`, `poly`, `exceptions` and `plotdata` in every format;
 * `validate` for every lemma at two grids, and on the 4x5 grid also at
   --precision 53 and 200, in jsonl and human;
@@ -96,9 +101,27 @@ WALK_SCANS = (
 # ten exact ratio-3 pairs, whose estimated work starts the pool at
 # --parallelism 2 (`certifier.POOL_MIN_WORK`)
 POOL_SCANS = (("scan", "--l2", "2000..2009", "--ratio", "3"),)
+# cascade scans on the raw-tuple paths of the bounds, the cosine and the
+# window edges: lambda1 crosses 2**17 on the ratio-2 line, where
+# `oscillation_cosine` raises its precision; ratio-3 and difference lines
+# (window and near-diagonal certificates) at --precision 53 and 200; and a
+# difference line across lambda2 = 13533126865, where the floor of clause
+# class2-a steps from 702 to 703
+CASCADE_SCANS = (
+    ("scan", "--l2", "65535..65537", "--ratio", "2"),
+    *(
+        ("--precision", precision, "scan", "--l2", l2s, rule, value)
+        for precision in ("53", "200")
+        for l2s, rule, value in (("4000..4049", "--ratio", "3"), ("100000..100011", "--diff", "800"))
+    ),
+    ("scan", "--l2", "13533126862..13533126867", "--diff", "702"),
+)
 # (6 * lambda2, lambda2) around the tail cutoff, which lies at lambda2 = 50,
 # 91 and 130 at --precision 53, 128 and 200
 PREDICT_LAMBDA2S = (60, 90, 120)
+# pairs just below and just above the validity threshold of the oscillatory
+# bound: 44.23 at r = 4 and 29.39 at r = 3
+THRESHOLD_PAIRS = ((176, 44), (180, 45), (87, 29), (90, 30))
 # the reduced route cancels at the first two (a proof-check window sample at
 # lambda2 ~ 1e5, and a mid-size pair) and divides by Q at the wide third
 CANCEL_PAIRS = ((101045, 100018), (20001, 19000), (12000, 6000))
@@ -128,7 +151,7 @@ def commands() -> list[list[str]]:
             for scan in workloads.build(name, seed).scans:
                 for parallelism in (1, 2):
                     out.extend(["--format", fmt, *scan.argv(parallelism)] for fmt in FORMATS)
-    for scan in (*WALK_SCANS, *POOL_SCANS):
+    for scan in (*WALK_SCANS, *POOL_SCANS, *CASCADE_SCANS):
         for flags in ((), ("--parallelism", "2")):
             out.extend(["--format", fmt, *flags, *scan] for fmt in FORMATS)
     for l1, l2 in CERTIFY_PAIRS:
@@ -141,6 +164,8 @@ def commands() -> list[list[str]]:
     for l2 in PREDICT_LAMBDA2S:
         for options in ((), ("--precision", "53"), ("--precision", "200")):
             out.extend(["--format", fmt, *options, "predict", str(6 * l2), str(l2)] for fmt in ("jsonl", "human"))
+    for l1, l2 in THRESHOLD_PAIRS:
+        out.extend(["--format", fmt, "predict", str(l1), str(l2)] for fmt in ("jsonl", "human"))
     tails = [
         ["intervals", "702"],
         ["intervals", "100000"],
