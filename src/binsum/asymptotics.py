@@ -24,17 +24,22 @@ floating arithmetic enters only the constants.  Normalizers
 of the form 2**((r+1)*lambda/2) overflow any fixed-exponent float, so all
 scalings are combined in the log domain and exponentiated once.
 
-The per-pair arithmetic of the certification cascade runs on raw libmp
-tuples (`_mpf_`) instead of mpf objects: the head of
-`supercritical_error_bound`, `oscillatory_error_bound`,
-`oscillation_cosine`, and the lambda2-only edges log(lambda2) and
-sqrt(k*pi*lambda2) of `window_edge`.  Each step is the `mpf_*` call that
-the mpf expression it replaces makes: the same operation, on the same
-operands, in the same order, at the same precision, rounding to nearest.
-So every returned mpf equals the mpf expression's bit for bit, and none
-depends on the ambient mpmath precision.  What depends only on the ratio is
-cached once per (r, prec): the factors of the bounds, and the phase
-constants gamma1, gamma2, gamma3 and 2*pi at the cosine's raised precision.
+Each per-pair formula of the certification cascade is one raw kernel on
+libmp tuples (`_mpf_`) instead of mpf objects: `_supercritical_bound` (the
+exponential tail, rarely evaluated, stays in mpf arithmetic),
+`_oscillatory_bound`, `_reduced_cosine`, `_near_diagonal_bound`, and the
+lambda2-only edges log(lambda2) and sqrt(k*pi*lambda2) of `window_edge`.
+Each step is the `mpf_*` call that the mpf expression it replaces makes: the
+same operation, on the same operands, in the same order, at the same
+precision, rounding to nearest.  So every value equals the mpf expression's
+bit for bit, and none depends on the ambient mpmath precision.  What depends
+only on the ratio is cached once per (r, prec): the factors of the bounds,
+and the phase constants gamma1, gamma2, gamma3 and 2*pi at the cosine's
+raised precision.  The public functions (`supercritical_error_bound`,
+`oscillatory_error_bound`, `oscillation_cosine`,
+`near_diagonal_error_bound`) look those up per call and wrap the kernel's
+result in an mpf; a `RatioLine` looks them up once per line of fixed ratio
+and hands the cascade the kernels' raw results.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ from mpmath.libmp import (
     mpf_ge,
     mpf_gt,
     mpf_log,
+    mpf_lt,
     mpf_mul,
     mpf_mul_int,
     mpf_pi,
@@ -76,6 +82,7 @@ from .numerics import (
     Comparison,
     certified_compare,
     check_precision,
+    dyadic_compare,
     decimal_constant,
     rational_to_real,
 )
@@ -106,6 +113,7 @@ OSCILLATORY_BOUND_CONSTANT = 16336
 
 # the rounding of every mpf operation under mpmath's default context
 _RND = round_nearest
+_SLACK = SLACK._mpf_
 
 # entries kept by each per-ratio cache below, keyed by (r, prec).  A scan
 # line or a validator needs one or two live keys at a time (the ratio at the
@@ -250,14 +258,14 @@ def critical_boundary_constants(prec: int = DEFAULT_PRECISION) -> tuple[mpf, mpf
 
 
 @functools.lru_cache(maxsize=RATIO_CACHE_SIZE)
-def _supercritical_constants(r: Fraction, prec: int) -> tuple[mpf, ...]:
-    """The lambda-independent factors of `supercritical_error_bound`:
+def _supercritical_constants(r: Fraction, prec: int) -> tuple[tuple, ...]:
+    """The lambda-independent factors of `supercritical_error_bound`, raw:
     M, 3*crit*pi**5, M**2, 5*crit, M**3, sqrt(2), pi**2 and pi**1.5, each
     rounded exactly as the bound's formula rounds it."""
     m_val = saddle_data(r, prec).M
     with workprec(prec + GUARD_BITS):
         crit = 3 + 2 * mp.sqrt(mpf(2))
-        return (
+        factors = (
             m_val,
             3 * crit * mp.pi**5,
             m_val**2,
@@ -267,6 +275,36 @@ def _supercritical_constants(r: Fraction, prec: int) -> tuple[mpf, ...]:
             mp.pi**2,
             mp.pi ** mpf("1.5"),
         )
+        return tuple(f._mpf_ for f in factors)
+
+
+def _supercritical_bound(constants: tuple, lam: int, wp: int) -> tuple:
+    """`supercritical_error_bound` at lam >= 1 from its raw
+    `_supercritical_constants`, rounded at wp bits, as a raw tuple."""
+    m_val, c1, m_sq, c2, m_cube, sqrt2, pi_sq, pi_15 = constants
+    # c1/(256*lam*M**2) + c2/(24*lam*M**3), lam*M and x = lam*M*pi**2/2, as
+    # the mpf expressions round them at wp bits
+    lamf = from_int(lam, wp, _RND)
+    head = mpf_add(
+        mpf_div(c1, mpf_mul(mpf_mul_int(lamf, 256, wp, _RND), m_sq, wp, _RND), wp, _RND),
+        mpf_div(c2, mpf_mul(mpf_mul_int(lamf, 24, wp, _RND), m_cube, wp, _RND), wp, _RND),
+        wp,
+        _RND,
+    )
+    lam_m = mpf_mul(lamf, m_val, wp, _RND)
+    x = mpf_div(mpf_mul(lam_m, pi_sq, wp, _RND), ftwo, wp, _RND)
+    # The sum head lies in [2**(E-1), 2**E) for E = mag(head), its exponent
+    # plus its bit count, so half an ulp of it at wp bits is 2**(E-wp-1).
+    # With lam*M >= 1 the prefactor sqrt(2)/(pi**1.5*sqrt(lam*M)) is below
+    # 0.26 and exp(-x) < 2**-x, so the tail as computed here is below
+    # 2**-x < 2**(E-wp-16) (Brent and Zimmermann, Modern Computer Arithmetic,
+    # 2010, section 3.1: a term below half an ulp leaves a round-to-nearest
+    # sum unchanged).
+    if mpf_ge(lam_m, fone) and mpf_gt(x, from_int(wp + 16 - head[2] - head[3])):
+        return head
+    with workprec(wp):
+        head, x, lam_m, sqrt2, pi_15 = map(mp.make_mpf, (head, x, lam_m, sqrt2, pi_15))
+        return (head + sqrt2 * mp.exp(-x) / (pi_15 * mp.sqrt(lam_m)))._mpf_
 
 
 def supercritical_error_bound(r: Fraction, lam: int, prec: int = DEFAULT_PRECISION) -> mpf:
@@ -291,31 +329,7 @@ def supercritical_error_bound(r: Fraction, lam: int, prec: int = DEFAULT_PRECISI
         raise RegimeError(f"bound requires r > 3 + 2*sqrt(2), got r = {r}")
     if lam < 1:
         raise ValueError("lambda must be >= 1")
-    m_val, c1, m_sq, c2, m_cube, sqrt2, pi_sq, pi_15 = _supercritical_constants(r, prec)
-    wp = prec + GUARD_BITS
-    # c1/(256*lam*M**2) + c2/(24*lam*M**3), lam*M and x = lam*M*pi**2/2, as
-    # the mpf expressions round them at wp bits
-    lamf = from_int(lam, wp, _RND)
-    head = mpf_add(
-        mpf_div(c1._mpf_, mpf_mul(mpf_mul_int(lamf, 256, wp, _RND), m_sq._mpf_, wp, _RND), wp, _RND),
-        mpf_div(c2._mpf_, mpf_mul(mpf_mul_int(lamf, 24, wp, _RND), m_cube._mpf_, wp, _RND), wp, _RND),
-        wp,
-        _RND,
-    )
-    lam_m = mpf_mul(lamf, m_val._mpf_, wp, _RND)
-    x = mpf_div(mpf_mul(lam_m, pi_sq._mpf_, wp, _RND), ftwo, wp, _RND)
-    # The sum head lies in [2**(E-1), 2**E) for E = mag(head), its exponent
-    # plus its bit count, so half an ulp of it at wp bits is 2**(E-wp-1).
-    # With lam*M >= 1 the prefactor sqrt(2)/(pi**1.5*sqrt(lam*M)) is below
-    # 0.26 and exp(-x) < 2**-x, so the tail as computed here is below
-    # 2**-x < 2**(E-wp-16) (Brent and Zimmermann, Modern Computer Arithmetic,
-    # 2010, section 3.1: a term below half an ulp leaves a round-to-nearest
-    # sum unchanged).
-    if mpf_ge(lam_m, fone) and mpf_gt(x, from_int(wp + 16 - head[2] - head[3])):
-        return mp.make_mpf(head)
-    with workprec(wp):
-        head, x, lam_m = map(mp.make_mpf, (head, x, lam_m))
-        return head + sqrt2 * mp.exp(-x) / (pi_15 * mp.sqrt(lam_m))
+    return mp.make_mpf(_supercritical_bound(_supercritical_constants(r, prec), lam, prec + GUARD_BITS))
 
 
 def _quartic_coefficient(rho: mpf) -> Callable[[mpf], mpf]:
@@ -395,12 +409,28 @@ def supercritical_error_bound_refined(
 
 
 @functools.lru_cache(maxsize=RATIO_CACHE_SIZE)
-def _oscillatory_constants(r: Fraction, prec: int) -> tuple[mpf, mpf]:
-    """(-r**2+6r-1)**(11/4) and the validity threshold of `oscillatory_error_bound`."""
+def _oscillatory_constants(r: Fraction, prec: int) -> tuple[tuple, tuple]:
+    """Raw (-r**2+6r-1)**(11/4) and the raw validity threshold of
+    `oscillatory_error_bound`."""
     with workprec(prec + GUARD_BITS):
         nd = rational_to_real(negated_discriminant(r), prec + GUARD_BITS)
         rm = rational_to_real(r, prec + GUARD_BITS)
-        return nd ** (mpf(11) / 4), 512 * rm ** mpf("1.5") / ((rm + 1) * nd ** mpf("1.5"))
+        threshold = 512 * rm ** mpf("1.5") / ((rm + 1) * nd ** mpf("1.5"))
+        return (nd ** (mpf(11) / 4))._mpf_, threshold._mpf_
+
+
+def _oscillatory_bound(nd_power: tuple, lam: int, wp: int) -> tuple:
+    """16336 / (sqrt(lam) * nd_power) at wp bits, raw, for the raw
+    (-r**2+6r-1)**(11/4) of `_oscillatory_constants`."""
+    root = mpf_sqrt(from_int(lam, wp, _RND), wp, _RND)
+    return mpf_rdiv_int(OSCILLATORY_BOUND_CONSTANT, mpf_mul(root, nd_power, wp, _RND), wp, _RND)
+
+
+def _oscillatory_reach(a: int, b: int) -> int:
+    """`oscillatory_bound_reach` of the subcritical r = a/b, in any terms: with
+    nd = (6ab - a**2 - b**2)/b**2, lam**2 <= 16336**4 / nd**11 is one exact
+    rational inequality, whatever the common factor of a and b."""
+    return math.isqrt(OSCILLATORY_BOUND_CONSTANT**4 * (b * b) ** 11 // (6 * a * b - a * a - b * b) ** 11)
 
 
 @functools.lru_cache(maxsize=RATIO_CACHE_SIZE)
@@ -417,8 +447,7 @@ def oscillatory_bound_reach(r: Fraction) -> int:
     r = Fraction(r)
     if classify(r) is not Regime.SUBCRITICAL:
         raise RegimeError(f"bound requires 1 < r < 3 + 2*sqrt(2), got r = {r}")
-    nd = negated_discriminant(r)
-    return math.isqrt(OSCILLATORY_BOUND_CONSTANT**4 * nd.denominator**11 // nd.numerator**11)
+    return _oscillatory_reach(r.numerator, r.denominator)
 
 
 def oscillatory_error_bound(
@@ -439,10 +468,7 @@ def oscillatory_error_bound(
     if lam < 1:
         raise ValueError("lambda must be >= 1")
     nd_power, threshold = _oscillatory_constants(r, prec)
-    wp = prec + GUARD_BITS
-    root = mpf_sqrt(from_int(lam, wp, _RND), wp, _RND)
-    bound = mpf_rdiv_int(OSCILLATORY_BOUND_CONSTANT, mpf_mul(root, nd_power._mpf_, wp, _RND), wp, _RND)
-    return mp.make_mpf(bound), threshold
+    return mp.make_mpf(_oscillatory_bound(nd_power, lam, prec + GUARD_BITS)), mp.make_mpf(threshold)
 
 
 @functools.lru_cache(maxsize=RATIO_CACHE_SIZE)
@@ -488,26 +514,40 @@ def near_diagonal_error_bound(pair: PartitionPair, prec: int = DEFAULT_PRECISION
         )
     if ratio_regime(pair.lambda1, l2) is not Regime.SUBCRITICAL:
         raise RegimeError(f"near-diagonal bound requires a subcritical ratio, got r = {pair.ratio}")
-    wp = prec + GUARD_BITS
-    dm = mp.make_mpf(from_int(d, wp, _RND))
-    candidates: list[tuple[mpf, str]] = []
-    # row k spans [edge k-1, edge k] of `window_edge`; edge 8 is also the
-    # edge of the flat bound
-    sides = [
-        certified_compare(dm, mp.make_mpf(window_edge(l2, k, wp)), SLACK) for k in range(len(NEAR_DIAGONAL_ROWS) + 1)
-    ]
-    if sides[-1] is Comparison.CERTIFIED_LESS:
-        candidates.append((decimal_constant(NEAR_DIAGONAL_FLAT, wp), "flat"))
-    if sides[0] is Comparison.CERTIFIED_GREATER:
+    value, detail = _near_diagonal_bound(d, l2, prec + GUARD_BITS)
+    if value is None:
+        return NearDiagonalBound(None, False, detail)
+    return NearDiagonalBound(mp.make_mpf(value), True, detail)
+
+
+def _near_diagonal_bound(d: int, l2: int, wp: int) -> tuple[tuple | None, str]:
+    """(raw value, detail) of `near_diagonal_error_bound` at wp bits, value
+    None outside every proved window.
+
+    Row k spans [edge k-1, edge k] of `window_edge`, and edge 8 is also the
+    edge of the flat bound.  The computed edges are nondecreasing in k (each
+    rounded operation is monotone, and log(l2) < sqrt(pi*l2) by far more
+    than the rounding), so once d is certified below edge k it is below
+    every later one: the flat bound applies, row k applies when d is
+    certified above edge k-1, and no later row can.  The edges past k are
+    neither computed nor compared."""
+    dm = from_int(d, wp, _RND)
+    above = False  # d certified above the previous edge
+    for k in range(len(NEAR_DIAGONAL_ROWS) + 1):
+        side = dyadic_compare(dm, window_edge(l2, k, wp), _SLACK)
+        if side is Comparison.CERTIFIED_LESS:
+            break
+        above = side is Comparison.CERTIFIED_GREATER
+    else:
+        return None, "difference outside every proved window"
+    flat = decimal_constant(NEAR_DIAGONAL_FLAT, wp)._mpf_
+    if above:
         sqrt_l2 = mpf_sqrt(from_int(l2, wp, _RND), wp, _RND)
-        for k, row in enumerate(NEAR_DIAGONAL_ROWS, start=1):
-            if sides[k] is Comparison.CERTIFIED_LESS and sides[k - 1] is Comparison.CERTIFIED_GREATER:
-                value = mpf_div(decimal_constant(row, wp)._mpf_, sqrt_l2, wp, _RND)
-                candidates.append((mp.make_mpf(value), f"row{k}"))
-    if not candidates:
-        return NearDiagonalBound(None, False, "difference outside every proved window")
-    value, detail = min(candidates, key=lambda t: t[0])
-    return NearDiagonalBound(value, True, detail)
+        row = mpf_div(decimal_constant(NEAR_DIAGONAL_ROWS[k - 1], wp)._mpf_, sqrt_l2, wp, _RND)
+        # the smaller bound is the sharper; the flat one on a tie
+        if mpf_lt(row, flat):
+            return row, f"row{k}"
+    return flat, "flat"
 
 
 @functools.lru_cache(maxsize=RATIO_CACHE_SIZE)
@@ -536,16 +576,90 @@ def oscillation_cosine(
     grows linearly in lambda and the cancellation in the reduction is the
     dominant hazard.  Returns (cosine, reduced_angle).
     """
-    p_eff = max(prec, 96 + pair.lambda1.bit_length() + 32)
-    wp = p_eff + GUARD_BITS
-    g1, g2, g3, two_pi = _phase_constants(pair.ratio, p_eff, half_phase)
-    angle = mpf_add(mpf_mul_int(g1, pair.lambda1, wp, _RND), mpf_mul_int(g2, pair.lambda2, wp, _RND), wp, _RND)
-    if half_phase:
+    p_eff = _phase_precision(prec, pair.lambda1)
+    phase = _phase_constants(pair.ratio, p_eff, half_phase)
+    cosv, angle = _reduced_cosine(phase, pair.lambda1, pair.lambda2, p_eff + GUARD_BITS)
+    return mp.make_mpf(cosv), mp.make_mpf(angle)
+
+
+def _phase_precision(prec: int, lambda1: int) -> int:
+    """The p_eff of `oscillation_cosine`: prec, raised with lambda1's bit length."""
+    return max(prec, 96 + lambda1.bit_length() + 32)
+
+
+def _reduced_cosine(phase: tuple, lambda1: int, lambda2: int, wp: int) -> tuple[tuple, tuple]:
+    """Raw (cosine, reduced angle) of `oscillation_cosine` from the
+    `_phase_constants` at p_eff = wp - GUARD_BITS, with the half phase
+    exactly when gamma3 is not None."""
+    g1, g2, g3, two_pi = phase
+    angle = mpf_add(mpf_mul_int(g1, lambda1, wp, _RND), mpf_mul_int(g2, lambda2, wp, _RND), wp, _RND)
+    if g3 is not None:
         angle = mpf_add(angle, g3, wp, _RND)
     # angle - 2*pi * floor(angle/(2*pi) + 1/2)
     turns = mpf_floor(mpf_add(mpf_div(angle, two_pi, wp, _RND), fhalf, wp, _RND), wp, _RND)
     angle = mpf_sub(angle, mpf_mul(two_pi, turns, wp, _RND), wp, _RND)
-    return mp.make_mpf(mpf_cos(angle, wp, _RND)), mp.make_mpf(angle)
+    return mpf_cos(angle, wp, _RND), angle
+
+
+class RatioLine:
+    """What the certification cascade reads of one line of fixed ratio
+    r = a/b > 1 (a and b in any terms) at one working precision, built once
+    per line and shared by all of its pairs.
+
+    The regime and, for a subcritical ratio, the reach of
+    `oscillatory_bound_reach` are exact and set here.  The raw factors of
+    the two bounds, and the phase constants of each p_eff that the line
+    reaches (one or two, as p_eff steps with lambda1's bit length), come
+    from the ratio caches on first use and are then kept.  So a pair of the
+    line pays for no Fraction, cache lookup or mpf object: each per-pair
+    method is one call of the raw kernel that the public function of the
+    same formula calls, and returns a raw tuple, rounded at
+    prec + GUARD_BITS bits (the cosine at p_eff + GUARD_BITS).  Call each
+    bound only on a line of its regime.  `delta`, when given, is the split
+    angle of the refined supercritical bound.
+    """
+
+    __slots__ = ("a", "b", "prec", "wp", "delta", "regime", "reach", "_ratio", "_supercritical", "_nd_power", "_phases")
+
+    def __init__(self, a: int, b: int, prec: int = DEFAULT_PRECISION, delta=None) -> None:
+        self.a, self.b, self.prec, self.wp, self.delta = a, b, prec, prec + GUARD_BITS, delta
+        self.regime = ratio_regime(a, b)
+        self.reach = _oscillatory_reach(a, b) if self.regime is Regime.SUBCRITICAL else None
+        self._ratio = self._supercritical = self._nd_power = None
+        self._phases: dict[int, tuple] = {}
+
+    @property
+    def ratio(self) -> Fraction:
+        """r in lowest terms, built on first use."""
+        if self._ratio is None:
+            self._ratio = Fraction(self.a, self.b)
+        return self._ratio
+
+    def supercritical_bound(self, lam: int) -> tuple:
+        """`supercritical_error_bound(r, lam, prec)`, raw."""
+        if self._supercritical is None:
+            self._supercritical = _supercritical_constants(self.ratio, self.prec)
+        return _supercritical_bound(self._supercritical, lam, self.wp)
+
+    def oscillatory_bound(self, lam: int) -> tuple:
+        """The bound of `oscillatory_error_bound(r, lam, prec)`, raw."""
+        if self._nd_power is None:
+            self._nd_power = _oscillatory_constants(self.ratio, self.prec)[0]
+        return _oscillatory_bound(self._nd_power, lam, self.wp)
+
+    def cosine(self, lambda1: int, lambda2: int) -> tuple:
+        """The cosine of `oscillation_cosine` with the half phase, raw, for a
+        pair (lambda1, lambda2) of the line."""
+        p_eff = _phase_precision(self.prec, lambda1)
+        phase = self._phases.get(p_eff)
+        if phase is None:
+            phase = self._phases[p_eff] = _phase_constants(self.ratio, p_eff, True)
+        return _reduced_cosine(phase, lambda1, lambda2, p_eff + GUARD_BITS)[0]
+
+    def near_diagonal_bound(self, d: int, lambda2: int) -> tuple | None:
+        """The value of `near_diagonal_error_bound` at difference d >= 702
+        and lambda2, raw, or None outside every proved window."""
+        return _near_diagonal_bound(d, lambda2, self.wp)[0]
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,12 @@ of their order and of the exact gate in front of each.  A range scan takes
 a row of fixed l2 at a time: the pairs that the budget admits form a prefix
 of the sorted row, evaluated in one walk of `exact.row_values` (a pair whose
 two predecessors were evaluated costs one step of the three-term recurrence
-in l1), and the rest of the row goes straight to the `STAGES`.  Why each
+in l1), and the rest of the row goes straight to the `STAGES`.  The stages
+read the pair's integers and an `asymptotics.RatioLine`, which holds what
+depends on the ratio alone: a scan of a ratio line builds one for the whole
+line, while `certify` and every other scan build one for each pair.  Either
+way the one cascade returns a plain scan record, so a scanned pair and a
+certified pair get the same verdict, margin and output bytes.  Why each
 stage is sound, and why its gate loses nothing:
 
   term-growth: for l1 > l2*(l2+1) - 1 the alternating summands grow
@@ -61,18 +66,13 @@ from mpmath.libmp import (
 
 from .asymptotics import (
     NEAR_DIAGONAL_MIN_DIFFERENCE,
+    RatioLine,
     Regime,
     RegimeError,
     check_delta,
     classify,
     cos_lower_bound,
-    near_diagonal_error_bound,
     negated_discriminant,
-    oscillation_cosine,
-    oscillatory_bound_reach,
-    oscillatory_error_bound,
-    ratio_regime,
-    supercritical_error_bound,
     supercritical_error_bound_refined,
     window_edge,
     REFINED_BOUND_MAX_RATIO,
@@ -87,6 +87,7 @@ from .numerics import (
     certified_compare,
     check_precision,
     decimal_constant,
+    dyadic_compare,
 )
 
 # cost units are 64-bit word multiplications of the incremental loop.  On a
@@ -189,81 +190,99 @@ def _exact_fields(value: int) -> tuple[CertificateKind, int, int | None]:
     return CertificateKind.NONZERO_EXACT, 1 if value > 0 else -1, abs(value).bit_length()
 
 
-def _term_growth_step(pair, prec, delta) -> Certificate:
-    return Certificate(pair, CertificateKind.NONZERO_TERM_GROWTH, "ascending alternating terms")
+# The steps below return scan records (see `certificate_record`) with usec 0.
+# They read kinds and comparison outcomes from module globals, at about 10 ns
+# a lookup where an enum member takes about 110 ns (timeit, CPython 3.11).
+_INTERVAL = CertificateKind.NONZERO_INTERVAL
+_OSCILLATORY = CertificateKind.NONZERO_OSCILLATORY
+_SUPERCRITICAL = CertificateKind.NONZERO_SUPERCRITICAL
+_SLACK = SLACK._mpf_
+_LESS, _GREATER = Comparison.CERTIFIED_LESS, Comparison.CERTIFIED_GREATER
 
 
-def _supercritical_step(pair, prec, delta) -> Certificate | None:
-    r = pair.ratio
-    lam = pair.lambda2
-    bound = supercritical_error_bound(r, lam, prec)
+def _term_growth_gate(line: RatioLine, l1: int, l2: int) -> bool:
+    # `certify_by_term_growth`, where the cascade's l1 > l2 >= 1 already holds
+    return l1 > l2 * (l2 + 1) - 1
+
+
+def _term_growth_step(line: RatioLine, l1: int, l2: int) -> tuple:
+    return l1, CertificateKind.NONZERO_TERM_GROWTH, "ascending alternating terms", None, None, None, None, None, 0
+
+
+def _supercritical_gate(line: RatioLine, l1: int, l2: int) -> bool:
+    return line.regime is Regime.SUPERCRITICAL
+
+
+def _supercritical_step(line: RatioLine, l1: int, l2: int) -> tuple | None:
+    bound = line.supercritical_bound(l2)
     rule = "supercritical saddle bound"
-    if certified_compare(bound, 1, SLACK) is not Comparison.CERTIFIED_LESS:
-        if delta is None or r > REFINED_BOUND_MAX_RATIO:
+    if dyadic_compare(bound, fone, _SLACK) is not _LESS:
+        if line.delta is None or line.ratio > REFINED_BOUND_MAX_RATIO:
             return None
-        bound = supercritical_error_bound_refined(r, lam, delta, prec)
+        bound = supercritical_error_bound_refined(line.ratio, l2, line.delta, line.prec)._mpf_
         rule = "refined supercritical saddle bound"
-        if certified_compare(bound, 1, SLACK) is not Comparison.CERTIFIED_LESS:
+        if dyadic_compare(bound, fone, _SLACK) is not _LESS:
             return None
-    return Certificate(pair, CertificateKind.NONZERO_SUPERCRITICAL, rule, margin=_margin(fone, bound._mpf_))
+    return l1, _SUPERCRITICAL, rule, _margin(fone, bound), None, None, None, None, 0
 
 
-def _oscillatory_gate(pair: PartitionPair) -> bool:
+def _oscillatory_gate(line: RatioLine, l1: int, l2: int) -> bool:
     # up to the reach the bound is >= 1 >= |cos|, so no comparison can accept
-    l2 = pair.lambda2
-    return ratio_regime(pair.lambda1, l2) is Regime.SUBCRITICAL and l2 > oscillatory_bound_reach(pair.ratio)
+    return line.regime is Regime.SUBCRITICAL and l2 > line.reach
 
 
-def _oscillatory_step(pair, prec, delta) -> Certificate | None:
+def _oscillatory_step(line: RatioLine, l1: int, l2: int) -> tuple | None:
     # above the reach lam is far past the bound's validity threshold (see the reach)
-    bound, _ = oscillatory_error_bound(pair.ratio, pair.lambda2, prec)
-    cosv, _ = oscillation_cosine(pair, prec, half_phase=True)
+    bound = line.oscillatory_bound(l2)
+    cosv = line.cosine(l1, l2)
     # decide on |cos| exactly; the printed margin rounds it to 53 bits first
-    if certified_compare(mp.make_mpf(mpf_abs(cosv._mpf_)), bound, SLACK) is not Comparison.CERTIFIED_GREATER:
+    if dyadic_compare(mpf_abs(cosv), bound, _SLACK) is not _GREATER:
         return None
-    margin = _margin(mpf_abs(cosv._mpf_, MARGIN_PRECISION, round_nearest), bound._mpf_)
-    return Certificate(pair, CertificateKind.NONZERO_OSCILLATORY, "oscillatory main-term bound", margin=margin)
+    margin = _margin(mpf_abs(cosv, MARGIN_PRECISION, round_nearest), bound)
+    return l1, _OSCILLATORY, "oscillatory main-term bound", margin, None, None, None, None, 0
 
 
-def _near_diagonal_gate(pair: PartitionPair) -> bool:
+def _near_diagonal_gate(line: RatioLine, l1: int, l2: int) -> bool:
     # both steps need d >= 702, and every window-table window and every
     # near-diagonal row ends below d = sqrt(8*pi*l2) < sqrt(26*l2).  Inside
     # the gate l2 > 702**2/26 > 18953 and r = 1 + d/l2 < 1 + 26/d < 1.04,
     # so the pair is subcritical and neither step needs its own d >= 702 or
     # r <= 3 check.
-    d = pair.difference
-    return NEAR_DIAGONAL_MIN_DIFFERENCE <= d and d * d < 26 * pair.lambda2
+    d = l1 - l2
+    return NEAR_DIAGONAL_MIN_DIFFERENCE <= d and d * d < 26 * l2
 
 
-def _window_step(pair, prec, delta) -> Certificate | None:
-    # the gate admits only d >= 702 and every small-difference window ends at d <= 701
-    for win in difference_windows(pair.lambda2, prec, residue_class=pair.congruence_class):
-        if win.lo <= pair.lambda1 <= win.hi:
-            return Certificate(pair, CertificateKind.NONZERO_INTERVAL, "certified difference window", clause=win.clause)
+def _window_step(line: RatioLine, l1: int, l2: int) -> tuple | None:
+    # the gate admits only d >= 702, where the window-table part of a clause
+    # is all of it: every small-difference window ends at d <= 701
+    d = l1 - l2
+    for clause, d_lo, d_hi in _window_clauses(l2, line.wp, (l1 + l2) % 4):
+        if d_lo <= d <= d_hi:
+            return l1, _INTERVAL, "certified difference window", None, None, None, clause, None, 0
     return None
 
 
-def _near_diagonal_step(pair, prec, delta) -> Certificate | None:
-    bound = near_diagonal_error_bound(pair, prec)
-    if not bound.valid:
+def _near_diagonal_step(line: RatioLine, l1: int, l2: int) -> tuple | None:
+    bound = line.near_diagonal_bound(l1 - l2, l2)
+    if bound is None:
         return None
-    lower, applicable = cos_lower_bound(pair, prec)
+    lower, applicable = cos_lower_bound(PartitionPair(l1, l2), line.prec)
     if not applicable:
         return None
-    if certified_compare(lower, bound.value, SLACK) is not Comparison.CERTIFIED_GREATER:
+    if dyadic_compare(lower._mpf_, bound, _SLACK) is not _GREATER:
         return None
-    margin = _margin(lower._mpf_, bound.value._mpf_)
-    return Certificate(pair, CertificateKind.NONZERO_OSCILLATORY, "near-diagonal window bound", margin=margin)
+    return l1, _OSCILLATORY, "near-diagonal window bound", _margin(lower._mpf_, bound), None, None, None, None, 0
 
 
 # The cascade after exact evaluation, in order: (stage id, gate, step).  A
-# gate is an exact test of the pair alone; a step runs only behind its gate,
-# as step(pair, prec, delta), compares beyond the fixed `SLACK` and returns a
-# Certificate or None.  Gates and steps reach the bounds through module
-# globals, so that a wrapped global is seen by every call.
+# gate is an exact test of the pair alone; a step runs only behind its gate.
+# Both are called as f(line, lambda1, lambda2) for a pair of the `RatioLine`
+# line, which carries the precision and the optional delta.  A step compares
+# beyond the fixed `SLACK` by `dyadic_compare` and returns the pair's scan
+# record or None.
 STAGES = (
-    ("term-growth", certify_by_term_growth, _term_growth_step),
-    ("supercritical", lambda pair: ratio_regime(pair.lambda1, pair.lambda2) is Regime.SUPERCRITICAL, _supercritical_step),
+    ("term-growth", _term_growth_gate, _term_growth_step),
+    ("supercritical", _supercritical_gate, _supercritical_step),
     ("oscillatory", _oscillatory_gate, _oscillatory_step),
     ("window", _near_diagonal_gate, _window_step),
     ("near-diagonal", _near_diagonal_gate, _near_diagonal_step),
@@ -277,7 +296,7 @@ def certify(
     delta=None,
 ) -> Certificate:
     """Run the certification cascade on one pair: exact evaluation within
-    the budget, then the `STAGES` in order.
+    the budget, then the `STAGES` in order, on a line of this one pair.
 
     Pairs with lambda1 <= lambda2 or lambda2 = 0 are refused: the diagonal
     genuinely vanishes for odd lambda, so no nonvanishing claim is possible
@@ -296,19 +315,23 @@ def certify(
     if evaluation_cost(pair) <= budget:
         kind, sign, bits = _exact_fields(evaluate(pair).value)
         return Certificate(pair, kind, EXACT_RULE, exact_sign=sign, bit_length=bits)
-    return _cascade(pair, prec, delta)
+    l1, l2 = pair.lambda1, pair.lambda2
+    return Certificate(pair, *_cascade(RatioLine(l1, l2, prec, delta), l1, l2)[1:-1])
 
 
-def _cascade(pair: PartitionPair, prec: int, delta) -> Certificate:
-    """The first certificate of the `STAGES` whose gate admits the pair, else
-    inconclusive; for a pair that `certify` neither refuses nor evaluates."""
+_INCONCLUSIVE_REASON = "no certified bound applies at this size"
+
+
+def _cascade(line: RatioLine, l1: int, l2: int) -> tuple:
+    """The record of the first of the `STAGES` whose gate admits the pair
+    and whose step decides it, else inconclusive; for a pair (l1, l2) of
+    `line` that `certify` neither refuses nor evaluates."""
     for _, gate, step in STAGES:
-        if gate(pair):
-            cert = step(pair, prec, delta)
-            if cert is not None:
-                return cert
-    reason = "no certified bound applies at this size"
-    return Certificate(pair, CertificateKind.INCONCLUSIVE, "cascade exhausted", reason=reason)
+        if gate(line, l1, l2):
+            record = step(line, l1, l2)
+            if record is not None:
+                return record
+    return l1, CertificateKind.INCONCLUSIVE, "cascade exhausted", None, None, None, None, _INCONCLUSIVE_REASON, 0
 
 
 # --------------------------------------------------------------------------
@@ -368,12 +391,30 @@ def _class2_floor(lambda2: int, wp: int) -> int:
         wp,
         round_nearest,
     )
-    versus_702 = certified_compare(mp.make_mpf(quarter_root), NEAR_DIAGONAL_MIN_DIFFERENCE, SLACK)
-    if versus_702 is Comparison.CERTIFIED_LESS:
+    versus_702 = dyadic_compare(quarter_root, from_int(NEAR_DIAGONAL_MIN_DIFFERENCE), _SLACK)
+    if versus_702 is _LESS:
         return NEAR_DIAGONAL_MIN_DIFFERENCE
-    if versus_702 is Comparison.CERTIFIED_GREATER:
+    if versus_702 is _GREATER:
         return _int_above(quarter_root, wp)
     return NEAR_DIAGONAL_MIN_DIFFERENCE + 1
+
+
+def _window_clauses(lambda2: int, wp: int, cls: int) -> Iterator[tuple[str, int, int]]:
+    """(clause, least difference, largest difference) of each window clause
+    of class `cls` at lambda2, in order, with the ends computed at wp bits
+    and rounded inward; each clause's ends are computed when it is reached."""
+
+    def end(m: int, k: int, c: str, add) -> tuple:
+        # m * sqrt(k*pi*lambda2) +- c, rounded as the mpf expression at wp bits
+        root = mpf_mul_int(window_edge(lambda2, k, wp), m, wp, round_nearest)
+        return add(root, decimal_constant(c, wp)._mpf_, wp, round_nearest)
+
+    for clause, lo, hi in WINDOW_CLAUSES[cls]:
+        if lo is None:
+            d_lo = _class2_floor(lambda2, wp) if cls == 2 else 1
+        else:
+            d_lo = _int_above(end(*lo, mpf_add), wp)
+        yield clause, d_lo, _int_below(end(*hi, mpf_sub), wp)
 
 
 def difference_windows(
@@ -397,20 +438,8 @@ def difference_windows(
         raise ValueError("lambda2 must be >= 1")
     out: list[DifferenceWindow] = []
     classes = range(len(WINDOW_CLAUSES)) if residue_class is None else (residue_class,)
-    # (class, clause, lo_difference, hi_difference) with real-valued ends
-    clauses = []
     wp = prec + GUARD_BITS
-
-    def end(m: int, k: int, c: str, add) -> tuple:
-        # m * sqrt(k*pi*lambda2) +- c, rounded as the mpf expression at wp bits
-        root = mpf_mul_int(window_edge(lambda2, k, wp), m, wp, round_nearest)
-        return add(root, decimal_constant(c, wp)._mpf_, wp, round_nearest)
-
-    for cls in classes:
-        floor = _class2_floor(lambda2, wp) if cls == 2 else 1
-        for clause, lo, hi in WINDOW_CLAUSES[cls]:
-            d_lo = floor if lo is None else _int_above(end(*lo, mpf_add), wp)
-            clauses.append((cls, clause, d_lo, _int_below(end(*hi, mpf_sub), wp)))
+    clauses = [(cls, *ends) for cls in classes for ends in _window_clauses(lambda2, wp, cls)]
     for cls, clause, d_lo, d_hi in clauses:
         cut = NEAR_DIAGONAL_MIN_DIFFERENCE
         if d_lo <= min(d_hi, cut - 1):
@@ -574,10 +603,11 @@ def _row_cut(lambda1s: list[int], l2: int, budget: int) -> tuple[int, int, int]:
     return lo, hi, cost
 
 
-def _row_records(lambda1s: list[int], l2: int, lo: int, hi: int, prec: int) -> Iterator[tuple]:
+def _row_records(lambda1s: list[int], l2: int, lo: int, hi: int, prec: int, line: RatioLine | None) -> Iterator[tuple]:
     """The scan record (usec 0) of each lambda1 of `lambda1s` (sorted) at
     lambda2 = l2, in turn, with the verdicts of `certify`, for the cut
-    (lo, hi) of `_row_cut`."""
+    (lo, hi) of `_row_cut`.  The cascade runs on `line` when the scan's
+    pairs share one, else on a line of each pair alone."""
     for l1 in lambda1s[:lo]:
         # refused before the budget is read
         yield certificate_record(certify(PartitionPair(l1, l2), prec=prec))
@@ -586,15 +616,15 @@ def _row_records(lambda1s: list[int], l2: int, lo: int, hi: int, prec: int) -> I
         kind, sign, bits = _exact_fields(value)
         yield l1, kind, EXACT_RULE, None, sign, bits, None, None, 0
     for l1 in lambda1s[hi:]:
-        yield certificate_record(_cascade(PartitionPair(l1, l2), prec, None))
+        yield _cascade(line or RatioLine(l1, l2, prec), l1, l2)
 
 
 def _scan_row(args: tuple) -> tuple[int, tuple[tuple, ...]]:
     """Certify one task of `_scan_tasks`, every lambda1 of a row at one
     lambda2, into (lambda2, records); when `timed`, each record's usec is
     the time taken to produce it."""
-    lambda1s, l2, lo, hi, prec, timed = args
-    records = _row_records(lambda1s, l2, lo, hi, prec)
+    lambda1s, l2, lo, hi, prec, line, timed = args
+    records = _row_records(lambda1s, l2, lo, hi, prec, line)
     if not timed:
         return l2, tuple(records)
     timed_records = []
@@ -632,16 +662,19 @@ def rule_pairs(lambda2_range: tuple[int, int], rule) -> list[tuple[int, int]]:
     return [(l1, l2) for lambda1s, l2 in rule_rows(lambda2_range, rule) for l1 in lambda1s]
 
 
-def _scan_tasks(rows: list[tuple[list[int], int]], budget: int, prec: int, timed: bool) -> tuple[list[tuple], int]:
+def _scan_tasks(
+    rows: list[tuple[list[int], int]], budget: int, prec: int, timed: bool, line: RatioLine | None = None
+) -> tuple[list[tuple], int]:
     """The `_scan_row` task of each row of `rule_rows`, and the scan's
     estimated work in cost units, read from the rows alone: the
     `evaluation_cost` of each row's first admitted pair, which the row walk
     evaluates afresh, plus `CASCADE_PAIR_COST` for each pair past the budget.
-    Walk steps are not charged."""
+    Walk steps are not charged.  `line` is the `RatioLine` of every pair of
+    the rows, when they share one."""
     tasks, work = [], 0
     for lambda1s, l2 in rows:
         lo, hi, cost = _row_cut(lambda1s, l2, budget)
-        tasks.append((lambda1s, l2, lo, hi, prec, timed))
+        tasks.append((lambda1s, l2, lo, hi, prec, line, timed))
         work += cost + CASCADE_PAIR_COST * (len(lambda1s) - hi)
     return tasks, work
 
@@ -664,7 +697,9 @@ def scan_range(
     whose two predecessors S(lambda1 - 2, lambda2) and S(lambda1 - 1,
     lambda2) were evaluated costs one step of the row recurrence; the rest
     of the row goes straight to the `STAGES`.  The verdicts are those of
-    `certify` on each pair alone.
+    `certify` on each pair alone.  The pairs of a ratio rule share one
+    `RatioLine`, built here; any other rule's cascade pairs run on a line
+    of their own.
 
     The rows run in a process pool only when the scan's estimated work (see
     `_scan_tasks`) reaches `POOL_MIN_WORK`, with at most as many workers as
@@ -678,7 +713,9 @@ def scan_range(
     check_precision(prec)
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-    tasks, work = _scan_tasks(rule_rows(lambda2_range, rule), budget, prec, timings)
+    rows = rule_rows(lambda2_range, rule)
+    line = RatioLine(rule.ratio.numerator, rule.ratio.denominator, prec) if isinstance(rule, RatioRule) else None
+    tasks, work = _scan_tasks(rows, budget, prec, timings, line)
     workers = min(parallelism, _usable_cpus(), len(tasks))
     if workers == 1 or work < POOL_MIN_WORK:
         return ScanReport(tuple(map(_scan_row, tasks)))

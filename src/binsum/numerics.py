@@ -11,10 +11,11 @@ accumulated rounding error of both operands, and decides exactly.  Ints,
 floats and mpfs are dyadic rationals man * 2**exp; it takes their
 difference with mpmath's unrounded (precision 0) subtraction and compares it
 with -slack and +slack by `mpf_cmp`, so no step rounds.  A Fraction operand
-is compared by integer cross-multiplication instead.  Throughout the
-package the decision slack is `SLACK` = 2**-40, vastly above 128-bit
-rounding noise and still 2**37 times the unit 2**-(MIN_PRECISION +
-GUARD_BITS) of the coarsest formula chain.
+is compared by integer cross-multiplication instead; `dyadic_compare` is
+the raw-tuple branch alone, for arithmetic that already holds raw tuples.
+Throughout the package the decision slack is `SLACK` = 2**-40, vastly above
+128-bit rounding noise and still 2**37 times the unit
+2**-(MIN_PRECISION + GUARD_BITS) of the coarsest formula chain.
 """
 
 from __future__ import annotations
@@ -131,18 +132,25 @@ def certified_compare(a, b, slack) -> Comparison:
     if not (_is_finite(fa) and _is_finite(fb)):
         return Comparison.INDETERMINATE
     if type(fa) is type(fb) is type(fs) is tuple:
-        gap = mpf_sub(fa, fb)  # a - b; precision 0 never rounds
-        below = mpf_cmp(gap, mpf_neg(fs))  # the sign of a + slack - b
-        above = mpf_cmp(gap, fs)  # the sign of a - slack - b
-    else:
-        (an, aq), (bn, bq), (sn, sq) = map(_integer_terms, (fa, fb, fs))
-        # a - b and slack over the common denominator aq * bq * sq > 0
-        gap = (an * bq - bn * aq) * sq
-        margin = sn * aq * bq
-        below = gap + margin
-        above = gap - margin
-    if below < 0:
+        return dyadic_compare(fa, fb, fs)
+    (an, aq), (bn, bq), (sn, sq) = map(_integer_terms, (fa, fb, fs))
+    # a - b and slack over the common denominator aq * bq * sq > 0
+    gap = (an * bq - bn * aq) * sq
+    margin = sn * aq * bq
+    if gap + margin < 0:
         return Comparison.CERTIFIED_LESS
-    if above > 0:
+    if gap - margin > 0:
+        return Comparison.CERTIFIED_GREATER
+    return Comparison.INDETERMINATE
+
+
+def dyadic_compare(a: tuple, b: tuple, slack: tuple) -> Comparison:
+    """`certified_compare` of finite raw mpf tuples (`mpf._mpf_`), with a
+    nonnegative slack, unchecked: the raw-tuple arithmetic of the cascade
+    decides through this one comparison."""
+    gap = mpf_sub(a, b)  # a - b; precision 0 never rounds
+    if mpf_cmp(gap, mpf_neg(slack)) < 0:  # a + slack < b
+        return Comparison.CERTIFIED_LESS
+    if mpf_cmp(gap, slack) > 0:  # a - slack > b
         return Comparison.CERTIFIED_GREATER
     return Comparison.INDETERMINATE

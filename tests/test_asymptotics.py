@@ -11,6 +11,7 @@ from mpmath import mp, mpf, workprec
 from binsum.asymptotics import (
     NEAR_DIAGONAL_ROWS,
     OSCILLATORY_BOUND_CONSTANT,
+    RatioLine,
     Regime,
     RegimeError,
     classify,
@@ -28,8 +29,14 @@ from binsum.asymptotics import (
     saddle_data,
     supercritical_error_bound,
     supercritical_error_bound_refined,
+    _near_diagonal_bound,
+    _oscillatory_bound,
     _oscillatory_constants,
+    _oscillatory_reach,
     _phase_constants,
+    _phase_precision,
+    _reduced_cosine,
+    _supercritical_bound,
     _supercritical_constants,
     window_edge,
 )
@@ -249,6 +256,35 @@ def test_near_diagonal_edges_computed_once_are_bit_identical():
                     assert (value, got.detail) == _reference_near_diagonal_bound(pair, prec)
                     checked += 1
     assert checked >= 300
+
+
+@st.composite
+def _pairs_around_a_near_diagonal_edge(draw):
+    """A pair whose difference d >= 702 lies within about 1 of the edge
+    sqrt(k*pi*l2) of a near-diagonal row, l2 up to 10**12.  (Edge 0, log(l2),
+    stays below 28 there, far under any d >= 702.)"""
+    k = draw(st.integers(1, len(NEAR_DIAGONAL_ROWS)))
+    # sqrt(k*pi*l2) > 702 * sqrt(pi/3) > 718 from l2 > 702**2/(3k) on
+    l2 = draw(st.integers(702**2 // (3 * k) + 1, 10**12))
+    edge = math.isqrt(math.floor(k * math.pi * l2))
+    return PartitionPair(l2 + edge + draw(st.integers(-1, 2)), l2)
+
+
+@given(pair=_pairs_around_a_near_diagonal_edge(), prec=st.integers(53, 256))
+@example(pair=PartitionPair(10**6 + 702, 10**6), prec=128)
+@example(pair=PartitionPair(10**6 + 5013, 10**6), prec=53)
+# d within 2**-40 of edge 1, 4 and 8, so those comparisons are indeterminate:
+# the search must go on past them, to the flat bound or to no bound at all
+@example(pair=PartitionPair(518900764307 + 1276783, 518900764307), prec=128)
+@example(pair=PartitionPair(276892545985 + 1865351, 276892545985), prec=53)
+@example(pair=PartitionPair(161618091991 + 2015417, 161618091991), prec=256)
+@settings(max_examples=300, deadline=None)
+def test_near_diagonal_bound_stopping_at_the_first_edge_above_d_matches_all_nine_edges(pair, prec):
+    expected = _reference_near_diagonal_bound(pair, prec)
+    assert _near_diagonal_bound(pair.difference, pair.lambda2, prec + GUARD_BITS) == expected
+    got = near_diagonal_error_bound(pair, prec)
+    assert (None if got.value is None else got.value._mpf_, got.detail) == expected
+    assert got.valid is (expected[0] is not None)
 
 
 @given(lambda2=st.integers(1, 10**12), k=st.integers(0, len(NEAR_DIAGONAL_ROWS)), prec=st.integers(53, 256))
@@ -682,3 +718,64 @@ def _subcritical_pairs_near_a_power_of_two(draw):
 def test_oscillation_cosine_is_bit_identical_to_mpf_arithmetic(pair, prec, half_phase):
     cosv, angle = oscillation_cosine(pair, prec, half_phase)
     assert (cosv._mpf_, angle._mpf_) == _reference_oscillation_cosine(pair, prec, half_phase)
+
+
+# The raw kernels: each per-pair formula is computed once, by the kernel that
+# the public function and `RatioLine` both call; each must equal the mpf
+# expression bit for bit, for a line given in any terms.
+
+
+@given(r=_ratios(58285, 200000), scale=st.integers(1, 7), lam=st.integers(1, 10**7), prec=st.integers(53, 256))
+@example(r=Fraction(6), scale=1, lam=1, prec=53)
+@example(r=Fraction(6), scale=3, lam=100001, prec=128)
+@settings(max_examples=300, deadline=None)
+def test_supercritical_kernel_is_bit_identical_to_mpf_arithmetic(r, scale, lam, prec):
+    expected = _reference_supercritical_bound(r, lam, prec)._mpf_
+    assert _supercritical_bound(_supercritical_constants(r, prec), lam, prec + GUARD_BITS) == expected
+    line = RatioLine(scale * r.numerator, scale * r.denominator, prec)
+    assert line.regime is Regime.SUPERCRITICAL and line.reach is None
+    assert line.supercritical_bound(lam) == expected
+    assert line.supercritical_bound(lam) == expected  # from the kept constants
+
+
+@given(r=_ratios(10001, 58284), scale=st.integers(1, 7), lam=st.integers(1, 10**7), prec=st.integers(53, 256))
+@example(r=Fraction(2), scale=1, lam=100070, prec=128)
+@example(r=Fraction(3), scale=2, lam=5000, prec=53)
+@settings(max_examples=300, deadline=None)
+def test_oscillatory_kernels_are_bit_identical_to_mpf_arithmetic(r, scale, lam, prec):
+    expected = _reference_oscillatory_bound(r, lam, prec)[0]._mpf_
+    assert _oscillatory_bound(_oscillatory_constants(r, prec)[0], lam, prec + GUARD_BITS) == expected
+    a, b = scale * r.numerator, scale * r.denominator
+    line = RatioLine(a, b, prec)
+    assert line.regime is Regime.SUBCRITICAL
+    assert line.oscillatory_bound(lam) == expected
+    # the reach in exact integers, whatever the terms of the ratio
+    nd = negated_discriminant(r)
+    reach = math.isqrt(OSCILLATORY_BOUND_CONSTANT**4 * nd.denominator**11 // nd.numerator**11)
+    assert line.reach == _oscillatory_reach(a, b) == oscillatory_bound_reach(r) == reach
+
+
+@given(pair=_subcritical_pairs_near_a_power_of_two(), prec=st.integers(53, 256), half_phase=st.booleans())
+@example(pair=PartitionPair(2**17, 2**16), prec=128, half_phase=True)
+@example(pair=PartitionPair(2**17 - 2, 2**16 - 1), prec=145, half_phase=False)
+@settings(max_examples=300, deadline=None)
+def test_reduced_cosine_kernel_is_bit_identical_to_mpf_arithmetic(pair, prec, half_phase):
+    expected = _reference_oscillation_cosine(pair, prec, half_phase)
+    p_eff = _phase_precision(prec, pair.lambda1)
+    phase = _phase_constants(pair.ratio, p_eff, half_phase)
+    assert _reduced_cosine(phase, pair.lambda1, pair.lambda2, p_eff + GUARD_BITS) == expected
+    if half_phase:
+        assert RatioLine(pair.lambda1, pair.lambda2, prec).cosine(pair.lambda1, pair.lambda2) == expected[0]
+
+
+@given(b=st.integers(1, 40), a_over_b=st.integers(1, 4), bits=st.integers(10, 90), prec=st.integers(53, 256))
+@settings(max_examples=100, deadline=None)
+def test_one_ratio_line_keeps_the_cosine_of_each_pair_across_a_power_of_two(b, a_over_b, bits, prec):
+    # the pairs (a*t, b*t) of one subcritical line, 1 < r < 5, around
+    # lambda1 = 2**bits, where p_eff steps, each against its own mpf cosine
+    r = Fraction(a_over_b * b + 1, b)
+    line = RatioLine(r.numerator, r.denominator, prec)
+    first = 2**bits // r.numerator
+    for t in range(max(1, first - 2), first + 3):
+        pair = PartitionPair(r.numerator * t, r.denominator * t)
+        assert line.cosine(pair.lambda1, pair.lambda2) == _reference_oscillation_cosine(pair, prec, True)[0]

@@ -8,9 +8,12 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
 
 from binsum import asymptotics, certifier, exact
+from binsum.asymptotics import RatioLine
 from binsum.certifier import (
     AllUpToRule,
     Certificate,
@@ -302,8 +305,9 @@ def test_window_stages_cannot_apply_beyond_26_l2():
                 # just inside the edge the flat near-diagonal window applies
                 assert asymptotics.near_diagonal_error_bound(pair).valid, (l2, d)
             if d > flat_edge:
-                assert _window_step(pair, 128, None) is None, (l2, d)
-                assert _near_diagonal_step(pair, 128, None) is None, (l2, d)
+                line = RatioLine(l2 + d, l2, 128)
+                assert _window_step(line, l2 + d, l2) is None, (l2, d)
+                assert _near_diagonal_step(line, l2 + d, l2) is None, (l2, d)
                 skipped += d * d >= 26 * l2 and d >= 702
     assert skipped >= 18
 
@@ -331,11 +335,12 @@ def test_every_stage_stays_reachable(stage_id):
     assert cert.nonzero and cert.rule == rule
     index = STAGE_IDS.index(stage_id)
     _, gate, step = STAGES[index]
-    assert gate(pair)
-    assert step(pair, 128, None) == cert
+    line, l1, l2 = RatioLine(pair.lambda1, pair.lambda2, 128), pair.lambda1, pair.lambda2
+    assert gate(line, l1, l2)
+    assert step(line, l1, l2) == certificate_record(cert)
     # every earlier stage is gated out or fails, so this stage decides
     for _, gate, step in STAGES[:index]:
-        assert not gate(pair) or step(pair, 128, None) is None
+        assert not gate(line, l1, l2) or step(line, l1, l2) is None
 
 
 def test_refined_supercritical_bound_is_reachable_with_delta():
@@ -350,11 +355,12 @@ def test_refined_supercritical_bound_is_reachable_with_delta():
 def test_oscillatory_gate_rejects_exactly_the_pairs_up_to_the_reach(ratio):
     _, gate, step = STAGES[STAGE_IDS.index("oscillatory")]
     reach = asymptotics.oscillatory_bound_reach(ratio)
-    at_reach = PartitionPair(int(ratio * reach), reach)
-    assert not gate(at_reach)
+    line = RatioLine(ratio.numerator, ratio.denominator, 128)
+    at_reach = (int(ratio * reach), reach)
+    assert not gate(line, *at_reach)
     # at the reach the bound is still >= 1 >= |cos|, so the step cannot decide
-    assert step(at_reach, 128, None) is None
-    assert gate(PartitionPair(int(ratio * (reach + 1)), reach + 1))
+    assert step(line, *at_reach) is None
+    assert gate(line, int(ratio * (reach + 1)), reach + 1)
 
 
 def test_scan_with_ratio_caches_equals_uncached_pairs():
@@ -375,6 +381,49 @@ def test_scan_with_ratio_caches_equals_uncached_pairs():
                 cached.cache_clear()
             expected.append((l2, certificate_record(certify(PartitionPair(record[0], l2), budget=0))))
         assert report.jsonl_lines() == _one_pair_rows(expected).jsonl_lines()
+
+
+@st.composite
+def _cascade_lines(draw):
+    """(lambda2 range, rule, prec) of a short scan line: a ratio line of
+    either regime; a subcritical ratio line whose lambda1 crosses a power of
+    two, where the cosine's p_eff steps; or a difference line around d = 702
+    or around the flat edge sqrt(8*pi*l2) of the near-diagonal bound."""
+    prec = draw(st.integers(53, 256))
+    shape = draw(st.sampled_from(("ratio", "power-of-two", "diff-702", "diff-flat")))
+    b = draw(st.integers(1, 9))
+    if shape == "ratio":
+        r = Fraction(draw(st.integers(b + 1, 12 * b)), b)
+        lo = draw(st.integers(1, 200000))
+        return (lo, lo + 8 * r.denominator), RatioRule(r), prec
+    if shape == "power-of-two":
+        # r <= 5 < 3 + 2*sqrt(2)
+        r = Fraction(draw(st.integers(b + 1, 5 * b)), b)
+        t = 2 ** draw(st.integers(12, 60)) // r.numerator
+        return (r.denominator * (t - 3), r.denominator * (t + 3)), RatioRule(r), prec
+    lo = draw(st.integers(19000, 10**9))
+    if shape == "diff-702":
+        return (lo, lo + 3), DiffRule(draw(st.integers(699, 706))), prec
+    return (lo, lo + 3), DiffRule(math.isqrt(math.floor(8 * math.pi * lo)) + draw(st.integers(-2, 2))), prec
+
+
+@given(line=_cascade_lines())
+@example(line=((100001, 100011), RatioRule(Fraction(6)), 128))
+@example(line=((100070, 100080), RatioRule(Fraction(2)), 53))
+@example(line=((5000, 5010), RatioRule(Fraction(3)), 200))
+@example(line=((65535, 65537), RatioRule(Fraction(2)), 128))
+@example(line=((100000, 100011), DiffRule(834), 128))
+@settings(max_examples=80, deadline=None)
+def test_a_scan_line_gives_each_pair_the_record_of_certify(line):
+    lambda2_range, rule, prec = line
+    report = scan_range(lambda2_range, rule, budget=0, prec=prec)
+    expected = [
+        (l2, certificate_record(certify(PartitionPair(l1, l2), budget=0, prec=prec)))
+        for l1, l2 in certifier.rule_pairs(lambda2_range, rule)
+    ]
+    assert list(report.records()) == expected
+    assert report.jsonl_lines() == _one_pair_rows(expected).jsonl_lines()
+    assert report.csv_lines() == _one_pair_rows(expected).csv_lines()
 
 
 def _ambient_outcomes():
@@ -450,6 +499,11 @@ SCAN_CASES = [
     ((1, 8), ListRule((9, 6, 9, 2)), 10**9),
     ((60, 80), ListRule((70, 71, 72, 75, 76, 77, 78, 90)), 10**9),
     ((60, 80), ListRule((70, 71, 72, 75, 76, 77, 78, 90)), 7),
+    # budget 0 sends every pair to the cascade: a ratio line's tasks carry
+    # its one RatioLine to the workers, a difference line has none
+    ((100000, 100011), RatioRule(Fraction(6)), 0),
+    ((100070, 100081), RatioRule(Fraction(2)), 0),
+    ((100000, 100011), DiffRule(834), 0),
 ]
 
 
@@ -682,11 +736,11 @@ def test_scan_work_estimate_reads_nothing_but_the_rows(monkeypatch):
     tasks, work = _scan_tasks(rows, 100, 128, False)
     firsts = [evaluation_cost(PartitionPair(lambda1s[0], l2)) for lambda1s, l2 in rows]
     fresh = [cost for cost in firsts if cost <= 100]
-    cascade = sum(len(lambda1s) - (hi - lo) for (lambda1s, _, lo, hi, _, _) in tasks)
+    cascade = sum(len(lambda1s) - (hi - lo) for (lambda1s, _, lo, hi, *_) in tasks)
     assert len(fresh) == len(rows) - 1 and cascade
     assert work == sum(fresh) + certifier.CASCADE_PAIR_COST * cascade
     assert _scan_tasks(rows, 100, 128, True)[1] == work
-    for lambda1s, l2, lo, hi, _, _ in tasks:
+    for lambda1s, l2, lo, hi, *_ in tasks:
         costs = [evaluation_cost(PartitionPair(l1, l2)) for l1 in lambda1s]
         assert lo == 0 and all(c <= 100 for c in costs[:hi]) and all(c > 100 for c in costs[hi:])
 

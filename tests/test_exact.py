@@ -185,9 +185,9 @@ def test_random_pairs_cross_route():
 
 
 def test_comb_matches_math_comb():
-    # n = 1400 is the last n whose central binomial goes to math.comb
-    for n in sorted(set(range(0, 3001, 37)) | {1399, 1400, 1401, 1402, 2000, 3000}):
-        edge = math.isqrt(350 * n)
+    # n = 1000 is the last n whose central binomial goes to math.comb
+    for n in sorted(set(range(0, 3001, 37)) | {999, 1000, 1001, 1002, 2000, 3000}):
+        edge = math.isqrt(250 * n)
         for k in {0, 1, edge, edge + 1, n // 3, n // 2, max(0, n - edge - 1), n, n + 1, n + 5}:
             assert _comb(n, k) == math.comb(n, k), (n, k)
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
-from mpmath.libmp import to_rational
+from mpmath.libmp import mpf_add, to_rational
 
 from binsum.certifier import WINDOW_CLAUSES
 from binsum.numerics import (
@@ -16,6 +16,7 @@ from binsum.numerics import (
     Comparison,
     certified_compare,
     decimal_constant,
+    dyadic_compare,
     rational_to_real,
     to_real,
 )
@@ -203,6 +204,19 @@ _SLACKS = st.one_of(
 @settings(max_examples=1000, deadline=None)
 def test_certified_compare_matches_a_fraction_reference(a, b, slack):
     assert certified_compare(a, b, slack) is _reference_compare(a, b, slack)
+
+
+@given(a=_mpfs(), b=_mpfs(), slack=st.just(SLACK) | _mpfs().map(abs), apart=st.booleans())
+@example(a=mpf(1), b=mpf(1) + SLACK, slack=SLACK, apart=False)
+@settings(max_examples=500, deadline=None)
+def test_raw_tuples_compare_as_their_mpfs(a, b, slack, apart):
+    # the cascade's raw arithmetic decides by `dyadic_compare`; operands
+    # exactly the slack apart must stay indeterminate there too
+    if apart:
+        b = mp.make_mpf(mpf_add(a._mpf_, slack._mpf_))  # precision 0: exact
+    got = dyadic_compare(a._mpf_, b._mpf_, slack._mpf_)
+    assert got is certified_compare(a, b, slack) is _reference_compare(a, b, slack)
+    assert not apart or got is Comparison.INDETERMINATE
 
 
 @given(a=_FINITE, slack=_SLACKS, as_fraction=st.booleans(), below=st.booleans())

@@ -28,6 +28,8 @@ differs from its twin at 1.  The set covers:
 * `certify` (with and without --delta) and `predict` at pairs that each
   cascade stage decides, at an exact pair and at refused pairs, with
   --budget 0 and --precision 53 and 200;
+* `certify --budget 0` of single pairs of the scan-lines shapes, at
+  --precision 53 and 200, in jsonl, csv and human;
 * `predict` on the ratio-6 line on both sides of that tail cutoff, at
   --precision 53, 128 and 200, and just below and above the validity
   threshold of the oscillatory bound, in jsonl and human;
@@ -125,6 +127,11 @@ THRESHOLD_PAIRS = ((176, 44), (180, 45), (87, 29), (90, 30))
 # the reduced route cancels at the first two (a proof-check window sample at
 # lambda2 ~ 1e5, and a mid-size pair) and divides by Q at the wide third
 CANCEL_PAIRS = ((101045, 100018), (20001, 19000), (12000, 6000))
+# single pairs of the scan-lines shapes: ratio 6 at lambda2 ~ 1e5, ratio 2
+# there (decided, and inconclusive), ratio 3 at lambda2 ~ 5000 (decided, and
+# inconclusive), and difference 834 at lambda2 = 1e5, which the near-diagonal
+# step decides after the window step fails
+LINE_PAIRS = ((600006, 100001), (200140, 100070), (200150, 100075), (15009, 5003), (15000, 5000), (100834, 100000))
 CERTIFY_OPTIONS = (
     (),
     ("--budget", "0"),
@@ -161,6 +168,10 @@ def commands() -> list[list[str]]:
                 out.append([*flags, "certify", str(l1), str(l2)])
                 out.append([*flags, "certify", str(l1), str(l2), "--delta", "1.0"])
                 out.append([*flags, "predict", str(l1), str(l2)])
+    for l1, l2 in LINE_PAIRS:
+        for precision in ("53", "200"):
+            argv = ["--budget", "0", "--precision", precision, "certify", str(l1), str(l2)]
+            out.extend(["--format", fmt, *argv] for fmt in FORMATS)
     for l2 in PREDICT_LAMBDA2S:
         for options in ((), ("--precision", "53"), ("--precision", "200")):
             out.extend(["--format", fmt, *options, "predict", str(6 * l2), str(l2)] for fmt in ("jsonl", "human"))
