@@ -28,8 +28,9 @@ differs from its twin at 1.  The set covers:
 * `certify` (with and without --delta) and `predict` at pairs that each
   cascade stage decides, at an exact pair and at refused pairs, with
   --budget 0 and --precision 53 and 200;
-* `certify --budget 0` of single pairs of the scan-lines shapes, at
-  --precision 53 and 200, in jsonl, csv and human;
+* `certify --budget 0` of single pairs of the scan-lines shapes, and of
+  pairs that take the near-diagonal step into each branch of
+  `cos_lower_bound`, at --precision 53 and 200, in jsonl, csv and human;
 * `predict` on the ratio-6 line on both sides of that tail cutoff, at
   --precision 53, 128 and 200, and just below and above the validity
   threshold of the oscillatory bound, in jsonl and human;
@@ -132,6 +133,19 @@ CANCEL_PAIRS = ((101045, 100018), (20001, 19000), (12000, 6000))
 # inconclusive), and difference 834 at lambda2 = 1e5, which the near-diagonal
 # step decides after the window step fails
 LINE_PAIRS = ((600006, 100001), (200140, 100070), (200150, 100075), (15009, 5003), (15000, 5000), (100834, 100000))
+# pairs that reach the near-diagonal step, one in the first and one in the
+# second window of `cos_lower_bound` for each congruence class 0-3 in turn;
+# only (100794, 100000) is decided there
+COSINE_PAIRS = (
+    (100792, 100000),
+    (161736, 160000),
+    (101010, 100039),
+    (101492, 100009),
+    (100794, 100000),
+    (161422, 160000),
+    (160718, 160009),
+    (101254, 100001),
+)
 CERTIFY_OPTIONS = (
     (),
     ("--budget", "0"),
@@ -168,7 +182,7 @@ def commands() -> list[list[str]]:
                 out.append([*flags, "certify", str(l1), str(l2)])
                 out.append([*flags, "certify", str(l1), str(l2), "--delta", "1.0"])
                 out.append([*flags, "predict", str(l1), str(l2)])
-    for l1, l2 in LINE_PAIRS:
+    for l1, l2 in (*LINE_PAIRS, *COSINE_PAIRS):
         for precision in ("53", "200"):
             argv = ["--budget", "0", "--precision", precision, "certify", str(l1), str(l2)]
             out.extend(["--format", fmt, *argv] for fmt in FORMATS)
