@@ -27,8 +27,9 @@ scalings are combined in the log domain and exponentiated once.
 Each per-pair formula of the certification cascade is one raw kernel on
 libmp tuples (`_mpf_`) instead of mpf objects: `_supercritical_bound` (the
 exponential tail, rarely evaluated, stays in mpf arithmetic),
-`_oscillatory_bound`, `_reduced_cosine`, `_near_diagonal_bound`, and the
-lambda2-only edges log(lambda2) and sqrt(k*pi*lambda2) of `window_edge`.
+`_oscillatory_bound`, `_reduced_cosine`, `_near_diagonal_bound`,
+`_cos_lower_bound`, and the lambda2-only edges log(lambda2) and
+sqrt(k*pi*lambda2) of `window_edge`.
 Each step is the `mpf_*` call that the mpf expression it replaces makes: the
 same operation, on the same operands, in the same order, at the same
 precision, rounding to nearest.  So every value equals the mpf expression's
@@ -37,9 +38,11 @@ only on the ratio is cached once per (r, prec): the factors of the bounds,
 and the phase constants gamma1, gamma2, gamma3 and 2*pi at the cosine's
 raised precision.  The public functions (`supercritical_error_bound`,
 `oscillatory_error_bound`, `oscillation_cosine`,
-`near_diagonal_error_bound`) look those up per call and wrap the kernel's
-result in an mpf; a `RatioLine` looks them up once per line of fixed ratio
-and hands the cascade the kernels' raw results.
+`near_diagonal_error_bound`, `cos_lower_bound`) look those up per call and
+wrap the kernel's result in an mpf; a `RatioLine` looks them up once per
+line of fixed ratio and hands the cascade the kernels' raw results, and the
+cascade calls the two kernels that read the pair alone,
+`_near_diagonal_bound` and `_cos_lower_bound`, directly.
 """
 
 from __future__ import annotations
@@ -69,6 +72,7 @@ from mpmath.libmp import (
     mpf_mul_int,
     mpf_pi,
     mpf_rdiv_int,
+    mpf_shift,
     mpf_sqrt,
     mpf_sub,
     round_nearest,
@@ -78,6 +82,7 @@ from .exact import PartitionPair, evaluate
 from .numerics import (
     DEFAULT_PRECISION,
     GUARD_BITS,
+    RAW_SLACK,
     SLACK,
     Comparison,
     certified_compare,
@@ -85,6 +90,7 @@ from .numerics import (
     dyadic_compare,
     decimal_constant,
     rational_to_real,
+    raw_rational,
 )
 
 # exact checkpoints used by the windowed bounds (decimal constants are exact
@@ -113,7 +119,6 @@ OSCILLATORY_BOUND_CONSTANT = 16336
 
 # the rounding of every mpf operation under mpmath's default context
 _RND = round_nearest
-_SLACK = SLACK._mpf_
 
 # entries kept by each per-ratio cache below, keyed by (r, prec).  A scan
 # line or a validator needs one or two live keys at a time (the ratio at the
@@ -534,7 +539,7 @@ def _near_diagonal_bound(d: int, l2: int, wp: int) -> tuple[tuple | None, str]:
     dm = from_int(d, wp, _RND)
     above = False  # d certified above the previous edge
     for k in range(len(NEAR_DIAGONAL_ROWS) + 1):
-        side = dyadic_compare(dm, window_edge(l2, k, wp), _SLACK)
+        side = dyadic_compare(dm, window_edge(l2, k, wp), RAW_SLACK)
         if side is Comparison.CERTIFIED_LESS:
             break
         above = side is Comparison.CERTIFIED_GREATER
@@ -655,11 +660,6 @@ class RatioLine:
         if phase is None:
             phase = self._phases[p_eff] = _phase_constants(self.ratio, p_eff, True)
         return _reduced_cosine(phase, lambda1, lambda2, p_eff + GUARD_BITS)[0]
-
-    def near_diagonal_bound(self, d: int, lambda2: int) -> tuple | None:
-        """The value of `near_diagonal_error_bound` at difference d >= 702
-        and lambda2, raw, or None outside every proved window."""
-        return _near_diagonal_bound(d, lambda2, self.wp)[0]
 
 
 @dataclass(frozen=True)
@@ -802,32 +802,48 @@ def cos_lower_bound(pair: PartitionPair, prec: int = DEFAULT_PRECISION) -> tuple
         raise ValueError(f"cosine lower bound requires r <= 3, got r = {r}")
     if r <= 1:
         raise ValueError(f"cosine lower bound requires r > 1, got r = {r}")
-    d = pair.difference
-    q = Fraction(d * d, 4 * pair.lambda2)
-    with workprec(prec + GUARD_BITS):
-        qm = rational_to_real(q, prec + GUARD_BITS)
-        three_minus_r = rational_to_real(3 - r, prec + GUARD_BITS)
-        halfshrink = three_minus_r / 2  # the eta window is [-q, -(3-r)/2 * q]
-        pi_v = mp.pi
+    value = _cos_lower_bound(pair.lambda1, pair.lambda2, prec + GUARD_BITS)
+    return (None, False) if value is None else (mp.make_mpf(value), True)
 
-        def leq(x, y) -> bool:
-            return certified_compare(x, y, SLACK) is Comparison.CERTIFIED_LESS
 
-        # the first window of each class ends at (2, 3, 4, 1)*pi/4
-        cls = pair.congruence_class
-        if leq(qm, (2, 3, 4, 1)[cls] * pi_v / 4):
-            if cls == 0:
-                return mp.cos(qm), True
-            if cls == 1:
-                return min(1 / mp.sqrt(mpf(2)), mp.cos(pi_v / 4 - qm)), True
-            if cls == 2:
-                return min(mp.cos(pi_v / 2 - qm), mp.cos(pi_v / 2 - halfshrink * qm)), True
-            return mp.cos(pi_v / 4 + qm), True
-        # the second window is 2*(c - pi/2)/(3 - r) <= q <= c + pi/2 around the
-        # centre c = k*pi/4, k = (4, 5, 6, 3); each multiple of pi is rounded
-        # once and then scaled by a power of two, which is exact
-        k = (4, 5, 6, 3)[cls]
-        if r != 3 and leq((k - 2) * pi_v / (2 * three_minus_r), qm) and leq(qm, (k + 2) * pi_v / 4):
-            centre = k * pi_v / 4
-            return min(mp.cos(centre - qm), mp.cos(centre - halfshrink * qm)), True
-        return None, False
+def _cos_lower_bound(l1: int, l2: int, wp: int) -> tuple | None:
+    """The bound of `cos_lower_bound` at wp bits, raw, for 1 < l1/l2 <= 3,
+    or None between the proved windows.  q and 3 - r are rounded from their
+    lowest terms as `rational_to_real` rounds them, and every multiple of pi
+    is rounded once and then scaled by a power of two, which is exact."""
+    d, cls, less = l1 - l2, (l1 + l2) % 4, Comparison.CERTIFIED_LESS
+    qm = raw_rational(d * d, 4 * l2, wp)
+    three_minus_r = raw_rational(3 * l2 - l1, l2, wp)
+    pi = mpf_pi(wp, _RND)
+
+    def quarter_pi(k: int) -> tuple:
+        return mpf_shift(mpf_mul_int(pi, k, wp, _RND), -2)
+
+    def cos_minus(centre: tuple, x: tuple) -> tuple:
+        return mpf_cos(mpf_sub(centre, x, wp, _RND), wp, _RND)
+
+    def lesser(x: tuple, y: tuple) -> tuple:
+        return y if mpf_lt(y, x) else x  # the first on a tie, as `min`
+
+    def both_ends(centre: tuple) -> tuple:
+        # the eta window is [-q, -(3-r)/2 * q]
+        halfshrink = mpf_div(three_minus_r, ftwo, wp, _RND)
+        return lesser(cos_minus(centre, qm), cos_minus(centre, mpf_mul(halfshrink, qm, wp, _RND)))
+
+    # the first window of each class ends at (2, 3, 4, 1)*pi/4
+    if dyadic_compare(qm, quarter_pi((2, 3, 4, 1)[cls]), RAW_SLACK) is less:
+        if cls == 0:
+            return mpf_cos(qm, wp, _RND)
+        if cls == 1:
+            return lesser(mpf_rdiv_int(1, mpf_sqrt(ftwo, wp, _RND), wp, _RND), cos_minus(quarter_pi(1), qm))
+        if cls == 2:
+            return both_ends(quarter_pi(2))
+        return mpf_cos(mpf_add(quarter_pi(1), qm, wp, _RND), wp, _RND)
+    # the second window is 2*(c - pi/2)/(3 - r) <= q <= c + pi/2 around the
+    # centre c = k*pi/4, k = (4, 5, 6, 3), and empty at r = 3
+    k = (4, 5, 6, 3)[cls]
+    if 3 * l2 != l1:
+        low = mpf_div(mpf_mul_int(pi, k - 2, wp, _RND), mpf_mul_int(three_minus_r, 2, wp, _RND), wp, _RND)
+        if dyadic_compare(low, qm, RAW_SLACK) is less and dyadic_compare(qm, quarter_pi(k + 2), RAW_SLACK) is less:
+            return both_ends(quarter_pi(k))
+    return None

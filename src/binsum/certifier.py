@@ -10,8 +10,9 @@ in l1), and the rest of the row goes straight to the `STAGES`.  The stages
 read the pair's integers and an `asymptotics.RatioLine`, which holds what
 depends on the ratio alone: a scan of a ratio line builds one for the whole
 line, while `certify` and every other scan build one for each pair.  Either
-way the one cascade returns a plain scan record, so a scanned pair and a
-certified pair get the same verdict, margin and output bytes.  Why each
+way the one cascade returns a plain scan record, which `certify` returns as
+a `Certificate`, the named tuple of the record's fields, so a scanned pair
+and a certified pair get the same verdict, margin and output bytes.  Why each
 stage is sound, and why its gate loses nothing:
 
   term-growth: for l1 > l2*(l2+1) - 1 the alternating summands grow
@@ -45,7 +46,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import (
@@ -69,9 +70,10 @@ from .asymptotics import (
     RatioLine,
     Regime,
     RegimeError,
+    _cos_lower_bound,
+    _near_diagonal_bound,
     check_delta,
     classify,
-    cos_lower_bound,
     negated_discriminant,
     supercritical_error_bound_refined,
     window_edge,
@@ -82,6 +84,7 @@ from .exact import PartitionPair, evaluate, evaluation_cost
 from .numerics import (
     DEFAULT_PRECISION,
     GUARD_BITS,
+    RAW_SLACK,
     SLACK,
     Comparison,
     certified_compare,
@@ -137,23 +140,25 @@ NONZERO_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Outcome of the cascade for one pair.
+class Certificate(NamedTuple):
+    """Outcome of the cascade for one pair, as the fields of its scan record.
 
     Every nonzero kind is sound: it implies S(l1, l2) != 0 under hypotheses
     that were all checked, with margins strictly positive after slack
     inflation.  `rule` names the certifying criterion for audit output.
+    `usec` is the time taken to certify the pair when a scan records it,
+    else 0.
     """
 
-    pair: PartitionPair
+    lambda1: int
     kind: CertificateKind
     rule: str
-    margin: float | None = None
-    exact_sign: int | None = None
-    bit_length: int | None = None
-    clause: str | None = None
-    reason: str | None = None
+    margin: float | None
+    exact_sign: int | None
+    bit_length: int | None
+    clause: str | None
+    reason: str | None
+    usec: int
 
     @property
     def nonzero(self) -> bool:
@@ -183,20 +188,31 @@ def _margin(a: tuple, b: tuple) -> float:
     return to_float(mpf_sub(a, b, MARGIN_PRECISION, round_nearest))
 
 
-def _exact_fields(value: int) -> tuple[CertificateKind, int, int | None]:
-    """(kind, exact_sign, bit_length) of the certificate of an exactly evaluated value."""
-    if value == 0:
-        return CertificateKind.ZERO_EXACT, 0, None
-    return CertificateKind.NONZERO_EXACT, 1 if value > 0 else -1, abs(value).bit_length()
+def _refusal(l1: int, l2: int) -> tuple | None:
+    """The scan record of a pair that `certify` refuses, else None."""
+    if l2 == 0:
+        reason = "lambda2 = 0 row excluded"
+    elif l1 <= l2:
+        reason = "diagonal pair excluded"
+    else:
+        return None
+    return l1, CertificateKind.REFUSED, "input check", None, None, None, None, reason, 0
 
 
-# The steps below return scan records (see `certificate_record`) with usec 0.
-# They read kinds and comparison outcomes from module globals, at about 10 ns
-# a lookup where an enum member takes about 110 ns (timeit, CPython 3.11).
+def _exact_record(l1: int, value: int) -> tuple:
+    """The scan record of the pair at lambda1 = l1 whose exact value is `value`."""
+    sign = (value > 0) - (value < 0)
+    kind = CertificateKind.NONZERO_EXACT if sign else CertificateKind.ZERO_EXACT
+    return l1, kind, EXACT_RULE, None, sign, abs(value).bit_length() or None, None, None, 0
+
+
+# The steps below return scan records (the fields of `Certificate`) with
+# usec 0.  They read kinds and comparison outcomes from module globals, at
+# about 10 ns a lookup where an enum member takes about 110 ns (timeit,
+# CPython 3.11).
 _INTERVAL = CertificateKind.NONZERO_INTERVAL
 _OSCILLATORY = CertificateKind.NONZERO_OSCILLATORY
 _SUPERCRITICAL = CertificateKind.NONZERO_SUPERCRITICAL
-_SLACK = SLACK._mpf_
 _LESS, _GREATER = Comparison.CERTIFIED_LESS, Comparison.CERTIFIED_GREATER
 
 
@@ -216,12 +232,12 @@ def _supercritical_gate(line: RatioLine, l1: int, l2: int) -> bool:
 def _supercritical_step(line: RatioLine, l1: int, l2: int) -> tuple | None:
     bound = line.supercritical_bound(l2)
     rule = "supercritical saddle bound"
-    if dyadic_compare(bound, fone, _SLACK) is not _LESS:
+    if dyadic_compare(bound, fone, RAW_SLACK) is not _LESS:
         if line.delta is None or line.ratio > REFINED_BOUND_MAX_RATIO:
             return None
         bound = supercritical_error_bound_refined(line.ratio, l2, line.delta, line.prec)._mpf_
         rule = "refined supercritical saddle bound"
-        if dyadic_compare(bound, fone, _SLACK) is not _LESS:
+        if dyadic_compare(bound, fone, RAW_SLACK) is not _LESS:
             return None
     return l1, _SUPERCRITICAL, rule, _margin(fone, bound), None, None, None, None, 0
 
@@ -236,7 +252,7 @@ def _oscillatory_step(line: RatioLine, l1: int, l2: int) -> tuple | None:
     bound = line.oscillatory_bound(l2)
     cosv = line.cosine(l1, l2)
     # decide on |cos| exactly; the printed margin rounds it to 53 bits first
-    if dyadic_compare(mpf_abs(cosv), bound, _SLACK) is not _GREATER:
+    if dyadic_compare(mpf_abs(cosv), bound, RAW_SLACK) is not _GREATER:
         return None
     margin = _margin(mpf_abs(cosv, MARGIN_PRECISION, round_nearest), bound)
     return l1, _OSCILLATORY, "oscillatory main-term bound", margin, None, None, None, None, 0
@@ -254,24 +270,24 @@ def _near_diagonal_gate(line: RatioLine, l1: int, l2: int) -> bool:
 
 def _window_step(line: RatioLine, l1: int, l2: int) -> tuple | None:
     # the gate admits only d >= 702, where the window-table part of a clause
-    # is all of it: every small-difference window ends at d <= 701
-    d = l1 - l2
-    for clause, d_lo, d_hi in _window_clauses(l2, line.wp, (l1 + l2) % 4):
-        if d_lo <= d <= d_hi:
+    # is all of it: every small-difference window ends at d <= 701.  A
+    # clause's lower end (the quarter root of class2-a among them) is
+    # computed only when its upper end admits d.
+    d, wp, cls = l1 - l2, line.wp, (l1 + l2) % 4
+    for clause, lo, hi in WINDOW_CLAUSES[cls]:
+        if d <= _largest_difference(l2, wp, hi) and _least_difference(l2, wp, cls, lo) <= d:
             return l1, _INTERVAL, "certified difference window", None, None, None, clause, None, 0
     return None
 
 
 def _near_diagonal_step(line: RatioLine, l1: int, l2: int) -> tuple | None:
-    bound = line.near_diagonal_bound(l1 - l2, l2)
+    bound = _near_diagonal_bound(l1 - l2, l2, line.wp)[0]
     if bound is None:
         return None
-    lower, applicable = cos_lower_bound(PartitionPair(l1, l2), line.prec)
-    if not applicable:
+    lower = _cos_lower_bound(l1, l2, line.wp)
+    if lower is None or dyadic_compare(lower, bound, RAW_SLACK) is not _GREATER:
         return None
-    if dyadic_compare(lower._mpf_, bound, _SLACK) is not _GREATER:
-        return None
-    return l1, _OSCILLATORY, "near-diagonal window bound", _margin(lower._mpf_, bound), None, None, None, None, 0
+    return l1, _OSCILLATORY, "near-diagonal window bound", _margin(lower, bound), None, None, None, None, 0
 
 
 # The cascade after exact evaluation, in order: (stage id, gate, step).  A
@@ -308,15 +324,11 @@ def certify(
     check_precision(prec)
     if delta is not None:
         check_delta(delta, prec)
-    if pair.lambda2 == 0:
-        return Certificate(pair, CertificateKind.REFUSED, "input check", reason="lambda2 = 0 row excluded")
-    if pair.lambda1 <= pair.lambda2:
-        return Certificate(pair, CertificateKind.REFUSED, "input check", reason="diagonal pair excluded")
-    if evaluation_cost(pair) <= budget:
-        kind, sign, bits = _exact_fields(evaluate(pair).value)
-        return Certificate(pair, kind, EXACT_RULE, exact_sign=sign, bit_length=bits)
     l1, l2 = pair.lambda1, pair.lambda2
-    return Certificate(pair, *_cascade(RatioLine(l1, l2, prec, delta), l1, l2)[1:-1])
+    record = _refusal(l1, l2)
+    if record is None and evaluation_cost(pair) <= budget:
+        record = _exact_record(l1, evaluate(pair).value)
+    return Certificate._make(record or _cascade(RatioLine(l1, l2, prec, delta), l1, l2))
 
 
 _INCONCLUSIVE_REASON = "no certified bound applies at this size"
@@ -359,13 +371,13 @@ class DifferenceWindow:
 def _int_above(x: tuple, wp: int) -> int:
     """Smallest integer certifiedly > x (inward rounding of a lower endpoint),
     for a raw x, with x + SLACK rounded at wp bits."""
-    return to_int(mpf_floor(mpf_add(x, SLACK._mpf_, wp, round_nearest), wp, round_nearest)) + 1
+    return to_int(mpf_floor(mpf_add(x, RAW_SLACK, wp, round_nearest), wp, round_nearest)) + 1
 
 
 def _int_below(x: tuple, wp: int) -> int:
     """Largest integer certifiedly < x (inward rounding of an upper endpoint),
     for a raw x, with x - SLACK rounded at wp bits."""
-    return to_int(mpf_ceil(mpf_sub(x, SLACK._mpf_, wp, round_nearest), wp, round_nearest)) - 1
+    return to_int(mpf_ceil(mpf_sub(x, RAW_SLACK, wp, round_nearest), wp, round_nearest)) - 1
 
 
 # the proved windows of each congruence class, in order: (clause, lower end,
@@ -391,7 +403,7 @@ def _class2_floor(lambda2: int, wp: int) -> int:
         wp,
         round_nearest,
     )
-    versus_702 = dyadic_compare(quarter_root, from_int(NEAR_DIAGONAL_MIN_DIFFERENCE), _SLACK)
+    versus_702 = dyadic_compare(quarter_root, from_int(NEAR_DIAGONAL_MIN_DIFFERENCE), RAW_SLACK)
     if versus_702 is _LESS:
         return NEAR_DIAGONAL_MIN_DIFFERENCE
     if versus_702 is _GREATER:
@@ -399,22 +411,26 @@ def _class2_floor(lambda2: int, wp: int) -> int:
     return NEAR_DIAGONAL_MIN_DIFFERENCE + 1
 
 
-def _window_clauses(lambda2: int, wp: int, cls: int) -> Iterator[tuple[str, int, int]]:
-    """(clause, least difference, largest difference) of each window clause
-    of class `cls` at lambda2, in order, with the ends computed at wp bits
-    and rounded inward; each clause's ends are computed when it is reached."""
+def _clause_end(lambda2: int, wp: int, end: tuple, add) -> tuple:
+    """m * sqrt(k*pi*lambda2) + c (add = mpf_add) or - c (mpf_sub) of an end
+    (m, k, c) of `WINDOW_CLAUSES`, rounded as the mpf expression at wp bits."""
+    m, k, c = end
+    root = mpf_mul_int(window_edge(lambda2, k, wp), m, wp, round_nearest)
+    return add(root, decimal_constant(c, wp)._mpf_, wp, round_nearest)
 
-    def end(m: int, k: int, c: str, add) -> tuple:
-        # m * sqrt(k*pi*lambda2) +- c, rounded as the mpf expression at wp bits
-        root = mpf_mul_int(window_edge(lambda2, k, wp), m, wp, round_nearest)
-        return add(root, decimal_constant(c, wp)._mpf_, wp, round_nearest)
 
-    for clause, lo, hi in WINDOW_CLAUSES[cls]:
-        if lo is None:
-            d_lo = _class2_floor(lambda2, wp) if cls == 2 else 1
-        else:
-            d_lo = _int_above(end(*lo, mpf_add), wp)
-        yield clause, d_lo, _int_below(end(*hi, mpf_sub), wp)
+def _least_difference(lambda2: int, wp: int, cls: int, lo: tuple | None) -> int:
+    """The least difference of a window clause of class `cls` with lower end
+    `lo` at lambda2, computed at wp bits and rounded inward."""
+    if lo is None:
+        return _class2_floor(lambda2, wp) if cls == 2 else 1
+    return _int_above(_clause_end(lambda2, wp, lo, mpf_add), wp)
+
+
+def _largest_difference(lambda2: int, wp: int, hi: tuple) -> int:
+    """The largest difference of a window clause with upper end `hi` at
+    lambda2, computed at wp bits and rounded inward."""
+    return _int_below(_clause_end(lambda2, wp, hi, mpf_sub), wp)
 
 
 def difference_windows(
@@ -439,7 +455,11 @@ def difference_windows(
     out: list[DifferenceWindow] = []
     classes = range(len(WINDOW_CLAUSES)) if residue_class is None else (residue_class,)
     wp = prec + GUARD_BITS
-    clauses = [(cls, *ends) for cls in classes for ends in _window_clauses(lambda2, wp, cls)]
+    clauses = [
+        (cls, clause, _least_difference(lambda2, wp, cls, lo), _largest_difference(lambda2, wp, hi))
+        for cls in classes
+        for clause, lo, hi in WINDOW_CLAUSES[cls]
+    ]
     for cls, clause, d_lo, d_hi in clauses:
         cut = NEAR_DIAGONAL_MIN_DIFFERENCE
         if d_lo <= min(d_hi, cut - 1):
@@ -495,23 +515,9 @@ class AllUpToRule:
 # A scan record is one certified pair of a row as a flat tuple of builtins and
 # the CertificateKind member:
 #   (lambda1, kind, rule, margin, exact_sign, bit_length, clause, reason, usec)
-# with the fields of `Certificate` in its order.  Workers send rows of records,
-# which pickle as plain data, and reports format them without building objects.
-
-
-def certificate_record(cert: Certificate) -> tuple:
-    """The scan record of `cert`, with usec 0."""
-    return (
-        cert.pair.lambda1,
-        cert.kind,
-        cert.rule,
-        cert.margin,
-        cert.exact_sign,
-        cert.bit_length,
-        cert.clause,
-        cert.reason,
-        0,
-    )
+# the fields of `Certificate` in its order, which `certify` returns.  Workers
+# send rows of plain tuples, which pickle as plain data, and reports format
+# records of either type without building objects.
 
 
 CSV_HEADER = "lambda1,lambda2,class,certificate,margin,exact_sign,usec"
@@ -526,7 +532,7 @@ class ScanReport:
     """Per-pair scan records in deterministic (lambda2, lambda1) order.
 
     `rows` holds one (lambda2, records) per scanned lambda2, in lambda2
-    order, with the records of `certificate_record` in lambda1 order.  The
+    order, with the scan records (or `Certificate`s) in lambda1 order.  The
     `*_lines` methods are the one formatter of each output format, for
     `scan` and `certify` alike.
     """
@@ -610,11 +616,10 @@ def _row_records(lambda1s: list[int], l2: int, lo: int, hi: int, prec: int, line
     pairs share one, else on a line of each pair alone."""
     for l1 in lambda1s[:lo]:
         # refused before the budget is read
-        yield certificate_record(certify(PartitionPair(l1, l2), prec=prec))
+        yield _refusal(l1, l2)
     admitted = lambda1s[lo:hi]
     for l1, value in zip(admitted, exact.row_values(l2, admitted)):
-        kind, sign, bits = _exact_fields(value)
-        yield l1, kind, EXACT_RULE, None, sign, bits, None, None, 0
+        yield _exact_record(l1, value)
     for l1 in lambda1s[hi:]:
         yield _cascade(line or RatioLine(l1, l2, prec), l1, l2)
 

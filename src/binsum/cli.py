@@ -259,7 +259,7 @@ def cmd_certify(args, config: RunConfig) -> int:
         if cert.reason is not None:
             print(f"reason      {cert.reason}")
     else:
-        report = certifier.ScanReport(((pair.lambda2, (certifier.certificate_record(cert),)),))
+        report = certifier.ScanReport(((pair.lambda2, (cert,)),))
         print("\n".join(report.csv_lines() if config.output_format == "csv" else report.jsonl_lines()))
     return 0
 

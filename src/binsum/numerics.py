@@ -7,25 +7,27 @@ within a couple of ulps of the true value, so a chain of k operations at
 precision p carries an absolute error of order k * 2**(1-p) * |result|.
 Decisions are never taken on raw floating comparisons: `certified_compare`
 demands an explicit additive slack from the caller that must dominate the
-accumulated rounding error of both operands, and decides exactly.  Ints,
-floats and mpfs are dyadic rationals man * 2**exp; it takes their
-difference with mpmath's unrounded (precision 0) subtraction and compares it
-with -slack and +slack by `mpf_cmp`, so no step rounds.  A Fraction operand
-is compared by integer cross-multiplication instead; `dyadic_compare` is
-the raw-tuple branch alone, for arithmetic that already holds raw tuples.
-Throughout the package the decision slack is `SLACK` = 2**-40, vastly above
-128-bit rounding noise and still 2**37 times the unit
-2**-(MIN_PRECISION + GUARD_BITS) of the coarsest formula chain.
+accumulated rounding error of both operands, and decides exactly.  Its
+operands are ints, floats and mpfs, all dyadic rationals man * 2**exp; it
+takes their difference with mpmath's unrounded (precision 0) subtraction
+and compares it with -slack and +slack by `mpf_cmp`, so no step rounds.
+`dyadic_compare` is that comparison alone, for arithmetic that already
+holds raw tuples, and `raw_rational` rounds an exact rational as
+`rational_to_real` does, raw.  Throughout the package the decision slack is
+`SLACK` = 2**-40 (`RAW_SLACK` raw), vastly above 128-bit rounding noise and
+still 2**37 times the unit 2**-(MIN_PRECISION + GUARD_BITS) of the coarsest
+formula chain.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import math
 from fractions import Fraction
 
-from mpmath import mpf, workprec
-from mpmath.libmp import from_float, from_int, mpf_cmp, mpf_neg, mpf_sub
+from mpmath import mp, mpf, workprec
+from mpmath.libmp import from_float, from_int, mpf_cmp, mpf_div, mpf_neg, mpf_sub, round_nearest
 
 DEFAULT_PRECISION = 128
 MIN_PRECISION = 53
@@ -36,6 +38,7 @@ GUARD_BITS = 24
 
 # the additive margin of every certified decision in the package
 SLACK = mpf(2) ** -40
+RAW_SLACK = SLACK._mpf_
 
 
 class Comparison(enum.Enum):
@@ -66,8 +69,15 @@ def to_real(n: int, prec: int = DEFAULT_PRECISION) -> mpf:
 def rational_to_real(q: Fraction, prec: int = DEFAULT_PRECISION) -> mpf:
     """Round an exact rational to `prec` bits (one division, <= 2 ulp)."""
     check_precision(prec)
-    with workprec(prec + GUARD_BITS):
-        return mpf(q.numerator) / mpf(q.denominator)
+    return mp.make_mpf(raw_rational(q.numerator, q.denominator, prec))
+
+
+def raw_rational(n: int, m: int, prec: int) -> tuple:
+    """n/m for m > 0, raw, as `rational_to_real(Fraction(n, m), prec)` rounds
+    it: numerator and denominator in lowest terms, each rounded to
+    prec + GUARD_BITS bits, then divided at that precision."""
+    g, wp = math.gcd(n, m), prec + GUARD_BITS
+    return mpf_div(from_int(n // g, wp, round_nearest), from_int(m // g, wp, round_nearest), wp, round_nearest)
 
 
 @functools.lru_cache(maxsize=128)
@@ -80,35 +90,22 @@ def decimal_constant(text: str, prec: int) -> mpf:
         return mpf(text)
 
 
-def _exact_form(x):
+def _exact_form(x) -> tuple:
     """x without rounding: an mpf, int or float as its raw mpf tuple (sign,
     mantissa, exponent, bit count), whose value is (-1)**sign * mantissa *
-    2**exponent, and a Fraction as it is.  nan and the infinities map to
-    mpmath's special values, the only raw mpfs with a zero mantissa and a
-    nonzero exponent."""
+    2**exponent.  nan and the infinities map to mpmath's special values, the
+    only raw mpfs with a zero mantissa and a nonzero exponent."""
     if isinstance(x, mpf):
         return x._mpf_
     if isinstance(x, int):
         return from_int(x)
     if isinstance(x, float):
         return from_float(x)
-    if isinstance(x, Fraction):
-        return x
     raise TypeError(f"cannot compare {type(x).__name__} values exactly")
 
 
-def _is_finite(form) -> bool:
-    return type(form) is not tuple or bool(form[1]) or not form[2]
-
-
-def _integer_terms(form) -> tuple[int, int]:
-    """(n, q) with q > 0 and n/q the value of a finite exact form, not in lowest terms."""
-    if type(form) is not tuple:
-        return form.numerator, form.denominator
-    sign, man, exp, _ = form
-    if sign:
-        man = -man
-    return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+def _is_finite(form: tuple) -> bool:
+    return bool(form[1]) or not form[2]
 
 
 def certified_compare(a, b, slack) -> Comparison:
@@ -116,32 +113,20 @@ def certified_compare(a, b, slack) -> Comparison:
 
     Returns CERTIFIED_LESS only if a + slack < b, CERTIFIED_GREATER only if
     a - slack > b, and INDETERMINATE otherwise, so operands exactly `slack`
-    apart are INDETERMINATE.  Operands and slack may be ints, floats,
-    Fractions or mpfs.  Both tests compare the one difference a - b with
-    -slack and +slack, exactly and without building a Fraction: with
-    dyadic operands (int, float, mpf) a - b is an mpmath subtraction at
-    precision 0, which never rounds, compared by `mpf_cmp`; when any of the
-    three is a Fraction, a - b and slack are integer cross-products over
-    one positive denominator.  So the only errors in play are the ones the
-    caller already budgeted into `slack`.  Non-finite operands are
+    apart are INDETERMINATE.  Operands and slack may be ints, floats or
+    mpfs; any other type, a Fraction included, raises TypeError.  Both tests
+    compare the one difference a - b with -slack and +slack, exactly: a - b
+    is an mpmath subtraction at precision 0, which never rounds, compared by
+    `mpf_cmp` (`dyadic_compare`).  So the only errors in play are the ones
+    the caller already budgeted into `slack`.  Non-finite operands are
     INDETERMINATE; a negative or non-finite slack raises ValueError.
     """
     fa, fb, fs = map(_exact_form, (a, b, slack))
-    if not _is_finite(fs) or (fs[0] if type(fs) is tuple else fs < 0):
+    if not _is_finite(fs) or fs[0]:
         raise ValueError(f"slack must be finite and nonnegative, got {slack!r}")
     if not (_is_finite(fa) and _is_finite(fb)):
         return Comparison.INDETERMINATE
-    if type(fa) is type(fb) is type(fs) is tuple:
-        return dyadic_compare(fa, fb, fs)
-    (an, aq), (bn, bq), (sn, sq) = map(_integer_terms, (fa, fb, fs))
-    # a - b and slack over the common denominator aq * bq * sq > 0
-    gap = (an * bq - bn * aq) * sq
-    margin = sn * aq * bq
-    if gap + margin < 0:
-        return Comparison.CERTIFIED_LESS
-    if gap - margin > 0:
-        return Comparison.CERTIFIED_GREATER
-    return Comparison.INDETERMINATE
+    return dyadic_compare(fa, fb, fs)
 
 
 def dyadic_compare(a: tuple, b: tuple, slack: tuple) -> Comparison:

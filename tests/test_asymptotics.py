@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
 
@@ -29,6 +29,7 @@ from binsum.asymptotics import (
     saddle_data,
     supercritical_error_bound,
     supercritical_error_bound_refined,
+    _cos_lower_bound,
     _near_diagonal_bound,
     _oscillatory_bound,
     _oscillatory_constants,
@@ -565,6 +566,83 @@ def test_cos_lower_bound_window_edges(cls):
             assert 0 < bound <= abs(cosv) + mpf(2) ** -40
         else:
             assert bound is None
+
+
+def _reference_cos_lower_bound(pair, prec):
+    """`cos_lower_bound` in mpf arithmetic, raw, or None between the windows."""
+    r = pair.ratio
+    d = pair.difference
+    q = Fraction(d * d, 4 * pair.lambda2)
+
+    def rational(x):  # rounded as `rational_to_real(x, prec + GUARD_BITS)`
+        with workprec(prec + 2 * GUARD_BITS):
+            return mpf(x.numerator) / mpf(x.denominator)
+
+    with workprec(prec + GUARD_BITS):
+        qm = rational(q)
+        three_minus_r = rational(3 - r)
+        halfshrink = three_minus_r / 2  # the eta window is [-q, -(3-r)/2 * q]
+        pi_v = mp.pi
+
+        def leq(x, y) -> bool:
+            return certified_compare(x, y, SLACK) is Comparison.CERTIFIED_LESS
+
+        # the first window of each class ends at (2, 3, 4, 1)*pi/4
+        cls = pair.congruence_class
+        if leq(qm, (2, 3, 4, 1)[cls] * pi_v / 4):
+            if cls == 0:
+                return mp.cos(qm)._mpf_
+            if cls == 1:
+                return min(1 / mp.sqrt(mpf(2)), mp.cos(pi_v / 4 - qm))._mpf_
+            if cls == 2:
+                return min(mp.cos(pi_v / 2 - qm), mp.cos(pi_v / 2 - halfshrink * qm))._mpf_
+            return mp.cos(pi_v / 4 + qm)._mpf_
+        # the second window is 2*(c - pi/2)/(3 - r) <= q <= c + pi/2 around the
+        # centre c = k*pi/4, k = (4, 5, 6, 3)
+        k = (4, 5, 6, 3)[cls]
+        if r != 3 and leq((k - 2) * pi_v / (2 * three_minus_r), qm) and leq(qm, (k + 2) * pi_v / 4):
+            centre = k * pi_v / 4
+            return min(mp.cos(centre - qm), mp.cos(centre - halfshrink * qm))._mpf_
+        return None
+
+
+@st.composite
+def _pairs_around_a_cosine_window_end(draw):
+    """A pair with 1 < r <= 3 and lambda2 up to 2**200 whose difference d lies
+    within 3 of an end of `COSINE_WINDOWS` (at 800 bits) for its class."""
+    bits = draw(st.integers(0, 199))  # every size alike
+    l2 = draw(st.integers(2**bits, 2 ** (bits + 1)))
+    cls = draw(st.integers(0, 3))
+    which = draw(st.integers(0, 2))  # first end, second start, second end
+    k = (4, 5, 6, 3)[cls]
+    with workprec(800):
+        d = mpf(0)
+        for _ in range(3):  # the second window's start moves with r
+            r = 1 + min(d, l2) / l2
+            q = ((2, 3, 4, 1)[cls] * mp.pi / 4, (k - 2) * mp.pi / (2 * (3 - r)), (k + 2) * mp.pi / 4)[which]
+            d = mp.sqrt(4 * l2 * q)
+        d = int(d)
+    near = [e for e in range(d - 3, d + 4) if 1 <= e <= 2 * l2 and (2 * l2 + e) % 4 == cls]
+    assume(near)
+    return PartitionPair(l2 + draw(st.sampled_from(near)), l2)
+
+
+@given(pair=_pairs_around_a_cosine_window_end(), prec=st.integers(53, 256))
+@example(pair=PartitionPair(100792, 100000), prec=53)
+@example(pair=PartitionPair(161736, 160000), prec=200)
+@example(pair=PartitionPair(101010, 100039), prec=53)
+@example(pair=PartitionPair(101492, 100009), prec=200)
+@example(pair=PartitionPair(100794, 100000), prec=53)
+@example(pair=PartitionPair(161422, 160000), prec=200)
+@example(pair=PartitionPair(160718, 160009), prec=53)
+@example(pair=PartitionPair(101254, 100001), prec=200)
+@example(pair=PartitionPair(300, 100), prec=128)
+@settings(max_examples=300, deadline=None)
+def test_cos_lower_bound_kernel_is_bit_identical_to_mpf_arithmetic(pair, prec):
+    expected = _reference_cos_lower_bound(pair, prec)
+    assert _cos_lower_bound(pair.lambda1, pair.lambda2, prec + GUARD_BITS) == expected
+    bound, ok = cos_lower_bound(pair, prec)
+    assert (None if bound is None else bound._mpf_, ok) == (expected, expected is not None)
 
 
 def _bits(x):

@@ -27,7 +27,6 @@ from binsum.certifier import (
     _scan_row,
     _scan_tasks,
     _window_step,
-    certificate_record,
     certify,
     certify_by_term_growth,
     continued_fraction,
@@ -337,7 +336,7 @@ def test_every_stage_stays_reachable(stage_id):
     _, gate, step = STAGES[index]
     line, l1, l2 = RatioLine(pair.lambda1, pair.lambda2, 128), pair.lambda1, pair.lambda2
     assert gate(line, l1, l2)
-    assert step(line, l1, l2) == certificate_record(cert)
+    assert step(line, l1, l2) == cert
     # every earlier stage is gated out or fails, so this stage decides
     for _, gate, step in STAGES[:index]:
         assert not gate(line, l1, l2) or step(line, l1, l2) is None
@@ -379,7 +378,7 @@ def test_scan_with_ratio_caches_equals_uncached_pairs():
         for l2, record in report.records():
             for cached in caches:
                 cached.cache_clear()
-            expected.append((l2, certificate_record(certify(PartitionPair(record[0], l2), budget=0))))
+            expected.append((l2, certify(PartitionPair(record[0], l2), budget=0)))
         assert report.jsonl_lines() == _one_pair_rows(expected).jsonl_lines()
 
 
@@ -418,7 +417,7 @@ def test_a_scan_line_gives_each_pair_the_record_of_certify(line):
     lambda2_range, rule, prec = line
     report = scan_range(lambda2_range, rule, budget=0, prec=prec)
     expected = [
-        (l2, certificate_record(certify(PartitionPair(l1, l2), budget=0, prec=prec)))
+        (l2, certify(PartitionPair(l1, l2), budget=0, prec=prec))
         for l1, l2 in certifier.rule_pairs(lambda2_range, rule)
     ]
     assert list(report.records()) == expected
@@ -511,7 +510,7 @@ SCAN_CASES = [
 def test_scan_rows_match_certify_per_pair(monkeypatch, pool_starts, lambda2_range, rule, budget):
     pairs = [PartitionPair(l1, l2) for l1, l2 in certifier.rule_pairs(lambda2_range, rule)]
     certs = [certify(p, budget) for p in pairs]
-    expected_records = [(p.lambda2, certificate_record(c)) for p, c in zip(pairs, certs)]
+    expected_records = [(p.lambda2, c) for p, c in zip(pairs, certs)]
     expected_jsonl = _one_pair_rows(expected_records).jsonl_lines()
     expected_csv = _one_pair_rows(expected_records).csv_lines()
     evaluated = []  # (lambda1, lambda2, walked) per exact evaluation
@@ -591,7 +590,7 @@ def test_scan_records_keep_every_certificate_field(pool_starts):
             assert (c.reason is not None) is (c.kind is CertificateKind.INCONCLUSIVE)
         for parallelism in (1, 2):
             report = scan_range(lambda2_range, rule, budget=0, parallelism=parallelism)
-            assert list(report.records()) == [(p.lambda2, certificate_record(c)) for p, c in zip(pairs, certs)]
+            assert list(report.records()) == [(p.lambda2, c) for p, c in zip(pairs, certs)]
             assert report.counts == counts
     assert pool_starts == [2, 2]
 
@@ -642,10 +641,9 @@ def test_scan_row_pickles_no_binsum_class_but_the_kind():
         found = _pickled_globals(pickle.dumps(rows, protocol))
         assert {g for g in found if g[0].split(".")[0] == "binsum"} == {("binsum.certifier", "CertificateKind")}
         assert pickle.loads(pickle.dumps(rows, protocol)) == rows
-    # the opcode reader sees the classes that per-pair objects would bring
-    certs = [Certificate(PartitionPair(l1, l2), *fields) for l2, records in rows for l1, *fields, _ in records]
-    found = _pickled_globals(pickle.dumps(certs))
-    assert {("binsum.certifier", "Certificate"), ("binsum.exact", "PartitionPair")} <= found
+    # the opcode reader sees the class that per-pair objects would bring
+    certs = [Certificate._make(record) for _, records in rows for record in records]
+    assert ("binsum.certifier", "Certificate") in _pickled_globals(pickle.dumps(certs))
 
 
 @pytest.fixture
