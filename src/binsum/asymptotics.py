@@ -32,7 +32,8 @@ exponential tail, rarely evaluated, stays in mpf arithmetic),
 sqrt(k*pi*lambda2) of `window_edge`.
 Each step is the `mpf_*` call that the mpf expression it replaces makes: the
 same operation, on the same operands, in the same order, at the same
-precision, rounding to nearest.  So every value equals the mpf expression's
+precision, rounding to nearest (a division by 4 that is exact may be an
+`mpf_shift`, which gives the same tuple).  So every value equals the mpf expression's
 bit for bit, and none depends on the ambient mpmath precision.  What depends
 only on the ratio is cached once per (r, prec): the factors of the bounds,
 and the phase constants gamma1, gamma2, gamma3 and 2*pi at the cosine's
