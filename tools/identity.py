@@ -25,6 +25,11 @@ differs from its twin at 1.  The set covers:
   and difference lines at --precision 53 and 200, and a difference line
   across a step of the class-2 window floor, in the same formats and at the
   same parallelism;
+* difference lines at --budget 0 across an upper and a lower window-clause
+  end of each congruence class, a near-diagonal row edge, the flat edge and
+  the lambda2 where row 8 beats the flat bound, at lambda2 near 2*10**4,
+  10**5, 10**9 and 2**80, at --precision 53 and 200, in the same formats
+  and at the same parallelism;
 * `certify` (with and without --delta) and `predict` at pairs that each
   cascade stage decides, at an exact pair and at refused pairs, with
   --budget 0 and --precision 53 and 200;
@@ -119,6 +124,40 @@ CASCADE_SCANS = (
     ),
     ("scan", "--l2", "13533126862..13533126867", "--diff", "702"),
 )
+# difference lines at --budget 0 whose lambda2 range crosses one edge of the
+# window and near-diagonal steps, with pairs of both congruence classes of
+# the line on either side: (d, first lambda2, last lambda2, edge crossed).
+# A clause end m*sqrt(k*pi*l2) -+ c equals d at l2 = (d +- c)**2/(m**2*k*pi),
+# a row edge sqrt(k*pi*l2) at d**2/(k*pi).  Row 8 beats the flat bound from
+# l2 = 19577.1 on, and d = 702 crosses the flat edge sqrt(8*pi*l2) at
+# 19608.05.  At 2**80 and --precision 53 the rounding of a clause end spans
+# thousands of lambda2, so every pair of that line lies near the end.
+DIFF_SCANS = (
+    (702, 19574, 19612, "row 8 against the flat bound, then the flat edge"),
+    (708, 19993, 20000, "class2-b upper end"),
+    (709, 19998, 20005, "flat edge"),
+    (792, 100092, 100099, "class0-a upper end"),
+    (796, 100045, 100052, "class0-b lower end"),
+    (969, 99826, 99833, "class1-a upper end"),
+    (975, 100067, 100074, "class1-b lower end"),
+    (1483, 100129, 100136, "class1-b upper end"),
+    (1126, 100069, 100076, "class2-b lower end"),
+    (1584, 99945, 99952, "class2-b upper end"),
+    (1253, 100096, 100103, "class3-b upper end"),
+    (1373, 100006, 100013, "row 6 edge, class 3"),
+    (1585, 99955, 99962, "flat edge"),
+    (79266, 1000012571, 1000012578, "class0-a upper end"),
+    (79270, 1000007903, 1000007910, "class0-b lower end"),
+    (97081, 1000014178, 1000014185, "class1-a upper end"),
+    (97085, 999997134, 999997141, "class1-b lower end"),
+    (79266, 1000010279, 1000010286, "class2-a upper end"),
+    (112104, 999992537, 999992544, "class2-b lower end"),
+    (56049, 1000010117, 1000010124, "class3-a upper end"),
+    (56053, 1000017714, 1000017721, "class3-b lower end"),
+    (137293, 999990019, 999990026, "row 6 edge, class 3"),
+    (158533, 999998837, 999998844, "flat edge"),
+    (2756066934468, 2**80 + 146130699869, 2**80 + 146130699876, "class0-a upper end"),
+)
 # (6 * lambda2, lambda2) around the tail cutoff, which lies at lambda2 = 50,
 # 91 and 130 at --precision 53, 128 and 200
 PREDICT_LAMBDA2S = (60, 90, 120)
@@ -172,7 +211,12 @@ def commands() -> list[list[str]]:
             for scan in workloads.build(name, seed).scans:
                 for parallelism in (1, 2):
                     out.extend(["--format", fmt, *scan.argv(parallelism)] for fmt in FORMATS)
-    for scan in (*WALK_SCANS, *POOL_SCANS, *CASCADE_SCANS):
+    diff_scans = [
+        ("--budget", "0", "--precision", precision, "scan", "--l2", f"{lo}..{hi}", "--diff", str(d))
+        for d, lo, hi, _ in DIFF_SCANS
+        for precision in ("53", "200")
+    ]
+    for scan in (*WALK_SCANS, *POOL_SCANS, *CASCADE_SCANS, *diff_scans):
         for flags in ((), ("--parallelism", "2")):
             out.extend(["--format", fmt, *flags, *scan] for fmt in FORMATS)
     for l1, l2 in CERTIFY_PAIRS:
