@@ -482,8 +482,9 @@ def window_edge(lambda2: int, k: int, wp: int) -> tuple:
     """Edge k of the near-diagonal rows and of the difference windows at
     lambda2, as a raw tuple rounded as mpf arithmetic under workprec(wp)
     rounds it: log(mpf(lambda2)) for k = 0, else
-    sqrt(k * pi * mpf(lambda2)) for k = 1..8.  The window step and the
-    near-diagonal step of one pair share them."""
+    sqrt(k * pi * mpf(lambda2)) for k = 1..8.  `difference_windows`, the
+    near-diagonal bound and a `certifier.DiffLine` comparison that falls in
+    its band share them."""
     l2 = from_int(lambda2, wp, _RND)
     if k == 0:
         return mpf_log(l2, wp, _RND)
@@ -622,13 +623,17 @@ class RatioLine:
     same formula calls, and returns a raw tuple, rounded at
     prec + GUARD_BITS bits (the cosine at p_eff + GUARD_BITS).  Call each
     bound only on a line of its regime.  `delta`, when given, is the split
-    angle of the refined supercritical bound.
+    angle of the refined supercritical bound.  `diff`, when given, is the
+    `certifier.DiffLine` that the pairs of a scanned difference line share,
+    one `RatioLine` per pair.
     """
 
-    __slots__ = ("a", "b", "prec", "wp", "delta", "regime", "reach", "_ratio", "_supercritical", "_nd_power", "_phases")
+    __slots__ = (
+        "a", "b", "prec", "wp", "delta", "diff", "regime", "reach", "_ratio", "_supercritical", "_nd_power", "_phases"
+    )
 
-    def __init__(self, a: int, b: int, prec: int = DEFAULT_PRECISION, delta=None) -> None:
-        self.a, self.b, self.prec, self.wp, self.delta = a, b, prec, prec + GUARD_BITS, delta
+    def __init__(self, a: int, b: int, prec: int = DEFAULT_PRECISION, delta=None, diff=None) -> None:
+        self.a, self.b, self.prec, self.wp, self.delta, self.diff = a, b, prec, prec + GUARD_BITS, delta, diff
         self.regime = ratio_regime(a, b)
         self.reach = _oscillatory_reach(a, b) if self.regime is Regime.SUBCRITICAL else None
         self._ratio = self._supercritical = self._nd_power = None

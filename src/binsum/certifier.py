@@ -9,10 +9,14 @@ two predecessors were evaluated costs one step of the three-term recurrence
 in l1), and the rest of the row goes straight to the `STAGES`.  The stages
 read the pair's integers and an `asymptotics.RatioLine`, which holds what
 depends on the ratio alone: a scan of a ratio line builds one for the whole
-line, while `certify` and every other scan build one for each pair.  Either
-way the one cascade returns a plain scan record, which `certify` returns as
-a `Certificate`, the named tuple of the record's fields, so a scanned pair
-and a certified pair get the same verdict, margin and output bytes.  Why each
+line, while `certify` and every other scan build one for each pair.  The
+window and near-diagonal steps read a `DiffLine` as well, which holds the
+lambda2 thresholds of their comparisons at one difference d: a scan of a
+difference line builds one for the whole line and hands it to each pair's
+`RatioLine`, and any other pair builds one of its own.  Either way the one
+cascade returns a plain scan record, which `certify` returns as a
+`Certificate`, the named tuple of the record's fields, so a scanned pair and
+a certified pair get the same verdict, margin and output bytes.  Why each
 stage is sound, and why its gate loses nothing:
 
   term-growth: for l1 > l2*(l2+1) - 1 the alternating summands grow
@@ -31,6 +35,18 @@ stage is sound, and why its gate loses nothing:
   near-diagonal: the congruence-class cosine lower bound certified above
       the windowed near-diagonal bound.
 
+Both of the last two compare d with window ends m*sqrt(k*pi*l2) -+ c and
+row edges sqrt(k*pi*l2), computed by chains of correctly rounded libmp
+operations, so nondecreasing in l2.  A `DiffLine` bounds each chain's error
+by mu = (d + 8) * 2**(6 - wp) and turns each comparison into two lambda2
+thresholds in exact integers: below the one the computed value certainly
+falls short of its target, above the other it certainly exceeds it, whatever
+the rounding.  A pair between them runs the per-pair functions themselves,
+so every verdict is the one they give.  Per pair there remain the floor of
+clause class2-a past lambda2 = `CLASS2_FLOOR_702`, the near-diagonal bound
+at lambda2 of more than 1000 bits, the row value of the near-diagonal bound,
+the cosine lower bound and the margin.
+
 Inconclusive is an honest outcome and is never retried with looser slack:
 pairs where the cosine is certifiably small are exactly the possible
 exceptions the theory allows, and they must surface in reports.
@@ -39,6 +55,7 @@ exceptions the theory allows, and they must surface in reports.
 from __future__ import annotations
 
 import bisect
+import functools
 import os
 import time
 from collections import Counter
@@ -55,10 +72,12 @@ from mpmath.libmp import (
     mpf_abs,
     mpf_add,
     mpf_ceil,
+    mpf_div,
     mpf_floor,
     mpf_mul,
     mpf_mul_int,
     mpf_pow,
+    mpf_sqrt,
     mpf_sub,
     round_nearest,
     to_float,
@@ -66,7 +85,9 @@ from mpmath.libmp import (
 )
 
 from .asymptotics import (
+    NEAR_DIAGONAL_FLAT,
     NEAR_DIAGONAL_MIN_DIFFERENCE,
+    NEAR_DIAGONAL_ROWS,
     RatioLine,
     Regime,
     RegimeError,
@@ -80,7 +101,7 @@ from .asymptotics import (
     REFINED_BOUND_MAX_RATIO,
 )
 from . import exact
-from .exact import PartitionPair, evaluate, evaluation_cost
+from .exact import PartitionPair, evaluate, evaluation_cost, pair_cost
 from .numerics import (
     DEFAULT_PRECISION,
     GUARD_BITS,
@@ -268,20 +289,24 @@ def _near_diagonal_gate(line: RatioLine, l1: int, l2: int) -> bool:
     return NEAR_DIAGONAL_MIN_DIFFERENCE <= d and d * d < 26 * l2
 
 
+def _diff_line(line: RatioLine, l1: int, l2: int) -> DiffLine:
+    """The `DiffLine` of the pair: the line's own when the scan shares one,
+    else one of this pair alone."""
+    return line.diff or DiffLine(l1 - l2, line.wp)
+
+
 def _window_step(line: RatioLine, l1: int, l2: int) -> tuple | None:
     # the gate admits only d >= 702, where the window-table part of a clause
     # is all of it: every small-difference window ends at d <= 701.  A
-    # clause's lower end (the quarter root of class2-a among them) is
-    # computed only when its upper end admits d.
-    d, wp, cls = l1 - l2, line.wp, (l1 + l2) % 4
-    for clause, lo, hi in WINDOW_CLAUSES[cls]:
-        if d <= _largest_difference(l2, wp, hi) and _least_difference(l2, wp, cls, lo) <= d:
-            return l1, _INTERVAL, "certified difference window", None, None, None, clause, None, 0
-    return None
+    # clause's lower end is tested only when its upper end admits d.
+    clause = _diff_line(line, l1, l2).window_clause(l2, (l1 + l2) % 4)
+    if clause is None:
+        return None
+    return l1, _INTERVAL, "certified difference window", None, None, None, clause, None, 0
 
 
 def _near_diagonal_step(line: RatioLine, l1: int, l2: int) -> tuple | None:
-    bound = _near_diagonal_bound(l1 - l2, l2, line.wp)[0]
+    bound = _diff_line(line, l1, l2).near_diagonal_bound(l2)
     if bound is None:
         return None
     lower = _cos_lower_bound(l1, l2, line.wp)
@@ -293,9 +318,14 @@ def _near_diagonal_step(line: RatioLine, l1: int, l2: int) -> tuple | None:
 # The cascade after exact evaluation, in order: (stage id, gate, step).  A
 # gate is an exact test of the pair alone; a step runs only behind its gate.
 # Both are called as f(line, lambda1, lambda2) for a pair of the `RatioLine`
-# line, which carries the precision and the optional delta.  A step compares
-# beyond the fixed `SLACK` by `dyadic_compare` and returns the pair's scan
-# record or None.
+# line, which carries the precision, the optional delta and, on a scanned
+# difference line, the shared `DiffLine`.  A step compares beyond the fixed
+# `SLACK` by `dyadic_compare` and returns the pair's scan record or None.
+# The window and near-diagonal steps decide their comparisons with d from
+# the `DiffLine`'s integer lambda2 thresholds (the chains behind them are
+# monotone in lambda2 and within mu of exact), and run the per-pair
+# functions only in the narrow band between two thresholds; the cosine lower
+# bound, the row value and the margin stay per pair.
 STAGES = (
     ("term-growth", _term_growth_gate, _term_growth_step),
     ("supercritical", _supercritical_gate, _supercritical_step),
@@ -431,6 +461,165 @@ def _largest_difference(lambda2: int, wp: int, hi: tuple) -> int:
     """The largest difference of a window clause with upper end `hi` at
     lambda2, computed at wp bits and rounded inward."""
     return _int_below(_clause_end(lambda2, wp, hi, mpf_sub), wp)
+
+
+# pi lies in [PI_FLOOR, PI_FLOOR + 1] / 2**PI_BITS, an enclosure of width
+# 2**-96.  It widens each band of a `DiffLine` by l2 * 2**-96 / pi, so by at
+# most 5.1 values of lambda2 up to lambda2 = 2**100.
+PI_BITS = 96
+PI_FLOOR = 248902613312231085230521944622
+
+# offsets from d of the targets that a `DiffLine` compares, as integers in
+# units of 2**-40 / 10**4: the slack 2**-40 is _SLACK_UNITS, and a decimal
+# constant c of at most four places is c * 10**4 * 2**40 units
+_SLACK_UNITS = 10**4
+
+
+def _edge_key(end: tuple, sign: int) -> tuple[int, int]:
+    """(m*m*k, offset) of a clause end (m, k, c) compared with d: the upper end
+    (sign 1) admits d when m*sqrt(k*pi*l2) exceeds d + c + SLACK, the lower
+    end (sign -1) when it falls below d - c - SLACK."""
+    m, k, c = end
+    return m * m * k, sign * ((int(Fraction(c) * 10**4) << 40) + _SLACK_UNITS)
+
+
+# per congruence class, the (lower, upper) end keys of each clause of
+# `WINDOW_CLAUSES`, a lower end None being the floor of the class
+_WINDOW_KEYS = tuple(
+    tuple((lo and _edge_key(lo, -1), _edge_key(hi, 1)) for _, lo, hi in clauses) for clauses in WINDOW_CLAUSES
+)
+
+# the largest lambda2 at which the floor of clause class2-a is certainly 702:
+# up to it 2.0582 * lambda2**(1/4) <= 702 - 2**-20, far below 702 - SLACK
+# after the few ulps of error of `mpf_pow` at wp >= 77 bits
+CLASS2_FLOOR_702 = ((702 * 2**20 - 1) ** 4 * 10**16 - 1) // (20582**4 * 2**80)
+
+# the near-diagonal row constants and the flat bound in units of 10**-5
+_ROW_UNITS = tuple(int(Fraction(c) * 10**5) for c in NEAR_DIAGONAL_ROWS)
+_FLAT_UNITS = int(Fraction(NEAR_DIAGONAL_FLAT) * 10**5)
+
+
+def _edge_cut(d: int, wp: int, mmk: int, offset: int) -> tuple[int, int]:
+    """(below, above) for m*sqrt(k*pi*l2) against v = d + offset units with
+    m*m*k = mmk: m*sqrt(k*pi*l2) < v - mu at every l2 <= below and > v + mu
+    at every l2 >= above, for mu = (d + 8) * 2**(6 - wp) (see `DiffLine`).
+    Exact integers, scaled by D = 10**4 * 2**wp."""
+    v = (d * (_SLACK_UNITS << 40) + offset) << (wp - 40)
+    mu = (d + 8) * _SLACK_UNITS << 6
+    low, high = max(v - mu, 0), v + mu
+    den = mmk * (_SLACK_UNITS << wp) ** 2
+    return ((low * low << PI_BITS) - 1) // (den * (PI_FLOOR + 1)), (high * high << PI_BITS) // (den * PI_FLOOR) + 1
+
+
+@functools.lru_cache
+def _flat_cut(k: int, wp: int) -> tuple[int, int]:
+    """(below, above) for row k against the flat bound: the row's C_k/sqrt(l2)
+    at wp bits is certainly >= the flat 0.0165 at every l2 <= below and
+    certainly below it at every l2 >= above, its relative error being at
+    most 4 * 2**-wp and the flat constant's 2**-wp."""
+    one = 1 << (wp - 4)  # the tolerance 2**(4 - wp) is 1/one
+    scale = (_FLAT_UNITS * one) ** 2
+    row = _ROW_UNITS[k - 1]
+    return ((row * (one - 1)) ** 2 - 1) // scale, (row * (one + 1)) ** 2 // scale + 1
+
+
+class DiffLine:
+    """What the window and near-diagonal steps read of one difference line
+    (l2 + d, l2), d >= 702, at wp working bits, built once per line and
+    shared by its pairs: the lambda2 thresholds of their comparisons.
+
+    Each quantity that those steps compare with d is a window-clause end
+    m*sqrt(k*pi*l2) -+ c or a row edge sqrt(k*pi*l2), computed by a fixed
+    chain of libmp operations that each round to nearest: `mpf_sqrt`
+    documents correct rounding, `from_int`, `mpf_mul`, `mpf_mul_int`,
+    `mpf_add` and `mpf_sub` round exact results, and `mpf_pi` rounds pi
+    computed with 20 extra bits.  So the computed value is nondecreasing in
+    l2, and each comparison with d switches once along the line.  With
+    u = 2**-wp the chain is within 4u of the edge relatively (pi 2u; l2, the
+    product by k and by l2, and the square root u each; halved under the
+    root), the multiple by m within 6u, the end after subtracting or adding
+    c (rounded within u) within 8u*(M + c), and the end minus or plus the
+    slack within 10u*(M + c + 1) of its exact value, M the exact multiple.
+    A step's comparison of such a value with d is "M against a target
+    v = d +- c +- SLACK", and for mu = (d + 8) * 2**(6 - wp) its outcome is
+    certain, whatever the rounding, at every l2 where M > v + mu or
+    M < v - mu: there the margin exceeds 10u*(M + 11) with c < 5.  In exact
+    integers, with an enclosure [PI_FLOOR, PI_FLOOR + 1] / 2**PI_BITS of pi,
+    that holds for l2 below or above a threshold (`_edge_cut`).  The
+    row-against-flat choice is C_k/sqrt(l2) against 0.0165, a threshold of
+    the same kind (`_flat_cut`).  The thresholds are computed lazily in
+    plain integers, once per line (the row's once per row and precision).
+
+    A pair then decides each comparison with two integer compares, except
+    in the band between the thresholds, a few lambda2 wide at most unless
+    l2 is huge and wp small, where it runs the per-pair functions
+    `_largest_difference`, `_least_difference` and `_near_diagonal_bound`
+    themselves.  Per pair there remain: the floor of clause class2-a past
+    `CLASS2_FLOOR_702` (an `mpf_pow`, not correctly rounded); the whole
+    near-diagonal bound when l2 has more than 1000 bits, since below that
+    edge 0 is log(l2) < 694, which d >= 702 exceeds by far more than the
+    slack; and the row value C_k/sqrt(l2) when the row is chosen.
+    """
+
+    __slots__ = ("d", "wp", "_edges")
+
+    def __init__(self, d: int, wp: int) -> None:
+        self.d, self.wp = d, wp
+        self._edges: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def _edge_side(self, key: tuple[int, int], l2: int) -> int:
+        """1 if m*sqrt(k*pi*l2) at l2 certainly exceeds the target of
+        key = (m*m*k, offset) after rounding, -1 if it certainly falls short,
+        0 in the band between."""
+        cut = self._edges.get(key)
+        if cut is None:
+            cut = self._edges[key] = _edge_cut(self.d, self.wp, *key)
+        if l2 >= cut[1]:
+            return 1
+        return -1 if l2 <= cut[0] else 0
+
+    def window_clause(self, l2: int, cls: int) -> str | None:
+        """The clause of `_window_step` for the pair at l2 of class cls, or None."""
+        d, wp = self.d, self.wp
+        for (clause, lo, hi), (lo_key, hi_key) in zip(WINDOW_CLAUSES[cls], _WINDOW_KEYS[cls]):
+            side = self._edge_side(hi_key, l2)
+            if side < 0 or (side == 0 and _largest_difference(l2, wp, hi) < d):
+                continue
+            if lo is None:
+                if cls != 2 or l2 <= CLASS2_FLOOR_702 or _class2_floor(l2, wp) <= d:
+                    return clause
+                continue
+            side = self._edge_side(lo_key, l2)
+            if side < 0 or (side == 0 and _least_difference(l2, wp, cls, lo) <= d):
+                return clause
+        return None
+
+    def near_diagonal_bound(self, l2: int) -> tuple | None:
+        """The raw value of `_near_diagonal_bound(d, l2, wp)`, None outside
+        every proved window."""
+        d, wp = self.d, self.wp
+        if l2.bit_length() > 1000:
+            return _near_diagonal_bound(d, l2, wp)[0]
+        # d is certainly above edge 0; find the first edge k certainly above d
+        for k in range(1, len(NEAR_DIAGONAL_ROWS) + 1):
+            side = self._edge_side((k, _SLACK_UNITS), l2)
+            if side > 0:
+                break
+            if side == 0:
+                return _near_diagonal_bound(d, l2, wp)[0]
+        else:
+            return None
+        # side -1: d is certainly above edge k - 1, so row k applies too
+        side = -1 if k == 1 else self._edge_side((k - 1, -_SLACK_UNITS), l2)
+        if side < 0:
+            below, above = _flat_cut(k, wp)
+            if l2 >= above:  # the row is certainly below the flat bound
+                sqrt_l2 = mpf_sqrt(from_int(l2, wp, round_nearest), wp, round_nearest)
+                return mpf_div(decimal_constant(NEAR_DIAGONAL_ROWS[k - 1], wp)._mpf_, sqrt_l2, wp, round_nearest)
+            side = 1 if l2 <= below else 0
+        if side == 0:
+            return _near_diagonal_bound(d, l2, wp)[0]
+        return decimal_constant(NEAR_DIAGONAL_FLAT, wp)._mpf_
 
 
 def difference_windows(
@@ -601,35 +790,39 @@ def _row_cut(lambda1s: list[int], l2: int, budget: int) -> tuple[int, int, int]:
     lo = bisect.bisect_right(lambda1s, l2)
     if lo == len(lambda1s):
         return lo, lo, 0
-    cost = evaluation_cost(PartitionPair(lambda1s[lo], l2))
+    cost = pair_cost(lambda1s[lo], l2)
     if cost > budget:
         return lo, lo, 0
     # evaluation_cost is nondecreasing in lambda1, so the admitted pairs form a prefix
-    hi = bisect.bisect_right(lambda1s, budget, lo + 1, key=lambda l1: evaluation_cost(PartitionPair(l1, l2)))
+    hi = bisect.bisect_right(lambda1s, budget, lo + 1, key=lambda l1: pair_cost(l1, l2))
     return lo, hi, cost
 
 
-def _row_records(lambda1s: list[int], l2: int, lo: int, hi: int, prec: int, line: RatioLine | None) -> Iterator[tuple]:
+def _row_records(
+    lambda1s: list[int], l2: int, lo: int, hi: int, prec: int, line: RatioLine | None, diff: DiffLine | None
+) -> Iterator[tuple]:
     """The scan record (usec 0) of each lambda1 of `lambda1s` (sorted) at
     lambda2 = l2, in turn, with the verdicts of `certify`, for the cut
     (lo, hi) of `_row_cut`.  The cascade runs on `line` when the scan's
-    pairs share one, else on a line of each pair alone."""
+    pairs share one, else on a line of each pair alone, which reads `diff`
+    when the scan's pairs share a `DiffLine`."""
     for l1 in lambda1s[:lo]:
         # refused before the budget is read
         yield _refusal(l1, l2)
-    admitted = lambda1s[lo:hi]
-    for l1, value in zip(admitted, exact.row_values(l2, admitted)):
-        yield _exact_record(l1, value)
+    if lo < hi:
+        admitted = lambda1s[lo:hi]
+        for l1, value in zip(admitted, exact.row_values(l2, admitted)):
+            yield _exact_record(l1, value)
     for l1 in lambda1s[hi:]:
-        yield _cascade(line or RatioLine(l1, l2, prec), l1, l2)
+        yield _cascade(line or RatioLine(l1, l2, prec, diff=diff), l1, l2)
 
 
 def _scan_row(args: tuple) -> tuple[int, tuple[tuple, ...]]:
     """Certify one task of `_scan_tasks`, every lambda1 of a row at one
     lambda2, into (lambda2, records); when `timed`, each record's usec is
     the time taken to produce it."""
-    lambda1s, l2, lo, hi, prec, line, timed = args
-    records = _row_records(lambda1s, l2, lo, hi, prec, line)
+    lambda1s, l2, lo, hi, prec, line, diff, timed = args
+    records = _row_records(lambda1s, l2, lo, hi, prec, line, diff)
     if not timed:
         return l2, tuple(records)
     timed_records = []
@@ -668,18 +861,23 @@ def rule_pairs(lambda2_range: tuple[int, int], rule) -> list[tuple[int, int]]:
 
 
 def _scan_tasks(
-    rows: list[tuple[list[int], int]], budget: int, prec: int, timed: bool, line: RatioLine | None = None
+    rows: list[tuple[list[int], int]],
+    budget: int,
+    prec: int,
+    timed: bool,
+    line: RatioLine | None = None,
+    diff: DiffLine | None = None,
 ) -> tuple[list[tuple], int]:
     """The `_scan_row` task of each row of `rule_rows`, and the scan's
     estimated work in cost units, read from the rows alone: the
     `evaluation_cost` of each row's first admitted pair, which the row walk
     evaluates afresh, plus `CASCADE_PAIR_COST` for each pair past the budget.
-    Walk steps are not charged.  `line` is the `RatioLine` of every pair of
-    the rows, when they share one."""
+    Walk steps are not charged.  `line` is the `RatioLine`, and `diff` the
+    `DiffLine`, of every pair of the rows, when they share one."""
     tasks, work = [], 0
     for lambda1s, l2 in rows:
         lo, hi, cost = _row_cut(lambda1s, l2, budget)
-        tasks.append((lambda1s, l2, lo, hi, prec, line, timed))
+        tasks.append((lambda1s, l2, lo, hi, prec, line, diff, timed))
         work += cost + CASCADE_PAIR_COST * (len(lambda1s) - hi)
     return tasks, work
 
@@ -704,7 +902,7 @@ def scan_range(
     of the row goes straight to the `STAGES`.  The verdicts are those of
     `certify` on each pair alone.  The pairs of a ratio rule share one
     `RatioLine`, built here; any other rule's cascade pairs run on a line
-    of their own.
+    of their own, and those of a difference rule share one `DiffLine`.
 
     The rows run in a process pool only when the scan's estimated work (see
     `_scan_tasks`) reaches `POOL_MIN_WORK`, with at most as many workers as
@@ -720,7 +918,8 @@ def scan_range(
         raise ValueError("parallelism must be >= 1")
     rows = rule_rows(lambda2_range, rule)
     line = RatioLine(rule.ratio.numerator, rule.ratio.denominator, prec) if isinstance(rule, RatioRule) else None
-    tasks, work = _scan_tasks(rows, budget, prec, timings, line)
+    diff = DiffLine(rule.diff, prec + GUARD_BITS) if isinstance(rule, DiffRule) else None
+    tasks, work = _scan_tasks(rows, budget, prec, timings, line, diff)
     workers = min(parallelism, _usable_cpus(), len(tasks))
     if workers == 1 or work < POOL_MIN_WORK:
         return ScanReport(tuple(map(_scan_row, tasks)))

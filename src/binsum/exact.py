@@ -331,14 +331,10 @@ def reduced_term_count(pair: PartitionPair) -> int:
     return max(0, pair.lambda1 // 2 - (pair.lambda2 + 1) // 2 + 1)
 
 
-def _automatic_route(pair: PartitionPair) -> tuple[Route, int]:
-    """The route rule off the diagonal and the chosen route's term count:
-    the reduced route when it sums at most lambda2 terms, fewer than the
-    direct route's lambda2 + 1."""
-    nterms = reduced_term_count(pair)
-    if nterms <= pair.lambda2:
-        return Route.REDUCED, nterms
-    return Route.DIRECT, pair.lambda2 + 1
+def _automatic_route(pair: PartitionPair) -> Route:
+    """The route rule off the diagonal: the reduced route when it sums at
+    most lambda2 terms, fewer than the direct route's lambda2 + 1."""
+    return Route.REDUCED if reduced_term_count(pair) <= pair.lambda2 else Route.DIRECT
 
 
 def evaluate(pair: PartitionPair, route: Route | None = None) -> ExactValue:
@@ -356,7 +352,7 @@ def evaluate(pair: PartitionPair, route: Route | None = None) -> ExactValue:
         return eval_diagonal(pair.lambda1)
     if pair.lambda1 == pair.lambda2:
         return eval_diagonal(pair.lambda1)
-    if _automatic_route(pair)[0] is Route.REDUCED:
+    if _automatic_route(pair) is Route.REDUCED:
         return eval_reduced(pair)
     return eval_direct(pair)
 
@@ -386,8 +382,16 @@ def evaluation_cost(pair: PartitionPair) -> int:
     sorted row that a budget admits form a prefix.  A scan that walks its
     row by `row_values` pays far less, but is charged the same.
     """
-    words = max(1, (pair.lambda1 + 63) // 64)
-    return max(1, _automatic_route(pair)[1]) * words * words
+    return pair_cost(pair.lambda1, pair.lambda2)
+
+
+def pair_cost(lambda1: int, lambda2: int) -> int:
+    """`evaluation_cost` of the pair (lambda1, lambda2), lambda1 >= lambda2 >= 0,
+    from its two integers, so a scan prices its rows without building pairs.
+    The automatic route sums min(`reduced_term_count`, lambda2 + 1) terms."""
+    words = max(1, (lambda1 + 63) // 64)
+    terms = min(max(0, lambda1 // 2 - (lambda2 + 1) // 2 + 1), lambda2 + 1)
+    return max(1, terms) * words * words
 
 
 def normalized_I(pair: PartitionPair, prec: int = DEFAULT_PRECISION) -> mpf:

@@ -11,18 +11,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
+from mpmath.libmp import from_int, mpf_div, mpf_lt, mpf_sqrt, round_nearest
 
 from binsum import asymptotics, certifier, exact
-from binsum.asymptotics import RatioLine
+from binsum.asymptotics import NEAR_DIAGONAL_FLAT, NEAR_DIAGONAL_ROWS, RatioLine, _near_diagonal_bound, window_edge
 from binsum.certifier import (
     AllUpToRule,
     Certificate,
     CertificateKind,
+    DiffLine,
     DiffRule,
     ListRule,
     STAGES,
     RatioRule,
     ScanReport,
+    WINDOW_CLAUSES,
+    _largest_difference,
+    _least_difference,
     _near_diagonal_step,
     _scan_row,
     _scan_tasks,
@@ -35,7 +40,7 @@ from binsum.certifier import (
     scan_range,
 )
 from binsum.exact import PartitionPair, evaluate, evaluation_cost, row_step
-from binsum.numerics import GUARD_BITS, SLACK, Comparison, certified_compare
+from binsum.numerics import GUARD_BITS, RAW_SLACK, SLACK, Comparison, certified_compare, decimal_constant, dyadic_compare
 
 
 def _one_pair_rows(records) -> ScanReport:
@@ -291,6 +296,140 @@ def test_difference_windows_of_one_class_equal_the_filtered_table(lambda2):
             assert own == [w for w in every if w.residue_class == cls]
 
 
+# every comparison of a `DiffLine` with d: ("end", cls, i, sign) for the
+# upper (sign 1) and the lower (sign -1) end of clause i of class cls, and
+# ("edge", k, sign) for d certified below (sign 1) or above (sign -1) the
+# near-diagonal edge sqrt(k*pi*l2)
+DIFF_TARGETS = (
+    *(
+        ("end", cls, i, sign)
+        for cls, clauses in enumerate(WINDOW_CLAUSES)
+        for i, (_, lo, hi) in enumerate(clauses)
+        for sign, end in ((1, hi), (-1, lo))
+        if end is not None
+    ),
+    *(("edge", k, sign) for k in range(1, len(NEAR_DIAGONAL_ROWS) + 1) for sign in (1, -1)),
+)
+
+
+def _crossing(target, d: int) -> int:
+    """The integer part of the lambda2 at which the exact value m*sqrt(k*pi*l2)
+    of `target` equals its target d + sign*(c + SLACK), computed at 400 bits."""
+    if target[0] == "end":
+        _, cls, i, sign = target
+        m, k, c = WINDOW_CLAUSES[cls][i][2 if sign > 0 else 1]
+    else:
+        (_, k, sign), m, c = target, 1, "0"
+    with workprec(400):
+        v = d + sign * (mpf(c) + SLACK)
+        return int(v * v / (m * m * k * mp.pi))
+
+
+def _per_pair_side(target, d: int, l2: int, wp: int) -> int:
+    """The outcome of `target` at l2 by today's per-pair functions, as the side
+    of `DiffLine`: 1 when the computed end or edge lies above its target."""
+    if target[0] == "end":
+        _, cls, i, sign = target
+        _, lo, hi = WINDOW_CLAUSES[cls][i]
+        if sign > 0:
+            return 1 if d <= _largest_difference(l2, wp, hi) else -1
+        return -1 if _least_difference(l2, wp, cls, lo) <= d else 1
+    _, k, sign = target
+    side = dyadic_compare(from_int(d), window_edge(l2, k, wp), RAW_SLACK)
+    if sign > 0:
+        return 1 if side is Comparison.CERTIFIED_LESS else -1
+    return -1 if side is Comparison.CERTIFIED_GREATER else 1
+
+
+def _target_key(target) -> tuple[int, int]:
+    if target[0] == "end":
+        _, cls, i, sign = target
+        return certifier._WINDOW_KEYS[cls][i][1 if sign > 0 else 0]
+    _, k, sign = target
+    return k, sign * certifier._SLACK_UNITS
+
+
+def _per_pair_clause(d: int, l2: int, wp: int, cls: int) -> str | None:
+    """The clause of the window step for (l2 + d, l2) by today's per-pair functions."""
+    for clause, lo, hi in WINDOW_CLAUSES[cls]:
+        if d <= _largest_difference(l2, wp, hi) and _least_difference(l2, wp, cls, lo) <= d:
+            return clause
+    return None
+
+
+# the largest d whose crossings all lie at lambda2 <= 2**100: m*m*k >= 1
+LARGEST_DRAWN_DIFFERENCE = math.isqrt(math.floor(math.pi * 2**100))
+
+
+@st.composite
+def _threshold_draws(draw):
+    """(d, lambda2, wp, target): lambda2 within 3 of where the exact value of a
+    `DiffLine` comparison crosses its target, for d of 10 to 51 bits up to
+    `LARGEST_DRAWN_DIFFERENCE` (so lambda2 up to 2**100, and d below
+    sqrt(26 * lambda2)) and precisions 53-256."""
+    target = draw(st.sampled_from(DIFF_TARGETS))
+    bits = draw(st.integers(10, 51))
+    d = draw(st.integers(max(702, 2 ** (bits - 1)), min(2**bits, LARGEST_DRAWN_DIFFERENCE)))
+    wp = draw(st.integers(53, 256)) + GUARD_BITS
+    return d, _crossing(target, d), wp, target
+
+
+@given(draw=_threshold_draws())
+# the floor of clause class2-a steps from 702 to 703 between lambda2 =
+# 13533126864 and 13533126865, and is certainly 702 up to CLASS2_FLOOR_702
+@example(draw=(702, 13533126864, 77, ("end", 2, 0, 1)))
+@example(draw=(703, certifier.CLASS2_FLOOR_702, 280, ("end", 2, 0, 1)))
+# lambda2 near 2**100: at 53 bits the band holds every drawn lambda2; at 256
+# bits it is a few lambda2 wide, most of it from the pi enclosure, so an
+# enclosure on the wrong side of pi decides lambda2 that it must not
+@example(draw=(2**50 - 1, _crossing(("end", 0, 0, 1), 2**50 - 1), 77, ("end", 0, 0, 1)))
+@example(draw=(2**50 - 1, _crossing(("edge", 1, 1), 2**50 - 1), 280, ("edge", 1, 1)))
+@example(draw=(LARGEST_DRAWN_DIFFERENCE, _crossing(("end", 3, 1, -1), LARGEST_DRAWN_DIFFERENCE), 280, ("end", 3, 1, -1)))
+@settings(max_examples=150, deadline=None)
+def test_diff_line_decides_each_comparison_as_the_per_pair_functions(draw):
+    d, crossing, wp, target = draw
+    line, key, band = DiffLine(d, wp), _target_key(target), 0
+    for l2 in range(max(1, crossing - 3), crossing + 4):
+        side = line._edge_side(key, l2)
+        if side:
+            assert side == _per_pair_side(target, d, l2, wp), (d, l2, wp, target)
+        band += not side
+        for cls in range(4):
+            assert line.window_clause(l2, cls) == _per_pair_clause(d, l2, wp, cls), (d, l2, wp, cls)
+        assert line.near_diagonal_bound(l2) == _near_diagonal_bound(d, l2, wp)[0], (d, l2, wp)
+    # the band is about crossing * 2**(8 - wp) wide around the crossing, so
+    # from crossing >= 2**(wp - 4) on it holds every lambda2 drawn
+    if crossing >= 2 ** (wp - 4):
+        assert band == 7, (d, crossing, wp, target)
+
+
+@given(k=st.integers(1, len(NEAR_DIAGONAL_ROWS)), prec=st.integers(53, 256), offset=st.integers(-3, 3))
+@settings(max_examples=150, deadline=None)
+def test_row_against_flat_cut_matches_the_computed_comparison(k, prec, offset):
+    # row k's C_k/sqrt(l2) passes the flat 0.0165 at l2 = (C_k/0.0165)**2
+    wp = prec + GUARD_BITS
+    with workprec(400):
+        l2 = int((mpf(NEAR_DIAGONAL_ROWS[k - 1]) / mpf(NEAR_DIAGONAL_FLAT)) ** 2) + offset
+    row = mpf_div(
+        decimal_constant(NEAR_DIAGONAL_ROWS[k - 1], wp)._mpf_,
+        mpf_sqrt(from_int(l2, wp, round_nearest), wp, round_nearest),
+        wp,
+        round_nearest,
+    )
+    below, above = certifier._flat_cut(k, wp)
+    assert below < above
+    if l2 >= above or l2 <= below:
+        assert mpf_lt(row, decimal_constant(NEAR_DIAGONAL_FLAT, wp)._mpf_) is (l2 >= above), (k, l2, wp)
+
+
+def test_pi_enclosure_holds_pi_and_is_2_to_the_minus_96_wide():
+    with workprec(400):
+        assert mpf(certifier.PI_FLOOR) / 2**certifier.PI_BITS < mp.pi < mpf(certifier.PI_FLOOR + 1) / 2**certifier.PI_BITS
+    # the enclosure widens a band by lambda2 * 2**-96 / pi, at most 5.1
+    # values of lambda2 up to 2**100
+    assert certifier.PI_BITS == 96 and 2**100 * 2**-96 / math.pi < 5.1
+
+
 def test_window_stages_cannot_apply_beyond_26_l2():
     # certify skips both stages when d*d >= 26*l2: every window-table window
     # and every near-diagonal row ends below d = sqrt(8*pi*l2), and 8*pi < 26
@@ -386,10 +525,11 @@ def test_scan_with_ratio_caches_equals_uncached_pairs():
 def _cascade_lines(draw):
     """(lambda2 range, rule, prec) of a short scan line: a ratio line of
     either regime; a subcritical ratio line whose lambda1 crosses a power of
-    two, where the cosine's p_eff steps; or a difference line around d = 702
-    or around the flat edge sqrt(8*pi*l2) of the near-diagonal bound."""
+    two, where the cosine's p_eff steps; or a difference line around d = 702,
+    around the flat edge sqrt(8*pi*l2) of the near-diagonal bound, or across
+    the lambda2 where one comparison of its `DiffLine` switches."""
     prec = draw(st.integers(53, 256))
-    shape = draw(st.sampled_from(("ratio", "power-of-two", "diff-702", "diff-flat")))
+    shape = draw(st.sampled_from(("ratio", "power-of-two", "diff-702", "diff-flat", "diff-threshold")))
     b = draw(st.integers(1, 9))
     if shape == "ratio":
         r = Fraction(draw(st.integers(b + 1, 12 * b)), b)
@@ -400,6 +540,12 @@ def _cascade_lines(draw):
         r = Fraction(draw(st.integers(b + 1, 5 * b)), b)
         t = 2 ** draw(st.integers(12, 60)) // r.numerator
         return (r.denominator * (t - 3), r.denominator * (t + 3)), RatioRule(r), prec
+    if shape == "diff-threshold":
+        # 16-64 pairs around the lambda2 where a comparison of the line's
+        # DiffLine switches
+        d, n = draw(st.integers(702, 5000)), draw(st.integers(16, 64))
+        lo = _crossing(draw(st.sampled_from(DIFF_TARGETS)), d) - n // 2
+        return (lo, lo + n - 1), DiffRule(d), prec
     lo = draw(st.integers(19000, 10**9))
     if shape == "diff-702":
         return (lo, lo + 3), DiffRule(draw(st.integers(699, 706))), prec
@@ -412,6 +558,8 @@ def _cascade_lines(draw):
 @example(line=((5000, 5010), RatioRule(Fraction(3)), 200))
 @example(line=((65535, 65537), RatioRule(Fraction(2)), 128))
 @example(line=((100000, 100011), DiffRule(834), 128))
+@example(line=((99948, 99963), DiffRule(1585), 53))
+@example(line=((19574, 19612), DiffRule(702), 200))
 @settings(max_examples=80, deadline=None)
 def test_a_scan_line_gives_each_pair_the_record_of_certify(line):
     lambda2_range, rule, prec = line
@@ -423,6 +571,15 @@ def test_a_scan_line_gives_each_pair_the_record_of_certify(line):
     assert list(report.records()) == expected
     assert report.jsonl_lines() == _one_pair_rows(expected).jsonl_lines()
     assert report.csv_lines() == _one_pair_rows(expected).csv_lines()
+    if isinstance(rule, DiffRule):
+        # every DiffLine comparison in its band runs the per-pair functions
+        # alone, as the window and near-diagonal steps did before DiffLine
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(certifier, "_edge_cut", lambda *args: (0, 2**4000))
+            patch.setattr(certifier, "_flat_cut", lambda *args: (0, 2**4000))
+            patch.setattr(certifier, "CLASS2_FLOOR_702", 0)
+            per_pair = [(l2, certify(PartitionPair(l2 + rule.diff, l2), budget=0, prec=prec)) for l2, _ in expected]
+        assert per_pair == expected
 
 
 def _ambient_outcomes():

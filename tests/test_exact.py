@@ -20,6 +20,7 @@ from binsum.exact import (
     evaluate,
     evaluation_cost,
     normalized_I,
+    pair_cost,
     reduced_term_count,
     row_step,
     row_values,
@@ -126,6 +127,7 @@ def test_evaluate_route_is_the_shorter_one():
             assert result.value == eval_direct(pair).value
             words = (l1 + 63) // 64
             assert evaluation_cost(pair) == (nterms if reduced else l2 + 1) * words * words
+            assert pair_cost(l1, l2) == evaluation_cost(pair)
 
 
 def test_term_growth_beyond_threshold():
