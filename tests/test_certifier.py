@@ -8,7 +8,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import from_int, mpf_div, mpf_lt, mpf_sqrt, round_nearest
@@ -40,7 +40,15 @@ from binsum.certifier import (
     scan_range,
 )
 from binsum.exact import PartitionPair, evaluate, evaluation_cost, row_step
-from binsum.numerics import GUARD_BITS, RAW_SLACK, SLACK, Comparison, certified_compare, decimal_constant, dyadic_compare
+from binsum.numerics import (
+    GUARD_BITS,
+    RAW_SLACK,
+    SLACK,
+    Comparison,
+    certified_compare,
+    decimal_constant,
+    dyadic_compare,
+)
 
 
 def _one_pair_rows(records) -> ScanReport:
@@ -326,7 +334,7 @@ def _crossing(target, d: int) -> int:
 
 
 def _per_pair_side(target, d: int, l2: int, wp: int) -> int:
-    """The outcome of `target` at l2 by today's per-pair functions, as the side
+    """The outcome of `target` at l2 by the per-pair functions, as the side
     of `DiffLine`: 1 when the computed end or edge lies above its target."""
     if target[0] == "end":
         _, cls, i, sign = target
@@ -350,7 +358,7 @@ def _target_key(target) -> tuple[int, int]:
 
 
 def _per_pair_clause(d: int, l2: int, wp: int, cls: int) -> str | None:
-    """The clause of the window step for (l2 + d, l2) by today's per-pair functions."""
+    """The clause of the window step for (l2 + d, l2) by the per-pair functions."""
     for clause, lo, hi in WINDOW_CLAUSES[cls]:
         if d <= _largest_difference(l2, wp, hi) and _least_difference(l2, wp, cls, lo) <= d:
             return clause
@@ -360,18 +368,20 @@ def _per_pair_clause(d: int, l2: int, wp: int, cls: int) -> str | None:
 # the largest d whose crossings all lie at lambda2 <= 2**100: m*m*k >= 1
 LARGEST_DRAWN_DIFFERENCE = math.isqrt(math.floor(math.pi * 2**100))
 
+# d of 10 to 51 bits, as many of each length, from 702 up to
+# LARGEST_DRAWN_DIFFERENCE; every crossing then lies at lambda2 <= 2**100,
+# where d**2 < 26 * lambda2
+_DIFFERENCES = st.integers(10, 51).flatmap(
+    lambda bits: st.integers(max(702, 2 ** (bits - 1)), min(2**bits, LARGEST_DRAWN_DIFFERENCE))
+)
+
 
 @st.composite
 def _threshold_draws(draw):
     """(d, lambda2, wp, target): lambda2 within 3 of where the exact value of a
-    `DiffLine` comparison crosses its target, for d of 10 to 51 bits up to
-    `LARGEST_DRAWN_DIFFERENCE` (so lambda2 up to 2**100, and d below
-    sqrt(26 * lambda2)) and precisions 53-256."""
-    target = draw(st.sampled_from(DIFF_TARGETS))
-    bits = draw(st.integers(10, 51))
-    d = draw(st.integers(max(702, 2 ** (bits - 1)), min(2**bits, LARGEST_DRAWN_DIFFERENCE)))
-    wp = draw(st.integers(53, 256)) + GUARD_BITS
-    return d, _crossing(target, d), wp, target
+    `DiffLine` comparison crosses its target, at precisions 53-256."""
+    target, d = draw(st.sampled_from(DIFF_TARGETS)), draw(_DIFFERENCES)
+    return d, _crossing(target, d), draw(st.integers(53, 256)) + GUARD_BITS, target
 
 
 @given(draw=_threshold_draws())
@@ -384,7 +394,7 @@ def _threshold_draws(draw):
 # enclosure on the wrong side of pi decides lambda2 that it must not
 @example(draw=(2**50 - 1, _crossing(("end", 0, 0, 1), 2**50 - 1), 77, ("end", 0, 0, 1)))
 @example(draw=(2**50 - 1, _crossing(("edge", 1, 1), 2**50 - 1), 280, ("edge", 1, 1)))
-@example(draw=(LARGEST_DRAWN_DIFFERENCE, _crossing(("end", 3, 1, -1), LARGEST_DRAWN_DIFFERENCE), 280, ("end", 3, 1, -1)))
+@example(draw=(2**50 + 7, _crossing(("end", 3, 1, -1), 2**50 + 7), 280, ("end", 3, 1, -1)))
 @settings(max_examples=150, deadline=None)
 def test_diff_line_decides_each_comparison_as_the_per_pair_functions(draw):
     d, crossing, wp, target = draw
@@ -423,8 +433,9 @@ def test_row_against_flat_cut_matches_the_computed_comparison(k, prec, offset):
 
 
 def test_pi_enclosure_holds_pi_and_is_2_to_the_minus_96_wide():
+    low, high = certifier.PI_FLOOR, certifier.PI_FLOOR + 1
     with workprec(400):
-        assert mpf(certifier.PI_FLOOR) / 2**certifier.PI_BITS < mp.pi < mpf(certifier.PI_FLOOR + 1) / 2**certifier.PI_BITS
+        assert mpf(low) / 2**certifier.PI_BITS < mp.pi < mpf(high) / 2**certifier.PI_BITS
     # the enclosure widens a band by lambda2 * 2**-96 / pi, at most 5.1
     # values of lambda2 up to 2**100
     assert certifier.PI_BITS == 96 and 2**100 * 2**-96 / math.pi < 5.1
@@ -522,6 +533,15 @@ def test_scan_with_ratio_caches_equals_uncached_pairs():
 
 
 @st.composite
+def _threshold_lines(draw):
+    """(lambda2 range, rule, prec) of 16-64 pairs of a difference line around
+    the lambda2 where one comparison of its `DiffLine` switches."""
+    d, n = draw(_DIFFERENCES), draw(st.integers(16, 64))
+    lo = _crossing(draw(st.sampled_from(DIFF_TARGETS)), d) - n // 2
+    return (lo, lo + n - 1), DiffRule(d), draw(st.integers(53, 256))
+
+
+@st.composite
 def _cascade_lines(draw):
     """(lambda2 range, rule, prec) of a short scan line: a ratio line of
     either regime; a subcritical ratio line whose lambda1 crosses a power of
@@ -541,15 +561,25 @@ def _cascade_lines(draw):
         t = 2 ** draw(st.integers(12, 60)) // r.numerator
         return (r.denominator * (t - 3), r.denominator * (t + 3)), RatioRule(r), prec
     if shape == "diff-threshold":
-        # 16-64 pairs around the lambda2 where a comparison of the line's
-        # DiffLine switches
-        d, n = draw(st.integers(702, 5000)), draw(st.integers(16, 64))
-        lo = _crossing(draw(st.sampled_from(DIFF_TARGETS)), d) - n // 2
-        return (lo, lo + n - 1), DiffRule(d), prec
+        return draw(_threshold_lines())
     lo = draw(st.integers(19000, 10**9))
     if shape == "diff-702":
         return (lo, lo + 3), DiffRule(draw(st.integers(699, 706))), prec
     return (lo, lo + 3), DiffRule(math.isqrt(math.floor(8 * math.pi * lo)) + draw(st.integers(-2, 2))), prec
+
+
+def _per_pair_records(lambda2_range, rule, prec) -> list[tuple]:
+    """(lambda2, record) of `certify` on each pair of the line with every
+    `DiffLine` comparison in its band, so that the window and near-diagonal
+    steps run the per-pair functions alone, as they did before DiffLine."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(certifier, "_edge_cut", lambda *args: (0, 2**4000))
+        patch.setattr(certifier, "_flat_cut", lambda *args: (0, 2**4000))
+        patch.setattr(certifier, "CLASS2_FLOOR_702", 0)
+        return [
+            (l2, certify(PartitionPair(l1, l2), budget=0, prec=prec))
+            for l1, l2 in certifier.rule_pairs(lambda2_range, rule)
+        ]
 
 
 @given(line=_cascade_lines())
@@ -572,14 +602,32 @@ def test_a_scan_line_gives_each_pair_the_record_of_certify(line):
     assert report.jsonl_lines() == _one_pair_rows(expected).jsonl_lines()
     assert report.csv_lines() == _one_pair_rows(expected).csv_lines()
     if isinstance(rule, DiffRule):
-        # every DiffLine comparison in its band runs the per-pair functions
-        # alone, as the window and near-diagonal steps did before DiffLine
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(certifier, "_edge_cut", lambda *args: (0, 2**4000))
-            patch.setattr(certifier, "_flat_cut", lambda *args: (0, 2**4000))
-            patch.setattr(certifier, "CLASS2_FLOOR_702", 0)
-            per_pair = [(l2, certify(PartitionPair(l2 + rule.diff, l2), budget=0, prec=prec)) for l2, _ in expected]
-        assert per_pair == expected
+        assert _per_pair_records(lambda2_range, rule, prec) == expected
+
+
+def _band_calls(lambda2_range, rule, prec) -> int:
+    """The calls that a scan of the line makes to the per-pair functions
+    that a `DiffLine` runs in its band."""
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_largest_difference", "_least_difference", "_near_diagonal_bound"):
+            patch.setattr(certifier, name, lambda *args, f=getattr(certifier, name): calls.append(f) or f(*args))
+        scan_range(lambda2_range, rule, budget=0, prec=prec)
+    return len(calls)
+
+
+def test_some_difference_lines_across_a_threshold_enter_the_band():
+    # the band is about lambda2 * 2**(8 - wp) wide, so it holds whole
+    # lambda2 only far past the oscillatory reach; there the oscillatory step
+    # decides every pair whose cosine it can bound away from 0, but near a
+    # clause end the cosine of that end's class nearly vanishes
+    line = find(
+        _threshold_lines(),
+        lambda line: _band_calls(*line) > 0,
+        settings=settings(max_examples=300, derandomize=True, database=None, phases=[Phase.generate]),
+    )
+    report = scan_range(*line[:2], budget=0, prec=line[2])
+    assert list(report.records()) == _per_pair_records(*line)
 
 
 def _ambient_outcomes():
@@ -656,7 +704,7 @@ SCAN_CASES = [
     ((60, 80), ListRule((70, 71, 72, 75, 76, 77, 78, 90)), 10**9),
     ((60, 80), ListRule((70, 71, 72, 75, 76, 77, 78, 90)), 7),
     # budget 0 sends every pair to the cascade: a ratio line's tasks carry
-    # its one RatioLine to the workers, a difference line has none
+    # its one RatioLine to the workers, a difference line's its one DiffLine
     ((100000, 100011), RatioRule(Fraction(6)), 0),
     ((100070, 100081), RatioRule(Fraction(2)), 0),
     ((100000, 100011), DiffRule(834), 0),
