@@ -571,7 +571,7 @@ def _cascade_lines(draw):
 def _per_pair_records(lambda2_range, rule, prec) -> list[tuple]:
     """(lambda2, record) of `certify` on each pair of the line with every
     `DiffLine` comparison in its band, so that the window and near-diagonal
-    steps run the per-pair functions alone, as they did before DiffLine."""
+    steps run the per-pair functions alone."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(certifier, "_edge_cut", lambda *args: (0, 2**4000))
         patch.setattr(certifier, "_flat_cut", lambda *args: (0, 2**4000))
