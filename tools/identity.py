@@ -30,6 +30,11 @@ differs from its twin at 1.  The set covers:
   the lambda2 where row 8 beats the flat bound, at lambda2 near 2*10**4,
   10**5, 10**9 and 2**80, at --precision 53 and 200, in the same formats
   and at the same parallelism;
+* ratio lines at --budget 0 through the supercritical and oscillatory
+  steps: ratios 6, 2, 3, 7/3, 35/6 and 5/2 at lambda2 near 10**5 and near
+  2**40, and ratio 6 from lambda2 = 1 across the lambda2 where the
+  supercritical bound stops evaluating its exponential tail, at
+  --precision 53 and 256, in the same formats and at the same parallelism;
 * `certify` (with and without --delta) and `predict` at pairs that each
   cascade stage decides, at an exact pair and at refused pairs, with
   --budget 0 and --precision 53 and 200;
@@ -158,6 +163,15 @@ DIFF_SCANS = (
     (158533, 999998837, 999998844, "flat edge"),
     (2756066934468, 2**80 + 146130699869, 2**80 + 146130699876, "class0-a upper end"),
 )
+# ratio lines at --budget 0 whose pairs all reach the supercritical or the
+# oscillatory step: (ratio, first lambda2, last lambda2).  Each range holds
+# 24 lambda2, so 4 pairs of ratio 35/6 and 8 of ratio 7/3.  Ratio 6 from
+# lambda2 = 1 crosses the lambda2 where the supercritical bound stops
+# evaluating its exponential tail (50 at --precision 53, about 150 at 256).
+RATIO_SCANS = (
+    *((ratio, lo, lo + 23) for lo in (100000, 2**40 - 12) for ratio in ("6", "2", "3", "7/3", "35/6", "5/2")),
+    ("6", 1, 400),
+)
 # (6 * lambda2, lambda2) around the tail cutoff, which lies at lambda2 = 50,
 # 91 and 130 at --precision 53, 128 and 200
 PREDICT_LAMBDA2S = (60, 90, 120)
@@ -216,7 +230,12 @@ def commands() -> list[list[str]]:
         for d, lo, hi, _ in DIFF_SCANS
         for precision in ("53", "200")
     ]
-    for scan in (*WALK_SCANS, *POOL_SCANS, *CASCADE_SCANS, *diff_scans):
+    ratio_scans = [
+        ("--budget", "0", "--precision", precision, "scan", "--l2", f"{lo}..{hi}", "--ratio", ratio)
+        for ratio, lo, hi in RATIO_SCANS
+        for precision in ("53", "256")
+    ]
+    for scan in (*WALK_SCANS, *POOL_SCANS, *CASCADE_SCANS, *diff_scans, *ratio_scans):
         for flags in ((), ("--parallelism", "2")):
             out.extend(["--format", fmt, *flags, *scan] for fmt in FORMATS)
     for l1, l2 in CERTIFY_PAIRS:
