@@ -44,6 +44,23 @@ wrap the kernel's result in an mpf; a `RatioLine` looks them up once per
 line of fixed ratio and hands the cascade the kernels' raw results, and the
 cascade calls the two kernels that read the pair alone,
 `_near_diagonal_bound` and `_cos_lower_bound`, directly.
+
+The two saddle steps first try to predict their kernels' outcome in integer
+arithmetic.  Past a per-line tail cutoff, the supercritical bound is a fixed
+chain of five correctly rounded operations on the exact dyadic K/lambda,
+K = c1/(256*M**2) + c2/(24*M**3) of the cached factors.  The oscillatory
+bound is four operations on 16336/(sqrt(lambda)*nd_power).  The cosine's
+angle lambda1*gamma1 + lambda2*gamma2 + gamma3 is an exact dyadic of the
+cached phase constants, so it is reduced by the kernel's own 2*pi in exact
+integers, and its cosine taken by a Taylor series in fixed point
+(`_fixed_cos`).  Each enclosure's width counts the roundings of the kernel's
+chain at the kernel's precision (Payne and Hanek, SIGNUM Newsletter 18,
+1983, for the exact reduction; Brent and Zimmermann for the rounding
+counts).  A `RatioLine` step method returns the outcome only when its
+enclosures put the comparison with `SLACK` on one side and every 53-bit
+rounding of the margin strictly between two midpoints of the grid; else it
+returns UNDECIDED and the cascade runs the kernel.  So every verdict and
+margin is the kernel's, bit for bit.
 """
 
 from __future__ import annotations
@@ -83,6 +100,8 @@ from .exact import PartitionPair, evaluate
 from .numerics import (
     DEFAULT_PRECISION,
     GUARD_BITS,
+    PI_BITS,
+    PI_FLOOR,
     RAW_SLACK,
     SLACK,
     Comparison,
@@ -608,6 +627,153 @@ def _reduced_cosine(phase: tuple, lambda1: int, lambda2: int, wp: int) -> tuple[
     return mpf_cos(angle, wp, _RND), angle
 
 
+# --------------------------------------------------------------------------
+# fixed-point enclosures of the saddle steps' kernels
+# --------------------------------------------------------------------------
+
+# the scale of the enclosures: a value y is held as integers in units of
+# 2**-FIXED_BITS
+FIXED_BITS = PI_BITS
+
+# what a `RatioLine` step method returns when its enclosure does not fix the
+# step's outcome
+UNDECIDED = "undecided"
+
+_FIXED_SLACK = 1 << (FIXED_BITS - 40)  # `SLACK` in units of 2**-FIXED_BITS
+
+# pi/2 lies in [_HALF_PI, _HALF_PI + 1] units
+_HALF_PI = PI_FLOOR >> (PI_BITS - FIXED_BITS + 1)
+
+
+def _widening(x: int, ops: int, wp: int) -> int:
+    """An upper bound, in the units of x >= 0, of the rounding error of a
+    chain of `ops` products, quotients, square roots and sums of positive
+    terms at wp bits, each rounding to nearest, whose exact result is below
+    x + 1.  Each operation multiplies or divides its value by some 1 + e
+    with |e| <= u = 2**-wp, so the result is within
+    ops*u/(1 - ops*u) < (ops + 1)*u of exact, relatively, for ops <= 10 and
+    wp >= 53 (Brent and Zimmermann, Modern Computer Arithmetic, 2010,
+    sections 2.1 and 3.1)."""
+    return ((ops + 1) * (x + 1) >> wp) + 1
+
+
+def _taylor_terms(odd: int) -> tuple[int, ...]:
+    """2**FIXED_BITS / n!, rounded to nearest, for n = 2k + odd from the
+    highest k down to 0: enough terms that the first one left out,
+    y**n / n! at |y| <= 0.79 > pi/4, is below one unit."""
+    terms, n = [], odd
+    while 79**n << FIXED_BITS >= math.factorial(n) * 100**n:
+        f = math.factorial(n)
+        terms.append(((1 << FIXED_BITS) + f // 2) // f)
+        n += 2
+    return tuple(reversed(terms))
+
+
+_COS_TERMS, _SIN_TERMS = _taylor_terms(0), _taylor_terms(1)
+
+# The error of `_fixed_cos`, in units: a Horner step truncates its product
+# (< 1) after multiplying the previous error by y*y < 0.63 and its value
+# (< 1) by the truncated y*y (< 1 unit off), and its coefficient is 1/2 off,
+# so each step adds less than 3; then 1 for the terms left out, 1 for the
+# last product of the sine, and 2 for y, which subtracts k <= 2 multiples of
+# the enclosure's lower end from x where pi/2 may be up to one unit larger.
+_COS_WIDTH = 3 * max(len(_COS_TERMS), len(_SIN_TERMS)) + 4
+
+
+def _horner(terms: tuple[int, ...], y: int) -> int:
+    """sum_k (-1)**k * terms[-1-k] * y**(2k), in units, of y in units."""
+    square = y * y >> FIXED_BITS
+    acc = 0
+    for term in terms:
+        acc = term - (acc * square >> FIXED_BITS)
+    return acc
+
+
+def _fixed_cos(x: int) -> int:
+    """cos(x) within `_COS_WIDTH` units, of x in units with |x| < 5*pi/4:
+    cos of the distance y from the nearest multiple k*pi/2, |y| <= pi/4,
+    by Taylor series, as cos(y), -sin(y) or -cos(y) for k = 0, 1, 2."""
+    x = abs(x)
+    k = (2 * x + _HALF_PI) // (2 * _HALF_PI)
+    y = x - k * _HALF_PI
+    if k == 1:
+        return -(y * _horner(_SIN_TERMS, y) >> FIXED_BITS)
+    c = _horner(_COS_TERMS, y)
+    return -c if k else c
+
+
+def _rounded53(lo: int, hi: int) -> int | None:
+    """The rounding to 53 significant bits of every value of [lo, hi],
+    2**53 <= lo <= hi, when both ends lie strictly between the same two
+    neighbouring midpoints of the 53-bit grid at lo's magnitude, else None.
+    No value there is a tie, so libmp's rounding to nearest takes each to
+    the one grid point between those midpoints."""
+    shift = lo.bit_length() - 53
+    half = 1 << (shift - 1)
+    point = (lo + half) >> shift
+    if (hi + half) >> shift != point or not (lo + half) & ((1 << shift) - 1):
+        return None
+    return point << shift
+
+
+def _exceeds_slack(lo: int, hi: int) -> bool | None:
+    """Whether y > SLACK for every y in [lo, hi]: True when lo is beyond it,
+    False when hi is not, None when the enclosure straddles it or lo sits on
+    it."""
+    if lo > _FIXED_SLACK:
+        return True
+    return False if hi <= _FIXED_SLACK else None
+
+
+def _scaled_quotient(a: tuple, b: tuple, k: int, bits: int) -> int:
+    """floor(a / (k*b) * 2**bits) of raw a, b > 0 and an integer k > 0."""
+    shift = a[2] - b[2] + bits
+    if shift >= 0:
+        return (a[1] << shift) // (k * b[1])
+    return a[1] // (k * b[1] << -shift)
+
+
+def _head_constants(factors: tuple, wp: int) -> tuple[int, int | None]:
+    """(head, tail) of the raw `_supercritical_constants` at wp bits.
+
+    K = c1/(256*M**2) + c2/(24*M**3) is an exact rational of the raw
+    factors, and head <= K * 2**FIXED_BITS < head + 2.  From lam = tail on,
+    `_supercritical_bound` drops its exponential term, so it returns
+    c1/(256*lam*M**2) + c2/(24*lam*M**3) computed by five operations from
+    lam (from_int, a product by 256 or 24, a product, a quotient, the sum),
+    within 6u of K/lam.  It drops the term when lam*M >= 1 and
+    x = lam*M*pi**2/2 exceeds wp + 16 - E, E the binary exponent of that
+    sum.  x after its three roundings is at least lam * rate for the rate
+    below, and E > log2(K*(1 - 6u)/lam) >= -c - log2(lam).  So the term is
+    dropped wherever lam * rate >= wp + 16 + c + log2(lam) and lam*M >= 2.
+    lam * rate - log2(lam) grows from lam * rate >= 2 > 1/log(2) on, so the
+    first lam that meets both with log2(lam) raised to its bit length is a
+    cutoff for every larger lam.  tail is None when a constant underflows
+    the scale."""
+    m_val, c1, m_sq, c2, m_cube, _, pi_sq, _ = factors
+    head = _scaled_quotient(c1, m_sq, 256, FIXED_BITS) + _scaled_quotient(c2, m_cube, 24, FIXED_BITS)
+    rate = _scaled_quotient(mpf_mul(m_val, pi_sq), ftwo, 1, FIXED_BITS)
+    rate -= _widening(rate, 3, wp)
+    m_units = _scaled_quotient(m_val, fone, 1, FIXED_BITS)
+    if head < 1 or rate < 1 or m_units < 1:
+        return head, None
+    # c >= -log2(K * (1 - 6u)), for K >= head * 2**-FIXED_BITS and 6u < 1/2
+    c = FIXED_BITS - head.bit_length() + 2
+    tail = -((-2 << FIXED_BITS) // m_units)
+    while True:
+        need = max(wp + 16 + c + tail.bit_length(), 2) << FIXED_BITS
+        if tail * rate >= need:
+            return head, tail
+        tail = -(-need // rate)
+
+
+def _fixed_phase(phase: tuple) -> tuple[int, ...]:
+    """(g1, g2, g3, two_pi, z) of the raw `_phase_constants` with the half
+    phase, as exact integers in units of 2**-z, z >= FIXED_BITS."""
+    z = max((FIXED_BITS, *(-x[2] for x in phase if x[1])))
+    return (*((-x[1] if x[0] else x[1]) << (x[2] + z) for x in phase), z)
+
+
 class RatioLine:
     """What the certification cascade reads of one line of fixed ratio
     r = a/b > 1 (a and b in any terms) at one working precision, built once
@@ -619,25 +785,38 @@ class RatioLine:
     reaches (one or two, as p_eff steps with lambda1's bit length), come
     from the ratio caches on first use and are then kept.  So a pair of the
     line pays for no Fraction, cache lookup or mpf object: each per-pair
-    method is one call of the raw kernel that the public function of the
-    same formula calls, and returns a raw tuple, rounded at
+    kernel method is one call of the raw kernel that the public function of
+    the same formula calls, and returns a raw tuple, rounded at
     prec + GUARD_BITS bits (the cosine at p_eff + GUARD_BITS).  Call each
     bound only on a line of its regime.  `delta`, when given, is the split
     angle of the refined supercritical bound.  `diff`, when given, is the
     `certifier.DiffLine` that the pairs of a scanned difference line share,
     one `RatioLine` per pair.
+
+    `supercritical_margin` and `oscillatory_margin` predict the outcome of a
+    saddle step's comparison, and its 53-bit margin, from integer
+    enclosures (in units of 2**-FIXED_BITS) of what the kernels would
+    return: `head_enclosure`, `bound_enclosure` and `cosine_enclosure`.
+    Their integer constants are derived from the raw ones on first use and
+    then kept.  The widths count the correctly rounded operations of each
+    kernel's chain at its precision (`_widening`), and trust what the
+    kernels do: libmp's +, -, *, / and sqrt round correctly, `mpf_pi`
+    within 2 ulp (it rounds pi computed with 20 extra bits), and `mpf_cos`
+    within 2 ulp, as `numerics` assumes.
     """
 
     __slots__ = (
-        "a", "b", "prec", "wp", "delta", "diff", "regime", "reach", "_ratio", "_supercritical", "_nd_power", "_phases"
+        "a", "b", "prec", "wp", "delta", "diff", "regime", "reach", "_ratio", "_supercritical", "_nd_power",
+        "_phases", "_head", "_quotient", "_fixed_phases",
     )
 
     def __init__(self, a: int, b: int, prec: int = DEFAULT_PRECISION, delta=None, diff=None) -> None:
         self.a, self.b, self.prec, self.wp, self.delta, self.diff = a, b, prec, prec + GUARD_BITS, delta, diff
         self.regime = ratio_regime(a, b)
         self.reach = _oscillatory_reach(a, b) if self.regime is Regime.SUBCRITICAL else None
-        self._ratio = self._supercritical = self._nd_power = None
+        self._ratio = self._supercritical = self._nd_power = self._head = self._quotient = None
         self._phases: dict[int, tuple] = {}
+        self._fixed_phases: dict[int, tuple] = {}
 
     @property
     def ratio(self) -> Fraction:
@@ -646,26 +825,128 @@ class RatioLine:
             self._ratio = Fraction(self.a, self.b)
         return self._ratio
 
-    def supercritical_bound(self, lam: int) -> tuple:
-        """`supercritical_error_bound(r, lam, prec)`, raw."""
+    def _factors(self) -> tuple:
         if self._supercritical is None:
             self._supercritical = _supercritical_constants(self.ratio, self.prec)
-        return _supercritical_bound(self._supercritical, lam, self.wp)
+        return self._supercritical
+
+    def _nd(self) -> tuple:
+        if self._nd_power is None:
+            self._nd_power = _oscillatory_constants(self.ratio, self.prec)[0]
+        return self._nd_power
+
+    def _phase(self, p_eff: int) -> tuple:
+        phase = self._phases.get(p_eff)
+        if phase is None:
+            phase = self._phases[p_eff] = _phase_constants(self.ratio, p_eff, True)
+        return phase
+
+    def supercritical_bound(self, lam: int) -> tuple:
+        """`supercritical_error_bound(r, lam, prec)`, raw."""
+        return _supercritical_bound(self._factors(), lam, self.wp)
 
     def oscillatory_bound(self, lam: int) -> tuple:
         """The bound of `oscillatory_error_bound(r, lam, prec)`, raw."""
-        if self._nd_power is None:
-            self._nd_power = _oscillatory_constants(self.ratio, self.prec)[0]
-        return _oscillatory_bound(self._nd_power, lam, self.wp)
+        return _oscillatory_bound(self._nd(), lam, self.wp)
 
     def cosine(self, lambda1: int, lambda2: int) -> tuple:
         """The cosine of `oscillation_cosine` with the half phase, raw, for a
         pair (lambda1, lambda2) of the line."""
         p_eff = _phase_precision(self.prec, lambda1)
-        phase = self._phases.get(p_eff)
-        if phase is None:
-            phase = self._phases[p_eff] = _phase_constants(self.ratio, p_eff, True)
-        return _reduced_cosine(phase, lambda1, lambda2, p_eff + GUARD_BITS)[0]
+        return _reduced_cosine(self._phase(p_eff), lambda1, lambda2, p_eff + GUARD_BITS)[0]
+
+    def head_enclosure(self, lam: int) -> tuple[int, int] | None:
+        """(lo, hi) around `supercritical_bound(lam)`, or None below the
+        line's tail cutoff (`_head_constants`), where the kernel may add its
+        exponential term."""
+        if self._head is None:
+            self._head = _head_constants(self._factors(), self.wp)
+        head, tail = self._head
+        if tail is None or lam < tail:
+            return None
+        # K * 2**FIXED_BITS / lam lies in [h, h + 2)
+        h = head // lam
+        width = _widening(h + 2, 5, self.wp)
+        return h - width, h + 2 + width
+
+    def bound_enclosure(self, lam: int) -> tuple[int, int]:
+        """(lo, hi) around `oscillatory_bound(lam)`.  With Q = 16336/nd_power
+        exact and q = floor(Q**2 * 2**(2*FIXED_BITS)), isqrt(q // lam) <=
+        Q/sqrt(lam) * 2**FIXED_BITS < isqrt(q // lam) + 1; the kernel's four
+        operations (from_int, sqrt, product, quotient) put its result within
+        5u of Q/sqrt(lam)."""
+        if self._quotient is None:
+            _, man, exp, _ = self._nd()
+            shift = 2 * (FIXED_BITS - exp)
+            numerator = OSCILLATORY_BOUND_CONSTANT**2
+            self._quotient = (numerator << shift) // (man * man) if shift >= 0 else numerator // (man * man << -shift)
+        b = math.isqrt(self._quotient // lam)
+        width = _widening(b + 1, 4, self.wp)
+        return b - width, b + 1 + width
+
+    def cosine_enclosure(self, lambda1: int, lambda2: int) -> tuple[int, int]:
+        """(lo, hi) around `cosine(lambda1, lambda2)`.
+
+        The kernel rounds the exact dyadic A = lambda1*g1 + lambda2*g2 + g3
+        of its phase constants, reduces it by its 2*pi (the dyadic two_pi),
+        and takes `mpf_cos` at wp = p_eff + GUARD_BITS bits.  Here A is
+        exact, and so is theta = A - n*two_pi for the nearest turn n.  The
+        kernel's turn count is n or n -+ 1, which moves its angle by two_pi,
+        and cos(x + two_pi) differs from cos(x) by at most
+        |two_pi - 2*pi| <= 3u*two_pi, u = 2**-wp.  Its angle is within
+        4u*(|lambda1*g1| + |lambda2*g2| + |g3|) + u*two_pi*(|n| + 3) of that
+        exact angle plus the turns (the four roundings of the sum, the
+        product by the turns and the difference), and its cosine within
+        4u of the cosine of its angle.  theta truncated to FIXED_BITS is off
+        by less than one unit, and `_fixed_cos` adds `_COS_WIDTH`; cos is
+        1-Lipschitz."""
+        p_eff = _phase_precision(self.prec, lambda1)
+        fixed = self._fixed_phases.get(p_eff)
+        if fixed is None:
+            fixed = self._fixed_phases[p_eff] = _fixed_phase(self._phase(p_eff))
+        g1, g2, g3, two_pi, z = fixed
+        angle = g1 * lambda1 + g2 * lambda2 + g3
+        turns = (2 * angle + two_pi) // (2 * two_pi)
+        kernel = 4 * (abs(g1) * lambda1 + abs(g2) * lambda2 + abs(g3)) + two_pi * (abs(turns) + 6) + (4 << z)
+        shift = z - FIXED_BITS
+        c = _fixed_cos((angle - turns * two_pi) >> shift)
+        width = (kernel >> (p_eff + GUARD_BITS + shift)) + 2 + _COS_WIDTH
+        return c - width, c + width
+
+    def supercritical_margin(self, lam: int) -> float | str | None:
+        """The outcome of `certifier._supercritical_step`'s comparison of
+        `supercritical_bound(lam)` below 1 - SLACK: the margin 1 - bound
+        rounded to 53 bits, None when the bound is certainly not below, or
+        UNDECIDED when `head_enclosure` does not fix either."""
+        head = self.head_enclosure(lam)
+        if head is None:
+            return UNDECIDED
+        one = 1 << FIXED_BITS
+        lo, hi = one - head[1], one - head[0]
+        accept = _exceeds_slack(lo, hi)
+        if not accept:
+            return None if accept is False else UNDECIDED
+        margin = _rounded53(lo, hi)
+        return UNDECIDED if margin is None else math.ldexp(margin, -FIXED_BITS)
+
+    def oscillatory_margin(self, lambda1: int, lambda2: int) -> float | str | None:
+        """The outcome of `certifier._oscillatory_step`'s comparison of
+        |cosine| above `oscillatory_bound(lambda2)` + SLACK: the margin, the
+        53-bit rounding of |cosine| minus the bound rounded to 53 bits, None
+        when |cosine| is certainly not above, or UNDECIDED when the
+        enclosures do not fix the outcome or either rounding."""
+        lo, hi = self.cosine_enclosure(lambda1, lambda2)
+        if lo < 0:
+            lo, hi = (-hi, -lo) if hi <= 0 else (0, max(hi, -lo))
+        b_lo, b_hi = self.bound_enclosure(lambda2)
+        accept = _exceeds_slack(lo - b_hi, hi - b_lo)
+        if not accept:
+            return None if accept is False else UNDECIDED
+        # the rounded |cosine| stays above the bound: lo - b_hi > SLACK and
+        # rounding moves lo by less than 2**-53
+        rounded = _rounded53(lo, hi)
+        margin = rounded and _rounded53(rounded - b_hi, rounded - b_lo)
+        return UNDECIDED if margin is None else math.ldexp(margin, -FIXED_BITS)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,14 @@ clause class2-a past lambda2 = `CLASS2_FLOOR_702`, the near-diagonal bound
 at lambda2 of more than 1000 bits, the row value of the near-diagonal bound,
 the cosine lower bound and the margin.
 
+The supercritical and oscillatory steps each ask the `RatioLine` for the
+outcome of their comparison first (`supercritical_margin`,
+`oscillatory_margin`).  Those predict the raw kernels' outcome and 53-bit
+margin from integer enclosures of the kernels' values, and return UNDECIDED
+where an enclosure reaches across the slack or across a midpoint of the
+53-bit grid; the step then runs the kernels, as before.  So these steps,
+too, give every pair the kernels' verdict and margin.
+
 Inconclusive is an honest outcome and is never retried with looser slack:
 pairs where the cosine is certifiably small are exactly the possible
 exceptions the theory allows, and they must surface in reports.
@@ -88,6 +96,7 @@ from .asymptotics import (
     NEAR_DIAGONAL_FLAT,
     NEAR_DIAGONAL_MIN_DIFFERENCE,
     NEAR_DIAGONAL_ROWS,
+    UNDECIDED,
     RatioLine,
     Regime,
     RegimeError,
@@ -105,6 +114,8 @@ from .exact import PartitionPair, evaluate, evaluation_cost, pair_cost
 from .numerics import (
     DEFAULT_PRECISION,
     GUARD_BITS,
+    PI_BITS,
+    PI_FLOOR,
     RAW_SLACK,
     SLACK,
     Comparison,
@@ -128,15 +139,17 @@ DEFAULT_BUDGET = 10**8
 # serially and 41 ms in the pool, at l2 = 1500-1509 (7.6*10**7) 43 and 36 ms.
 POOL_MIN_WORK = 6 * 10**7
 # the work charged for a pair that the budget sends to the cascade stages.
-# A cascade pair takes 35-45 us on the ratio-6 line at l2 = 1e5 and 70-100 us
-# on the ratio-2 line, and in a pool it also crosses as a task and a record.
-# Measured as above (best of 3) with the pool forced on, serial against pool:
-# ratio-6 lines of 2,400 pairs 117 against 145 ms, of 4,800 pairs 200-270
-# against 159-239 ms, of 6,000 pairs 267 against 167 ms; ratio-2 lines of
-# 600 pairs 52 against 55 ms, of 1,200 pairs 124 against 73 ms.  At 10**4
-# units a pair the pool starts from 6,000 cascade pairs, where it pays on
-# both lines.
-CASCADE_PAIR_COST = 10**4
+# With the saddle steps decided in fixed point, a cascade pair takes about
+# 2 us on the ratio-6 line at l2 = 1e5 and 6-13 us on the ratio-2 line, and
+# in a pool it also crosses as a task and a record.  Measured as above (best
+# of 7, in-process `scan_range`) with the pool forced on, serial against
+# pool: ratio-6 lines of 2,400 pairs 10 against 30 ms, of 12,000 pairs 52
+# against 101 ms, of 24,000 pairs 121 against 155 ms; ratio-2 lines of 2,400
+# pairs 22 against 30 ms, of 6,000 pairs 56 against 54 ms, of 12,000 pairs
+# 115 against 100 ms, of 24,000 pairs 262 against 247 ms.  At 2,500 units a
+# pair the pool starts from 24,000 cascade pairs, where it pays on the
+# ratio-2 line and costs a quarter more on the ratio-6 line, the cheapest.
+CASCADE_PAIR_COST = 2500
 
 
 class CertificateKind(str, Enum):
@@ -251,6 +264,17 @@ def _supercritical_gate(line: RatioLine, l1: int, l2: int) -> bool:
 
 
 def _supercritical_step(line: RatioLine, l1: int, l2: int) -> tuple | None:
+    # the kernel step's outcome from the fixed-point enclosure when that
+    # fixes it; the refined bound runs only in the kernel step
+    margin = line.supercritical_margin(l2)
+    if margin is UNDECIDED or (margin is None and line.delta is not None):
+        return _supercritical_kernel_step(line, l1, l2)
+    if margin is None:
+        return None
+    return l1, _SUPERCRITICAL, "supercritical saddle bound", margin, None, None, None, None, 0
+
+
+def _supercritical_kernel_step(line: RatioLine, l1: int, l2: int) -> tuple | None:
     bound = line.supercritical_bound(l2)
     rule = "supercritical saddle bound"
     if dyadic_compare(bound, fone, RAW_SLACK) is not _LESS:
@@ -269,6 +293,16 @@ def _oscillatory_gate(line: RatioLine, l1: int, l2: int) -> bool:
 
 
 def _oscillatory_step(line: RatioLine, l1: int, l2: int) -> tuple | None:
+    # the kernel step's outcome from the fixed-point enclosures when they fix it
+    margin = line.oscillatory_margin(l1, l2)
+    if margin is UNDECIDED:
+        return _oscillatory_kernel_step(line, l1, l2)
+    if margin is None:
+        return None
+    return l1, _OSCILLATORY, "oscillatory main-term bound", margin, None, None, None, None, 0
+
+
+def _oscillatory_kernel_step(line: RatioLine, l1: int, l2: int) -> tuple | None:
     # above the reach lam is far past the bound's validity threshold (see the reach)
     bound = line.oscillatory_bound(l2)
     cosv = line.cosine(l1, l2)
@@ -325,7 +359,13 @@ def _near_diagonal_step(line: RatioLine, l1: int, l2: int) -> tuple | None:
 # the `DiffLine`'s integer lambda2 thresholds (the chains behind them are
 # monotone in lambda2 and within mu of exact), and run the per-pair
 # functions only in the narrow band between two thresholds; the cosine lower
-# bound, the row value and the margin stay per pair.
+# bound, the row value and the margin stay per pair.  The supercritical and
+# oscillatory steps take their outcome and margin from the `RatioLine`'s
+# fixed-point enclosures of the kernels' values (widths counted from the
+# rounded operations of each kernel at its precision, trusting correct
+# rounding of libmp's +, -, *, / and sqrt and `mpf_pi` and `mpf_cos` within
+# 2 ulp), and run the kernels only where an enclosure leaves the outcome or
+# a 53-bit rounding of the margin open.
 STAGES = (
     ("term-growth", _term_growth_gate, _term_growth_step),
     ("supercritical", _supercritical_gate, _supercritical_step),
@@ -463,11 +503,9 @@ def _largest_difference(lambda2: int, wp: int, hi: tuple) -> int:
     return _int_below(_clause_end(lambda2, wp, hi, mpf_sub), wp)
 
 
-# pi lies in [PI_FLOOR, PI_FLOOR + 1] / 2**PI_BITS, an enclosure of width
-# 2**-96.  It widens each band of a `DiffLine` by l2 * 2**-96 / pi, so by at
-# most 5.1 values of lambda2 up to lambda2 = 2**100.
-PI_BITS = 96
-PI_FLOOR = 248902613312231085230521944622
+# The enclosure [PI_FLOOR, PI_FLOOR + 1] / 2**PI_BITS of pi (`numerics`)
+# widens each band of a `DiffLine` by l2 * 2**-96 / pi, so by at most 5.1
+# values of lambda2 up to lambda2 = 2**100.
 
 # offsets from d of the targets that a `DiffLine` compares, as integers in
 # units of 2**-40 / 10**4: the slack 2**-40 is _SLACK_UNITS, and a decimal

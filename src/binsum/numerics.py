@@ -40,6 +40,11 @@ GUARD_BITS = 24
 SLACK = mpf(2) ** -40
 RAW_SLACK = SLACK._mpf_
 
+# pi lies in [PI_FLOOR, PI_FLOOR + 1] / 2**PI_BITS, an enclosure of width
+# 2**-96 for integer arithmetic
+PI_BITS = 96
+PI_FLOOR = 248902613312231085230521944622
+
 
 class Comparison(enum.Enum):
     """Outcome of a slack-aware comparison."""

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
+from mpmath.libmp import from_int, from_man_exp, round_nearest
 
 from binsum.asymptotics import (
+    FIXED_BITS,
     NEAR_DIAGONAL_ROWS,
     OSCILLATORY_BOUND_CONSTANT,
+    UNDECIDED,
     RatioLine,
     Regime,
     RegimeError,
@@ -26,10 +29,15 @@ from binsum.asymptotics import (
     oscillatory_bound_reach,
     oscillatory_error_bound,
     predict,
+    ratio_regime,
     saddle_data,
     supercritical_error_bound,
     supercritical_error_bound_refined,
+    _COS_WIDTH,
     _cos_lower_bound,
+    _exceeds_slack,
+    _fixed_cos,
+    _head_constants,
     _near_diagonal_bound,
     _oscillatory_bound,
     _oscillatory_constants,
@@ -37,12 +45,20 @@ from binsum.asymptotics import (
     _phase_constants,
     _phase_precision,
     _reduced_cosine,
+    _rounded53,
     _supercritical_bound,
     _supercritical_constants,
     window_edge,
 )
 from binsum.exact import PartitionPair
-from binsum.numerics import GUARD_BITS, SLACK, Comparison, certified_compare, rational_to_real
+from binsum.numerics import (
+    GUARD_BITS,
+    PI_FLOOR,
+    SLACK,
+    Comparison,
+    certified_compare,
+    rational_to_real,
+)
 
 RATIO_CACHES = (
     saddle_data,
@@ -857,3 +873,169 @@ def test_one_ratio_line_keeps_the_cosine_of_each_pair_across_a_power_of_two(b, a
     for t in range(max(1, first - 2), first + 3):
         pair = PartitionPair(r.numerator * t, r.denominator * t)
         assert line.cosine(pair.lambda1, pair.lambda2) == _reference_oscillation_cosine(pair, prec, True)[0]
+
+
+# The fixed-point enclosures of the saddle steps: each must hold the value of
+# the raw kernel that it stands for, in units of 2**-FIXED_BITS.
+
+
+def _units(raw: tuple) -> Fraction:
+    """A raw mpf tuple's exact value in units of 2**-FIXED_BITS."""
+    sign, man, exp, _ = raw
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** (exp + FIXED_BITS)
+
+
+@st.composite
+def _line_ratios(draw, regime):
+    """(a, b) of a ratio a/b of `regime` with b <= 9."""
+    b = draw(st.integers(1, 9))
+    if regime is Regime.SUPERCRITICAL:
+        a = draw(st.integers(5 * b + 4, 14 * b))
+    else:
+        a = draw(st.integers(b + 1, 5 * b + 4))
+    assume(ratio_regime(a, b) is regime)
+    return a, b
+
+
+@given(
+    ratio=_line_ratios(Regime.SUPERCRITICAL),
+    prec=st.integers(53, 256),
+    near_tail=st.booleans(),
+    offset=st.floats(-1, 1),
+    lam=st.integers(1, 2**60),
+)
+@example(ratio=(6, 1), prec=53, near_tail=True, offset=-0.5, lam=1)
+@example(ratio=(13, 1), prec=128, near_tail=True, offset=-0.9, lam=1)
+@example(ratio=(35, 6), prec=256, near_tail=True, offset=0.0, lam=1)
+@settings(max_examples=300, deadline=None)
+def test_head_enclosure_holds_the_supercritical_kernel(ratio, prec, near_tail, offset, lam):
+    # lam anywhere up to 2**60, or within the tail cutoff of it, where the
+    # kernel may still add its exponential term below the cutoff
+    a, b = ratio
+    line = RatioLine(a, b, prec)
+    _, tail = _head_constants(_supercritical_constants(line.ratio, prec), prec + GUARD_BITS)
+    if near_tail:
+        lam = max(1, tail + round(offset * tail))
+    enclosure = line.head_enclosure(lam)
+    assert (enclosure is None) is (lam < tail)
+    if enclosure is not None:
+        lo, hi = enclosure
+        assert lo <= _units(line.supercritical_bound(lam)) <= hi
+        assert hi - lo <= 2 ** (FIXED_BITS - 52)
+
+
+@given(ratio=_line_ratios(Regime.SUBCRITICAL), prec=st.integers(53, 256), lam=st.integers(1, 2**60))
+@example(ratio=(2, 1), prec=53, lam=100070)
+@example(ratio=(5, 2), prec=256, lam=2**60)
+@settings(max_examples=300, deadline=None)
+def test_bound_enclosure_holds_the_oscillatory_kernel(ratio, prec, lam):
+    line = RatioLine(*ratio, prec)
+    lo, hi = line.bound_enclosure(lam)
+    assert lo <= _units(line.oscillatory_bound(lam)) <= hi
+
+
+@given(
+    ratio=_line_ratios(Regime.SUBCRITICAL),
+    prec=st.integers(53, 256),
+    bits=st.integers(4, 62),
+    step=st.booleans(),
+    t=st.integers(1, 2**60),
+    offset=st.integers(-3, 3),
+)
+@example(ratio=(2, 1), prec=128, bits=17, step=True, t=1, offset=0)
+@example(ratio=(7, 3), prec=53, bits=40, step=False, t=2**40 // 3, offset=0)
+@settings(max_examples=300, deadline=None)
+def test_cosine_enclosure_holds_the_reduced_cosine(ratio, prec, bits, step, t, offset):
+    # the pairs (a*t, b*t) with lambda2 <= 2**60; with `step`, lambda1 within
+    # 3*a of 2**bits, where p_eff steps
+    a, b = ratio
+    t = max(1, 2**bits // a + offset if step else t // b)
+    lo, hi = RatioLine(a, b, prec).cosine_enclosure(a * t, b * t)
+    p_eff = _phase_precision(prec, a * t)
+    cosv, _ = _reduced_cosine(_phase_constants(Fraction(a, b), p_eff, True), a * t, b * t, p_eff + GUARD_BITS)
+    assert lo <= _units(cosv) <= hi
+    assert hi - lo <= 2 * _COS_WIDTH + 6
+
+
+@given(x=st.integers(-(5 * PI_FLOOR >> 2) + 8, (5 * PI_FLOOR >> 2) - 8), near=st.integers(-2, 1), offset=st.integers(-3, 3))
+@example(x=0, near=-2, offset=0)
+@settings(max_examples=300, deadline=None)
+def test_fixed_cos_is_within_its_width(x, near, offset):
+    # x anywhere in (-5*pi/4, 5*pi/4), or next to pi/4 or 3*pi/4, where the
+    # nearest multiple of pi/2 changes
+    if near >= 0:
+        x = ((2 * near + 1) * PI_FLOOR >> 2) + offset
+    with workprec(300):
+        exact = mp.cos(mpf(x) / 2**FIXED_BITS) * 2**FIXED_BITS
+    assert abs(_fixed_cos(x) - exact) <= _COS_WIDTH
+
+
+@given(lo=st.integers(2**53, 2**200), width=st.integers(0, 2**20), prec=st.sampled_from([53, 60, 100]))
+@settings(max_examples=300, deadline=None)
+def test_rounded53_is_the_libmp_rounding_of_both_ends_or_none(lo, width, prec):
+    hi = lo + width
+    got = _rounded53(lo, hi)
+    ends = [from_man_exp(n, 0, 53, round_nearest) for n in (lo, hi)]
+    if got is not None:
+        assert ends[0] == ends[1] == from_man_exp(got, 0)
+    elif ends[0] == ends[1]:
+        # only when an end sits on a midpoint of lo's grid, or hi has a
+        # longer grid step
+        shift = lo.bit_length() - 53
+        on_midpoint = [(n + (1 << (shift - 1))) % (1 << shift) == 0 for n in (lo, hi)]
+        assert any(on_midpoint) or hi.bit_length() > lo.bit_length()
+
+
+def test_rounded53_refuses_an_end_on_a_midpoint():
+    midpoint = (2**52 + 1) * 2**40 + 2**39
+    assert _rounded53(midpoint, midpoint) is None
+    assert _rounded53(midpoint + 1, midpoint + 2) == (2**52 + 2) * 2**40
+    assert _rounded53(midpoint - 2, midpoint - 1) == (2**52 + 1) * 2**40
+    assert _rounded53(midpoint - 1, midpoint + 1) is None
+
+
+def test_exceeds_slack_certifies_only_strictly_beyond_the_slack():
+    slack = int(SLACK * 2**FIXED_BITS)
+    assert _exceeds_slack(slack + 1, slack + 5) is True
+    # a lower end on the slack leaves the kernel's value possibly equal to it
+    assert _exceeds_slack(slack, slack + 5) is None
+    assert _exceeds_slack(slack - 5, slack) is False
+    assert _exceeds_slack(slack - 5, slack + 1) is None
+
+
+def _crafted_supercritical_line(head: Fraction, prec: int) -> tuple[RatioLine, int]:
+    """(line, lam) where the supercritical kernel returns exactly `head`, a
+    dyadic of at most prec + GUARD_BITS bits: lam = M**2 = 2**20, c2 = 0 and
+    c1 = 256 * lam * M**2 * head, so every operation is exact, and M = 1024
+    puts lam past the tail cutoff."""
+    lam = 2**20
+    c1 = head * 256 * lam * lam
+    factors = (
+        from_int(1024),
+        from_man_exp(c1.numerator, -(c1.denominator.bit_length() - 1)),
+        from_int(lam),
+        from_int(0),
+        from_int(1),
+        from_int(1),
+        from_int(8),
+        from_int(1),
+    )
+    line = RatioLine(6, 1, prec)
+    line._supercritical = factors
+    assert _supercritical_bound(factors, lam, prec + GUARD_BITS) == from_man_exp(head.numerator, -(head.denominator.bit_length() - 1))
+    return line, lam
+
+
+def test_supercritical_margin_is_undecided_where_the_kernel_bits_are_not_fixed():
+    # 1 - head = 3/4 + 2**-54 + 2**-78 lies 2**-78 above a midpoint of the
+    # 53-bit grid, within the 6u of the bound chain at --precision 53, so the
+    # kernel's margin 3/4 + 2**-53 cannot be told from 3/4
+    line, lam = _crafted_supercritical_line(Fraction(1, 4) - Fraction(1, 2**54) - Fraction(1, 2**78), 53)
+    assert line.supercritical_margin(lam) is UNDECIDED
+    # at 128 bits the chain is good to 2**-124, and the margin is fixed
+    line, lam = _crafted_supercritical_line(Fraction(1, 4) - Fraction(1, 2**54) - Fraction(1, 2**78), 128)
+    assert line.supercritical_margin(lam) == 0.75 + 2**-53
+    # a bound 1 - SLACK is not certified below 1 - SLACK by the kernel, and
+    # its enclosure reaches both sides
+    line, lam = _crafted_supercritical_line(1 - Fraction(1, 2**40), 53)
+    assert line.supercritical_margin(lam) is UNDECIDED

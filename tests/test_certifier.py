@@ -14,7 +14,15 @@ from mpmath import mp, mpf, workprec
 from mpmath.libmp import from_int, mpf_div, mpf_lt, mpf_sqrt, round_nearest
 
 from binsum import asymptotics, certifier, exact
-from binsum.asymptotics import NEAR_DIAGONAL_FLAT, NEAR_DIAGONAL_ROWS, RatioLine, _near_diagonal_bound, window_edge
+from binsum.asymptotics import (
+    FIXED_BITS,
+    NEAR_DIAGONAL_FLAT,
+    NEAR_DIAGONAL_ROWS,
+    UNDECIDED,
+    RatioLine,
+    _near_diagonal_bound,
+    window_edge,
+)
 from binsum.certifier import (
     AllUpToRule,
     Certificate,
@@ -29,8 +37,12 @@ from binsum.certifier import (
     _largest_difference,
     _least_difference,
     _near_diagonal_step,
+    _oscillatory_kernel_step,
+    _oscillatory_step,
     _scan_row,
     _scan_tasks,
+    _supercritical_kernel_step,
+    _supercritical_step,
     _window_step,
     certify,
     certify_by_term_growth,
@@ -512,6 +524,46 @@ def test_oscillatory_gate_rejects_exactly_the_pairs_up_to_the_reach(ratio):
     assert gate(line, int(ratio * (reach + 1)), reach + 1)
 
 
+def test_supercritical_step_falls_back_to_the_kernel_on_a_built_ambiguous_pair():
+    # head = 1/4 - 2**-54 - 2**-78 exactly, so that 1 - head lies 2**-78
+    # above a midpoint of the 53-bit grid, inside the bound chain's 6u at
+    # --precision 53 (see the asymptotics test of the same line)
+    lam = 2**20
+    c1 = (Fraction(1, 4) - Fraction(1, 2**54) - Fraction(1, 2**78)) * 256 * lam * lam
+    line = RatioLine(600, 100, 53)
+    line._supercritical = (
+        from_int(1024),
+        (0, c1.numerator, -(c1.denominator.bit_length() - 1), c1.numerator.bit_length()),
+        from_int(lam),
+        from_int(0),
+        from_int(1),
+        from_int(1),
+        from_int(8),
+        from_int(1),
+    )
+    assert line.supercritical_margin(lam) is UNDECIDED
+    record = _supercritical_step(line, 6 * lam, lam)
+    assert record == _supercritical_kernel_step(line, 6 * lam, lam)
+    assert record[3] == 0.75 + 2**-53
+
+
+def test_oscillatory_step_falls_back_to_the_kernel_on_a_built_ambiguous_pair(monkeypatch):
+    # the cosine enclosure of a decided ratio-2 pair, widened until it reaches
+    # the midpoint of the 53-bit grid next to the kernel's |cos|: it still
+    # holds the kernel's value, but no longer fixes its rounding
+    l1, l2 = 200140, 100070
+    line = RatioLine(2, 1, 128)
+    sign, man, exp, bc = line.cosine(l1, l2)
+    units = (-1) ** sign * Fraction(man) * Fraction(2) ** (exp + FIXED_BITS)
+    midpoint = ((man >> (bc - 53)) + Fraction(1, 2)) * Fraction(2) ** (exp + FIXED_BITS + bc - 53)
+    reach = math.ceil(abs(midpoint - abs(units))) + 1
+    centre = math.floor(units)
+    monkeypatch.setattr(RatioLine, "cosine_enclosure", lambda self, *pair: (centre - reach, centre + reach))
+    assert line.oscillatory_margin(l1, l2) is UNDECIDED
+    record = _oscillatory_step(line, l1, l2)
+    assert record is not None and record == _oscillatory_kernel_step(line, l1, l2)
+
+
 def test_scan_with_ratio_caches_equals_uncached_pairs():
     caches = (
         asymptotics.saddle_data,
@@ -553,7 +605,7 @@ def _cascade_lines(draw):
     b = draw(st.integers(1, 9))
     if shape == "ratio":
         r = Fraction(draw(st.integers(b + 1, 12 * b)), b)
-        lo = draw(st.integers(1, 200000))
+        lo = draw(st.one_of(st.integers(1, 200000), st.integers(1, 2**60)))
         return (lo, lo + 8 * r.denominator), RatioRule(r), prec
     if shape == "power-of-two":
         # r <= 5 < 3 + 2*sqrt(2)
@@ -582,8 +634,26 @@ def _per_pair_records(lambda2_range, rule, prec) -> list[tuple]:
         ]
 
 
+def _kernel_records(lambda2_range, rule, prec) -> list[tuple]:
+    """(lambda2, record) of `certify` on each pair of the line with the
+    fixed-point step methods of `RatioLine` patched to return UNDECIDED, so
+    that the supercritical and oscillatory steps run their raw kernels
+    alone."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RatioLine, "supercritical_margin", lambda *args: UNDECIDED)
+        patch.setattr(RatioLine, "oscillatory_margin", lambda *args: UNDECIDED)
+        return [
+            (l2, certify(PartitionPair(l1, l2), budget=0, prec=prec))
+            for l1, l2 in certifier.rule_pairs(lambda2_range, rule)
+        ]
+
+
 @given(line=_cascade_lines())
 @example(line=((100001, 100011), RatioRule(Fraction(6)), 128))
+@example(line=((1, 400), RatioRule(Fraction(6)), 53))
+@example(line=((1, 400), RatioRule(Fraction(6)), 256))
+@example(line=((2**40 - 12, 2**40 + 11), RatioRule(Fraction(35, 6)), 53))
+@example(line=((2**40 - 12, 2**40 + 11), RatioRule(Fraction(7, 3)), 256))
 @example(line=((100070, 100080), RatioRule(Fraction(2)), 53))
 @example(line=((5000, 5010), RatioRule(Fraction(3)), 200))
 @example(line=((65535, 65537), RatioRule(Fraction(2)), 128))
@@ -603,6 +673,8 @@ def test_a_scan_line_gives_each_pair_the_record_of_certify(line):
     assert report.csv_lines() == _one_pair_rows(expected).csv_lines()
     if isinstance(rule, DiffRule):
         assert _per_pair_records(lambda2_range, rule, prec) == expected
+    if isinstance(rule, RatioRule):
+        assert _kernel_records(lambda2_range, rule, prec) == expected
 
 
 def _band_calls(lambda2_range, rule, prec) -> int:
@@ -908,10 +980,11 @@ def test_scan_starts_the_pool_only_from_the_work_threshold_on(monkeypatch, recor
         serial = scan_range(lambda2_range, rule, budget=budget)
         assert scan_range(lambda2_range, rule, budget=budget, parallelism=2).rows == serial.rows
     assert recorded_pools == []
-    # cascade-only lines stay serial up to 6,000 pairs, where the pool first pays
-    for pairs, rule in ((4800, RatioRule(Fraction(6))), (4800, RatioRule(Fraction(2))), (6000, RatioRule(Fraction(6)))):
+    # cascade-only lines stay serial up to 24,000 pairs, where the pool first
+    # pays on the ratio-2 line
+    for pairs, rule in ((18000, RatioRule(Fraction(6))), (18000, RatioRule(Fraction(2))), (24000, RatioRule(Fraction(6)))):
         rows = certifier.rule_rows((100000, 100000 + pairs - 1), rule)
-        assert (_scan_tasks(rows, 0, 128, False)[1] >= certifier.POOL_MIN_WORK) is (pairs == 6000)
+        assert (_scan_tasks(rows, 0, 128, False)[1] >= certifier.POOL_MIN_WORK) is (pairs == 24000)
     # ten exact ratio-3 pairs of about 8 ms each repay the pool
     heavy = ((2000, 2009), RatioRule(Fraction(3)))
     assert _scan_tasks(certifier.rule_rows(*heavy), certifier.DEFAULT_BUDGET, 128, False)[1] >= certifier.POOL_MIN_WORK
