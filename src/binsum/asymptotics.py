@@ -631,8 +631,8 @@ def _reduced_cosine(phase: tuple, lambda1: int, lambda2: int, wp: int) -> tuple[
 # fixed-point enclosures of the saddle steps' kernels
 # --------------------------------------------------------------------------
 
-# the scale of the enclosures: a value y is held as integers in units of
-# 2**-FIXED_BITS
+# the scale of the enclosures, that of the enclosure of pi: a value y is
+# held as integers in units of 2**-FIXED_BITS
 FIXED_BITS = PI_BITS
 
 # what a `RatioLine` step method returns when its enclosure does not fix the
@@ -642,7 +642,7 @@ UNDECIDED = "undecided"
 _FIXED_SLACK = 1 << (FIXED_BITS - 40)  # `SLACK` in units of 2**-FIXED_BITS
 
 # pi/2 lies in [_HALF_PI, _HALF_PI + 1] units
-_HALF_PI = PI_FLOOR >> (PI_BITS - FIXED_BITS + 1)
+_HALF_PI = PI_FLOOR >> 1
 
 
 def _widening(x: int, ops: int, wp: int) -> int:
