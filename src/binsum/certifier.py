@@ -67,7 +67,6 @@ import functools
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -871,6 +870,15 @@ def _scan_row(args: tuple) -> tuple[int, tuple[tuple, ...]]:
     return l2, tuple(timed_records)
 
 
+def _process_pool(max_workers: int):
+    """A process pool of `max_workers` workers.  Its module, and
+    multiprocessing with it, load on the first pool, since most processes
+    never start one."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
+
+
 def _usable_cpus() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -962,7 +970,7 @@ def scan_range(
     if workers == 1 or work < POOL_MIN_WORK:
         return ScanReport(tuple(map(_scan_row, tasks)))
     chunk = max(1, len(tasks) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with _process_pool(max_workers=workers) as pool:
         return ScanReport(tuple(pool.map(_scan_row, tasks, chunksize=chunk)))
 
 

@@ -14,14 +14,15 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from mpmath import mp, workprec
+from mpmath import workprec
 
-from . import asymptotics, certifier, polynomials, validators
+# json and polynomials load in the commands that use them, so a process
+# starts up with only what its command runs
+from . import asymptotics, certifier, validators
 from .certifier import CertificateKind, format_float
 from .exact import PartitionPair, Route, evaluate
 from .numerics import DEFAULT_PRECISION, GUARD_BITS, check_precision
@@ -211,6 +212,8 @@ def cmd_eval(args, config: RunConfig) -> int:
 
 
 def cmd_predict(args, config: RunConfig) -> int:
+    import json
+
     pair = PartitionPair(args.lambda1, args.lambda2)
     pred = asymptotics.predict(pair, config.precision_bits)
     if config.output_format == "human":
@@ -311,6 +314,10 @@ def cmd_intervals(args, config: RunConfig) -> int:
 
 
 def cmd_poly(args, config: RunConfig) -> int:
+    import json
+
+    from . import polynomials
+
     if args.c is not None:
         poly = polynomials.c_poly(args.c)
     else:
@@ -325,6 +332,8 @@ def cmd_poly(args, config: RunConfig) -> int:
 
 
 def cmd_exceptions(args, config: RunConfig) -> int:
+    import json
+
     prec = config.precision_bits
     r = args.ratio
     count = certifier.exception_count_bound(r, args.x, prec)
@@ -352,6 +361,8 @@ def cmd_exceptions(args, config: RunConfig) -> int:
 
 
 def cmd_validate(args, config: RunConfig) -> int:
+    import json
+
     n_r, _, n_theta = args.grid.partition("x")
     report = validators.validate_inequality(
         args.lemma,

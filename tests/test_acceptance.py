@@ -216,12 +216,17 @@ def test_criterion_12_scan_determinism():
     # the child imports binsum from this checkout's src/, installed or not
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    # the rectangle runs in-process at every parallelism; the ten exact
-    # ratio-3 pairs are heavy enough to start the worker pool
-    scans = (("--l2", "1..60", "--all-l1-up-to", "120"), ("--l2", "2000..2009", "--ratio", "3"))
+    # the rectangle runs in-process at every parallelism; the exact ratio-3
+    # pairs are heavy enough to start the worker pool, whose module a fresh
+    # process loads only then
+    scans = {
+        ("--l2", "1..60", "--all-l1-up-to", "120"): ("1", "8"),
+        ("--l2", "2000..2009", "--ratio", "3"): ("1", "8"),
+        ("--l2", "2000..2039", "--ratio", "3"): ("1", "2"),
+    }
     outputs = {}
-    for scan in scans:
-        for parallelism in ("1", "8"):
+    for scan, parallelisms in scans.items():
+        for parallelism in parallelisms:
             proc = subprocess.run(
                 [sys.executable, "-m", "binsum", "--parallelism", parallelism, "scan", *scan],
                 capture_output=True,
@@ -230,7 +235,9 @@ def test_criterion_12_scan_determinism():
             )
             assert proc.returncode == 0, proc.stderr.decode()
             outputs[scan, parallelism] = proc.stdout
-        assert outputs[scan, "1"] == outputs[scan, "8"]
-    assert len(outputs[scans[0], "1"].splitlines()) == sum(max(0, 120 - l2) for l2 in range(1, 61))
-    assert len(outputs[scans[1], "1"].splitlines()) == 10
-    _report(12, "byte-identical jsonl from the same scans at parallelism 1 and 8, in-process and pooled")
+        assert outputs[scan, "1"] == outputs[scan, parallelisms[1]]
+    rectangle, ten, forty = scans
+    assert len(outputs[rectangle, "1"].splitlines()) == sum(max(0, 120 - l2) for l2 in range(1, 61))
+    assert len(outputs[ten, "1"].splitlines()) == 10
+    assert len(outputs[forty, "1"].splitlines()) == 40
+    _report(12, "byte-identical jsonl from the same scans at parallelism 1 and at 2 or 8, in-process and pooled")

@@ -82,7 +82,7 @@ def pool_starts():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(certifier, "POOL_MIN_WORK", 0)
-        patch.setattr(certifier, "ProcessPoolExecutor", CountingPool)
+        patch.setattr(certifier, "_process_pool", CountingPool)
         patch.setattr(certifier, "_usable_cpus", lambda: 2)
         yield started
 
@@ -826,7 +826,7 @@ def test_scan_checks_the_precision_before_any_work(monkeypatch, parallelism):
     def no_work(*args, **kwargs):
         raise AssertionError("scan did work at an invalid precision")
 
-    for name in ("rule_rows", "evaluation_cost", "ProcessPoolExecutor"):
+    for name in ("rule_rows", "evaluation_cost", "_process_pool"):
         monkeypatch.setattr(certifier, name, no_work)
     monkeypatch.setattr(exact, "row_values", no_work)
     with pytest.raises(ValueError, match="precision"):
@@ -925,8 +925,8 @@ def test_scan_row_pickles_no_binsum_class_but_the_kind():
 
 @pytest.fixture
 def recorded_pools(monkeypatch):
-    """Replaces ProcessPoolExecutor by a pool that runs the tasks in this
-    process; lists the worker count of every pool started."""
+    """Replaces the process pool by one that runs the tasks in this process;
+    lists the worker count of every pool started."""
     started = []
 
     class RecordingPool:
@@ -944,7 +944,7 @@ def recorded_pools(monkeypatch):
         def map(self, fn, tasks, chunksize):
             return map(fn, tasks)
 
-    monkeypatch.setattr(certifier, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(certifier, "_process_pool", RecordingPool)
     return started
 
 

@@ -450,11 +450,29 @@ def test_certify_rejects_bad_delta_for_every_pair(capsys, delta, pair):
     assert err.startswith("error: delta must lie in (0, pi/3]") and err.count("\n") == 1
 
 
+def _src_env() -> dict:
+    """The environment of a child process that imports binsum from this checkout's src/."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _fresh_imports(*argv) -> set[str]:
+    """The modules loaded at the exit of a fresh process that runs `argv` as
+    `python -m binsum` does.  (-X importtime would miss the submodules that
+    the package loads through importlib.)"""
+    script = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print(*sys.modules, sep='\\n', file=sys.stderr))\n"
+        "runpy.run_module('binsum', run_name='__main__', alter_sys=True)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, env=_src_env(), text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
 def test_cli_import_leaves_numpy_unloaded():
     # numpy costs every process tens of milliseconds and binsum needs none of
     # it, not even for the root search of `poly --roots`
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     script = (
         "import contextlib, io, sys, binsum.cli\n"
         "print('numpy' in sys.modules)\n"
@@ -462,9 +480,32 @@ def test_cli_import_leaves_numpy_unloaded():
         "    code = binsum.cli.main(['poly', '--c', '38', '--roots', '1000000000'])\n"
         "print(code, 'numpy' in sys.modules)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=_src_env(), text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "0", "False"]
+    # each of these costs a fresh process milliseconds, and a one-pair
+    # certificate starts no pool, prints no json.dumps output and builds no
+    # polynomial; `poly` is the control that the module list is read
+    certify = _fresh_imports("certify", "600000", "100000")
+    assert "binsum.certifier" in certify
+    for module in ("numpy", "concurrent.futures.process", "multiprocessing", "json", "binsum.polynomials"):
+        assert module not in certify
+    assert "binsum.polynomials" in _fresh_imports("poly", "--c", "38")
+
+
+def test_validate_names_every_lemma_on_a_bad_choice_and_in_its_help(capsys):
+    lemmas = (
+        "super-g-decay", "super-g-strict", "super-g-quartic", "super-h-cubic",
+        "sub-f-cubic", "sub-g-decay", "near1-f-cubic", "near1-g-decay",
+    )
+    code, out, err = _run_any(capsys, ("validate", "--lemma", "bogus"))
+    assert (code, out) == (2, "")
+    choices = ", ".join(f"'{lemma}'" for lemma in lemmas)
+    message = f"binsum validate: error: argument --lemma: invalid choice: 'bogus' (choose from {choices})"
+    assert [line for line in err.splitlines() if "error:" in line] == [message]
+    code, out, err = _run_any(capsys, ("validate", "--help"))
+    assert (code, err) == (0, "")
+    assert "{" + ",".join(lemmas) + "}" in out
 
 
 def _run_any(capsys, argv):
