@@ -46,7 +46,8 @@ differs from its twin at 1.  The set covers:
   threshold of the oscillatory bound, in jsonl and human;
 * `intervals`, `poly`, `exceptions` and `plotdata` in every format;
 * `validate` for every lemma at two grids, and on the 4x5 grid also at
-  --precision 53 and 200, in jsonl and human;
+  --precision 53 and 200, in jsonl and human, and at the other two grid
+  shapes of the proof-check workload, 9x9 and 10x8, in jsonl;
 * `eval` of three pairs on every route; on the auto and reduced routes, of
   two pairs where the reduced route cancels its first term against its
   denominator and one where it divides by it; and one diagonal pair past
@@ -279,6 +280,7 @@ def commands() -> list[list[str]]:
         for precision in ("53", "200"):
             argv = ["--precision", precision, "validate", "--lemma", lemma, "--grid", "4x5"]
             out.extend(["--format", fmt, *argv] for fmt in ("jsonl", "human"))
+        out.extend(["--format", "jsonl", "validate", "--lemma", lemma, "--grid", grid] for grid in ("9x9", "10x8"))
     for l1, l2 in ((40, 17), (300, 100), (31, 31)):
         out.extend(["eval", str(l1), str(l2), "--route", route] for route in ROUTES)
     for l1, l2 in CANCEL_PAIRS:
