@@ -78,6 +78,7 @@ from mpmath.libmp import (
     fone,
     from_int,
     ftwo,
+    fzero,
     mpf_add,
     mpf_cos,
     mpf_div,
@@ -89,6 +90,7 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_mul_int,
     mpf_pi,
+    mpf_pow_int,
     mpf_rdiv_int,
     mpf_shift,
     mpf_sqrt,
@@ -140,12 +142,21 @@ OSCILLATORY_BOUND_CONSTANT = 16336
 # the rounding of every mpf operation under mpmath's default context
 _RND = round_nearest
 
-# entries kept by each per-ratio cache below, keyed by (r, prec).  A scan
-# line or a validator needs one or two live keys at a time (the ratio at the
-# working precision and at the raised precision of `oscillation_cosine`);
-# the bound only keeps a long-running process from growing without limit.
+# entries kept by each per-ratio cache below but `saddle_data`, keyed by
+# (r, prec).  A scan line needs one or two live keys at a time (the ratio at
+# the working precision and at the raised precision of
+# `oscillation_cosine`); the bound only keeps a long-running process from
+# growing without limit.
 # `window_edge` keeps as many edges, about three lambda2 values' worth.
 RATIO_CACHE_SIZE = 32
+
+# entries kept by `saddle_data`: room for one `validate` pass over the eight
+# lemmas, which walk five default ratio ranges in turn.  At the proof-check
+# grids (8, 9 or 10 ratios per range) a pass touches 38, 43 or 48 distinct
+# keys.  With 32 entries every pass after the first still missed 29, 43 or
+# 48 times; with 64 it misses none.  48 entries at the default precision hold
+# about 70 KB (tracemalloc, about 1.4 KB each), so a full cache is about 90 KB.
+SADDLE_CACHE_SIZE = 64
 
 
 class Regime(enum.Enum):
@@ -233,7 +244,7 @@ def gamma_angles(r: Fraction, prec: int = DEFAULT_PRECISION) -> tuple[mpf, mpf]:
         return mp.acos(a1), -mp.acos(a2)
 
 
-@functools.lru_cache(maxsize=RATIO_CACHE_SIZE)
+@functools.lru_cache(maxsize=SADDLE_CACHE_SIZE)
 def saddle_data(r: Fraction, prec: int = DEFAULT_PRECISION) -> SaddleData:
     """Compute every saddle constant applicable to the regime of r (r > 1)."""
     check_precision(prec)
@@ -357,32 +368,78 @@ def supercritical_error_bound(r: Fraction, lam: int, prec: int = DEFAULT_PRECISI
     return mp.make_mpf(_supercritical_bound(_supercritical_constants(r, prec), lam, prec + GUARD_BITS))
 
 
-def _quartic_coefficient(rho: mpf) -> Callable[[mpf], mpf]:
-    """c -> C_g(r, c): |g(theta) - g(0) + M*theta**2/2| <= C_g * theta**4 for
-    cos(theta) >= c.  The terms in rho alone are rounded once, here; call the
-    result at the working precision of this call."""
-    first = (1 - 2 * rho - rho**2) / (24 * (1 + rho) * (1 - rho) ** 2)
-    head = (rho**4 + 6 * rho**3 + 2 * rho**2 + 4 * rho - 1) / (24 * (1 + rho) * (1 - rho) ** 4)
-    scale, base, two_rho = 4 * (1 - rho**2), 1 + rho**2, 2 * rho
+def _quartic_kernel(rho: tuple, wp: int) -> Callable[[tuple], tuple]:
+    """c -> C_g(r, c), raw at wp bits: |g(theta) - g(0) + M*theta**2/2| <=
+    C_g * theta**4 for cos(theta) >= c, as max(first, head + rho/(4*(1 -
+    rho**2)*(1 + rho**2 + 2*rho*c))).  The terms in rho alone are rounded
+    once, here."""
+    one_plus, one_minus, rho2 = mpf_add(rho, fone, wp, _RND), mpf_sub(fone, rho, wp, _RND), mpf_pow_int(rho, 2, wp, _RND)
+    denominator = mpf_mul_int(one_plus, 24, wp, _RND)
+    # first = (1 - 2*rho - rho**2)/(24*(1+rho)*(1-rho)**2)
+    first = mpf_div(
+        mpf_sub(mpf_sub(fone, mpf_mul_int(rho, 2, wp, _RND), wp, _RND), rho2, wp, _RND),
+        mpf_mul(denominator, mpf_pow_int(one_minus, 2, wp, _RND), wp, _RND),
+        wp,
+        _RND,
+    )
+    # head = (rho**4 + 6*rho**3 + 2*rho**2 + 4*rho - 1)/(24*(1+rho)*(1-rho)**4)
+    numerator = mpf_add(mpf_pow_int(rho, 4, wp, _RND), mpf_mul_int(mpf_pow_int(rho, 3, wp, _RND), 6, wp, _RND), wp, _RND)
+    numerator = mpf_add(numerator, mpf_mul_int(rho2, 2, wp, _RND), wp, _RND)
+    numerator = mpf_sub(mpf_add(numerator, mpf_mul_int(rho, 4, wp, _RND), wp, _RND), fone, wp, _RND)
+    head = mpf_div(numerator, mpf_mul(denominator, mpf_pow_int(one_minus, 4, wp, _RND), wp, _RND), wp, _RND)
+    scale = mpf_mul_int(mpf_sub(fone, rho2, wp, _RND), 4, wp, _RND)
+    base, two_rho = mpf_add(rho2, fone, wp, _RND), mpf_mul_int(rho, 2, wp, _RND)
 
-    def coefficient(c: mpf) -> mpf:
-        return max(first, head + rho / (scale * (base + two_rho * c)))
+    def coefficient(c: tuple) -> tuple:
+        x = mpf_mul(scale, mpf_add(base, mpf_mul(two_rho, c, wp, _RND), wp, _RND), wp, _RND)
+        value = mpf_add(head, mpf_div(rho, x, wp, _RND), wp, _RND)
+        return value if mpf_gt(value, first) else first
 
     return coefficient
+
+
+def _cubic_kernel(rho: tuple, wp: int) -> Callable[[tuple], tuple]:
+    """c -> C_h(r, c), raw at wp bits: |h(theta)| <= C_h * |theta|**3 for
+    cos(theta) >= c, as the largest of f1, f2(c) and 0, with the terms in
+    rho alone rounded once, as in `_quartic_kernel`."""
+    rho2 = mpf_pow_int(rho, 2, wp, _RND)
+    base, two_rho, one_minus = mpf_add(rho2, fone, wp, _RND), mpf_mul_int(rho, 2, wp, _RND), mpf_sub(fone, rho, wp, _RND)
+    # f1 = (1 + rho**2)*(rho**2 + 4*rho - 1)/(6*(1-rho)**3*(1+rho)**2)
+    f1 = mpf_div(
+        mpf_mul(base, mpf_sub(mpf_add(rho2, mpf_mul_int(rho, 4, wp, _RND), wp, _RND), fone, wp, _RND), wp, _RND),
+        mpf_mul(
+            mpf_mul_int(mpf_pow_int(one_minus, 3, wp, _RND), 6, wp, _RND),
+            mpf_pow_int(mpf_add(rho, fone, wp, _RND), 2, wp, _RND),
+            wp,
+            _RND,
+        ),
+        wp,
+        _RND,
+    )
+    scale, base2, four_rho2 = mpf_mul_int(one_minus, 6, wp, _RND), mpf_pow_int(base, 2, wp, _RND), mpf_mul_int(rho2, 4, wp, _RND)
+
+    def coefficient(c: tuple) -> tuple:
+        # f2 = base*(1 - 2*rho*(1 + c) - rho**2)/(6*(1-rho)*(base**2 - 4*rho**2*c**2))
+        numerator = mpf_sub(fone, mpf_mul(two_rho, mpf_add(c, fone, wp, _RND), wp, _RND), wp, _RND)
+        numerator = mpf_mul(base, mpf_sub(numerator, rho2, wp, _RND), wp, _RND)
+        x = mpf_sub(base2, mpf_mul(four_rho2, mpf_pow_int(c, 2, wp, _RND), wp, _RND), wp, _RND)
+        f2 = mpf_div(numerator, mpf_mul(scale, x, wp, _RND), wp, _RND)
+        largest = f2 if mpf_gt(f2, f1) else f1
+        return fzero if mpf_gt(fzero, largest) else largest
+
+    return coefficient
+
+
+def _quartic_coefficient(rho: mpf) -> Callable[[mpf], mpf]:
+    """`_quartic_kernel` on mpfs, at the ambient precision of this call."""
+    kernel = _quartic_kernel(rho._mpf_, mp.prec)
+    return lambda c: mp.make_mpf(kernel(c._mpf_))
 
 
 def _cubic_coefficient(rho: mpf) -> Callable[[mpf], mpf]:
-    """c -> C_h(r, c): |h(theta)| <= C_h * |theta|**3 for cos(theta) >= c,
-    with the terms in rho alone rounded once, as in `_quartic_coefficient`."""
-    base, two_rho, rho2 = 1 + rho**2, 2 * rho, rho**2
-    f1 = base * (rho2 + 4 * rho - 1) / (6 * (1 - rho) ** 3 * (1 + rho) ** 2)
-    scale, base2, four_rho2 = 6 * (1 - rho), base**2, 4 * rho2
-
-    def coefficient(c: mpf) -> mpf:
-        f2 = base * (1 - two_rho * (1 + c) - rho2) / (scale * (base2 - four_rho2 * c**2))
-        return max(f1, f2, mpf(0))
-
-    return coefficient
+    """`_cubic_kernel` on mpfs, at the ambient precision of this call."""
+    kernel = _cubic_kernel(rho._mpf_, mp.prec)
+    return lambda c: mp.make_mpf(kernel(c._mpf_))
 
 
 def check_delta(delta, prec: int = DEFAULT_PRECISION) -> mpf:

@@ -95,6 +95,14 @@ def parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from exc
 
 
+def parse_grid(text: str) -> tuple[int, int]:
+    """A `validate` grid written as NRxNT, both counts integers >= 1."""
+    n_r, sep, n_theta = text.partition("x")
+    if sep and all(part.isascii() and part.isdigit() and int(part) >= 1 for part in (n_r, n_theta)):
+        return int(n_r), int(n_theta)
+    raise ValueError(f"--grid must be NRxNT with both counts integers >= 1, got {text!r}")
+
+
 def parse_range(text: str) -> tuple[int, int]:
     """Inclusive integer range written as A..B."""
     if ".." not in text:
@@ -363,12 +371,7 @@ def cmd_exceptions(args, config: RunConfig) -> int:
 def cmd_validate(args, config: RunConfig) -> int:
     import json
 
-    n_r, _, n_theta = args.grid.partition("x")
-    report = validators.validate_inequality(
-        args.lemma,
-        prec=config.precision_bits,
-        grid_size=(int(n_r), int(n_theta or n_r)),
-    )
+    report = validators.validate_inequality(args.lemma, prec=config.precision_bits, grid_size=parse_grid(args.grid))
     payload = {
         "lemma": report.lemma_id,
         "points": report.points,

@@ -1,7 +1,9 @@
-"""Library entry points reject bad input with a ValueError before any work."""
+"""Library entry points reject bad input with a ValueError before any work,
+and the command line turns it into exit code 2 and one line."""
 
 import pytest
 
+from binsum import cli, validators
 from binsum.asymptotics import (
     cos_lower_bound,
     near_diagonal_error_bound,
@@ -37,3 +39,30 @@ CHECKS = {
 def test_library_input_checks_raise_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("a region or saddle constant was computed")
+
+
+@pytest.mark.parametrize("grid, size", [((8, 0), "8x0"), ((0, 8), "0x8"), ((-1, 5), "-1x5")])
+def test_validate_rejects_an_empty_grid_size_before_any_work(monkeypatch, grid, size):
+    monkeypatch.setattr(validators, "_theta_region", _no_work)
+    monkeypatch.setattr(validators, "saddle_data", _no_work)
+    with pytest.raises(ValueError, match=f"^grid size must be at least 1x1, got {size}$"):
+        validate_inequality("sub-g-decay", grid_size=grid)
+    for r_grid, theta_grid in (([], None), ([2], [])):
+        with pytest.raises(ValueError, match="^empty grid$"):
+            validate_inequality("sub-g-decay", r_grid=r_grid, theta_grid=theta_grid)
+
+
+@pytest.mark.parametrize("grid", ["ax5", "8xa", "8x0", "0x8", "8", "8x", "x8", "8x-1", "8x5x2", "+8x5", "8.0x5", " 8x5", "8x²"])
+def test_validate_rejects_a_grid_not_of_the_form_nrxnt_in_one_line(monkeypatch, capsys, grid):
+    # exit 2 with one line naming --grid and its form, before any region or
+    # saddle constant is computed
+    monkeypatch.setattr(validators, "_theta_region", _no_work)
+    monkeypatch.setattr(validators, "saddle_data", _no_work)
+    assert cli.main(["validate", "--lemma", "sub-g-decay", "--grid", grid]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --grid must be NRxNT with both counts integers >= 1, got {grid!r}\n"

@@ -1,13 +1,14 @@
 from fractions import Fraction
+from operator import pos
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
 
 from binsum import asymptotics, validators
-from binsum.asymptotics import RegimeError, saddle_data
-from binsum.numerics import GUARD_BITS
+from binsum.asymptotics import SADDLE_CACHE_SIZE, RegimeError, negated_discriminant, saddle_data
+from binsum.numerics import GUARD_BITS, rational_to_real
 from binsum.validators import LEMMA_IDS, default_r_grid, region_theta_grid, validate_inequality
 
 
@@ -156,8 +157,8 @@ def _reference_margin(lemma_id, r, theta, sd):
             "super-g-decay": g_diff + 2 / mp.pi**2 * sd.M * theta**2,
             "super-g-strict": g_diff + sd.M * theta**2 / 2,
             "super-g-quartic": abs(g_diff + sd.M * theta**2 / 2)
-            - asymptotics._quartic_coefficient(sd.rho)(mp.cos(theta)) * theta**4,
-            "super-h-cubic": abs(f(theta).imag) - asymptotics._cubic_coefficient(sd.rho)(mp.cos(theta)) * abs(theta) ** 3,
+            - _mpf_quartic_coefficient(sd.rho)(mp.cos(theta)) * theta**4,
+            "super-h-cubic": abs(f(theta).imag) - _mpf_cubic_coefficient(sd.rho)(mp.cos(theta)) * abs(theta) ** 3,
         }[lemma_id]
     u = theta - sd.alpha
     nd = 6 * rm - 1 - rm**2
@@ -183,29 +184,176 @@ def test_each_registered_margin_is_the_stated_inequality(lemma_id):
     assert abs(report.max_margin - float(expected)) <= 1e-12 * max(1.0, abs(float(expected)))
 
 
-def _margin(lemma_id, r, theta, prec):
-    """The module's margin of one lemma at one point, as an mpf."""
+# The mpf form of the margins, the reference of the raw kernels in
+# `validators` and `asymptotics`: every operation below is the mpf expression
+# whose libmp call the kernel makes, so the two must agree bit for bit.
+
+
+def _mpf_quartic_coefficient(rho):
+    first = (1 - 2 * rho - rho**2) / (24 * (1 + rho) * (1 - rho) ** 2)
+    head = (rho**4 + 6 * rho**3 + 2 * rho**2 + 4 * rho - 1) / (24 * (1 + rho) * (1 - rho) ** 4)
+    scale, base, two_rho = 4 * (1 - rho**2), 1 + rho**2, 2 * rho
+    return lambda c: max(first, head + rho / (scale * (base + two_rho * c)))
+
+
+def _mpf_cubic_coefficient(rho):
+    base, two_rho, rho2 = 1 + rho**2, 2 * rho, rho**2
+    f1 = base * (rho2 + 4 * rho - 1) / (6 * (1 - rho) ** 3 * (1 + rho) ** 2)
+    scale, base2, four_rho2 = 6 * (1 - rho), base**2, 4 * rho2
+
+    def coefficient(c):
+        f2 = base * (1 - two_rho * (1 + c) - rho2) / (scale * (base2 - four_rho2 * c**2))
+        return max(f1, f2, mpf(0))
+
+    return coefficient
+
+
+class _MpfCircle:
+    """g, h and f = g + i*h as mpf expressions; build and call under
+    workprec(sd.prec + GUARD_BITS)."""
+
+    def __init__(self, sd):
+        self.rho, self.M, self.alpha, self.beta = sd.rho, sd.M, sd.alpha, sd.beta
+        self.r = rational_to_real(sd.r, sd.prec + GUARD_BITS)
+        self.nd = rational_to_real(negated_discriminant(sd.r), sd.prec + GUARD_BITS)
+        self._two_rho, self._rho2, self._log_rho = 2 * sd.rho, sd.rho**2, mp.log(sd.rho)
+
+    def _g(self, c):
+        x = self._two_rho * c
+        return (self.r * mp.log(1 + x + self._rho2) + mp.log(1 - x + self._rho2)) / 2 - self._log_rho
+
+    def _h(self, t, c, s):
+        rho = self.rho
+        return self.r * mp.atan2(rho * s, 1 + rho * c) + mp.atan2(-rho * s, 1 - rho * c) - t
+
+    def g(self, t):
+        c = mp.cos(t)
+        return self._g(c), c
+
+    def h(self, t):
+        c, s = mp.cos_sin(t)
+        return self._h(t, c, s), c
+
+    def f(self, t):
+        c, s = mp.cos_sin(t)
+        return mp.mpc(self._g(c), self._h(t, c, s)), c
+
+
+def _mpf_margin(F, c, Q, side, R2, R3, R4):
+    F_c = F(c)[0]
+    terms = [(n, R) for n, R in ((2, R2), (3, R3), (4, R4)) if R]
+
+    def margin(t):
+        u = abs(t - c)
+        value, cos_t = F(t)
+        return side(value - F_c + Q * u**2) - sum((R(cos_t) if callable(R) else R) * u**n for n, R in terms)
+
+    return margin
+
+
+_MPF_ROWS = {
+    "super-g-decay": lambda k: (k.g, 0, 2 / mp.pi**2 * k.M, pos, 0, 0, 0),
+    "super-g-strict": lambda k: (k.g, 0, k.M / 2, pos, 0, 0, 0),
+    "super-g-quartic": lambda k: (k.g, 0, k.M / 2, abs, 0, 0, _mpf_quartic_coefficient(k.rho)),
+    "super-h-cubic": lambda k: (k.h, 0, 0, abs, 0, _mpf_cubic_coefficient(k.rho), 0),
+    "sub-f-cubic": lambda k: (
+        k.f, k.alpha, mp.sqrt(k.nd) / 4 * mp.expj(-k.beta), abs, 0, mpf("0.33846") * (k.r + 1) ** 2 / k.r**2, 0
+    ),
+    "sub-g-decay": lambda k: (k.g, k.alpha, (k.r + 1) * k.nd / (16 * k.r), pos, 0, (k.r + 1) / 4, 0),
+    "near1-f-cubic": lambda k: (k.f, k.alpha, mpf(1) / 2, abs, (k.r - 1) / 4, mpf(1) / 3, 0),
+    "near1-g-decay": lambda k: (k.g, k.alpha, mpf(1) / 2, pos, 0, mpf(1) / 2, 0),
+}
+
+
+def _mpf_reference_margin(lemma_id, r, theta, prec):
     sd = saddle_data(r, prec)
     with workprec(prec + GUARD_BITS):
-        return validators._margin(*validators._LEMMAS[lemma_id][2](validators._Circle(sd)))(theta)
+        return _mpf_margin(*_MPF_ROWS[lemma_id](_MpfCircle(sd)))(theta)
+
+
+def _margin(lemma_id, r, theta, prec):
+    """The module's raw margin of one lemma at one point, as an mpf; theta
+    must carry its bits at prec + GUARD_BITS."""
+    k = validators._Circle(saddle_data(r, prec))
+    return mp.make_mpf(validators._margin(k.wp, *validators._LEMMAS[lemma_id][2](k))(theta._mpf_))
+
+
+def _point(lemma_id, prec, r_step, where, x):
+    """(r, theta) of a drawn point: r r_step/1000 of the way through the
+    lemma's default ratio range, theta at an end of the region, at its
+    centre, or x/2**20 of the way through it, at prec + GUARD_BITS bits."""
+    lo_r, hi_r = default_r_grid(lemma_id, 2)
+    r = lo_r + (hi_r - lo_r) * Fraction(r_step, 1000)
+    sd = saddle_data(r, prec)
+    with workprec(prec + GUARD_BITS):
+        lo, hi = _region(lemma_id, r, sd)
+        centre = mpf(0) if lemma_id.startswith("super-") else sd.alpha
+        return r, sd, +{"lo": lo, "hi": hi, "centre": centre, "inside": lo + (hi - lo) * x / 2**20}[where]
+
+
+_R_STEPS = st.integers(0, 1000)
+_WHERE = st.sampled_from(["lo", "hi", "centre", "inside"])
+_THETA_STEPS = st.integers(0, 2**20)
 
 
 @pytest.mark.parametrize("prec", [53, 128, 200])
 @pytest.mark.parametrize("lemma_id", LEMMA_IDS)
 @settings(max_examples=20, deadline=None)
-@given(data=st.data())
-def test_margin_matches_the_complex_definition_to_the_last_bits(lemma_id, prec, data):
+@given(r_step=_R_STEPS, where=_WHERE, x=_THETA_STEPS)
+def test_margin_matches_the_complex_definition_to_the_last_bits(lemma_id, prec, r_step, where, x):
     # the real-valued g and h, and the margin form, agree with the complex
     # f = r*log(1+z) + log(1-z) - log(z) to within 2**-(prec+8), anywhere in
     # the default ratio range and the theta region, its ends and centre included
-    lo_r, hi_r = default_r_grid(lemma_id, 2)
-    r = lo_r + (hi_r - lo_r) * Fraction(data.draw(st.integers(0, 1000), label="r step"), 1000)
-    sd = saddle_data(r, prec)
+    r, sd, theta = _point(lemma_id, prec, r_step, where, x)
     with workprec(prec + GUARD_BITS):
-        lo, hi = _region(lemma_id, r, sd)
-        centre = mpf(0) if lemma_id.startswith("super-") else sd.alpha
-        x = data.draw(st.integers(0, 2**20), label="theta step")
-        where = data.draw(st.sampled_from(["lo", "hi", "centre", "inside"]), label="theta")
-        theta = {"lo": lo, "hi": hi, "centre": centre, "inside": lo + (hi - lo) * x / 2**20}[where]
         expected = _reference_margin(lemma_id, r, theta, sd)
     assert abs(_margin(lemma_id, r, theta, prec) - expected) <= mpf(2) ** -(prec + 8), (r, theta)
+
+
+@pytest.mark.parametrize("prec", [53, 128, 200])
+@pytest.mark.parametrize("lemma_id", LEMMA_IDS)
+@settings(max_examples=25, deadline=None)
+@given(r_step=_R_STEPS, where=_WHERE, x=_THETA_STEPS)
+@example(r_step=0, where="centre", x=0)
+@example(r_step=1000, where="centre", x=0)
+@example(r_step=500, where="centre", x=0)
+def test_raw_margin_is_the_mpf_margin_bit_for_bit(lemma_id, prec, r_step, where, x):
+    # the raw kernel makes the libmp call of each operation of the mpf form,
+    # so every margin keeps its bits: at the region ends, at the centre
+    # (where both are exactly 0) and inside
+    r, _, theta = _point(lemma_id, prec, r_step, where, x)
+    raw = _margin(lemma_id, r, theta, prec)
+    assert raw._mpf_ == _mpf_reference_margin(lemma_id, r, theta, prec)._mpf_, (r, theta)
+    if where == "centre":
+        assert raw == 0
+
+
+@pytest.mark.parametrize("prec", [53, 128, 200])
+def test_coefficient_wrappers_are_the_mpf_formulas_bit_for_bit(prec):
+    # supercritical_error_bound_refined reads C_g and C_h through the mpf
+    # wrappers of the raw kernels
+    for r in (Fraction(584, 100), Fraction(7), Fraction(12)):
+        rho = saddle_data(r, prec).rho
+        with workprec(prec + GUARD_BITS):
+            for c in (mp.cos(mp.pi / 3), mpf("0.9"), mpf(1), mpf(-1), mpf(0)):
+                for kernel, reference in (
+                    (asymptotics._quartic_coefficient, _mpf_quartic_coefficient),
+                    (asymptotics._cubic_coefficient, _mpf_cubic_coefficient),
+                ):
+                    assert kernel(rho)(c)._mpf_ == reference(rho)(c)._mpf_, (r, c)
+
+
+def test_a_second_validate_pass_misses_no_saddle_constant():
+    # one pass over the eight lemmas at the 10x8 grid of the proof-check
+    # workload touches 48 distinct (r, prec) keys of `saddle_data` (five
+    # ratio ranges, two of them shared); the cache holds them all, so a second
+    # pass in the same process computes no saddle constant again
+    asymptotics.saddle_data.cache_clear()
+    asymptotics.gamma_angles.cache_clear()
+    for lemma_id in LEMMA_IDS:
+        validate_inequality(lemma_id, grid_size=(10, 8))
+    first = asymptotics.saddle_data.cache_info().misses
+    assert first == 48 <= SADDLE_CACHE_SIZE
+    for lemma_id in LEMMA_IDS:
+        validate_inequality(lemma_id, grid_size=(10, 8))
+    assert asymptotics.saddle_data.cache_info().misses == first
