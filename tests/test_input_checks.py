@@ -45,15 +45,20 @@ def _no_work(*args, **kwargs):
     raise AssertionError("a region or saddle constant was computed")
 
 
-@pytest.mark.parametrize("grid, size", [((8, 0), "8x0"), ((0, 8), "0x8"), ((-1, 5), "-1x5")])
-def test_validate_rejects_an_empty_grid_size_before_any_work(monkeypatch, grid, size):
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ({"grid_size": (8, 0)}, "grid size must be at least 1x1, got 8x0"),
+        ({"grid_size": (0, 8)}, "grid size must be at least 1x1, got 0x8"),
+        ({"r_grid": []}, "empty grid"),
+        ({"r_grid": [2], "theta_grid": []}, "empty grid"),
+    ],
+)
+def test_validate_rejects_an_empty_grid_before_any_work(monkeypatch, grid, message):
     monkeypatch.setattr(validators, "_theta_region", _no_work)
     monkeypatch.setattr(validators, "saddle_data", _no_work)
-    with pytest.raises(ValueError, match=f"^grid size must be at least 1x1, got {size}$"):
-        validate_inequality("sub-g-decay", grid_size=grid)
-    for r_grid, theta_grid in (([], None), ([2], [])):
-        with pytest.raises(ValueError, match="^empty grid$"):
-            validate_inequality("sub-g-decay", r_grid=r_grid, theta_grid=theta_grid)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        validate_inequality("sub-g-decay", **grid)
 
 
 @pytest.mark.parametrize("grid", ["ax5", "8xa", "8x0", "0x8", "8", "8x", "x8", "8x-1", "8x5x2", "+8x5", "8.0x5", " 8x5", "8x²"])
