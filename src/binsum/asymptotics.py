@@ -142,21 +142,12 @@ OSCILLATORY_BOUND_CONSTANT = 16336
 # the rounding of every mpf operation under mpmath's default context
 _RND = round_nearest
 
-# entries kept by each per-ratio cache below but `saddle_data`, keyed by
-# (r, prec).  A scan line needs one or two live keys at a time (the ratio at
-# the working precision and at the raised precision of
-# `oscillation_cosine`); the bound only keeps a long-running process from
-# growing without limit.
+# entries kept by each per-ratio cache below, keyed by (r, prec).  A scan
+# line or a validator needs one or two live keys at a time (the ratio at the
+# working precision and at the raised precision of `oscillation_cosine`);
+# the bound only keeps a long-running process from growing without limit.
 # `window_edge` keeps as many edges, about three lambda2 values' worth.
 RATIO_CACHE_SIZE = 32
-
-# entries kept by `saddle_data`: room for one `validate` pass over the eight
-# lemmas, which walk five default ratio ranges in turn.  At the proof-check
-# grids (8, 9 or 10 ratios per range) a pass touches 38, 43 or 48 distinct
-# keys.  With 32 entries every pass after the first still missed 29, 43 or
-# 48 times; with 64 it misses none.  48 entries at the default precision hold
-# about 70 KB (tracemalloc, about 1.4 KB each), so a full cache is about 90 KB.
-SADDLE_CACHE_SIZE = 64
 
 
 class Regime(enum.Enum):
@@ -244,7 +235,7 @@ def gamma_angles(r: Fraction, prec: int = DEFAULT_PRECISION) -> tuple[mpf, mpf]:
         return mp.acos(a1), -mp.acos(a2)
 
 
-@functools.lru_cache(maxsize=SADDLE_CACHE_SIZE)
+@functools.lru_cache(maxsize=RATIO_CACHE_SIZE)
 def saddle_data(r: Fraction, prec: int = DEFAULT_PRECISION) -> SaddleData:
     """Compute every saddle constant applicable to the regime of r (r > 1)."""
     check_precision(prec)
@@ -430,18 +421,6 @@ def _cubic_kernel(rho: tuple, wp: int) -> Callable[[tuple], tuple]:
     return coefficient
 
 
-def _quartic_coefficient(rho: mpf) -> Callable[[mpf], mpf]:
-    """`_quartic_kernel` on mpfs, at the ambient precision of this call."""
-    kernel = _quartic_kernel(rho._mpf_, mp.prec)
-    return lambda c: mp.make_mpf(kernel(c._mpf_))
-
-
-def _cubic_coefficient(rho: mpf) -> Callable[[mpf], mpf]:
-    """`_cubic_kernel` on mpfs, at the ambient precision of this call."""
-    kernel = _cubic_kernel(rho._mpf_, mp.prec)
-    return lambda c: mp.make_mpf(kernel(c._mpf_))
-
-
 def check_delta(delta, prec: int = DEFAULT_PRECISION) -> mpf:
     """The split angle of the refined bound at the working precision; raises
     ValueError unless 0 < delta <= pi/3 (so also for nan and infinities)."""
@@ -480,8 +459,8 @@ def supercritical_error_bound_refined(
         m_val = sd.M
         lamf = mpf(lam)
         c = mp.cos(d)
-        cg = _quartic_coefficient(sd.rho)(c)
-        ch = _cubic_coefficient(sd.rho)(c)
+        cg = mp.make_mpf(_quartic_kernel(sd.rho._mpf_, mp.prec)(c._mpf_))
+        ch = mp.make_mpf(_cubic_kernel(sd.rho._mpf_, mp.prec)(c._mpf_))
         t1 = 3 * cg / (lamf * m_val**2)
         t2 = 15 * ch**2 / (2 * lamf * m_val**3)
         tail = (mp.sqrt(mpf(2)) / (d * mp.sqrt(mp.pi * lamf * m_val)) + (1 - d / mp.pi) * mp.sqrt(2 * mp.pi * lamf * m_val)) * mp.exp(

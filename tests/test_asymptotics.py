@@ -774,11 +774,10 @@ def test_subcritical_caches_are_bit_identical(r, lam, prec, other_prec):
 
 
 def test_ratio_caches_are_small():
-    # a scan line reuses one or two live keys, and `saddle_data` one validate
-    # pass, 48 keys at the 10x8 grid (test_validators); a larger cache would
-    # only carry constants from one command to the next inside one process
+    # the reuse needed is one or two live keys; a larger cache would only
+    # carry constants from one command to the next inside one process
     for cached in RATIO_CACHES:
-        assert cached.cache_parameters()["maxsize"] <= (64 if cached is saddle_data else 32)
+        assert cached.cache_parameters()["maxsize"] <= 32
 
 
 def _reference_oscillation_cosine(pair, prec, half_phase):

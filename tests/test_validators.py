@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
 
 from binsum import asymptotics, validators
-from binsum.asymptotics import SADDLE_CACHE_SIZE, RegimeError, negated_discriminant, saddle_data
+from binsum.asymptotics import RATIO_CACHE_SIZE, RegimeError, negated_discriminant, saddle_data
 from binsum.numerics import GUARD_BITS, rational_to_real
 from binsum.validators import LEMMA_IDS, default_r_grid, region_theta_grid, validate_inequality
 
@@ -329,31 +329,47 @@ def test_raw_margin_is_the_mpf_margin_bit_for_bit(lemma_id, prec, r_step, where,
 
 
 @pytest.mark.parametrize("prec", [53, 128, 200])
-def test_coefficient_wrappers_are_the_mpf_formulas_bit_for_bit(prec):
-    # supercritical_error_bound_refined reads C_g and C_h through the mpf
-    # wrappers of the raw kernels
+def test_coefficient_kernels_are_the_mpf_formulas_bit_for_bit(prec):
+    # supercritical_error_bound_refined and the validators read C_g and C_h
+    # from the raw kernels at prec + GUARD_BITS
+    wp = prec + GUARD_BITS
     for r in (Fraction(584, 100), Fraction(7), Fraction(12)):
         rho = saddle_data(r, prec).rho
-        with workprec(prec + GUARD_BITS):
+        with workprec(wp):
             for c in (mp.cos(mp.pi / 3), mpf("0.9"), mpf(1), mpf(-1), mpf(0)):
                 for kernel, reference in (
-                    (asymptotics._quartic_coefficient, _mpf_quartic_coefficient),
-                    (asymptotics._cubic_coefficient, _mpf_cubic_coefficient),
+                    (asymptotics._quartic_kernel, _mpf_quartic_coefficient),
+                    (asymptotics._cubic_kernel, _mpf_cubic_coefficient),
                 ):
-                    assert kernel(rho)(c)._mpf_ == reference(rho)(c)._mpf_, (r, c)
+                    assert kernel(rho._mpf_, wp)(c._mpf_) == reference(rho)(c)._mpf_, (r, c)
+    for r, lam, delta in ((Fraction(58478, 10000), 241, "0.75"), (Fraction(7), 980, "0.5")):
+        bound = asymptotics.supercritical_error_bound_refined(r, lam, mpf(delta), prec)
+        assert bound._mpf_ == _mpf_refined_bound(r, lam, delta, prec)._mpf_, (r, lam, delta)
 
 
-def test_a_second_validate_pass_misses_no_saddle_constant():
+def _mpf_refined_bound(r, lam, delta, prec):
+    sd = saddle_data(r, prec)
+    with workprec(prec + GUARD_BITS):
+        m, lamf, d = sd.M, mpf(lam), mpf(delta)
+        c = mp.cos(d)
+        t1 = 3 * _mpf_quartic_coefficient(sd.rho)(c) / (lamf * m**2)
+        t2 = 15 * _mpf_cubic_coefficient(sd.rho)(c) ** 2 / (2 * lamf * m**3)
+        tail = (mp.sqrt(mpf(2)) / (d * mp.sqrt(mp.pi * lamf * m)) + (1 - d / mp.pi) * mp.sqrt(2 * mp.pi * lamf * m)) * mp.exp(
+            -lamf * m * d**2 / 2
+        )
+        return t1 + t2 + tail
+
+
+def test_a_validate_pass_computes_each_saddle_constant_once():
     # one pass over the eight lemmas at the 10x8 grid of the proof-check
     # workload touches 48 distinct (r, prec) keys of `saddle_data` (five
-    # ratio ranges, two of them shared); the cache holds them all, so a second
-    # pass in the same process computes no saddle constant again
+    # ratio ranges, two of them shared by several lemmas); a shared range is
+    # reused within about 20 keys, so the ratio cache computes each key once
     asymptotics.saddle_data.cache_clear()
     asymptotics.gamma_angles.cache_clear()
+    keys = set()
     for lemma_id in LEMMA_IDS:
+        keys.update(default_r_grid(lemma_id, 10))
         validate_inequality(lemma_id, grid_size=(10, 8))
-    first = asymptotics.saddle_data.cache_info().misses
-    assert first == 48 <= SADDLE_CACHE_SIZE
-    for lemma_id in LEMMA_IDS:
-        validate_inequality(lemma_id, grid_size=(10, 8))
-    assert asymptotics.saddle_data.cache_info().misses == first
+    assert asymptotics.saddle_data.cache_info().misses == len(keys) == 48
+    assert asymptotics.saddle_data.cache_parameters()["maxsize"] == RATIO_CACHE_SIZE
