@@ -32,7 +32,8 @@ def test_every_identity_command_parses_and_the_set_covers_lemmas_and_routes():
     assert len(argvs) == len({tuple(argv) for argv in argvs})
     assert set(tool.LEMMAS) == set(LEMMA_IDS)
     assert set(tool.ROUTES) == {"auto", *(route.value for route in Route)}
-    assert {argv[argv.index("--parallelism") + 1] for argv in argvs if "--parallelism" in argv} == {"2"}
+    # parallelism 2 is the twin of each scan; 0 is an error path that must exit 2
+    assert {argv[argv.index("--parallelism") + 1] for argv in argvs if "--parallelism" in argv} == {"0", "2"}
 
 
 def test_identity_line_hashes_stdout_and_keeps_the_exit_code():
@@ -47,6 +48,7 @@ def test_identity_exits_1_on_the_first_scan_that_differs_from_its_parallelism_1_
     par2 = ["--parallelism", "2", *scan]
     argvs = [scan, par2, ["--format", "csv", *scan], ["--format", "csv", "--parallelism", "2", *scan]]
     assert [tool.serial_twin(argv) for argv in argvs] == [None, scan, None, argvs[2]]
+    assert tool.serial_twin(["--parallelism", "0", *scan]) is None
     monkeypatch.setattr(tool, "commands", lambda: argvs)
     assert tool.main() == 0
     assert capsys.readouterr().out.count("\n") == 4

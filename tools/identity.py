@@ -48,6 +48,9 @@ differs from its twin at 1.  The set covers:
 * `validate` for every lemma at two grids, and on the 4x5 grid also at
   --precision 53 and 200, in jsonl and human, and at the other two grid
   shapes of the proof-check workload, 9x9 and 10x8, in jsonl;
+* scans that `binsum` must refuse before printing anything, with exit
+  code 2: an empty lambda2 range, a rule that yields no pair on its range,
+  and --parallelism 0, in jsonl, csv and human;
 * `eval` of three pairs on every route; on the auto and reduced routes, of
   two pairs where the reduced route cancels its first term against its
   denominator and one where it divides by it; and one diagonal pair past
@@ -200,6 +203,13 @@ COSINE_PAIRS = (
     (160718, 160009),
     (101254, 100001),
 )
+# scans refused before any output: an empty lambda2 range, a rule that
+# yields no pair on its range, and a worker count below 1
+ERROR_SCANS = (
+    ("scan", "--l2", "5..4", "--ratio", "2"),
+    ("scan", "--l2", "1..3", "--l1-list", "1"),
+    ("--parallelism", "0", "scan", "--l2", "1..3", "--diff", "1"),
+)
 CERTIFY_OPTIONS = (
     (),
     ("--budget", "0"),
@@ -239,6 +249,8 @@ def commands() -> list[list[str]]:
     for scan in (*WALK_SCANS, *POOL_SCANS, *CASCADE_SCANS, *diff_scans, *ratio_scans):
         for flags in ((), ("--parallelism", "2")):
             out.extend(["--format", fmt, *flags, *scan] for fmt in FORMATS)
+    for scan in ERROR_SCANS:
+        out.extend(["--format", fmt, *scan] for fmt in FORMATS)
     for l1, l2 in CERTIFY_PAIRS:
         for options in CERTIFY_OPTIONS:
             for fmt in FORMATS:
@@ -308,6 +320,8 @@ def serial_twin(argv: list[str]) -> list[str] | None:
     if "--parallelism" not in argv:
         return None
     i = argv.index("--parallelism")
+    if argv[i + 1] != "2":
+        return None
     return argv[:i] + argv[i + 2 :]
 
 
