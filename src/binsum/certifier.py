@@ -64,9 +64,11 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
+import operator
 import os
 import time
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -149,6 +151,13 @@ POOL_MIN_WORK = 6 * 10**7
 # pair the pool starts from 24,000 cascade pairs, where it pays on the
 # ratio-2 line and costs a quarter more on the ratio-6 line, the cheapest.
 CASCADE_PAIR_COST = 2500
+# A pooled scan sends its rows to the workers in chunks, each closed once it
+# holds CHUNK_PAIRS pairs or CHUNK_WORK cost units, and keeps at most
+# CHUNKS_PER_WORKER chunks per worker in flight, so that neither the tasks
+# nor the records of a long scan pile up in memory.
+CHUNK_PAIRS = 2048
+CHUNK_WORK = POOL_MIN_WORK // 8
+CHUNKS_PER_WORKER = 2
 
 
 class CertificateKind(str, Enum):
@@ -742,8 +751,8 @@ class AllUpToRule:
 # the CertificateKind member:
 #   (lambda1, kind, rule, margin, exact_sign, bit_length, clause, reason, usec)
 # the fields of `Certificate` in its order, which `certify` returns.  Workers
-# send rows of plain tuples, which pickle as plain data, and reports format
-# records of either type without building objects.
+# send rows of plain tuples, which pickle as plain data, and the writers
+# format records of either type without building objects.
 
 
 CSV_HEADER = "lambda1,lambda2,class,certificate,margin,exact_sign,usec"
@@ -751,6 +760,64 @@ CSV_HEADER = "lambda1,lambda2,class,certificate,margin,exact_sign,usec"
 # the certificate text of each kind: a dict lookup takes 25 ns per record
 # where the enum's `value` property takes 167 ns (timeit, CPython 3.11)
 _KIND_TEXT = {kind: kind.value for kind in CertificateKind}
+_INCONCLUSIVE = CertificateKind.INCONCLUSIVE
+_ZERO = CertificateKind.ZERO_EXACT
+_kind_of = operator.itemgetter(1)
+# the format of every float printed, `format_float`'s: 17 significant digits
+# round-trip a float losslessly.  A record's margin is a float already, so
+# the row formatters format it directly.
+_FLOAT_SPEC = ".17g"
+
+
+def jsonl_text(l2: int, records: Iterable[tuple]) -> str:
+    """The jsonl lines of one scan row at lambda2 = l2, each ended by a
+    newline: one json object per record.  The class is (lambda1 + lambda2)
+    mod 4, and the text up to it is built once per row."""
+    head = f',"lambda2":{l2},"class":'
+    return "".join([
+        f'{{"lambda1":{l1}{head}{(l1 + l2) % 4},"certificate":"{_KIND_TEXT[kind]}",'
+        f'"margin":{"null" if margin is None else format(margin, _FLOAT_SPEC)},'
+        f'"exact_sign":{"null" if sign is None else sign},"usec":{usec}}}\n'
+        for l1, kind, _, margin, sign, _, _, _, usec in records
+    ])
+
+
+def csv_text(l2: int, records: Iterable[tuple]) -> str:
+    """The csv lines of one scan row at lambda2 = l2, each ended by a
+    newline, in the columns of `CSV_HEADER`."""
+    head = f",{l2},"
+    return "".join([
+        f"{l1}{head}{(l1 + l2) % 4},{_KIND_TEXT[kind]},{'' if margin is None else format(margin, _FLOAT_SPEC)},"
+        f"{'' if sign is None else sign},{usec}\n"
+        for l1, kind, _, margin, sign, _, _, _, usec in records
+    ])
+
+
+def write_rows(rows: Iterable[tuple[int, Iterable[tuple]]], output_format: str, write) -> bool:
+    """Write scan rows (lambda2, records), taken one at a time in their
+    order, as `output_format` through `write`, and return whether any record
+    is inconclusive.  jsonl and csv (after `CSV_HEADER`) take one `write` per
+    row, as soon as the row comes.  human keeps only the count of each kind
+    and the inconclusive and zero pairs, and writes at the end the counts,
+    then every inconclusive and every zero pair."""
+    if output_format == "human":
+        counts, listed = Counter(), []
+        for l2, records in rows:
+            counts.update(map(_kind_of, records))
+            listed += [(kind, l1, l2) for l1, kind, *_ in records if kind is _INCONCLUSIVE or kind is _ZERO]
+        lines = [f"{kind:24s} {count}" for kind, count in sorted((_KIND_TEXT[k], n) for k, n in counts.items())]
+        lines += [f"inconclusive pair ({l1}, {l2})" for kind, l1, l2 in listed if kind is _INCONCLUSIVE]
+        lines += [f"ZERO VALUE at ({l1}, {l2})" for kind, l1, l2 in listed if kind is _ZERO]
+        write("".join(f"{line}\n" for line in lines))
+        return _INCONCLUSIVE in counts
+    if output_format == "csv":
+        write(f"{CSV_HEADER}\n")
+    text = csv_text if output_format == "csv" else jsonl_text
+    inconclusive = False
+    for l2, records in rows:
+        write(text(l2, records))
+        inconclusive = inconclusive or _INCONCLUSIVE in map(_kind_of, records)
+    return inconclusive
 
 
 @dataclass(frozen=True)
@@ -759,8 +826,7 @@ class ScanReport:
 
     `rows` holds one (lambda2, records) per scanned lambda2, in lambda2
     order, with the scan records (or `Certificate`s) in lambda1 order.  The
-    `*_lines` methods are the one formatter of each output format, for
-    `scan` and `certify` alike.
+    `*_lines` methods are the lines that `write_rows` writes of the rows.
     """
 
     rows: tuple[tuple[int, tuple[tuple, ...]], ...]
@@ -779,44 +845,25 @@ class ScanReport:
         """(lambda1, lambda2) of every record of `kind`, in scan order."""
         return [(record[0], l2) for l2, records in self.rows for record in records if record[1] is kind]
 
+    def _lines(self, output_format: str) -> list[str]:
+        out: list[str] = []
+        write_rows(self.rows, output_format, out.append)
+        return "".join(out).splitlines()
+
     def jsonl_lines(self) -> list[str]:
-        """One json object per record.  The class is (lambda1 + lambda2) mod 4,
-        and the text up to it is built once per row."""
-        lines = []
-        for l2, records in self.rows:
-            head = f',"lambda2":{l2},"class":'
-            lines += [
-                f'{{"lambda1":{l1}{head}{(l1 + l2) % 4},"certificate":"{_KIND_TEXT[kind]}",'
-                f'"margin":{"null" if margin is None else format_float(margin)},'
-                f'"exact_sign":{"null" if sign is None else sign},"usec":{usec}}}'
-                for l1, kind, _, margin, sign, _, _, _, usec in records
-            ]
-        return lines
+        return self._lines("jsonl")
 
     def csv_lines(self) -> list[str]:
-        """`CSV_HEADER`, then one row per record."""
-        lines = [CSV_HEADER]
-        for l2, records in self.rows:
-            head = f",{l2},"
-            lines += [
-                f"{l1}{head}{(l1 + l2) % 4},{_KIND_TEXT[kind]},{'' if margin is None else format_float(margin)},"
-                f"{'' if sign is None else sign},{usec}"
-                for l1, kind, _, margin, sign, _, _, _, usec in records
-            ]
-        return lines
+        return self._lines("csv")
 
     def human_lines(self) -> list[str]:
-        """The count of each kind, then every inconclusive and every zero pair."""
-        lines = [f"{kind:24s} {count}" for kind, count in sorted(self.counts.items())]
-        lines += [f"inconclusive pair ({l1}, {l2})" for l1, l2 in self.pairs(CertificateKind.INCONCLUSIVE)]
-        lines += [f"ZERO VALUE at ({l1}, {l2})" for l1, l2 in self.pairs(CertificateKind.ZERO_EXACT)]
-        return lines
+        return self._lines("human")
 
 
 def format_float(x) -> str:
     """A float or mpf at 17 significant digits, which round-trips a float
     losslessly; empty for a missing value (CSV cell)."""
-    return "" if x is None else format(float(x), ".17g")
+    return "" if x is None else format(float(x), _FLOAT_SPEC)
 
 
 def _row_cut(lambda1s: list[int], l2: int, budget: int) -> tuple[int, int, int]:
@@ -870,6 +917,11 @@ def _scan_row(args: tuple) -> tuple[int, tuple[tuple, ...]]:
     return l2, tuple(timed_records)
 
 
+def _scan_chunk(tasks: list[tuple]) -> list[tuple[int, tuple[tuple, ...]]]:
+    """The rows of a chunk of `_chunks`, certified in one worker call."""
+    return [_scan_row(task) for task in tasks]
+
+
 def _process_pool(max_workers: int):
     """A process pool of `max_workers` workers.  Its module, and
     multiprocessing with it, load on the first pool, since most processes
@@ -887,18 +939,20 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def rule_rows(lambda2_range: tuple[int, int], rule) -> list[tuple[list[int], int]]:
+def rule_rows(lambda2_range: tuple[int, int], rule) -> Iterator[tuple[list[int], int]]:
     """The nonempty rows (sorted lambda1 values, lambda2) that `rule` generates
-    over an inclusive lambda2 range, in lambda2 order; raises ValueError for
-    an empty or invalid range and when the rule generates no pairs."""
+    over an inclusive lambda2 range, built one at a time in lambda2 order.
+    Raises ValueError at the call, before any row is taken, for an empty or
+    invalid range and when the rule generates no pairs, which it finds by
+    reading the rule up to its first nonempty row."""
     lo, hi = lambda2_range
     if hi < lo or lo < 1:
         raise ValueError(f"empty or invalid lambda2 range {lambda2_range}")
-    rows = [(sorted(rule.lambda1_values(l2)), l2) for l2 in range(lo, hi + 1)]
-    rows = [row for row in rows if row[0]]
-    if not rows:
+    rows = ((lambda1s, l2) for l2 in range(lo, hi + 1) if (lambda1s := sorted(rule.lambda1_values(l2))))
+    first = next(rows, None)
+    if first is None:
         raise ValueError("the scan rule generates no pairs on this range")
-    return rows
+    return itertools.chain((first,), rows)
 
 
 def rule_pairs(lambda2_range: tuple[int, int], rule) -> list[tuple[int, int]]:
@@ -907,36 +961,90 @@ def rule_pairs(lambda2_range: tuple[int, int], rule) -> list[tuple[int, int]]:
 
 
 def _scan_tasks(
-    rows: list[tuple[list[int], int]],
+    rows: Iterable[tuple[list[int], int]],
     budget: int,
     prec: int,
     timed: bool,
     line: RatioLine | None = None,
     diff: DiffLine | None = None,
-) -> tuple[list[tuple], int]:
-    """The `_scan_row` task of each row of `rule_rows`, and the scan's
-    estimated work in cost units, read from the rows alone: the
-    `evaluation_cost` of each row's first admitted pair, which the row walk
+) -> Iterator[tuple[tuple, int]]:
+    """(task, work) for each row of `rule_rows`, in turn: the `_scan_row`
+    task, and its estimated work in cost units, read from the row alone: the
+    `evaluation_cost` of the row's first admitted pair, which the row walk
     evaluates afresh, plus `CASCADE_PAIR_COST` for each pair past the budget.
     Walk steps are not charged.  `line` is the `RatioLine`, and `diff` the
     `DiffLine`, of every pair of the rows, when they share one."""
-    tasks, work = [], 0
     for lambda1s, l2 in rows:
         lo, hi, cost = _row_cut(lambda1s, l2, budget)
-        tasks.append((lambda1s, l2, lo, hi, prec, line, diff, timed))
-        work += cost + CASCADE_PAIR_COST * (len(lambda1s) - hi)
-    return tasks, work
+        yield (lambda1s, l2, lo, hi, prec, line, diff, timed), cost + CASCADE_PAIR_COST * (len(lambda1s) - hi)
 
 
-def scan_range(
+def _chunks(tasks: Iterable[tuple[tuple, int]]) -> Iterator[tuple[list[tuple], int]]:
+    """The tasks of `tasks` ((task, work) of `_scan_tasks`) in consecutive
+    lists, each closed once it holds CHUNK_PAIRS pairs or CHUNK_WORK cost
+    units (a row is never split), with the work of each list."""
+    chunk, pairs, work = [], 0, 0
+    for task, cost in tasks:
+        chunk.append(task)
+        pairs += len(task[0])
+        work += cost
+        if pairs >= CHUNK_PAIRS or work >= CHUNK_WORK:
+            yield chunk, work
+            chunk, pairs, work = [], 0, 0
+    if chunk:
+        yield chunk, work
+
+
+def _pooled_rows(chunks: Iterator[tuple[list[tuple], int]], workers: int) -> Iterator[tuple[int, tuple[tuple, ...]]]:
+    """The rows of `chunks` (of `_chunks`), in order, from a pool of
+    `workers` processes that holds at most CHUNKS_PER_WORKER chunks per
+    worker.  Closed early, it cancels the chunks that have not started and
+    waits for the ones running."""
+    with _process_pool(max_workers=workers) as pool:
+        pending = deque(
+            pool.submit(_scan_chunk, chunk) for chunk, _ in itertools.islice(chunks, workers * CHUNKS_PER_WORKER)
+        )
+        try:
+            while pending:
+                rows = pending.popleft().result()
+                pending.extend(pool.submit(_scan_chunk, chunk) for chunk, _ in itertools.islice(chunks, 1))
+                yield from rows
+        finally:
+            for future in pending:
+                future.cancel()
+
+
+def _scan(tasks: Iterator[tuple[tuple, int]], workers: int, last_l2: int) -> Iterator[tuple[int, tuple[tuple, ...]]]:
+    """The rows of `tasks` ((task, work) of `_scan_tasks`) in order, taken
+    in the chunks of `_chunks`.  The chunks run in this process until the
+    work of the rows so far reaches POOL_MIN_WORK.  With more than one
+    worker and another chunk to come, that chunk and the rest then run in a
+    pool of `workers` processes, or of one per lambda2 from the chunk's
+    first on when that is fewer."""
+    chunks = _chunks(tasks)
+    work = 0
+    for chunk, chunk_work in chunks:
+        work += chunk_work
+        if work >= POOL_MIN_WORK and workers > 1:
+            following = next(chunks, None)
+            if following is not None:
+                rest = itertools.chain(((chunk, chunk_work), following), chunks)
+                yield from _pooled_rows(rest, min(workers, last_l2 - chunk[0][1] + 1))
+                return
+        yield from _scan_chunk(chunk)
+
+
+def scan_rows(
     lambda2_range: tuple[int, int],
     rule,
     budget: int = DEFAULT_BUDGET,
     prec: int = DEFAULT_PRECISION,
     parallelism: int = 1,
     timings: bool = False,
-) -> ScanReport:
-    """Certify every pair generated by `rule` over an inclusive lambda2 range.
+) -> Iterator[tuple[int, tuple[tuple, ...]]]:
+    """Certify every pair generated by `rule` over an inclusive lambda2
+    range, and yield one (lambda2, records) row at a time, in lambda2 order,
+    with the scan records in lambda1 order.
 
     A task is one row: a lambda2 and its sorted lambda1 values.  Since
     `exact.evaluation_cost` is nondecreasing in lambda1, the pairs of a row
@@ -950,14 +1058,17 @@ def scan_range(
     `RatioLine`, built here; any other rule's cascade pairs run on a line
     of their own, and those of a difference rule share one `DiffLine`.
 
-    The rows run in a process pool only when the scan's estimated work (see
-    `_scan_tasks`) reaches `POOL_MIN_WORK`, with at most as many workers as
-    there are usable CPUs and rows; otherwise they run in this process.
-    Rows run in lambda2 order and both `map` and the pool's `map` keep input
-    order, so reports are byte-identical across parallelism settings (per-pair
-    timing is recorded only when `timings` is set, since wall clock readings
-    are not reproducible).  An invalid precision or parallelism raises
-    ValueError before any work.
+    Rows are built, priced and certified as they are taken, and only a
+    bounded number of them is held at any time.  They run in this process
+    until their estimated work (see `_scan_tasks`) reaches `POOL_MIN_WORK`;
+    the rest then run in a process pool, with at most as many workers as
+    `parallelism`, the usable CPUs and the lambda2 values left, and with a
+    bounded number of chunks of rows in flight.  Both `map` and the pool
+    keep input order, so the rows are the same across parallelism settings
+    (per-pair timing is recorded only when `timings` is set, since wall
+    clock readings are not reproducible).  An invalid precision, parallelism,
+    range or rule raises ValueError at the call, before any work; closing
+    the iterator early shuts the pool down.
     """
     check_precision(prec)
     if parallelism < 1:
@@ -965,13 +1076,20 @@ def scan_range(
     rows = rule_rows(lambda2_range, rule)
     line = RatioLine(rule.ratio.numerator, rule.ratio.denominator, prec) if isinstance(rule, RatioRule) else None
     diff = DiffLine(rule.diff, prec + GUARD_BITS) if isinstance(rule, DiffRule) else None
-    tasks, work = _scan_tasks(rows, budget, prec, timings, line, diff)
-    workers = min(parallelism, _usable_cpus(), len(tasks))
-    if workers == 1 or work < POOL_MIN_WORK:
-        return ScanReport(tuple(map(_scan_row, tasks)))
-    chunk = max(1, len(tasks) // (workers * 8))
-    with _process_pool(max_workers=workers) as pool:
-        return ScanReport(tuple(pool.map(_scan_row, tasks, chunksize=chunk)))
+    tasks = _scan_tasks(rows, budget, prec, timings, line, diff)
+    return _scan(tasks, min(parallelism, _usable_cpus()), lambda2_range[1])
+
+
+def scan_range(
+    lambda2_range: tuple[int, int],
+    rule,
+    budget: int = DEFAULT_BUDGET,
+    prec: int = DEFAULT_PRECISION,
+    parallelism: int = 1,
+    timings: bool = False,
+) -> ScanReport:
+    """The rows of `scan_rows`, collected into a `ScanReport`."""
+    return ScanReport(tuple(scan_rows(lambda2_range, rule, budget, prec, parallelism, timings)))
 
 
 # --------------------------------------------------------------------------

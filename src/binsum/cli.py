@@ -2,11 +2,14 @@
 certified windows, polynomial families, exception-count diagnostics, and
 inequality validation, with machine-readable output.
 
-Exit codes: 0 on success, 2 on argument errors, 3 when a scan contains
-inconclusive pairs (so shell pipelines can detect potential exceptions).
-Identical inputs and configuration produce byte-identical jsonl/csv output
-across runs and parallelism settings; per-pair wall-clock timing is only
-recorded under --timings because it is inherently irreproducible.
+Exit codes: 0 on success, 1 when `validate` finds its inequality violated,
+2 on argument errors, 3 when a scan contains inconclusive pairs (so shell
+pipelines can detect potential exceptions), and 141 when stdout's reader
+closes it early.  Identical inputs and
+configuration produce byte-identical jsonl/csv output across runs and
+parallelism settings; per-pair wall-clock timing is only recorded under
+--timings because it is inherently irreproducible.  A scan writes each row
+of jsonl or csv as soon as it is certified.
 """
 
 from __future__ import annotations
@@ -14,20 +17,27 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import os
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from mpmath import workprec
 
-# json and polynomials load in the commands that use them, so a process
-# starts up with only what its command runs
-from . import asymptotics, certifier, validators
-from .certifier import CertificateKind, format_float
+# json, polynomials and validators load in the commands that use them, so a
+# process starts up with only what its command runs
+from . import asymptotics, certifier
+from .certifier import format_float
 from .exact import PartitionPair, Route, evaluate
+from .lemmas import LEMMA_IDS
 from .numerics import DEFAULT_PRECISION, GUARD_BITS, check_precision
 
 FORMATS = ("jsonl", "csv", "human")
+
+# the exit code when stdout's reader has gone (`binsum scan ... | head`):
+# what a shell reports for a writer killed by SIGPIPE, 128 + 13, so that 2
+# keeps meaning bad input
+CLOSED_STDOUT = 141
 
 
 @dataclass
@@ -168,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=20, help="continued fraction depth")
 
     p = sub.add_parser("validate", help="grid validation of a supporting inequality")
-    p.add_argument("--lemma", required=True, choices=validators.LEMMA_IDS)
+    p.add_argument("--lemma", required=True, choices=LEMMA_IDS)
     p.add_argument("--grid", default="50x50", help="grid size NRxNTHETA")
 
     p = sub.add_parser("plotdata", help="(lambda, normalized residual, bound) columns")
@@ -270,8 +280,7 @@ def cmd_certify(args, config: RunConfig) -> int:
         if cert.reason is not None:
             print(f"reason      {cert.reason}")
     else:
-        report = certifier.ScanReport(((pair.lambda2, (cert,)),))
-        print("\n".join(report.csv_lines() if config.output_format == "csv" else report.jsonl_lines()))
+        certifier.write_rows(((pair.lambda2, (cert,)),), config.output_format, sys.stdout.write)
     return 0
 
 
@@ -287,7 +296,7 @@ def _scan_rule(args):
 
 
 def cmd_scan(args, config: RunConfig) -> int:
-    report = certifier.scan_range(
+    rows = certifier.scan_rows(
         args.l2,
         _scan_rule(args),
         budget=config.budget,
@@ -295,9 +304,10 @@ def cmd_scan(args, config: RunConfig) -> int:
         parallelism=config.parallelism,
         timings=config.timings,
     )
-    lines = {"jsonl": report.jsonl_lines, "csv": report.csv_lines, "human": report.human_lines}
-    print("\n".join(lines[config.output_format]()))
-    return 3 if report.pairs(CertificateKind.INCONCLUSIVE) else 0
+    # closing the rows on a failed write shuts down a pool the scan started
+    with contextlib.closing(rows):
+        inconclusive = certifier.write_rows(rows, config.output_format, sys.stdout.write)
+    return 3 if inconclusive else 0
 
 
 def cmd_intervals(args, config: RunConfig) -> int:
@@ -370,6 +380,8 @@ def cmd_exceptions(args, config: RunConfig) -> int:
 
 def cmd_validate(args, config: RunConfig) -> int:
     import json
+
+    from . import validators
 
     report = validators.validate_inequality(args.lemma, prec=config.precision_bits, grid_size=parse_grid(args.grid))
     payload = {
@@ -445,10 +457,29 @@ def main(argv: list[str] | None = None) -> int:
         elif config.output_format not in formats:
             usable = " or ".join(formats)
             raise ValueError(f"{args.command} has no {config.output_format} output; use --format {usable}")
-        return command(args, config)
+        code = command(args, config)
+        # a reader that closes stdout early shows here at the latest
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        _drop_stdout()
+        return CLOSED_STDOUT
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _drop_stdout() -> None:
+    """Point stdout's file descriptor, if it has one, at os.devnull, so that
+    the interpreter's last flush of what stdout still buffers, after its
+    reader has gone, neither fails nor prints a message."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # no stream, or one without a descriptor
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def entrypoint() -> None:

@@ -390,8 +390,11 @@ def pair_cost(lambda1: int, lambda2: int) -> int:
     from its two integers, so a scan prices its rows without building pairs.
     The automatic route sums min(`reduced_term_count`, lambda2 + 1) terms."""
     words = max(1, (lambda1 + 63) // 64)
-    terms = min(max(0, lambda1 // 2 - (lambda2 + 1) // 2 + 1), lambda2 + 1)
-    return max(1, terms) * words * words
+    terms = lambda1 // 2 - (lambda2 + 1) // 2 + 1
+    # a scan prices every row by this, so the clamps are plain comparisons
+    if terms > lambda2:
+        terms = lambda2 + 1
+    return (terms if terms > 1 else 1) * words * words
 
 
 def normalized_I(pair: PartitionPair, prec: int = DEFAULT_PRECISION) -> mpf:

@@ -119,6 +119,7 @@ from .asymptotics import (
     _cubic_kernel,
     _quartic_kernel,
 )
+from .lemmas import LEMMA_IDS
 from .numerics import DEFAULT_PRECISION, GUARD_BITS, RAW_SLACK, check_precision, rational_to_real, raw_rational
 
 _RND = round_nearest
@@ -297,24 +298,27 @@ def _near1_f_row(k: _Circle) -> tuple:
 
 
 # The registry: lemma id -> (default ratio range, theta region of the
-# hypothesis at (r, prec), row).  A region function runs under
+# hypothesis at (r, prec), row), one entry per id of `LEMMA_IDS` in its
+# order, which is that of the table above.  A region function runs under
 # workprec(prec + GUARD_BITS) and raises ValueError for an r outside the
 # hypothesis.  A row maps the _Circle k of one ratio to the raw arguments
 # (F, c, Q, side, R2, R3, R4) of `_margin`; M/2 is an exact halving.
-_LEMMAS: dict[str, tuple[tuple[Fraction, Fraction], Callable, Callable]] = {
-    "super-g-decay": (*_SUPER, _super_decay_row),
-    "super-g-strict": (*_SUPER_STRICT, lambda k: (k.g, fzero, (mpf_shift(k.M, -1),), mpf_pos, None, None, None)),
-    "super-g-quartic": (
-        *_SUPER,
-        lambda k: (k.g, fzero, (mpf_shift(k.M, -1),), mpf_abs, None, None, _quartic_kernel(k.rho, k.wp)),
-    ),
-    "super-h-cubic": (*_SUPER, lambda k: (k.h, fzero, (), mpf_abs, None, _cubic_kernel(k.rho, k.wp), None)),
-    "sub-f-cubic": (*_SUB, _sub_f_row),
-    "sub-g-decay": (*_SUB, _sub_g_row),
-    "near1-f-cubic": (*_NEAR1_F, _near1_f_row),
-    "near1-g-decay": (*_NEAR1_G, lambda k: (k.g, k.alpha, (fhalf,), mpf_pos, None, fhalf, None)),
-}
-LEMMA_IDS = tuple(_LEMMAS)
+_LEMMAS: dict[str, tuple[tuple[Fraction, Fraction], Callable, Callable]] = dict(
+    zip(
+        LEMMA_IDS,
+        (
+            (*_SUPER, _super_decay_row),
+            (*_SUPER_STRICT, lambda k: (k.g, fzero, (mpf_shift(k.M, -1),), mpf_pos, None, None, None)),
+            (*_SUPER, lambda k: (k.g, fzero, (mpf_shift(k.M, -1),), mpf_abs, None, None, _quartic_kernel(k.rho, k.wp))),
+            (*_SUPER, lambda k: (k.h, fzero, (), mpf_abs, None, _cubic_kernel(k.rho, k.wp), None)),
+            (*_SUB, _sub_f_row),
+            (*_SUB, _sub_g_row),
+            (*_NEAR1_F, _near1_f_row),
+            (*_NEAR1_G, lambda k: (k.g, k.alpha, (fhalf,), mpf_pos, None, fhalf, None)),
+        ),
+        strict=True,
+    )
+)
 
 
 def _lemma(lemma_id: str) -> tuple:

@@ -1,10 +1,11 @@
+import itertools
 import json
 import math
 import os
 import pickle
 import pickletools
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -70,9 +71,10 @@ def _one_pair_rows(records) -> ScanReport:
 
 @pytest.fixture
 def pool_starts():
-    """Lowers the pool threshold to 0, so that a scan at parallelism 2 runs
-    its rows in a real ProcessPoolExecutor of two workers, even on one CPU;
-    lists the worker count of every pool started."""
+    """Lowers the pool threshold to 0 and the chunk size to one row, so that
+    a scan of more than one row at parallelism 2 runs its rows in a real
+    ProcessPoolExecutor of two workers, even on one CPU, each row sent as a
+    chunk of its own; lists the worker count of every pool started."""
     started = []
 
     class CountingPool(ProcessPoolExecutor):
@@ -82,6 +84,7 @@ def pool_starts():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(certifier, "POOL_MIN_WORK", 0)
+        patch.setattr(certifier, "CHUNK_PAIRS", 1)
         patch.setattr(certifier, "_process_pool", CountingPool)
         patch.setattr(certifier, "_usable_cpus", lambda: 2)
         yield started
@@ -901,8 +904,8 @@ def _pickled_globals(data: bytes) -> set[tuple[str, str]]:
 
 def test_scan_row_pickles_no_binsum_class_but_the_kind():
     tasks = [
-        *_scan_tasks([([3, 4, 30], 3)], 10**9, 128, True)[0],
-        *_scan_tasks([([100006, 101006, 200012, 200014, 10**10 + 1], 100006)], 0, 128, False)[0],
+        *(task for task, _ in _scan_tasks([([3, 4, 30], 3)], 10**9, 128, True)),
+        *(task for task, _ in _scan_tasks([([100006, 101006, 200012, 200014, 10**10 + 1], 100006)], 0, 128, False)),
     ]
     rows = [_scan_row(task) for task in tasks]
     kinds = {record[1].value for _, records in rows for record in records}
@@ -941,8 +944,10 @@ def recorded_pools(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize):
-            return map(fn, tasks)
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     monkeypatch.setattr(certifier, "_process_pool", RecordingPool)
     return started
@@ -951,6 +956,7 @@ def recorded_pools(monkeypatch):
 def test_scan_caps_workers_at_cpus_and_tasks(monkeypatch, recorded_pools):
     started = recorded_pools
     monkeypatch.setattr(certifier, "POOL_MIN_WORK", 0)
+    monkeypatch.setattr(certifier, "CHUNK_PAIRS", 1)  # a chunk per row
     rule = ListRule((9, 6, 2))
     serial = scan_range((5, 8), rule, budget=10**9)  # 4 tasks: one row per lambda2
     assert started == []
@@ -970,34 +976,54 @@ def test_scan_caps_workers_at_cpus_and_tasks(monkeypatch, recorded_pools):
     assert started == []
 
 
+def _works(lambda2_range, rule, budget, timed=False) -> list[int]:
+    """The estimated work of each row of a scan, in turn."""
+    return [work for _, work in _scan_tasks(certifier.rule_rows(lambda2_range, rule), budget, 128, timed)]
+
+
 def test_scan_starts_the_pool_only_from_the_work_threshold_on(monkeypatch, recorded_pools):
     monkeypatch.setattr(certifier, "_usable_cpus", lambda: 2)
     # the benchmark's exact rectangle and the 60 ratio-2 cascade pairs are cheap
     cheap = [((1, 100), AllUpToRule(200), certifier.DEFAULT_BUDGET), ((100000, 100059), RatioRule(Fraction(2)), 0)]
     for lambda2_range, rule, budget in cheap:
-        _, work = _scan_tasks(certifier.rule_rows(lambda2_range, rule), budget, 128, False)
-        assert work < certifier.POOL_MIN_WORK
+        assert sum(_works(lambda2_range, rule, budget)) < certifier.POOL_MIN_WORK
         serial = scan_range(lambda2_range, rule, budget=budget)
         assert scan_range(lambda2_range, rule, budget=budget, parallelism=2).rows == serial.rows
     assert recorded_pools == []
     # cascade-only lines stay serial up to 24,000 pairs, where the pool first
     # pays on the ratio-2 line
     for pairs, rule in ((18000, RatioRule(Fraction(6))), (18000, RatioRule(Fraction(2))), (24000, RatioRule(Fraction(6)))):
-        rows = certifier.rule_rows((100000, 100000 + pairs - 1), rule)
-        assert (_scan_tasks(rows, 0, 128, False)[1] >= certifier.POOL_MIN_WORK) is (pairs == 24000)
+        work = sum(_works((100000, 100000 + pairs - 1), rule, 0))
+        assert (work >= certifier.POOL_MIN_WORK) is (pairs == 24000)
     # ten exact ratio-3 pairs of about 8 ms each repay the pool
     heavy = ((2000, 2009), RatioRule(Fraction(3)))
-    assert _scan_tasks(certifier.rule_rows(*heavy), certifier.DEFAULT_BUDGET, 128, False)[1] >= certifier.POOL_MIN_WORK
+    assert sum(_works(*heavy, certifier.DEFAULT_BUDGET)) >= certifier.POOL_MIN_WORK
     scan_range(*heavy, parallelism=2)
     assert recorded_pools == [2]
-    # the gate is exactly work >= POOL_MIN_WORK
+    # the gate is exactly work >= POOL_MIN_WORK, summed over the chunks so
+    # far: the chunk that reaches it and every chunk after it run in the
+    # pool, unless that chunk is the last.  Here each row is a chunk.
+    monkeypatch.setattr(certifier, "CHUNK_PAIRS", 1)
     lambda2_range, rule = (1, 30), AllUpToRule(60)
-    _, work = _scan_tasks(certifier.rule_rows(lambda2_range, rule), 10, 128, False)
-    for threshold, started in [(work + 1, []), (work, [2])]:
+    reached = list(itertools.accumulate(_works(lambda2_range, rule, 10)))
+    serial = scan_range(lambda2_range, rule, budget=10)
+    pooled = []  # the lambda2 of each row sent to a pool
+    recording_pool = certifier._process_pool
+
+    def pool_listing_rows(max_workers):
+        pool = recording_pool(max_workers)
+        submit = pool.submit
+        pool.submit = lambda fn, chunk: pooled.extend(task[1] for task in chunk) or submit(fn, chunk)
+        return pool
+
+    monkeypatch.setattr(certifier, "_process_pool", pool_listing_rows)
+    for threshold, first_pooled in [(reached[-1] + 1, None), (reached[-1], None), (reached[9], 10), (reached[9] + 1, 11)]:
         recorded_pools.clear()
+        pooled.clear()
         monkeypatch.setattr(certifier, "POOL_MIN_WORK", threshold)
-        scan_range(lambda2_range, rule, budget=10, parallelism=2)
-        assert recorded_pools == started
+        assert scan_range(lambda2_range, rule, budget=10, parallelism=2).rows == serial.rows
+        assert recorded_pools == ([] if first_pooled is None else [2])
+        assert pooled == ([] if first_pooled is None else list(range(first_pooled, 31)))
 
 
 def test_scan_work_estimate_reads_nothing_but_the_rows(monkeypatch):
@@ -1009,13 +1035,14 @@ def test_scan_work_estimate_reads_nothing_but_the_rows(monkeypatch):
     monkeypatch.setattr(certifier, "_usable_cpus", no_clock)
     # budget 100 cuts each row part-way, and admits no pair of the last row
     rows = [*certifier.rule_rows((20, 30), AllUpToRule(200)), ([5000, 6000], 31)]
-    tasks, work = _scan_tasks(rows, 100, 128, False)
+    tasks, works = zip(*_scan_tasks(rows, 100, 128, False))
+    work = sum(works)
     firsts = [evaluation_cost(PartitionPair(lambda1s[0], l2)) for lambda1s, l2 in rows]
     fresh = [cost for cost in firsts if cost <= 100]
     cascade = sum(len(lambda1s) - (hi - lo) for (lambda1s, _, lo, hi, *_) in tasks)
     assert len(fresh) == len(rows) - 1 and cascade
     assert work == sum(fresh) + certifier.CASCADE_PAIR_COST * cascade
-    assert _scan_tasks(rows, 100, 128, True)[1] == work
+    assert sum(work for _, work in _scan_tasks(rows, 100, 128, True)) == work
     for lambda1s, l2, lo, hi, *_ in tasks:
         costs = [evaluation_cost(PartitionPair(l1, l2)) for l1 in lambda1s]
         assert lo == 0 and all(c <= 100 for c in costs[:hi]) and all(c > 100 for c in costs[hi:])

@@ -1,13 +1,16 @@
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from binsum import certifier, cli
-from binsum.certifier import CSV_HEADER
+from binsum.certifier import CSV_HEADER, CertificateKind
 from binsum.cli import build_parser, main, _unlimited_int_str
 from binsum.exact import PartitionPair, evaluate
 
@@ -548,8 +551,10 @@ def test_consecutive_main_calls_share_no_state(capsys, first, second):
     ],
 )
 def test_scan_output_is_the_same_at_parallelism_1_and_2(capsys, monkeypatch, output_format, argv, code):
-    # both scans are below the pool threshold; lowered, parallelism 2 runs a real pool
+    # both scans are below the pool threshold; lowered, with a chunk per row,
+    # parallelism 2 runs a real pool
     monkeypatch.setattr(certifier, "POOL_MIN_WORK", 0)
+    monkeypatch.setattr(certifier, "CHUNK_PAIRS", 1)
     monkeypatch.setattr(certifier, "_usable_cpus", lambda: 2)
     serial = run_cli(capsys, "--format", output_format, "--parallelism", "1", *argv)
     parallel = run_cli(capsys, "--format", output_format, "--parallelism", "2", *argv)
@@ -557,3 +562,90 @@ def test_scan_output_is_the_same_at_parallelism_1_and_2(capsys, monkeypatch, out
     assert serial[0] == code
     if code == 3 and output_format == "human":
         assert serial[1].count("inconclusive pair (") == 10
+
+
+@pytest.mark.parametrize("parallelism", ["1", "2"])
+@pytest.mark.parametrize("output_format", ["jsonl", "csv", "human"])
+def test_scan_exits_3_when_its_only_inconclusive_pair_is_in_the_last_row(capsys, monkeypatch, output_format, parallelism):
+    # (200150, 100075) is the one inconclusive pair of these six; lowered,
+    # the pool threshold and chunk size send every row of parallelism 2 to a
+    # real pool, each as a chunk of its own
+    monkeypatch.setattr(certifier, "POOL_MIN_WORK", 0)
+    monkeypatch.setattr(certifier, "CHUNK_PAIRS", 1)
+    monkeypatch.setattr(certifier, "_usable_cpus", lambda: 2)
+    argv = ("--format", output_format, "--parallelism", parallelism, "--budget", "0")
+    code, out, err = run_cli(capsys, *argv, "scan", "--l2", "100070..100075", "--ratio", "2")
+    assert (code, err) == (3, "")
+    assert out.count("inconclusive") == (2 if output_format == "human" else 1)
+    assert "200150" in out.splitlines()[-1]
+
+
+@pytest.mark.parametrize("output_format", ["jsonl", "csv", "human"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("scan", "--l2", "5..4", "--ratio", "2"), "empty or invalid lambda2 range (5, 4)"),
+        (("scan", "--l2", "1..3", "--l1-list", "1"), "the scan rule generates no pairs on this range"),
+        (("--parallelism", "0", "scan", "--l2", "1..3", "--diff", "1"), "parallelism must be >= 1"),
+        (("--parallelism", "2", "--precision", "40", "scan", "--l2", "1..3", "--diff", "1"), "precision"),
+    ],
+)
+def test_a_refused_scan_writes_nothing_to_stdout_before_exit_2(capsys, monkeypatch, output_format, argv, message):
+    monkeypatch.setattr(certifier, "POOL_MIN_WORK", 0)
+    monkeypatch.setattr(certifier, "_usable_cpus", lambda: 2)
+    code, out, err = run_cli(capsys, "--format", output_format, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def _traced_peak(argv) -> int:
+    """The peak traced memory (tracemalloc) of one in-process `binsum argv`
+    whose stdout goes to os.devnull."""
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            main(list(argv))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("output_format", ["jsonl", "csv", "human"])
+def test_a_scan_holds_no_more_memory_for_more_rows(monkeypatch, output_format):
+    # every pair of the ratio-6 line is supercritical; the ratio-2 line
+    # leaves about one pair in six inconclusive, which human output keeps
+    # until the end, at a few hundred bytes each.  A scan holds one chunk of
+    # rows at a time, cut here to 64 pairs so that both scans span many
+    monkeypatch.setattr(certifier, "CHUNK_PAIRS", 64)
+    for rule, l2_lo in (("6", 2800), ("2", 100000)):
+        scans = [("--format", output_format, "--budget", "0", "scan", "--l2", f"{l2_lo}..{l2_lo + rows - 1}", "--ratio", rule) for rows in (600, 2400)]
+        _traced_peak(scans[1])  # fills the caches of the line and the interpreter
+        small, large = (_traced_peak(scan) for scan in scans)
+        kept = 0
+        if output_format == "human":
+            pairs = [len(certifier.scan_range((l2_lo, l2_lo + rows - 1), certifier.RatioRule(Fraction(rule)), budget=0).pairs(CertificateKind.INCONCLUSIVE)) for rows in (600, 2400)]
+            kept = pairs[1] - pairs[0]
+        assert large - small < 16 * 1024 + 512 * kept, (rule, small, large, kept)
+
+
+def test_a_scan_into_a_closed_pipe_stops_with_exit_141_and_nothing_on_stderr():
+    # a reader that closes after one line stops the scan at its next write;
+    # the whole scan would take hours, and at parallelism 2 its rows reach
+    # the pool threshold after four rows
+    scans = [
+        ("scan", "--l2", "1..100000", "--all-l1-up-to", "200000"),
+        ("--parallelism", "2", "scan", "--l2", "2000..100000", "--ratio", "3"),
+    ]
+    for scan in scans:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "binsum", *scan], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env()
+        )
+        assert proc.stdout.readline().startswith(b'{"lambda1":')
+        proc.stdout.close()
+        try:
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        finally:
+            proc.kill()
+        assert (code, err) == (cli.CLOSED_STDOUT, b"")
+    assert cli.CLOSED_STDOUT == 141

@@ -83,3 +83,24 @@ def test_an_import_of_binsum_loads_a_submodule_on_first_use():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["binsum", "binsum binsum.exact binsum.numerics"]
+
+
+def test_an_import_of_the_command_line_leaves_the_validators_unloaded():
+    # the `validate --lemma` choices come from binsum.lemmas; only the
+    # `validate` command loads the validators and their libmp kernels
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import contextlib, io, sys, binsum.cli\n"
+        "print('binsum.validators' in sys.modules, 'binsum.lemmas' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    binsum.cli.main(['validate', '--lemma', 'sub-g-decay', '--grid', '2x2'])\n"
+        "print('binsum.validators' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "True"]
+    from binsum import lemmas, validators
+
+    assert validators.LEMMA_IDS is lemmas.LEMMA_IDS
+    assert tuple(validators._LEMMAS) == lemmas.LEMMA_IDS
