@@ -132,8 +132,9 @@ from .numerics import (
 # take about 40 ms there (near l2 = 600 a unit takes about four times longer)
 DEFAULT_BUDGET = 10**8
 
-# A scan starts a process pool only when its estimated work in cost units
-# (`_scan_tasks`) reaches POOL_MIN_WORK.  Measured on the same machine (best
+# A scan runs its rows in this process until their estimated work in cost
+# units (`_scan_tasks`) reaches POOL_MIN_WORK; only then does it start a
+# process pool, for the rows left.  Measured on the same machine (best
 # of 5, in-process `cli.main`): starting and joining a pool of two workers
 # takes 10-15 ms, and parallelism 2 draws level with 1 at about 40 ms of
 # serial work.  Ratio-3 rows at l2 = 1000-1019 (4.6*10**7 units) took 36 ms
@@ -151,10 +152,12 @@ POOL_MIN_WORK = 6 * 10**7
 # pair the pool starts from 24,000 cascade pairs, where it pays on the
 # ratio-2 line and costs a quarter more on the ratio-6 line, the cheapest.
 CASCADE_PAIR_COST = 2500
-# A pooled scan sends its rows to the workers in chunks, each closed once it
-# holds CHUNK_PAIRS pairs or CHUNK_WORK cost units, and keeps at most
+# A scan takes its rows in chunks, each closed once it holds CHUNK_PAIRS
+# pairs or CHUNK_WORK cost units, and a pool keeps at most
 # CHUNKS_PER_WORKER chunks per worker in flight, so that neither the tasks
-# nor the records of a long scan pile up in memory.
+# nor the records of a long scan pile up in memory.  Measured as above,
+# quartering or quadrupling either size moved no pooled scan beyond the noise
+# (ratio-2 lines of 48,000 cascade pairs, ratio-3 rows at l2 = 2000-2100).
 CHUNK_PAIRS = 2048
 CHUNK_WORK = POOL_MIN_WORK // 8
 CHUNKS_PER_WORKER = 2
@@ -1058,17 +1061,17 @@ def scan_rows(
     `RatioLine`, built here; any other rule's cascade pairs run on a line
     of their own, and those of a difference rule share one `DiffLine`.
 
-    Rows are built, priced and certified as they are taken, and only a
-    bounded number of them is held at any time.  They run in this process
-    until their estimated work (see `_scan_tasks`) reaches `POOL_MIN_WORK`;
-    the rest then run in a process pool, with at most as many workers as
-    `parallelism`, the usable CPUs and the lambda2 values left, and with a
-    bounded number of chunks of rows in flight.  Both `map` and the pool
-    keep input order, so the rows are the same across parallelism settings
-    (per-pair timing is recorded only when `timings` is set, since wall
-    clock readings are not reproducible).  An invalid precision, parallelism,
-    range or rule raises ValueError at the call, before any work; closing
-    the iterator early shuts the pool down.
+    Rows are built, priced and certified as they are taken, a chunk at a
+    time (`_chunks`), so only a bounded number of them is held at once.
+    They run in this process until their estimated work (see `_scan_tasks`)
+    reaches `POOL_MIN_WORK`; the rest then run in a process pool, with at
+    most as many workers as `parallelism`, the usable CPUs and the lambda2
+    values left, and a bounded number of chunks in flight.  The pool's
+    chunks are read back in the order they were sent, so the rows are the
+    same across parallelism settings (per-pair timing is recorded only when
+    `timings` is set, since wall clock readings are not reproducible).  An
+    invalid precision, parallelism, range or rule raises ValueError at the
+    call, before any work; closing the iterator early shuts the pool down.
     """
     check_precision(prec)
     if parallelism < 1:
