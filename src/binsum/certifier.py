@@ -149,8 +149,10 @@ POOL_MIN_WORK = 6 * 10**7
 # against 101 ms, of 24,000 pairs 121 against 155 ms; ratio-2 lines of 2,400
 # pairs 22 against 30 ms, of 6,000 pairs 56 against 54 ms, of 12,000 pairs
 # 115 against 100 ms, of 24,000 pairs 262 against 247 ms.  At 2,500 units a
-# pair the pool starts from 24,000 cascade pairs, where it pays on the
-# ratio-2 line and costs a quarter more on the ratio-6 line, the cheapest.
+# pair a line's first 24,000 cascade pairs run in this process, and only the
+# pairs after them go to the pool.  Past them it paid on a ratio-2 line of
+# 48,000 pairs (609-709 against 760-929 ms) and not on a ratio-6 line, the
+# cheapest (499-581 against 320-407 ms; best to median of five runs).
 CASCADE_PAIR_COST = 2500
 # A scan takes its rows in chunks, each closed once it holds CHUNK_PAIRS
 # pairs or CHUNK_WORK cost units, and a pool keeps at most

@@ -5,11 +5,11 @@ inequality validation, with machine-readable output.
 Exit codes: 0 on success, 1 when `validate` finds its inequality violated,
 2 on argument errors, 3 when a scan contains inconclusive pairs (so shell
 pipelines can detect potential exceptions), and 141 when stdout's reader
-closes it early.  Identical inputs and
-configuration produce byte-identical jsonl/csv output across runs and
-parallelism settings; per-pair wall-clock timing is only recorded under
---timings because it is inherently irreproducible.  A scan writes each row
-of jsonl or csv as soon as it is certified.
+closes it early.  Identical inputs and configuration produce byte-identical
+jsonl/csv output across runs and parallelism settings; per-pair wall-clock
+timing is only recorded under --timings because it is inherently
+irreproducible.  A scan writes each row of jsonl or csv as soon as it is
+certified.
 """
 
 from __future__ import annotations

@@ -976,9 +976,9 @@ def test_scan_caps_workers_at_cpus_and_tasks(monkeypatch, recorded_pools):
     assert started == []
 
 
-def _works(lambda2_range, rule, budget, timed=False) -> list[int]:
+def _works(lambda2_range, rule, budget) -> list[int]:
     """The estimated work of each row of a scan, in turn."""
-    return [work for _, work in _scan_tasks(certifier.rule_rows(lambda2_range, rule), budget, 128, timed)]
+    return [work for _, work in _scan_tasks(certifier.rule_rows(lambda2_range, rule), budget, 128, False)]
 
 
 def test_scan_starts_the_pool_only_from_the_work_threshold_on(monkeypatch, recorded_pools):
@@ -990,8 +990,8 @@ def test_scan_starts_the_pool_only_from_the_work_threshold_on(monkeypatch, recor
         serial = scan_range(lambda2_range, rule, budget=budget)
         assert scan_range(lambda2_range, rule, budget=budget, parallelism=2).rows == serial.rows
     assert recorded_pools == []
-    # cascade-only lines stay serial up to 24,000 pairs, where the pool first
-    # pays on the ratio-2 line
+    # a cascade-only line reaches the threshold at its 24,000th pair, so its
+    # pairs up to there run in this process, where the pool would not pay
     for pairs, rule in ((18000, RatioRule(Fraction(6))), (18000, RatioRule(Fraction(2))), (24000, RatioRule(Fraction(6)))):
         work = sum(_works((100000, 100000 + pairs - 1), rule, 0))
         assert (work >= certifier.POOL_MIN_WORK) is (pairs == 24000)

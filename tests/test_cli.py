@@ -618,34 +618,41 @@ def test_a_scan_holds_no_more_memory_for_more_rows(monkeypatch, output_format):
     # rows at a time, cut here to 64 pairs so that both scans span many
     monkeypatch.setattr(certifier, "CHUNK_PAIRS", 64)
     for rule, l2_lo in (("6", 2800), ("2", 100000)):
-        scans = [("--format", output_format, "--budget", "0", "scan", "--l2", f"{l2_lo}..{l2_lo + rows - 1}", "--ratio", rule) for rows in (600, 2400)]
-        _traced_peak(scans[1])  # fills the caches of the line and the interpreter
+        ranges = [(l2_lo, l2_lo + rows - 1) for rows in (400, 1600)]
+        scans = [("--format", output_format, "--budget", "0", "scan", "--l2", f"{lo}..{hi}", "--ratio", rule) for lo, hi in ranges]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            main(list(scans[1]))  # fills the caches of the line and the interpreter
         small, large = (_traced_peak(scan) for scan in scans)
         kept = 0
         if output_format == "human":
-            pairs = [len(certifier.scan_range((l2_lo, l2_lo + rows - 1), certifier.RatioRule(Fraction(rule)), budget=0).pairs(CertificateKind.INCONCLUSIVE)) for rows in (600, 2400)]
-            kept = pairs[1] - pairs[0]
+            small_kept, large_kept = (
+                len(certifier.scan_range(l2s, certifier.RatioRule(Fraction(rule)), budget=0).pairs(CertificateKind.INCONCLUSIVE))
+                for l2s in ranges
+            )
+            kept = large_kept - small_kept
         assert large - small < 16 * 1024 + 512 * kept, (rule, small, large, kept)
 
 
 def test_a_scan_into_a_closed_pipe_stops_with_exit_141_and_nothing_on_stderr():
     # a reader that closes after one line stops the scan at its next write;
-    # the whole scan would take hours, and at parallelism 2 its rows reach
-    # the pool threshold after four rows
+    # either whole scan would take hours.  With stdout block-buffered, the
+    # first line of the ratio-3 scan reaches the reader only after about 70
+    # rows, and its work starts the pool at parallelism 2 after four
     scans = [
         ("scan", "--l2", "1..100000", "--all-l1-up-to", "200000"),
         ("--parallelism", "2", "scan", "--l2", "2000..100000", "--ratio", "3"),
     ]
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
     for scan in scans:
         proc = subprocess.Popen(
-            [sys.executable, "-m", "binsum", *scan], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env()
+            [sys.executable, "-m", "binsum", *scan], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
         )
         assert proc.stdout.readline().startswith(b'{"lambda1":')
         proc.stdout.close()
         try:
-            err = proc.stderr.read()
-            code = proc.wait(timeout=120)
+            _, err = proc.communicate(timeout=120)
         finally:
             proc.kill()
-        assert (code, err) == (cli.CLOSED_STDOUT, b"")
+        assert (proc.returncode, err) == (cli.CLOSED_STDOUT, b"")
     assert cli.CLOSED_STDOUT == 141
