@@ -483,6 +483,10 @@ def _drop_stdout() -> None:
 
 
 def entrypoint() -> None:
+    # a process started with its stdout closed has none; its output goes
+    # nowhere, as `print`'s would
+    if sys.stdout is None:
+        sys.stdout = open(os.devnull, "w")
     sys.exit(main())
 
 

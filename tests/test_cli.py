@@ -656,3 +656,15 @@ def test_a_scan_into_a_closed_pipe_stops_with_exit_141_and_nothing_on_stderr():
             proc.kill()
         assert (proc.returncode, err) == (cli.CLOSED_STDOUT, b"")
     assert cli.CLOSED_STDOUT == 141
+
+
+@pytest.mark.parametrize("argv", [("scan", "--l2", "1..30", "--diff", "1"), ("certify", "300", "100")])
+def test_a_command_started_with_its_stdout_closed_runs_and_prints_nothing(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "binsum", *argv],
+        preexec_fn=lambda: os.close(1),
+        stderr=subprocess.PIPE,
+        env=_src_env(),
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
