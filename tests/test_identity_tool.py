@@ -34,6 +34,19 @@ def test_every_identity_command_parses_and_the_set_covers_lemmas_and_routes():
     assert set(tool.ROUTES) == {"auto", *(route.value for route in Route)}
     # parallelism 2 is the twin of each scan; 0 is an error path that must exit 2
     assert {argv[argv.index("--parallelism") + 1] for argv in argvs if "--parallelism" in argv} == {"0", "2"}
+    # the rule-end scans and every refusal but the worker count run in each
+    # format at parallelism 1 and 2
+    for scan in (*tool.RULE_END_SCANS, *tool.ERROR_SCANS[:-1]):
+        for flags in ((), ("--parallelism", "2")):
+            for fmt in tool.FORMATS:
+                assert ["--format", fmt, *flags, *scan] in argvs
+    assert tool.ERROR_SCANS[-1][:2] == ("--parallelism", "0")
+
+
+def test_identity_refusals_exit_2_and_print_nothing():
+    tool = _load_tool()
+    for scan in tool.ERROR_SCANS:
+        assert tool.run(list(scan)) == (hashlib.sha256(b"").hexdigest(), 2)
 
 
 def test_identity_line_hashes_stdout_and_keeps_the_exit_code():

@@ -48,9 +48,13 @@ differs from its twin at 1.  The set covers:
 * `validate` for every lemma at two grids, and on the 4x5 grid also at
   --precision 53 and 200, in jsonl and human, and at the other two grid
   shapes of the proof-check workload, 9x9 and 10x8, in jsonl;
+* scans whose rule yields its last pair far inside a long lambda2 range,
+  and a ratio with a denominator whose range starts off a multiple of it,
+  in the same formats and at the same parallelism;
 * scans that `binsum` must refuse before printing anything, with exit
-  code 2: an empty lambda2 range, a rule that yields no pair on its range,
-  and --parallelism 0, in jsonl, csv and human;
+  code 2: an empty lambda2 range, rules that yield no pair on a range (one
+  of them of 20,000 lambda2), and --parallelism 0, in jsonl, csv and human,
+  and all but the last also at --parallelism 2;
 * `eval` of three pairs on every route; on the auto and reduced routes, of
   two pairs where the reduced route cancels its first term against its
   denominator and one where it divides by it; and one diagonal pair past
@@ -114,6 +118,13 @@ WALK_SCANS = (
     # (ratio 13) at the default precision
     ("--budget", "0", "scan", "--l2", "1..400", "--ratio", "6"),
     ("--budget", "0", "scan", "--l2", "1..200", "--ratio", "13"),
+)
+# rules whose last pair lies far inside the range (lambda2 = 59 and 49 of
+# 20,000), and ratio 7/5 from lambda2 = 3, two short of its first multiple of 5
+RULE_END_SCANS = (
+    ("scan", "--l2", "1..20000", "--all-l1-up-to", "60"),
+    ("scan", "--l2", "1..20000", "--l1-list", "9,6,9,2,50"),
+    ("scan", "--l2", "3..400", "--ratio", "7/5"),
 )
 # ten exact ratio-3 pairs, whose estimated work starts the pool at
 # --parallelism 2 (`certifier.POOL_MIN_WORK`)
@@ -203,11 +214,16 @@ COSINE_PAIRS = (
     (160718, 160009),
     (101254, 100001),
 )
-# scans refused before any output: an empty lambda2 range, a rule that
-# yields no pair on its range, and a worker count below 1
+# scans refused before any output: an empty lambda2 range, rules that
+# yield no pair on their range (a difference below 1, a ratio below 1, and
+# lambda1 values that all end before the range starts), and a worker count
+# below 1, which comes last
 ERROR_SCANS = (
     ("scan", "--l2", "5..4", "--ratio", "2"),
     ("scan", "--l2", "1..3", "--l1-list", "1"),
+    ("scan", "--l2", "1..20000", "--diff", "0"),
+    ("scan", "--l2", "1..20000", "--ratio", "1/2"),
+    ("scan", "--l2", "50..20000", "--all-l1-up-to", "40"),
     ("--parallelism", "0", "scan", "--l2", "1..3", "--diff", "1"),
 )
 CERTIFY_OPTIONS = (
@@ -246,11 +262,13 @@ def commands() -> list[list[str]]:
         for ratio, lo, hi in RATIO_SCANS
         for precision in ("53", "256")
     ]
-    for scan in (*WALK_SCANS, *POOL_SCANS, *CASCADE_SCANS, *diff_scans, *ratio_scans):
+    for scan in (*WALK_SCANS, *RULE_END_SCANS, *POOL_SCANS, *CASCADE_SCANS, *diff_scans, *ratio_scans):
         for flags in ((), ("--parallelism", "2")):
             out.extend(["--format", fmt, *flags, *scan] for fmt in FORMATS)
-    for scan in ERROR_SCANS:
-        out.extend(["--format", fmt, *scan] for fmt in FORMATS)
+    for scan in ERROR_SCANS[:-1]:
+        for flags in ((), ("--parallelism", "2")):
+            out.extend(["--format", fmt, *flags, *scan] for fmt in FORMATS)
+    out.extend(["--format", fmt, *ERROR_SCANS[-1]] for fmt in FORMATS)
     for l1, l2 in CERTIFY_PAIRS:
         for options in CERTIFY_OPTIONS:
             for fmt in FORMATS:
