@@ -133,7 +133,7 @@ from .numerics import (
 DEFAULT_BUDGET = 10**8
 
 # A scan runs its rows in this process until their estimated work in cost
-# units (`_scan_tasks`) reaches POOL_MIN_WORK; only then does it start a
+# units (`_chunks`) reaches POOL_MIN_WORK; only then does it start a
 # process pool, for the rows left.  Measured on the same machine (best
 # of 5, in-process `cli.main`): starting and joining a pool of two workers
 # takes 10-15 ms, and parallelism 2 draws level with 1 at about 40 ms of
@@ -717,39 +717,53 @@ def difference_windows(
 # range scans
 # --------------------------------------------------------------------------
 
+# Each scan rule's `rows(lo, hi)` yields its nonempty rows (sorted lambda1
+# values, lambda2) for lo <= lambda2 <= hi, lo >= 1, in lambda2 order, and
+# visits no lambda2 past its last pair.
+
+
 @dataclass(frozen=True)
 class RatioRule:
     """lambda1 = ratio * lambda2, emitted only when the product is integral."""
 
     ratio: Fraction
 
-    def lambda1_values(self, lambda2: int) -> list[int]:
-        v, rest = divmod(self.ratio.numerator * lambda2, self.ratio.denominator)
-        return [v] if rest == 0 and v > lambda2 else []
+    def rows(self, lo: int, hi: int) -> Iterator[tuple[list[int], int]]:
+        # in lowest terms a/b, a*l2/b is an integer exactly at the multiples
+        # of b, and above l2 exactly when a > b
+        a, b = self.ratio.numerator, self.ratio.denominator
+        if a > b:
+            for l2 in range(-(-lo // b) * b, hi + 1, b):
+                yield [a * l2 // b], l2
 
 
 @dataclass(frozen=True)
 class DiffRule:
     diff: int
 
-    def lambda1_values(self, lambda2: int) -> list[int]:
-        return [lambda2 + self.diff] if self.diff >= 1 else []
+    def rows(self, lo: int, hi: int) -> Iterator[tuple[list[int], int]]:
+        if self.diff >= 1:
+            for l2 in range(lo, hi + 1):
+                yield [l2 + self.diff], l2
 
 
 @dataclass(frozen=True)
 class ListRule:
     values: tuple[int, ...]
 
-    def lambda1_values(self, lambda2: int) -> list[int]:
-        return [v for v in self.values if v > lambda2]
+    def rows(self, lo: int, hi: int) -> Iterator[tuple[list[int], int]]:
+        values = sorted(self.values)
+        for l2 in range(lo, min(hi, max(values, default=0) - 1) + 1):
+            yield values[bisect.bisect_right(values, l2) :], l2
 
 
 @dataclass(frozen=True)
 class AllUpToRule:
     max_lambda1: int
 
-    def lambda1_values(self, lambda2: int) -> list[int]:
-        return list(range(lambda2 + 1, self.max_lambda1 + 1))
+    def rows(self, lo: int, hi: int) -> Iterator[tuple[list[int], int]]:
+        for l2 in range(lo, min(hi, self.max_lambda1 - 1) + 1):
+            yield list(range(l2 + 1, self.max_lambda1 + 1)), l2
 
 
 # A scan record is one certified pair of a row as a flat tuple of builtins and
@@ -906,25 +920,25 @@ def _row_records(
         yield _cascade(line or RatioLine(l1, l2, prec, diff=diff), l1, l2)
 
 
-def _scan_row(args: tuple) -> tuple[int, tuple[tuple, ...]]:
-    """Certify one task of `_scan_tasks`, every lambda1 of a row at one
-    lambda2, into (lambda2, records); when `timed`, each record's usec is
-    the time taken to produce it."""
-    lambda1s, l2, lo, hi, prec, line, diff, timed = args
-    records = _row_records(lambda1s, l2, lo, hi, prec, line, diff)
-    if not timed:
-        return l2, tuple(records)
-    timed_records = []
-    start = time.perf_counter()
-    for record in records:
-        timed_records.append((*record[:-1], int((time.perf_counter() - start) * 1e6)))
-        start = time.perf_counter()
-    return l2, tuple(timed_records)
-
-
-def _scan_chunk(tasks: list[tuple]) -> list[tuple[int, tuple[tuple, ...]]]:
-    """The rows of a chunk of `_chunks`, certified in one worker call."""
-    return [_scan_row(task) for task in tasks]
+def _scan_chunk(settings: tuple, chunk: list[tuple]) -> list[tuple[int, tuple[tuple, ...]]]:
+    """The rows (lambda2, records) of a chunk of `_chunks`, certified in one
+    call, here or in a pool worker.  `settings` is the scan's
+    (prec, line, diff, timed): the precision, the `RatioLine` and the
+    `DiffLine` that every pair shares (or None), and whether each record's
+    usec is the time taken to produce it."""
+    prec, line, diff, timed = settings
+    rows = []
+    for lambda1s, l2, lo, hi in chunk:
+        records = _row_records(lambda1s, l2, lo, hi, prec, line, diff)
+        if timed:
+            timed_records = []
+            start = time.perf_counter()
+            for record in records:
+                timed_records.append((*record[:-1], int((time.perf_counter() - start) * 1e6)))
+                start = time.perf_counter()
+            records = timed_records
+        rows.append((l2, tuple(records)))
+    return rows
 
 
 def _process_pool(max_workers: int):
@@ -945,15 +959,14 @@ def _usable_cpus() -> int:
 
 
 def rule_rows(lambda2_range: tuple[int, int], rule) -> Iterator[tuple[list[int], int]]:
-    """The nonempty rows (sorted lambda1 values, lambda2) that `rule` generates
-    over an inclusive lambda2 range, built one at a time in lambda2 order.
-    Raises ValueError at the call, before any row is taken, for an empty or
-    invalid range and when the rule generates no pairs, which it finds by
-    reading the rule up to its first nonempty row."""
+    """The rows of `rule.rows` over an inclusive lambda2 range.  Raises
+    ValueError at the call, before any row is taken, for an empty or invalid
+    range and when the rule generates no pairs, which it finds by reading
+    the rule up to its first row."""
     lo, hi = lambda2_range
     if hi < lo or lo < 1:
         raise ValueError(f"empty or invalid lambda2 range {lambda2_range}")
-    rows = ((lambda1s, l2) for l2 in range(lo, hi + 1) if (lambda1s := sorted(rule.lambda1_values(l2))))
+    rows = rule.rows(lo, hi)
     first = next(rows, None)
     if first is None:
         raise ValueError("the scan rule generates no pairs on this range")
@@ -965,34 +978,20 @@ def rule_pairs(lambda2_range: tuple[int, int], rule) -> list[tuple[int, int]]:
     return [(l1, l2) for lambda1s, l2 in rule_rows(lambda2_range, rule) for l1 in lambda1s]
 
 
-def _scan_tasks(
-    rows: Iterable[tuple[list[int], int]],
-    budget: int,
-    prec: int,
-    timed: bool,
-    line: RatioLine | None = None,
-    diff: DiffLine | None = None,
-) -> Iterator[tuple[tuple, int]]:
-    """(task, work) for each row of `rule_rows`, in turn: the `_scan_row`
-    task, and its estimated work in cost units, read from the row alone: the
-    `evaluation_cost` of the row's first admitted pair, which the row walk
-    evaluates afresh, plus `CASCADE_PAIR_COST` for each pair past the budget.
-    Walk steps are not charged.  `line` is the `RatioLine`, and `diff` the
-    `DiffLine`, of every pair of the rows, when they share one."""
+def _chunks(rows: Iterable[tuple[list[int], int]], budget: int) -> Iterator[tuple[list[tuple], int]]:
+    """The rows of `rule_rows` in consecutive chunks of (lambda1s, lambda2,
+    lo, hi), with the cut (lo, hi) of `_row_cut`, each closed once it holds
+    CHUNK_PAIRS pairs or CHUNK_WORK cost units (a row is never split), with
+    the estimated work of each chunk.  A row's work is read from the row
+    alone: the `evaluation_cost` of its first admitted pair, which the row
+    walk evaluates afresh, plus `CASCADE_PAIR_COST` for each pair past the
+    budget.  Walk steps are not charged."""
+    chunk, pairs, work = [], 0, 0
     for lambda1s, l2 in rows:
         lo, hi, cost = _row_cut(lambda1s, l2, budget)
-        yield (lambda1s, l2, lo, hi, prec, line, diff, timed), cost + CASCADE_PAIR_COST * (len(lambda1s) - hi)
-
-
-def _chunks(tasks: Iterable[tuple[tuple, int]]) -> Iterator[tuple[list[tuple], int]]:
-    """The tasks of `tasks` ((task, work) of `_scan_tasks`) in consecutive
-    lists, each closed once it holds CHUNK_PAIRS pairs or CHUNK_WORK cost
-    units (a row is never split), with the work of each list."""
-    chunk, pairs, work = [], 0, 0
-    for task, cost in tasks:
-        chunk.append(task)
-        pairs += len(task[0])
-        work += cost
+        chunk.append((lambda1s, l2, lo, hi))
+        pairs += len(lambda1s)
+        work += cost + CASCADE_PAIR_COST * (len(lambda1s) - hi)
         if pairs >= CHUNK_PAIRS or work >= CHUNK_WORK:
             yield chunk, work
             chunk, pairs, work = [], 0, 0
@@ -1000,43 +999,39 @@ def _chunks(tasks: Iterable[tuple[tuple, int]]) -> Iterator[tuple[list[tuple], i
         yield chunk, work
 
 
-def _pooled_rows(chunks: Iterator[tuple[list[tuple], int]], workers: int) -> Iterator[tuple[int, tuple[tuple, ...]]]:
-    """The rows of `chunks` (of `_chunks`), in order, from a pool of
-    `workers` processes that holds at most CHUNKS_PER_WORKER chunks per
-    worker.  Closed early, it cancels the chunks that have not started and
-    waits for the ones running."""
-    with _process_pool(max_workers=workers) as pool:
-        pending = deque(
-            pool.submit(_scan_chunk, chunk) for chunk, _ in itertools.islice(chunks, workers * CHUNKS_PER_WORKER)
-        )
-        try:
-            while pending:
-                rows = pending.popleft().result()
-                pending.extend(pool.submit(_scan_chunk, chunk) for chunk, _ in itertools.islice(chunks, 1))
-                yield from rows
-        finally:
-            for future in pending:
-                future.cancel()
-
-
-def _scan(tasks: Iterator[tuple[tuple, int]], workers: int, last_l2: int) -> Iterator[tuple[int, tuple[tuple, ...]]]:
-    """The rows of `tasks` ((task, work) of `_scan_tasks`) in order, taken
-    in the chunks of `_chunks`.  The chunks run in this process until the
+def _scan(chunks: Iterator, settings: tuple, workers: int, last_l2: int) -> Iterator[tuple[int, tuple[tuple, ...]]]:
+    """The rows of `chunks` ((chunk, work) of `_chunks`) in order, certified by
+    `_scan_chunk` with `settings`.  The chunks run in this process until the
     work of the rows so far reaches POOL_MIN_WORK.  With more than one
     worker and another chunk to come, that chunk and the rest then run in a
     pool of `workers` processes, or of one per lambda2 from the chunk's
-    first on when that is fewer."""
-    chunks = _chunks(tasks)
+    first on when that is fewer, which holds at most CHUNKS_PER_WORKER
+    chunks per worker.  Closed early, the pool cancels the chunks that have
+    not started and waits for the ones running."""
     work = 0
     for chunk, chunk_work in chunks:
         work += chunk_work
         if work >= POOL_MIN_WORK and workers > 1:
             following = next(chunks, None)
             if following is not None:
-                rest = itertools.chain(((chunk, chunk_work), following), chunks)
-                yield from _pooled_rows(rest, min(workers, last_l2 - chunk[0][1] + 1))
-                return
-        yield from _scan_chunk(chunk)
+                break
+        yield from _scan_chunk(settings, chunk)
+    else:
+        return
+    # the chunk that reached the threshold and every chunk after it
+    pooled = itertools.chain((chunk, following[0]), (later for later, _ in chunks))
+    workers = min(workers, last_l2 - chunk[0][1] + 1)
+    with _process_pool(max_workers=workers) as pool:
+        submitted = (pool.submit(_scan_chunk, settings, chunk) for chunk in pooled)
+        pending = deque(itertools.islice(submitted, workers * CHUNKS_PER_WORKER))
+        try:
+            while pending:
+                rows = pending.popleft().result()
+                pending.extend(itertools.islice(submitted, 1))
+                yield from rows
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def scan_rows(
@@ -1051,10 +1046,11 @@ def scan_rows(
     range, and yield one (lambda2, records) row at a time, in lambda2 order,
     with the scan records in lambda1 order.
 
-    A task is one row: a lambda2 and its sorted lambda1 values.  Since
-    `exact.evaluation_cost` is nondecreasing in lambda1, the pairs of a row
-    that the budget admits form a prefix (after any pairs that `certify`
-    refuses), which this process finds by bisection and passes in the task.
+    The rule yields only its nonempty rows, each a lambda2 and its sorted
+    lambda1 values (`rule_rows`), and visits no lambda2 past its last pair.
+    Since `exact.evaluation_cost` is nondecreasing in lambda1, the pairs of
+    a row that the budget admits form a prefix (after any pairs that
+    `certify` refuses), which this process finds by bisection (`_row_cut`).
     The prefix is evaluated in one `exact.row_values` walk, so each pair
     whose two predecessors S(lambda1 - 2, lambda2) and S(lambda1 - 1,
     lambda2) were evaluated costs one step of the row recurrence; the rest
@@ -1064,16 +1060,17 @@ def scan_rows(
     of their own, and those of a difference rule share one `DiffLine`.
 
     Rows are built, priced and certified as they are taken, a chunk at a
-    time (`_chunks`), so only a bounded number of them is held at once.
-    They run in this process until their estimated work (see `_scan_tasks`)
-    reaches `POOL_MIN_WORK`; the rest then run in a process pool, with at
-    most as many workers as `parallelism`, the usable CPUs and the lambda2
-    values left, and a bounded number of chunks in flight.  The pool's
-    chunks are read back in the order they were sent, so the rows are the
-    same across parallelism settings (per-pair timing is recorded only when
-    `timings` is set, since wall clock readings are not reproducible).  An
-    invalid precision, parallelism, range or rule raises ValueError at the
-    call, before any work; closing the iterator early shuts the pool down.
+    time (`_chunks`), so only a bounded number of them is held at once; the
+    scan-wide settings go with each chunk once, not with each row.  They
+    run in this process until their estimated work (see `_chunks`) reaches
+    `POOL_MIN_WORK`; the rest then run in a process pool, with at most as
+    many workers as `parallelism`, the usable CPUs and the lambda2 values
+    left, and a bounded number of chunks in flight.  The pool's chunks are
+    read back in the order they were sent, so the rows are the same across
+    parallelism settings (per-pair timing is recorded only when `timings`
+    is set, since wall clock readings are not reproducible).  An invalid
+    precision, parallelism, range or rule raises ValueError at the call,
+    before any work; closing the iterator early shuts the pool down.
     """
     check_precision(prec)
     if parallelism < 1:
@@ -1081,8 +1078,8 @@ def scan_rows(
     rows = rule_rows(lambda2_range, rule)
     line = RatioLine(rule.ratio.numerator, rule.ratio.denominator, prec) if isinstance(rule, RatioRule) else None
     diff = DiffLine(rule.diff, prec + GUARD_BITS) if isinstance(rule, DiffRule) else None
-    tasks = _scan_tasks(rows, budget, prec, timings, line, diff)
-    return _scan(tasks, min(parallelism, _usable_cpus()), lambda2_range[1])
+    settings = (prec, line, diff, timings)
+    return _scan(_chunks(rows, budget), settings, min(parallelism, _usable_cpus()), lambda2_range[1])
 
 
 def scan_range(

@@ -35,13 +35,13 @@ from binsum.certifier import (
     RatioRule,
     ScanReport,
     WINDOW_CLAUSES,
+    _chunks,
     _largest_difference,
     _least_difference,
     _near_diagonal_step,
     _oscillatory_kernel_step,
     _oscillatory_step,
-    _scan_row,
-    _scan_tasks,
+    _scan_chunk,
     _supercritical_kernel_step,
     _supercritical_step,
     _window_step,
@@ -903,11 +903,16 @@ def _pickled_globals(data: bytes) -> set[tuple[str, str]]:
 
 
 def test_scan_row_pickles_no_binsum_class_but_the_kind():
-    tasks = [
-        *(task for task, _ in _scan_tasks([([3, 4, 30], 3)], 10**9, 128, True)),
-        *(task for task, _ in _scan_tasks([([100006, 101006, 200012, 200014, 10**10 + 1], 100006)], 0, 128, False)),
+    scans = [
+        ([([3, 4, 30], 3)], 10**9, (128, None, None, True)),
+        ([([100006, 101006, 200012, 200014, 10**10 + 1], 100006)], 0, (128, None, None, False)),
     ]
-    rows = [_scan_row(task) for task in tasks]
+    rows = [
+        row
+        for input_rows, budget, settings in scans
+        for chunk, _ in _chunks(input_rows, budget)
+        for row in _scan_chunk(settings, chunk)
+    ]
     kinds = {record[1].value for _, records in rows for record in records}
     assert kinds == {
         "refused",
@@ -977,8 +982,9 @@ def test_scan_caps_workers_at_cpus_and_tasks(monkeypatch, recorded_pools):
 
 
 def _works(lambda2_range, rule, budget) -> list[int]:
-    """The estimated work of each row of a scan, in turn."""
-    return [work for _, work in _scan_tasks(certifier.rule_rows(lambda2_range, rule), budget, 128, False)]
+    """The estimated work of each chunk of a scan, in turn (of each row when
+    a chunk holds one row)."""
+    return [work for _, work in _chunks(certifier.rule_rows(lambda2_range, rule), budget)]
 
 
 def test_scan_starts_the_pool_only_from_the_work_threshold_on(monkeypatch, recorded_pools):
@@ -1013,7 +1019,7 @@ def test_scan_starts_the_pool_only_from_the_work_threshold_on(monkeypatch, recor
     def pool_listing_rows(max_workers):
         pool = recording_pool(max_workers)
         submit = pool.submit
-        pool.submit = lambda fn, chunk: pooled.extend(task[1] for task in chunk) or submit(fn, chunk)
+        pool.submit = lambda fn, settings, chunk: pooled.extend(row[1] for row in chunk) or submit(fn, settings, chunk)
         return pool
 
     monkeypatch.setattr(certifier, "_process_pool", pool_listing_rows)
@@ -1035,15 +1041,18 @@ def test_scan_work_estimate_reads_nothing_but_the_rows(monkeypatch):
     monkeypatch.setattr(certifier, "_usable_cpus", no_clock)
     # budget 100 cuts each row part-way, and admits no pair of the last row
     rows = [*certifier.rule_rows((20, 30), AllUpToRule(200)), ([5000, 6000], 31)]
-    tasks, works = zip(*_scan_tasks(rows, 100, 128, False))
+    chunks, works = zip(*_chunks(rows, 100))
     work = sum(works)
+    tasks = [task for chunk in chunks for task in chunk]
+    assert [(lambda1s, l2) for lambda1s, l2, _, _ in tasks] == rows
     firsts = [evaluation_cost(PartitionPair(lambda1s[0], l2)) for lambda1s, l2 in rows]
     fresh = [cost for cost in firsts if cost <= 100]
-    cascade = sum(len(lambda1s) - (hi - lo) for (lambda1s, _, lo, hi, *_) in tasks)
+    cascade = sum(len(lambda1s) - (hi - lo) for (lambda1s, _, lo, hi) in tasks)
     assert len(fresh) == len(rows) - 1 and cascade
     assert work == sum(fresh) + certifier.CASCADE_PAIR_COST * cascade
-    assert sum(work for _, work in _scan_tasks(rows, 100, 128, True)) == work
-    for lambda1s, l2, lo, hi, *_ in tasks:
+    # the chunks and their work are the same on every reading
+    assert list(_chunks(rows, 100)) == list(zip(chunks, works))
+    for lambda1s, l2, lo, hi in tasks:
         costs = [evaluation_cost(PartitionPair(l1, l2)) for l1 in lambda1s]
         assert lo == 0 and all(c <= 100 for c in costs[:hi]) and all(c > 100 for c in costs[hi:])
 
@@ -1212,3 +1221,48 @@ def test_rule_pairs_order_and_errors():
         certifier.rule_pairs((6, 4), DiffRule(1))
     with pytest.raises(ValueError, match="generates no pairs"):
         certifier.rule_pairs((1, 3), DiffRule(0))
+
+
+def _lambda1_values(rule, l2: int) -> list[int]:
+    """The lambda1 values of `rule` at one lambda2, by the rule's definition
+    read one lambda2 at a time: the reference for `rule.rows`."""
+    if isinstance(rule, RatioRule):
+        v, rest = divmod(rule.ratio.numerator * l2, rule.ratio.denominator)
+        return [v] if rest == 0 and v > l2 else []
+    if isinstance(rule, DiffRule):
+        return [l2 + rule.diff] if rule.diff >= 1 else []
+    if isinstance(rule, ListRule):
+        return [v for v in rule.values if v > l2]
+    return list(range(l2 + 1, rule.max_lambda1 + 1))
+
+
+_SCAN_RULES = st.one_of(
+    st.builds(lambda a, b: RatioRule(Fraction(a, b)), st.integers(-3, 40), st.integers(1, 7)),
+    st.builds(DiffRule, st.integers(-3, 50)),
+    st.builds(lambda values: ListRule(tuple(values)), st.lists(st.integers(-5, 60), max_size=8)),
+    st.builds(AllUpToRule, st.integers(-2, 60)),
+)
+
+
+@given(rule=_SCAN_RULES, ends=st.lists(st.integers(1, 300), min_size=2, max_size=2).map(sorted))
+@example(rule=RatioRule(Fraction(7, 5)), ends=[3, 400])
+@example(rule=RatioRule(Fraction(1)), ends=[1, 300])
+@example(rule=ListRule((9, 6, 9, 2, -3)), ends=[1, 300])
+@example(rule=AllUpToRule(60), ends=[59, 59])
+@settings(max_examples=300, deadline=None)
+def test_each_rule_yields_the_rows_of_its_per_lambda2_definition(rule, ends):
+    lo, hi = ends
+    reference = [(sorted(v), l2) for l2 in range(lo, hi + 1) if (v := _lambda1_values(rule, l2))]
+    assert list(rule.rows(lo, hi)) == reference
+
+
+def test_a_rule_runs_out_at_its_last_pair_however_long_the_range():
+    for rule, count in [
+        (AllUpToRule(5), 4),
+        (ListRule((9, 6, 9, 2)), 8),
+        (DiffRule(0), 0),
+        (RatioRule(Fraction(1, 2)), 0),
+    ]:
+        rows = rule.rows(1, 10**18)
+        assert len(list(itertools.islice(rows, count + 1))) == count, rule
+        assert next(rows, None) is None

@@ -588,6 +588,8 @@ def test_scan_exits_3_when_its_only_inconclusive_pair_is_in_the_last_row(capsys,
         (("scan", "--l2", "1..3", "--l1-list", "1"), "the scan rule generates no pairs on this range"),
         (("--parallelism", "0", "scan", "--l2", "1..3", "--diff", "1"), "parallelism must be >= 1"),
         (("--parallelism", "2", "--precision", "40", "scan", "--l2", "1..3", "--diff", "1"), "precision"),
+        # the rule has no pair, found without walking the 10**18 lambda2
+        (("scan", "--l2", "1..1000000000000000000", "--diff", "0"), "the scan rule generates no pairs on this range"),
     ],
 )
 def test_a_refused_scan_writes_nothing_to_stdout_before_exit_2(capsys, monkeypatch, output_format, argv, message):
