@@ -34,13 +34,17 @@ def test_every_identity_command_parses_and_the_set_covers_lemmas_and_routes():
     assert set(tool.ROUTES) == {"auto", *(route.value for route in Route)}
     # parallelism 2 is the twin of each scan; 0 is an error path that must exit 2
     assert {argv[argv.index("--parallelism") + 1] for argv in argvs if "--parallelism" in argv} == {"0", "2"}
-    # the rule-end scans and every refusal but the worker count run in each
-    # format at parallelism 1 and 2
-    for scan in (*tool.RULE_END_SCANS, *tool.ERROR_SCANS[:-1]):
+    # the rule-end, pool and cascade scans and every refusal but the worker
+    # count run in each format at parallelism 1 and 2
+    for scan in (*tool.RULE_END_SCANS, *tool.POOL_SCANS, *tool.CASCADE_SCANS, *tool.ERROR_SCANS[:-1]):
         for flags in ((), ("--parallelism", "2")):
             for fmt in tool.FORMATS:
                 assert ["--format", fmt, *flags, *scan] in argvs
     assert tool.ERROR_SCANS[-1][:2] == ("--parallelism", "0")
+    # a difference line in the pool, and a non-difference scan whose rows
+    # repeat differences through the window and near-diagonal steps
+    assert ("--budget", "0", "scan", "--l2", "100000..126999", "--diff", "800") in tool.POOL_SCANS
+    assert ("--budget", "0", "scan", "--l2", "100000..100003", "--all-l1-up-to", "101700") in tool.CASCADE_SCANS
 
 
 def test_identity_refusals_exit_2_and_print_nothing():

@@ -19,11 +19,12 @@ differs from its twin at 1.  The set covers:
 * scans whose budget or gaps cut rows part-way through the row walk, and
   supercritical cascade scans across the lambda2 where the supercritical
   bound stops evaluating its exponential tail, and a scan heavy enough to
-  start the worker pool at --parallelism 2, in the same formats and at the
-  same parallelism;
+  start the worker pool at --parallelism 2 (one of them a difference line at
+  --budget 0), in the same formats and at the same parallelism;
 * cascade scans where `oscillation_cosine` raises its precision, ratio-3
-  and difference lines at --precision 53 and 200, and a difference line
-  across a step of the class-2 window floor, in the same formats and at the
+  and difference lines at --precision 53 and 200, a difference line across
+  a step of the class-2 window floor, and an all-up-to scan whose rows
+  repeat each difference from 702 to 1,611, in the same formats and at the
   same parallelism;
 * difference lines at --budget 0 across an upper and a lower window-clause
   end of each congruence class, a near-diagonal row edge, the flat edge and
@@ -126,15 +127,20 @@ RULE_END_SCANS = (
     ("scan", "--l2", "1..20000", "--l1-list", "9,6,9,2,50"),
     ("scan", "--l2", "3..400", "--ratio", "7/5"),
 )
-# ten exact ratio-3 pairs, whose estimated work starts the pool at
-# --parallelism 2 (`certifier.POOL_MIN_WORK`)
-POOL_SCANS = (("scan", "--l2", "2000..2009", "--ratio", "3"),)
+# scans whose estimated work starts the pool at --parallelism 2
+# (`certifier.POOL_MIN_WORK`): ten exact ratio-3 pairs, and a difference line
+# of 27,000 cascade pairs whose last ~3,000 run in the pool
+POOL_SCANS = (
+    ("scan", "--l2", "2000..2009", "--ratio", "3"),
+    ("--budget", "0", "scan", "--l2", "100000..126999", "--diff", "800"),
+)
 # cascade scans on the raw-tuple paths of the bounds, the cosine and the
 # window edges: lambda1 crosses 2**17 on the ratio-2 line, where
 # `oscillation_cosine` raises its precision; ratio-3 and difference lines
 # (window and near-diagonal certificates) at --precision 53 and 200; and a
 # difference line across lambda2 = 13533126865, where the floor of clause
-# class2-a steps from 702 to 703
+# class2-a steps from 702 to 703; and a scan whose rows each pass every
+# difference from 702 to 1,611 through the window and near-diagonal steps
 CASCADE_SCANS = (
     ("scan", "--l2", "65535..65537", "--ratio", "2"),
     *(
@@ -143,6 +149,7 @@ CASCADE_SCANS = (
         for l2s, rule, value in (("4000..4049", "--ratio", "3"), ("100000..100011", "--diff", "800"))
     ),
     ("scan", "--l2", "13533126862..13533126867", "--diff", "702"),
+    ("--budget", "0", "scan", "--l2", "100000..100003", "--all-l1-up-to", "101700"),
 )
 # difference lines at --budget 0 whose lambda2 range crosses one edge of the
 # window and near-diagonal steps, with pairs of both congruence classes of
