@@ -106,6 +106,7 @@ from .numerics import (
     PI_FLOOR,
     RAW_SLACK,
     SLACK,
+    SLACK_BITS,
     Comparison,
     certified_compare,
     check_precision,
@@ -582,9 +583,18 @@ def near_diagonal_error_bound(pair: PartitionPair, prec: int = DEFAULT_PRECISION
     return NearDiagonalBound(mp.make_mpf(value), True, detail)
 
 
-def _near_diagonal_bound(d: int, l2: int, wp: int) -> tuple[tuple | None, str]:
+def _edge_compare(d: int, l2: int, wp: int, k: int) -> Comparison:
+    """d against edge k of `window_edge` at l2 and wp bits, beyond `SLACK`."""
+    return dyadic_compare(from_int(d, wp, _RND), window_edge(l2, k, wp), RAW_SLACK)
+
+
+def _near_diagonal_bound(
+    d: int, l2: int, wp: int, compare: Callable[[int], Comparison] | None = None
+) -> tuple[tuple | None, str]:
     """(raw value, detail) of `near_diagonal_error_bound` at wp bits, value
-    None outside every proved window.
+    None outside every proved window.  compare(k) is the outcome of d
+    against edge k, `_edge_compare` unless a caller that knows it cheaper
+    (a `certifier.DiffLine`) passes its own.
 
     Row k spans [edge k-1, edge k] of `window_edge`, and edge 8 is also the
     edge of the flat bound.  The computed edges are nondecreasing in k (each
@@ -593,10 +603,11 @@ def _near_diagonal_bound(d: int, l2: int, wp: int) -> tuple[tuple | None, str]:
     every later one: the flat bound applies, row k applies when d is
     certified above edge k-1, and no later row can.  The edges past k are
     neither computed nor compared."""
-    dm = from_int(d, wp, _RND)
+    if compare is None:
+        compare = functools.partial(_edge_compare, d, l2, wp)
     above = False  # d certified above the previous edge
     for k in range(len(NEAR_DIAGONAL_ROWS) + 1):
-        side = dyadic_compare(dm, window_edge(l2, k, wp), RAW_SLACK)
+        side = compare(k)
         if side is Comparison.CERTIFIED_LESS:
             break
         above = side is Comparison.CERTIFIED_GREATER
@@ -675,7 +686,7 @@ FIXED_BITS = PI_BITS
 # step's outcome
 UNDECIDED = "undecided"
 
-_FIXED_SLACK = 1 << (FIXED_BITS - 40)  # `SLACK` in units of 2**-FIXED_BITS
+_FIXED_SLACK = 1 << (FIXED_BITS - SLACK_BITS)  # `SLACK` in units of 2**-FIXED_BITS
 
 # pi/2 lies in [_HALF_PI, _HALF_PI + 1] units
 _HALF_PI = PI_FLOOR >> 1
@@ -825,9 +836,7 @@ class RatioLine:
     the same formula calls, and returns a raw tuple, rounded at
     prec + GUARD_BITS bits (the cosine at p_eff + GUARD_BITS).  Call each
     bound only on a line of its regime.  `delta`, when given, is the split
-    angle of the refined supercritical bound.  `diff`, when given, is the
-    `certifier.DiffLine` that the pairs of a scanned difference line share,
-    one `RatioLine` per pair.
+    angle of the refined supercritical bound.
 
     `supercritical_margin` and `oscillatory_margin` predict the outcome of a
     saddle step's comparison, and its 53-bit margin, from integer
@@ -842,12 +851,12 @@ class RatioLine:
     """
 
     __slots__ = (
-        "a", "b", "prec", "wp", "delta", "diff", "regime", "reach", "_ratio", "_supercritical", "_nd_power",
+        "a", "b", "prec", "wp", "delta", "regime", "reach", "_ratio", "_supercritical", "_nd_power",
         "_phases", "_head", "_quotient", "_fixed_phases",
     )
 
-    def __init__(self, a: int, b: int, prec: int = DEFAULT_PRECISION, delta=None, diff=None) -> None:
-        self.a, self.b, self.prec, self.wp, self.delta, self.diff = a, b, prec, prec + GUARD_BITS, delta, diff
+    def __init__(self, a: int, b: int, prec: int = DEFAULT_PRECISION, delta=None) -> None:
+        self.a, self.b, self.prec, self.wp, self.delta = a, b, prec, prec + GUARD_BITS, delta
         self.regime = ratio_regime(a, b)
         self.reach = _oscillatory_reach(a, b) if self.regime is Regime.SUBCRITICAL else None
         self._ratio = self._supercritical = self._nd_power = self._head = self._quotient = None

@@ -11,10 +11,10 @@ read the pair's integers and an `asymptotics.RatioLine`, which holds what
 depends on the ratio alone: a scan of a ratio line builds one for the whole
 line, while `certify` and every other scan build one for each pair.  The
 window and near-diagonal steps read a `DiffLine` as well, which holds the
-lambda2 thresholds of their comparisons at one difference d: a scan of a
-difference line builds one for the whole line and hands it to each pair's
-`RatioLine`, and any other pair builds one of its own.  Either way the one
-cascade returns a plain scan record, which `certify` returns as a
+lambda2 thresholds of their comparisons at one difference d: each process
+builds one per difference and precision (`_diff_line`), which every pair
+of that difference reads, whatever the rule that made it.  Either way the
+one cascade returns a plain scan record, which `certify` returns as a
 `Certificate`, the named tuple of the record's fields, so a scanned pair and
 a certified pair get the same verdict, margin and output bytes.  Why each
 stage is sound, and why its gate loses nothing:
@@ -42,10 +42,13 @@ by mu = (d + 8) * 2**(6 - wp) and turns each comparison into two lambda2
 thresholds in exact integers: below the one the computed value certainly
 falls short of its target, above the other it certainly exceeds it, whatever
 the rounding.  A pair between them runs the per-pair functions themselves,
-so every verdict is the one they give.  Per pair there remain the floor of
-clause class2-a past lambda2 = `CLASS2_FLOOR_702`, the near-diagonal bound
-at lambda2 of more than 1000 bits, the row value of the near-diagonal bound,
-the cosine lower bound and the margin.
+so every verdict is the one they give.  The near-diagonal bound is the one
+walk of `asymptotics._near_diagonal_bound`, which takes the outcome of each
+edge from the `DiffLine` and chooses between the row and the flat bound
+itself.  Per pair there remain the floor of clause class2-a past lambda2 =
+`CLASS2_FLOOR_702`, edge 0 of the near-diagonal bound at lambda2 of more
+than 1000 bits, the row value of the near-diagonal bound and its
+comparison with the flat bound, the cosine lower bound and the margin.
 
 The supercritical and oscillatory steps each ask the `RatioLine` for the
 outcome of their comparison first (`supercritical_margin`,
@@ -81,12 +84,10 @@ from mpmath.libmp import (
     mpf_abs,
     mpf_add,
     mpf_ceil,
-    mpf_div,
     mpf_floor,
     mpf_mul,
     mpf_mul_int,
     mpf_pow,
-    mpf_sqrt,
     mpf_sub,
     round_nearest,
     to_float,
@@ -94,14 +95,13 @@ from mpmath.libmp import (
 )
 
 from .asymptotics import (
-    NEAR_DIAGONAL_FLAT,
     NEAR_DIAGONAL_MIN_DIFFERENCE,
-    NEAR_DIAGONAL_ROWS,
     UNDECIDED,
     RatioLine,
     Regime,
     RegimeError,
     _cos_lower_bound,
+    _edge_compare,
     _near_diagonal_bound,
     check_delta,
     classify,
@@ -119,6 +119,7 @@ from .numerics import (
     PI_FLOOR,
     RAW_SLACK,
     SLACK,
+    SLACK_BITS,
     Comparison,
     certified_compare,
     check_precision,
@@ -336,24 +337,25 @@ def _near_diagonal_gate(line: RatioLine, l1: int, l2: int) -> bool:
     return NEAR_DIAGONAL_MIN_DIFFERENCE <= d and d * d < 26 * l2
 
 
-def _diff_line(line: RatioLine, l1: int, l2: int) -> DiffLine:
-    """The `DiffLine` of the pair: the line's own when the scan shares one,
-    else one of this pair alone."""
-    return line.diff or DiffLine(l1 - l2, line.wp)
+@functools.lru_cache
+def _diff_line(d: int, wp: int) -> DiffLine:
+    """The `DiffLine` of difference d at wp bits, built once in a process and
+    shared by every pair of that difference, whatever made the pair."""
+    return DiffLine(d, wp)
 
 
 def _window_step(line: RatioLine, l1: int, l2: int) -> tuple | None:
     # the gate admits only d >= 702, where the window-table part of a clause
     # is all of it: every small-difference window ends at d <= 701.  A
     # clause's lower end is tested only when its upper end admits d.
-    clause = _diff_line(line, l1, l2).window_clause(l2, (l1 + l2) % 4)
+    clause = _diff_line(l1 - l2, line.wp).window_clause(l2, (l1 + l2) % 4)
     if clause is None:
         return None
     return l1, _INTERVAL, "certified difference window", None, None, None, clause, None, 0
 
 
 def _near_diagonal_step(line: RatioLine, l1: int, l2: int) -> tuple | None:
-    bound = _diff_line(line, l1, l2).near_diagonal_bound(l2)
+    bound = _diff_line(l1 - l2, line.wp).near_diagonal_bound(l2)
     if bound is None:
         return None
     lower = _cos_lower_bound(l1, l2, line.wp)
@@ -365,14 +367,14 @@ def _near_diagonal_step(line: RatioLine, l1: int, l2: int) -> tuple | None:
 # The cascade after exact evaluation, in order: (stage id, gate, step).  A
 # gate is an exact test of the pair alone; a step runs only behind its gate.
 # Both are called as f(line, lambda1, lambda2) for a pair of the `RatioLine`
-# line, which carries the precision, the optional delta and, on a scanned
-# difference line, the shared `DiffLine`.  A step compares beyond the fixed
-# `SLACK` by `dyadic_compare` and returns the pair's scan record or None.
-# The window and near-diagonal steps decide their comparisons with d from
-# the `DiffLine`'s integer lambda2 thresholds (the chains behind them are
-# monotone in lambda2 and within mu of exact), and run the per-pair
-# functions only in the narrow band between two thresholds; the cosine lower
-# bound, the row value and the margin stay per pair.  The supercritical and
+# line, which carries the precision and the optional delta.  A step compares
+# beyond the fixed `SLACK` by `dyadic_compare` and returns the pair's scan
+# record or None.  The window and near-diagonal steps decide their
+# comparisons with d from the integer lambda2 thresholds of the process's one
+# `DiffLine` of the difference (the chains behind them are monotone in
+# lambda2 and within mu of exact), and run the per-pair functions only in
+# the narrow band between two thresholds; the cosine lower bound, the row
+# value, its comparison with the flat bound and the margin stay per pair.  The supercritical and
 # oscillatory steps take their outcome and margin from the `RatioLine`'s
 # fixed-point enclosures of the kernels' values (widths counted from the
 # rounded operations of each kernel at its precision, trusting correct
@@ -521,8 +523,9 @@ def _largest_difference(lambda2: int, wp: int, hi: tuple) -> int:
 # values of lambda2 up to lambda2 = 2**100.
 
 # offsets from d of the targets that a `DiffLine` compares, as integers in
-# units of 2**-40 / 10**4: the slack 2**-40 is _SLACK_UNITS, and a decimal
-# constant c of at most four places is c * 10**4 * 2**40 units
+# units of 2**-SLACK_BITS / 10**4: the slack `SLACK` = 2**-SLACK_BITS is
+# _SLACK_UNITS, and a decimal constant c of at most four places is
+# c * 10**4 * 2**SLACK_BITS units
 _SLACK_UNITS = 10**4
 
 
@@ -531,7 +534,7 @@ def _edge_key(end: tuple, sign: int) -> tuple[int, int]:
     (sign 1) admits d when m*sqrt(k*pi*l2) exceeds d + c + SLACK, the lower
     end (sign -1) when it falls below d - c - SLACK."""
     m, k, c = end
-    return m * m * k, sign * ((int(Fraction(c) * 10**4) << 40) + _SLACK_UNITS)
+    return m * m * k, sign * ((int(Fraction(c) * 10**4) << SLACK_BITS) + _SLACK_UNITS)
 
 
 # per congruence class, the (lower, upper) end keys of each clause of
@@ -545,39 +548,23 @@ _WINDOW_KEYS = tuple(
 # after the few ulps of error of `mpf_pow` at wp >= 77 bits
 CLASS2_FLOOR_702 = ((702 * 2**20 - 1) ** 4 * 10**16 - 1) // (20582**4 * 2**80)
 
-# the near-diagonal row constants and the flat bound in units of 10**-5
-_ROW_UNITS = tuple(int(Fraction(c) * 10**5) for c in NEAR_DIAGONAL_ROWS)
-_FLAT_UNITS = int(Fraction(NEAR_DIAGONAL_FLAT) * 10**5)
-
-
 def _edge_cut(d: int, wp: int, mmk: int, offset: int) -> tuple[int, int]:
     """(below, above) for m*sqrt(k*pi*l2) against v = d + offset units with
     m*m*k = mmk: m*sqrt(k*pi*l2) < v - mu at every l2 <= below and > v + mu
     at every l2 >= above, for mu = (d + 8) * 2**(6 - wp) (see `DiffLine`).
     Exact integers, scaled by D = 10**4 * 2**wp."""
-    v = (d * (_SLACK_UNITS << 40) + offset) << (wp - 40)
+    v = (d * (_SLACK_UNITS << SLACK_BITS) + offset) << (wp - SLACK_BITS)
     mu = (d + 8) * _SLACK_UNITS << 6
     low, high = max(v - mu, 0), v + mu
     den = mmk * (_SLACK_UNITS << wp) ** 2
     return ((low * low << PI_BITS) - 1) // (den * (PI_FLOOR + 1)), (high * high << PI_BITS) // (den * PI_FLOOR) + 1
 
 
-@functools.lru_cache
-def _flat_cut(k: int, wp: int) -> tuple[int, int]:
-    """(below, above) for row k against the flat bound: the row's C_k/sqrt(l2)
-    at wp bits is certainly >= the flat 0.0165 at every l2 <= below and
-    certainly below it at every l2 >= above, its relative error being at
-    most 4 * 2**-wp and the flat constant's 2**-wp."""
-    one = 1 << (wp - 4)  # the tolerance 2**(4 - wp) is 1/one
-    scale = (_FLAT_UNITS * one) ** 2
-    row = _ROW_UNITS[k - 1]
-    return ((row * (one - 1)) ** 2 - 1) // scale, (row * (one + 1)) ** 2 // scale + 1
-
-
 class DiffLine:
     """What the window and near-diagonal steps read of one difference line
-    (l2 + d, l2), d >= 702, at wp working bits, built once per line and
-    shared by its pairs: the lambda2 thresholds of their comparisons.
+    (l2 + d, l2), d >= 702, at wp working bits, built once per process
+    (`_diff_line`) and shared by every pair of the difference: the lambda2
+    thresholds of their comparisons with d.
 
     Each quantity that those steps compare with d is a window-clause end
     m*sqrt(k*pi*l2) -+ c or a row edge sqrt(k*pi*l2), computed by a fixed
@@ -597,19 +584,20 @@ class DiffLine:
     M < v - mu: there the margin exceeds 10u*(M + 11) with c < 5.  In exact
     integers, with an enclosure [PI_FLOOR, PI_FLOOR + 1] / 2**PI_BITS of pi,
     that holds for l2 below or above a threshold (`_edge_cut`).  The
-    row-against-flat choice is C_k/sqrt(l2) against 0.0165, a threshold of
-    the same kind (`_flat_cut`).  The thresholds are computed lazily in
-    plain integers, once per line (the row's once per row and precision).
+    thresholds are computed lazily in plain integers, once per line.
 
     A pair then decides each comparison with two integer compares, except
     in the band between the thresholds, a few lambda2 wide at most unless
     l2 is huge and wp small, where it runs the per-pair functions
-    `_largest_difference`, `_least_difference` and `_near_diagonal_bound`
-    themselves.  Per pair there remain: the floor of clause class2-a past
-    `CLASS2_FLOOR_702` (an `mpf_pow`, not correctly rounded); the whole
-    near-diagonal bound when l2 has more than 1000 bits, since below that
-    edge 0 is log(l2) < 694, which d >= 702 exceeds by far more than the
-    slack; and the row value C_k/sqrt(l2) when the row is chosen.
+    `_largest_difference`, `_least_difference` and `_edge_compare`
+    themselves.  The near-diagonal bound is the one walk of
+    `_near_diagonal_bound`, which asks `edge_compare` for each edge and
+    itself chooses between the row and the flat bound.  Per pair there
+    remain: the floor of clause class2-a past `CLASS2_FLOOR_702` (an
+    `mpf_pow`, not correctly rounded); edge 0, log(l2), when l2 has more
+    than 1000 bits, since below that it is < 694, which d >= 702 exceeds by
+    far more than the slack; and the row value C_k/sqrt(l2) with its
+    comparison against the flat bound when d lies above an edge.
     """
 
     __slots__ = ("d", "wp", "_edges")
@@ -645,32 +633,26 @@ class DiffLine:
                 return clause
         return None
 
+    def edge_compare(self, l2: int, k: int) -> Comparison:
+        """`_edge_compare(d, l2, wp, k)`, d against edge k at l2, read from
+        the thresholds and computed only in the band."""
+        if k == 0:
+            if l2.bit_length() <= 1000:
+                return _GREATER
+        else:
+            side = self._edge_side((k, _SLACK_UNITS), l2)  # edge k against d + SLACK
+            if side > 0:
+                return _LESS
+            if side < 0:
+                side = self._edge_side((k, -_SLACK_UNITS), l2)  # against d - SLACK
+                if side:
+                    return _GREATER if side < 0 else Comparison.INDETERMINATE
+        return _edge_compare(self.d, l2, self.wp, k)
+
     def near_diagonal_bound(self, l2: int) -> tuple | None:
         """The raw value of `_near_diagonal_bound(d, l2, wp)`, None outside
-        every proved window."""
-        d, wp = self.d, self.wp
-        if l2.bit_length() > 1000:
-            return _near_diagonal_bound(d, l2, wp)[0]
-        # d is certainly above edge 0; find the first edge k certainly above d
-        for k in range(1, len(NEAR_DIAGONAL_ROWS) + 1):
-            side = self._edge_side((k, _SLACK_UNITS), l2)
-            if side > 0:
-                break
-            if side == 0:
-                return _near_diagonal_bound(d, l2, wp)[0]
-        else:
-            return None
-        # side -1: d is certainly above edge k - 1, so row k applies too
-        side = -1 if k == 1 else self._edge_side((k - 1, -_SLACK_UNITS), l2)
-        if side < 0:
-            below, above = _flat_cut(k, wp)
-            if l2 >= above:  # the row is certainly below the flat bound
-                sqrt_l2 = mpf_sqrt(from_int(l2, wp, round_nearest), wp, round_nearest)
-                return mpf_div(decimal_constant(NEAR_DIAGONAL_ROWS[k - 1], wp)._mpf_, sqrt_l2, wp, round_nearest)
-            side = 1 if l2 <= below else 0
-        if side == 0:
-            return _near_diagonal_bound(d, l2, wp)[0]
-        return decimal_constant(NEAR_DIAGONAL_FLAT, wp)._mpf_
+        every proved window: its walk, with `edge_compare` for each edge."""
+        return _near_diagonal_bound(self.d, l2, self.wp, functools.partial(self.edge_compare, l2))[0]
 
 
 def difference_windows(
@@ -901,14 +883,11 @@ def _row_cut(lambda1s: list[int], l2: int, budget: int) -> tuple[int, int, int]:
     return lo, hi, cost
 
 
-def _row_records(
-    lambda1s: list[int], l2: int, lo: int, hi: int, prec: int, line: RatioLine | None, diff: DiffLine | None
-) -> Iterator[tuple]:
+def _row_records(lambda1s: list[int], l2: int, lo: int, hi: int, prec: int, line: RatioLine | None) -> Iterator[tuple]:
     """The scan record (usec 0) of each lambda1 of `lambda1s` (sorted) at
     lambda2 = l2, in turn, with the verdicts of `certify`, for the cut
     (lo, hi) of `_row_cut`.  The cascade runs on `line` when the scan's
-    pairs share one, else on a line of each pair alone, which reads `diff`
-    when the scan's pairs share a `DiffLine`."""
+    pairs share one, else on a line of each pair alone."""
     for l1 in lambda1s[:lo]:
         # refused before the budget is read
         yield _refusal(l1, l2)
@@ -917,19 +896,19 @@ def _row_records(
         for l1, value in zip(admitted, exact.row_values(l2, admitted)):
             yield _exact_record(l1, value)
     for l1 in lambda1s[hi:]:
-        yield _cascade(line or RatioLine(l1, l2, prec, diff=diff), l1, l2)
+        yield _cascade(line or RatioLine(l1, l2, prec), l1, l2)
 
 
 def _scan_chunk(settings: tuple, chunk: list[tuple]) -> list[tuple[int, tuple[tuple, ...]]]:
     """The rows (lambda2, records) of a chunk of `_chunks`, certified in one
     call, here or in a pool worker.  `settings` is the scan's
-    (prec, line, diff, timed): the precision, the `RatioLine` and the
-    `DiffLine` that every pair shares (or None), and whether each record's
-    usec is the time taken to produce it."""
-    prec, line, diff, timed = settings
+    (prec, line, timed): the precision, the `RatioLine` that every pair
+    shares (or None), and whether each record's usec is the time taken to
+    produce it."""
+    prec, line, timed = settings
     rows = []
     for lambda1s, l2, lo, hi in chunk:
-        records = _row_records(lambda1s, l2, lo, hi, prec, line, diff)
+        records = _row_records(lambda1s, l2, lo, hi, prec, line)
         if timed:
             timed_records = []
             start = time.perf_counter()
@@ -1057,7 +1036,8 @@ def scan_rows(
     of the row goes straight to the `STAGES`.  The verdicts are those of
     `certify` on each pair alone.  The pairs of a ratio rule share one
     `RatioLine`, built here; any other rule's cascade pairs run on a line
-    of their own, and those of a difference rule share one `DiffLine`.
+    of their own.  The window and near-diagonal steps of every pair of one
+    difference read the one `DiffLine` that each process builds for it.
 
     Rows are built, priced and certified as they are taken, a chunk at a
     time (`_chunks`), so only a bounded number of them is held at once; the
@@ -1077,8 +1057,7 @@ def scan_rows(
         raise ValueError("parallelism must be >= 1")
     rows = rule_rows(lambda2_range, rule)
     line = RatioLine(rule.ratio.numerator, rule.ratio.denominator, prec) if isinstance(rule, RatioRule) else None
-    diff = DiffLine(rule.diff, prec + GUARD_BITS) if isinstance(rule, DiffRule) else None
-    settings = (prec, line, diff, timings)
+    settings = (prec, line, timings)
     return _scan(_chunks(rows, budget), settings, min(parallelism, _usable_cpus()), lambda2_range[1])
 
 

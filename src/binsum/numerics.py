@@ -14,9 +14,10 @@ and compares it with -slack and +slack by `mpf_cmp`, so no step rounds.
 `dyadic_compare` is that comparison alone, for arithmetic that already
 holds raw tuples, and `raw_rational` rounds an exact rational as
 `rational_to_real` does, raw.  Throughout the package the decision slack is
-`SLACK` = 2**-40 (`RAW_SLACK` raw), vastly above 128-bit rounding noise and
-still 2**37 times the unit 2**-(MIN_PRECISION + GUARD_BITS) of the coarsest
-formula chain.
+`SLACK` = 2**-SLACK_BITS = 2**-40 (`RAW_SLACK` raw), vastly above 128-bit
+rounding noise and still 2**37 times the unit 2**-(MIN_PRECISION +
+GUARD_BITS) of the coarsest formula chain; the fixed-point and integer
+arithmetic elsewhere derives its slack from `SLACK_BITS`.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ MIN_PRECISION = 53
 GUARD_BITS = 24
 
 # the additive margin of every certified decision in the package
-SLACK = mpf(2) ** -40
+SLACK_BITS = 40
+SLACK = mpf(2) ** -SLACK_BITS
 RAW_SLACK = SLACK._mpf_
 
 # pi lies in [PI_FLOOR, PI_FLOOR + 1] / 2**PI_BITS, an enclosure of width

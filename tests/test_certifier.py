@@ -12,12 +12,11 @@ import pytest
 from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
-from mpmath.libmp import from_int, mpf_div, mpf_lt, mpf_sqrt, round_nearest
+from mpmath.libmp import from_int
 
 from binsum import asymptotics, certifier, exact
 from binsum.asymptotics import (
     FIXED_BITS,
-    NEAR_DIAGONAL_FLAT,
     NEAR_DIAGONAL_ROWS,
     UNDECIDED,
     RatioLine,
@@ -54,12 +53,13 @@ from binsum.certifier import (
 )
 from binsum.exact import PartitionPair, evaluate, evaluation_cost, row_step
 from binsum.numerics import (
+    DEFAULT_PRECISION,
     GUARD_BITS,
     RAW_SLACK,
     SLACK,
+    SLACK_BITS,
     Comparison,
     certified_compare,
-    decimal_constant,
     dyadic_compare,
 )
 
@@ -428,23 +428,49 @@ def test_diff_line_decides_each_comparison_as_the_per_pair_functions(draw):
         assert band == 7, (d, crossing, wp, target)
 
 
-@given(k=st.integers(1, len(NEAR_DIAGONAL_ROWS)), prec=st.integers(53, 256), offset=st.integers(-3, 3))
-@settings(max_examples=150, deadline=None)
-def test_row_against_flat_cut_matches_the_computed_comparison(k, prec, offset):
-    # row k's C_k/sqrt(l2) passes the flat 0.0165 at l2 = (C_k/0.0165)**2
+with workprec(1200):
+    # the integer nearest e**702, at which log(lambda2) lies within 2**-1000
+    # of 702, so that edge 0 is indeterminate for d = 702
+    _E_702 = int(mp.nint(mp.e**702))
+
+
+# (d, lambda2, detail of `_near_diagonal_bound`) across each choice of the
+# walk.  Row 8 beats the flat 0.0165 from lambda2 = 19577.1 on, which only a
+# d below the gate reaches as row 8: d = 702 enters row 8 at lambda2 = 19609
+# (the flat edge sqrt(8*pi*l2) passes 702 at 19608.05), and for every
+# d >= 702 an applicable row lies below the flat bound.  Edge 0, log(l2),
+# passes 702 between lambda2 = 2**1012 and 2**1013.
+ROW_OR_FLAT_CASES = (
+    (700, 19577, "flat"),
+    (700, 19578, "row8"),
+    (702, 19608, "difference outside every proved window"),
+    (702, 19609, "row8"),
+    (702, 2**1012, "row1"),
+    (702, 2**1013, "flat"),
+    (702, _E_702, "flat"),
+)
+
+
+@pytest.mark.parametrize("d, lambda2, detail", ROW_OR_FLAT_CASES)
+@pytest.mark.parametrize("prec", [53, 128, 256])
+def test_diff_line_chooses_row_or_flat_as_the_per_pair_walk(d, lambda2, detail, prec):
     wp = prec + GUARD_BITS
-    with workprec(400):
-        l2 = int((mpf(NEAR_DIAGONAL_ROWS[k - 1]) / mpf(NEAR_DIAGONAL_FLAT)) ** 2) + offset
-    row = mpf_div(
-        decimal_constant(NEAR_DIAGONAL_ROWS[k - 1], wp)._mpf_,
-        mpf_sqrt(from_int(l2, wp, round_nearest), wp, round_nearest),
-        wp,
-        round_nearest,
-    )
-    below, above = certifier._flat_cut(k, wp)
-    assert below < above
-    if l2 >= above or l2 <= below:
-        assert mpf_lt(row, decimal_constant(NEAR_DIAGONAL_FLAT, wp)._mpf_) is (l2 >= above), (k, l2, wp)
+    value, got = _near_diagonal_bound(d, lambda2, wp)
+    assert got == detail
+    assert DiffLine(d, wp).near_diagonal_bound(lambda2) == value
+    if lambda2 == _E_702:
+        assert asymptotics._edge_compare(d, lambda2, wp, 0) is Comparison.INDETERMINATE
+
+
+def test_the_slack_of_the_fixed_point_and_of_the_difference_thresholds_is_slack():
+    assert mpf(asymptotics._FIXED_SLACK) / 2**FIXED_BITS == SLACK
+    # a `DiffLine` offset is in units of 2**-SLACK_BITS / 10**4; that of an
+    # edge with no constant is the slack alone, on either side of d
+    for sign in (1, -1):
+        _, offset = certifier._edge_key((1, 3, "0"), sign)
+        assert mpf(offset) / (10**4 * 2**SLACK_BITS) == sign * SLACK
+    _, offset = certifier._edge_key((1, 2, "1.0443"), 1)
+    assert Fraction(offset, 10**4 * 2**SLACK_BITS) == Fraction("1.0443") + Fraction(1, 2**40)
 
 
 def test_pi_enclosure_holds_pi_and_is_2_to_the_minus_96_wide():
@@ -576,6 +602,7 @@ def test_scan_with_ratio_caches_equals_uncached_pairs():
         asymptotics._phase_constants,
         asymptotics.oscillatory_bound_reach,
         asymptotics.window_edge,
+        certifier._diff_line,
     )
     for rule in (RatioRule(Fraction(6)), RatioRule(Fraction(2)), DiffRule(800)):
         report = scan_range((100000, 100015), rule, budget=0)
@@ -626,15 +653,20 @@ def _cascade_lines(draw):
 def _per_pair_records(lambda2_range, rule, prec) -> list[tuple]:
     """(lambda2, record) of `certify` on each pair of the line with every
     `DiffLine` comparison in its band, so that the window and near-diagonal
-    steps run the per-pair functions alone."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(certifier, "_edge_cut", lambda *args: (0, 2**4000))
-        patch.setattr(certifier, "_flat_cut", lambda *args: (0, 2**4000))
-        patch.setattr(certifier, "CLASS2_FLOOR_702", 0)
-        return [
-            (l2, certify(PartitionPair(l1, l2), budget=0, prec=prec))
-            for l1, l2 in certifier.rule_pairs(lambda2_range, rule)
-        ]
+    steps run the per-pair functions alone.  The cached `DiffLine`s are
+    dropped on either side of the patch, so that none holds thresholds of
+    the other side."""
+    certifier._diff_line.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(certifier, "_edge_cut", lambda *args: (0, 2**4000))
+            patch.setattr(certifier, "CLASS2_FLOOR_702", 0)
+            return [
+                (l2, certify(PartitionPair(l1, l2), budget=0, prec=prec))
+                for l1, l2 in certifier.rule_pairs(lambda2_range, rule)
+            ]
+    finally:
+        certifier._diff_line.cache_clear()
 
 
 def _kernel_records(lambda2_range, rule, prec) -> list[tuple]:
@@ -682,12 +714,19 @@ def test_a_scan_line_gives_each_pair_the_record_of_certify(line):
 
 def _band_calls(lambda2_range, rule, prec) -> int:
     """The calls that a scan of the line makes to the per-pair functions
-    that a `DiffLine` runs in its band."""
+    that a `DiffLine` runs in its band: the clause ends, and the exact
+    comparison of d with an edge.  `_near_diagonal_bound`, whose walk every
+    near-diagonal pair takes, is not one of them.  The cached `DiffLine`s
+    are dropped on either side of the patch."""
     calls = []
-    with pytest.MonkeyPatch.context() as patch:
-        for name in ("_largest_difference", "_least_difference", "_near_diagonal_bound"):
-            patch.setattr(certifier, name, lambda *args, f=getattr(certifier, name): calls.append(f) or f(*args))
-        scan_range(lambda2_range, rule, budget=0, prec=prec)
+    certifier._diff_line.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            for name in ("_largest_difference", "_least_difference", "_edge_compare"):
+                patch.setattr(certifier, name, lambda *args, f=getattr(certifier, name): calls.append(f) or f(*args))
+            scan_range(lambda2_range, rule, budget=0, prec=prec)
+    finally:
+        certifier._diff_line.cache_clear()
     return len(calls)
 
 
@@ -703,6 +742,30 @@ def test_some_difference_lines_across_a_threshold_enter_the_band():
     )
     report = scan_range(*line[:2], budget=0, prec=line[2])
     assert list(report.records()) == _per_pair_records(*line)
+
+
+def test_a_process_builds_one_diff_line_per_difference_and_precision(monkeypatch):
+    built = Counter()
+
+    class CountedDiffLine(DiffLine):
+        __slots__ = ()
+
+        def __init__(self, d: int, wp: int) -> None:
+            built[d, wp] += 1
+            super().__init__(d, wp)
+
+    monkeypatch.setattr(certifier, "DiffLine", CountedDiffLine)
+    certifier._diff_line.cache_clear()
+    try:
+        scan_range((100000, 100011), DiffRule(800), budget=0)
+        # each row passes every difference from 702 to 760 through the window step
+        scan_range((100000, 100002), AllUpToRule(100760), budget=0)
+        certify(PartitionPair(100834, 100000), budget=0)
+        certify(PartitionPair(100835, 100001), budget=0)
+    finally:
+        certifier._diff_line.cache_clear()
+    wp = DEFAULT_PRECISION + GUARD_BITS
+    assert built == {(d, wp): 1 for d in (*range(702, 761), 800, 834)}
 
 
 def _ambient_outcomes():
@@ -779,7 +842,8 @@ SCAN_CASES = [
     ((60, 80), ListRule((70, 71, 72, 75, 76, 77, 78, 90)), 10**9),
     ((60, 80), ListRule((70, 71, 72, 75, 76, 77, 78, 90)), 7),
     # budget 0 sends every pair to the cascade: a ratio line's tasks carry
-    # its one RatioLine to the workers, a difference line's its one DiffLine
+    # its one RatioLine to the workers, and each worker builds the one
+    # DiffLine of a difference line
     ((100000, 100011), RatioRule(Fraction(6)), 0),
     ((100070, 100081), RatioRule(Fraction(2)), 0),
     ((100000, 100011), DiffRule(834), 0),
@@ -904,8 +968,8 @@ def _pickled_globals(data: bytes) -> set[tuple[str, str]]:
 
 def test_scan_row_pickles_no_binsum_class_but_the_kind():
     scans = [
-        ([([3, 4, 30], 3)], 10**9, (128, None, None, True)),
-        ([([100006, 101006, 200012, 200014, 10**10 + 1], 100006)], 0, (128, None, None, False)),
+        ([([3, 4, 30], 3)], 10**9, (128, None, True)),
+        ([([100006, 101006, 200012, 200014, 10**10 + 1], 100006)], 0, (128, None, False)),
     ]
     rows = [
         row
