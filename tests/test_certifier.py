@@ -441,13 +441,13 @@ with workprec(1200):
 # d >= 702 an applicable row lies below the flat bound.  Edge 0, log(l2),
 # passes 702 between lambda2 = 2**1012 and 2**1013.
 ROW_OR_FLAT_CASES = (
-    (700, 19577, "flat"),
-    (700, 19578, "row8"),
-    (702, 19608, "difference outside every proved window"),
-    (702, 19609, "row8"),
-    (702, 2**1012, "row1"),
-    (702, 2**1013, "flat"),
-    (702, _E_702, "flat"),
+    pytest.param(700, 19577, "flat", id="700-19577"),
+    pytest.param(700, 19578, "row8", id="700-19578"),
+    pytest.param(702, 19608, "difference outside every proved window", id="702-19608"),
+    pytest.param(702, 19609, "row8", id="702-19609"),
+    pytest.param(702, 2**1012, "row1", id="702-2**1012"),
+    pytest.param(702, 2**1013, "flat", id="702-2**1013"),
+    pytest.param(702, _E_702, "flat", id="702-round(e**702)"),
 )
 
 

@@ -24,7 +24,7 @@ differs from its twin at 1.  The set covers:
 * cascade scans where `oscillation_cosine` raises its precision, ratio-3
   and difference lines at --precision 53 and 200, a difference line across
   a step of the class-2 window floor, and an all-up-to scan whose rows
-  repeat each difference from 702 to 1,611, in the same formats and at the
+  repeat each difference from 702 to 1,612, in the same formats and at the
   same parallelism;
 * difference lines at --budget 0 across an upper and a lower window-clause
   end of each congruence class, a near-diagonal row edge, the flat edge and
@@ -140,7 +140,7 @@ POOL_SCANS = (
 # (window and near-diagonal certificates) at --precision 53 and 200; and a
 # difference line across lambda2 = 13533126865, where the floor of clause
 # class2-a steps from 702 to 703; and a scan whose rows each pass every
-# difference from 702 to 1,611 through the window and near-diagonal steps
+# difference from 702 to 1,612 through the window and near-diagonal steps
 CASCADE_SCANS = (
     ("scan", "--l2", "65535..65537", "--ratio", "2"),
     *(
