@@ -45,6 +45,12 @@ def test_every_identity_command_parses_and_the_set_covers_lemmas_and_routes():
     # repeat differences through the window and near-diagonal steps
     assert ("--budget", "0", "scan", "--l2", "100000..126999", "--diff", "800") in tool.POOL_SCANS
     assert ("--budget", "0", "scan", "--l2", "100000..100003", "--all-l1-up-to", "101700") in tool.CASCADE_SCANS
+    # the public functions read the ratio-6 line after the ratio-6 scans at
+    # the same precision
+    for argv in tool.RATIO_READERS:
+        precision = argv[1]
+        scan = ["--format", "jsonl", "--budget", "0", "--precision", precision, "scan", "--l2", "1..400", "--ratio", "6"]
+        assert argvs.index(scan) < argvs.index(["--format", "jsonl", *argv])
 
 
 def test_identity_refusals_exit_2_and_print_nothing():

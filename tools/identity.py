@@ -36,6 +36,10 @@ differs from its twin at 1.  The set covers:
   2**40, and ratio 6 from lambda2 = 1 across the lambda2 where the
   supercritical bound stops evaluating its exponential tail, at
   --precision 53 and 256, in the same formats and at the same parallelism;
+* `plotdata` of the ratio-6 line at --precision 53 and `predict` of one
+  ratio-6 pair at --precision 256, after the ratio-6 scans at those
+  precisions, so that in this one process they read the constants of the
+  line that those scans leave cached, in every format;
 * `certify` (with and without --delta) and `predict` at pairs that each
   cascade stage decides, at an exact pair and at refused pairs, with
   --budget 0 and --precision 53 and 200;
@@ -194,6 +198,11 @@ RATIO_SCANS = (
     *((ratio, lo, lo + 23) for lo in (100000, 2**40 - 12) for ratio in ("6", "2", "3", "7/3", "35/6", "5/2")),
     ("6", 1, 400),
 )
+# public functions on the ratio-6 line at the precisions of its scans above
+RATIO_READERS = (
+    ("--precision", "53", "plotdata", "--l2", "1..60", "--ratio", "6"),
+    ("--precision", "256", "predict", "600", "100"),
+)
 # (6 * lambda2, lambda2) around the tail cutoff, which lies at lambda2 = 50,
 # 91 and 130 at --precision 53, 128 and 200
 PREDICT_LAMBDA2S = (60, 90, 120)
@@ -272,6 +281,8 @@ def commands() -> list[list[str]]:
     for scan in (*WALK_SCANS, *RULE_END_SCANS, *POOL_SCANS, *CASCADE_SCANS, *diff_scans, *ratio_scans):
         for flags in ((), ("--parallelism", "2")):
             out.extend(["--format", fmt, *flags, *scan] for fmt in FORMATS)
+    for argv in RATIO_READERS:
+        out.extend(["--format", fmt, *argv] for fmt in FORMATS)
     for scan in ERROR_SCANS[:-1]:
         for flags in ((), ("--parallelism", "2")):
             out.extend(["--format", fmt, *flags, *scan] for fmt in FORMATS)
