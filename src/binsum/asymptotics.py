@@ -34,33 +34,35 @@ Each step is the `mpf_*` call that the mpf expression it replaces makes: the
 same operation, on the same operands, in the same order, at the same
 precision, rounding to nearest (a division by 4 that is exact may be an
 `mpf_shift`, which gives the same tuple).  So every value equals the mpf expression's
-bit for bit, and none depends on the ambient mpmath precision.  What depends
-only on the ratio is cached once per (r, prec): the factors of the bounds,
-and the phase constants gamma1, gamma2, gamma3 and 2*pi at the cosine's
-raised precision.  The public functions (`supercritical_error_bound`,
-`oscillatory_error_bound`, `oscillation_cosine`,
-`near_diagonal_error_bound`, `cos_lower_bound`) look those up per call and
-wrap the kernel's result in an mpf; a `RatioLine` looks them up once per
-line of fixed ratio and hands the cascade the kernels' raw results, and the
-cascade calls the two kernels that read the pair alone,
-`_near_diagonal_bound` and `_cos_lower_bound`, directly.
+bit for bit, and none depends on the ambient mpmath precision.
 
-The two saddle steps first try to predict their kernels' outcome in integer
-arithmetic.  Past a per-line tail cutoff, the supercritical bound is a fixed
-chain of five correctly rounded operations on the exact dyadic K/lambda,
-K = c1/(256*M**2) + c2/(24*M**3) of the cached factors.  The oscillatory
-bound is four operations on 16336/(sqrt(lambda)*nd_power).  The cosine's
-angle lambda1*gamma1 + lambda2*gamma2 + gamma3 is an exact dyadic of the
-cached phase constants, so it is reduced by the kernel's own 2*pi in exact
-integers, and its cosine taken by a Taylor series in fixed point
-(`_fixed_cos`).  Each enclosure's width counts the roundings of the kernel's
-chain at the kernel's precision (Payne and Hanek, SIGNUM Newsletter 18,
-1983, for the exact reduction; Brent and Zimmermann for the rounding
-counts).  A `RatioLine` step method returns the outcome only when its
-enclosures put the comparison with `SLACK` on one side and every 53-bit
-rounding of the margin strictly between two midpoints of the grid; else it
-returns UNDECIDED and the cascade runs the kernel.  So every verdict and
-margin is the kernel's, bit for bit.
+What depends only on the ratio lives in one object, a `RatioLine` of the
+ratio at one precision: the factors of the bounds, the bound's validity
+threshold, and the phase constants gamma1, gamma2, gamma3 and 2*pi at the
+cosine's raised precision, each computed on first use and then kept.
+`ratio_line` keeps the lines of the last few ratios, which the public
+functions (`supercritical_error_bound`, `oscillatory_error_bound` and
+`oscillation_cosine` with the half phase) and the ratio scans read; they
+wrap the kernel's result in an mpf, the cascade takes it raw.  The cascade
+calls the two kernels that read the pair alone, `_near_diagonal_bound` and
+`_cos_lower_bound`, directly.
+
+A `RatioLine` also decides the cascade's two saddle steps.  It first
+encloses its kernels' outcome in integer arithmetic.  Past a per-line tail
+cutoff, the supercritical bound is a fixed chain of five correctly rounded
+operations on the exact dyadic K/lambda, K = c1/(256*M**2) + c2/(24*M**3)
+of the kept factors.  The oscillatory bound is four operations on
+16336/(sqrt(lambda)*nd_power).  The cosine's angle lambda1*gamma1 +
+lambda2*gamma2 + gamma3 is an exact dyadic of the kept phase constants, so
+it is reduced by the kernel's own 2*pi in exact integers, and its cosine
+taken by a Taylor series in fixed point (`_fixed_cos`).  Each enclosure's
+width counts the roundings of the kernel's chain at the kernel's precision
+(Payne and Hanek, SIGNUM Newsletter 18, 1983, for the exact reduction;
+Brent and Zimmermann for the rounding counts).  Where the enclosures put
+the comparison with `SLACK` on one side and every 53-bit rounding of the
+margin strictly between two midpoints of the grid, that is the step's
+outcome; elsewhere the line runs the kernels and compares their values.
+So every verdict and margin is the kernels', bit for bit.
 """
 
 from __future__ import annotations
@@ -79,6 +81,7 @@ from mpmath.libmp import (
     from_int,
     ftwo,
     fzero,
+    mpf_abs,
     mpf_add,
     mpf_cos,
     mpf_div,
@@ -102,6 +105,7 @@ from .exact import PartitionPair, evaluate
 from .numerics import (
     DEFAULT_PRECISION,
     GUARD_BITS,
+    MARGIN_PRECISION,
     PI_BITS,
     PI_FLOOR,
     RAW_SLACK,
@@ -114,6 +118,7 @@ from .numerics import (
     decimal_constant,
     rational_to_real,
     raw_rational,
+    rounded_margin,
 )
 
 # exact checkpoints used by the windowed bounds (decimal constants are exact
@@ -143,7 +148,8 @@ OSCILLATORY_BOUND_CONSTANT = 16336
 # the rounding of every mpf operation under mpmath's default context
 _RND = round_nearest
 
-# entries kept by each per-ratio cache below, keyed by (r, prec).  A scan
+# entries kept by each per-ratio cache below: `saddle_data` and
+# `gamma_angles` keyed by (r, prec), `ratio_line` by (a, b, prec).  A scan
 # line or a validator needs one or two live keys at a time (the ratio at the
 # working precision and at the raised precision of `oscillation_cosine`);
 # the bound only keeps a long-running process from growing without limit.
@@ -285,31 +291,10 @@ def critical_boundary_constants(prec: int = DEFAULT_PRECISION) -> tuple[mpf, mpf
         return mp.sqrt(mpf(2)) - 1, mpf(0)
 
 
-@functools.lru_cache(maxsize=RATIO_CACHE_SIZE)
-def _supercritical_constants(r: Fraction, prec: int) -> tuple[tuple, ...]:
-    """The lambda-independent factors of `supercritical_error_bound`, raw:
-    M, 3*crit*pi**5, M**2, 5*crit, M**3, sqrt(2), pi**2 and pi**1.5, each
-    rounded exactly as the bound's formula rounds it."""
-    m_val = saddle_data(r, prec).M
-    with workprec(prec + GUARD_BITS):
-        crit = 3 + 2 * mp.sqrt(mpf(2))
-        factors = (
-            m_val,
-            3 * crit * mp.pi**5,
-            m_val**2,
-            5 * crit,
-            m_val**3,
-            mp.sqrt(mpf(2)),
-            mp.pi**2,
-            mp.pi ** mpf("1.5"),
-        )
-        return tuple(f._mpf_ for f in factors)
-
-
-def _supercritical_bound(constants: tuple, lam: int, wp: int) -> tuple:
+def _supercritical_bound(factors: tuple, lam: int, wp: int) -> tuple:
     """`supercritical_error_bound` at lam >= 1 from its raw
-    `_supercritical_constants`, rounded at wp bits, as a raw tuple."""
-    m_val, c1, m_sq, c2, m_cube, sqrt2, pi_sq, pi_15 = constants
+    `RatioLine.supercritical_factors`, rounded at wp bits, as a raw tuple."""
+    m_val, c1, m_sq, c2, m_cube, sqrt2, pi_sq, pi_15 = factors
     # c1/(256*lam*M**2) + c2/(24*lam*M**3), lam*M and x = lam*M*pi**2/2, as
     # the mpf expressions round them at wp bits
     lamf = from_int(lam, wp, _RND)
@@ -357,7 +342,7 @@ def supercritical_error_bound(r: Fraction, lam: int, prec: int = DEFAULT_PRECISI
         raise RegimeError(f"bound requires r > 3 + 2*sqrt(2), got r = {r}")
     if lam < 1:
         raise ValueError("lambda must be >= 1")
-    return mp.make_mpf(_supercritical_bound(_supercritical_constants(r, prec), lam, prec + GUARD_BITS))
+    return mp.make_mpf(ratio_line(r.numerator, r.denominator, prec).supercritical_bound(lam))
 
 
 def _quartic_kernel(rho: tuple, wp: int) -> Callable[[tuple], tuple]:
@@ -470,20 +455,9 @@ def supercritical_error_bound_refined(
         return t1 + t2 + tail
 
 
-@functools.lru_cache(maxsize=RATIO_CACHE_SIZE)
-def _oscillatory_constants(r: Fraction, prec: int) -> tuple[tuple, tuple]:
-    """Raw (-r**2+6r-1)**(11/4) and the raw validity threshold of
-    `oscillatory_error_bound`."""
-    with workprec(prec + GUARD_BITS):
-        nd = rational_to_real(negated_discriminant(r), prec + GUARD_BITS)
-        rm = rational_to_real(r, prec + GUARD_BITS)
-        threshold = 512 * rm ** mpf("1.5") / ((rm + 1) * nd ** mpf("1.5"))
-        return (nd ** (mpf(11) / 4))._mpf_, threshold._mpf_
-
-
 def _oscillatory_bound(nd_power: tuple, lam: int, wp: int) -> tuple:
     """16336 / (sqrt(lam) * nd_power) at wp bits, raw, for the raw
-    (-r**2+6r-1)**(11/4) of `_oscillatory_constants`."""
+    (-r**2+6r-1)**(11/4) of `RatioLine.oscillatory_constants`."""
     root = mpf_sqrt(from_int(lam, wp, _RND), wp, _RND)
     return mpf_rdiv_int(OSCILLATORY_BOUND_CONSTANT, mpf_mul(root, nd_power, wp, _RND), wp, _RND)
 
@@ -495,7 +469,6 @@ def _oscillatory_reach(a: int, b: int) -> int:
     return math.isqrt(OSCILLATORY_BOUND_CONSTANT**4 * (b * b) ** 11 // (6 * a * b - a * a - b * b) ** 11)
 
 
-@functools.lru_cache(maxsize=RATIO_CACHE_SIZE)
 def oscillatory_bound_reach(r: Fraction) -> int:
     """The largest lam at which the bound of `oscillatory_error_bound` is
     still >= 1, decided in exact integers.
@@ -529,8 +502,8 @@ def oscillatory_error_bound(
         raise RegimeError(f"bound requires 1 < r < 3 + 2*sqrt(2), got r = {r}")
     if lam < 1:
         raise ValueError("lambda must be >= 1")
-    nd_power, threshold = _oscillatory_constants(r, prec)
-    return mp.make_mpf(_oscillatory_bound(nd_power, lam, prec + GUARD_BITS)), mp.make_mpf(threshold)
+    line = ratio_line(r.numerator, r.denominator, prec)
+    return mp.make_mpf(line.oscillatory_bound(lam)), mp.make_mpf(line.oscillatory_constants[1])
 
 
 @functools.lru_cache(maxsize=RATIO_CACHE_SIZE)
@@ -623,20 +596,10 @@ def _near_diagonal_bound(
     return flat, "flat"
 
 
-@functools.lru_cache(maxsize=RATIO_CACHE_SIZE)
-def _phase_constants(r: Fraction, p_eff: int, half_phase: bool) -> tuple:
-    """Raw (gamma1, gamma2, gamma3, 2*pi) of `oscillation_cosine` at p_eff,
-    with 2*pi rounded at p_eff + GUARD_BITS bits and gamma3 None without the
-    half phase."""
-    if half_phase:
-        sd = saddle_data(r, p_eff)
-        if sd.regime is not Regime.SUBCRITICAL:
-            raise RegimeError(f"oscillation angles require 1 <= r <= 3 + 2*sqrt(2), got r = {r}")
-        g1, g2, g3 = sd.gamma1, sd.gamma2, sd.gamma3._mpf_
-    else:
-        (g1, g2), g3 = gamma_angles(r, p_eff), None
+def _two_pi(p_eff: int) -> tuple:
+    """2*pi rounded at p_eff + GUARD_BITS bits, raw, the 2*pi of `oscillation_cosine`."""
     wp = p_eff + GUARD_BITS
-    return g1._mpf_, g2._mpf_, g3, mpf_mul_int(mpf_pi(wp, _RND), 2, wp, _RND)
+    return mpf_mul_int(mpf_pi(wp, _RND), 2, wp, _RND)
 
 
 def oscillation_cosine(
@@ -649,8 +612,12 @@ def oscillation_cosine(
     grows linearly in lambda and the cancellation in the reduction is the
     dominant hazard.  Returns (cosine, reduced_angle).
     """
-    p_eff = _phase_precision(prec, pair.lambda1)
-    phase = _phase_constants(pair.ratio, p_eff, half_phase)
+    r, p_eff = pair.ratio, _phase_precision(prec, pair.lambda1)
+    if half_phase:
+        phase = ratio_line(r.numerator, r.denominator, prec).phase(p_eff)[0]
+    else:
+        g1, g2 = gamma_angles(r, p_eff)
+        phase = g1._mpf_, g2._mpf_, None, _two_pi(p_eff)
     cosv, angle = _reduced_cosine(phase, pair.lambda1, pair.lambda2, p_eff + GUARD_BITS)
     return mp.make_mpf(cosv), mp.make_mpf(angle)
 
@@ -661,9 +628,9 @@ def _phase_precision(prec: int, lambda1: int) -> int:
 
 
 def _reduced_cosine(phase: tuple, lambda1: int, lambda2: int, wp: int) -> tuple[tuple, tuple]:
-    """Raw (cosine, reduced angle) of `oscillation_cosine` from the
-    `_phase_constants` at p_eff = wp - GUARD_BITS, with the half phase
-    exactly when gamma3 is not None."""
+    """Raw (cosine, reduced angle) of `oscillation_cosine` from the raw
+    phase constants (gamma1, gamma2, gamma3, 2*pi) at p_eff = wp - GUARD_BITS
+    (raw in `RatioLine.phase`), with the half phase exactly when gamma3 is not None."""
     g1, g2, g3, two_pi = phase
     angle = mpf_add(mpf_mul_int(g1, lambda1, wp, _RND), mpf_mul_int(g2, lambda2, wp, _RND), wp, _RND)
     if g3 is not None:
@@ -681,10 +648,6 @@ def _reduced_cosine(phase: tuple, lambda1: int, lambda2: int, wp: int) -> tuple[
 # the scale of the enclosures, that of the enclosure of pi: a value y is
 # held as integers in units of 2**-FIXED_BITS
 FIXED_BITS = PI_BITS
-
-# what a `RatioLine` step method returns when its enclosure does not fix the
-# step's outcome
-UNDECIDED = "undecided"
 
 _FIXED_SLACK = 1 << (FIXED_BITS - SLACK_BITS)  # `SLACK` in units of 2**-FIXED_BITS
 
@@ -750,12 +713,12 @@ def _fixed_cos(x: int) -> int:
 
 
 def _rounded53(lo: int, hi: int) -> int | None:
-    """The rounding to 53 significant bits of every value of [lo, hi],
-    2**53 <= lo <= hi, when both ends lie strictly between the same two
-    neighbouring midpoints of the 53-bit grid at lo's magnitude, else None.
-    No value there is a tie, so libmp's rounding to nearest takes each to
-    the one grid point between those midpoints."""
-    shift = lo.bit_length() - 53
+    """The rounding to `MARGIN_PRECISION` = 53 significant bits of every
+    value of [lo, hi], 2**53 <= lo <= hi, when both ends lie strictly between
+    the same two neighbouring midpoints of the 53-bit grid at lo's
+    magnitude, else None.  No value there is a tie, so libmp's rounding to
+    nearest takes each to the one grid point between those midpoints."""
+    shift = lo.bit_length() - MARGIN_PRECISION
     half = 1 << (shift - 1)
     point = (lo + half) >> shift
     if (hi + half) >> shift != point or not (lo + half) & ((1 << shift) - 1):
@@ -781,7 +744,7 @@ def _scaled_quotient(a: tuple, b: tuple, k: int, bits: int) -> int:
 
 
 def _head_constants(factors: tuple, wp: int) -> tuple[int, int | None]:
-    """(head, tail) of the raw `_supercritical_constants` at wp bits.
+    """(head, tail) of the raw `RatioLine.supercritical_factors` at wp bits.
 
     K = c1/(256*M**2) + c2/(24*M**3) is an exact rational of the raw
     factors, and head <= K * 2**FIXED_BITS < head + 2.  From lam = tail on,
@@ -815,97 +778,130 @@ def _head_constants(factors: tuple, wp: int) -> tuple[int, int | None]:
 
 
 def _fixed_phase(phase: tuple) -> tuple[int, ...]:
-    """(g1, g2, g3, two_pi, z) of the raw `_phase_constants` with the half
-    phase, as exact integers in units of 2**-z, z >= FIXED_BITS."""
+    """(g1, g2, g3, two_pi, z) of raw phase constants (gamma1, gamma2,
+    gamma3, 2*pi), as exact integers in units of 2**-z, z >= FIXED_BITS."""
     z = max((FIXED_BITS, *(-x[2] for x in phase if x[1])))
     return (*((-x[1] if x[0] else x[1]) << (x[2] + z) for x in phase), z)
 
 
 class RatioLine:
-    """What the certification cascade reads of one line of fixed ratio
-    r = a/b > 1 (a and b in any terms) at one working precision, built once
-    per line and shared by all of its pairs.
+    """The one object of a ratio r = a/b > 1 (a and b in any terms) at one
+    working precision: the constants that depend on r alone, the raw
+    kernels that read them, and the verdict and margin of each saddle step
+    of the certification cascade.
 
     The regime and, for a subcritical ratio, the reach of
-    `oscillatory_bound_reach` are exact and set here.  The raw factors of
-    the two bounds, and the phase constants of each p_eff that the line
-    reaches (one or two, as p_eff steps with lambda1's bit length), come
-    from the ratio caches on first use and are then kept.  So a pair of the
-    line pays for no Fraction, cache lookup or mpf object: each per-pair
-    kernel method is one call of the raw kernel that the public function of
-    the same formula calls, and returns a raw tuple, rounded at
-    prec + GUARD_BITS bits (the cosine at p_eff + GUARD_BITS).  Call each
+    `oscillatory_bound_reach` are exact and set here.  Every other constant
+    is computed on first use and then kept: the raw factors of the two
+    bounds, the validity threshold, the integer constants of the
+    enclosures, and the half-phase constants of each p_eff that the line
+    reaches (one or two, as p_eff steps with lambda1's bit length).
+    `ratio_line` keeps the lines of the last few ratios, which the public
+    functions and the ratio scans read; `certify` and the other scans build
+    a line of each pair, whose ratio is its own.  So a pair of a line pays
+    for no Fraction, cache lookup or mpf object: each kernel method is one
+    call of the raw kernel of its formula, and returns a raw tuple, rounded
+    at prec + GUARD_BITS bits (the cosine at p_eff + GUARD_BITS).  Call each
     bound only on a line of its regime.  `delta`, when given, is the split
-    angle of the refined supercritical bound.
+    angle of the refined supercritical bound, which `certify` passes on.
 
-    `supercritical_margin` and `oscillatory_margin` predict the outcome of a
-    saddle step's comparison, and its 53-bit margin, from integer
-    enclosures (in units of 2**-FIXED_BITS) of what the kernels would
-    return: `head_enclosure`, `bound_enclosure` and `cosine_enclosure`.
-    Their integer constants are derived from the raw ones on first use and
-    then kept.  The widths count the correctly rounded operations of each
-    kernel's chain at its precision (`_widening`), and trust what the
-    kernels do: libmp's +, -, *, / and sqrt round correctly, `mpf_pi`
-    within 2 ulp (it rounds pi computed with 20 extra bits), and `mpf_cos`
-    within 2 ulp, as `numerics` assumes.
+    `supercritical_margin` and `oscillatory_margin` decide a saddle step's
+    comparison and its 53-bit margin.  They read integer enclosures (in
+    units of 2**-FIXED_BITS) of what the kernels return first:
+    `head_enclosure`, `bound_enclosure` and `cosine_enclosure`.  The widths
+    count the correctly rounded operations of each kernel's chain at its
+    precision (`_widening`), and trust what the kernels do: libmp's +, -, *,
+    / and sqrt round correctly, `mpf_pi` within 2 ulp (it rounds pi
+    computed with 20 extra bits), and `mpf_cos` within 2 ulp, as `numerics`
+    assumes.  Where an enclosure leaves the outcome open, they run the
+    kernels.
     """
-
-    __slots__ = (
-        "a", "b", "prec", "wp", "delta", "regime", "reach", "_ratio", "_supercritical", "_nd_power",
-        "_phases", "_head", "_quotient", "_fixed_phases",
-    )
 
     def __init__(self, a: int, b: int, prec: int = DEFAULT_PRECISION, delta=None) -> None:
         self.a, self.b, self.prec, self.wp, self.delta = a, b, prec, prec + GUARD_BITS, delta
         self.regime = ratio_regime(a, b)
         self.reach = _oscillatory_reach(a, b) if self.regime is Regime.SUBCRITICAL else None
-        self._ratio = self._supercritical = self._nd_power = self._head = self._quotient = None
-        self._phases: dict[int, tuple] = {}
-        self._fixed_phases: dict[int, tuple] = {}
+        self._phases: dict[int, tuple[tuple, tuple]] = {}
 
-    @property
+    @functools.cached_property
     def ratio(self) -> Fraction:
-        """r in lowest terms, built on first use."""
-        if self._ratio is None:
-            self._ratio = Fraction(self.a, self.b)
-        return self._ratio
+        """r in lowest terms."""
+        return Fraction(self.a, self.b)
 
-    def _factors(self) -> tuple:
-        if self._supercritical is None:
-            self._supercritical = _supercritical_constants(self.ratio, self.prec)
-        return self._supercritical
+    @functools.cached_property
+    def supercritical_factors(self) -> tuple:
+        """The lambda-independent factors of `supercritical_error_bound`, raw:
+        M, 3*crit*pi**5, M**2, 5*crit, M**3, sqrt(2), pi**2 and pi**1.5, each
+        rounded exactly as the bound's formula rounds it."""
+        m_val = saddle_data(self.ratio, self.prec).M
+        with workprec(self.wp):
+            crit = 3 + 2 * mp.sqrt(mpf(2))
+            factors = (
+                m_val,
+                3 * crit * mp.pi**5,
+                m_val**2,
+                5 * crit,
+                m_val**3,
+                mp.sqrt(mpf(2)),
+                mp.pi**2,
+                mp.pi ** mpf("1.5"),
+            )
+            return tuple(f._mpf_ for f in factors)
 
-    def _nd(self) -> tuple:
-        if self._nd_power is None:
-            self._nd_power = _oscillatory_constants(self.ratio, self.prec)[0]
-        return self._nd_power
+    @functools.cached_property
+    def oscillatory_constants(self) -> tuple[tuple, tuple]:
+        """Raw (-r**2+6r-1)**(11/4) and the raw validity threshold of
+        `oscillatory_error_bound`."""
+        with workprec(self.wp):
+            nd = rational_to_real(negated_discriminant(self.ratio), self.wp)
+            rm = rational_to_real(self.ratio, self.wp)
+            threshold = 512 * rm ** mpf("1.5") / ((rm + 1) * nd ** mpf("1.5"))
+            return (nd ** (mpf(11) / 4))._mpf_, threshold._mpf_
 
-    def _phase(self, p_eff: int) -> tuple:
+    @functools.cached_property
+    def _head(self) -> tuple[int, int | None]:
+        return _head_constants(self.supercritical_factors, self.wp)
+
+    @functools.cached_property
+    def _quotient(self) -> int:
+        """floor(Q**2 * 2**(2*FIXED_BITS)) for Q = 16336/nd_power, exact."""
+        _, man, exp, _ = self.oscillatory_constants[0]
+        shift = 2 * (FIXED_BITS - exp)
+        numerator = OSCILLATORY_BOUND_CONSTANT**2
+        return (numerator << shift) // (man * man) if shift >= 0 else numerator // (man * man << -shift)
+
+    def phase(self, p_eff: int) -> tuple[tuple, tuple]:
+        """The phase constants of `oscillation_cosine` with the half phase at
+        p_eff: raw (gamma1, gamma2, gamma3, 2*pi), with 2*pi rounded at
+        p_eff + GUARD_BITS bits, and the same as exact integers
+        (`_fixed_phase`)."""
         phase = self._phases.get(p_eff)
         if phase is None:
-            phase = self._phases[p_eff] = _phase_constants(self.ratio, p_eff, True)
+            sd = saddle_data(self.ratio, p_eff)
+            if sd.regime is not Regime.SUBCRITICAL:
+                raise RegimeError(f"oscillation angles require 1 <= r <= 3 + 2*sqrt(2), got r = {self.ratio}")
+            raw = sd.gamma1._mpf_, sd.gamma2._mpf_, sd.gamma3._mpf_, _two_pi(p_eff)
+            phase = self._phases[p_eff] = raw, _fixed_phase(raw)
         return phase
 
     def supercritical_bound(self, lam: int) -> tuple:
         """`supercritical_error_bound(r, lam, prec)`, raw."""
-        return _supercritical_bound(self._factors(), lam, self.wp)
+        return _supercritical_bound(self.supercritical_factors, lam, self.wp)
 
     def oscillatory_bound(self, lam: int) -> tuple:
         """The bound of `oscillatory_error_bound(r, lam, prec)`, raw."""
-        return _oscillatory_bound(self._nd(), lam, self.wp)
+        return _oscillatory_bound(self.oscillatory_constants[0], lam, self.wp)
 
     def cosine(self, lambda1: int, lambda2: int) -> tuple:
         """The cosine of `oscillation_cosine` with the half phase, raw, for a
         pair (lambda1, lambda2) of the line."""
         p_eff = _phase_precision(self.prec, lambda1)
-        return _reduced_cosine(self._phase(p_eff), lambda1, lambda2, p_eff + GUARD_BITS)[0]
+        return _reduced_cosine(self.phase(p_eff)[0], lambda1, lambda2, p_eff + GUARD_BITS)[0]
 
     def head_enclosure(self, lam: int) -> tuple[int, int] | None:
         """(lo, hi) around `supercritical_bound(lam)`, or None below the
         line's tail cutoff (`_head_constants`), where the kernel may add its
         exponential term."""
-        if self._head is None:
-            self._head = _head_constants(self._factors(), self.wp)
         head, tail = self._head
         if tail is None or lam < tail:
             return None
@@ -920,11 +916,6 @@ class RatioLine:
         Q/sqrt(lam) * 2**FIXED_BITS < isqrt(q // lam) + 1; the kernel's four
         operations (from_int, sqrt, product, quotient) put its result within
         5u of Q/sqrt(lam)."""
-        if self._quotient is None:
-            _, man, exp, _ = self._nd()
-            shift = 2 * (FIXED_BITS - exp)
-            numerator = OSCILLATORY_BOUND_CONSTANT**2
-            self._quotient = (numerator << shift) // (man * man) if shift >= 0 else numerator // (man * man << -shift)
         b = math.isqrt(self._quotient // lam)
         width = _widening(b + 1, 4, self.wp)
         return b - width, b + 1 + width
@@ -946,10 +937,7 @@ class RatioLine:
         by less than one unit, and `_fixed_cos` adds `_COS_WIDTH`; cos is
         1-Lipschitz."""
         p_eff = _phase_precision(self.prec, lambda1)
-        fixed = self._fixed_phases.get(p_eff)
-        if fixed is None:
-            fixed = self._fixed_phases[p_eff] = _fixed_phase(self._phase(p_eff))
-        g1, g2, g3, two_pi, z = fixed
+        g1, g2, g3, two_pi, z = self.phase(p_eff)[1]
         angle = g1 * lambda1 + g2 * lambda2 + g3
         turns = (2 * angle + two_pi) // (2 * two_pi)
         kernel = 4 * (abs(g1) * lambda1 + abs(g2) * lambda2 + abs(g3)) + two_pi * (abs(turns) + 6) + (4 << z)
@@ -958,40 +946,57 @@ class RatioLine:
         width = (kernel >> (p_eff + GUARD_BITS + shift)) + 2 + _COS_WIDTH
         return c - width, c + width
 
-    def supercritical_margin(self, lam: int) -> float | str | None:
-        """The outcome of `certifier._supercritical_step`'s comparison of
-        `supercritical_bound(lam)` below 1 - SLACK: the margin 1 - bound
-        rounded to 53 bits, None when the bound is certainly not below, or
-        UNDECIDED when `head_enclosure` does not fix either."""
+    def supercritical_margin(self, lam: int) -> float | None:
+        """The supercritical step's verdict on `supercritical_bound(lam)`:
+        the margin 1 - bound rounded to 53 bits when the bound is certified
+        below 1 - SLACK, else None.  `head_enclosure` decides when it fixes
+        both; the kernel runs where it does not."""
         head = self.head_enclosure(lam)
-        if head is None:
-            return UNDECIDED
-        one = 1 << FIXED_BITS
-        lo, hi = one - head[1], one - head[0]
-        accept = _exceeds_slack(lo, hi)
-        if not accept:
-            return None if accept is False else UNDECIDED
-        margin = _rounded53(lo, hi)
-        return UNDECIDED if margin is None else math.ldexp(margin, -FIXED_BITS)
+        if head is not None:
+            one = 1 << FIXED_BITS
+            lo, hi = one - head[1], one - head[0]
+            accept = _exceeds_slack(lo, hi)
+            if accept is False:
+                return None
+            margin = accept and _rounded53(lo, hi)
+            if margin:
+                return math.ldexp(margin, -FIXED_BITS)
+        bound = self.supercritical_bound(lam)
+        if dyadic_compare(bound, fone, RAW_SLACK) is not Comparison.CERTIFIED_LESS:
+            return None
+        return rounded_margin(fone, bound)
 
-    def oscillatory_margin(self, lambda1: int, lambda2: int) -> float | str | None:
-        """The outcome of `certifier._oscillatory_step`'s comparison of
-        |cosine| above `oscillatory_bound(lambda2)` + SLACK: the margin, the
-        53-bit rounding of |cosine| minus the bound rounded to 53 bits, None
-        when |cosine| is certainly not above, or UNDECIDED when the
-        enclosures do not fix the outcome or either rounding."""
+    def oscillatory_margin(self, lambda1: int, lambda2: int) -> float | None:
+        """The oscillatory step's verdict on the pair: the 53-bit rounding of
+        |cosine| minus `oscillatory_bound(lambda2)`, rounded to 53 bits, when
+        |cosine| is certified above the bound + SLACK, else None.  The
+        enclosures decide when they fix the outcome and both roundings; the
+        kernels run where they do not.  Call it only above the reach, where
+        lambda2 lies far past the bound's validity threshold."""
         lo, hi = self.cosine_enclosure(lambda1, lambda2)
         if lo < 0:
             lo, hi = (-hi, -lo) if hi <= 0 else (0, max(hi, -lo))
         b_lo, b_hi = self.bound_enclosure(lambda2)
         accept = _exceeds_slack(lo - b_hi, hi - b_lo)
-        if not accept:
-            return None if accept is False else UNDECIDED
+        if accept is False:
+            return None
         # the rounded |cosine| stays above the bound: lo - b_hi > SLACK and
         # rounding moves lo by less than 2**-53
-        rounded = _rounded53(lo, hi)
+        rounded = accept and _rounded53(lo, hi)
         margin = rounded and _rounded53(rounded - b_hi, rounded - b_lo)
-        return UNDECIDED if margin is None else math.ldexp(margin, -FIXED_BITS)
+        if margin:
+            return math.ldexp(margin, -FIXED_BITS)
+        bound = self.oscillatory_bound(lambda2)
+        cosv = mpf_abs(self.cosine(lambda1, lambda2))
+        # decide on |cos| exactly; the printed margin rounds it to 53 bits first
+        if dyadic_compare(cosv, bound, RAW_SLACK) is not Comparison.CERTIFIED_GREATER:
+            return None
+        return rounded_margin(mpf_abs(cosv, MARGIN_PRECISION, _RND), bound)
+
+
+# the `RatioLine` of r = a/b in lowest terms at prec, kept for the last few
+# ratios: what the public functions and the ratio scans read of r
+ratio_line = functools.lru_cache(maxsize=RATIO_CACHE_SIZE)(RatioLine)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ of the sorted row, evaluated in one walk of `exact.row_values` (a pair whose
 two predecessors were evaluated costs one step of the three-term recurrence
 in l1), and the rest of the row goes straight to the `STAGES`.  The stages
 read the pair's integers and an `asymptotics.RatioLine`, which holds what
-depends on the ratio alone: a scan of a ratio line builds one for the whole
-line, while `certify` and every other scan build one for each pair.  The
+depends on the ratio alone and decides the two saddle steps: a scan of a
+ratio line reads the one line of its ratio (`asymptotics.ratio_line`), while
+`certify` and every other scan build one for each pair.  The
 window and near-diagonal steps read a `DiffLine` as well, which holds the
 lambda2 thresholds of their comparisons at one difference d: each process
 builds one per difference and precision (`_diff_line`), which every pair
@@ -50,13 +51,13 @@ itself.  Per pair there remain the floor of clause class2-a past lambda2 =
 than 1000 bits, the row value of the near-diagonal bound and its
 comparison with the flat bound, the cosine lower bound and the margin.
 
-The supercritical and oscillatory steps each ask the `RatioLine` for the
-outcome of their comparison first (`supercritical_margin`,
-`oscillatory_margin`).  Those predict the raw kernels' outcome and 53-bit
-margin from integer enclosures of the kernels' values, and return UNDECIDED
-where an enclosure reaches across the slack or across a midpoint of the
-53-bit grid; the step then runs the kernels, as before.  So these steps,
-too, give every pair the kernels' verdict and margin.
+The supercritical and oscillatory steps take their verdict and margin from
+the `RatioLine` (`supercritical_margin`, `oscillatory_margin`), which
+decides from integer enclosures of its raw kernels' values and runs the
+kernels where an enclosure reaches across the slack or across a midpoint of
+the 53-bit grid.  So these steps, too, give every pair the kernels' verdict
+and margin, and only word the record; the supercritical step also tries
+the refined bound when `certify` was given a delta.
 
 Inconclusive is an honest outcome and is never retried with looser slack:
 pairs where the cosine is certifiably small are exactly the possible
@@ -68,6 +69,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import math
 import operator
 import os
 import time
@@ -81,7 +83,6 @@ from mpmath import mp, mpf, workprec
 from mpmath.libmp import (
     fone,
     from_int,
-    mpf_abs,
     mpf_add,
     mpf_ceil,
     mpf_floor,
@@ -90,13 +91,11 @@ from mpmath.libmp import (
     mpf_pow,
     mpf_sub,
     round_nearest,
-    to_float,
     to_int,
 )
 
 from .asymptotics import (
     NEAR_DIAGONAL_MIN_DIFFERENCE,
-    UNDECIDED,
     RatioLine,
     Regime,
     RegimeError,
@@ -106,6 +105,7 @@ from .asymptotics import (
     check_delta,
     classify,
     negated_discriminant,
+    ratio_line,
     supercritical_error_bound_refined,
     window_edge,
     REFINED_BOUND_MAX_RATIO,
@@ -125,6 +125,7 @@ from .numerics import (
     check_precision,
     decimal_constant,
     dyadic_compare,
+    rounded_margin,
 )
 
 # cost units are 64-bit word multiplications of the incremental loop.  On a
@@ -226,16 +227,6 @@ def certify_by_term_growth(pair: PartitionPair) -> bool:
 EXACT_RULE = "exact evaluation"
 
 
-# printed margins are rounded at 53 bits, mpmath's default precision,
-# whatever precision the caller has set
-MARGIN_PRECISION = 53
-
-
-def _margin(a: tuple, b: tuple) -> float:
-    """a - b of two raw mpf tuples, rounded to `MARGIN_PRECISION` bits, as a float."""
-    return to_float(mpf_sub(a, b, MARGIN_PRECISION, round_nearest))
-
-
 def _refusal(l1: int, l2: int) -> tuple | None:
     """The scan record of a pair that `certify` refuses, else None."""
     if l2 == 0:
@@ -278,27 +269,15 @@ def _supercritical_gate(line: RatioLine, l1: int, l2: int) -> bool:
 
 
 def _supercritical_step(line: RatioLine, l1: int, l2: int) -> tuple | None:
-    # the kernel step's outcome from the fixed-point enclosure when that
-    # fixes it; the refined bound runs only in the kernel step
     margin = line.supercritical_margin(l2)
-    if margin is UNDECIDED or (margin is None and line.delta is not None):
-        return _supercritical_kernel_step(line, l1, l2)
-    if margin is None:
+    if margin is not None:
+        return l1, _SUPERCRITICAL, "supercritical saddle bound", margin, None, None, None, None, 0
+    if line.delta is None or line.ratio > REFINED_BOUND_MAX_RATIO:
         return None
-    return l1, _SUPERCRITICAL, "supercritical saddle bound", margin, None, None, None, None, 0
-
-
-def _supercritical_kernel_step(line: RatioLine, l1: int, l2: int) -> tuple | None:
-    bound = line.supercritical_bound(l2)
-    rule = "supercritical saddle bound"
+    bound = supercritical_error_bound_refined(line.ratio, l2, line.delta, line.prec)._mpf_
     if dyadic_compare(bound, fone, RAW_SLACK) is not _LESS:
-        if line.delta is None or line.ratio > REFINED_BOUND_MAX_RATIO:
-            return None
-        bound = supercritical_error_bound_refined(line.ratio, l2, line.delta, line.prec)._mpf_
-        rule = "refined supercritical saddle bound"
-        if dyadic_compare(bound, fone, RAW_SLACK) is not _LESS:
-            return None
-    return l1, _SUPERCRITICAL, rule, _margin(fone, bound), None, None, None, None, 0
+        return None
+    return l1, _SUPERCRITICAL, "refined supercritical saddle bound", rounded_margin(fone, bound), None, None, None, None, 0
 
 
 def _oscillatory_gate(line: RatioLine, l1: int, l2: int) -> bool:
@@ -307,23 +286,10 @@ def _oscillatory_gate(line: RatioLine, l1: int, l2: int) -> bool:
 
 
 def _oscillatory_step(line: RatioLine, l1: int, l2: int) -> tuple | None:
-    # the kernel step's outcome from the fixed-point enclosures when they fix it
+    # above the reach lam is far past the bound's validity threshold (see the reach)
     margin = line.oscillatory_margin(l1, l2)
-    if margin is UNDECIDED:
-        return _oscillatory_kernel_step(line, l1, l2)
     if margin is None:
         return None
-    return l1, _OSCILLATORY, "oscillatory main-term bound", margin, None, None, None, None, 0
-
-
-def _oscillatory_kernel_step(line: RatioLine, l1: int, l2: int) -> tuple | None:
-    # above the reach lam is far past the bound's validity threshold (see the reach)
-    bound = line.oscillatory_bound(l2)
-    cosv = line.cosine(l1, l2)
-    # decide on |cos| exactly; the printed margin rounds it to 53 bits first
-    if dyadic_compare(mpf_abs(cosv), bound, RAW_SLACK) is not _GREATER:
-        return None
-    margin = _margin(mpf_abs(cosv, MARGIN_PRECISION, round_nearest), bound)
     return l1, _OSCILLATORY, "oscillatory main-term bound", margin, None, None, None, None, 0
 
 
@@ -337,7 +303,13 @@ def _near_diagonal_gate(line: RatioLine, l1: int, l2: int) -> bool:
     return NEAR_DIAGONAL_MIN_DIFFERENCE <= d and d * d < 26 * l2
 
 
-@functools.lru_cache
+# An all-up-to row passes every difference from 702 to about
+# sqrt(26*lambda2) through the window step, 911 of them at lambda2 = 10**5
+# and 4,096 up to lambda2 ~ 8.8*10**5, and the next row passes them again:
+# a smaller bound would evict each line before the next row reads it, so
+# every row would rebuild them all.  A filled `DiffLine` takes 2.7 KB on
+# average and 4.7 KB at most, so the cache stays below about 19 MB.
+@functools.lru_cache(maxsize=4096)
 def _diff_line(d: int, wp: int) -> DiffLine:
     """The `DiffLine` of difference d at wp bits, built once in a process and
     shared by every pair of that difference, whatever made the pair."""
@@ -361,7 +333,7 @@ def _near_diagonal_step(line: RatioLine, l1: int, l2: int) -> tuple | None:
     lower = _cos_lower_bound(l1, l2, line.wp)
     if lower is None or dyadic_compare(lower, bound, RAW_SLACK) is not _GREATER:
         return None
-    return l1, _OSCILLATORY, "near-diagonal window bound", _margin(lower, bound), None, None, None, None, 0
+    return l1, _OSCILLATORY, "near-diagonal window bound", rounded_margin(lower, bound), None, None, None, None, 0
 
 
 # The cascade after exact evaluation, in order: (stage id, gate, step).  A
@@ -374,13 +346,13 @@ def _near_diagonal_step(line: RatioLine, l1: int, l2: int) -> tuple | None:
 # `DiffLine` of the difference (the chains behind them are monotone in
 # lambda2 and within mu of exact), and run the per-pair functions only in
 # the narrow band between two thresholds; the cosine lower bound, the row
-# value, its comparison with the flat bound and the margin stay per pair.  The supercritical and
-# oscillatory steps take their outcome and margin from the `RatioLine`'s
-# fixed-point enclosures of the kernels' values (widths counted from the
-# rounded operations of each kernel at its precision, trusting correct
-# rounding of libmp's +, -, *, / and sqrt and `mpf_pi` and `mpf_cos` within
-# 2 ulp), and run the kernels only where an enclosure leaves the outcome or
-# a 53-bit rounding of the margin open.
+# value, its comparison with the flat bound and the margin stay per pair.
+# The supercritical and oscillatory steps word the verdict and margin of the
+# `RatioLine`, which decides from fixed-point enclosures of its kernels'
+# values (widths counted from the rounded operations of each kernel at its
+# precision, trusting correct rounding of libmp's +, -, *, / and sqrt and
+# `mpf_pi` and `mpf_cos` within 2 ulp) and runs the kernels only where an
+# enclosure leaves the outcome or a 53-bit rounding of the margin open.
 STAGES = (
     ("term-growth", _term_growth_gate, _term_growth_step),
     ("supercritical", _supercritical_gate, _supercritical_step),
@@ -469,21 +441,22 @@ def _int_below(x: tuple, wp: int) -> int:
 # upper end) of lambda1 - lambda2, an end (m, k, c) standing for
 # m*sqrt(k*pi*lambda2) + c at the lower and m*sqrt(k*pi*lambda2) - c at the
 # upper end; a lower end None is the floor of the class (1, or for class 2
-# the larger of 702 and 2.0582 * lambda2**(1/4))
+# the larger of 702 and CLASS2_FLOOR_FACTOR * lambda2**(1/4))
 WINDOW_CLAUSES = (
     (("class0-a", None, (1, 2, "1.0443")), ("class0-b", (1, 2, "3.1407"), (1, 6, "0.9275"))),
     (("class1-a", None, (1, 3, "0.984")), ("class1-b", (1, 3, "3.8433"), (1, 7, "0.9231"))),
     (("class2-a", None, (1, 2, "0.9535")), ("class2-b", (2, 1, "4.5938"), (2, 2, "0.9218"))),
     (("class3-a", None, (1, 1, "1.1958")), ("class3-b", (1, 1, "2.5913"), (1, 5, "0.9367"))),
 )
+CLASS2_FLOOR_FACTOR = "2.0582"
 
 
 def _class2_floor(lambda2: int, wp: int) -> int:
     """The least difference of clause class2-a: 702, or the first integer
-    above 2.0582 * lambda2**(1/4) once that is certifiedly larger (lambda2
-    and the constants at `wp` bits)."""
+    above `CLASS2_FLOOR_FACTOR` * lambda2**(1/4) once that is certifiedly
+    larger (lambda2 and the constants at `wp` bits)."""
     quarter_root = mpf_mul(
-        decimal_constant("2.0582", wp)._mpf_,
+        decimal_constant(CLASS2_FLOOR_FACTOR, wp)._mpf_,
         mpf_pow(from_int(lambda2, wp, round_nearest), decimal_constant("0.25", wp)._mpf_, wp, round_nearest),
         wp,
         round_nearest,
@@ -544,9 +517,10 @@ _WINDOW_KEYS = tuple(
 )
 
 # the largest lambda2 at which the floor of clause class2-a is certainly 702:
-# up to it 2.0582 * lambda2**(1/4) <= 702 - 2**-20, far below 702 - SLACK
+# below ((702 - 2**-20) / CLASS2_FLOOR_FACTOR)**4, where
+# CLASS2_FLOOR_FACTOR * lambda2**(1/4) < 702 - 2**-20, far below 702 - SLACK
 # after the few ulps of error of `mpf_pow` at wp >= 77 bits
-CLASS2_FLOOR_702 = ((702 * 2**20 - 1) ** 4 * 10**16 - 1) // (20582**4 * 2**80)
+CLASS2_FLOOR_702 = math.ceil(((NEAR_DIAGONAL_MIN_DIFFERENCE - Fraction(1, 2**20)) / Fraction(CLASS2_FLOOR_FACTOR)) ** 4) - 1
 
 def _edge_cut(d: int, wp: int, mmk: int, offset: int) -> tuple[int, int]:
     """(below, above) for m*sqrt(k*pi*l2) against v = d + offset units with
@@ -700,8 +674,8 @@ def difference_windows(
 # --------------------------------------------------------------------------
 
 # Each scan rule's `rows(lo, hi)` yields its nonempty rows (sorted lambda1
-# values, lambda2) for lo <= lambda2 <= hi, lo >= 1, in lambda2 order, and
-# visits no lambda2 past its last pair.
+# values, lambda2) for lo <= lambda2 <= hi, lo >= 1, in lambda2 order, every
+# lambda1 above lambda2, and visits no lambda2 past its last pair.
 
 
 @dataclass(frozen=True)
@@ -867,32 +841,25 @@ def format_float(x) -> str:
     return "" if x is None else format(float(x), _FLOAT_SPEC)
 
 
-def _row_cut(lambda1s: list[int], l2: int, budget: int) -> tuple[int, int, int]:
-    """(lo, hi, cost) for the sorted lambda1 values of a row at lambda2 = l2 >= 1:
-    `certify` refuses lambda1s[:lo], the budget admits lambda1s[lo:hi], and
-    cost is the `evaluation_cost` of lambda1s[lo] when it is admitted, else 0."""
-    # certify refuses lambda1 <= lambda2; sorted, these come first
-    lo = bisect.bisect_right(lambda1s, l2)
-    if lo == len(lambda1s):
-        return lo, lo, 0
-    cost = pair_cost(lambda1s[lo], l2)
+def _row_cut(lambda1s: list[int], l2: int, budget: int) -> tuple[int, int]:
+    """(hi, cost) for the sorted lambda1 values of a row of a scan rule at
+    lambda2 = l2, all above l2 >= 1, so that `certify` refuses none: the
+    budget admits lambda1s[:hi], and cost is the `evaluation_cost` of
+    lambda1s[0] when it is admitted, else 0."""
+    cost = pair_cost(lambda1s[0], l2)
     if cost > budget:
-        return lo, lo, 0
+        return 0, 0
     # evaluation_cost is nondecreasing in lambda1, so the admitted pairs form a prefix
-    hi = bisect.bisect_right(lambda1s, budget, lo + 1, key=lambda l1: pair_cost(l1, l2))
-    return lo, hi, cost
+    return bisect.bisect_right(lambda1s, budget, 1, key=lambda l1: pair_cost(l1, l2)), cost
 
 
-def _row_records(lambda1s: list[int], l2: int, lo: int, hi: int, prec: int, line: RatioLine | None) -> Iterator[tuple]:
+def _row_records(lambda1s: list[int], l2: int, hi: int, prec: int, line: RatioLine | None) -> Iterator[tuple]:
     """The scan record (usec 0) of each lambda1 of `lambda1s` (sorted) at
-    lambda2 = l2, in turn, with the verdicts of `certify`, for the cut
-    (lo, hi) of `_row_cut`.  The cascade runs on `line` when the scan's
-    pairs share one, else on a line of each pair alone."""
-    for l1 in lambda1s[:lo]:
-        # refused before the budget is read
-        yield _refusal(l1, l2)
-    if lo < hi:
-        admitted = lambda1s[lo:hi]
+    lambda2 = l2, in turn, with the verdicts of `certify`, for the cut hi
+    of `_row_cut`.  The cascade runs on `line` when the scan's pairs share
+    one, else on a line of each pair alone."""
+    if hi:
+        admitted = lambda1s[:hi]
         for l1, value in zip(admitted, exact.row_values(l2, admitted)):
             yield _exact_record(l1, value)
     for l1 in lambda1s[hi:]:
@@ -907,8 +874,8 @@ def _scan_chunk(settings: tuple, chunk: list[tuple]) -> list[tuple[int, tuple[tu
     produce it."""
     prec, line, timed = settings
     rows = []
-    for lambda1s, l2, lo, hi in chunk:
-        records = _row_records(lambda1s, l2, lo, hi, prec, line)
+    for lambda1s, l2, hi in chunk:
+        records = _row_records(lambda1s, l2, hi, prec, line)
         if timed:
             timed_records = []
             start = time.perf_counter()
@@ -959,7 +926,7 @@ def rule_pairs(lambda2_range: tuple[int, int], rule) -> list[tuple[int, int]]:
 
 def _chunks(rows: Iterable[tuple[list[int], int]], budget: int) -> Iterator[tuple[list[tuple], int]]:
     """The rows of `rule_rows` in consecutive chunks of (lambda1s, lambda2,
-    lo, hi), with the cut (lo, hi) of `_row_cut`, each closed once it holds
+    hi), with the cut hi of `_row_cut`, each closed once it holds
     CHUNK_PAIRS pairs or CHUNK_WORK cost units (a row is never split), with
     the estimated work of each chunk.  A row's work is read from the row
     alone: the `evaluation_cost` of its first admitted pair, which the row
@@ -967,8 +934,8 @@ def _chunks(rows: Iterable[tuple[list[int], int]], budget: int) -> Iterator[tupl
     budget.  Walk steps are not charged."""
     chunk, pairs, work = [], 0, 0
     for lambda1s, l2 in rows:
-        lo, hi, cost = _row_cut(lambda1s, l2, budget)
-        chunk.append((lambda1s, l2, lo, hi))
+        hi, cost = _row_cut(lambda1s, l2, budget)
+        chunk.append((lambda1s, l2, hi))
         pairs += len(lambda1s)
         work += cost + CASCADE_PAIR_COST * (len(lambda1s) - hi)
         if pairs >= CHUNK_PAIRS or work >= CHUNK_WORK:
@@ -1027,17 +994,19 @@ def scan_rows(
 
     The rule yields only its nonempty rows, each a lambda2 and its sorted
     lambda1 values (`rule_rows`), and visits no lambda2 past its last pair.
-    Since `exact.evaluation_cost` is nondecreasing in lambda1, the pairs of
-    a row that the budget admits form a prefix (after any pairs that
-    `certify` refuses), which this process finds by bisection (`_row_cut`).
+    Every lambda1 of a row lies above its lambda2 >= 1, so `certify` would
+    refuse none of them.  Since `exact.evaluation_cost` is nondecreasing in
+    lambda1, the pairs of a row that the budget admits form a prefix, which
+    this process finds by bisection (`_row_cut`).
     The prefix is evaluated in one `exact.row_values` walk, so each pair
     whose two predecessors S(lambda1 - 2, lambda2) and S(lambda1 - 1,
     lambda2) were evaluated costs one step of the row recurrence; the rest
     of the row goes straight to the `STAGES`.  The verdicts are those of
-    `certify` on each pair alone.  The pairs of a ratio rule share one
-    `RatioLine`, built here; any other rule's cascade pairs run on a line
-    of their own.  The window and near-diagonal steps of every pair of one
-    difference read the one `DiffLine` that each process builds for it.
+    `certify` on each pair alone.  The pairs of a ratio rule share the one
+    `RatioLine` of the ratio, `asymptotics.ratio_line`; any other rule's
+    cascade pairs run on a line of their own.  The window and near-diagonal
+    steps of every pair of one difference read the one `DiffLine` that each
+    process builds for it.
 
     Rows are built, priced and certified as they are taken, a chunk at a
     time (`_chunks`), so only a bounded number of them is held at once; the
@@ -1056,7 +1025,7 @@ def scan_rows(
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     rows = rule_rows(lambda2_range, rule)
-    line = RatioLine(rule.ratio.numerator, rule.ratio.denominator, prec) if isinstance(rule, RatioRule) else None
+    line = ratio_line(rule.ratio.numerator, rule.ratio.denominator, prec) if isinstance(rule, RatioRule) else None
     settings = (prec, line, timings)
     return _scan(_chunks(rows, budget), settings, min(parallelism, _usable_cpus()), lambda2_range[1])
 

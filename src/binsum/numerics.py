@@ -17,7 +17,9 @@ holds raw tuples, and `raw_rational` rounds an exact rational as
 `SLACK` = 2**-SLACK_BITS = 2**-40 (`RAW_SLACK` raw), vastly above 128-bit
 rounding noise and still 2**37 times the unit 2**-(MIN_PRECISION +
 GUARD_BITS) of the coarsest formula chain; the fixed-point and integer
-arithmetic elsewhere derives its slack from `SLACK_BITS`.
+arithmetic elsewhere derives its slack from `SLACK_BITS`.  Every printed
+margin is a difference of raw values rounded to `MARGIN_PRECISION` = 53
+bits by `rounded_margin`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import math
 from fractions import Fraction
 
 from mpmath import mp, mpf, workprec
-from mpmath.libmp import from_float, from_int, mpf_cmp, mpf_div, mpf_neg, mpf_sub, round_nearest
+from mpmath.libmp import from_float, from_int, mpf_cmp, mpf_div, mpf_neg, mpf_sub, round_nearest, to_float
 
 DEFAULT_PRECISION = 128
 MIN_PRECISION = 53
@@ -41,6 +43,10 @@ GUARD_BITS = 24
 SLACK_BITS = 40
 SLACK = mpf(2) ** -SLACK_BITS
 RAW_SLACK = SLACK._mpf_
+
+# printed margins are rounded at 53 bits, mpmath's default precision,
+# whatever precision the caller has set
+MARGIN_PRECISION = 53
 
 # pi lies in [PI_FLOOR, PI_FLOOR + 1] / 2**PI_BITS, an enclosure of width
 # 2**-96 for integer arithmetic
@@ -146,3 +152,8 @@ def dyadic_compare(a: tuple, b: tuple, slack: tuple) -> Comparison:
     if mpf_cmp(gap, slack) > 0:  # a - slack > b
         return Comparison.CERTIFIED_GREATER
     return Comparison.INDETERMINATE
+
+
+def rounded_margin(a: tuple, b: tuple) -> float:
+    """a - b of two raw mpf tuples, rounded to `MARGIN_PRECISION` bits, as a float."""
+    return to_float(mpf_sub(a, b, MARGIN_PRECISION, round_nearest))

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import from_int, from_man_exp, round_nearest
 
+from binsum import asymptotics
 from binsum.asymptotics import (
     FIXED_BITS,
     NEAR_DIAGONAL_ROWS,
     OSCILLATORY_BOUND_CONSTANT,
-    UNDECIDED,
     RatioLine,
     Regime,
     RegimeError,
@@ -29,6 +29,7 @@ from binsum.asymptotics import (
     oscillatory_bound_reach,
     oscillatory_error_bound,
     predict,
+    ratio_line,
     ratio_regime,
     saddle_data,
     supercritical_error_bound,
@@ -40,14 +41,12 @@ from binsum.asymptotics import (
     _head_constants,
     _near_diagonal_bound,
     _oscillatory_bound,
-    _oscillatory_constants,
     _oscillatory_reach,
-    _phase_constants,
     _phase_precision,
     _reduced_cosine,
     _rounded53,
     _supercritical_bound,
-    _supercritical_constants,
+    _two_pi,
     window_edge,
 )
 from binsum.exact import PartitionPair
@@ -60,15 +59,7 @@ from binsum.numerics import (
     rational_to_real,
 )
 
-RATIO_CACHES = (
-    saddle_data,
-    gamma_angles,
-    _supercritical_constants,
-    _oscillatory_constants,
-    _phase_constants,
-    oscillatory_bound_reach,
-    window_edge,
-)
+RATIO_CACHES = (saddle_data, gamma_angles, ratio_line, window_edge)
 
 
 def test_classification_is_exact():
@@ -825,7 +816,7 @@ def test_oscillation_cosine_is_bit_identical_to_mpf_arithmetic(pair, prec, half_
 @settings(max_examples=300, deadline=None)
 def test_supercritical_kernel_is_bit_identical_to_mpf_arithmetic(r, scale, lam, prec):
     expected = _reference_supercritical_bound(r, lam, prec)._mpf_
-    assert _supercritical_bound(_supercritical_constants(r, prec), lam, prec + GUARD_BITS) == expected
+    assert _supercritical_bound(ratio_line(r.numerator, r.denominator, prec).supercritical_factors, lam, prec + GUARD_BITS) == expected
     line = RatioLine(scale * r.numerator, scale * r.denominator, prec)
     assert line.regime is Regime.SUPERCRITICAL and line.reach is None
     assert line.supercritical_bound(lam) == expected
@@ -838,7 +829,7 @@ def test_supercritical_kernel_is_bit_identical_to_mpf_arithmetic(r, scale, lam, 
 @settings(max_examples=300, deadline=None)
 def test_oscillatory_kernels_are_bit_identical_to_mpf_arithmetic(r, scale, lam, prec):
     expected = _reference_oscillatory_bound(r, lam, prec)[0]._mpf_
-    assert _oscillatory_bound(_oscillatory_constants(r, prec)[0], lam, prec + GUARD_BITS) == expected
+    assert _oscillatory_bound(ratio_line(r.numerator, r.denominator, prec).oscillatory_constants[0], lam, prec + GUARD_BITS) == expected
     a, b = scale * r.numerator, scale * r.denominator
     line = RatioLine(a, b, prec)
     assert line.regime is Regime.SUBCRITICAL
@@ -856,7 +847,10 @@ def test_oscillatory_kernels_are_bit_identical_to_mpf_arithmetic(r, scale, lam, 
 def test_reduced_cosine_kernel_is_bit_identical_to_mpf_arithmetic(pair, prec, half_phase):
     expected = _reference_oscillation_cosine(pair, prec, half_phase)
     p_eff = _phase_precision(prec, pair.lambda1)
-    phase = _phase_constants(pair.ratio, p_eff, half_phase)
+    if half_phase:
+        phase = RatioLine(pair.lambda1, pair.lambda2, prec).phase(p_eff)[0]
+    else:
+        phase = (*(g._mpf_ for g in gamma_angles(pair.ratio, p_eff)), None, _two_pi(p_eff))
     assert _reduced_cosine(phase, pair.lambda1, pair.lambda2, p_eff + GUARD_BITS) == expected
     if half_phase:
         assert RatioLine(pair.lambda1, pair.lambda2, prec).cosine(pair.lambda1, pair.lambda2) == expected[0]
@@ -913,7 +907,7 @@ def test_head_enclosure_holds_the_supercritical_kernel(ratio, prec, near_tail, o
     # kernel may still add its exponential term below the cutoff
     a, b = ratio
     line = RatioLine(a, b, prec)
-    _, tail = _head_constants(_supercritical_constants(line.ratio, prec), prec + GUARD_BITS)
+    _, tail = _head_constants(line.supercritical_factors, prec + GUARD_BITS)
     if near_tail:
         lam = max(1, tail + round(offset * tail))
     enclosure = line.head_enclosure(lam)
@@ -950,9 +944,10 @@ def test_cosine_enclosure_holds_the_reduced_cosine(ratio, prec, bits, step, t, o
     # 3*a of 2**bits, where p_eff steps
     a, b = ratio
     t = max(1, 2**bits // a + offset if step else t // b)
-    lo, hi = RatioLine(a, b, prec).cosine_enclosure(a * t, b * t)
+    line = RatioLine(a, b, prec)
+    lo, hi = line.cosine_enclosure(a * t, b * t)
     p_eff = _phase_precision(prec, a * t)
-    cosv, _ = _reduced_cosine(_phase_constants(Fraction(a, b), p_eff, True), a * t, b * t, p_eff + GUARD_BITS)
+    cosv, _ = _reduced_cosine(line.phase(p_eff)[0], a * t, b * t, p_eff + GUARD_BITS)
     assert lo <= _units(cosv) <= hi
     assert hi - lo <= 2 * _COS_WIDTH + 6
 
@@ -1021,21 +1016,36 @@ def _crafted_supercritical_line(head: Fraction, prec: int) -> tuple[RatioLine, i
         from_int(1),
     )
     line = RatioLine(6, 1, prec)
-    line._supercritical = factors
+    line.supercritical_factors = factors
     assert _supercritical_bound(factors, lam, prec + GUARD_BITS) == from_man_exp(head.numerator, -(head.denominator.bit_length() - 1))
     return line, lam
 
 
-def test_supercritical_margin_is_undecided_where_the_kernel_bits_are_not_fixed():
+def _counted_kernel(monkeypatch, name: str) -> list:
+    """The argument tuples of every call that a `RatioLine` makes to the
+    kernel `asymptotics.<name>` from now on."""
+    calls = []
+    kernel = getattr(asymptotics, name)
+    monkeypatch.setattr(asymptotics, name, lambda *args: calls.append(args) or kernel(*args))
+    return calls
+
+
+def test_supercritical_margin_runs_the_kernel_where_its_enclosure_is_open(monkeypatch):
+    calls = _counted_kernel(monkeypatch, "_supercritical_bound")
     # 1 - head = 3/4 + 2**-54 + 2**-78 lies 2**-78 above a midpoint of the
     # 53-bit grid, within the 6u of the bound chain at --precision 53, so the
-    # kernel's margin 3/4 + 2**-53 cannot be told from 3/4
+    # enclosure cannot tell the kernel's margin 3/4 + 2**-53 from 3/4, and
+    # the kernel decides
     line, lam = _crafted_supercritical_line(Fraction(1, 4) - Fraction(1, 2**54) - Fraction(1, 2**78), 53)
-    assert line.supercritical_margin(lam) is UNDECIDED
-    # at 128 bits the chain is good to 2**-124, and the margin is fixed
+    assert line.head_enclosure(lam) is not None
+    assert line.supercritical_margin(lam) == 0.75 + 2**-53
+    assert len(calls) == 1
+    # at 128 bits the chain is good to 2**-124, and the enclosure fixes the margin
     line, lam = _crafted_supercritical_line(Fraction(1, 4) - Fraction(1, 2**54) - Fraction(1, 2**78), 128)
     assert line.supercritical_margin(lam) == 0.75 + 2**-53
-    # a bound 1 - SLACK is not certified below 1 - SLACK by the kernel, and
-    # its enclosure reaches both sides
+    assert len(calls) == 1
+    # a bound 1 - SLACK: its enclosure reaches both sides of 1 - SLACK, and
+    # the kernel does not certify it below
     line, lam = _crafted_supercritical_line(1 - Fraction(1, 2**40), 53)
-    assert line.supercritical_margin(lam) is UNDECIDED
+    assert line.supercritical_margin(lam) is None
+    assert len(calls) == 2

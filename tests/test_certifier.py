@@ -12,13 +12,12 @@ import pytest
 from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
-from mpmath.libmp import from_int
+from mpmath.libmp import fone, from_int, mpf_abs, round_nearest
 
 from binsum import asymptotics, certifier, exact
 from binsum.asymptotics import (
     FIXED_BITS,
     NEAR_DIAGONAL_ROWS,
-    UNDECIDED,
     RatioLine,
     _near_diagonal_bound,
     window_edge,
@@ -38,10 +37,8 @@ from binsum.certifier import (
     _largest_difference,
     _least_difference,
     _near_diagonal_step,
-    _oscillatory_kernel_step,
     _oscillatory_step,
     _scan_chunk,
-    _supercritical_kernel_step,
     _supercritical_step,
     _window_step,
     certify,
@@ -55,12 +52,14 @@ from binsum.exact import PartitionPair, evaluate, evaluation_cost, row_step
 from binsum.numerics import (
     DEFAULT_PRECISION,
     GUARD_BITS,
+    MARGIN_PRECISION,
     RAW_SLACK,
     SLACK,
     SLACK_BITS,
     Comparison,
     certified_compare,
     dyadic_compare,
+    rounded_margin,
 )
 
 
@@ -293,6 +292,16 @@ def test_difference_windows_match_mpf_arithmetic_around_the_class2_floor_changes
     assert floors == {702, 703, 704, 705, 800, 801}
     for lambda2 in (1, 702, 18953, 10**5, 10**6 + 3):
         assert difference_windows(lambda2) == _reference_difference_windows(lambda2, 128)
+
+
+def test_class2_floor_is_702_up_to_its_pinned_lambda2():
+    # ((702 - 2**-20) / 2.0582)**4 lies just above 13,533,126,790, and the
+    # floor leaves 702 only past (702/2.0582)**4 ~ 13,533,126,864.3
+    assert certifier.CLASS2_FLOOR_FACTOR == "2.0582"
+    assert certifier.CLASS2_FLOOR_702 == 13_533_126_790
+    wp = DEFAULT_PRECISION + GUARD_BITS
+    assert certifier._class2_floor(certifier.CLASS2_FLOOR_702, wp) == 702
+    assert certifier._class2_floor(13_533_126_865, wp) == 703
 
 
 def test_difference_windows_tiny_lambda2():
@@ -553,14 +562,23 @@ def test_oscillatory_gate_rejects_exactly_the_pairs_up_to_the_reach(ratio):
     assert gate(line, int(ratio * (reach + 1)), reach + 1)
 
 
-def test_supercritical_step_falls_back_to_the_kernel_on_a_built_ambiguous_pair():
+def _counted_kernel(monkeypatch, name: str) -> list:
+    """The argument tuples of every call that a `RatioLine` makes to the
+    kernel `asymptotics.<name>` from now on."""
+    calls = []
+    kernel = getattr(asymptotics, name)
+    monkeypatch.setattr(asymptotics, name, lambda *args: calls.append(args) or kernel(*args))
+    return calls
+
+
+def test_supercritical_step_falls_back_to_the_kernel_on_a_built_ambiguous_pair(monkeypatch):
     # head = 1/4 - 2**-54 - 2**-78 exactly, so that 1 - head lies 2**-78
     # above a midpoint of the 53-bit grid, inside the bound chain's 6u at
     # --precision 53 (see the asymptotics test of the same line)
     lam = 2**20
     c1 = (Fraction(1, 4) - Fraction(1, 2**54) - Fraction(1, 2**78)) * 256 * lam * lam
     line = RatioLine(600, 100, 53)
-    line._supercritical = (
+    line.supercritical_factors = (
         from_int(1024),
         (0, c1.numerator, -(c1.denominator.bit_length() - 1), c1.numerator.bit_length()),
         from_int(lam),
@@ -570,9 +588,13 @@ def test_supercritical_step_falls_back_to_the_kernel_on_a_built_ambiguous_pair()
         from_int(8),
         from_int(1),
     )
-    assert line.supercritical_margin(lam) is UNDECIDED
+    assert line.head_enclosure(lam) is not None
+    kernel = asymptotics._supercritical_bound
+    calls = _counted_kernel(monkeypatch, "_supercritical_bound")
     record = _supercritical_step(line, 6 * lam, lam)
-    assert record == _supercritical_kernel_step(line, 6 * lam, lam)
+    assert len(calls) == 1
+    margin = rounded_margin(fone, kernel(line.supercritical_factors, lam, line.wp))
+    assert record == (6 * lam, CertificateKind.NONZERO_SUPERCRITICAL, "supercritical saddle bound", margin, None, None, None, None, 0)
     assert record[3] == 0.75 + 2**-53
 
 
@@ -582,25 +604,29 @@ def test_oscillatory_step_falls_back_to_the_kernel_on_a_built_ambiguous_pair(mon
     # holds the kernel's value, but no longer fixes its rounding
     l1, l2 = 200140, 100070
     line = RatioLine(2, 1, 128)
+    kernel = asymptotics._oscillatory_bound
+    calls = _counted_kernel(monkeypatch, "_oscillatory_bound")
+    decided = _oscillatory_step(line, l1, l2)
+    assert decided is not None and not calls
     sign, man, exp, bc = line.cosine(l1, l2)
     units = (-1) ** sign * Fraction(man) * Fraction(2) ** (exp + FIXED_BITS)
     midpoint = ((man >> (bc - 53)) + Fraction(1, 2)) * Fraction(2) ** (exp + FIXED_BITS + bc - 53)
     reach = math.ceil(abs(midpoint - abs(units))) + 1
     centre = math.floor(units)
     monkeypatch.setattr(RatioLine, "cosine_enclosure", lambda self, *pair: (centre - reach, centre + reach))
-    assert line.oscillatory_margin(l1, l2) is UNDECIDED
     record = _oscillatory_step(line, l1, l2)
-    assert record is not None and record == _oscillatory_kernel_step(line, l1, l2)
+    assert len(calls) == 1
+    bound = kernel(line.oscillatory_constants[0], l2, line.wp)
+    margin = rounded_margin(mpf_abs((sign, man, exp, bc), MARGIN_PRECISION, round_nearest), bound)
+    assert record == (l1, CertificateKind.NONZERO_OSCILLATORY, "oscillatory main-term bound", margin, None, None, None, None, 0)
+    assert record == decided
 
 
 def test_scan_with_ratio_caches_equals_uncached_pairs():
     caches = (
         asymptotics.saddle_data,
         asymptotics.gamma_angles,
-        asymptotics._supercritical_constants,
-        asymptotics._oscillatory_constants,
-        asymptotics._phase_constants,
-        asymptotics.oscillatory_bound_reach,
+        asymptotics.ratio_line,
         asymptotics.window_edge,
         certifier._diff_line,
     )
@@ -671,12 +697,12 @@ def _per_pair_records(lambda2_range, rule, prec) -> list[tuple]:
 
 def _kernel_records(lambda2_range, rule, prec) -> list[tuple]:
     """(lambda2, record) of `certify` on each pair of the line with the
-    fixed-point step methods of `RatioLine` patched to return UNDECIDED, so
-    that the supercritical and oscillatory steps run their raw kernels
-    alone."""
+    fixed-point enclosures of `RatioLine` patched open (no head enclosure,
+    and a cosine enclosure that reaches over every bound), so that the
+    supercritical and oscillatory steps run their raw kernels alone."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(RatioLine, "supercritical_margin", lambda *args: UNDECIDED)
-        patch.setattr(RatioLine, "oscillatory_margin", lambda *args: UNDECIDED)
+        patch.setattr(RatioLine, "head_enclosure", lambda *args: None)
+        patch.setattr(RatioLine, "cosine_enclosure", lambda *args: (-2 << FIXED_BITS, 2 << FIXED_BITS))
         return [
             (l2, certify(PartitionPair(l1, l2), budget=0, prec=prec))
             for l1, l2 in certifier.rule_pairs(lambda2_range, rule)
@@ -744,7 +770,10 @@ def test_some_difference_lines_across_a_threshold_enter_the_band():
     assert list(report.records()) == _per_pair_records(*line)
 
 
-def test_a_process_builds_one_diff_line_per_difference_and_precision(monkeypatch):
+@pytest.fixture
+def built_diff_lines(monkeypatch):
+    """Counts the `DiffLine`s built, by (d, wp), from an empty `_diff_line`
+    cache, which is emptied again afterwards."""
     built = Counter()
 
     class CountedDiffLine(DiffLine):
@@ -756,16 +785,28 @@ def test_a_process_builds_one_diff_line_per_difference_and_precision(monkeypatch
 
     monkeypatch.setattr(certifier, "DiffLine", CountedDiffLine)
     certifier._diff_line.cache_clear()
-    try:
-        scan_range((100000, 100011), DiffRule(800), budget=0)
-        # each row passes every difference from 702 to 760 through the window step
-        scan_range((100000, 100002), AllUpToRule(100760), budget=0)
-        certify(PartitionPair(100834, 100000), budget=0)
-        certify(PartitionPair(100835, 100001), budget=0)
-    finally:
-        certifier._diff_line.cache_clear()
+    yield built
+    certifier._diff_line.cache_clear()
+
+
+def test_a_process_builds_one_diff_line_per_difference_and_precision(built_diff_lines):
+    scan_range((100000, 100011), DiffRule(800), budget=0)
+    # each row passes every difference from 702 to 760 through the window step
+    scan_range((100000, 100002), AllUpToRule(100760), budget=0)
+    certify(PartitionPair(100834, 100000), budget=0)
+    certify(PartitionPair(100835, 100001), budget=0)
     wp = DEFAULT_PRECISION + GUARD_BITS
-    assert built == {(d, wp): 1 for d in (*range(702, 761), 800, 834)}
+    assert built_diff_lines == {(d, wp): 1 for d in (*range(702, 761), 800, 834)}
+
+
+def test_an_all_up_to_scan_builds_each_diff_line_of_its_rows_once(built_diff_lines):
+    # each of the four rows passes every difference from 702 to 1,612
+    # (d*d < 26*lambda2) through the window step; a cache of fewer entries
+    # than the 911 differences of a row would rebuild them on every row
+    scan_range((100000, 100003), AllUpToRule(101700), budget=0)
+    wp = DEFAULT_PRECISION + GUARD_BITS
+    assert built_diff_lines == {(d, wp): 1 for d in range(702, 1613)}
+    assert sum(built_diff_lines.values()) == 911
 
 
 def _ambient_outcomes():
@@ -968,7 +1009,7 @@ def _pickled_globals(data: bytes) -> set[tuple[str, str]]:
 
 def test_scan_row_pickles_no_binsum_class_but_the_kind():
     scans = [
-        ([([3, 4, 30], 3)], 10**9, (128, None, True)),
+        ([([4, 30], 3)], 10**9, (128, None, True)),
         ([([100006, 101006, 200012, 200014, 10**10 + 1], 100006)], 0, (128, None, False)),
     ]
     rows = [
@@ -979,7 +1020,6 @@ def test_scan_row_pickles_no_binsum_class_but_the_kind():
     ]
     kinds = {record[1].value for _, records in rows for record in records}
     assert kinds == {
-        "refused",
         "nonzero_exact",
         "nonzero_interval",
         "inconclusive",
@@ -1108,17 +1148,17 @@ def test_scan_work_estimate_reads_nothing_but_the_rows(monkeypatch):
     chunks, works = zip(*_chunks(rows, 100))
     work = sum(works)
     tasks = [task for chunk in chunks for task in chunk]
-    assert [(lambda1s, l2) for lambda1s, l2, _, _ in tasks] == rows
+    assert [(lambda1s, l2) for lambda1s, l2, _ in tasks] == rows
     firsts = [evaluation_cost(PartitionPair(lambda1s[0], l2)) for lambda1s, l2 in rows]
     fresh = [cost for cost in firsts if cost <= 100]
-    cascade = sum(len(lambda1s) - (hi - lo) for (lambda1s, _, lo, hi) in tasks)
+    cascade = sum(len(lambda1s) - hi for (lambda1s, _, hi) in tasks)
     assert len(fresh) == len(rows) - 1 and cascade
     assert work == sum(fresh) + certifier.CASCADE_PAIR_COST * cascade
     # the chunks and their work are the same on every reading
     assert list(_chunks(rows, 100)) == list(zip(chunks, works))
-    for lambda1s, l2, lo, hi in tasks:
+    for lambda1s, l2, hi in tasks:
         costs = [evaluation_cost(PartitionPair(l1, l2)) for l1 in lambda1s]
-        assert lo == 0 and all(c <= 100 for c in costs[:hi]) and all(c > 100 for c in costs[hi:])
+        assert all(c <= 100 for c in costs[:hi]) and all(c > 100 for c in costs[hi:])
 
 
 def test_scan_lines_read_back_to_the_records():

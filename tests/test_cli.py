@@ -248,6 +248,16 @@ def test_validate_command(capsys):
     assert payload["points"] == 36
 
 
+def test_validate_grid_of_one_ratio_checks_the_low_end_of_the_range(capsys):
+    # NRxNT with NR = 1 takes the lemma's least default ratio alone
+    code, out, _ = run_cli(capsys, "validate", "--lemma", "near1-g-decay", "--grid", "1x4")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passed"] is True
+    assert payload["points"] == 4
+    assert payload["worst_r"] == "101/100"
+
+
 def test_validate_human(capsys):
     code, out, _ = run_cli(capsys, "--format", "human", "validate", "--lemma", "near1-g-decay", "--grid", "6x6")
     assert code == 0

@@ -229,6 +229,13 @@ def test_factor_linear_requires_a_root():
         factor_linear(IntPolynomial((5,)), 1)
 
 
+def test_reduced_divides_coefficients_and_scale_by_their_gcd():
+    poly = IntPolynomial((6, -4, 10), 8, "c", (3,))
+    assert poly.reduced() == IntPolynomial((3, -2, 5), 4, "c", (3,))
+    # coprime already: the same polynomial
+    assert IntPolynomial((3, 4), 6).reduced() == IntPolynomial((3, 4), 6)
+
+
 def test_reduced_scale_prefactor_product_is_integral():
     # l2! / (floor(l1/2)! floor(l2/2)!) times the tilde value is an integer
     for (l1, l2) in [(20, 15), (31, 30), (44, 41), (25, 2)]:
