@@ -45,6 +45,11 @@ def test_every_identity_command_parses_and_the_set_covers_lemmas_and_routes():
     # repeat differences through the window and near-diagonal steps
     assert ("--budget", "0", "scan", "--l2", "100000..126999", "--diff", "800") in tool.POOL_SCANS
     assert ("--budget", "0", "scan", "--l2", "100000..100003", "--all-l1-up-to", "101700") in tool.CASCADE_SCANS
+    # difference lines through the near-diagonal step, at both precisions
+    for d, lo, hi, _ in tool.NEAR_DIAGONAL_SCANS:
+        for precision in ("53", "200"):
+            scan = ["--budget", "0", "--precision", precision, "scan", "--l2", f"{lo}..{hi}", "--diff", str(d)]
+            assert ["--format", "jsonl", "--parallelism", "2", *scan] in argvs
     # the public functions read the ratio-6 line after the ratio-6 scans at
     # the same precision
     for argv in tool.RATIO_READERS:

@@ -31,6 +31,12 @@ differs from its twin at 1.  The set covers:
   the lambda2 where row 8 beats the flat bound, at lambda2 near 2*10**4,
   10**5, 10**9 and 2**80, at --precision 53 and 200, in the same formats
   and at the same parallelism;
+* difference lines at --budget 0 near lambda2 = 10**5 whose pairs reach
+  the near-diagonal step in every congruence class, in both windows of
+  `cos_lower_bound` and with both outcomes (decided, and inconclusive), and
+  one difference line past lambda2 = 2**1000, where edge 0 of the
+  near-diagonal bound is computed per pair, at --precision 53 and 200, in
+  the same formats and at the same parallelism;
 * ratio lines at --budget 0 through the supercritical and oscillatory
   steps: ratios 6, 2, 3, 7/3, 35/6 and 5/2 at lambda2 near 10**5 and near
   2**40, and ratio 6 from lambda2 = 1 across the lambda2 where the
@@ -189,6 +195,24 @@ DIFF_SCANS = (
     (158533, 999998837, 999998844, "flat edge"),
     (2756066934468, 2**80 + 146130699869, 2**80 + 146130699876, "class0-a upper end"),
 )
+# difference lines at --budget 0 whose pairs reach the near-diagonal step:
+# (d, first lambda2, last lambda2, what the step gives).  Near lambda2 = 10**5
+# the window step decides every pair of class 0 or 3 that the near-diagonal
+# step could, and class 3's first cosine window ends below d = 702, so the
+# step decides pairs of classes 0 (second window), 1 (second) and 2 (both)
+# only.  Past 2**1000 the oscillatory step decides the class-0 pairs of
+# d = 702, and the class-2 pairs reach the near-diagonal step.
+NEAR_DIAGONAL_SCANS = (
+    (796, 100049, 100056, "decided: class 0 second window, class 2 first"),
+    (971, 99288, 99295, "decided: class 1 second window"),
+    (1126, 100119, 100126, "decided: class 2 second window"),
+    (792, 100085, 100092, "inconclusive: class 0 first window"),
+    (1598, 100391, 100398, "inconclusive: classes 0 and 2, second window"),
+    (969, 99676, 99683, "inconclusive: class 1 first window"),
+    (1585, 100951, 100958, "inconclusive: classes 1 and 3, second window"),
+    (1122, 100226, 100233, "inconclusive: class 2 first window"),
+    (702, 2**1001, 2**1001 + 7, "inconclusive: class 2 with edge 0 computed per pair"),
+)
 # ratio lines at --budget 0 whose pairs all reach the supercritical or the
 # oscillatory step: (ratio, first lambda2, last lambda2).  Each range holds
 # 24 lambda2, so 4 pairs of ratio 35/6 and 8 of ratio 7/3.  Ratio 6 from
@@ -270,7 +294,7 @@ def commands() -> list[list[str]]:
                     out.extend(["--format", fmt, *scan.argv(parallelism)] for fmt in FORMATS)
     diff_scans = [
         ("--budget", "0", "--precision", precision, "scan", "--l2", f"{lo}..{hi}", "--diff", str(d))
-        for d, lo, hi, _ in DIFF_SCANS
+        for d, lo, hi, _ in (*DIFF_SCANS, *NEAR_DIAGONAL_SCANS)
         for precision in ("53", "200")
     ]
     ratio_scans = [
