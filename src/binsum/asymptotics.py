@@ -43,9 +43,10 @@ cosine's raised precision, each computed on first use and then kept.
 `ratio_line` keeps the lines of the last few ratios, which the public
 functions (`supercritical_error_bound`, `oscillatory_error_bound` and
 `oscillation_cosine` with the half phase) and the ratio scans read; they
-wrap the kernel's result in an mpf, the cascade takes it raw.  The cascade
-calls the two kernels that read the pair alone, `_near_diagonal_bound` and
-`_cos_lower_bound`, directly.
+wrap the kernel's result in an mpf, the cascade takes it raw.  The two
+kernels that read the pair alone, `_near_diagonal_bound` and
+`_cos_lower_bound`, are the cascade's where the enclosures of a
+`certifier.DiffLine` leave its near-diagonal step open.
 
 A `RatioLine` also decides the cascade's two saddle steps.  It first
 encloses its kernels' outcome in integer arithmetic.  Past a per-line tail
@@ -561,13 +562,9 @@ def _edge_compare(d: int, l2: int, wp: int, k: int) -> Comparison:
     return dyadic_compare(from_int(d, wp, _RND), window_edge(l2, k, wp), RAW_SLACK)
 
 
-def _near_diagonal_bound(
-    d: int, l2: int, wp: int, compare: Callable[[int], Comparison] | None = None
-) -> tuple[tuple | None, str]:
+def _near_diagonal_bound(d: int, l2: int, wp: int) -> tuple[tuple | None, str]:
     """(raw value, detail) of `near_diagonal_error_bound` at wp bits, value
-    None outside every proved window.  compare(k) is the outcome of d
-    against edge k, `_edge_compare` unless a caller that knows it cheaper
-    (a `certifier.DiffLine`) passes its own.
+    None outside every proved window.
 
     Row k spans [edge k-1, edge k] of `window_edge`, and edge 8 is also the
     edge of the flat bound.  The computed edges are nondecreasing in k (each
@@ -576,11 +573,9 @@ def _near_diagonal_bound(
     every later one: the flat bound applies, row k applies when d is
     certified above edge k-1, and no later row can.  The edges past k are
     neither computed nor compared."""
-    if compare is None:
-        compare = functools.partial(_edge_compare, d, l2, wp)
     above = False  # d certified above the previous edge
     for k in range(len(NEAR_DIAGONAL_ROWS) + 1):
-        side = compare(k)
+        side = _edge_compare(d, l2, wp, k)
         if side is Comparison.CERTIFIED_LESS:
             break
         above = side is Comparison.CERTIFIED_GREATER
@@ -642,7 +637,7 @@ def _reduced_cosine(phase: tuple, lambda1: int, lambda2: int, wp: int) -> tuple[
 
 
 # --------------------------------------------------------------------------
-# fixed-point enclosures of the saddle steps' kernels
+# fixed-point enclosures of the cascade's kernels
 # --------------------------------------------------------------------------
 
 # the scale of the enclosures, that of the enclosure of pi: a value y is
@@ -790,12 +785,14 @@ class RatioLine:
     kernels that read them, and the verdict and margin of each saddle step
     of the certification cascade.
 
-    The regime and, for a subcritical ratio, the reach of
-    `oscillatory_bound_reach` are exact and set here.  Every other constant
-    is computed on first use and then kept: the raw factors of the two
-    bounds, the validity threshold, the integer constants of the
-    enclosures, and the half-phase constants of each p_eff that the line
-    reaches (one or two, as p_eff steps with lambda1's bit length).
+    The regime is exact and set here.  Every other constant is computed on
+    first use and then kept: for a subcritical ratio the exact reach of
+    `oscillatory_bound_reach` (the oscillatory gate of a pair near the
+    diagonal reads its `certifier.DiffLine` instead, so that pair's line
+    never computes it), the raw factors of the two bounds, the validity
+    threshold, the integer constants of the enclosures, and the half-phase
+    constants of each p_eff that the line reaches (one or two, as p_eff
+    steps with lambda1's bit length).
     `ratio_line` keeps the lines of the last few ratios, which the public
     functions and the ratio scans read; `certify` and the other scans build
     a line of each pair, whose ratio is its own.  So a pair of a line pays
@@ -820,8 +817,12 @@ class RatioLine:
     def __init__(self, a: int, b: int, prec: int = DEFAULT_PRECISION, delta=None) -> None:
         self.a, self.b, self.prec, self.wp, self.delta = a, b, prec, prec + GUARD_BITS, delta
         self.regime = ratio_regime(a, b)
-        self.reach = _oscillatory_reach(a, b) if self.regime is Regime.SUBCRITICAL else None
         self._phases: dict[int, tuple[tuple, tuple]] = {}
+
+    @functools.cached_property
+    def reach(self) -> int | None:
+        """`oscillatory_bound_reach` of a subcritical ratio, else None."""
+        return _oscillatory_reach(self.a, self.b) if self.regime is Regime.SUBCRITICAL else None
 
     @functools.cached_property
     def ratio(self) -> Fraction:

@@ -10,11 +10,13 @@ in l1), and the rest of the row goes straight to the `STAGES`.  The stages
 read the pair's integers and an `asymptotics.RatioLine`, which holds what
 depends on the ratio alone and decides the two saddle steps: a scan of a
 ratio line reads the one line of its ratio (`asymptotics.ratio_line`), while
-`certify` and every other scan build one for each pair.  The
-window and near-diagonal steps read a `DiffLine` as well, which holds the
-lambda2 thresholds of their comparisons at one difference d: each process
-builds one per difference and precision (`_diff_line`), which every pair
-of that difference reads, whatever the rule that made it.  Either way the
+`certify` and every other scan build one for each pair, which computes
+nothing that its pair's steps do not read.  A pair near the diagonal reads a
+`DiffLine` as well, which holds the lambda2 thresholds of its oscillatory
+gate and of the comparisons of the window and near-diagonal steps at one
+difference d, and decides the near-diagonal step: each process builds one
+per difference and precision (`_diff_line`), which every pair of that
+difference reads, whatever the rule that made it.  Either way the
 one cascade returns a plain scan record, which `certify` returns as a
 `Certificate`, the named tuple of the record's fields, so a scanned pair and
 a certified pair get the same verdict, margin and output bytes.  Why each
@@ -28,8 +30,8 @@ stage is sound, and why its gate loses nothing:
       explicit oscillatory bound.  The gate admits only lam above the
       exact-integer reach `oscillatory_bound_reach(r)`, the largest lam at
       which that bound is still >= 1 >= |cos| (near the diagonal the reach
-      stays below 130,306; it grows without limit as r approaches
-      3 + 2*sqrt(2));
+      stays below 130,306, and the `DiffLine` holds the least lambda2 above
+      it; it grows without limit as r approaches 3 + 2*sqrt(2));
   window: certified difference windows (table of proved lambda1 intervals
       per congruence class), applied only where the window machinery is
       actually proved, i.e. lambda1 - lambda2 >= 702;
@@ -38,18 +40,23 @@ stage is sound, and why its gate loses nothing:
 
 Both of the last two compare d with window ends m*sqrt(k*pi*l2) -+ c and
 row edges sqrt(k*pi*l2), computed by chains of correctly rounded libmp
-operations, so nondecreasing in l2.  A `DiffLine` bounds each chain's error
-by mu = (d + 8) * 2**(6 - wp) and turns each comparison into two lambda2
-thresholds in exact integers: below the one the computed value certainly
-falls short of its target, above the other it certainly exceeds it, whatever
-the rounding.  A pair between them runs the per-pair functions themselves,
-so every verdict is the one they give.  The near-diagonal bound is the one
-walk of `asymptotics._near_diagonal_bound`, which takes the outcome of each
-edge from the `DiffLine` and chooses between the row and the flat bound
-itself.  Per pair there remain the floor of clause class2-a past lambda2 =
-`CLASS2_FLOOR_702`, edge 0 of the near-diagonal bound at lambda2 of more
-than 1000 bits, the row value of the near-diagonal bound and its
-comparison with the flat bound, the cosine lower bound and the margin.
+operations, so nondecreasing in l2, and the cosine lower bound compares
+q = d*d/(4*l2) with multiples of pi/4 and with the low end of its second
+window, each comparison switching once along the line.  A `DiffLine` bounds
+each computed value's error and turns each comparison into two lambda2
+thresholds in exact integers: below the one its outcome is certainly one
+way, above the other certainly the other, whatever the rounding.  So the
+window step's clause, the near-diagonal bound's row and the cosine lower
+bound's window follow from the thresholds, and the near-diagonal step
+decides from integer enclosures of its two kernels' values
+(`DiffLine.near_diagonal_margin`): the row value by one `isqrt`, the
+cosines in fixed point.  A pair between two thresholds, or whose
+enclosures reach across the slack or across a midpoint of the 53-bit grid,
+runs the per-pair functions and kernels themselves, so every verdict and
+margin is the one they give.  Per pair there remain the floor of clause
+class2-a past lambda2 = `CLASS2_FLOOR_702`, edge 0 of the near-diagonal
+bound at lambda2 of more than 1000 bits (where the step runs its kernels),
+and the enclosures and the margin in integers.
 
 The supercritical and oscillatory steps take their verdict and margin from
 the `RatioLine` (`supercritical_margin`, `oscillatory_margin`), which
@@ -83,25 +90,37 @@ from mpmath import mp, mpf, workprec
 from mpmath.libmp import (
     fone,
     from_int,
+    ftwo,
     mpf_add,
     mpf_ceil,
     mpf_floor,
     mpf_mul,
     mpf_mul_int,
     mpf_pow,
+    mpf_rdiv_int,
+    mpf_sqrt,
     mpf_sub,
     round_nearest,
     to_int,
 )
 
 from .asymptotics import (
+    FIXED_BITS,
+    NEAR_DIAGONAL_FLAT,
     NEAR_DIAGONAL_MIN_DIFFERENCE,
+    NEAR_DIAGONAL_ROWS,
+    OSCILLATORY_BOUND_CONSTANT,
     RatioLine,
     Regime,
     RegimeError,
+    _COS_WIDTH,
+    _FIXED_SLACK,
     _cos_lower_bound,
-    _edge_compare,
+    _exceeds_slack,
+    _fixed_cos,
     _near_diagonal_bound,
+    _rounded53,
+    _widening,
     check_delta,
     classify,
     negated_discriminant,
@@ -281,7 +300,12 @@ def _supercritical_step(line: RatioLine, l1: int, l2: int) -> tuple | None:
 
 
 def _oscillatory_gate(line: RatioLine, l1: int, l2: int) -> bool:
-    # up to the reach the bound is >= 1 >= |cos|, so no comparison can accept
+    # up to the reach the bound is >= 1 >= |cos|, so no comparison can
+    # accept.  A pair in the near-diagonal gate is subcritical, and the
+    # `DiffLine` of its difference holds the least lambda2 above the reach,
+    # so the pair's line need not compute its own (see `DiffLine`)
+    if _near_diagonal_gate(line, l1, l2):
+        return _diff_line(l1 - l2, line.wp).past_reach(l2)
     return line.regime is Regime.SUBCRITICAL and l2 > line.reach
 
 
@@ -327,13 +351,10 @@ def _window_step(line: RatioLine, l1: int, l2: int) -> tuple | None:
 
 
 def _near_diagonal_step(line: RatioLine, l1: int, l2: int) -> tuple | None:
-    bound = _diff_line(l1 - l2, line.wp).near_diagonal_bound(l2)
-    if bound is None:
+    margin = _diff_line(l1 - l2, line.wp).near_diagonal_margin(l1, l2)
+    if margin is None:
         return None
-    lower = _cos_lower_bound(l1, l2, line.wp)
-    if lower is None or dyadic_compare(lower, bound, RAW_SLACK) is not _GREATER:
-        return None
-    return l1, _OSCILLATORY, "near-diagonal window bound", rounded_margin(lower, bound), None, None, None, None, 0
+    return l1, _OSCILLATORY, "near-diagonal window bound", margin, None, None, None, None, 0
 
 
 # The cascade after exact evaluation, in order: (stage id, gate, step).  A
@@ -341,12 +362,15 @@ def _near_diagonal_step(line: RatioLine, l1: int, l2: int) -> tuple | None:
 # Both are called as f(line, lambda1, lambda2) for a pair of the `RatioLine`
 # line, which carries the precision and the optional delta.  A step compares
 # beyond the fixed `SLACK` by `dyadic_compare` and returns the pair's scan
-# record or None.  The window and near-diagonal steps decide their
-# comparisons with d from the integer lambda2 thresholds of the process's one
-# `DiffLine` of the difference (the chains behind them are monotone in
-# lambda2 and within mu of exact), and run the per-pair functions only in
-# the narrow band between two thresholds; the cosine lower bound, the row
-# value, its comparison with the flat bound and the margin stay per pair.
+# record or None.  The window and near-diagonal steps, and the oscillatory
+# gate of a pair in the near-diagonal gate, decide their comparisons from the
+# integer lambda2 thresholds of the process's one `DiffLine` of the
+# difference (the values behind them are monotone in lambda2 and within a
+# counted error of exact), and run the per-pair functions only in the narrow
+# band between two thresholds.  The near-diagonal step words the verdict and
+# margin of the `DiffLine`, which decides from fixed-point enclosures of the
+# near-diagonal bound and the cosine lower bound and runs those kernels
+# only where an enclosure leaves the outcome or the 53-bit margin open.
 # The supercritical and oscillatory steps word the verdict and margin of the
 # `RatioLine`, which decides from fixed-point enclosures of its kernels'
 # values (widths counted from the rounded operations of each kernel at its
@@ -491,6 +515,13 @@ def _largest_difference(lambda2: int, wp: int, hi: tuple) -> int:
     return _int_below(_clause_end(lambda2, wp, hi, mpf_sub), wp)
 
 
+# the largest lambda2 at which the floor of clause class2-a is certainly 702:
+# below ((702 - 2**-20) / CLASS2_FLOOR_FACTOR)**4, where
+# CLASS2_FLOOR_FACTOR * lambda2**(1/4) < 702 - 2**-20, far below 702 - SLACK
+# after the few ulps of error of `mpf_pow` at wp >= 77 bits
+CLASS2_FLOOR_702 = math.ceil(((NEAR_DIAGONAL_MIN_DIFFERENCE - Fraction(1, 2**20)) / Fraction(CLASS2_FLOOR_FACTOR)) ** 4) - 1
+
+
 # The enclosure [PI_FLOOR, PI_FLOOR + 1] / 2**PI_BITS of pi (`numerics`)
 # widens each band of a `DiffLine` by l2 * 2**-96 / pi, so by at most 5.1
 # values of lambda2 up to lambda2 = 2**100.
@@ -501,26 +532,6 @@ def _largest_difference(lambda2: int, wp: int, hi: tuple) -> int:
 # c * 10**4 * 2**SLACK_BITS units
 _SLACK_UNITS = 10**4
 
-
-def _edge_key(end: tuple, sign: int) -> tuple[int, int]:
-    """(m*m*k, offset) of a clause end (m, k, c) compared with d: the upper end
-    (sign 1) admits d when m*sqrt(k*pi*l2) exceeds d + c + SLACK, the lower
-    end (sign -1) when it falls below d - c - SLACK."""
-    m, k, c = end
-    return m * m * k, sign * ((int(Fraction(c) * 10**4) << SLACK_BITS) + _SLACK_UNITS)
-
-
-# per congruence class, the (lower, upper) end keys of each clause of
-# `WINDOW_CLAUSES`, a lower end None being the floor of the class
-_WINDOW_KEYS = tuple(
-    tuple((lo and _edge_key(lo, -1), _edge_key(hi, 1)) for _, lo, hi in clauses) for clauses in WINDOW_CLAUSES
-)
-
-# the largest lambda2 at which the floor of clause class2-a is certainly 702:
-# below ((702 - 2**-20) / CLASS2_FLOOR_FACTOR)**4, where
-# CLASS2_FLOOR_FACTOR * lambda2**(1/4) < 702 - 2**-20, far below 702 - SLACK
-# after the few ulps of error of `mpf_pow` at wp >= 77 bits
-CLASS2_FLOOR_702 = math.ceil(((NEAR_DIAGONAL_MIN_DIFFERENCE - Fraction(1, 2**20)) / Fraction(CLASS2_FLOOR_FACTOR)) ** 4) - 1
 
 def _edge_cut(d: int, wp: int, mmk: int, offset: int) -> tuple[int, int]:
     """(below, above) for m*sqrt(k*pi*l2) against v = d + offset units with
@@ -534,14 +545,141 @@ def _edge_cut(d: int, wp: int, mmk: int, offset: int) -> tuple[int, int]:
     return ((low * low << PI_BITS) - 1) // (den * (PI_FLOOR + 1)), (high * high << PI_BITS) // (den * PI_FLOOR) + 1
 
 
+def _error_units(wp: int) -> int:
+    """2**(6 - wp) in units of 2**-FIXED_BITS, rounded up: a bound on the
+    rounding error of every value that `_cos_lower_bound` compares or
+    returns at wp bits (see `DiffLine`)."""
+    return ((1 << FIXED_BITS + 6) >> wp) + 1
+
+
+def _quarter_pi_cut(d: int, wp: int, c: int) -> tuple[int, int]:
+    """(below, above) for the comparison q + SLACK < c*pi/4 of
+    `_cos_lower_bound`, q = d*d/(4*l2): it certainly fails at every
+    l2 <= below, where q >= c*pi/4 - SLACK + E, and certainly holds at every
+    l2 >= above, where q < c*pi/4 - SLACK - E, for E = 2**(6 - wp).  Exact
+    integers in units of 2**-FIXED_BITS."""
+    e, square = _error_units(wp), d * d << FIXED_BITS
+    fails = square // (c * (PI_FLOOR + 1) - 4 * (_FIXED_SLACK - e))
+    return fails, square // (c * PI_FLOOR - 4 * (_FIXED_SLACK + e)) + 1
+
+
+def _low_end_last(d: int, c: int, t: int) -> int:
+    """The largest l2 >= d at which c/(2*(3 - r)) + t < q, for r = (l2 + d)/l2,
+    q = d*d/(4*l2), and c, t > 0, given in units of 2**-FIXED_BITS, with
+    2*c + 4*t < d.  Multiplied by 2*l2*l2 > 0, the test is
+    P(l2) = (2*c + 8*t)*l2**2 - (4*t*d + 2*d*d)*l2 + d**3 < 0, and
+    P(d) = d*d*(2*c + 4*t - d) < 0, so it holds from l2 = d up to the larger
+    root of P, found by `isqrt` and checked in exact integers."""
+    a, b, c0 = 2 * c + 8 * t, 4 * t * d + (d * d << FIXED_BITS + 1), d**3 << FIXED_BITS
+
+    def holds(l2: int) -> bool:
+        return (a * l2 - b) * l2 + c0 < 0
+
+    l2 = (b + math.isqrt(b * b - 4 * a * c0)) // (2 * a)
+    while holds(l2 + 1):
+        l2 += 1
+    while not holds(l2):
+        l2 -= 1
+    return l2
+
+
+def _low_cut(d: int, wp: int, k: int) -> tuple[int, int]:
+    """(below, above) for the comparison low + SLACK < q of the second
+    window of `_cos_lower_bound` around k*pi/4, low = (k - 2)*pi/(2*(3 - r)),
+    q = d*d/(4*l2): from l2 = d on it certainly holds at every l2 <= below,
+    where low + SLACK + E < q, and certainly fails at every l2 >= above,
+    where low + SLACK - E >= q, for E = 2**(6 - wp).  Exact integers in
+    units of 2**-FIXED_BITS."""
+    e = _error_units(wp)
+    holds = _low_end_last(d, (k - 2) * (PI_FLOOR + 1), _FIXED_SLACK + e)
+    return holds, _low_end_last(d, (k - 2) * PI_FLOOR, _FIXED_SLACK - e) + 1
+
+
+def _reach_cut(d: int, wp: int) -> tuple[int, int]:
+    """(T - 1, T) for the least l2 = T inside the gate (d*d < 26*l2) above
+    the reach of r = (l2 + d)/l2, `oscillatory_bound_reach` (see
+    `DiffLine`).  A fixed-point iteration in floats guesses T; a walk over
+    the exact test fixes it."""
+    def past(l2: int) -> bool:
+        return (4 * l2 * l2 + 4 * d * l2 - d * d) ** 11 > OSCILLATORY_BOUND_CONSTANT**4 * l2**20
+
+    first = d * d // 26 + 1
+    guess = float(max(first, _REACH_LIMIT))
+    for _ in range(5):
+        y = d / guess
+        guess = max(first, OSCILLATORY_BOUND_CONSTANT**2 / (4 + 4 * y - y * y) ** 5.5)
+    t = int(guess)
+    while t > first and past(t - 1):
+        t -= 1
+    while not past(t):
+        t += 1
+    return t - 1, t
+
+
+# the reach of every ratio 1 < r <= 5 is at most 16336**2 / 4**5.5 < 130306
+_REACH_LIMIT = 130305
+
+
+def _edge_key(end: tuple, sign: int) -> tuple:
+    """The `DiffLine` key (_edge_cut, m*m*k, offset) of a clause end (m, k, c)
+    compared with d: the upper end (sign 1) admits d when m*sqrt(k*pi*l2)
+    exceeds d + c + SLACK, the lower end (sign -1) when it falls below
+    d - c - SLACK."""
+    m, k, c = end
+    return _edge_cut, m * m * k, sign * ((int(Fraction(c) * 10**4) << SLACK_BITS) + _SLACK_UNITS)
+
+
+# per congruence class, the (lower, upper) end keys of each clause of
+# `WINDOW_CLAUSES`, a lower end None being the floor of the class
+_WINDOW_KEYS = tuple(
+    tuple((lo and _edge_key(lo, -1), _edge_key(hi, 1)) for _, lo, hi in clauses) for clauses in WINDOW_CLAUSES
+)
+# per row k = 1..8 of the near-diagonal bound, the keys of edge k against
+# d + SLACK and against d - SLACK
+_ROW_KEYS = tuple(((_edge_cut, k, _SLACK_UNITS), (_edge_cut, k, -_SLACK_UNITS)) for k in range(1, len(NEAR_DIAGONAL_ROWS) + 1))
+# per congruence class, the keys of `_cos_lower_bound`'s three window tests:
+# q against the end (2, 3, 4, 1)*pi/4 of the first window and the end
+# (k + 2)*pi/4 of the second, and the second's low end, for its centre
+# k*pi/4, k = (4, 5, 6, 3); then the centre's k
+_COSINE_KEYS = tuple(
+    ((_quarter_pi_cut, end), (_quarter_pi_cut, k + 2), (_low_cut, k), k) for end, k in zip((2, 3, 4, 1), (4, 5, 6, 3))
+)
+_REACH_KEY = (_reach_cut,)
+
+# an enclosure that leaves every outcome open: it reaches across every
+# bound, cosine and slack, so the margin runs the kernels
+_OPEN = (-2 << FIXED_BITS, 2 << FIXED_BITS)
+
+
+def _units(x: tuple) -> int:
+    """floor(x * 2**FIXED_BITS) of a raw x >= 0."""
+    shift = x[2] + FIXED_BITS
+    return x[1] << shift if shift >= 0 else x[1] >> -shift
+
+
+@functools.lru_cache(maxsize=16)
+def _near_diagonal_constants(wp: int) -> tuple:
+    """What the enclosures of a `DiffLine` at wp bits read of its precision
+    alone: the flat bound and 1/sqrt(2) of the kernels rounded down to units
+    of 2**-FIXED_BITS, per row (C_k**2 scaled to the units squared, as
+    mantissa and shift), and the width of a cosine enclosure."""
+    flat = decimal_constant(NEAR_DIAGONAL_FLAT, wp)._mpf_
+    rows = tuple(decimal_constant(c, wp)._mpf_ for c in NEAR_DIAGONAL_ROWS)
+    inverse_root = mpf_rdiv_int(1, mpf_sqrt(ftwo, wp, round_nearest), wp, round_nearest)
+    # _fixed_cos, the angle within 3 units, the kernel within 2**(6 - wp)
+    width = _COS_WIDTH + 3 + _error_units(wp)
+    return _units(flat), tuple((x[1] ** 2, 2 * (x[2] + FIXED_BITS)) for x in rows), _units(inverse_root), width
+
+
 class DiffLine:
     """What the window and near-diagonal steps read of one difference line
     (l2 + d, l2), d >= 702, at wp working bits, built once per process
     (`_diff_line`) and shared by every pair of the difference: the lambda2
-    thresholds of their comparisons with d.
+    thresholds of their comparisons, and the near-diagonal step's verdict
+    and margin.
 
-    Each quantity that those steps compare with d is a window-clause end
-    m*sqrt(k*pi*l2) -+ c or a row edge sqrt(k*pi*l2), computed by a fixed
+    Edges.  Each quantity that those steps compare with d is a window-clause
+    end m*sqrt(k*pi*l2) -+ c or a row edge sqrt(k*pi*l2), computed by a fixed
     chain of libmp operations that each round to nearest: `mpf_sqrt`
     documents correct rounding, `from_int`, `mpf_mul`, `mpf_mul_int`,
     `mpf_add` and `mpf_sub` round exact results, and `mpf_pi` rounds pi
@@ -557,76 +695,213 @@ class DiffLine:
     certain, whatever the rounding, at every l2 where M > v + mu or
     M < v - mu: there the margin exceeds 10u*(M + 11) with c < 5.  In exact
     integers, with an enclosure [PI_FLOOR, PI_FLOOR + 1] / 2**PI_BITS of pi,
-    that holds for l2 below or above a threshold (`_edge_cut`).  The
-    thresholds are computed lazily in plain integers, once per line.
+    that holds for l2 below or above a threshold (`_edge_cut`).  The walk of
+    `_near_diagonal_bound` reads one outcome per edge, so the row that it
+    takes (or the flat bound alone, or none) follows from the thresholds of
+    the edges it reaches (`_row`).
 
-    A pair then decides each comparison with two integer compares, except
-    in the band between the thresholds, a few lambda2 wide at most unless
-    l2 is huge and wp small, where it runs the per-pair functions
-    `_largest_difference`, `_least_difference` and `_edge_compare`
-    themselves.  The near-diagonal bound is the one walk of
-    `_near_diagonal_bound`, which asks `edge_compare` for each edge and
-    itself chooses between the row and the flat bound.  Per pair there
+    Cosine windows.  `_cos_lower_bound` picks its window by comparing
+    q = d*d/(4*l2) with c*pi/4, c = (2, 3, 4, 1) or k + 2, and the second
+    window's low end (k - 2)*pi/(2*(3 - r)) with q, k = (4, 5, 6, 3) by
+    class.  At fixed d, q falls as l2 grows, so each of the first two
+    comparisons switches once along the line, and the third holds from
+    l2 = d up to one root of a quadratic in l2 and fails beyond it
+    (`_low_end_last`), so it switches once inside the gate too.  Each
+    compared value is within 24u of exact: q within u/2**19 (three
+    roundings at wp + 24 bits of a value below 7), c*pi/4 within 2.8*c*u
+    (`mpf_pi` within 2 ulp, as `RatioLine` trusts it, and one product),
+    and the low end within 20u (six roundings of a value below 3.3).  So
+    beyond E = 2**(6 - wp) on either side of a comparison's target its
+    outcome is certain, which the pi enclosure turns into two thresholds
+    (`_quarter_pi_cut`, `_low_cut`).
+
+    Oscillatory gate.  In the gate r = 1 + y, y = d/l2 < 26/d < 0.04, so the
+    ratio is subcritical and l2 lies above its reach exactly when
+    l2**2 * nd**11 > 16336**4, nd = 4 + 4*y - y*y (`oscillatory_bound_reach`
+    with b = l2).  Its logarithmic derivative in l2 is
+    (2 - 11*y*(4 - 2*y)/nd)/l2 > (2 - 0.44)/l2 > 0, so the test switches
+    once along the line, at the least l2 that passes it, kept as
+    `_reach_cut`.  The oscillatory gate reads it instead of the pair's
+    reach, which its one-pair line then never computes.
+
+    A pair decides each comparison with two integer compares, except in the
+    band between two thresholds, a few lambda2 wide at most unless l2 is
+    huge and wp small.  There the window step runs `_largest_difference`
+    and `_least_difference` itself, and the near-diagonal step's enclosures
+    are open (`_OPEN`).  All thresholds are computed lazily in plain
+    integers, once per line.
+
+    Margin.  `near_diagonal_margin` encloses, in units of 2**-FIXED_BITS,
+    the near-diagonal bound (`bound_enclosure`: the flat bound, and the row
+    value C_k/sqrt(l2) by one `isqrt`, within its kernel's three roundings)
+    and the cosine lower bound (`lower_enclosure`: `_fixed_cos` of the exact
+    q and (3 - r)/2*q against the pi enclosure, the kernel within
+    2**(6 - wp) of the cosine of its exact angle: up to 17u for the centre,
+    14u for (3 - r)/2*q, 2u for the difference and 4u for `mpf_cos`), and
+    decides the comparison and the 53-bit margin as `RatioLine` does.
+    Where an enclosure is open, or leaves the outcome or the rounding open,
+    it runs `_near_diagonal_bound`, `_cos_lower_bound` and `dyadic_compare`
+    itself: so every verdict and margin is the kernels'.  Per pair there
     remain: the floor of clause class2-a past `CLASS2_FLOOR_702` (an
     `mpf_pow`, not correctly rounded); edge 0, log(l2), when l2 has more
-    than 1000 bits, since below that it is < 694, which d >= 702 exceeds by
-    far more than the slack; and the row value C_k/sqrt(l2) with its
-    comparison against the flat bound when d lies above an edge.
+    than 1000 bits (below that it is < 694, which d >= 702 exceeds by far
+    more than the slack), where the bound's enclosure is open; and the
+    cosine values, the row value and the margin in integers.
     """
 
-    __slots__ = ("d", "wp", "_edges")
+    __slots__ = ("d", "wp", "_cuts", "_constants")
 
     def __init__(self, d: int, wp: int) -> None:
         self.d, self.wp = d, wp
-        self._edges: dict[tuple[int, int], tuple[int, int]] = {}
+        self._cuts: dict[tuple, tuple[int, int]] = {}
+        self._constants = _near_diagonal_constants(wp)
 
-    def _edge_side(self, key: tuple[int, int], l2: int) -> int:
-        """1 if m*sqrt(k*pi*l2) at l2 certainly exceeds the target of
-        key = (m*m*k, offset) after rounding, -1 if it certainly falls short,
-        0 in the band between."""
-        cut = self._edges.get(key)
+    def _side(self, key: tuple, l2: int) -> int:
+        """1 at every l2 from the upper threshold of key on, -1 up to its
+        lower threshold, 0 in the band between.  key = (cut, *args), and
+        cut(d, wp, *args) gives the thresholds: for an `_edge_cut` key,
+        1 where m*sqrt(k*pi*l2) certainly exceeds its target after rounding;
+        for `_quarter_pi_cut`, where the kernel's comparison certainly
+        holds; for `_low_cut`, where it certainly fails; for `_reach_cut`,
+        where l2 lies above the reach."""
+        cut = self._cuts.get(key)
         if cut is None:
-            cut = self._edges[key] = _edge_cut(self.d, self.wp, *key)
+            cut = self._cuts[key] = key[0](self.d, self.wp, *key[1:])
         if l2 >= cut[1]:
             return 1
         return -1 if l2 <= cut[0] else 0
+
+    def past_reach(self, l2: int) -> bool:
+        """Whether l2 lies above the reach of r = (l2 + d)/l2, for a pair in the gate."""
+        return self._side(_REACH_KEY, l2) > 0
 
     def window_clause(self, l2: int, cls: int) -> str | None:
         """The clause of `_window_step` for the pair at l2 of class cls, or None."""
         d, wp = self.d, self.wp
         for (clause, lo, hi), (lo_key, hi_key) in zip(WINDOW_CLAUSES[cls], _WINDOW_KEYS[cls]):
-            side = self._edge_side(hi_key, l2)
+            side = self._side(hi_key, l2)
             if side < 0 or (side == 0 and _largest_difference(l2, wp, hi) < d):
                 continue
             if lo is None:
                 if cls != 2 or l2 <= CLASS2_FLOOR_702 or _class2_floor(l2, wp) <= d:
                     return clause
                 continue
-            side = self._edge_side(lo_key, l2)
+            side = self._side(lo_key, l2)
             if side < 0 or (side == 0 and _least_difference(l2, wp, cls, lo) <= d):
                 return clause
         return None
 
-    def edge_compare(self, l2: int, k: int) -> Comparison:
-        """`_edge_compare(d, l2, wp, k)`, d against edge k at l2, read from
-        the thresholds and computed only in the band."""
-        if k == 0:
-            if l2.bit_length() <= 1000:
-                return _GREATER
-        else:
-            side = self._edge_side((k, _SLACK_UNITS), l2)  # edge k against d + SLACK
+    def _row(self, l2: int) -> int | None:
+        """The row that the walk of `_near_diagonal_bound` takes at l2: k when
+        d lies certainly above edge k - 1 and below edge k, so that row k
+        and the flat bound apply; 0 for the flat bound alone; None outside
+        every proved window; -1 where a threshold or edge 0 leaves it open."""
+        if l2.bit_length() > 1000:
+            return -1
+        above = True  # d against edge 0, log(l2) < 694
+        for k, (less, greater) in enumerate(_ROW_KEYS, 1):
+            side = self._side(less, l2)  # edge k against d + SLACK
             if side > 0:
-                return _LESS
-            if side < 0:
-                side = self._edge_side((k, -_SLACK_UNITS), l2)  # against d - SLACK
-                if side:
-                    return _GREATER if side < 0 else Comparison.INDETERMINATE
-        return _edge_compare(self.d, l2, self.wp, k)
+                return k if above else 0
+            if side == 0:
+                return -1
+            side = self._side(greater, l2)  # edge k against d - SLACK
+            if side == 0:
+                return -1
+            above = side < 0
+        return None
 
-    def near_diagonal_bound(self, l2: int) -> tuple | None:
-        """The raw value of `_near_diagonal_bound(d, l2, wp)`, None outside
-        every proved window: its walk, with `edge_compare` for each edge."""
-        return _near_diagonal_bound(self.d, l2, self.wp, functools.partial(self.edge_compare, l2))[0]
+    def bound_enclosure(self, l2: int) -> tuple[int, int] | None:
+        """(lo, hi) around `_near_diagonal_bound(d, l2, wp)`, None where it is
+        certainly None, `_OPEN` where the thresholds leave its row open.
+        The kernel takes the lesser of the row and the flat bound, so this
+        is the lesser of their enclosures: the flat bound is exact, and
+        isqrt(C_k**2 * 2**(2*FIXED_BITS) // l2) lies within one unit below
+        C_k/sqrt(l2) for the kernel's constant C_k, whose three roundings
+        (from_int, sqrt, quotient) put its row within 4u of that."""
+        row = self._row(l2)
+        if row is None:
+            return None
+        if row < 0:
+            return _OPEN
+        flat = self._constants[0]
+        if not row:
+            return flat, flat + 1
+        square, shift = self._constants[1][row - 1]
+        b = math.isqrt((square << shift) // l2 if shift >= 0 else square // (l2 << -shift))
+        width = _widening(b + 1, 3, self.wp)
+        return min(b - width, flat), min(b + 1 + width, flat + 1)
+
+    def lower_enclosure(self, l1: int, l2: int) -> tuple[int, int] | None:
+        """(lo, hi) around `_cos_lower_bound(l1, l2, wp)`, None where it is
+        certainly None, `_OPEN` where a threshold leaves its window open.
+        The kernel takes cos(q), min(1/sqrt(2), cos(pi/4 - q)), the lesser
+        of cos(c - q) and cos(c - (3 - r)/2*q) about the centre c = pi/2, or
+        cos(pi/4 + q), in the first window of class 0, 1, 2 or 3, and that
+        lesser about c = k*pi/4 in the second.  Each angle here is exact but
+        for the units of q and (3 - r)/2*q rounded down and for the centre
+        from the lower end of the pi enclosure, so within 3 units, and so is
+        the larger of two |angles|."""
+        cls = (l1 + l2) % 4
+        first, upper, low, k = _COSINE_KEYS[cls]
+        side = self._side(first, l2)
+        if side < 0:
+            # the second window needs both its tests to hold
+            held = min(-self._side(low, l2), self._side(upper, l2))
+            if held < 0:
+                return None
+            if held == 0:
+                return _OPEN
+        elif side == 0:
+            return _OPEN
+        else:
+            k = 2 if cls == 2 else None  # class 2's first window is about pi/2
+        d = self.d
+        q = (d * d << FIXED_BITS) // (4 * l2)
+        _, _, inverse_root, width = self._constants
+        if k is not None:
+            # both angles lie within pi/2 of 0, where cos falls as |angle|
+            # grows, so the lesser cosine is that of the larger |angle|
+            centre = (k * PI_FLOOR) >> 2
+            shrunk = (d * d * (2 * l2 - d) << FIXED_BITS) // (8 * l2 * l2)
+            c = _fixed_cos(max(abs(centre - q), abs(centre - shrunk)))
+        elif cls == 0:
+            c = _fixed_cos(q)
+        elif cls == 3:
+            c = _fixed_cos((PI_FLOOR >> 2) + q)
+        else:
+            c = _fixed_cos((PI_FLOOR >> 2) - q)
+            return min(inverse_root, c - width), min(inverse_root + 1, c + width)
+        return c - width, c + width
+
+    def near_diagonal_margin(self, l1: int, l2: int) -> float | None:
+        """The near-diagonal step's verdict on the pair (l1, l2) of the line:
+        the margin `_cos_lower_bound` - `_near_diagonal_bound`, rounded to
+        53 bits, when the bound exists and the cosine lower bound exceeds it
+        by more than SLACK, else None.  The enclosures decide when they fix
+        the outcome and the rounding; the kernels run where they do not."""
+        lower = self.lower_enclosure(l1, l2)
+        # the bound is positive where it exists, so a cosine lower bound
+        # that cannot exceed SLACK decides the pair without it
+        if lower is None or lower[1] <= _FIXED_SLACK:
+            return None
+        bound = self.bound_enclosure(l2)
+        if bound is None:
+            return None
+        lo, hi = lower[0] - bound[1], lower[1] - bound[0]
+        accept = _exceeds_slack(lo, hi)
+        if accept is False:
+            return None
+        margin = accept and _rounded53(lo, hi)
+        if margin:
+            return math.ldexp(margin, -FIXED_BITS)
+        bound = _near_diagonal_bound(self.d, l2, self.wp)[0]
+        if bound is None:
+            return None
+        lower = _cos_lower_bound(l1, l2, self.wp)
+        if lower is None or dyadic_compare(lower, bound, RAW_SLACK) is not _GREATER:
+            return None
+        return rounded_margin(lower, bound)
 
 
 def difference_windows(

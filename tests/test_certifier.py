@@ -1,18 +1,21 @@
+import importlib.util
 import itertools
 import json
 import math
 import os
 import pickle
 import pickletools
+import sys
 from collections import Counter
 from concurrent.futures import Future, ProcessPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import Phase, example, find, given, settings
+from hypothesis import Phase, assume, example, find, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
-from mpmath.libmp import fone, from_int, mpf_abs, round_nearest
+from mpmath.libmp import fone, from_int, mpf_abs, mpf_div, mpf_mul_int, mpf_pi, mpf_shift, round_nearest
 
 from binsum import asymptotics, certifier, exact
 from binsum.asymptotics import (
@@ -59,8 +62,12 @@ from binsum.numerics import (
     Comparison,
     certified_compare,
     dyadic_compare,
+    raw_rational,
     rounded_margin,
 )
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _one_pair_rows(records) -> ScanReport:
@@ -328,10 +335,13 @@ def test_difference_windows_of_one_class_equal_the_filtered_table(lambda2):
             assert own == [w for w in every if w.residue_class == cls]
 
 
-# every comparison of a `DiffLine` with d: ("end", cls, i, sign) for the
-# upper (sign 1) and the lower (sign -1) end of clause i of class cls, and
+# every comparison of a `DiffLine`: ("end", cls, i, sign) for the upper
+# (sign 1) and the lower (sign -1) end of clause i of class cls against d,
 # ("edge", k, sign) for d certified below (sign 1) or above (sign -1) the
-# near-diagonal edge sqrt(k*pi*l2)
+# near-diagonal edge sqrt(k*pi*l2), ("quarter", c) for q + SLACK < c*pi/4
+# and ("low", k) for (k - 2)*pi/(2*(3 - r)) + SLACK < q in
+# `_cos_lower_bound`, q = d*d/(4*l2), and ("reach",) for lambda2 above the
+# reach of the pair's ratio
 DIFF_TARGETS = (
     *(
         ("end", cls, i, sign)
@@ -341,25 +351,69 @@ DIFF_TARGETS = (
         if end is not None
     ),
     *(("edge", k, sign) for k in range(1, len(NEAR_DIAGONAL_ROWS) + 1) for sign in (1, -1)),
+    *(("quarter", c) for c in range(1, 9)),
+    *(("low", k) for k in (3, 4, 5, 6)),
+    ("reach",),
 )
 
 
+def _reach_crossing(d: int) -> int:
+    """The least lambda2 with d*d < 26*lambda2 above the reach of
+    (lambda2 + d)/lambda2, by bisection over `oscillatory_bound_reach`."""
+    lo, hi = d * d // 26, max(d * d // 26 + 1, 130306)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid > asymptotics.oscillatory_bound_reach(Fraction(mid + d, mid)):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def _crossing(target, d: int) -> int:
-    """The integer part of the lambda2 at which the exact value m*sqrt(k*pi*l2)
-    of `target` equals its target d + sign*(c + SLACK), computed at 400 bits."""
-    if target[0] == "end":
-        _, cls, i, sign = target
-        m, k, c = WINDOW_CLAUSES[cls][i][2 if sign > 0 else 1]
-    else:
-        (_, k, sign), m, c = target, 1, "0"
+    """The integer part of the lambda2 at which the exact value of `target`
+    equals its target, computed at 400 bits: m*sqrt(k*pi*l2) against
+    d + sign*(c + SLACK), q + SLACK against c*pi/4, or the low end plus
+    SLACK against q; for ("reach",) the least lambda2 past the reach."""
+    if target[0] == "reach":
+        return _reach_crossing(d)
     with workprec(400):
+        if target[0] == "quarter":
+            return int(d * d / (target[1] * mp.pi - 4 * SLACK))
+        if target[0] == "low":
+            # the larger root of (2*(k - 2)*pi + 8*s)*x**2 - (4*s*d + 2*d*d)*x + d**3
+            a, b = 2 * (target[1] - 2) * mp.pi + 8 * SLACK, 4 * SLACK * d + 2 * d * d
+            return int((b + mp.sqrt(b * b - 4 * a * d**3)) / (2 * a))
+        if target[0] == "end":
+            _, cls, i, sign = target
+            m, k, c = WINDOW_CLAUSES[cls][i][2 if sign > 0 else 1]
+        else:
+            (_, k, sign), m, c = target, 1, "0"
         v = d + sign * (mpf(c) + SLACK)
         return int(v * v / (m * m * k * mp.pi))
 
 
 def _per_pair_side(target, d: int, l2: int, wp: int) -> int:
     """The outcome of `target` at l2 by the per-pair functions, as the side
-    of `DiffLine`: 1 when the computed end or edge lies above its target."""
+    of `DiffLine`: 1 when the computed end or edge lies above its target,
+    when q + SLACK < c*pi/4 holds, when the low end's comparison fails, or
+    when lambda2 lies above the reach; the comparisons of q are made as
+    `_cos_lower_bound` makes them."""
+    if target[0] == "reach":
+        return 1 if l2 > asymptotics.oscillatory_bound_reach(Fraction(l2 + d, l2)) else -1
+    if target[0] in ("quarter", "low"):
+        pi, q = mpf_pi(wp, round_nearest), raw_rational(d * d, 4 * l2, wp)
+        if target[0] == "quarter":
+            quarter = mpf_shift(mpf_mul_int(pi, target[1], wp, round_nearest), -2)
+            return 1 if dyadic_compare(q, quarter, RAW_SLACK) is Comparison.CERTIFIED_LESS else -1
+        three_minus_r = raw_rational(2 * l2 - d, l2, wp)
+        low = mpf_div(
+            mpf_mul_int(pi, target[1] - 2, wp, round_nearest),
+            mpf_mul_int(three_minus_r, 2, wp, round_nearest),
+            wp,
+            round_nearest,
+        )
+        return -1 if dyadic_compare(low, q, RAW_SLACK) is Comparison.CERTIFIED_LESS else 1
     if target[0] == "end":
         _, cls, i, sign = target
         _, lo, hi = WINDOW_CLAUSES[cls][i]
@@ -373,12 +427,55 @@ def _per_pair_side(target, d: int, l2: int, wp: int) -> int:
     return -1 if side is Comparison.CERTIFIED_GREATER else 1
 
 
-def _target_key(target) -> tuple[int, int]:
+def _target_key(target) -> tuple:
     if target[0] == "end":
         _, cls, i, sign = target
         return certifier._WINDOW_KEYS[cls][i][1 if sign > 0 else 0]
+    if target[0] == "quarter":
+        return certifier._quarter_pi_cut, target[1]
+    if target[0] == "low":
+        return certifier._low_cut, target[1]
+    if target[0] == "reach":
+        return certifier._REACH_KEY
     _, k, sign = target
-    return k, sign * certifier._SLACK_UNITS
+    return certifier._edge_cut, k, sign * certifier._SLACK_UNITS
+
+
+def _units(x) -> Fraction:
+    """A raw mpf as an exact rational in units of 2**-FIXED_BITS."""
+    sign, man, exp, _ = x
+    return (-1) ** sign * man * Fraction(2) ** (exp + FIXED_BITS)
+
+
+def _encloses(enclosure, value) -> bool:
+    """Whether a `DiffLine` enclosure holds the raw value of its kernel:
+    None exactly when the kernel gives None, and anything when open."""
+    if enclosure == certifier._OPEN:
+        return True
+    if enclosure is None or value is None:
+        return enclosure is None and value is None
+    return enclosure[0] <= _units(value) <= enclosure[1]
+
+
+def _kernel_margin(l1: int, l2: int, wp: int) -> float | None:
+    """The near-diagonal step's margin from its kernels alone."""
+    bound = _near_diagonal_bound(l1 - l2, l2, wp)[0]
+    lower = None if bound is None else asymptotics._cos_lower_bound(l1, l2, wp)
+    if lower is None or dyadic_compare(lower, bound, RAW_SLACK) is not Comparison.CERTIFIED_GREATER:
+        return None
+    return rounded_margin(lower, bound)
+
+
+def _per_pair_row(d: int, l2: int, wp: int) -> int | None:
+    """The row of the walk of `_near_diagonal_bound` by the per-pair edge
+    comparisons, as `DiffLine._row` reports it."""
+    above = False
+    for k in range(len(NEAR_DIAGONAL_ROWS) + 1):
+        side = asymptotics._edge_compare(d, l2, wp, k)
+        if side is Comparison.CERTIFIED_LESS:
+            return k if above else 0
+        above = side is Comparison.CERTIFIED_GREATER
+    return None
 
 
 def _per_pair_clause(d: int, l2: int, wp: int, cls: int) -> str | None:
@@ -424,16 +521,25 @@ def test_diff_line_decides_each_comparison_as_the_per_pair_functions(draw):
     d, crossing, wp, target = draw
     line, key, band = DiffLine(d, wp), _target_key(target), 0
     for l2 in range(max(1, crossing - 3), crossing + 4):
-        side = line._edge_side(key, l2)
+        if d * d >= 26 * l2:
+            # a reach crossing of a large d lies at the start of the gate
+            continue
+        side = line._side(key, l2)
         if side:
             assert side == _per_pair_side(target, d, l2, wp), (d, l2, wp, target)
         band += not side
         for cls in range(4):
             assert line.window_clause(l2, cls) == _per_pair_clause(d, l2, wp, cls), (d, l2, wp, cls)
-        assert line.near_diagonal_bound(l2) == _near_diagonal_bound(d, l2, wp)[0], (d, l2, wp)
-    # the band is about crossing * 2**(8 - wp) wide around the crossing, so
-    # from crossing >= 2**(wp - 4) on it holds every lambda2 drawn
-    if crossing >= 2 ** (wp - 4):
+        row = line._row(l2)
+        assert row == -1 or row == _per_pair_row(d, l2, wp), (d, l2, wp)
+        assert _encloses(line.bound_enclosure(l2), _near_diagonal_bound(d, l2, wp)[0]), (d, l2, wp)
+        l1 = l2 + d
+        assert _encloses(line.lower_enclosure(l1, l2), asymptotics._cos_lower_bound(l1, l2, wp)), (d, l2, wp)
+        assert line.near_diagonal_margin(l1, l2) == _kernel_margin(l1, l2, wp), (d, l2, wp)
+    # the band is about crossing * 2**(8 - wp) wide around the crossing of an
+    # end or an edge, so from crossing >= 2**(wp - 4) on it holds every
+    # lambda2 drawn; that of a comparison of q about crossing * 2**(9 - wp)/q
+    if crossing >= 2 ** (wp - 4 if target[0] in ("end", "edge") else wp + 2) and target[0] != "reach":
         assert band == 7, (d, crossing, wp, target)
 
 
@@ -466,7 +572,16 @@ def test_diff_line_chooses_row_or_flat_as_the_per_pair_walk(d, lambda2, detail, 
     wp = prec + GUARD_BITS
     value, got = _near_diagonal_bound(d, lambda2, wp)
     assert got == detail
-    assert DiffLine(d, wp).near_diagonal_bound(lambda2) == value
+    line = DiffLine(d, wp)
+    enclosure = line.bound_enclosure(lambda2)
+    if lambda2.bit_length() > 1000:
+        # edge 0 is the kernel's to compare, so the enclosure stays open
+        assert line._row(lambda2) == -1 and enclosure == certifier._OPEN
+    else:
+        assert line._row(lambda2) == _per_pair_row(d, lambda2, wp)
+        assert enclosure != certifier._OPEN and _encloses(enclosure, value)
+    l1 = lambda2 + d
+    assert line.near_diagonal_margin(l1, lambda2) == _kernel_margin(l1, lambda2, wp)
     if lambda2 == _E_702:
         assert asymptotics._edge_compare(d, lambda2, wp, 0) is Comparison.INDETERMINATE
 
@@ -476,9 +591,9 @@ def test_the_slack_of_the_fixed_point_and_of_the_difference_thresholds_is_slack(
     # a `DiffLine` offset is in units of 2**-SLACK_BITS / 10**4; that of an
     # edge with no constant is the slack alone, on either side of d
     for sign in (1, -1):
-        _, offset = certifier._edge_key((1, 3, "0"), sign)
+        _, _, offset = certifier._edge_key((1, 3, "0"), sign)
         assert mpf(offset) / (10**4 * 2**SLACK_BITS) == sign * SLACK
-    _, offset = certifier._edge_key((1, 2, "1.0443"), 1)
+    _, _, offset = certifier._edge_key((1, 2, "1.0443"), 1)
     assert Fraction(offset, 10**4 * 2**SLACK_BITS) == Fraction("1.0443") + Fraction(1, 2**40)
 
 
@@ -678,14 +793,20 @@ def _cascade_lines(draw):
 
 def _per_pair_records(lambda2_range, rule, prec) -> list[tuple]:
     """(lambda2, record) of `certify` on each pair of the line with every
-    `DiffLine` comparison in its band, so that the window and near-diagonal
-    steps run the per-pair functions alone.  The cached `DiffLine`s are
-    dropped on either side of the patch, so that none holds thresholds of
-    the other side."""
+    `DiffLine` comparison in its band and the oscillatory gate read from
+    each pair's reach, so that the oscillatory gate and the window and
+    near-diagonal steps run the per-pair functions alone.  The cached
+    `DiffLine`s are dropped on either side of the patch, so that none holds
+    thresholds of the other side."""
     certifier._diff_line.cache_clear()
     try:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(certifier, "_edge_cut", lambda *args: (0, 2**4000))
+            patch.setattr(DiffLine, "_side", lambda *args: 0)
+            patch.setattr(
+                DiffLine,
+                "past_reach",
+                lambda line, l2: l2 > asymptotics.oscillatory_bound_reach(Fraction(l2 + line.d, l2)),
+            )
             patch.setattr(certifier, "CLASS2_FLOOR_702", 0)
             return [
                 (l2, certify(PartitionPair(l1, l2), budget=0, prec=prec))
@@ -695,14 +816,22 @@ def _per_pair_records(lambda2_range, rule, prec) -> list[tuple]:
         certifier._diff_line.cache_clear()
 
 
+def _open_enclosures(patch) -> None:
+    """Patches the fixed-point enclosures open: no head enclosure, and
+    cosine, bound and cosine-lower-bound enclosures that reach over every
+    bound, so that the supercritical, oscillatory and near-diagonal steps
+    run their raw kernels alone."""
+    patch.setattr(RatioLine, "head_enclosure", lambda *args: None)
+    patch.setattr(RatioLine, "cosine_enclosure", lambda *args: (-2 << FIXED_BITS, 2 << FIXED_BITS))
+    patch.setattr(DiffLine, "bound_enclosure", lambda *args: (-2 << FIXED_BITS, 2 << FIXED_BITS))
+    patch.setattr(DiffLine, "lower_enclosure", lambda *args: (-2 << FIXED_BITS, 2 << FIXED_BITS))
+
+
 def _kernel_records(lambda2_range, rule, prec) -> list[tuple]:
     """(lambda2, record) of `certify` on each pair of the line with the
-    fixed-point enclosures of `RatioLine` patched open (no head enclosure,
-    and a cosine enclosure that reaches over every bound), so that the
-    supercritical and oscillatory steps run their raw kernels alone."""
+    fixed-point enclosures patched open (`_open_enclosures`)."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(RatioLine, "head_enclosure", lambda *args: None)
-        patch.setattr(RatioLine, "cosine_enclosure", lambda *args: (-2 << FIXED_BITS, 2 << FIXED_BITS))
+        _open_enclosures(patch)
         return [
             (l2, certify(PartitionPair(l1, l2), budget=0, prec=prec))
             for l1, l2 in certifier.rule_pairs(lambda2_range, rule)
@@ -734,21 +863,19 @@ def test_a_scan_line_gives_each_pair_the_record_of_certify(line):
     assert report.csv_lines() == _one_pair_rows(expected).csv_lines()
     if isinstance(rule, DiffRule):
         assert _per_pair_records(lambda2_range, rule, prec) == expected
-    if isinstance(rule, RatioRule):
-        assert _kernel_records(lambda2_range, rule, prec) == expected
+    assert _kernel_records(lambda2_range, rule, prec) == expected
 
 
 def _band_calls(lambda2_range, rule, prec) -> int:
     """The calls that a scan of the line makes to the per-pair functions
-    that a `DiffLine` runs in its band: the clause ends, and the exact
-    comparison of d with an edge.  `_near_diagonal_bound`, whose walk every
-    near-diagonal pair takes, is not one of them.  The cached `DiffLine`s
-    are dropped on either side of the patch."""
+    that a `DiffLine` runs where a threshold or an enclosure leaves an
+    outcome open: the clause ends, and the near-diagonal step's kernels.
+    The cached `DiffLine`s are dropped on either side of the patch."""
     calls = []
     certifier._diff_line.cache_clear()
     try:
         with pytest.MonkeyPatch.context() as patch:
-            for name in ("_largest_difference", "_least_difference", "_edge_compare"):
+            for name in ("_largest_difference", "_least_difference", "_near_diagonal_bound", "_cos_lower_bound"):
                 patch.setattr(certifier, name, lambda *args, f=getattr(certifier, name): calls.append(f) or f(*args))
             scan_range(lambda2_range, rule, budget=0, prec=prec)
     finally:
@@ -768,6 +895,84 @@ def test_some_difference_lines_across_a_threshold_enter_the_band():
     )
     report = scan_range(*line[:2], budget=0, prec=line[2])
     assert list(report.records()) == _per_pair_records(*line)
+
+
+@st.composite
+def _near_diagonal_pairs(draw):
+    """(lambda1, lambda2, prec) of a pair inside the near-diagonal gate, of a
+    drawn congruence class, at --precision 53, 128 or 200: lambda2 at the
+    bottom of the gate (from 18,954), about 10**5, around CLASS2_FLOOR_702,
+    or above 2**1000, where edge 0 is compared per pair, with d drawn from
+    [702, sqrt(26*lambda2)); or a pair within 3 of where a `DiffLine`
+    threshold switches, so in its band when lambda2 is large."""
+    prec = draw(st.sampled_from((53, 128, 200)))
+    if draw(st.booleans()):
+        d, crossing, _, _ = draw(_threshold_draws())
+        l2 = crossing + draw(st.integers(-3, 3))
+        assume(d * d < 26 * l2)
+        return l2 + d, l2, prec
+    floor = certifier.CLASS2_FLOOR_702
+    l2 = draw(
+        st.one_of(
+            st.integers(18954, 20000),
+            st.integers(99000, 101000),
+            st.integers(floor - 10**4, floor + 10**4),
+            st.integers(2**1000, 2**1013),
+        )
+    )
+    top = math.isqrt(26 * l2 - 1)  # the largest d with d*d < 26*l2
+    d = draw(st.integers(702, max(702, top)))
+    d += (draw(st.integers(0, 3)) - 2 * l2 - d) % 4  # the drawn class
+    d -= 4 * (d > top)
+    assume(702 <= d <= top)
+    return l2 + d, l2, prec
+
+
+@given(pair=_near_diagonal_pairs())
+@example(pair=(100834, 100000, 128))
+@example(pair=(100794, 100000, 53))
+@example(pair=(100792, 100000, 200))
+@example(pair=(2**1001 + 702, 2**1001, 53))
+@settings(max_examples=150, deadline=None)
+def test_the_near_diagonal_step_gives_every_pair_the_record_of_its_kernels(pair):
+    l1, l2, prec = pair
+    line = RatioLine(l1, l2, prec)
+    record = _near_diagonal_step(line, l1, l2)
+    with pytest.MonkeyPatch.context() as patch:
+        _open_enclosures(patch)
+        assert _near_diagonal_step(line, l1, l2) == record
+    margin = _kernel_margin(l1, l2, line.wp)
+    assert record == (None if margin is None else (l1, CertificateKind.NONZERO_OSCILLATORY, "near-diagonal window bound", margin, None, None, None, None, 0))
+
+
+def _benchmark_difference_lines(seeds) -> list[tuple]:
+    """(lambda2 range, rule) of every difference scan of the benchmark's
+    scan-lines workload at the given seeds (perfbench/workloads.py)."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return [
+        ((scan.l2_lo, scan.l2_hi), DiffRule(scan.value))
+        for seed in seeds
+        for scan in workloads.build("scan-lines", seed).scans
+        if scan.rule == "diff"
+    ]
+
+
+def test_the_difference_lines_of_the_benchmark_run_no_kernel_fallback(monkeypatch):
+    # at lambda2 ~ 1e5 every threshold band is far narrower than one
+    # lambda2, and the enclosures fix every outcome and margin
+    reached = []
+    margin = DiffLine.near_diagonal_margin
+    monkeypatch.setattr(DiffLine, "near_diagonal_margin", lambda *args: reached.append(args) or margin(*args))
+    lines = _benchmark_difference_lines((1, 2, 3))
+    assert len(lines) == 39
+    assert sum(_band_calls(lambda2_range, rule, DEFAULT_PRECISION) for lambda2_range, rule in lines) == 0
+    assert len(reached) > 50
 
 
 @pytest.fixture
