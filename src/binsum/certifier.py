@@ -10,17 +10,17 @@ in l1), and the rest of the row goes straight to the `STAGES`.  The stages
 read the pair's integers and an `asymptotics.RatioLine`, which holds what
 depends on the ratio alone and decides the two saddle steps: a scan of a
 ratio line reads the one line of its ratio (`asymptotics.ratio_line`), while
-`certify` and every other scan build one for each pair, which computes
-nothing that its pair's steps do not read.  A pair near the diagonal reads a
-`DiffLine` as well, which holds the lambda2 thresholds of its oscillatory
-gate and of the comparisons of the window and near-diagonal steps at one
-difference d, and decides the near-diagonal step: each process builds one
-per difference and precision (`_diff_line`), which every pair of that
-difference reads, whatever the rule that made it.  Either way the
-one cascade returns a plain scan record, which `certify` returns as a
-`Certificate`, the named tuple of the record's fields, so a scanned pair and
-a certified pair get the same verdict, margin and output bytes.  Why each
-stage is sound, and why its gate loses nothing:
+`certify` and every other scan build one for each pair, which computes its
+reach and constants only when the pair's gates and steps read them.  A pair
+near the diagonal reads a `DiffLine` as well, which holds the lambda2
+thresholds of its oscillatory gate and of the comparisons of the window and
+near-diagonal steps at one difference d, and decides the near-diagonal step:
+each process builds one per difference and precision (`_diff_line`), which
+every pair of that difference reads, whatever the rule that made it.  Either
+way the one cascade returns a plain scan record, which `certify` returns as
+a `Certificate`, the named tuple of the record's fields, so a scanned pair
+and a certified pair get the same verdict, margin and output bytes.  Why
+each stage is sound, and why its gate loses nothing:
 
   term-growth: for l1 > l2*(l2+1) - 1 the alternating summands grow
       strictly in absolute value, so the sum cannot vanish;
@@ -119,6 +119,7 @@ from .asymptotics import (
     _exceeds_slack,
     _fixed_cos,
     _near_diagonal_bound,
+    _oscillatory_reach,
     _rounded53,
     _widening,
     check_delta,
@@ -331,8 +332,11 @@ def _near_diagonal_gate(line: RatioLine, l1: int, l2: int) -> bool:
 # sqrt(26*lambda2) through the window step, 911 of them at lambda2 = 10**5
 # and 4,096 up to lambda2 ~ 8.8*10**5, and the next row passes them again:
 # a smaller bound would evict each line before the next row reads it, so
-# every row would rebuild them all.  A filled `DiffLine` takes 2.7 KB on
-# average and 4.7 KB at most, so the cache stays below about 19 MB.
+# every row would rebuild them all.  A `DiffLine` holds at most 29 pairs
+# of thresholds (a line's pairs fall in two congruence classes), 4.5 KB, and
+# on the all-up-to scan of the rows lambda2 = 10**5..10**5 + 3 its lines
+# take 1.7 KB on average with their cache entries (tracemalloc, CPython
+# 3.11), so the cache stays below about 19 MB and near 7 MB at that mix.
 @functools.lru_cache(maxsize=4096)
 def _diff_line(d: int, wp: int) -> DiffLine:
     """The `DiffLine` of difference d at wp bits, built once in a process and
@@ -515,13 +519,6 @@ def _largest_difference(lambda2: int, wp: int, hi: tuple) -> int:
     return _int_below(_clause_end(lambda2, wp, hi, mpf_sub), wp)
 
 
-# the largest lambda2 at which the floor of clause class2-a is certainly 702:
-# below ((702 - 2**-20) / CLASS2_FLOOR_FACTOR)**4, where
-# CLASS2_FLOOR_FACTOR * lambda2**(1/4) < 702 - 2**-20, far below 702 - SLACK
-# after the few ulps of error of `mpf_pow` at wp >= 77 bits
-CLASS2_FLOOR_702 = math.ceil(((NEAR_DIAGONAL_MIN_DIFFERENCE - Fraction(1, 2**20)) / Fraction(CLASS2_FLOOR_FACTOR)) ** 4) - 1
-
-
 # The enclosure [PI_FLOOR, PI_FLOOR + 1] / 2**PI_BITS of pi (`numerics`)
 # widens each band of a `DiffLine` by l2 * 2**-96 / pi, so by at most 5.1
 # values of lambda2 up to lambda2 = 2**100.
@@ -598,26 +595,21 @@ def _low_cut(d: int, wp: int, k: int) -> tuple[int, int]:
 def _reach_cut(d: int, wp: int) -> tuple[int, int]:
     """(T - 1, T) for the least l2 = T inside the gate (d*d < 26*l2) above
     the reach of r = (l2 + d)/l2, `oscillatory_bound_reach` (see
-    `DiffLine`).  A fixed-point iteration in floats guesses T; a walk over
-    the exact test fixes it."""
-    def past(l2: int) -> bool:
-        return (4 * l2 * l2 + 4 * d * l2 - d * d) ** 11 > OSCILLATORY_BOUND_CONSTANT**4 * l2**20
-
+    `DiffLine`).  There nd > 4, so the reach is below 16336**2 / 4**5.5
+    < 130306, and l2 meets it where l2 = 16336**2 / nd**5.5: a few
+    fixed-point steps in floats from 130305 guess T, and a walk over the
+    exact reach fixes it."""
     first = d * d // 26 + 1
-    guess = float(max(first, _REACH_LIMIT))
+    guess = float(max(first, 130305))
     for _ in range(5):
         y = d / guess
         guess = max(first, OSCILLATORY_BOUND_CONSTANT**2 / (4 + 4 * y - y * y) ** 5.5)
     t = int(guess)
-    while t > first and past(t - 1):
+    while t > first and t - 1 > _oscillatory_reach(t - 1 + d, t - 1):
         t -= 1
-    while not past(t):
+    while t <= _oscillatory_reach(t + d, t):
         t += 1
     return t - 1, t
-
-
-# the reach of every ratio 1 < r <= 5 is at most 16336**2 / 4**5.5 < 130306
-_REACH_LIMIT = 130305
 
 
 def _edge_key(end: tuple, sign: int) -> tuple:
@@ -634,6 +626,13 @@ def _edge_key(end: tuple, sign: int) -> tuple:
 _WINDOW_KEYS = tuple(
     tuple((lo and _edge_key(lo, -1), _edge_key(hi, 1)) for _, lo, hi in clauses) for clauses in WINDOW_CLAUSES
 )
+
+# the largest lambda2 at which the floor of clause class2-a is certainly 702:
+# below ((702 - 2**-20) / CLASS2_FLOOR_FACTOR)**4, where
+# CLASS2_FLOOR_FACTOR * lambda2**(1/4) < 702 - 2**-20, far below 702 - SLACK
+# after the few ulps of error of `mpf_pow` at wp >= 77 bits
+CLASS2_FLOOR_702 = math.ceil(((NEAR_DIAGONAL_MIN_DIFFERENCE - Fraction(1, 2**20)) / Fraction(CLASS2_FLOOR_FACTOR)) ** 4) - 1
+
 # per row k = 1..8 of the near-diagonal bound, the keys of edge k against
 # d + SLACK and against d - SLACK
 _ROW_KEYS = tuple(((_edge_cut, k, _SLACK_UNITS), (_edge_cut, k, -_SLACK_UNITS)) for k in range(1, len(NEAR_DIAGONAL_ROWS) + 1))

@@ -516,6 +516,13 @@ def _threshold_draws(draw):
 @example(draw=(2**50 - 1, _crossing(("end", 0, 0, 1), 2**50 - 1), 77, ("end", 0, 0, 1)))
 @example(draw=(2**50 - 1, _crossing(("edge", 1, 1), 2**50 - 1), 280, ("edge", 1, 1)))
 @example(draw=(2**50 + 7, _crossing(("end", 3, 1, -1), 2**50 + 7), 280, ("end", 3, 1, -1)))
+# the same for the comparisons of q: at 280 bits the end pi/4 * 8 from the
+# wrong end of the pi enclosure is 0.97 units of 2**-96 off in q, more than
+# the margin of the thresholds; at 77 bits the kernel's rounding, which the
+# thresholds must leave room for, spans millions of lambda2
+@example(draw=(2**51 - 3, _crossing(("quarter", 8), 2**51 - 3), 280, ("quarter", 8)))
+@example(draw=(2**50 - 1, _crossing(("quarter", 3), 2**50 - 1), 77, ("quarter", 3)))
+@example(draw=(2**50 - 1, _crossing(("low", 5), 2**50 - 1), 77, ("low", 5)))
 @settings(max_examples=150, deadline=None)
 def test_diff_line_decides_each_comparison_as_the_per_pair_functions(draw):
     d, crossing, wp, target = draw
@@ -933,6 +940,8 @@ def _near_diagonal_pairs(draw):
 @example(pair=(100794, 100000, 53))
 @example(pair=(100792, 100000, 200))
 @example(pair=(2**1001 + 702, 2**1001, 53))
+# the cosine lower bound 1.5 * SLACK, above a bound far below SLACK
+@example(pair=(2**100 + 2630119586, 2**100, 128))
 @settings(max_examples=150, deadline=None)
 def test_the_near_diagonal_step_gives_every_pair_the_record_of_its_kernels(pair):
     l1, l2, prec = pair
