@@ -6,7 +6,9 @@ of their order and of the exact gate in front of each.  A range scan takes
 a row of fixed l2 at a time: the pairs that the budget admits form a prefix
 of the sorted row, evaluated in one walk of `exact.row_values` (a pair whose
 two predecessors were evaluated costs one step of the three-term recurrence
-in l1), and the rest of the row goes straight to the `STAGES`.  The stages
+in l1), and the rest of the row goes straight to the `STAGES`.  `certify`
+takes the record of a pair it evaluates from the same walk, on a row of that
+one pair, so scans and `certify` share one exact record.  The stages
 read the pair's integers and an `asymptotics.RatioLine`, which holds what
 depends on the ratio alone and decides the two saddle steps: a scan of a
 ratio line reads the one line of its ratio (`asymptotics.ratio_line`), while
@@ -131,7 +133,7 @@ from .asymptotics import (
     REFINED_BOUND_MAX_RATIO,
 )
 from . import exact
-from .exact import PartitionPair, evaluate, evaluation_cost, pair_cost
+from .exact import PartitionPair, evaluation_cost, pair_cost
 from .numerics import (
     DEFAULT_PRECISION,
     GUARD_BITS,
@@ -256,13 +258,6 @@ def _refusal(l1: int, l2: int) -> tuple | None:
     else:
         return None
     return l1, CertificateKind.REFUSED, "input check", None, None, None, None, reason, 0
-
-
-def _exact_record(l1: int, value: int) -> tuple:
-    """The scan record of the pair at lambda1 = l1 whose exact value is `value`."""
-    sign = (value > 0) - (value < 0)
-    kind = CertificateKind.NONZERO_EXACT if sign else CertificateKind.ZERO_EXACT
-    return l1, kind, EXACT_RULE, None, sign, abs(value).bit_length() or None, None, None, 0
 
 
 # The steps below return scan records (the fields of `Certificate`) with
@@ -412,7 +407,7 @@ def certify(
     l1, l2 = pair.lambda1, pair.lambda2
     record = _refusal(l1, l2)
     if record is None and evaluation_cost(pair) <= budget:
-        record = _exact_record(l1, evaluate(pair).value)
+        record = next(_row_records([l1], l2, 1, prec, None))
     return Certificate._make(record or _cascade(RatioLine(l1, l2, prec, delta), l1, l2))
 
 
@@ -1010,7 +1005,7 @@ CSV_HEADER = "lambda1,lambda2,class,certificate,margin,exact_sign,usec"
 # where the enum's `value` property takes 167 ns (timeit, CPython 3.11)
 _KIND_TEXT = {kind: kind.value for kind in CertificateKind}
 _INCONCLUSIVE = CertificateKind.INCONCLUSIVE
-_ZERO = CertificateKind.ZERO_EXACT
+_EXACT, _ZERO = CertificateKind.NONZERO_EXACT, CertificateKind.ZERO_EXACT
 _kind_of = operator.itemgetter(1)
 # the format of every float printed, `format_float`'s: 17 significant digits
 # round-trip a float losslessly.  A record's margin is a float already, so
@@ -1021,23 +1016,27 @@ _FLOAT_SPEC = ".17g"
 def jsonl_text(l2: int, records: Iterable[tuple]) -> str:
     """The jsonl lines of one scan row at lambda2 = l2, each ended by a
     newline: one json object per record.  The class is (lambda1 + lambda2)
-    mod 4, and the text up to it is built once per row."""
+    mod 4, and the text up to it is built once per row.  A record with a
+    sign is exact and has no margin: the exact prefix of a row, which
+    `_row_records` builds inline, is written as one direct line each."""
     head = f',"lambda2":{l2},"class":'
     return "".join([
         f'{{"lambda1":{l1}{head}{(l1 + l2) % 4},"certificate":"{_KIND_TEXT[kind]}",'
-        f'"margin":{"null" if margin is None else format(margin, _FLOAT_SPEC)},'
-        f'"exact_sign":{"null" if sign is None else sign},"usec":{usec}}}\n'
+        f'"margin":null,"exact_sign":{sign},"usec":{usec}}}\n' if sign is not None else
+        f'{{"lambda1":{l1}{head}{(l1 + l2) % 4},"certificate":"{_KIND_TEXT[kind]}",'
+        f'"margin":{"null" if margin is None else format(margin, _FLOAT_SPEC)},"exact_sign":null,"usec":{usec}}}\n'
         for l1, kind, _, margin, sign, _, _, _, usec in records
     ])
 
 
 def csv_text(l2: int, records: Iterable[tuple]) -> str:
     """The csv lines of one scan row at lambda2 = l2, each ended by a
-    newline, in the columns of `CSV_HEADER`."""
+    newline, in the columns of `CSV_HEADER`.  As in `jsonl_text`, a record
+    with a sign (exact, no margin) is written as one direct line."""
     head = f",{l2},"
     return "".join([
-        f"{l1}{head}{(l1 + l2) % 4},{_KIND_TEXT[kind]},{'' if margin is None else format(margin, _FLOAT_SPEC)},"
-        f"{'' if sign is None else sign},{usec}\n"
+        f"{l1}{head}{(l1 + l2) % 4},{_KIND_TEXT[kind]},,{sign},{usec}\n" if sign is not None else
+        f"{l1}{head}{(l1 + l2) % 4},{_KIND_TEXT[kind]},{'' if margin is None else format(margin, _FLOAT_SPEC)},,{usec}\n"
         for l1, kind, _, margin, sign, _, _, _, usec in records
     ])
 
@@ -1130,12 +1129,20 @@ def _row_cut(lambda1s: list[int], l2: int, budget: int) -> tuple[int, int]:
 def _row_records(lambda1s: list[int], l2: int, hi: int, prec: int, line: RatioLine | None) -> Iterator[tuple]:
     """The scan record (usec 0) of each lambda1 of `lambda1s` (sorted) at
     lambda2 = l2, in turn, with the verdicts of `certify`, for the cut hi
-    of `_row_cut`.  The cascade runs on `line` when the scan's pairs share
-    one, else on a line of each pair alone."""
+    of `_row_cut`.  The exact prefix builds each record here, from the value
+    that the `exact.row_values` walk yields for it, and `certify` takes its
+    exact records from here too.  The walk stays lazy, one pair per record
+    taken, so a timed scan charges each record the time of its own pair.
+    The cascade runs on `line` when the scan's pairs share one, else on a
+    line of each pair alone."""
     if hi:
         admitted = lambda1s[:hi]
         for l1, value in zip(admitted, exact.row_values(l2, admitted)):
-            yield _exact_record(l1, value)
+            # bit_length ignores the sign
+            if value:
+                yield l1, _EXACT, EXACT_RULE, None, 1 if value > 0 else -1, value.bit_length(), None, None, 0
+            else:
+                yield l1, _ZERO, EXACT_RULE, None, 0, None, None, None, 0
     for l1 in lambda1s[hi:]:
         yield _cascade(line or RatioLine(l1, l2, prec), l1, l2)
 

@@ -360,17 +360,21 @@ def evaluate(pair: PartitionPair, route: Route | None = None) -> ExactValue:
 def row_values(lambda2: int, lambda1s: Iterable[int]) -> Iterator[int]:
     """S(l1, lambda2) for each l1 of `lambda1s` in turn: one `row_step` when
     l1 comes right after the last one and the two values before it are
-    known, else a fresh `evaluate` (the first l1, a gap or a repeat)."""
-    last = before = value = None
+    known, else a fresh `evaluate` (the first l1, a gap or a repeat).  It is
+    lazy, one value per `next()`, and a step costs one comparison besides
+    the recurrence."""
+    # follow is the l1 after the last one, and step_at is follow when the
+    # two values before it are known (before and value), else None
+    before = value = follow = step_at = None
     for l1 in lambda1s:
-        follows = l1 - 1 == last
-        if follows and before is not None:
-            new = row_step(l1 - 2, lambda2, before, value)
+        if l1 == step_at:
+            before, value = value, row_step(l1 - 2, lambda2, before, value)
+            step_at += 1
         else:
-            new = evaluate(PartitionPair(l1, lambda2)).value
-        before = value if follows else None
-        last, value = l1, new
-        yield new
+            step_at = l1 + 1 if l1 == follow else None
+            before, value = value, evaluate(PartitionPair(l1, lambda2)).value
+        follow = l1 + 1
+        yield value
 
 
 def evaluation_cost(pair: PartitionPair) -> int:

@@ -50,6 +50,7 @@ from binsum.certifier import (
     difference_windows,
     exception_count_bound,
     scan_range,
+    write_rows,
 )
 from binsum.exact import PartitionPair, evaluate, evaluation_cost, row_step
 from binsum.numerics import (
@@ -1122,8 +1123,9 @@ def test_scan_rows_match_certify_per_pair(monkeypatch, pool_starts, lambda2_rang
         evaluated.append((n + 2, m, True))
         return row_step(n, m, s0, s1)
 
-    for module in (certifier, exact):
-        monkeypatch.setattr(module, "evaluate", recording_evaluate)
+    # a scan evaluates only through the row walk, whose fresh values come from
+    # `exact.evaluate`
+    monkeypatch.setattr(exact, "evaluate", recording_evaluate)
     monkeypatch.setattr(exact, "row_step", recording_row_step)
     serial = scan_range(lambda2_range, rule, budget=budget)
     monkeypatch.undo()
@@ -1140,6 +1142,24 @@ def test_scan_rows_match_certify_per_pair(monkeypatch, pool_starts, lambda2_rang
     seen = set(admitted)
     for l1, l2, walked in evaluated:
         assert walked is ((l1 - 1, l2) in seen and (l1 - 2, l2) in seen), (l1, l2)
+
+
+def test_exact_row_walk_yields_one_record_per_pair_taken(monkeypatch):
+    # a timed scan charges each record the time between two takes, so the
+    # first record of a long admitted row must not wait for the rest of it
+    (lambda1s, l2), = certifier.rule_rows((5, 5), AllUpToRule(150))
+    hi, _ = certifier._row_cut(lambda1s, l2, 10**9)
+    assert hi == len(lambda1s) == 145
+    fresh, stepped = [], []
+    monkeypatch.setattr(exact, "evaluate", lambda pair: fresh.append(pair.lambda1) or evaluate(pair))
+    monkeypatch.setattr(exact, "row_step", lambda n, m, s0, s1: stepped.append(n + 2) or row_step(n, m, s0, s1))
+    records = certifier._row_records(lambda1s, l2, hi, 128, None)
+    assert next(records)[:2] == (6, CertificateKind.NONZERO_EXACT)
+    assert (fresh, stepped) == ([6], [])
+    assert next(records)[0] == 7 and (fresh, stepped) == ([6, 7], [])
+    assert next(records)[0] == 8 and (fresh, stepped) == ([6, 7], [8])
+    assert [record[0] for record in records] == lambda1s[3:]
+    assert (fresh, stepped) == ([6, 7], lambda1s[2:])
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])
@@ -1408,6 +1428,58 @@ def test_scan_lines_read_back_to_the_records():
             int(sign_cell) if sign_cell else None,
             int(usec_cell),
         ) == fields
+
+
+# one record of each shape: exact of each sign, term growth, a clause, a
+# margin of each saddle step, inconclusive and refused
+RECORD_SHAPES = [
+    (13, CertificateKind.ZERO_EXACT, certifier.EXACT_RULE, None, 0, None, None, None),
+    (14, CertificateKind.NONZERO_EXACT, certifier.EXACT_RULE, None, 1, 9, None, None),
+    (15, CertificateKind.NONZERO_EXACT, certifier.EXACT_RULE, None, -1, 11, None, None),
+    (16, CertificateKind.NONZERO_TERM_GROWTH, "ascending alternating terms", None, None, None, None, None),
+    (17, CertificateKind.NONZERO_INTERVAL, "difference window", None, None, None, "class0-a", None),
+    (18, CertificateKind.NONZERO_SUPERCRITICAL, "supercritical bound", 0.375, None, None, None, None),
+    (19, CertificateKind.NONZERO_OSCILLATORY, "oscillatory bound", 2.0**-14, None, None, None, None),
+    (20, CertificateKind.NONZERO_OSCILLATORY, "oscillatory bound", 0.1, None, None, None, None),
+    (21, CertificateKind.INCONCLUSIVE, "cascade exhausted", None, None, None, None, "no bound"),
+    (22, CertificateKind.REFUSED, "input check", None, None, None, None, "diagonal pair excluded"),
+]
+JSONL_KEYS = ("lambda1", "lambda2", "class", "certificate", "margin", "exact_sign", "usec")
+
+
+@pytest.mark.parametrize("usec", [0, 1234])
+def test_every_record_shape_is_written_with_every_field(usec):
+    # the writers give exact records (a sign, no margin) a line of their own;
+    # each shape must read back to its fields in jsonl, csv and through write_rows
+    l2 = 7
+    records = [(*shape, usec) for shape in RECORD_SHAPES]
+    fields = [
+        (l1, l2, (l1 + l2) % 4, kind.value, margin, sign, usec)
+        for l1, kind, _, margin, sign, *_ in records
+    ]
+    jsonl = certifier.jsonl_text(l2, records).splitlines()
+    csv = certifier.csv_text(l2, records).splitlines()
+    assert len(jsonl) == len(csv) == len(records)
+    for line, row, values in zip(jsonl, csv, fields):
+        assert json.loads(line) == dict(zip(JSONL_KEYS, values))
+        assert tuple(json.loads(line)) == JSONL_KEYS
+        assert row.split(",") == ["" if v is None else format(v, ".17g") if isinstance(v, float) else str(v) for v in values]
+        margin = values[4]
+        if margin is None or repr(margin) == format(margin, ".17g"):
+            assert line == json.dumps(dict(zip(JSONL_KEYS, values)), separators=(",", ":"))
+    assert tuple(certifier.CSV_HEADER.split(",")) == JSONL_KEYS
+    # write_rows writes the same text, csv under its header, and flags the inconclusive record
+    for output_format, lines in [("jsonl", jsonl), ("csv", [certifier.CSV_HEADER, *csv])]:
+        out = []
+        assert write_rows([(l2, records)], output_format, out.append) is True
+        assert "".join(out).splitlines() == lines
+    out = []
+    assert write_rows([(l2, records[:-2])], "jsonl", out.append) is False
+    out = []
+    assert write_rows([(l2, records)], "human", out.append) is True
+    human = "".join(out).splitlines()
+    assert "inconclusive pair (21, 7)" in human and "ZERO VALUE at (13, 7)" in human
+    assert "nonzero_exact            2" in human and "refused                  1" in human
 
 
 def test_usable_cpus_is_within_cpu_count():
