@@ -55,7 +55,9 @@ differs from its twin at 1.  The set covers:
 * `predict` on the ratio-6 line on both sides of that tail cutoff, at
   --precision 53, 128 and 200, and just below and above the validity
   threshold of the oscillatory bound, in jsonl and human;
-* `intervals`, `poly`, `exceptions` and `plotdata` in every format;
+* `intervals`, `poly`, `exceptions` and `plotdata` in every format, and
+  `intervals` past the lambda2 where the floor of clause class2-a leaves
+  702, at the default precision and at --precision 53;
 * `validate` for every lemma at two grids, and on the 4x5 grid also at
   --precision 53 and 200, in jsonl and human, and at the other two grid
   shapes of the proof-check workload, 9x9 and 10x8, in jsonl;
@@ -346,6 +348,12 @@ def commands() -> list[list[str]]:
             tails.append(["validate", "--lemma", lemma, "--grid", grid])
     for tail in tails:
         out.extend(["--format", fmt, *tail] for fmt in FORMATS)
+    # the window table past lambda2 = CLASS2_FLOOR_702, where the floor of
+    # clause class2-a is an `mpf_pow` of lambda2: at that lambda2 (floor
+    # 702), at the first floor of 703, and past 2**1000
+    for l2 in (13533126790, 13533126865, 2**1001 + 5):
+        for options in ((), ("--precision", "53")):
+            out.extend(["--format", fmt, *options, "intervals", str(l2)] for fmt in FORMATS)
     # the 4x5 grid puts a point at the centre of the super and near1 lemmas,
     # where the margin is 0 or rounding noise at the working precision
     for lemma in LEMMAS:
