@@ -46,7 +46,7 @@ functions (`supercritical_error_bound`, `oscillatory_error_bound` and
 wrap the kernel's result in an mpf, the cascade takes it raw.  The two
 kernels that read the pair alone, `_near_diagonal_bound` and
 `_cos_lower_bound`, are the cascade's where the enclosures of a
-`certifier.DiffLine` leave its near-diagonal step open.
+`DiffLine` leave its near-diagonal step open.
 
 A `RatioLine` also decides the cascade's two saddle steps.  It first
 encloses its kernels' outcome in integer arithmetic.  Past a per-line tail
@@ -62,8 +62,33 @@ width counts the roundings of the kernel's chain at the kernel's precision
 Brent and Zimmermann for the rounding counts).  Where the enclosures put
 the comparison with `SLACK` on one side and every 53-bit rounding of the
 margin strictly between two midpoints of the grid, that is the step's
-outcome; elsewhere the line runs the kernels and compares their values.
-So every verdict and margin is the kernels', bit for bit.
+outcome (`_enclosed_margin`); elsewhere the line runs the kernels and
+compares their values (`numerics.certified_margin`).  So every verdict and
+margin is the kernels', bit for bit.
+
+A `DiffLine` decides the window and near-diagonal steps of one difference
+d = l1 - l2 >= 702, and the oscillatory gate of its pairs, and `diff_line`
+keeps one per difference and precision in a process.  Those steps compare
+d with window ends m*sqrt(k*pi*l2) -+ c of the window table
+(`WINDOW_CLAUSES`, which `difference_windows` prints) and row edges
+sqrt(k*pi*l2), computed by chains of correctly rounded libmp operations, so
+nondecreasing in l2, and the cosine lower bound compares q = d*d/(4*l2)
+with multiples of pi/4 and with the low end of its second window, each
+comparison switching once along the line.  A `DiffLine` bounds each
+computed value's error and turns each comparison into two lambda2
+thresholds in exact integers: below the one its outcome is certainly one
+way, above the other certainly the other, whatever the rounding.  So the
+window step's clause, the near-diagonal bound's row and the cosine lower
+bound's window follow from the thresholds, and the near-diagonal step
+decides from integer enclosures of its two kernels' values
+(`DiffLine.near_diagonal_margin`): the row value by one `isqrt`, the
+cosines in fixed point.  A pair between two thresholds, or whose
+enclosures reach across the slack or across a midpoint of the 53-bit grid,
+runs the per-pair functions and kernels themselves, so every verdict and
+margin is the one they give.  Per pair there remain the floor of clause
+class2-a past lambda2 = `CLASS2_FLOOR_702`, edge 0 of the near-diagonal
+bound at lambda2 of more than 1000 bits (where the step runs its kernels),
+and the enclosures and the margin in integers.
 """
 
 from __future__ import annotations
@@ -84,6 +109,7 @@ from mpmath.libmp import (
     fzero,
     mpf_abs,
     mpf_add,
+    mpf_ceil,
     mpf_cos,
     mpf_div,
     mpf_floor,
@@ -94,12 +120,14 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_mul_int,
     mpf_pi,
+    mpf_pow,
     mpf_pow_int,
     mpf_rdiv_int,
     mpf_shift,
     mpf_sqrt,
     mpf_sub,
     round_nearest,
+    to_int,
 )
 
 from .exact import PartitionPair, evaluate
@@ -114,6 +142,7 @@ from .numerics import (
     SLACK_BITS,
     Comparison,
     certified_compare,
+    certified_margin,
     check_precision,
     dyadic_compare,
     decimal_constant,
@@ -346,7 +375,7 @@ def supercritical_error_bound(r: Fraction, lam: int, prec: int = DEFAULT_PRECISI
     return mp.make_mpf(ratio_line(r.numerator, r.denominator, prec).supercritical_bound(lam))
 
 
-def _quartic_kernel(rho: tuple, wp: int) -> Callable[[tuple], tuple]:
+def quartic_kernel(rho: tuple, wp: int) -> Callable[[tuple], tuple]:
     """c -> C_g(r, c), raw at wp bits: |g(theta) - g(0) + M*theta**2/2| <=
     C_g * theta**4 for cos(theta) >= c, as max(first, head + rho/(4*(1 -
     rho**2)*(1 + rho**2 + 2*rho*c))).  The terms in rho alone are rounded
@@ -376,10 +405,10 @@ def _quartic_kernel(rho: tuple, wp: int) -> Callable[[tuple], tuple]:
     return coefficient
 
 
-def _cubic_kernel(rho: tuple, wp: int) -> Callable[[tuple], tuple]:
+def cubic_kernel(rho: tuple, wp: int) -> Callable[[tuple], tuple]:
     """c -> C_h(r, c), raw at wp bits: |h(theta)| <= C_h * |theta|**3 for
     cos(theta) >= c, as the largest of f1, f2(c) and 0, with the terms in
-    rho alone rounded once, as in `_quartic_kernel`."""
+    rho alone rounded once, as in `quartic_kernel`."""
     rho2 = mpf_pow_int(rho, 2, wp, _RND)
     base, two_rho, one_minus = mpf_add(rho2, fone, wp, _RND), mpf_mul_int(rho, 2, wp, _RND), mpf_sub(fone, rho, wp, _RND)
     # f1 = (1 + rho**2)*(rho**2 + 4*rho - 1)/(6*(1-rho)**3*(1+rho)**2)
@@ -446,8 +475,8 @@ def supercritical_error_bound_refined(
         m_val = sd.M
         lamf = mpf(lam)
         c = mp.cos(d)
-        cg = mp.make_mpf(_quartic_kernel(sd.rho._mpf_, mp.prec)(c._mpf_))
-        ch = mp.make_mpf(_cubic_kernel(sd.rho._mpf_, mp.prec)(c._mpf_))
+        cg = mp.make_mpf(quartic_kernel(sd.rho._mpf_, mp.prec)(c._mpf_))
+        ch = mp.make_mpf(cubic_kernel(sd.rho._mpf_, mp.prec)(c._mpf_))
         t1 = 3 * cg / (lamf * m_val**2)
         t2 = 15 * ch**2 / (2 * lamf * m_val**3)
         tail = (mp.sqrt(mpf(2)) / (d * mp.sqrt(mp.pi * lamf * m_val)) + (1 - d / mp.pi) * mp.sqrt(2 * mp.pi * lamf * m_val)) * mp.exp(
@@ -513,8 +542,8 @@ def window_edge(lambda2: int, k: int, wp: int) -> tuple:
     lambda2, as a raw tuple rounded as mpf arithmetic under workprec(wp)
     rounds it: log(mpf(lambda2)) for k = 0, else
     sqrt(k * pi * mpf(lambda2)) for k = 1..8.  `difference_windows`, the
-    near-diagonal bound and a `certifier.DiffLine` comparison that falls in
-    its band share them."""
+    near-diagonal bound and a `DiffLine` comparison that falls in its band
+    share them."""
     l2 = from_int(lambda2, wp, _RND)
     if k == 0:
         return mpf_log(l2, wp, _RND)
@@ -730,6 +759,17 @@ def _exceeds_slack(lo: int, hi: int) -> bool | None:
     return False if hi <= _FIXED_SLACK else None
 
 
+def _enclosed_margin(lo: int, hi: int) -> float | bool | None:
+    """The verdict of an enclosure [lo, hi] of a margin y, in units: the
+    53-bit rounding of y as a float when y > SLACK for every y in it and
+    `_rounded53` fixes its rounding, False when y > SLACK nowhere in it,
+    None when it leaves either open and the kernels must decide."""
+    # False or None from `_exceeds_slack` passes through, as does None from
+    # `_rounded53`, whose grid point is never 0
+    margin = _exceeds_slack(lo, hi) and _rounded53(lo, hi)
+    return math.ldexp(margin, -FIXED_BITS) if margin else margin
+
+
 def _scaled_quotient(a: tuple, b: tuple, k: int, bits: int) -> int:
     """floor(a / (k*b) * 2**bits) of raw a, b > 0 and an integer k > 0."""
     shift = a[2] - b[2] + bits
@@ -788,7 +828,7 @@ class RatioLine:
     The regime is exact and set here.  Every other constant is computed on
     first use and then kept: for a subcritical ratio the exact reach of
     `oscillatory_bound_reach` (the oscillatory gate of a pair near the
-    diagonal reads its `certifier.DiffLine` instead, so that pair's line
+    diagonal reads its `DiffLine` instead, so that pair's line
     never computes it), the raw factors of the two bounds, the validity
     threshold, the integer constants of the enclosures, and the half-phase
     constants of each p_eff that the line reaches (one or two, as p_eff
@@ -955,17 +995,10 @@ class RatioLine:
         head = self.head_enclosure(lam)
         if head is not None:
             one = 1 << FIXED_BITS
-            lo, hi = one - head[1], one - head[0]
-            accept = _exceeds_slack(lo, hi)
-            if accept is False:
-                return None
-            margin = accept and _rounded53(lo, hi)
-            if margin:
-                return math.ldexp(margin, -FIXED_BITS)
-        bound = self.supercritical_bound(lam)
-        if dyadic_compare(bound, fone, RAW_SLACK) is not Comparison.CERTIFIED_LESS:
-            return None
-        return rounded_margin(fone, bound)
+            margin = _enclosed_margin(one - head[1], one - head[0])
+            if margin is not None:
+                return margin or None
+        return certified_margin(fone, self.supercritical_bound(lam))
 
     def oscillatory_margin(self, lambda1: int, lambda2: int) -> float | None:
         """The oscillatory step's verdict on the pair: the 53-bit rounding of
@@ -998,6 +1031,527 @@ class RatioLine:
 # the `RatioLine` of r = a/b in lowest terms at prec, kept for the last few
 # ratios: what the public functions and the ratio scans read of r
 ratio_line = functools.lru_cache(maxsize=RATIO_CACHE_SIZE)(RatioLine)
+
+
+# --------------------------------------------------------------------------
+# certified difference windows (lambda1 intervals per congruence class),
+# and the `DiffLine` of one difference that the cascade reads
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class DifferenceWindow:
+    """One certified integer interval of lambda1 values for a fixed lambda2.
+
+    Only integers with (lambda1 + lambda2) mod 4 == residue_class inside
+    [lo, hi] are covered by the clause.  `basis` is "window-table" for the
+    proved interval machinery (needs lambda1 - lambda2 >= 702) and
+    "small-difference" for the portion covered by the small-difference
+    families result instead.
+    """
+
+    residue_class: int
+    clause: str
+    lo: int
+    hi: int
+    basis: str
+
+
+def _int_above(x: tuple, wp: int) -> int:
+    """Smallest integer certifiedly > x (inward rounding of a lower endpoint),
+    for a raw x, with x + SLACK rounded at wp bits."""
+    return to_int(mpf_floor(mpf_add(x, RAW_SLACK, wp, round_nearest), wp, round_nearest)) + 1
+
+
+def _int_below(x: tuple, wp: int) -> int:
+    """Largest integer certifiedly < x (inward rounding of an upper endpoint),
+    for a raw x, with x - SLACK rounded at wp bits."""
+    return to_int(mpf_ceil(mpf_sub(x, RAW_SLACK, wp, round_nearest), wp, round_nearest)) - 1
+
+
+# the proved windows of each congruence class, in order: (clause, lower end,
+# upper end) of lambda1 - lambda2, an end (m, k, c) standing for
+# m*sqrt(k*pi*lambda2) + c at the lower and m*sqrt(k*pi*lambda2) - c at the
+# upper end; a lower end None is the floor of the class (1, or for class 2
+# the larger of 702 and CLASS2_FLOOR_FACTOR * lambda2**(1/4))
+WINDOW_CLAUSES = (
+    (("class0-a", None, (1, 2, "1.0443")), ("class0-b", (1, 2, "3.1407"), (1, 6, "0.9275"))),
+    (("class1-a", None, (1, 3, "0.984")), ("class1-b", (1, 3, "3.8433"), (1, 7, "0.9231"))),
+    (("class2-a", None, (1, 2, "0.9535")), ("class2-b", (2, 1, "4.5938"), (2, 2, "0.9218"))),
+    (("class3-a", None, (1, 1, "1.1958")), ("class3-b", (1, 1, "2.5913"), (1, 5, "0.9367"))),
+)
+CLASS2_FLOOR_FACTOR = "2.0582"
+
+
+def _class2_floor(lambda2: int, wp: int) -> int:
+    """The least difference of clause class2-a: 702, or the first integer
+    above `CLASS2_FLOOR_FACTOR` * lambda2**(1/4) once that is certifiedly
+    larger (lambda2 and the constants at `wp` bits)."""
+    quarter_root = mpf_mul(
+        decimal_constant(CLASS2_FLOOR_FACTOR, wp)._mpf_,
+        mpf_pow(from_int(lambda2, wp, round_nearest), decimal_constant("0.25", wp)._mpf_, wp, round_nearest),
+        wp,
+        round_nearest,
+    )
+    versus_702 = dyadic_compare(quarter_root, from_int(NEAR_DIAGONAL_MIN_DIFFERENCE), RAW_SLACK)
+    if versus_702 is Comparison.CERTIFIED_LESS:
+        return NEAR_DIAGONAL_MIN_DIFFERENCE
+    if versus_702 is Comparison.CERTIFIED_GREATER:
+        return _int_above(quarter_root, wp)
+    return NEAR_DIAGONAL_MIN_DIFFERENCE + 1
+
+
+def _clause_end(lambda2: int, wp: int, end: tuple, add) -> tuple:
+    """m * sqrt(k*pi*lambda2) + c (add = mpf_add) or - c (mpf_sub) of an end
+    (m, k, c) of `WINDOW_CLAUSES`, rounded as the mpf expression at wp bits."""
+    m, k, c = end
+    root = mpf_mul_int(window_edge(lambda2, k, wp), m, wp, round_nearest)
+    return add(root, decimal_constant(c, wp)._mpf_, wp, round_nearest)
+
+
+def _least_difference(lambda2: int, wp: int, cls: int, lo: tuple | None) -> int:
+    """The least difference of a window clause of class `cls` with lower end
+    `lo` at lambda2, computed at wp bits and rounded inward."""
+    if lo is None:
+        return _class2_floor(lambda2, wp) if cls == 2 else 1
+    return _int_above(_clause_end(lambda2, wp, lo, mpf_add), wp)
+
+
+def _largest_difference(lambda2: int, wp: int, hi: tuple) -> int:
+    """The largest difference of a window clause with upper end `hi` at
+    lambda2, computed at wp bits and rounded inward."""
+    return _int_below(_clause_end(lambda2, wp, hi, mpf_sub), wp)
+
+
+# The enclosure [PI_FLOOR, PI_FLOOR + 1] / 2**PI_BITS of pi (`numerics`)
+# widens each band of a `DiffLine` by l2 * 2**-96 / pi, so by at most 5.1
+# values of lambda2 up to lambda2 = 2**100.
+
+# offsets from d of the targets that a `DiffLine` compares, as integers in
+# units of 2**-SLACK_BITS / 10**4: the slack `SLACK` = 2**-SLACK_BITS is
+# _SLACK_UNITS, and a decimal constant c of at most four places is
+# c * 10**4 * 2**SLACK_BITS units
+_SLACK_UNITS = 10**4
+
+
+def _edge_cut(d: int, wp: int, mmk: int, offset: int) -> tuple[int, int]:
+    """(below, above) for m*sqrt(k*pi*l2) against v = d + offset units with
+    m*m*k = mmk: m*sqrt(k*pi*l2) < v - mu at every l2 <= below and > v + mu
+    at every l2 >= above, for mu = (d + 8) * 2**(6 - wp) (see `DiffLine`).
+    Exact integers, scaled by D = 10**4 * 2**wp."""
+    v = (d * (_SLACK_UNITS << SLACK_BITS) + offset) << (wp - SLACK_BITS)
+    mu = (d + 8) * _SLACK_UNITS << 6
+    low, high = max(v - mu, 0), v + mu
+    den = mmk * (_SLACK_UNITS << wp) ** 2
+    return ((low * low << PI_BITS) - 1) // (den * (PI_FLOOR + 1)), (high * high << PI_BITS) // (den * PI_FLOOR) + 1
+
+
+def _error_units(wp: int) -> int:
+    """2**(6 - wp) in units of 2**-FIXED_BITS, rounded up: a bound on the
+    rounding error of every value that `_cos_lower_bound` compares or
+    returns at wp bits (see `DiffLine`)."""
+    return ((1 << FIXED_BITS + 6) >> wp) + 1
+
+
+def _quarter_pi_cut(d: int, wp: int, c: int) -> tuple[int, int]:
+    """(below, above) for the comparison q + SLACK < c*pi/4 of
+    `_cos_lower_bound`, q = d*d/(4*l2): it certainly fails at every
+    l2 <= below, where q >= c*pi/4 - SLACK + E, and certainly holds at every
+    l2 >= above, where q < c*pi/4 - SLACK - E, for E = 2**(6 - wp).  Exact
+    integers in units of 2**-FIXED_BITS."""
+    e, square = _error_units(wp), d * d << FIXED_BITS
+    fails = square // (c * (PI_FLOOR + 1) - 4 * (_FIXED_SLACK - e))
+    return fails, square // (c * PI_FLOOR - 4 * (_FIXED_SLACK + e)) + 1
+
+
+def _low_end_last(d: int, c: int, t: int) -> int:
+    """The largest l2 >= d at which c/(2*(3 - r)) + t < q, for r = (l2 + d)/l2,
+    q = d*d/(4*l2), and c, t > 0, given in units of 2**-FIXED_BITS, with
+    2*c + 4*t < d.  Multiplied by 2*l2*l2 > 0, the test is
+    P(l2) = (2*c + 8*t)*l2**2 - (4*t*d + 2*d*d)*l2 + d**3 < 0, and
+    P(d) = d*d*(2*c + 4*t - d) < 0, so it holds from l2 = d up to the larger
+    root of P, found by `isqrt` and checked in exact integers."""
+    a, b, c0 = 2 * c + 8 * t, 4 * t * d + (d * d << FIXED_BITS + 1), d**3 << FIXED_BITS
+
+    def holds(l2: int) -> bool:
+        return (a * l2 - b) * l2 + c0 < 0
+
+    l2 = (b + math.isqrt(b * b - 4 * a * c0)) // (2 * a)
+    while holds(l2 + 1):
+        l2 += 1
+    while not holds(l2):
+        l2 -= 1
+    return l2
+
+
+def _low_cut(d: int, wp: int, k: int) -> tuple[int, int]:
+    """(below, above) for the comparison low + SLACK < q of the second
+    window of `_cos_lower_bound` around k*pi/4, low = (k - 2)*pi/(2*(3 - r)),
+    q = d*d/(4*l2): from l2 = d on it certainly holds at every l2 <= below,
+    where low + SLACK + E < q, and certainly fails at every l2 >= above,
+    where low + SLACK - E >= q, for E = 2**(6 - wp).  Exact integers in
+    units of 2**-FIXED_BITS."""
+    e = _error_units(wp)
+    holds = _low_end_last(d, (k - 2) * (PI_FLOOR + 1), _FIXED_SLACK + e)
+    return holds, _low_end_last(d, (k - 2) * PI_FLOOR, _FIXED_SLACK - e) + 1
+
+
+def _reach_cut(d: int, wp: int) -> tuple[int, int]:
+    """(T - 1, T) for the least l2 = T inside the gate (d*d < 26*l2) above
+    the reach of r = (l2 + d)/l2, `oscillatory_bound_reach` (see
+    `DiffLine`).  There nd > 4, so the reach is below 16336**2 / 4**5.5
+    < 130306, and l2 meets it where l2 = 16336**2 / nd**5.5: a few
+    fixed-point steps in floats from 130305 guess T, and a walk over the
+    exact reach fixes it."""
+    first = d * d // 26 + 1
+    guess = float(max(first, 130305))
+    for _ in range(5):
+        y = d / guess
+        guess = max(first, OSCILLATORY_BOUND_CONSTANT**2 / (4 + 4 * y - y * y) ** 5.5)
+    t = int(guess)
+    while t > first and t - 1 > _oscillatory_reach(t - 1 + d, t - 1):
+        t -= 1
+    while t <= _oscillatory_reach(t + d, t):
+        t += 1
+    return t - 1, t
+
+
+def _edge_key(end: tuple, sign: int) -> tuple:
+    """The `DiffLine` key (_edge_cut, m*m*k, offset) of a clause end (m, k, c)
+    compared with d: the upper end (sign 1) admits d when m*sqrt(k*pi*l2)
+    exceeds d + c + SLACK, the lower end (sign -1) when it falls below
+    d - c - SLACK."""
+    m, k, c = end
+    return _edge_cut, m * m * k, sign * ((int(Fraction(c) * 10**4) << SLACK_BITS) + _SLACK_UNITS)
+
+
+# per congruence class, the (lower, upper) end keys of each clause of
+# `WINDOW_CLAUSES`, a lower end None being the floor of the class
+_WINDOW_KEYS = tuple(
+    tuple((lo and _edge_key(lo, -1), _edge_key(hi, 1)) for _, lo, hi in clauses) for clauses in WINDOW_CLAUSES
+)
+
+# the largest lambda2 at which the floor of clause class2-a is certainly 702:
+# below ((702 - 2**-20) / CLASS2_FLOOR_FACTOR)**4, where
+# CLASS2_FLOOR_FACTOR * lambda2**(1/4) < 702 - 2**-20, far below 702 - SLACK
+# after the few ulps of error of `mpf_pow` at wp >= 77 bits
+CLASS2_FLOOR_702 = math.ceil(((NEAR_DIAGONAL_MIN_DIFFERENCE - Fraction(1, 2**20)) / Fraction(CLASS2_FLOOR_FACTOR)) ** 4) - 1
+
+# per row k = 1..8 of the near-diagonal bound, the keys of edge k against
+# d + SLACK and against d - SLACK
+_ROW_KEYS = tuple(((_edge_cut, k, _SLACK_UNITS), (_edge_cut, k, -_SLACK_UNITS)) for k in range(1, len(NEAR_DIAGONAL_ROWS) + 1))
+# per congruence class, the keys of `_cos_lower_bound`'s three window tests:
+# q against the end (2, 3, 4, 1)*pi/4 of the first window and the end
+# (k + 2)*pi/4 of the second, and the second's low end, for its centre
+# k*pi/4, k = (4, 5, 6, 3); then the centre's k
+_COSINE_KEYS = tuple(
+    ((_quarter_pi_cut, end), (_quarter_pi_cut, k + 2), (_low_cut, k), k) for end, k in zip((2, 3, 4, 1), (4, 5, 6, 3))
+)
+_REACH_KEY = (_reach_cut,)
+
+# an enclosure that leaves every outcome open: it reaches across every
+# bound, cosine and slack, so the margin runs the kernels
+_OPEN = (-2 << FIXED_BITS, 2 << FIXED_BITS)
+
+
+def _units(x: tuple) -> int:
+    """floor(x * 2**FIXED_BITS) of a raw x >= 0."""
+    shift = x[2] + FIXED_BITS
+    return x[1] << shift if shift >= 0 else x[1] >> -shift
+
+
+@functools.lru_cache(maxsize=16)
+def _near_diagonal_constants(wp: int) -> tuple:
+    """What the enclosures of a `DiffLine` at wp bits read of its precision
+    alone: the flat bound and 1/sqrt(2) of the kernels rounded down to units
+    of 2**-FIXED_BITS, per row (C_k**2 scaled to the units squared, as
+    mantissa and shift), and the width of a cosine enclosure."""
+    flat = decimal_constant(NEAR_DIAGONAL_FLAT, wp)._mpf_
+    rows = tuple(decimal_constant(c, wp)._mpf_ for c in NEAR_DIAGONAL_ROWS)
+    inverse_root = mpf_rdiv_int(1, mpf_sqrt(ftwo, wp, round_nearest), wp, round_nearest)
+    # _fixed_cos, the angle within 3 units, the kernel within 2**(6 - wp)
+    width = _COS_WIDTH + 3 + _error_units(wp)
+    return _units(flat), tuple((x[1] ** 2, 2 * (x[2] + FIXED_BITS)) for x in rows), _units(inverse_root), width
+
+
+class DiffLine:
+    """What the window and near-diagonal steps read of one difference line
+    (l2 + d, l2), d >= 702, at wp working bits, built once per process
+    (`diff_line`) and shared by every pair of the difference: the lambda2
+    thresholds of their comparisons, and the near-diagonal step's verdict
+    and margin.
+
+    Edges.  Each quantity that those steps compare with d is a window-clause
+    end m*sqrt(k*pi*l2) -+ c or a row edge sqrt(k*pi*l2), computed by a fixed
+    chain of libmp operations that each round to nearest: `mpf_sqrt`
+    documents correct rounding, `from_int`, `mpf_mul`, `mpf_mul_int`,
+    `mpf_add` and `mpf_sub` round exact results, and `mpf_pi` rounds pi
+    computed with 20 extra bits.  So the computed value is nondecreasing in
+    l2, and each comparison with d switches once along the line.  With
+    u = 2**-wp the chain is within 4u of the edge relatively (pi 2u; l2, the
+    product by k and by l2, and the square root u each; halved under the
+    root), the multiple by m within 6u, the end after subtracting or adding
+    c (rounded within u) within 8u*(M + c), and the end minus or plus the
+    slack within 10u*(M + c + 1) of its exact value, M the exact multiple.
+    A step's comparison of such a value with d is "M against a target
+    v = d +- c +- SLACK", and for mu = (d + 8) * 2**(6 - wp) its outcome is
+    certain, whatever the rounding, at every l2 where M > v + mu or
+    M < v - mu: there the margin exceeds 10u*(M + 11) with c < 5.  In exact
+    integers, with an enclosure [PI_FLOOR, PI_FLOOR + 1] / 2**PI_BITS of pi,
+    that holds for l2 below or above a threshold (`_edge_cut`).  The walk of
+    `_near_diagonal_bound` reads one outcome per edge, so the row that it
+    takes (or the flat bound alone, or none) follows from the thresholds of
+    the edges it reaches (`_row`).
+
+    Cosine windows.  `_cos_lower_bound` picks its window by comparing
+    q = d*d/(4*l2) with c*pi/4, c = (2, 3, 4, 1) or k + 2, and the second
+    window's low end (k - 2)*pi/(2*(3 - r)) with q, k = (4, 5, 6, 3) by
+    class.  At fixed d, q falls as l2 grows, so each of the first two
+    comparisons switches once along the line, and the third holds from
+    l2 = d up to one root of a quadratic in l2 and fails beyond it
+    (`_low_end_last`), so it switches once inside the gate too.  Each
+    compared value is within 24u of exact: q within u/2**19 (three
+    roundings at wp + 24 bits of a value below 7), c*pi/4 within 2.8*c*u
+    (`mpf_pi` within 2 ulp, as `RatioLine` trusts it, and one product),
+    and the low end within 20u (six roundings of a value below 3.3).  So
+    beyond E = 2**(6 - wp) on either side of a comparison's target its
+    outcome is certain, which the pi enclosure turns into two thresholds
+    (`_quarter_pi_cut`, `_low_cut`).
+
+    Oscillatory gate.  In the gate r = 1 + y, y = d/l2 < 26/d < 0.04, so the
+    ratio is subcritical and l2 lies above its reach exactly when
+    l2**2 * nd**11 > 16336**4, nd = 4 + 4*y - y*y (`oscillatory_bound_reach`
+    with b = l2).  Its logarithmic derivative in l2 is
+    (2 - 11*y*(4 - 2*y)/nd)/l2 > (2 - 0.44)/l2 > 0, so the test switches
+    once along the line, at the least l2 that passes it, kept as
+    `_reach_cut`.  The oscillatory gate reads it instead of the pair's
+    reach, which its one-pair line then never computes.
+
+    A pair decides each comparison with two integer compares, except in the
+    band between two thresholds, a few lambda2 wide at most unless l2 is
+    huge and wp small.  There the window step runs `_largest_difference`
+    and `_least_difference` itself, and the near-diagonal step's enclosures
+    are open (`_OPEN`).  All thresholds are computed lazily in plain
+    integers, once per line.
+
+    Margin.  `near_diagonal_margin` encloses, in units of 2**-FIXED_BITS,
+    the near-diagonal bound (`bound_enclosure`: the flat bound, and the row
+    value C_k/sqrt(l2) by one `isqrt`, within its kernel's three roundings)
+    and the cosine lower bound (`lower_enclosure`: `_fixed_cos` of the exact
+    q and (3 - r)/2*q against the pi enclosure, the kernel within
+    2**(6 - wp) of the cosine of its exact angle: up to 17u for the centre,
+    14u for (3 - r)/2*q, 2u for the difference and 4u for `mpf_cos`), and
+    decides the comparison and the 53-bit margin as `RatioLine` does.
+    Where an enclosure is open, or leaves the outcome or the rounding open,
+    it runs `_near_diagonal_bound`, `_cos_lower_bound` and `dyadic_compare`
+    itself: so every verdict and margin is the kernels'.  Per pair there
+    remain: the floor of clause class2-a past `CLASS2_FLOOR_702` (an
+    `mpf_pow`, not correctly rounded); edge 0, log(l2), when l2 has more
+    than 1000 bits (below that it is < 694, which d >= 702 exceeds by far
+    more than the slack), where the bound's enclosure is open; and the
+    cosine values, the row value and the margin in integers.
+    """
+
+    __slots__ = ("d", "wp", "_cuts", "_constants")
+
+    def __init__(self, d: int, wp: int) -> None:
+        self.d, self.wp = d, wp
+        self._cuts: dict[tuple, tuple[int, int]] = {}
+        self._constants = _near_diagonal_constants(wp)
+
+    def _side(self, key: tuple, l2: int) -> int:
+        """1 at every l2 from the upper threshold of key on, -1 up to its
+        lower threshold, 0 in the band between.  key = (cut, *args), and
+        cut(d, wp, *args) gives the thresholds: for an `_edge_cut` key,
+        1 where m*sqrt(k*pi*l2) certainly exceeds its target after rounding;
+        for `_quarter_pi_cut`, where the kernel's comparison certainly
+        holds; for `_low_cut`, where it certainly fails; for `_reach_cut`,
+        where l2 lies above the reach."""
+        cut = self._cuts.get(key)
+        if cut is None:
+            cut = self._cuts[key] = key[0](self.d, self.wp, *key[1:])
+        if l2 >= cut[1]:
+            return 1
+        return -1 if l2 <= cut[0] else 0
+
+    def past_reach(self, l2: int) -> bool:
+        """Whether l2 lies above the reach of r = (l2 + d)/l2, for a pair in the gate."""
+        return self._side(_REACH_KEY, l2) > 0
+
+    def window_clause(self, l2: int, cls: int) -> str | None:
+        """The clause of `_window_step` for the pair at l2 of class cls, or None."""
+        d, wp = self.d, self.wp
+        for (clause, lo, hi), (lo_key, hi_key) in zip(WINDOW_CLAUSES[cls], _WINDOW_KEYS[cls]):
+            side = self._side(hi_key, l2)
+            if side < 0 or (side == 0 and _largest_difference(l2, wp, hi) < d):
+                continue
+            if lo is None:
+                if cls != 2 or l2 <= CLASS2_FLOOR_702 or _class2_floor(l2, wp) <= d:
+                    return clause
+                continue
+            side = self._side(lo_key, l2)
+            if side < 0 or (side == 0 and _least_difference(l2, wp, cls, lo) <= d):
+                return clause
+        return None
+
+    def _row(self, l2: int) -> int | None:
+        """The row that the walk of `_near_diagonal_bound` takes at l2: k when
+        d lies certainly above edge k - 1 and below edge k, so that row k
+        and the flat bound apply; 0 for the flat bound alone; None outside
+        every proved window; -1 where a threshold or edge 0 leaves it open."""
+        if l2.bit_length() > 1000:
+            return -1
+        above = True  # d against edge 0, log(l2) < 694
+        for k, (less, greater) in enumerate(_ROW_KEYS, 1):
+            side = self._side(less, l2)  # edge k against d + SLACK
+            if side > 0:
+                return k if above else 0
+            if side == 0:
+                return -1
+            side = self._side(greater, l2)  # edge k against d - SLACK
+            if side == 0:
+                return -1
+            above = side < 0
+        return None
+
+    def bound_enclosure(self, l2: int) -> tuple[int, int] | None:
+        """(lo, hi) around `_near_diagonal_bound(d, l2, wp)`, None where it is
+        certainly None, `_OPEN` where the thresholds leave its row open.
+        The kernel takes the lesser of the row and the flat bound, so this
+        is the lesser of their enclosures: the flat bound is exact, and
+        isqrt(C_k**2 * 2**(2*FIXED_BITS) // l2) lies within one unit below
+        C_k/sqrt(l2) for the kernel's constant C_k, whose three roundings
+        (from_int, sqrt, quotient) put its row within 4u of that."""
+        row = self._row(l2)
+        if row is None:
+            return None
+        if row < 0:
+            return _OPEN
+        flat = self._constants[0]
+        if not row:
+            return flat, flat + 1
+        square, shift = self._constants[1][row - 1]
+        b = math.isqrt((square << shift) // l2 if shift >= 0 else square // (l2 << -shift))
+        width = _widening(b + 1, 3, self.wp)
+        return min(b - width, flat), min(b + 1 + width, flat + 1)
+
+    def lower_enclosure(self, l1: int, l2: int) -> tuple[int, int] | None:
+        """(lo, hi) around `_cos_lower_bound(l1, l2, wp)`, None where it is
+        certainly None, `_OPEN` where a threshold leaves its window open.
+        The kernel takes cos(q), min(1/sqrt(2), cos(pi/4 - q)), the lesser
+        of cos(c - q) and cos(c - (3 - r)/2*q) about the centre c = pi/2, or
+        cos(pi/4 + q), in the first window of class 0, 1, 2 or 3, and that
+        lesser about c = k*pi/4 in the second.  Each angle here is exact but
+        for the units of q and (3 - r)/2*q rounded down and for the centre
+        from the lower end of the pi enclosure, so within 3 units, and so is
+        the larger of two |angles|."""
+        cls = (l1 + l2) % 4
+        first, upper, low, k = _COSINE_KEYS[cls]
+        side = self._side(first, l2)
+        if side < 0:
+            # the second window needs both its tests to hold
+            held = min(-self._side(low, l2), self._side(upper, l2))
+            if held < 0:
+                return None
+            if held == 0:
+                return _OPEN
+        elif side == 0:
+            return _OPEN
+        else:
+            k = 2 if cls == 2 else None  # class 2's first window is about pi/2
+        d = self.d
+        q = (d * d << FIXED_BITS) // (4 * l2)
+        _, _, inverse_root, width = self._constants
+        if k is not None:
+            # both angles lie within pi/2 of 0, where cos falls as |angle|
+            # grows, so the lesser cosine is that of the larger |angle|
+            centre = (k * PI_FLOOR) >> 2
+            shrunk = (d * d * (2 * l2 - d) << FIXED_BITS) // (8 * l2 * l2)
+            c = _fixed_cos(max(abs(centre - q), abs(centre - shrunk)))
+        elif cls == 0:
+            c = _fixed_cos(q)
+        elif cls == 3:
+            c = _fixed_cos((PI_FLOOR >> 2) + q)
+        else:
+            c = _fixed_cos((PI_FLOOR >> 2) - q)
+            return min(inverse_root, c - width), min(inverse_root + 1, c + width)
+        return c - width, c + width
+
+    def near_diagonal_margin(self, l1: int, l2: int) -> float | None:
+        """The near-diagonal step's verdict on the pair (l1, l2) of the line:
+        the margin `_cos_lower_bound` - `_near_diagonal_bound`, rounded to
+        53 bits, when the bound exists and the cosine lower bound exceeds it
+        by more than SLACK, else None.  The enclosures decide when they fix
+        the outcome and the rounding; the kernels run where they do not."""
+        lower = self.lower_enclosure(l1, l2)
+        # the bound is positive where it exists, so a cosine lower bound
+        # that cannot exceed SLACK decides the pair without it
+        if lower is None or lower[1] <= _FIXED_SLACK:
+            return None
+        bound = self.bound_enclosure(l2)
+        if bound is None:
+            return None
+        margin = _enclosed_margin(lower[0] - bound[1], lower[1] - bound[0])
+        if margin is not None:
+            return margin or None
+        bound = _near_diagonal_bound(self.d, l2, self.wp)[0]
+        if bound is None:
+            return None
+        lower = _cos_lower_bound(l1, l2, self.wp)
+        return None if lower is None else certified_margin(lower, bound)
+
+
+# the `DiffLine` of difference d at wp bits, built once in a process and
+# shared by every pair of that difference, whatever made the pair.  An
+# all-up-to row passes every difference from 702 to about
+# sqrt(26*lambda2) through the window step, 911 of them at lambda2 = 10**5
+# and 4,096 up to lambda2 ~ 8.8*10**5, and the next row passes them again:
+# a smaller bound would evict each line before the next row reads it, so
+# every row would rebuild them all.  A `DiffLine` holds at most 29 pairs
+# of thresholds (a line's pairs fall in two congruence classes), 4.5 KB, and
+# on the all-up-to scan of the rows lambda2 = 10**5..10**5 + 3 its lines
+# take 1.7 KB on average with their cache entries (tracemalloc, CPython
+# 3.11), so the cache stays below about 19 MB and near 7 MB at that mix.
+diff_line = functools.lru_cache(maxsize=4096)(DiffLine)
+
+
+def difference_windows(
+    lambda2: int,
+    prec: int = DEFAULT_PRECISION,
+    *,
+    residue_class: int | None = None,
+) -> list[DifferenceWindow]:
+    """The certified lambda1 windows for one lambda2, per congruence class
+    (only those of `residue_class` when it is given).
+
+    Endpoints are computed at the working precision and rounded inward by
+    the decision slack `SLACK` = 2**-40, so every emitted integer lies
+    strictly inside the real window (the one exact-integer endpoint, the 702
+    floor of the class-2 clause, is kept inclusively).  Windows are split at
+    difference 702: the part below is emitted with basis "small-difference",
+    the rest with "window-table".
+    """
+    check_precision(prec)
+    if lambda2 < 1:
+        raise ValueError("lambda2 must be >= 1")
+    out: list[DifferenceWindow] = []
+    classes = range(len(WINDOW_CLAUSES)) if residue_class is None else (residue_class,)
+    wp = prec + GUARD_BITS
+    clauses = [
+        (cls, clause, _least_difference(lambda2, wp, cls, lo), _largest_difference(lambda2, wp, hi))
+        for cls in classes
+        for clause, lo, hi in WINDOW_CLAUSES[cls]
+    ]
+    for cls, clause, d_lo, d_hi in clauses:
+        cut = NEAR_DIAGONAL_MIN_DIFFERENCE
+        if d_lo <= min(d_hi, cut - 1):
+            out.append(
+                DifferenceWindow(cls, clause, lambda2 + d_lo, lambda2 + min(d_hi, cut - 1), "small-difference")
+            )
+        if max(d_lo, cut) <= d_hi:
+            out.append(
+                DifferenceWindow(cls, clause, lambda2 + max(d_lo, cut), lambda2 + d_hi, "window-table")
+            )
+    return out
 
 
 @dataclass(frozen=True)

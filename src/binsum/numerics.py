@@ -19,7 +19,8 @@ rounding noise and still 2**37 times the unit 2**-(MIN_PRECISION +
 GUARD_BITS) of the coarsest formula chain; the fixed-point and integer
 arithmetic elsewhere derives its slack from `SLACK_BITS`.  Every printed
 margin is a difference of raw values rounded to `MARGIN_PRECISION` = 53
-bits by `rounded_margin`.
+bits by `rounded_margin`, and `certified_margin` gives it only where the
+difference is certified beyond `SLACK`.
 """
 
 from __future__ import annotations
@@ -157,3 +158,11 @@ def dyadic_compare(a: tuple, b: tuple, slack: tuple) -> Comparison:
 def rounded_margin(a: tuple, b: tuple) -> float:
     """a - b of two raw mpf tuples, rounded to `MARGIN_PRECISION` bits, as a float."""
     return to_float(mpf_sub(a, b, MARGIN_PRECISION, round_nearest))
+
+
+def certified_margin(a: tuple, b: tuple) -> float | None:
+    """`rounded_margin(a, b)` when a exceeds b by more than `SLACK`
+    (`dyadic_compare`), else None: the verdict of a kernel's raw values."""
+    if dyadic_compare(a, b, RAW_SLACK) is not Comparison.CERTIFIED_GREATER:
+        return None
+    return rounded_margin(a, b)

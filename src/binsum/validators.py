@@ -40,7 +40,7 @@ by `mpf_mul` and `mpf_add` in the order written above, and the side as
 `mpf_pos`, `mpf_abs` or, for f, the modulus `mpf_hypot`.  The complex
 parts of f are taken one at a time, as `mpc_sub`, `mpc_mul_mpf` and
 `mpc_add` take them.  The remainder coefficients C_g and C_h are the raw
-kernels `asymptotics._quartic_kernel` and `_cubic_kernel`.  Halvings and
+kernels `asymptotics.quartic_kernel` and `cubic_kernel`.  Halvings and
 quarterings are `mpf_shift`, which is exact.  Each call is the one that
 the mpf expression of the same formula makes, on the same operands, so
 every margin equals that expression's bit for bit; the tests keep the mpf
@@ -114,10 +114,10 @@ from .asymptotics import (
     Regime,
     SaddleData,
     classify,
+    cubic_kernel,
     negated_discriminant,
+    quartic_kernel,
     saddle_data,
-    _cubic_kernel,
-    _quartic_kernel,
 )
 from .lemmas import LEMMA_IDS
 from .numerics import DEFAULT_PRECISION, GUARD_BITS, RAW_SLACK, check_precision, rational_to_real, raw_rational
@@ -309,8 +309,8 @@ _LEMMAS: dict[str, tuple[tuple[Fraction, Fraction], Callable, Callable]] = dict(
         (
             (*_SUPER, _super_decay_row),
             (*_SUPER_STRICT, lambda k: (k.g, fzero, (mpf_shift(k.M, -1),), mpf_pos, None, None, None)),
-            (*_SUPER, lambda k: (k.g, fzero, (mpf_shift(k.M, -1),), mpf_abs, None, None, _quartic_kernel(k.rho, k.wp))),
-            (*_SUPER, lambda k: (k.h, fzero, (), mpf_abs, None, _cubic_kernel(k.rho, k.wp), None)),
+            (*_SUPER, lambda k: (k.g, fzero, (mpf_shift(k.M, -1),), mpf_abs, None, None, quartic_kernel(k.rho, k.wp))),
+            (*_SUPER, lambda k: (k.h, fzero, (), mpf_abs, None, cubic_kernel(k.rho, k.wp), None)),
             (*_SUB, _sub_f_row),
             (*_SUB, _sub_g_row),
             (*_NEAR1_F, _near1_f_row),

@@ -36,6 +36,7 @@ from binsum.asymptotics import (
     supercritical_error_bound_refined,
     _COS_WIDTH,
     _cos_lower_bound,
+    _enclosed_margin,
     _exceeds_slack,
     _fixed_cos,
     _head_constants,
@@ -996,6 +997,13 @@ def test_exceeds_slack_certifies_only_strictly_beyond_the_slack():
     assert _exceeds_slack(slack, slack + 5) is None
     assert _exceeds_slack(slack - 5, slack) is False
     assert _exceeds_slack(slack - 5, slack + 1) is None
+    # the verdict of an enclosure: rejected, open on the slack, open on a
+    # 53-bit midpoint (as `_rounded53` builds it), and decided
+    assert _enclosed_margin(slack - 5, slack) is False
+    assert _enclosed_margin(slack, slack + 5) is None
+    midpoint = (2**52 + 1) * 2**40 + 2**39
+    assert _enclosed_margin(midpoint - 1, midpoint + 1) is None
+    assert _enclosed_margin(midpoint + 1, midpoint + 2) == math.ldexp((2**52 + 2) * 2**40, -FIXED_BITS)
 
 
 def _crafted_supercritical_line(head: Fraction, prec: int) -> tuple[RatioLine, int]:

@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import itertools
 import json
@@ -21,7 +22,11 @@ from binsum import asymptotics, certifier, exact
 from binsum.asymptotics import (
     FIXED_BITS,
     NEAR_DIAGONAL_ROWS,
+    WINDOW_CLAUSES,
+    DiffLine,
     RatioLine,
+    _largest_difference,
+    _least_difference,
     _near_diagonal_bound,
     window_edge,
 )
@@ -29,16 +34,12 @@ from binsum.certifier import (
     AllUpToRule,
     Certificate,
     CertificateKind,
-    DiffLine,
     DiffRule,
     ListRule,
     STAGES,
     RatioRule,
     ScanReport,
-    WINDOW_CLAUSES,
     _chunks,
-    _largest_difference,
-    _least_difference,
     _near_diagonal_step,
     _oscillatory_step,
     _scan_chunk,
@@ -272,7 +273,7 @@ def _reference_difference_windows(lambda2, prec):
                 return int_above(quarter_root)
             return 703
 
-        for cls, table in enumerate(certifier.WINDOW_CLAUSES):
+        for cls, table in enumerate(asymptotics.WINDOW_CLAUSES):
             floor = class2_floor() if cls == 2 else 1
             for clause, lo, (m_hi, k_hi, c_hi) in table:
                 d_lo = floor if lo is None else int_above(lo[0] * s(lo[1]) + mpf(lo[2]))
@@ -282,7 +283,7 @@ def _reference_difference_windows(lambda2, prec):
     for cls, clause, d_lo, d_hi in clauses:
         for lo, hi, basis in ((d_lo, min(d_hi, 701), "small-difference"), (max(d_lo, 702), d_hi, "window-table")):
             if lo <= hi:
-                out.append(certifier.DifferenceWindow(cls, clause, lambda2 + lo, lambda2 + hi, basis))
+                out.append(asymptotics.DifferenceWindow(cls, clause, lambda2 + lo, lambda2 + hi, basis))
     return out
 
 
@@ -305,11 +306,11 @@ def test_difference_windows_match_mpf_arithmetic_around_the_class2_floor_changes
 def test_class2_floor_is_702_up_to_its_pinned_lambda2():
     # ((702 - 2**-20) / 2.0582)**4 lies just above 13,533,126,790, and the
     # floor leaves 702 only past (702/2.0582)**4 ~ 13,533,126,864.3
-    assert certifier.CLASS2_FLOOR_FACTOR == "2.0582"
-    assert certifier.CLASS2_FLOOR_702 == 13_533_126_790
+    assert asymptotics.CLASS2_FLOOR_FACTOR == "2.0582"
+    assert asymptotics.CLASS2_FLOOR_702 == 13_533_126_790
     wp = DEFAULT_PRECISION + GUARD_BITS
-    assert certifier._class2_floor(certifier.CLASS2_FLOOR_702, wp) == 702
-    assert certifier._class2_floor(13_533_126_865, wp) == 703
+    assert asymptotics._class2_floor(asymptotics.CLASS2_FLOOR_702, wp) == 702
+    assert asymptotics._class2_floor(13_533_126_865, wp) == 703
 
 
 def test_difference_windows_tiny_lambda2():
@@ -431,15 +432,15 @@ def _per_pair_side(target, d: int, l2: int, wp: int) -> int:
 def _target_key(target) -> tuple:
     if target[0] == "end":
         _, cls, i, sign = target
-        return certifier._WINDOW_KEYS[cls][i][1 if sign > 0 else 0]
+        return asymptotics._WINDOW_KEYS[cls][i][1 if sign > 0 else 0]
     if target[0] == "quarter":
-        return certifier._quarter_pi_cut, target[1]
+        return asymptotics._quarter_pi_cut, target[1]
     if target[0] == "low":
-        return certifier._low_cut, target[1]
+        return asymptotics._low_cut, target[1]
     if target[0] == "reach":
-        return certifier._REACH_KEY
+        return asymptotics._REACH_KEY
     _, k, sign = target
-    return certifier._edge_cut, k, sign * certifier._SLACK_UNITS
+    return asymptotics._edge_cut, k, sign * asymptotics._SLACK_UNITS
 
 
 def _units(x) -> Fraction:
@@ -451,7 +452,7 @@ def _units(x) -> Fraction:
 def _encloses(enclosure, value) -> bool:
     """Whether a `DiffLine` enclosure holds the raw value of its kernel:
     None exactly when the kernel gives None, and anything when open."""
-    if enclosure == certifier._OPEN:
+    if enclosure == asymptotics._OPEN:
         return True
     if enclosure is None or value is None:
         return enclosure is None and value is None
@@ -510,7 +511,7 @@ def _threshold_draws(draw):
 # the floor of clause class2-a steps from 702 to 703 between lambda2 =
 # 13533126864 and 13533126865, and is certainly 702 up to CLASS2_FLOOR_702
 @example(draw=(702, 13533126864, 77, ("end", 2, 0, 1)))
-@example(draw=(703, certifier.CLASS2_FLOOR_702, 280, ("end", 2, 0, 1)))
+@example(draw=(703, asymptotics.CLASS2_FLOOR_702, 280, ("end", 2, 0, 1)))
 # lambda2 near 2**100: at 53 bits the band holds every drawn lambda2; at 256
 # bits it is a few lambda2 wide, most of it from the pi enclosure, so an
 # enclosure on the wrong side of pi decides lambda2 that it must not
@@ -584,10 +585,10 @@ def test_diff_line_chooses_row_or_flat_as_the_per_pair_walk(d, lambda2, detail, 
     enclosure = line.bound_enclosure(lambda2)
     if lambda2.bit_length() > 1000:
         # edge 0 is the kernel's to compare, so the enclosure stays open
-        assert line._row(lambda2) == -1 and enclosure == certifier._OPEN
+        assert line._row(lambda2) == -1 and enclosure == asymptotics._OPEN
     else:
         assert line._row(lambda2) == _per_pair_row(d, lambda2, wp)
-        assert enclosure != certifier._OPEN and _encloses(enclosure, value)
+        assert enclosure != asymptotics._OPEN and _encloses(enclosure, value)
     l1 = lambda2 + d
     assert line.near_diagonal_margin(l1, lambda2) == _kernel_margin(l1, lambda2, wp)
     if lambda2 == _E_702:
@@ -599,19 +600,19 @@ def test_the_slack_of_the_fixed_point_and_of_the_difference_thresholds_is_slack(
     # a `DiffLine` offset is in units of 2**-SLACK_BITS / 10**4; that of an
     # edge with no constant is the slack alone, on either side of d
     for sign in (1, -1):
-        _, _, offset = certifier._edge_key((1, 3, "0"), sign)
+        _, _, offset = asymptotics._edge_key((1, 3, "0"), sign)
         assert mpf(offset) / (10**4 * 2**SLACK_BITS) == sign * SLACK
-    _, _, offset = certifier._edge_key((1, 2, "1.0443"), 1)
+    _, _, offset = asymptotics._edge_key((1, 2, "1.0443"), 1)
     assert Fraction(offset, 10**4 * 2**SLACK_BITS) == Fraction("1.0443") + Fraction(1, 2**40)
 
 
 def test_pi_enclosure_holds_pi_and_is_2_to_the_minus_96_wide():
-    low, high = certifier.PI_FLOOR, certifier.PI_FLOOR + 1
+    low, high = asymptotics.PI_FLOOR, asymptotics.PI_FLOOR + 1
     with workprec(400):
-        assert mpf(low) / 2**certifier.PI_BITS < mp.pi < mpf(high) / 2**certifier.PI_BITS
+        assert mpf(low) / 2**asymptotics.PI_BITS < mp.pi < mpf(high) / 2**asymptotics.PI_BITS
     # the enclosure widens a band by lambda2 * 2**-96 / pi, at most 5.1
     # values of lambda2 up to 2**100
-    assert certifier.PI_BITS == 96 and 2**100 * 2**-96 / math.pi < 5.1
+    assert asymptotics.PI_BITS == 96 and 2**100 * 2**-96 / math.pi < 5.1
 
 
 def test_window_stages_cannot_apply_beyond_26_l2():
@@ -751,7 +752,7 @@ def test_scan_with_ratio_caches_equals_uncached_pairs():
         asymptotics.gamma_angles,
         asymptotics.ratio_line,
         asymptotics.window_edge,
-        certifier._diff_line,
+        asymptotics.diff_line,
     )
     for rule in (RatioRule(Fraction(6)), RatioRule(Fraction(2)), DiffRule(800)):
         report = scan_range((100000, 100015), rule, budget=0)
@@ -806,7 +807,7 @@ def _per_pair_records(lambda2_range, rule, prec) -> list[tuple]:
     near-diagonal steps run the per-pair functions alone.  The cached
     `DiffLine`s are dropped on either side of the patch, so that none holds
     thresholds of the other side."""
-    certifier._diff_line.cache_clear()
+    asymptotics.diff_line.cache_clear()
     try:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(DiffLine, "_side", lambda *args: 0)
@@ -815,13 +816,13 @@ def _per_pair_records(lambda2_range, rule, prec) -> list[tuple]:
                 "past_reach",
                 lambda line, l2: l2 > asymptotics.oscillatory_bound_reach(Fraction(l2 + line.d, l2)),
             )
-            patch.setattr(certifier, "CLASS2_FLOOR_702", 0)
+            patch.setattr(asymptotics, "CLASS2_FLOOR_702", 0)
             return [
                 (l2, certify(PartitionPair(l1, l2), budget=0, prec=prec))
                 for l1, l2 in certifier.rule_pairs(lambda2_range, rule)
             ]
     finally:
-        certifier._diff_line.cache_clear()
+        asymptotics.diff_line.cache_clear()
 
 
 def _open_enclosures(patch) -> None:
@@ -880,14 +881,14 @@ def _band_calls(lambda2_range, rule, prec) -> int:
     outcome open: the clause ends, and the near-diagonal step's kernels.
     The cached `DiffLine`s are dropped on either side of the patch."""
     calls = []
-    certifier._diff_line.cache_clear()
+    asymptotics.diff_line.cache_clear()
     try:
         with pytest.MonkeyPatch.context() as patch:
             for name in ("_largest_difference", "_least_difference", "_near_diagonal_bound", "_cos_lower_bound"):
-                patch.setattr(certifier, name, lambda *args, f=getattr(certifier, name): calls.append(f) or f(*args))
+                patch.setattr(asymptotics, name, lambda *args, f=getattr(asymptotics, name): calls.append(f) or f(*args))
             scan_range(lambda2_range, rule, budget=0, prec=prec)
     finally:
-        certifier._diff_line.cache_clear()
+        asymptotics.diff_line.cache_clear()
     return len(calls)
 
 
@@ -919,7 +920,7 @@ def _near_diagonal_pairs(draw):
         l2 = crossing + draw(st.integers(-3, 3))
         assume(d * d < 26 * l2)
         return l2 + d, l2, prec
-    floor = certifier.CLASS2_FLOOR_702
+    floor = asymptotics.CLASS2_FLOOR_702
     l2 = draw(
         st.one_of(
             st.integers(18954, 20000),
@@ -987,8 +988,8 @@ def test_the_difference_lines_of_the_benchmark_run_no_kernel_fallback(monkeypatc
 
 @pytest.fixture
 def built_diff_lines(monkeypatch):
-    """Counts the `DiffLine`s built, by (d, wp), from an empty `_diff_line`
-    cache, which is emptied again afterwards."""
+    """Counts the `DiffLine`s built, by (d, wp), through an empty cache of
+    the size of `diff_line` in its place, for the steps' calls."""
     built = Counter()
 
     class CountedDiffLine(DiffLine):
@@ -998,10 +999,9 @@ def built_diff_lines(monkeypatch):
             built[d, wp] += 1
             super().__init__(d, wp)
 
-    monkeypatch.setattr(certifier, "DiffLine", CountedDiffLine)
-    certifier._diff_line.cache_clear()
-    yield built
-    certifier._diff_line.cache_clear()
+    maxsize = asymptotics.diff_line.cache_info().maxsize
+    monkeypatch.setattr(certifier, "diff_line", functools.lru_cache(maxsize=maxsize)(CountedDiffLine))
+    return built
 
 
 def test_a_process_builds_one_diff_line_per_difference_and_precision(built_diff_lines):

@@ -6,18 +6,21 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
-from mpmath.libmp import mpf_add, to_rational
+from mpmath.libmp import from_man_exp, mpf_add, mpf_sub, to_rational
 
-from binsum.certifier import WINDOW_CLAUSES
+from binsum.asymptotics import WINDOW_CLAUSES
 from binsum.numerics import (
     GUARD_BITS,
     MIN_PRECISION,
+    RAW_SLACK,
     SLACK,
     Comparison,
     certified_compare,
+    certified_margin,
     decimal_constant,
     dyadic_compare,
     rational_to_real,
+    rounded_margin,
     to_real,
 )
 from binsum.asymptotics import NEAR_DIAGONAL_FLAT, NEAR_DIAGONAL_ROWS, supercritical_error_bound
@@ -236,3 +239,11 @@ def test_operands_exactly_the_slack_apart_are_indeterminate(a, slack, below):
     b = _mpf_exactly(exact_fraction(a) + exact_fraction(slack) if below else exact_fraction(a) - exact_fraction(slack))
     assert certified_compare(a, b, slack) is Comparison.INDETERMINATE
     assert certified_compare(b, a, slack) is Comparison.INDETERMINATE
+    # `certified_margin` of raw operands exactly `SLACK` apart, or less,
+    # gives None; just beyond it, the rounded margin
+    low, tiny = _mpf_exactly(exact_fraction(a))._mpf_, from_man_exp(1, -200)
+    on = mpf_add(low, RAW_SLACK)  # precision 0: exact
+    assert certified_margin(on, low) is None
+    assert certified_margin(mpf_sub(on, tiny), low) is None
+    beyond = mpf_add(on, tiny)
+    assert certified_margin(beyond, low) == rounded_margin(beyond, low) > 0

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import subprocess
@@ -104,3 +105,22 @@ def test_an_import_of_the_command_line_leaves_the_validators_unloaded():
 
     assert validators.LEMMA_IDS is lemmas.LEMMA_IDS
     assert tuple(validators._LEMMAS) == lemmas.LEMMA_IDS
+
+
+def _private_imports(package: Path) -> list[str]:
+    """Every underscore name that a module of `package` imports from another
+    module of the package, as "module: from .source import name"."""
+    return [
+        f"{path.name}: from .{node.module or ''} import {alias.name}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "binsum")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_no_private_name_crosses_a_module_boundary():
+    # a module's private names are its own: what another module reads of it
+    # goes through a public name
+    assert _private_imports(Path(__file__).resolve().parent.parent / "src" / "binsum") == []

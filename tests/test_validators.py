@@ -338,8 +338,8 @@ def test_coefficient_kernels_are_the_mpf_formulas_bit_for_bit(prec):
         with workprec(wp):
             for c in (mp.cos(mp.pi / 3), mpf("0.9"), mpf(1), mpf(-1), mpf(0)):
                 for kernel, reference in (
-                    (asymptotics._quartic_kernel, _mpf_quartic_coefficient),
-                    (asymptotics._cubic_kernel, _mpf_cubic_coefficient),
+                    (asymptotics.quartic_kernel, _mpf_quartic_coefficient),
+                    (asymptotics.cubic_kernel, _mpf_cubic_coefficient),
                 ):
                     assert kernel(rho._mpf_, wp)(c._mpf_) == reference(rho)(c)._mpf_, (r, c)
     for r, lam, delta in ((Fraction(58478, 10000), 241, "0.75"), (Fraction(7), 980, "0.5")):
