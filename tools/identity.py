@@ -58,6 +58,13 @@ differs from its twin at 1.  The set covers:
 * `intervals`, `poly`, `exceptions` and `plotdata` in every format, and
   `intervals` past the lambda2 where the floor of clause class2-a leaves
   702, at the default precision and at --precision 53;
+* `exceptions` whose continued fraction truncates (ratio 2 at depth 60 and
+  200, and ratio 1457/250 just below 3 + 2*sqrt(2)), at the default
+  precision and at --precision 53;
+* `predict` and `plotdata` of difference 800 across lambda2 = 800**2/(8*pi)
+  ~ 25,465, where `predict` switches from the oscillatory bound to the
+  near-diagonal bound, `predict` in jsonl and human and `plotdata` in every
+  format;
 * `validate` for every lemma at two grids, and on the 4x5 grid also at
   --precision 53 and 200, in jsonl and human, and at the other two grid
   shapes of the proof-check workload, 9x9 and 10x8, in jsonl;
@@ -232,6 +239,21 @@ RATIO_READERS = (
 # (6 * lambda2, lambda2) around the tail cutoff, which lies at lambda2 = 50,
 # 91 and 130 at --precision 53, 128 and 200
 PREDICT_LAMBDA2S = (60, 90, 120)
+# continued fractions of the oscillation angle that truncate before their
+# depth (ratio 2 after 33 quotients at the default precision and 10 at
+# --precision 53), and of ratio 1457/250 = 5.828, just below 3 + 2*sqrt(2),
+# which runs to depth 30 at the default precision and truncates otherwise
+EXCEPTION_TRUNCATIONS = (
+    ("exceptions", "2", "1e6", "--depth", "60"),
+    ("exceptions", "2", "1e6", "--depth", "200"),
+    ("exceptions", "1457/250", "1e6", "--depth", "30"),
+    ("exceptions", "1457/250", "1e6", "--depth", "60"),
+)
+# difference 800 enters the flat window sqrt(8*pi*lambda2) at lambda2 =
+# 25465: below it `predict` takes the oscillatory bound, from it on the
+# near-diagonal bound of row 8
+NEAR_DIAGONAL_SWITCH_PAIRS = ((26263, 25463), (26264, 25464), (26265, 25465), (26266, 25466))
+NEAR_DIAGONAL_SWITCH_PLOT = ("plotdata", "--l2", "25460..25470", "--diff", "800")
 # pairs just below and just above the validity threshold of the oscillatory
 # bound: 44.23 at r = 4 and 29.39 at r = 3
 THRESHOLD_PAIRS = ((176, 44), (180, 45), (87, 29), (90, 30))
@@ -354,6 +376,12 @@ def commands() -> list[list[str]]:
     for l2 in (13533126790, 13533126865, 2**1001 + 5):
         for options in ((), ("--precision", "53")):
             out.extend(["--format", fmt, *options, "intervals", str(l2)] for fmt in FORMATS)
+    for tail in EXCEPTION_TRUNCATIONS:
+        for options in ((), ("--precision", "53")):
+            out.append(["--format", "jsonl", *options, *tail])
+    for l1, l2 in NEAR_DIAGONAL_SWITCH_PAIRS:
+        out.extend(["--format", fmt, "predict", str(l1), str(l2)] for fmt in ("jsonl", "human"))
+    out.extend(["--format", fmt, *NEAR_DIAGONAL_SWITCH_PLOT] for fmt in FORMATS)
     # the 4x5 grid puts a point at the centre of the super and near1 lemmas,
     # where the margin is 0 or rounding noise at the working precision
     for lemma in LEMMAS:
