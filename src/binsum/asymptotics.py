@@ -37,9 +37,11 @@ precision, rounding to nearest (a division by 4 that is exact may be an
 bit for bit, and none depends on the ambient mpmath precision.
 
 What depends only on the ratio lives in one object, a `RatioLine` of the
-ratio at one precision: the factors of the bounds, the bound's validity
-threshold, and the phase constants gamma1, gamma2, gamma3 and 2*pi at the
-cosine's raised precision, each computed on first use and then kept.
+ratio at one precision: the factors of the bounds and the phase constants
+gamma1, gamma2, gamma3 and 2*pi at the cosine's raised precision, each
+computed on first use and then kept.  The validity threshold of the
+oscillatory bound, which no step of the cascade reads, is computed by
+`oscillatory_error_bound` alone.
 `ratio_line` keeps the lines of the last few ratios, which the public
 functions (`supercritical_error_bound`, `oscillatory_error_bound` and
 `oscillation_cosine` with the half phase) and the ratio scans read; they
@@ -156,6 +158,9 @@ from .numerics import (
 REFINED_BOUND_MAX_RATIO = Fraction(7686899, 1000000)
 CUBIC_WINDOW_MAX_RATIO_SQUARED = Fraction(73)  # r <= (9 + sqrt(73))/4
 NEAR_DIAGONAL_MIN_DIFFERENCE = 702
+# the near-diagonal gate d*d < NEAR_DIAGONAL_GATE * l2: every window-table
+# window and every near-diagonal row ends below d = sqrt(8*pi*l2) < sqrt(26*l2)
+NEAR_DIAGONAL_GATE = 26
 
 # constants of the windowed near-diagonal bound: rows k = 1..8 bound
 # sqrt(l2) * residual when the difference lies in [sqrt((k-1)*pi*l2),
@@ -183,7 +188,6 @@ _RND = round_nearest
 # line or a validator needs one or two live keys at a time (the ratio at the
 # working precision and at the raised precision of `oscillation_cosine`);
 # the bound only keeps a long-running process from growing without limit.
-# `window_edge` keeps as many edges, about three lambda2 values' worth.
 RATIO_CACHE_SIZE = 32
 
 
@@ -487,7 +491,7 @@ def supercritical_error_bound_refined(
 
 def _oscillatory_bound(nd_power: tuple, lam: int, wp: int) -> tuple:
     """16336 / (sqrt(lam) * nd_power) at wp bits, raw, for the raw
-    (-r**2+6r-1)**(11/4) of `RatioLine.oscillatory_constants`."""
+    (-r**2+6r-1)**(11/4) of `RatioLine.nd_power`."""
     root = mpf_sqrt(from_int(lam, wp, _RND), wp, _RND)
     return mpf_rdiv_int(OSCILLATORY_BOUND_CONSTANT, mpf_mul(root, nd_power, wp, _RND), wp, _RND)
 
@@ -533,10 +537,12 @@ def oscillatory_error_bound(
     if lam < 1:
         raise ValueError("lambda must be >= 1")
     line = ratio_line(r.numerator, r.denominator, prec)
-    return mp.make_mpf(line.oscillatory_bound(lam)), mp.make_mpf(line.oscillatory_constants[1])
+    with workprec(line.wp):
+        nd, rm = rational_to_real(negated_discriminant(r), line.wp), rational_to_real(r, line.wp)
+        threshold = 512 * rm ** mpf("1.5") / ((rm + 1) * nd ** mpf("1.5"))
+    return mp.make_mpf(line.oscillatory_bound(lam)), threshold
 
 
-@functools.lru_cache(maxsize=RATIO_CACHE_SIZE)
 def window_edge(lambda2: int, k: int, wp: int) -> tuple:
     """Edge k of the near-diagonal rows and of the difference windows at
     lambda2, as a raw tuple rounded as mpf arithmetic under workprec(wp)
@@ -828,11 +834,11 @@ class RatioLine:
     The regime is exact and set here.  Every other constant is computed on
     first use and then kept: for a subcritical ratio the exact reach of
     `oscillatory_bound_reach` (the oscillatory gate of a pair near the
-    diagonal reads its `DiffLine` instead, so that pair's line
-    never computes it), the raw factors of the two bounds, the validity
-    threshold, the integer constants of the enclosures, and the half-phase
-    constants of each p_eff that the line reaches (one or two, as p_eff
-    steps with lambda1's bit length).
+    diagonal reads its `DiffLine` instead, so that pair's line never
+    computes it), the raw factors of the two bounds, the integer constants
+    of the enclosures (each converted from a raw tuple by
+    `_scaled_quotient`), and the half-phase constants of each p_eff that
+    the line reaches (one or two, as p_eff steps with lambda1's bit length).
     `ratio_line` keeps the lines of the last few ratios, which the public
     functions and the ratio scans read; `certify` and the other scans build
     a line of each pair, whose ratio is its own.  So a pair of a line pays
@@ -890,14 +896,10 @@ class RatioLine:
             return tuple(f._mpf_ for f in factors)
 
     @functools.cached_property
-    def oscillatory_constants(self) -> tuple[tuple, tuple]:
-        """Raw (-r**2+6r-1)**(11/4) and the raw validity threshold of
-        `oscillatory_error_bound`."""
+    def nd_power(self) -> tuple:
+        """Raw (-r**2+6r-1)**(11/4), the factor of `oscillatory_bound`."""
         with workprec(self.wp):
-            nd = rational_to_real(negated_discriminant(self.ratio), self.wp)
-            rm = rational_to_real(self.ratio, self.wp)
-            threshold = 512 * rm ** mpf("1.5") / ((rm + 1) * nd ** mpf("1.5"))
-            return (nd ** (mpf(11) / 4))._mpf_, threshold._mpf_
+            return (rational_to_real(negated_discriminant(self.ratio), self.wp) ** (mpf(11) / 4))._mpf_
 
     @functools.cached_property
     def _head(self) -> tuple[int, int | None]:
@@ -906,10 +908,8 @@ class RatioLine:
     @functools.cached_property
     def _quotient(self) -> int:
         """floor(Q**2 * 2**(2*FIXED_BITS)) for Q = 16336/nd_power, exact."""
-        _, man, exp, _ = self.oscillatory_constants[0]
-        shift = 2 * (FIXED_BITS - exp)
-        numerator = OSCILLATORY_BOUND_CONSTANT**2
-        return (numerator << shift) // (man * man) if shift >= 0 else numerator // (man * man << -shift)
+        nd_square = mpf_mul(self.nd_power, self.nd_power)
+        return _scaled_quotient(from_int(OSCILLATORY_BOUND_CONSTANT**2), nd_square, 1, 2 * FIXED_BITS)
 
     def phase(self, p_eff: int) -> tuple[tuple, tuple]:
         """The phase constants of `oscillation_cosine` with the half phase at
@@ -931,7 +931,7 @@ class RatioLine:
 
     def oscillatory_bound(self, lam: int) -> tuple:
         """The bound of `oscillatory_error_bound(r, lam, prec)`, raw."""
-        return _oscillatory_bound(self.oscillatory_constants[0], lam, self.wp)
+        return _oscillatory_bound(self.nd_power, lam, self.wp)
 
     def cosine(self, lambda1: int, lambda2: int) -> tuple:
         """The cosine of `oscillation_cosine` with the half phase, raw, for a
@@ -1014,12 +1014,12 @@ class RatioLine:
         accept = _exceeds_slack(lo - b_hi, hi - b_lo)
         if accept is False:
             return None
-        # the rounded |cosine| stays above the bound: lo - b_hi > SLACK and
-        # rounding moves lo by less than 2**-53
+        # the printed margin is the rounded |cosine| minus the bound; where
+        # its enclosure does not lie beyond SLACK, the kernels word it
         rounded = accept and _rounded53(lo, hi)
-        margin = rounded and _rounded53(rounded - b_hi, rounded - b_lo)
+        margin = rounded and _enclosed_margin(rounded - b_hi, rounded - b_lo)
         if margin:
-            return math.ldexp(margin, -FIXED_BITS)
+            return margin
         bound = self.oscillatory_bound(lambda2)
         cosv = mpf_abs(self.cosine(lambda1, lambda2))
         # decide on |cos| exactly; the printed margin rounds it to 53 bits first
@@ -1202,7 +1202,7 @@ def _reach_cut(d: int, wp: int) -> tuple[int, int]:
     < 130306, and l2 meets it where l2 = 16336**2 / nd**5.5: a few
     fixed-point steps in floats from 130305 guess T, and a walk over the
     exact reach fixes it."""
-    first = d * d // 26 + 1
+    first = d * d // NEAR_DIAGONAL_GATE + 1
     guess = float(max(first, 130305))
     for _ in range(5):
         y = d / guess
@@ -1253,24 +1253,19 @@ _REACH_KEY = (_reach_cut,)
 _OPEN = (-2 << FIXED_BITS, 2 << FIXED_BITS)
 
 
-def _units(x: tuple) -> int:
-    """floor(x * 2**FIXED_BITS) of a raw x >= 0."""
-    shift = x[2] + FIXED_BITS
-    return x[1] << shift if shift >= 0 else x[1] >> -shift
-
-
 @functools.lru_cache(maxsize=16)
 def _near_diagonal_constants(wp: int) -> tuple:
     """What the enclosures of a `DiffLine` at wp bits read of its precision
     alone: the flat bound and 1/sqrt(2) of the kernels rounded down to units
-    of 2**-FIXED_BITS, per row (C_k**2 scaled to the units squared, as
-    mantissa and shift), and the width of a cosine enclosure."""
+    of 2**-FIXED_BITS, per row q_k = floor(C_k**2 * 2**(2*FIXED_BITS)) of
+    the kernel's constant C_k, and the width of a cosine enclosure."""
     flat = decimal_constant(NEAR_DIAGONAL_FLAT, wp)._mpf_
     rows = tuple(decimal_constant(c, wp)._mpf_ for c in NEAR_DIAGONAL_ROWS)
     inverse_root = mpf_rdiv_int(1, mpf_sqrt(ftwo, wp, round_nearest), wp, round_nearest)
     # _fixed_cos, the angle within 3 units, the kernel within 2**(6 - wp)
     width = _COS_WIDTH + 3 + _error_units(wp)
-    return _units(flat), tuple((x[1] ** 2, 2 * (x[2] + FIXED_BITS)) for x in rows), _units(inverse_root), width
+    squares = tuple(_scaled_quotient(mpf_mul(x, x), fone, 1, 2 * FIXED_BITS) for x in rows)
+    return _scaled_quotient(flat, fone, 1, FIXED_BITS), squares, _scaled_quotient(inverse_root, fone, 1, FIXED_BITS), width
 
 
 class DiffLine:
@@ -1418,8 +1413,9 @@ class DiffLine:
         certainly None, `_OPEN` where the thresholds leave its row open.
         The kernel takes the lesser of the row and the flat bound, so this
         is the lesser of their enclosures: the flat bound is exact, and
-        isqrt(C_k**2 * 2**(2*FIXED_BITS) // l2) lies within one unit below
-        C_k/sqrt(l2) for the kernel's constant C_k, whose three roundings
+        isqrt(q_k // l2) lies within one unit below C_k/sqrt(l2) for
+        q_k = floor(C_k**2 * 2**(2*FIXED_BITS)) of the kernel's constant
+        C_k (floor(floor(x)/l2) = floor(x/l2)), whose three roundings
         (from_int, sqrt, quotient) put its row within 4u of that."""
         row = self._row(l2)
         if row is None:
@@ -1429,8 +1425,7 @@ class DiffLine:
         flat = self._constants[0]
         if not row:
             return flat, flat + 1
-        square, shift = self._constants[1][row - 1]
-        b = math.isqrt((square << shift) // l2 if shift >= 0 else square // (l2 << -shift))
+        b = math.isqrt(self._constants[1][row - 1] // l2)
         width = _widening(b + 1, 3, self.wp)
         return min(b - width, flat), min(b + 1 + width, flat + 1)
 
@@ -1596,48 +1591,23 @@ def predict(pair: PartitionPair, prec: int = DEFAULT_PRECISION) -> Prediction:
         bound = supercritical_error_bound(r, lam, prec)
         with workprec(prec + GUARD_BITS):
             log_norm = mp.log(2 * mp.pi * lam * sd.M) / 2 - lam * sd.f_rho
-            return Prediction(
-                pair=pair,
-                regime=regime,
-                normalized_main=mpf(1),
-                error_bound=bound,
-                valid=True,
-                normalizer="sqrt(2*pi*lam*M) / exp(lam*f(rho))",
-                log_normalizer=log_norm,
-            )
+        return Prediction(pair, regime, mpf(1), bound, True, "sqrt(2*pi*lam*M) / exp(lam*f(rho))", log_norm)
     bound, threshold = oscillatory_error_bound(r, lam, prec)
     osc_valid = certified_compare(lam, threshold, SLACK) is Comparison.CERTIFIED_GREATER
     near = None
     if pair.difference >= NEAR_DIAGONAL_MIN_DIFFERENCE:
         near = near_diagonal_error_bound(pair, prec)
     use_near = near is not None and near.valid and (not osc_valid or near.value < bound)
+    main, _ = oscillation_cosine(pair, prec, half_phase=not use_near)
     with workprec(prec + GUARD_BITS):
         if use_near:
-            main, _ = oscillation_cosine(pair, prec, half_phase=False)
             log_norm = mp.log(mp.pi * lam) / 2 - mpf(pair.lambda1 + pair.lambda2 + 1) / 2 * mp.log(mpf(2))
-            return Prediction(
-                pair=pair,
-                regime=regime,
-                normalized_main=main,
-                error_bound=near.value,
-                valid=True,
-                normalizer="sqrt(pi*lam2) / 2**((lam1+lam2+1)/2)",
-                log_normalizer=log_norm,
-                detail=f"near-diagonal {near.detail}",
-            )
-        main, _ = oscillation_cosine(pair, prec, half_phase=True)
+            normalizer = "sqrt(pi*lam2) / 2**((lam1+lam2+1)/2)"
+            return Prediction(pair, regime, main, near.value, True, normalizer, log_norm, None, f"near-diagonal {near.detail}")
         nd = rational_to_real(negated_discriminant(r), prec + GUARD_BITS)
         log_norm = mp.log(nd) / 4 + mp.log(mp.pi * lam) / 2 - (1 + mpf(pair.lambda1 + pair.lambda2) / 2) * mp.log(mpf(2))
-        return Prediction(
-            pair=pair,
-            regime=regime,
-            normalized_main=main,
-            error_bound=bound,
-            valid=osc_valid,
-            normalizer="(6r-1-r**2)**(1/4) * sqrt(pi*lam) / 2**(1+(r+1)*lam/2)",
-            log_normalizer=log_norm,
-            threshold=threshold,
-        )
+    normalizer = "(6r-1-r**2)**(1/4) * sqrt(pi*lam) / 2**(1+(r+1)*lam/2)"
+    return Prediction(pair, regime, main, bound, osc_valid, normalizer, log_norm, threshold)
 
 
 def scaled_exact_value(pair: PartitionPair, prediction: Prediction, prec: int = DEFAULT_PRECISION) -> mpf:

@@ -62,6 +62,7 @@ from mpmath import mp, mpf, workprec
 from mpmath.libmp import fone
 
 from .asymptotics import (
+    NEAR_DIAGONAL_GATE,
     NEAR_DIAGONAL_MIN_DIFFERENCE,
     REFINED_BOUND_MAX_RATIO,
     RatioLine,
@@ -251,13 +252,12 @@ def _oscillatory_step(line: RatioLine, l1: int, l2: int) -> tuple | None:
 
 
 def _near_diagonal_gate(line: RatioLine, l1: int, l2: int) -> bool:
-    # both steps need d >= 702, and every window-table window and every
-    # near-diagonal row ends below d = sqrt(8*pi*l2) < sqrt(26*l2).  Inside
-    # the gate l2 > 702**2/26 > 18953 and r = 1 + d/l2 < 1 + 26/d < 1.04,
-    # so the pair is subcritical and neither step needs its own d >= 702 or
-    # r <= 3 check.
+    # both steps need d >= 702, and no window or row reaches past the gate
+    # (`NEAR_DIAGONAL_GATE`).  Inside it l2 > 702**2/26 > 18953 and
+    # r = 1 + d/l2 < 1 + 26/d < 1.04, so the pair is subcritical and neither
+    # step needs its own d >= 702 or r <= 3 check.
     d = l1 - l2
-    return NEAR_DIAGONAL_MIN_DIFFERENCE <= d and d * d < 26 * l2
+    return NEAR_DIAGONAL_MIN_DIFFERENCE <= d and d * d < NEAR_DIAGONAL_GATE * l2
 
 
 def _window_step(line: RatioLine, l1: int, l2: int) -> tuple | None:
@@ -770,31 +770,25 @@ def continued_fraction(x, depth: int, prec: int = DEFAULT_PRECISION) -> CFExpans
         cur = mpf(x)
         err = (abs(cur) + 1) * mpf(2) ** (2 - prec)
         quotients: list[int] = []
-        convergents: list[tuple[int, int]] = []
-        h_prev, h_prev2 = 1, 0
-        k_prev, k_prev2 = 0, 1
         truncated = False
-
-        def push(a: int) -> None:
-            nonlocal h_prev, h_prev2, k_prev, k_prev2
-            h = a * h_prev + h_prev2
-            k = a * k_prev + k_prev2
-            quotients.append(a)
-            convergents.append((h, k))
-            h_prev2, h_prev = h_prev, h
-            k_prev2, k_prev = k_prev, k
-
         for _ in range(depth):
             a = int(mp.floor(cur))
             frac = cur - a
             if frac < err or frac > 1 - err:
-                push(int(mp.nint(cur)))
+                quotients.append(int(mp.nint(cur)))
                 truncated = True
                 break
-            push(a)
+            quotients.append(a)
             cur = 1 / frac
             err = err / (frac * frac) * (1 + mpf(2) ** -20) + abs(cur) * mpf(2) ** (1 - prec - GUARD_BITS)
-        return CFExpansion(mpf(x), tuple(quotients), tuple(convergents), truncated)
+        target = mpf(x)
+    # h_n = a_n*h_(n-1) + h_(n-2) from (h_(-1), h_(-2)) = (1, 0), and k_n
+    # alike from (0, 1)
+    convergents, h, h_prev, k, k_prev = [], 1, 0, 0, 1
+    for a in quotients:
+        h, h_prev, k, k_prev = a * h + h_prev, h, a * k + k_prev, k
+        convergents.append((h, k))
+    return CFExpansion(target, tuple(quotients), tuple(convergents), truncated)
 
 
 @dataclass(frozen=True)

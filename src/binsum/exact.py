@@ -331,12 +331,6 @@ def reduced_term_count(pair: PartitionPair) -> int:
     return max(0, pair.lambda1 // 2 - (pair.lambda2 + 1) // 2 + 1)
 
 
-def _automatic_route(pair: PartitionPair) -> Route:
-    """The route rule off the diagonal: the reduced route when it sums at
-    most lambda2 terms, fewer than the direct route's lambda2 + 1."""
-    return Route.REDUCED if reduced_term_count(pair) <= pair.lambda2 else Route.DIRECT
-
-
 def evaluate(pair: PartitionPair, route: Route | None = None) -> ExactValue:
     """Evaluate by the requested route, or pick the one with fewer terms
     (the diagonal closed form on the diagonal)."""
@@ -352,7 +346,9 @@ def evaluate(pair: PartitionPair, route: Route | None = None) -> ExactValue:
         return eval_diagonal(pair.lambda1)
     if pair.lambda1 == pair.lambda2:
         return eval_diagonal(pair.lambda1)
-    if _automatic_route(pair) is Route.REDUCED:
+    # off the diagonal the reduced route when it sums at most lambda2 terms,
+    # fewer than the direct route's lambda2 + 1
+    if reduced_term_count(pair) <= pair.lambda2:
         return eval_reduced(pair)
     return eval_direct(pair)
 

@@ -60,7 +60,7 @@ from binsum.numerics import (
     rational_to_real,
 )
 
-RATIO_CACHES = (saddle_data, gamma_angles, ratio_line, window_edge)
+RATIO_CACHES = (saddle_data, gamma_angles, ratio_line)
 
 
 def test_classification_is_exact():
@@ -765,6 +765,14 @@ def test_subcritical_caches_are_bit_identical(r, lam, prec, other_prec):
     assert got == _bits(uncached)
 
 
+@given(r=_ratios(10001, 58284), lam=st.integers(1, 10**7), prec=st.integers(53, 256))
+@example(r=Fraction(2), lam=2700, prec=128)
+@settings(max_examples=200, deadline=None)
+def test_oscillatory_threshold_is_bit_identical_to_mpf_arithmetic(r, lam, prec):
+    threshold = oscillatory_error_bound(r, lam, prec)[1]
+    assert threshold._mpf_ == _reference_oscillatory_bound(r, lam, prec)[1]._mpf_
+
+
 def test_ratio_caches_are_small():
     # the reuse needed is one or two live keys; a larger cache would only
     # carry constants from one command to the next inside one process
@@ -830,7 +838,7 @@ def test_supercritical_kernel_is_bit_identical_to_mpf_arithmetic(r, scale, lam, 
 @settings(max_examples=300, deadline=None)
 def test_oscillatory_kernels_are_bit_identical_to_mpf_arithmetic(r, scale, lam, prec):
     expected = _reference_oscillatory_bound(r, lam, prec)[0]._mpf_
-    assert _oscillatory_bound(ratio_line(r.numerator, r.denominator, prec).oscillatory_constants[0], lam, prec + GUARD_BITS) == expected
+    assert _oscillatory_bound(ratio_line(r.numerator, r.denominator, prec).nd_power, lam, prec + GUARD_BITS) == expected
     a, b = scale * r.numerator, scale * r.denominator
     line = RatioLine(a, b, prec)
     assert line.regime is Regime.SUBCRITICAL

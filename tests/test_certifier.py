@@ -21,6 +21,7 @@ from mpmath.libmp import fone, from_int, mpf_abs, mpf_div, mpf_mul_int, mpf_pi, 
 from binsum import asymptotics, certifier, exact
 from binsum.asymptotics import (
     FIXED_BITS,
+    NEAR_DIAGONAL_FLAT,
     NEAR_DIAGONAL_ROWS,
     WINDOW_CLAUSES,
     DiffLine,
@@ -63,6 +64,7 @@ from binsum.numerics import (
     SLACK_BITS,
     Comparison,
     certified_compare,
+    decimal_constant,
     dyadic_compare,
     raw_rational,
     rounded_margin,
@@ -595,6 +597,32 @@ def test_diff_line_chooses_row_or_flat_as_the_per_pair_walk(d, lambda2, detail, 
         assert asymptotics._edge_compare(d, lambda2, wp, 0) is Comparison.INDETERMINATE
 
 
+class _RowLine(DiffLine):
+    """A `DiffLine` whose walk takes the given row at every lambda2."""
+
+    __slots__ = ("row",)
+
+    def _row(self, l2: int) -> int:
+        return self.row
+
+
+@given(l2=st.integers(2 * 10**4, 2**200), k=st.integers(1, len(NEAR_DIAGONAL_ROWS)), prec=st.integers(53, 256))
+@example(l2=19609, k=8, prec=53)
+@settings(max_examples=300, deadline=None)
+def test_diff_line_row_integer_is_the_exact_floor(l2, k, prec):
+    # the row of `bound_enclosure` is isqrt(floor(C_k**2 * 2**(2*FIXED_BITS) / l2))
+    # of the kernel's constant C_k rounded at wp bits, here in Fractions
+    wp = prec + GUARD_BITS
+    scaled = _units(decimal_constant(NEAR_DIAGONAL_ROWS[k - 1], wp)._mpf_)
+    b = math.isqrt(math.floor(scaled * scaled / l2))
+    assert math.isqrt(asymptotics._near_diagonal_constants(wp)[1][k - 1] // l2) == b
+    line = _RowLine(702, wp)
+    line.row = k
+    flat = math.floor(_units(decimal_constant(NEAR_DIAGONAL_FLAT, wp)._mpf_))
+    width = asymptotics._widening(b + 1, 3, wp)
+    assert line.bound_enclosure(l2) == (min(b - width, flat), min(b + 1 + width, flat + 1))
+
+
 def test_the_slack_of_the_fixed_point_and_of_the_difference_thresholds_is_slack():
     assert mpf(asymptotics._FIXED_SLACK) / 2**FIXED_BITS == SLACK
     # a `DiffLine` offset is in units of 2**-SLACK_BITS / 10**4; that of an
@@ -740,10 +768,26 @@ def test_oscillatory_step_falls_back_to_the_kernel_on_a_built_ambiguous_pair(mon
     monkeypatch.setattr(RatioLine, "cosine_enclosure", lambda self, *pair: (centre - reach, centre + reach))
     record = _oscillatory_step(line, l1, l2)
     assert len(calls) == 1
-    bound = kernel(line.oscillatory_constants[0], l2, line.wp)
+    bound = kernel(line.nd_power, l2, line.wp)
     margin = rounded_margin(mpf_abs((sign, man, exp, bc), MARGIN_PRECISION, round_nearest), bound)
     assert record == (l1, CertificateKind.NONZERO_OSCILLATORY, "oscillatory main-term bound", margin, None, None, None, None, 0)
     assert record == decided
+
+
+def test_difference_scan_never_computes_the_oscillatory_threshold(monkeypatch):
+    # every pair lies past the reach (121,850 for d = 1500), so the
+    # oscillatory step reads nd_power of each pair's own line, one conversion
+    # of nd at the working precision.  The validity threshold, which no step
+    # reads, would also convert r there; the cosine's constants convert at
+    # its raised precision p_eff + GUARD_BITS > wp
+    conversions = []
+    convert = asymptotics.rational_to_real
+    monkeypatch.setattr(asymptotics, "rational_to_real", lambda q, prec: conversions.append((q, prec)) or convert(q, prec))
+    report = scan_range((130000, 130999), DiffRule(1500), budget=0)
+    assert sum(report.counts.values()) == 1000
+    wp = DEFAULT_PRECISION + GUARD_BITS
+    expected = sorted(asymptotics.negated_discriminant(Fraction(l2 + 1500, l2)) for l2 in range(130000, 131000))
+    assert sorted(q for q, prec in conversions if prec == wp) == expected
 
 
 def test_scan_with_ratio_caches_equals_uncached_pairs():
@@ -751,7 +795,6 @@ def test_scan_with_ratio_caches_equals_uncached_pairs():
         asymptotics.saddle_data,
         asymptotics.gamma_angles,
         asymptotics.ratio_line,
-        asymptotics.window_edge,
         asymptotics.diff_line,
     )
     for rule in (RatioRule(Fraction(6)), RatioRule(Fraction(2)), DiffRule(800)):
@@ -1560,6 +1603,26 @@ def test_continued_fraction_quality():
 def test_continued_fraction_depth_validation():
     with pytest.raises(ValueError):
         continued_fraction(mpf(1), 0)
+
+
+@given(
+    x=st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**12),
+    depth=st.integers(1, 60),
+    prec=st.integers(53, 256),
+)
+@example(x=Fraction(1, 3), depth=10, prec=128)
+@settings(max_examples=200, deadline=None)
+def test_continued_fraction_convergents_keep_the_determinant(x, depth, prec):
+    # h_n*k_(n-1) - h_(n-1)*k_n = (-1)**(n-1) for n >= 0, with
+    # (h_(-1), k_(-1)) = (1, 0), whether or not the expansion truncates
+    with workprec(prec + GUARD_BITS):
+        target = mpf(x.numerator) / x.denominator
+    cf = continued_fraction(target, depth, prec)
+    assert len(cf.convergents) == len(cf.partial_quotients) >= 1
+    previous = (1, 0)
+    for n, (h, k) in enumerate(cf.convergents):
+        assert h * previous[1] - previous[0] * k == (-1) ** (n - 1)
+        previous = h, k
 
 
 def test_continued_fraction_legendre_method():
