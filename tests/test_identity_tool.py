@@ -9,6 +9,8 @@ import hashlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from binsum.cli import build_parser
 from binsum.exact import Route
 from binsum.validators import LEMMA_IDS
@@ -28,7 +30,11 @@ def test_every_identity_command_parses_and_the_set_covers_lemmas_and_routes():
     argvs = tool.commands()
     parser = build_parser()
     for argv in argvs:
-        parser.parse_args(argv)  # raises or exits on an argument the parser does not know
+        if "1/0" in argv:  # a ratio with a zero denominator, which the parser refuses
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+        else:
+            parser.parse_args(argv)  # raises or exits on an argument the parser does not know
     assert len(argvs) == len({tuple(argv) for argv in argvs})
     assert set(tool.LEMMAS) == set(LEMMA_IDS)
     assert set(tool.ROUTES) == {"auto", *(route.value for route in Route)}
@@ -60,8 +66,8 @@ def test_every_identity_command_parses_and_the_set_covers_lemmas_and_routes():
 
 def test_identity_refusals_exit_2_and_print_nothing():
     tool = _load_tool()
-    for scan in tool.ERROR_SCANS:
-        assert tool.run(list(scan)) == (hashlib.sha256(b"").hexdigest(), 2)
+    for argv in (*tool.ERROR_SCANS, *tool.EXCEPTION_REFUSALS):
+        assert tool.run(list(argv)) == (hashlib.sha256(b"").hexdigest(), 2)
 
 
 def test_identity_line_hashes_stdout_and_keeps_the_exit_code():

@@ -61,6 +61,9 @@ differs from its twin at 1.  The set covers:
 * `exceptions` whose continued fraction truncates (ratio 2 at depth 60 and
   200, and ratio 1457/250 just below 3 + 2*sqrt(2)), at the default
   precision and at --precision 53;
+* `exceptions` refusals (x below 1, infinite and not a number; ratios
+  below, at and over zero; depth 0) and edges (x = 1, depth 1, and ratios 6
+  and 2 at --precision 53 and 200), in jsonl, and refused in csv and human;
 * `predict` and `plotdata` of difference 800 across lambda2 = 800**2/(8*pi)
   ~ 25,465, where `predict` switches from the oscillatory bound to the
   near-diagonal bound, `predict` in jsonl and human and `plotdata` in every
@@ -249,6 +252,23 @@ EXCEPTION_TRUNCATIONS = (
     ("exceptions", "1457/250", "1e6", "--depth", "30"),
     ("exceptions", "1457/250", "1e6", "--depth", "60"),
 )
+# `exceptions` inputs that it must refuse with exit code 2 (x below 1,
+# infinite or not a number; a ratio below 1, of 1, or with a zero
+# denominator; depth 0), and the edges of its valid inputs
+EXCEPTION_REFUSALS = (
+    ("exceptions", "2", "0.5"),
+    ("exceptions", "2", "inf"),
+    ("exceptions", "2", "nan"),
+    ("exceptions", "1/2", "1e6"),
+    ("exceptions", "1", "1e6"),
+    ("exceptions", "1/0", "1e6"),
+    ("exceptions", "2", "1e6", "--depth", "0"),
+)
+EXCEPTION_EDGES = (
+    ("exceptions", "2", "1"),
+    ("exceptions", "2", "1e6", "--depth", "1"),
+    *(("--precision", precision, "exceptions", ratio, "1e6") for ratio in ("6", "2") for precision in ("53", "200")),
+)
 # difference 800 enters the flat window sqrt(8*pi*lambda2) at lambda2 =
 # 25465: below it `predict` takes the oscillatory bound, from it on the
 # near-diagonal bound of row 8
@@ -379,6 +399,8 @@ def commands() -> list[list[str]]:
     for tail in EXCEPTION_TRUNCATIONS:
         for options in ((), ("--precision", "53")):
             out.append(["--format", "jsonl", *options, *tail])
+    for tail in (*EXCEPTION_REFUSALS, *EXCEPTION_EDGES):
+        out.extend(["--format", fmt, *tail] for fmt in FORMATS)
     for l1, l2 in NEAR_DIAGONAL_SWITCH_PAIRS:
         out.extend(["--format", fmt, "predict", str(l1), str(l2)] for fmt in ("jsonl", "human"))
     out.extend(["--format", fmt, *NEAR_DIAGONAL_SWITCH_PLOT] for fmt in FORMATS)
