@@ -31,18 +31,14 @@ _EXPORTS = {
         "AllUpToRule",
         "Certificate",
         "CertificateKind",
-        "CFExpansion",
         "DiffRule",
         "DifferenceWindow",
-        "ExceptionCount",
         "ListRule",
         "RatioRule",
         "ScanReport",
         "certify",
         "certify_by_term_growth",
-        "continued_fraction",
         "difference_windows",
-        "exception_count_bound",
         "scan_range",
     ),
     "exact": (
@@ -58,6 +54,7 @@ _EXPORTS = {
         "normalized_I",
         "row_step",
     ),
+    "exceptions": ("CFExpansion", "ExceptionCount", "continued_fraction", "exception_count_bound"),
     "numerics": ("SLACK", "Comparison", "certified_compare", "to_real"),
     "polynomials": ("IntPolynomial", "c_poly", "factor_linear", "integer_roots", "tilde_poly"),
     "validators": ("LemmaReport", "validate_inequality"),

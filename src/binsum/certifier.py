@@ -58,7 +58,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from mpmath import mp, mpf, workprec
 from mpmath.libmp import fone
 
 from .asymptotics import (
@@ -67,11 +66,8 @@ from .asymptotics import (
     REFINED_BOUND_MAX_RATIO,
     RatioLine,
     Regime,
-    RegimeError,
     check_delta,
-    classify,
     diff_line,
-    negated_discriminant,
     ratio_line,
     supercritical_error_bound_refined,
 )
@@ -79,15 +75,7 @@ from .asymptotics import (
 from .asymptotics import DifferenceWindow, difference_windows
 from . import exact
 from .exact import PartitionPair, evaluation_cost, pair_cost
-from .numerics import (
-    DEFAULT_PRECISION,
-    GUARD_BITS,
-    SLACK,
-    Comparison,
-    certified_compare,
-    certified_margin,
-    check_precision,
-)
+from .numerics import DEFAULT_PRECISION, certified_margin, check_precision
 
 # cost units are 64-bit word multiplications of the incremental loop.  On a
 # 2-core Intel Xeon with CPython 3.11 the scan of the ratio-3 line at
@@ -139,15 +127,8 @@ class CertificateKind(str, Enum):
     REFUSED = "refused"
 
 
-NONZERO_KINDS = frozenset(
-    {
-        CertificateKind.NONZERO_EXACT,
-        CertificateKind.NONZERO_TERM_GROWTH,
-        CertificateKind.NONZERO_SUPERCRITICAL,
-        CertificateKind.NONZERO_OSCILLATORY,
-        CertificateKind.NONZERO_INTERVAL,
-    }
-)
+# the kinds that prove S(l1, l2) != 0, named so by their `nonzero_` prefix
+NONZERO_KINDS = frozenset(kind for kind in CertificateKind if kind.value.startswith("nonzero_"))
 
 
 class Certificate(NamedTuple):
@@ -720,117 +701,3 @@ def scan_range(
     """The rows of `scan_rows`, collected into a `ScanReport`."""
     return ScanReport(tuple(scan_rows(lambda2_range, rule, budget, prec, parallelism, timings)))
 
-
-# --------------------------------------------------------------------------
-# continued fractions and the exception-count bound
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CFExpansion:
-    """Partial quotients and convergents of a real number.
-
-    `truncated` is set when the expansion stopped because the next floor was
-    not certified at the working precision (the remaining fractional part
-    was within the tracked error of an integer); the final quotient emitted
-    in that case is the nearest integer.
-    """
-
-    target: mpf
-    partial_quotients: tuple[int, ...]
-    convergents: tuple[tuple[int, int], ...]
-    truncated: bool
-
-    def legendre_quality(self, prec: int = DEFAULT_PRECISION) -> bool:
-        """True when every convergent satisfies |target - p/q| < 1/q**2.
-
-        Checked at the working precision with the decision slack; convergents
-        of a genuine expansion always satisfy it (the last one of a truncated
-        expansion may sit within slack of equality and still count).
-        """
-        with workprec(prec + GUARD_BITS):
-            for p, q in self.convergents:
-                gap = abs(self.target - mpf(p) / q) - 1 / (mpf(q) * q)
-                if certified_compare(gap, 0, SLACK) is Comparison.CERTIFIED_GREATER:
-                    return False
-        return True
-
-
-def continued_fraction(x, depth: int, prec: int = DEFAULT_PRECISION) -> CFExpansion:
-    """Partial-quotient expansion of x with pessimistic error tracking.
-
-    The absolute error of the current remainder is propagated through each
-    inversion (err -> err / frac**2, inflated by a small factor, plus the
-    new rounding ulp); the expansion truncates as soon as a floor becomes
-    uncertain against that budget.
-    """
-    check_precision(prec)
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    with workprec(prec + GUARD_BITS):
-        cur = mpf(x)
-        err = (abs(cur) + 1) * mpf(2) ** (2 - prec)
-        quotients: list[int] = []
-        truncated = False
-        for _ in range(depth):
-            a = int(mp.floor(cur))
-            frac = cur - a
-            if frac < err or frac > 1 - err:
-                quotients.append(int(mp.nint(cur)))
-                truncated = True
-                break
-            quotients.append(a)
-            cur = 1 / frac
-            err = err / (frac * frac) * (1 + mpf(2) ** -20) + abs(cur) * mpf(2) ** (1 - prec - GUARD_BITS)
-        target = mpf(x)
-    # h_n = a_n*h_(n-1) + h_(n-2) from (h_(-1), h_(-2)) = (1, 0), and k_n
-    # alike from (0, 1)
-    convergents, h, h_prev, k, k_prev = [], 1, 0, 0, 1
-    for a in quotients:
-        h, h_prev, k, k_prev = a * h + h_prev, h, a * k + k_prev, k
-        convergents.append((h, k))
-    return CFExpansion(target, tuple(quotients), tuple(convergents), truncated)
-
-
-@dataclass(frozen=True)
-class ExceptionCount:
-    """Upper-bound data for how many lambda along a ratio line could vanish.
-
-    Supercritical ratios admit at most a bounded count (kind
-    "bounded-count", no explicit constant available).  Subcritical ratios
-    admit at most coefficient * sqrt(x) * log(x) possible exceptions up to
-    x, plus a remainder of order sqrt(x) whose constant is not quantified;
-    `remainder_unquantified` records that honestly.
-    """
-
-    kind: str
-    coefficient: mpf | None
-    value: mpf | None
-    remainder_unquantified: bool
-
-
-EXCEPTION_COUNT_CONSTANT = 102644
-
-
-def exception_count_bound(r: Fraction, x, prec: int = DEFAULT_PRECISION) -> ExceptionCount:
-    """Main-term bound 102644/((6r-1-r**2)**(11/4) * log(golden)) * sqrt(x)*log(x).
-
-    For supercritical r the count is bounded by a constant depending only on
-    r and a flag result is returned instead.  Every ratio needs a finite x >= 1.
-    """
-    check_precision(prec)
-    r = Fraction(r)
-    regime = classify(r)
-    if regime is Regime.DEGENERATE:
-        raise RegimeError(f"exception counting requires r > 1, got r = {r}")
-    with workprec(prec + GUARD_BITS):
-        xv = mpf(x)
-        if not (mp.isfinite(xv) and xv >= 1):
-            raise ValueError(f"x must be finite and >= 1, got {x}")
-        if regime is Regime.SUPERCRITICAL:
-            return ExceptionCount("bounded-count", None, None, remainder_unquantified=True)
-        negdisc = negated_discriminant(r)
-        nd = mpf(negdisc.numerator) / mpf(negdisc.denominator)
-        golden = (1 + mp.sqrt(mpf(5))) / 2
-        coefficient = EXCEPTION_COUNT_CONSTANT / (nd ** (mpf(11) / 4) * mp.log(golden))
-        value = coefficient * mp.sqrt(xv) * mp.log(xv)
-        return ExceptionCount("main-term", coefficient, value, remainder_unquantified=True)

@@ -22,15 +22,13 @@ import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from mpmath import workprec
-
-# json, polynomials and validators load in the commands that use them, so a
-# process starts up with only what its command runs
+# json, exceptions, polynomials and validators load in the commands that
+# use them, so a process starts up with only what its command runs
 from . import asymptotics, certifier
 from .certifier import format_float
 from .exact import PartitionPair, Route, evaluate
 from .lemmas import LEMMA_IDS
-from .numerics import DEFAULT_PRECISION, GUARD_BITS, check_precision
+from .numerics import DEFAULT_PRECISION, check_precision
 
 FORMATS = ("jsonl", "csv", "human")
 
@@ -352,29 +350,10 @@ def cmd_poly(args, config: RunConfig) -> int:
 def cmd_exceptions(args, config: RunConfig) -> int:
     import json
 
-    prec = config.precision_bits
-    r = args.ratio
-    count = certifier.exception_count_bound(r, args.x, prec)
-    payload = {
-        "ratio": str(r),
-        "x": args.x,
-        "kind": count.kind,
-        "coefficient": None if count.coefficient is None else float(count.coefficient),
-        "main_term": None if count.value is None else float(count.value),
-        "remainder": "unquantified",
-    }
-    if asymptotics.classify(r) is asymptotics.Regime.SUBCRITICAL:
-        g1, g2 = asymptotics.gamma_angles(r, prec)
-        with workprec(prec + GUARD_BITS):
-            angle = (g1 * r.numerator + g2 * r.denominator) / r.denominator
-        cf = certifier.continued_fraction(angle, args.depth, prec)
-        legendre_ok = cf.legendre_quality(prec)
-        payload["angle"] = float(angle)
-        payload["cf_quotients"] = list(cf.partial_quotients)
-        payload["cf_convergents"] = [[str(p), str(q)] for p, q in cf.convergents]
-        payload["cf_truncated"] = cf.truncated
-        payload["legendre_quality"] = bool(legendre_ok)
-    print(json.dumps(payload, sort_keys=True))
+    from . import exceptions
+
+    report = exceptions.exception_report(args.ratio, args.x, args.depth, config.precision_bits)
+    print(json.dumps(report, sort_keys=True))
     return 0
 
 

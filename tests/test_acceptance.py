@@ -28,11 +28,11 @@ from binsum.certifier import (
     NONZERO_KINDS,
     AllUpToRule,
     CertificateKind,
-    continued_fraction,
     difference_windows,
     scan_range,
 )
 from binsum.exact import PartitionPair, eval_diagonal, eval_direct, eval_reduced
+from binsum.exceptions import continued_fraction
 from binsum.numerics import Comparison, certified_compare
 from binsum.polynomials import c_poly, integer_roots, tilde_poly
 from binsum.validators import LEMMA_IDS, validate_inequality

@@ -48,13 +48,12 @@ from binsum.certifier import (
     _window_step,
     certify,
     certify_by_term_growth,
-    continued_fraction,
     difference_windows,
-    exception_count_bound,
     scan_range,
     write_rows,
 )
 from binsum.exact import PartitionPair, evaluate, evaluation_cost, row_step
+from binsum.exceptions import continued_fraction, exception_count_bound
 from binsum.numerics import (
     DEFAULT_PRECISION,
     GUARD_BITS,
@@ -673,6 +672,22 @@ STAGE_PAIRS = {
     "window": (PartitionPair(10**6 + 702, 10**6), "certified difference window"),
     "near-diagonal": (PartitionPair(10**6 + 3362, 10**6), "near-diagonal window bound"),
 }
+
+
+@pytest.mark.parametrize("kind", list(CertificateKind))
+def test_a_certificate_proves_a_nonzero_sum_exactly_for_the_nonzero_kinds(kind):
+    # every nonzero_* kind, including any added later, proves S != 0
+    cert = Certificate(101, kind, "rule", None, None, None, None, None, 0)
+    assert cert.nonzero is kind.value.startswith("nonzero_")
+    assert (kind in certifier.NONZERO_KINDS) is cert.nonzero
+
+
+def test_only_zero_exact_inconclusive_and_refused_prove_nothing():
+    assert set(CertificateKind) - certifier.NONZERO_KINDS == {
+        CertificateKind.ZERO_EXACT,
+        CertificateKind.INCONCLUSIVE,
+        CertificateKind.REFUSED,
+    }
 
 
 def test_stages_run_in_the_paper_order():

@@ -19,14 +19,14 @@ EXPORTS = {
         "saddle_data", "supercritical_error_bound", "supercritical_error_bound_refined",
     ),
     "certifier": (
-        "AllUpToRule", "Certificate", "CertificateKind", "CFExpansion", "DiffRule", "DifferenceWindow",
-        "ExceptionCount", "ListRule", "RatioRule", "ScanReport", "certify", "certify_by_term_growth",
-        "continued_fraction", "difference_windows", "exception_count_bound", "scan_range",
+        "AllUpToRule", "Certificate", "CertificateKind", "DiffRule", "DifferenceWindow", "ListRule",
+        "RatioRule", "ScanReport", "certify", "certify_by_term_growth", "difference_windows", "scan_range",
     ),
     "exact": (
         "ExactValue", "PartitionPair", "Route", "binomial", "eval_diagonal", "eval_direct",
         "eval_reduced", "eval_row", "evaluate", "normalized_I", "row_step",
     ),
+    "exceptions": ("CFExpansion", "ExceptionCount", "continued_fraction", "exception_count_bound"),
     "numerics": ("SLACK", "Comparison", "certified_compare", "to_real"),
     "polynomials": ("IntPolynomial", "c_poly", "factor_linear", "integer_roots", "tilde_poly"),
     "validators": ("LemmaReport", "validate_inequality"),
@@ -105,6 +105,21 @@ def test_an_import_of_the_command_line_leaves_the_validators_unloaded():
 
     assert validators.LEMMA_IDS is lemmas.LEMMA_IDS
     assert tuple(validators._LEMMAS) == lemmas.LEMMA_IDS
+
+
+def test_only_the_exceptions_command_loads_its_module():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import contextlib, io, sys, binsum.cli\n"
+        "for argv in (['certify', '600', '100'], ['scan', '--l2', '1..3', '--diff', '1'], ['exceptions', '2', '1e6']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        binsum.cli.main(argv)\n"
+        "    print('binsum.exceptions' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "True"]
 
 
 def _private_imports(package: Path) -> list[str]:
