@@ -700,4 +700,3 @@ def scan_range(
 ) -> ScanReport:
     """The rows of `scan_rows`, collected into a `ScanReport`."""
     return ScanReport(tuple(scan_rows(lambda2_range, rule, budget, prec, parallelism, timings)))
-

@@ -679,7 +679,6 @@ def test_a_certificate_proves_a_nonzero_sum_exactly_for_the_nonzero_kinds(kind):
     # every nonzero_* kind, including any added later, proves S != 0
     cert = Certificate(101, kind, "rule", None, None, None, None, None, 0)
     assert cert.nonzero is kind.value.startswith("nonzero_")
-    assert (kind in certifier.NONZERO_KINDS) is cert.nonzero
 
 
 def test_only_zero_exact_inconclusive_and_refused_prove_nothing():

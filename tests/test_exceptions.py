@@ -18,9 +18,3 @@ def test_exception_report_checks_the_bound_before_any_angle_work(monkeypatch, r,
     with pytest.raises(ValueError):
         exception_report(r, x, 20, 53)
 
-
-def test_exception_report_adds_the_angle_only_below_the_critical_ratio():
-    assert "angle" not in exception_report(Fraction(6), 1e6, 20, 53)
-    report = exception_report(Fraction(2), 1e6, 8, 53)
-    assert report["kind"] == "main-term"
-    assert len(report["cf_quotients"]) == len(report["cf_convergents"]) <= 8

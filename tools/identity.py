@@ -62,8 +62,8 @@ differs from its twin at 1.  The set covers:
   200, and ratio 1457/250 just below 3 + 2*sqrt(2)), at the default
   precision and at --precision 53;
 * `exceptions` refusals (x below 1, infinite and not a number; ratios
-  below, at and over zero; depth 0) and edges (x = 1, depth 1, and ratios 6
-  and 2 at --precision 53 and 200), in jsonl, and refused in csv and human;
+  1/2, 1 and 1/0; depth 0) and edges (x = 1, depth 1, and ratios 6 and 2
+  at --precision 53 and 200), in jsonl, and refused in csv and human;
 * `predict` and `plotdata` of difference 800 across lambda2 = 800**2/(8*pi)
   ~ 25,465, where `predict` switches from the oscillatory bound to the
   near-diagonal bound, `predict` in jsonl and human and `plotdata` in every
