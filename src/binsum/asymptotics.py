@@ -98,9 +98,8 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import (
@@ -227,8 +226,7 @@ def classify(r: Fraction) -> Regime:
     return ratio_regime(r.numerator, r.denominator)
 
 
-@dataclass(frozen=True)
-class SaddleData:
+class SaddleData(NamedTuple):
     """All saddle-point constants for one ratio r, at a recorded precision.
 
     Supercritical fields: rho (real saddle), M = rho**2 f''(rho) > 0, f_rho.
@@ -556,8 +554,7 @@ def window_edge(lambda2: int, k: int, wp: int) -> tuple:
     return mpf_sqrt(mpf_mul(mpf_mul_int(mpf_pi(wp, _RND), k, wp, _RND), l2, wp, _RND), wp, _RND)
 
 
-@dataclass(frozen=True)
-class NearDiagonalBound:
+class NearDiagonalBound(NamedTuple):
     """Outcome of the windowed near-diagonal bound for one pair."""
 
     value: mpf | None
@@ -1038,8 +1035,7 @@ ratio_line = functools.lru_cache(maxsize=RATIO_CACHE_SIZE)(RatioLine)
 # and the `DiffLine` of one difference that the cascade reads
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DifferenceWindow:
+class DifferenceWindow(NamedTuple):
     """One certified integer interval of lambda1 values for a fixed lambda2.
 
     Only integers with (lambda1 + lambda2) mod 4 == residue_class inside
@@ -1549,8 +1545,7 @@ def difference_windows(
     return out
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     """Normalized main term, rigorous error bound, and validity for one pair.
 
     `normalized_main` is the regime's target: the constant 1 in the

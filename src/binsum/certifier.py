@@ -53,7 +53,6 @@ import operator
 import os
 import time
 from collections import Counter, deque
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
@@ -74,19 +73,17 @@ from .asymptotics import (
 # bound here because `binsum` exports them from here and perfbench traces the `intervals` command's call
 from .asymptotics import DifferenceWindow, difference_windows
 from . import exact
-from .exact import PartitionPair, evaluation_cost, pair_cost
-from .numerics import DEFAULT_PRECISION, certified_margin, check_precision
-
-# cost units are 64-bit word multiplications of the incremental loop.  On a
-# 2-core Intel Xeon with CPython 3.11 the scan of the ratio-3 line at
-# l2 = 2000-2039 evaluates 7.32*10**8 units in 0.27-0.34 s, so 10**8 units
-# take about 40 ms there (near l2 = 600 a unit takes about four times longer)
-DEFAULT_BUDGET = 10**8
+# DEFAULT_BUDGET and format_float are bound here too, where callers read
+# them; a record's margin is a float already, so the row formatters format
+# it by FLOAT_SPEC directly
+from .exact import DEFAULT_BUDGET, PartitionPair, evaluation_cost, pair_cost
+from .numerics import DEFAULT_PRECISION, FLOAT_SPEC, certified_margin, check_precision, format_float
 
 # A scan runs its rows in this process until their estimated work in cost
 # units (`_chunks`) reaches POOL_MIN_WORK; only then does it start a
-# process pool, for the rows left.  Measured on the same machine (best
-# of 5, in-process `cli.main`): starting and joining a pool of two workers
+# process pool, for the rows left.  Cost units are `exact.evaluation_cost`'s.
+# Measured on a 2-core Intel Xeon with CPython 3.11 (best of 5, in-process
+# `cli.main`): starting and joining a pool of two workers
 # takes 10-15 ms, and parallelism 2 draws level with 1 at about 40 ms of
 # serial work.  Ratio-3 rows at l2 = 1000-1019 (4.6*10**7 units) took 36 ms
 # serially and 41 ms in the pool, at l2 = 1500-1509 (7.6*10**7) 43 and 36 ms.
@@ -326,8 +323,7 @@ def _cascade(line: RatioLine, l1: int, l2: int) -> tuple:
 # lambda1 above lambda2, and visits no lambda2 past its last pair.
 
 
-@dataclass(frozen=True)
-class RatioRule:
+class RatioRule(NamedTuple):
     """lambda1 = ratio * lambda2, emitted only when the product is integral."""
 
     ratio: Fraction
@@ -341,8 +337,7 @@ class RatioRule:
                 yield [a * l2 // b], l2
 
 
-@dataclass(frozen=True)
-class DiffRule:
+class DiffRule(NamedTuple):
     diff: int
 
     def rows(self, lo: int, hi: int) -> Iterator[tuple[list[int], int]]:
@@ -351,8 +346,7 @@ class DiffRule:
                 yield [l2 + self.diff], l2
 
 
-@dataclass(frozen=True)
-class ListRule:
+class ListRule(NamedTuple):
     values: tuple[int, ...]
 
     def rows(self, lo: int, hi: int) -> Iterator[tuple[list[int], int]]:
@@ -361,8 +355,7 @@ class ListRule:
             yield values[bisect.bisect_right(values, l2) :], l2
 
 
-@dataclass(frozen=True)
-class AllUpToRule:
+class AllUpToRule(NamedTuple):
     max_lambda1: int
 
     def rows(self, lo: int, hi: int) -> Iterator[tuple[list[int], int]]:
@@ -386,10 +379,6 @@ _KIND_TEXT = {kind: kind.value for kind in CertificateKind}
 _INCONCLUSIVE = CertificateKind.INCONCLUSIVE
 _EXACT, _ZERO = CertificateKind.NONZERO_EXACT, CertificateKind.ZERO_EXACT
 _kind_of = operator.itemgetter(1)
-# the format of every float printed, `format_float`'s: 17 significant digits
-# round-trip a float losslessly.  A record's margin is a float already, so
-# the row formatters format it directly.
-_FLOAT_SPEC = ".17g"
 
 
 def jsonl_text(l2: int, records: Iterable[tuple]) -> str:
@@ -403,7 +392,7 @@ def jsonl_text(l2: int, records: Iterable[tuple]) -> str:
         f'{{"lambda1":{l1}{head}{(l1 + l2) % 4},"certificate":"{_KIND_TEXT[kind]}",'
         f'"margin":null,"exact_sign":{sign},"usec":{usec}}}\n' if sign is not None else
         f'{{"lambda1":{l1}{head}{(l1 + l2) % 4},"certificate":"{_KIND_TEXT[kind]}",'
-        f'"margin":{"null" if margin is None else format(margin, _FLOAT_SPEC)},"exact_sign":null,"usec":{usec}}}\n'
+        f'"margin":{"null" if margin is None else format(margin, FLOAT_SPEC)},"exact_sign":null,"usec":{usec}}}\n'
         for l1, kind, _, margin, sign, _, _, _, usec in records
     ])
 
@@ -415,7 +404,7 @@ def csv_text(l2: int, records: Iterable[tuple]) -> str:
     head = f",{l2},"
     return "".join([
         f"{l1}{head}{(l1 + l2) % 4},{_KIND_TEXT[kind]},,{sign},{usec}\n" if sign is not None else
-        f"{l1}{head}{(l1 + l2) % 4},{_KIND_TEXT[kind]},{'' if margin is None else format(margin, _FLOAT_SPEC)},,{usec}\n"
+        f"{l1}{head}{(l1 + l2) % 4},{_KIND_TEXT[kind]},{'' if margin is None else format(margin, FLOAT_SPEC)},,{usec}\n"
         for l1, kind, _, margin, sign, _, _, _, usec in records
     ])
 
@@ -447,8 +436,7 @@ def write_rows(rows: Iterable[tuple[int, Iterable[tuple]]], output_format: str, 
     return inconclusive
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     """Per-pair scan records in deterministic (lambda2, lambda1) order.
 
     `rows` holds one (lambda2, records) per scanned lambda2, in lambda2
@@ -485,12 +473,6 @@ class ScanReport:
 
     def human_lines(self) -> list[str]:
         return self._lines("human")
-
-
-def format_float(x) -> str:
-    """A float or mpf at 17 significant digits, which round-trips a float
-    losslessly; empty for a missing value (CSV cell)."""
-    return "" if x is None else format(float(x), _FLOAT_SPEC)
 
 
 def _row_cut(lambda1s: list[int], l2: int, budget: int) -> tuple[int, int]:

@@ -19,16 +19,16 @@ import contextlib
 import functools
 import os
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
-# json, exceptions, polynomials and validators load in the commands that
-# use them, so a process starts up with only what its command runs
-from . import asymptotics, certifier
-from .certifier import format_float
-from .exact import PartitionPair, Route, evaluate
+# json, asymptotics, certifier, exceptions, polynomials and validators load
+# in the commands that use them, so a process starts up with only what its
+# command runs.  A command imports the names it calls, `from .module import
+# name`, so that `python -X importtime` gives the module a row of its own,
+# which `from . import module` does not
+from .exact import DEFAULT_BUDGET, PartitionPair, Route, evaluate
 from .lemmas import LEMMA_IDS
-from .numerics import DEFAULT_PRECISION, check_precision
+from .numerics import DEFAULT_PRECISION, check_precision, format_float
 
 FORMATS = ("jsonl", "csv", "human")
 
@@ -38,10 +38,12 @@ FORMATS = ("jsonl", "csv", "human")
 CLOSED_STDOUT = 141
 
 
-@dataclass
 class RunConfig:
+    """The run settings: the class attributes are the defaults, which
+    `resolve_config` overrides per instance, field by annotated field."""
+
     precision_bits: int = DEFAULT_PRECISION
-    budget: int = certifier.DEFAULT_BUDGET
+    budget: int = DEFAULT_BUDGET
     output_format: str | None = None  # None: the command's default
     parallelism: int = 1
     timings: bool = False
@@ -193,10 +195,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         for attr, value in load_config_file(args.config).items():
             setattr(config, attr, value)
-    for field in fields(RunConfig):
-        value = getattr(args, field.name)
+    for name in RunConfig.__annotations__:
+        value = getattr(args, name)
         if value is not None:
-            setattr(config, field.name, value)
+            setattr(config, name, value)
     config.validate()
     return config
 
@@ -230,8 +232,10 @@ def cmd_eval(args, config: RunConfig) -> int:
 def cmd_predict(args, config: RunConfig) -> int:
     import json
 
+    from .asymptotics import predict
+
     pair = PartitionPair(args.lambda1, args.lambda2)
-    pred = asymptotics.predict(pair, config.precision_bits)
+    pred = predict(pair, config.precision_bits)
     if config.output_format == "human":
         print(f"pair           ({pair.lambda1}, {pair.lambda2}), class {pair.congruence_class}")
         print(f"regime         {pred.regime.value}")
@@ -256,8 +260,10 @@ def cmd_predict(args, config: RunConfig) -> int:
 
 
 def cmd_certify(args, config: RunConfig) -> int:
+    from .certifier import certify, write_rows
+
     pair = PartitionPair(args.lambda1, args.lambda2)
-    cert = certifier.certify(
+    cert = certify(
         pair,
         budget=config.budget,
         prec=config.precision_bits,
@@ -278,23 +284,27 @@ def cmd_certify(args, config: RunConfig) -> int:
         if cert.reason is not None:
             print(f"reason      {cert.reason}")
     else:
-        certifier.write_rows(((pair.lambda2, (cert,)),), config.output_format, sys.stdout.write)
+        write_rows(((pair.lambda2, (cert,)),), config.output_format, sys.stdout.write)
     return 0
 
 
 def _scan_rule(args):
+    from .certifier import AllUpToRule, DiffRule, ListRule, RatioRule
+
     if args.ratio is not None:
-        return certifier.RatioRule(args.ratio)
+        return RatioRule(args.ratio)
     if args.diff is not None:
-        return certifier.DiffRule(args.diff)
+        return DiffRule(args.diff)
     if args.all_l1_up_to is not None:
-        return certifier.AllUpToRule(args.all_l1_up_to)
+        return AllUpToRule(args.all_l1_up_to)
     values = tuple(int(v) for v in args.l1_list.split(","))
-    return certifier.ListRule(values)
+    return ListRule(values)
 
 
 def cmd_scan(args, config: RunConfig) -> int:
-    rows = certifier.scan_rows(
+    from .certifier import scan_rows, write_rows
+
+    rows = scan_rows(
         args.l2,
         _scan_rule(args),
         budget=config.budget,
@@ -304,12 +314,14 @@ def cmd_scan(args, config: RunConfig) -> int:
     )
     # closing the rows on a failed write shuts down a pool the scan started
     with contextlib.closing(rows):
-        inconclusive = certifier.write_rows(rows, config.output_format, sys.stdout.write)
+        inconclusive = write_rows(rows, config.output_format, sys.stdout.write)
     return 3 if inconclusive else 0
 
 
 def cmd_intervals(args, config: RunConfig) -> int:
-    windows = certifier.difference_windows(args.lambda2, config.precision_bits)
+    from .certifier import difference_windows
+
+    windows = difference_windows(args.lambda2, config.precision_bits)
     if config.output_format == "human":
         for w in windows:
             print(
@@ -332,17 +344,17 @@ def cmd_intervals(args, config: RunConfig) -> int:
 def cmd_poly(args, config: RunConfig) -> int:
     import json
 
-    from . import polynomials
+    from .polynomials import c_poly, integer_roots, tilde_poly
 
     if args.c is not None:
-        poly = polynomials.c_poly(args.c)
+        poly = c_poly(args.c)
     else:
         l, eps1, eps2 = args.tilde
-        poly = polynomials.tilde_poly(l, eps1, eps2)
+        poly = tilde_poly(l, eps1, eps2)
     payload = poly.to_json_dict()
     if args.roots is not None:
         payload["root_bound"] = args.roots
-        payload["roots"] = [str(x) for x in polynomials.integer_roots(poly, args.roots)]
+        payload["roots"] = [str(x) for x in integer_roots(poly, args.roots)]
     print(json.dumps(payload, sort_keys=True))
     return 0
 
@@ -350,9 +362,9 @@ def cmd_poly(args, config: RunConfig) -> int:
 def cmd_exceptions(args, config: RunConfig) -> int:
     import json
 
-    from . import exceptions
+    from .exceptions import exception_report
 
-    report = exceptions.exception_report(args.ratio, args.x, args.depth, config.precision_bits)
+    report = exception_report(args.ratio, args.x, args.depth, config.precision_bits)
     print(json.dumps(report, sort_keys=True))
     return 0
 
@@ -360,9 +372,9 @@ def cmd_exceptions(args, config: RunConfig) -> int:
 def cmd_validate(args, config: RunConfig) -> int:
     import json
 
-    from . import validators
+    from .validators import validate_inequality
 
-    report = validators.validate_inequality(args.lemma, prec=config.precision_bits, grid_size=parse_grid(args.grid))
+    report = validate_inequality(args.lemma, prec=config.precision_bits, grid_size=parse_grid(args.grid))
     payload = {
         "lemma": report.lemma_id,
         "points": report.points,
@@ -380,10 +392,13 @@ def cmd_validate(args, config: RunConfig) -> int:
 
 
 def cmd_plotdata(args, config: RunConfig) -> int:
-    pairs = certifier.rule_pairs(args.l2, _scan_rule(args))
+    from .asymptotics import normalized_residual
+    from .certifier import rule_pairs
+
+    pairs = rule_pairs(args.l2, _scan_rule(args))
     print("lambda2,residual,bound")
     for l1, l2 in pairs:
-        residual, pred, _ = asymptotics.normalized_residual(PartitionPair(l1, l2), config.precision_bits)
+        residual, pred, _ = normalized_residual(PartitionPair(l1, l2), config.precision_bits)
         print(f"{l2},{format_float(residual)},{format_float(pred.error_bound)}")
     return 0
 

@@ -46,9 +46,8 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from mpmath import mpf
 
@@ -62,20 +61,28 @@ class Route(enum.Enum):
     ROW = "row"
 
 
-@dataclass(frozen=True)
-class PartitionPair:
-    """An input pair (lambda1, lambda2), normalized so lambda1 >= lambda2 >= 0."""
-
+class _Pair(NamedTuple):
     lambda1: int
     lambda2: int
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.lambda1, int) and isinstance(self.lambda2, int)):
+
+class PartitionPair(_Pair):
+    """An input pair (lambda1, lambda2), normalized so lambda1 >= lambda2 >= 0.
+
+    A named tuple whose constructor checks the pair; as a subclass it keeps
+    a `__dict__`, which holds the cached `ratio`."""
+
+    def __new__(cls, lambda1: int, lambda2: int) -> PartitionPair:
+        if not (isinstance(lambda1, int) and isinstance(lambda2, int)):
             raise TypeError("lambda1 and lambda2 must be integers")
-        if not self.lambda1 >= self.lambda2 >= 0:
-            raise ValueError(
-                f"pair must satisfy lambda1 >= lambda2 >= 0, got ({self.lambda1}, {self.lambda2})"
-            )
+        if not lambda1 >= lambda2 >= 0:
+            raise ValueError(f"pair must satisfy lambda1 >= lambda2 >= 0, got ({lambda1}, {lambda2})")
+        return tuple.__new__(cls, (lambda1, lambda2))
+
+    # `_replace` builds through `_make`, which checks the pair too
+    @classmethod
+    def _make(cls, iterable) -> PartitionPair:
+        return cls(*iterable)
 
     @functools.cached_property
     def ratio(self) -> Fraction:
@@ -99,8 +106,7 @@ def congruence_class(lambda1: int, lambda2: int) -> int:
     return (lambda1 + lambda2) % 4
 
 
-@dataclass(frozen=True)
-class ExactValue:
+class ExactValue(NamedTuple):
     """An exactly computed sum value together with the route that produced it."""
 
     value: int
@@ -371,6 +377,14 @@ def row_values(lambda2: int, lambda1s: Iterable[int]) -> Iterator[int]:
             before, value = value, evaluate(PartitionPair(l1, lambda2)).value
         follow = l1 + 1
         yield value
+
+
+# cost units are 64-bit word multiplications of the incremental loop, as
+# `evaluation_cost` counts them.  On a 2-core Intel Xeon with CPython 3.11
+# the scan of the ratio-3 line at l2 = 2000-2039 evaluates 7.32*10**8 units
+# in 0.27-0.34 s, so 10**8 units take about 40 ms there (near l2 = 600 a
+# unit takes about four times longer)
+DEFAULT_BUDGET = 10**8
 
 
 def evaluation_cost(pair: PartitionPair) -> int:

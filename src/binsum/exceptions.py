@@ -9,8 +9,8 @@ cascade and the scans start up without it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from mpmath import mp, mpf, workprec
 
@@ -18,8 +18,7 @@ from .asymptotics import Regime, RegimeError, classify, gamma_angles, negated_di
 from .numerics import DEFAULT_PRECISION, GUARD_BITS, SLACK, Comparison, certified_compare, check_precision
 
 
-@dataclass(frozen=True)
-class CFExpansion:
+class CFExpansion(NamedTuple):
     """Partial quotients and convergents of a real number.
 
     `truncated` is set when the expansion stopped because the next floor was
@@ -84,8 +83,7 @@ def continued_fraction(x, depth: int, prec: int = DEFAULT_PRECISION) -> CFExpans
     return CFExpansion(target, tuple(quotients), tuple(convergents), truncated)
 
 
-@dataclass(frozen=True)
-class ExceptionCount:
+class ExceptionCount(NamedTuple):
     """Upper-bound data for how many lambda along a ratio line could vanish.
 
     Supercritical ratios admit at most a bounded count (kind

@@ -49,6 +49,10 @@ RAW_SLACK = SLACK._mpf_
 # whatever precision the caller has set
 MARGIN_PRECISION = 53
 
+# the format of every float printed: 17 significant digits round-trip a
+# float losslessly
+FLOAT_SPEC = ".17g"
+
 # pi lies in [PI_FLOOR, PI_FLOOR + 1] / 2**PI_BITS, an enclosure of width
 # 2**-96 for integer arithmetic
 PI_BITS = 96
@@ -166,3 +170,9 @@ def certified_margin(a: tuple, b: tuple) -> float | None:
     if dyadic_compare(a, b, RAW_SLACK) is not Comparison.CERTIFIED_GREATER:
         return None
     return rounded_margin(a, b)
+
+
+def format_float(x) -> str:
+    """A float or mpf at 17 significant digits, which round-trips a float
+    losslessly; empty for a missing value (CSV cell)."""
+    return "" if x is None else format(float(x), FLOAT_SPEC)

@@ -16,31 +16,40 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import PartitionPair
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class _Polynomial(NamedTuple):
+    coefficients: tuple[int, ...]
+    scale: int = 1
+    family: str | None = None
+    params: tuple[int, ...] = ()
+
+
+class IntPolynomial(_Polynomial):
     """A polynomial with exact integer coefficients over a positive scale.
 
     The represented rational polynomial is sum(coefficients[i] * X**i) / scale.
     `family` is "c" (params: lambda2) or "tilde" (params: l, eps1, eps2)
-    for the built-in families, None for derived polynomials.
+    for the built-in families, None for derived polynomials.  A named tuple
+    whose constructor checks the coefficients and the scale.
     """
 
-    coefficients: tuple[int, ...]
-    scale: int = 1
-    family: str | None = None
-    params: tuple[int, ...] = field(default=())
-
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> IntPolynomial:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.coefficients:
             raise ValueError("coefficient list must be nonempty")
         if self.scale <= 0:
             raise ValueError("scale must be a positive integer")
+        return self
+
+    # `_replace` builds through `_make`, which checks the polynomial too
+    @classmethod
+    def _make(cls, iterable) -> IntPolynomial:
+        return cls(*iterable)
 
     @property
     def degree(self) -> int:

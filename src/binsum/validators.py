@@ -74,9 +74,8 @@ bounds |f(t) - f(a) - quadratic saddle model| by a cubic in |t - a|.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from mpmath import mp, mpf, workprec
 from mpmath.libmp import (
@@ -131,8 +130,7 @@ _NEAR1_G_MAX_RATIO = Fraction(211952, 100000)
 _REGION_TOL = mpf(2) ** -38
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(NamedTuple):
     lemma_id: str
     points: int
     max_margin: float

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -654,9 +653,8 @@ def test_cos_lower_bound_kernel_is_bit_identical_to_mpf_arithmetic(pair, prec):
 
 
 def _bits(x):
-    """mpf values by their exact (sign, mantissa, exponent, bits) tuple."""
-    if dataclasses.is_dataclass(x):
-        return tuple(_bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    """mpf values by their exact (sign, mantissa, exponent, bits) tuple; a
+    record is a named tuple, so every field goes through the tuple branch."""
     if isinstance(x, tuple):
         return tuple(_bits(v) for v in x)
     return x._mpf_ if isinstance(x, mpf) else x

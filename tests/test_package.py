@@ -71,9 +71,17 @@ def test_an_export_shows_a_patch_of_its_submodule(monkeypatch):
     assert binsum.certify is original
 
 
-def test_an_import_of_binsum_loads_a_submodule_on_first_use():
+def _run(script: str) -> subprocess.CompletedProcess:
+    """Run `script` in a fresh interpreter that imports binsum from this
+    checkout, and check that it exits 0."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_an_import_of_binsum_loads_a_submodule_on_first_use():
     script = (
         "import sys, binsum\n"
         "loaded = lambda: sorted(m for m in sys.modules if m.startswith('binsum'))\n"
@@ -81,16 +89,12 @@ def test_an_import_of_binsum_loads_a_submodule_on_first_use():
         "binsum.PartitionPair\n"
         "print(*loaded())\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["binsum", "binsum binsum.exact binsum.numerics"]
+    assert _run(script).stdout.splitlines() == ["binsum", "binsum binsum.exact binsum.numerics"]
 
 
 def test_an_import_of_the_command_line_leaves_the_validators_unloaded():
     # the `validate --lemma` choices come from binsum.lemmas; only the
     # `validate` command loads the validators and their libmp kernels
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     script = (
         "import contextlib, io, sys, binsum.cli\n"
         "print('binsum.validators' in sys.modules, 'binsum.lemmas' in sys.modules)\n"
@@ -98,9 +102,7 @@ def test_an_import_of_the_command_line_leaves_the_validators_unloaded():
         "    binsum.cli.main(['validate', '--lemma', 'sub-g-decay', '--grid', '2x2'])\n"
         "print('binsum.validators' in sys.modules)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True", "True"]
+    assert _run(script).stdout.split() == ["False", "True", "True"]
     from binsum import lemmas, validators
 
     assert validators.LEMMA_IDS is lemmas.LEMMA_IDS
@@ -108,8 +110,6 @@ def test_an_import_of_the_command_line_leaves_the_validators_unloaded():
 
 
 def test_only_the_exceptions_command_loads_its_module():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     script = (
         "import contextlib, io, sys, binsum.cli\n"
         "for argv in (['certify', '600', '100'], ['scan', '--l2', '1..3', '--diff', '1'], ['exceptions', '2', '1e6']):\n"
@@ -117,9 +117,63 @@ def test_only_the_exceptions_command_loads_its_module():
         "        binsum.cli.main(argv)\n"
         "    print('binsum.exceptions' in sys.modules)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False", "True"]
+    assert _run(script).stdout.split() == ["False", "False", "True"]
+
+
+def test_eval_and_poly_load_neither_the_certifier_nor_the_asymptotics():
+    script = (
+        "import contextlib, io, sys, binsum.cli\n"
+        "for argv in (['eval', '600', '100'], ['poly', '--c', '3', '--roots', '10'], ['certify', '600', '100']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        binsum.cli.main(argv)\n"
+        "    print('binsum.certifier' in sys.modules, 'binsum.asymptotics' in sys.modules)\n"
+    )
+    assert _run(script).stdout.split() == ["False", "False", "False", "False", "True", "True"]
+
+
+def test_no_module_of_binsum_loads_dataclasses_or_inspect():
+    # every record is a named tuple: `dataclasses` and the `inspect` it
+    # pulls in cost a fresh process milliseconds.  pytest loads both, so a
+    # fresh interpreter imports every module, the certifier too, which the
+    # command line loads only in its commands
+    script = (
+        "import sys, binsum.certifier, binsum.cli, binsum.exceptions, binsum.polynomials, binsum.validators\n"
+        "print('dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
+    )
+    assert _run(script).stdout.split() == ["False", "False"]
+
+
+def test_the_checked_value_types_are_frozen_named_tuples():
+    from fractions import Fraction
+
+    from binsum.exact import PartitionPair
+    from binsum.polynomials import IntPolynomial
+
+    with pytest.raises(TypeError, match="^lambda1 and lambda2 must be integers$"):
+        PartitionPair(2.0, 1)
+    with pytest.raises(ValueError, match=r"^pair must satisfy lambda1 >= lambda2 >= 0, got \(2, 3\)$"):
+        PartitionPair(2, 3)
+    with pytest.raises(ValueError, match="^coefficient list must be nonempty$"):
+        IntPolynomial(())
+    with pytest.raises(ValueError, match="^scale must be a positive integer$"):
+        IntPolynomial((1,), scale=0)
+    # `_replace` checks as the constructor does
+    with pytest.raises(ValueError, match=r"got \(6, 7\)"):
+        PartitionPair(6, 4)._replace(lambda2=7)
+    with pytest.raises(ValueError, match="^scale must be a positive integer$"):
+        IntPolynomial((1,))._replace(scale=-1)
+
+    pair, poly = PartitionPair(6, 4), IntPolynomial((1, 2), 3, "c", (2,))
+    for value, field in ((pair, "lambda1"), (poly, "scale")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 5)
+    assert pair == PartitionPair(6, 4) and hash(pair) == hash(PartitionPair(6, 4))
+    assert poly == IntPolynomial((1, 2), 3, "c", (2,)) and hash(poly) == hash(IntPolynomial((1, 2), 3, "c", (2,)))
+    assert pair != PartitionPair(6, 5) and poly != poly._replace(family=None)
+    assert repr(pair) == "PartitionPair(lambda1=6, lambda2=4)"
+    assert repr(poly) == "IntPolynomial(coefficients=(1, 2), scale=3, family='c', params=(2,))"
+    assert repr(IntPolynomial((1,))) == "IntPolynomial(coefficients=(1,), scale=1, family=None, params=())"
+    assert pair.ratio == Fraction(3, 2) and pair.ratio is pair.ratio
 
 
 def _private_imports(package: Path) -> list[str]:
