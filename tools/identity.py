@@ -64,6 +64,12 @@ differs from its twin at 1.  The set covers:
 * `exceptions` refusals (x below 1, infinite and not a number; ratios
   1/2, 1 and 1/0; depth 0) and edges (x = 1, depth 1, and ratios 6 and 2
   at --precision 53 and 200), in jsonl, and refused in csv and human;
+* scans whose every pair builds a cold one-pair `RatioLine`: a difference
+  line outside the near-diagonal gate and past the oscillatory reach, a
+  difference line whose oscillatory step fails before the window step
+  decides, and the lambda1 list of the ratios 3/2, 2, 3 and 6 on one
+  lambda2; and `predict` of one subcritical and one supercritical pair; each
+  at --precision 53, 128 and 200, in jsonl, csv and human;
 * `predict` and `plotdata` of difference 800 across lambda2 = 800**2/(8*pi)
   ~ 25,465, where `predict` switches from the oscillatory bound to the
   near-diagonal bound, `predict` in jsonl and human and `plotdata` in every
@@ -269,6 +275,20 @@ EXCEPTION_EDGES = (
     ("exceptions", "2", "1e6", "--depth", "1"),
     *(("--precision", precision, "exceptions", ratio, "1e6") for ratio in ("6", "2") for precision in ("53", "200")),
 )
+# commands whose pairs each build a cold one-pair `RatioLine`: difference
+# 3000 at lambda2 ~ 2*10**5 lies outside the near-diagonal gate and past the
+# reach, so the oscillatory step decides its class-0 and class-2 pairs and
+# leaves the others inconclusive; at difference 1500 near lambda2 = 130400
+# the oscillatory step fails and the window step decides; the lambda1 list
+# gives the ratios 3/2, 2, 3 and 6; and `predict` of a subcritical and a
+# supercritical pair.  Each runs at --precision 53, 128 and 200
+SADDLE_COMMANDS = (
+    ("--budget", "0", "scan", "--l2", "200000..200039", "--diff", "3000"),
+    ("--budget", "0", "scan", "--l2", "130400..130439", "--diff", "1500"),
+    ("--budget", "0", "scan", "--l2", "40000..40000", "--l1-list", "60000,80000,120000,240000"),
+    ("predict", "300007", "100001"),
+    ("predict", "700003", "100001"),
+)
 # difference 800 enters the flat window sqrt(8*pi*lambda2) at lambda2 =
 # 25465: below it `predict` takes the oscillatory bound, from it on the
 # near-diagonal bound of row 8
@@ -401,6 +421,9 @@ def commands() -> list[list[str]]:
             out.append(["--format", "jsonl", *options, *tail])
     for tail in (*EXCEPTION_REFUSALS, *EXCEPTION_EDGES):
         out.extend(["--format", fmt, *tail] for fmt in FORMATS)
+    for argv in SADDLE_COMMANDS:
+        for precision in ("53", "128", "200"):
+            out.extend(["--format", fmt, "--precision", precision, *argv] for fmt in FORMATS)
     for l1, l2 in NEAR_DIAGONAL_SWITCH_PAIRS:
         out.extend(["--format", fmt, "predict", str(l1), str(l2)] for fmt in ("jsonl", "human"))
     out.extend(["--format", fmt, *NEAR_DIAGONAL_SWITCH_PLOT] for fmt in FORMATS)
