@@ -19,6 +19,7 @@ _EXPORTS = {
         "critical_boundary_constants",
         "gamma_angles",
         "gamma_cubic_bounds",
+        "half_phase_angle",
         "near_diagonal_error_bound",
         "normalized_residual",
         "oscillatory_error_bound",

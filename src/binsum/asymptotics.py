@@ -36,6 +36,16 @@ precision, rounding to nearest (a division by 4 that is exact may be an
 `mpf_shift`, which gives the same tuple).  So every value equals the mpf expression's
 bit for bit, and none depends on the ambient mpmath precision.
 
+Each constant is built once, by the code that reads it.  `saddle_data`
+holds the saddle alone: rho and the curvature M of a supercritical ratio,
+which its bounds read, or rho, the saddle angle alpha and the curvature
+phase beta of a subcritical one, which the validators read.  The phase
+angles gamma1 and gamma2 come from `gamma_angles` and the half phase gamma3
+from `half_phase_angle`; `predict` builds f(rho), the exponent of its
+supercritical normalizer; the factors of the supercritical bound that depend
+on the precision alone are kept per working precision
+(`_supercritical_constants`).
+
 What depends only on the ratio lives in one object, a `RatioLine` of the
 ratio at one precision: the factors of the bounds and the phase constants
 gamma1, gamma2, gamma3 and 2*pi at the cosine's raised precision, each
@@ -182,11 +192,11 @@ OSCILLATORY_BOUND_CONSTANT = 16336
 # the rounding of every mpf operation under mpmath's default context
 _RND = round_nearest
 
-# entries kept by each per-ratio cache below: `saddle_data` and
-# `gamma_angles` keyed by (r, prec), `ratio_line` by (a, b, prec).  A scan
-# line or a validator needs one or two live keys at a time (the ratio at the
-# working precision and at the raised precision of `oscillation_cosine`);
-# the bound only keeps a long-running process from growing without limit.
+# entries kept by each per-ratio cache below: `saddle_data` keyed by
+# (r, prec), `ratio_line` by (a, b, prec).  A scan line or a validator needs
+# one or two live keys at a time (the ratio at the working precision and at
+# the raised precision of `oscillation_cosine`); the bound only keeps a
+# long-running process from growing without limit.
 RATIO_CACHE_SIZE = 32
 
 
@@ -227,13 +237,13 @@ def classify(r: Fraction) -> Regime:
 
 
 class SaddleData(NamedTuple):
-    """All saddle-point constants for one ratio r, at a recorded precision.
+    """The saddle of one ratio r > 1, at a recorded precision.
 
-    Supercritical fields: rho (real saddle), M = rho**2 f''(rho) > 0, f_rho.
-    Subcritical fields: rho = 1/sqrt(r), the saddle angle alpha, the
-    curvature phase beta, the main-term angles gamma1, gamma2 and the
-    half phase gamma3 = beta/2, and g_alpha = (r+1)/2 * log(2), the real
-    part of f at the saddle.  Fields of the other regime are None.
+    Supercritical fields: rho (the real saddle) and the curvature
+    M = rho**2 f''(rho) > 0.  Subcritical fields: rho = 1/sqrt(r), the
+    saddle angle alpha and the curvature phase beta.  Fields of the other
+    regime are None.  The constants built from these are built by the code
+    that reads them (see the module docstring).
     """
 
     r: Fraction
@@ -241,13 +251,8 @@ class SaddleData(NamedTuple):
     prec: int
     rho: mpf
     M: mpf | None = None
-    f_rho: mpf | None = None
     alpha: mpf | None = None
     beta: mpf | None = None
-    gamma1: mpf | None = None
-    gamma2: mpf | None = None
-    gamma3: mpf | None = None
-    g_alpha: mpf | None = None
 
 
 def _sqrt_fraction(q: Fraction) -> mpf:
@@ -255,15 +260,20 @@ def _sqrt_fraction(q: Fraction) -> mpf:
     return mp.sqrt(mpf(q.numerator) / mpf(q.denominator))
 
 
-@functools.lru_cache(maxsize=RATIO_CACHE_SIZE)
-def gamma_angles(r: Fraction, prec: int = DEFAULT_PRECISION) -> tuple[mpf, mpf]:
-    """The oscillation angles gamma1 = arccos((3r-1)/(2*sqrt(2)*r)) and
-    gamma2 = -arccos((r-3)/(2*sqrt(2))), defined for 1 <= r <= 3 + 2*sqrt(2).
-    """
+def _oscillation_ratio(r: Fraction, prec: int) -> Fraction:
+    """r as a Fraction, after checking prec and that 1 <= r <= 3 + 2*sqrt(2)."""
     check_precision(prec)
     r = Fraction(r)
     if r != 1 and classify(r) is not Regime.SUBCRITICAL:
         raise RegimeError(f"oscillation angles require 1 <= r <= 3 + 2*sqrt(2), got r = {r}")
+    return r
+
+
+def gamma_angles(r: Fraction, prec: int = DEFAULT_PRECISION) -> tuple[mpf, mpf]:
+    """The oscillation angles gamma1 = arccos((3r-1)/(2*sqrt(2)*r)) and
+    gamma2 = -arccos((r-3)/(2*sqrt(2))), defined for 1 <= r <= 3 + 2*sqrt(2).
+    """
+    r = _oscillation_ratio(r, prec)
     with workprec(prec + GUARD_BITS):
         sqrt2 = mp.sqrt(mpf(2))
         a1 = rational_to_real(3 * r - 1, prec + GUARD_BITS) / (2 * sqrt2 * rational_to_real(r, prec + GUARD_BITS))
@@ -274,9 +284,18 @@ def gamma_angles(r: Fraction, prec: int = DEFAULT_PRECISION) -> tuple[mpf, mpf]:
         return mp.acos(a1), -mp.acos(a2)
 
 
+def half_phase_angle(r: Fraction, prec: int = DEFAULT_PRECISION) -> mpf:
+    """The half phase gamma3 = beta/2 = arcsin((r-1)**2/(4r))/2 of the
+    subcritical main term, defined where `gamma_angles` is."""
+    r = _oscillation_ratio(r, prec)
+    with workprec(prec + GUARD_BITS):
+        sin_beta = rational_to_real((r - 1) ** 2 / (4 * r), prec + GUARD_BITS)
+        return mp.asin(min(max(sin_beta, mpf(-1)), mpf(1))) / 2
+
+
 @functools.lru_cache(maxsize=RATIO_CACHE_SIZE)
 def saddle_data(r: Fraction, prec: int = DEFAULT_PRECISION) -> SaddleData:
-    """Compute every saddle constant applicable to the regime of r (r > 1)."""
+    """The saddle of the regime of r (r > 1): rho and M, or rho, alpha and beta."""
     check_precision(prec)
     r = Fraction(r)
     regime = classify(r)
@@ -287,29 +306,13 @@ def saddle_data(r: Fraction, prec: int = DEFAULT_PRECISION) -> SaddleData:
         if regime is Regime.SUPERCRITICAL:
             rho = (rm - 1 - _sqrt_fraction(-negated_discriminant(r))) / (2 * rm)
             m_val = (1 - 2 * rho - rho**2) / ((1 + rho) * (1 - rho) ** 2)
-            f_rho = rm * mp.log(1 + rho) + mp.log(1 - rho) - mp.log(rho)
-            return SaddleData(r=r, regime=regime, prec=prec, rho=rho, M=m_val, f_rho=f_rho)
+            return SaddleData(r=r, regime=regime, prec=prec, rho=rho, M=m_val)
         rho = 1 / _sqrt_fraction(r)
         cos_alpha = rational_to_real(r - 1, prec + GUARD_BITS) / (2 * _sqrt_fraction(r))
         alpha = mp.acos(min(max(cos_alpha, mpf(-1)), mpf(1)))
         cos_beta = rational_to_real(r + 1, prec + GUARD_BITS) * _sqrt_fraction(negated_discriminant(r)) / (4 * rm)
         beta = mp.acos(min(max(cos_beta, mpf(-1)), mpf(1)))
-        sin_beta = rational_to_real((r - 1) ** 2 / (4 * r), prec + GUARD_BITS)
-        gamma3 = mp.asin(min(max(sin_beta, mpf(-1)), mpf(1))) / 2
-        g1, g2 = gamma_angles(r, prec)
-        g_alpha = rational_to_real(r + 1, prec + GUARD_BITS) / 2 * mp.log(mpf(2))
-        return SaddleData(
-            r=r,
-            regime=regime,
-            prec=prec,
-            rho=rho,
-            alpha=alpha,
-            beta=beta,
-            gamma1=g1,
-            gamma2=g2,
-            gamma3=gamma3,
-            g_alpha=g_alpha,
-        )
+        return SaddleData(r=r, regime=regime, prec=prec, rho=rho, alpha=alpha, beta=beta)
 
 
 def critical_boundary_constants(prec: int = DEFAULT_PRECISION) -> tuple[mpf, mpf]:
@@ -822,6 +825,17 @@ def _fixed_phase(phase: tuple) -> tuple[int, ...]:
     return (*((-x[1] if x[0] else x[1]) << (x[2] + z) for x in phase), z)
 
 
+@functools.lru_cache(maxsize=16)
+def _supercritical_constants(wp: int) -> tuple:
+    """What `supercritical_error_bound` reads of its precision alone, raw
+    at wp bits: 3*crit*pi**5 and 5*crit for crit = 3 + 2*sqrt(2), sqrt(2),
+    pi**2 and pi**1.5."""
+    with workprec(wp):
+        crit = 3 + 2 * mp.sqrt(mpf(2))
+        factors = 3 * crit * mp.pi**5, 5 * crit, mp.sqrt(mpf(2)), mp.pi**2, mp.pi ** mpf("1.5")
+        return tuple(f._mpf_ for f in factors)
+
+
 class RatioLine:
     """The one object of a ratio r = a/b > 1 (a and b in any terms) at one
     working precision: the constants that depend on r alone, the raw
@@ -878,19 +892,9 @@ class RatioLine:
         M, 3*crit*pi**5, M**2, 5*crit, M**3, sqrt(2), pi**2 and pi**1.5, each
         rounded exactly as the bound's formula rounds it."""
         m_val = saddle_data(self.ratio, self.prec).M
+        c1, c2, sqrt2, pi_sq, pi_15 = _supercritical_constants(self.wp)
         with workprec(self.wp):
-            crit = 3 + 2 * mp.sqrt(mpf(2))
-            factors = (
-                m_val,
-                3 * crit * mp.pi**5,
-                m_val**2,
-                5 * crit,
-                m_val**3,
-                mp.sqrt(mpf(2)),
-                mp.pi**2,
-                mp.pi ** mpf("1.5"),
-            )
-            return tuple(f._mpf_ for f in factors)
+            return m_val._mpf_, c1, (m_val**2)._mpf_, c2, (m_val**3)._mpf_, sqrt2, pi_sq, pi_15
 
     @functools.cached_property
     def nd_power(self) -> tuple:
@@ -915,10 +919,10 @@ class RatioLine:
         (`_fixed_phase`)."""
         phase = self._phases.get(p_eff)
         if phase is None:
-            sd = saddle_data(self.ratio, p_eff)
-            if sd.regime is not Regime.SUBCRITICAL:
-                raise RegimeError(f"oscillation angles require 1 <= r <= 3 + 2*sqrt(2), got r = {self.ratio}")
-            raw = sd.gamma1._mpf_, sd.gamma2._mpf_, sd.gamma3._mpf_, _two_pi(p_eff)
+            if self.regime is Regime.DEGENERATE:
+                raise RegimeError(f"saddle data requires r > 1, got r = {self.ratio}")
+            g1, g2 = gamma_angles(self.ratio, p_eff)
+            raw = g1._mpf_, g2._mpf_, half_phase_angle(self.ratio, p_eff)._mpf_, _two_pi(p_eff)
             phase = self._phases[p_eff] = raw, _fixed_phase(raw)
         return phase
 
@@ -1080,8 +1084,9 @@ CLASS2_FLOOR_FACTOR = "2.0582"
 
 def _class2_floor(lambda2: int, wp: int) -> int:
     """The least difference of clause class2-a: 702, or the first integer
-    above `CLASS2_FLOOR_FACTOR` * lambda2**(1/4) once that is certifiedly
-    larger (lambda2 and the constants at `wp` bits)."""
+    above `CLASS2_FLOOR_FACTOR` * lambda2**(1/4) once that is not certifiedly
+    smaller (lambda2 and the constants at `wp` bits): 703 where the two tie
+    within `SLACK`."""
     quarter_root = mpf_mul(
         decimal_constant(CLASS2_FLOOR_FACTOR, wp)._mpf_,
         mpf_pow(from_int(lambda2, wp, round_nearest), decimal_constant("0.25", wp)._mpf_, wp, round_nearest),
@@ -1091,9 +1096,7 @@ def _class2_floor(lambda2: int, wp: int) -> int:
     versus_702 = dyadic_compare(quarter_root, from_int(NEAR_DIAGONAL_MIN_DIFFERENCE), RAW_SLACK)
     if versus_702 is Comparison.CERTIFIED_LESS:
         return NEAR_DIAGONAL_MIN_DIFFERENCE
-    if versus_702 is Comparison.CERTIFIED_GREATER:
-        return _int_above(quarter_root, wp)
-    return NEAR_DIAGONAL_MIN_DIFFERENCE + 1
+    return _int_above(quarter_root, wp)
 
 
 def _clause_end(lambda2: int, wp: int, end: tuple, add) -> tuple:
@@ -1165,18 +1168,12 @@ def _low_end_last(d: int, c: int, t: int) -> int:
     2*c + 4*t < d.  Multiplied by 2*l2*l2 > 0, the test is
     P(l2) = (2*c + 8*t)*l2**2 - (4*t*d + 2*d*d)*l2 + d**3 < 0, and
     P(d) = d*d*(2*c + 4*t - d) < 0, so it holds from l2 = d up to the larger
-    root of P, found by `isqrt` and checked in exact integers."""
+    root x of P, exclusive.  As the middle coefficient is an integer, the
+    floors of `isqrt` and of the quotient give floor(x) exactly; that is x
+    itself when P vanishes there, and then x - 1 >= d is the last l2."""
     a, b, c0 = 2 * c + 8 * t, 4 * t * d + (d * d << FIXED_BITS + 1), d**3 << FIXED_BITS
-
-    def holds(l2: int) -> bool:
-        return (a * l2 - b) * l2 + c0 < 0
-
     l2 = (b + math.isqrt(b * b - 4 * a * c0)) // (2 * a)
-    while holds(l2 + 1):
-        l2 += 1
-    while not holds(l2):
-        l2 -= 1
-    return l2
+    return l2 if (a * l2 - b) * l2 + c0 < 0 else l2 - 1
 
 
 def _low_cut(d: int, wp: int, k: int) -> tuple[int, int]:
@@ -1196,16 +1193,17 @@ def _reach_cut(d: int, wp: int) -> tuple[int, int]:
     the reach of r = (l2 + d)/l2, `oscillatory_bound_reach` (see
     `DiffLine`).  There nd > 4, so the reach is below 16336**2 / 4**5.5
     < 130306, and l2 meets it where l2 = 16336**2 / nd**5.5: a few
-    fixed-point steps in floats from 130305 guess T, and a walk over the
-    exact reach fixes it."""
+    fixed-point steps in floats from 130305 guess T, and a walk up over the
+    exact reach fixes it.  From d = 1841 on, first > 130306 lies above the
+    reach, and the guess is first, which is T; below, the guess lies at most
+    0.03 above T (the tests check every d), so its integer part is never
+    past T."""
     first = d * d // NEAR_DIAGONAL_GATE + 1
     guess = float(max(first, 130305))
     for _ in range(5):
         y = d / guess
         guess = max(first, OSCILLATORY_BOUND_CONSTANT**2 / (4 + 4 * y - y * y) ** 5.5)
     t = int(guess)
-    while t > first and t - 1 > _oscillatory_reach(t - 1 + d, t - 1):
-        t -= 1
     while t <= _oscillatory_reach(t + d, t):
         t += 1
     return t - 1, t
@@ -1485,6 +1483,12 @@ class DiffLine:
         if margin is not None:
             return margin or None
         bound = _near_diagonal_bound(self.d, l2, self.wp)[0]
+        # No pair reaches this return.  The kernel finds no window only where
+        # d is not certifiedly below the flat edge sqrt(8*pi*l2), so where
+        # q = d*d/(4*l2) > 2*pi - 4*pi*SLACK/d, less roundings far below
+        # SLACK.  For d >= 702 that lies above 2*pi - SLACK, where every
+        # window of the cosine lower bound has ended and every band of its
+        # thresholds lies below, so `lower_enclosure` was None.
         if bound is None:
             return None
         lower = _cos_lower_bound(l1, l2, self.wp)
@@ -1585,7 +1589,8 @@ def predict(pair: PartitionPair, prec: int = DEFAULT_PRECISION) -> Prediction:
         sd = saddle_data(r, prec)
         bound = supercritical_error_bound(r, lam, prec)
         with workprec(prec + GUARD_BITS):
-            log_norm = mp.log(2 * mp.pi * lam * sd.M) / 2 - lam * sd.f_rho
+            f_rho = rational_to_real(r, prec + GUARD_BITS) * mp.log(1 + sd.rho) + mp.log(1 - sd.rho) - mp.log(sd.rho)
+            log_norm = mp.log(2 * mp.pi * lam * sd.M) / 2 - lam * f_rho
         return Prediction(pair, regime, mpf(1), bound, True, "sqrt(2*pi*lam*M) / exp(lam*f(rho))", log_norm)
     bound, threshold = oscillatory_error_bound(r, lam, prec)
     osc_valid = certified_compare(lam, threshold, SLACK) is Comparison.CERTIFIED_GREATER
@@ -1610,6 +1615,8 @@ def scaled_exact_value(pair: PartitionPair, prediction: Prediction, prec: int = 
     value = evaluate(pair).value
     if pair.lambda2 % 2:
         value = -value
+    # no test reaches this: a zero at r > 1 would be a counterexample to the
+    # conjecture that the certificates test
     if value == 0:
         return mpf(0)
     with workprec(prec + GUARD_BITS):

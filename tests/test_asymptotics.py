@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
-from mpmath.libmp import from_int, from_man_exp, round_nearest
+from mpmath.libmp import fone, from_int, from_man_exp, round_nearest
 
 from binsum import asymptotics
 from binsum.asymptotics import (
@@ -15,12 +15,14 @@ from binsum.asymptotics import (
     OSCILLATORY_BOUND_CONSTANT,
     RatioLine,
     Regime,
+    SaddleData,
     RegimeError,
     classify,
     cos_lower_bound,
     critical_boundary_constants,
     gamma_angles,
     gamma_cubic_bounds,
+    half_phase_angle,
     near_diagonal_error_bound,
     negated_discriminant,
     normalized_residual,
@@ -46,6 +48,7 @@ from binsum.asymptotics import (
     _reduced_cosine,
     _rounded53,
     _supercritical_bound,
+    _supercritical_constants,
     _two_pi,
     window_edge,
 )
@@ -56,10 +59,13 @@ from binsum.numerics import (
     SLACK,
     Comparison,
     certified_compare,
+    certified_margin,
     rational_to_real,
 )
 
-RATIO_CACHES = (saddle_data, gamma_angles, ratio_line)
+# the caches that the constants of a ratio pass through: its saddle, its
+# line, and the factors of the supercritical bound kept per precision
+RATIO_CACHES = (saddle_data, ratio_line, _supercritical_constants)
 
 
 def test_classification_is_exact():
@@ -105,11 +111,21 @@ def test_classify_is_the_sign_of_the_discriminant(r):
 
 def test_saddle_data_supercritical_r6_closed_form():
     sd = saddle_data(Fraction(6), 128)
+    log_norm = predict(PartitionPair(6, 1), 128).log_normalizer
     with workprec(160):
         assert abs(sd.rho - mpf(1) / 3) < mpf(2) ** -100
         assert abs(sd.M - mpf(3) / 8) < mpf(2) ** -100
+        # the normalizer is sqrt(2*pi*lam*M) / exp(lam*f(rho)), here at lam = 1
+        f_rho = mp.log(2 * mp.pi * sd.M) / 2 - log_norm
         expected = 6 * mp.log(mpf(4) / 3) + mp.log(mpf(2))
-        assert abs(sd.f_rho - expected) < mpf(2) ** -100
+        assert abs(f_rho - expected) < mpf(2) ** -100
+
+
+def test_saddle_data_holds_the_saddle_alone():
+    assert SaddleData._fields == ("r", "regime", "prec", "rho", "M", "alpha", "beta")
+    sub, sup = saddle_data(Fraction(2), 128), saddle_data(Fraction(6), 128)
+    assert sub.M is None and None not in (sub.rho, sub.alpha, sub.beta)
+    assert sup.alpha is sup.beta is None and None not in (sup.rho, sup.M)
 
 
 def test_saddle_data_rejects_degenerate():
@@ -141,13 +157,13 @@ def test_subcritical_angles_and_identities():
         num = rng.randrange(101, 582)
         r = Fraction(num, 100)
         sd = saddle_data(r, 128)
+        gamma3 = half_phase_angle(r, 128)
         with workprec(160):
             rm = mpf(r.numerator) / r.denominator
             assert abs(mp.cos(sd.alpha) - (rm - 1) / (2 * mp.sqrt(rm))) < mpf(2) ** -100
             assert abs(mp.cos(sd.alpha) ** 2 + mp.sin(sd.alpha) ** 2 - 1) < mpf(2) ** -100
             # gamma3 comes from the sine form, beta from the cosine form
-            assert abs(sd.gamma3 - sd.beta / 2) < mpf(2) ** -100
-            assert abs(sd.g_alpha - (rm + 1) / 2 * mp.log(2)) < mpf(2) ** -100
+            assert abs(gamma3 - sd.beta / 2) < mpf(2) ** -100
 
 
 def test_gamma_angles_at_one():
@@ -417,9 +433,9 @@ def test_predict_subcritical_main_term():
     p = predict(pair)
     assert p.regime is Regime.SUBCRITICAL
     g1, g2 = gamma_angles(Fraction(2), 160)
-    sd = saddle_data(Fraction(2), 160)
+    gamma3 = half_phase_angle(Fraction(2), 160)
     with workprec(200):
-        angle = (2 * g1 + g2) * 100 + sd.gamma3
+        angle = (2 * g1 + g2) * 100 + gamma3
         assert abs(p.normalized_main - mp.cos(angle)) < mpf(2) ** -60
     assert p.valid
     assert abs(p.threshold - mpf("26.0643344493")) < mpf("1e-9")
@@ -440,7 +456,7 @@ def test_oscillation_cosine_half_phase_adds_gamma3_and_needs_subcritical():
     _, plain = oscillation_cosine(pair, 128, half_phase=False)
     _, half = oscillation_cosine(pair, 128, half_phase=True)
     with workprec(160):
-        shift = half - plain - saddle_data(Fraction(2), 128).gamma3
+        shift = half - plain - half_phase_angle(Fraction(2), 128)
         assert abs(shift - 2 * mp.pi * mp.nint(shift / (2 * mp.pi))) < mpf("1e-30")
     for half_phase in (False, True):
         with pytest.raises(RegimeError):
@@ -453,9 +469,10 @@ def test_oscillation_cosine_holds_its_angle_at_lambda_two_to_the_100_and_precisi
     lam = 2**100 + 12345
     pair = PartitionPair(2 * lam + 1, lam)
     cosv, _ = oscillation_cosine(pair, 53)
+    g1, g2 = gamma_angles(pair.ratio, 400)
+    gamma3 = half_phase_angle(pair.ratio, 400)
     with workprec(400):
-        sd = saddle_data(pair.ratio, 400)
-        reference = mp.cos(pair.lambda1 * sd.gamma1 + pair.lambda2 * sd.gamma2 + sd.gamma3)
+        reference = mp.cos(pair.lambda1 * g1 + pair.lambda2 * g2 + gamma3)
         assert abs(cosv - reference) < mpf(2) ** -40
 
 
@@ -756,10 +773,12 @@ def test_supercritical_bound_drops_its_tail_only_past_the_stated_cutoff(r, prec,
 @settings(max_examples=200, deadline=None)
 def test_subcritical_caches_are_bit_identical(r, lam, prec, other_prec):
     def compute():
-        return saddle_data(r, prec), gamma_angles(r, prec), oscillatory_error_bound(r, lam, prec)
+        phase = ratio_line(r.numerator, r.denominator, prec).phase(prec)[0]
+        return saddle_data(r, prec), phase, oscillatory_error_bound(r, lam, prec)
 
     got = _cold_and_warm(r, prec, other_prec, compute)
-    uncached = (saddle_data.__wrapped__(r, prec), gamma_angles.__wrapped__(r, prec), _reference_oscillatory_bound(r, lam, prec))
+    phase = (*gamma_angles(r, prec), half_phase_angle(r, prec), mp.make_mpf(_two_pi(prec)))
+    uncached = (saddle_data.__wrapped__(r, prec), phase, _reference_oscillatory_bound(r, lam, prec))
     assert got == _bits(uncached)
 
 
@@ -782,12 +801,10 @@ def _reference_oscillation_cosine(pair, prec, half_phase):
     """`oscillation_cosine` in mpf arithmetic, as (cosine bits, angle bits)."""
     p_eff = max(prec, 96 + pair.lambda1.bit_length() + 32)
     with workprec(p_eff + GUARD_BITS):
+        g1, g2 = gamma_angles(pair.ratio, p_eff)
+        angle = pair.lambda1 * g1 + pair.lambda2 * g2
         if half_phase:
-            sd = saddle_data(pair.ratio, p_eff)
-            angle = pair.lambda1 * sd.gamma1 + pair.lambda2 * sd.gamma2 + sd.gamma3
-        else:
-            g1, g2 = gamma_angles(pair.ratio, p_eff)
-            angle = pair.lambda1 * g1 + pair.lambda2 * g2
+            angle += half_phase_angle(pair.ratio, p_eff)
         two_pi = 2 * mp.pi
         angle -= two_pi * mp.floor(angle / two_pi + mpf(0.5))
         return mp.cos(angle)._mpf_, angle._mpf_
@@ -923,6 +940,27 @@ def test_head_enclosure_holds_the_supercritical_kernel(ratio, prec, near_tail, o
         lo, hi = enclosure
         assert lo <= _units(line.supercritical_bound(lam)) <= hi
         assert hi - lo <= 2 ** (FIXED_BITS - 52)
+
+
+# at 53 bits the cancellation in 1 - 2*rho - rho**2 leaves M of this ratio
+# no correct bit, not even its sign (ROADMAP item 16)
+@pytest.mark.parametrize("offset", (1, 50))
+@pytest.mark.parametrize("prec", (128, 256))
+def test_head_constants_have_no_tail_where_m_underflows_the_scale(prec, offset):
+    # within 10**-60 and 5*10**-59 of 3 + 2*sqrt(2), M is 0.07 and 0.66
+    # units of 2**-FIXED_BITS: the rate of the exponential term, then M
+    # itself, rounds below one unit.  The line has no tail cutoff, so its
+    # margin is the kernel's at every lam
+    r = _near_threshold(60, offset)
+    line = RatioLine(r.numerator, r.denominator, prec)
+    assert 0 < _units(line.supercritical_factors[0]) < 1
+    head, tail = _head_constants(line.supercritical_factors, prec + GUARD_BITS)
+    assert tail is None and head >= 1
+    for lam in (1, 10**50, 10**100, 10**120):
+        assert line.head_enclosure(lam) is None
+        bound = line.supercritical_bound(lam)
+        assert bound == _reference_supercritical_bound(r, lam, prec)._mpf_
+        assert line.supercritical_margin(lam) == certified_margin(fone, bound)
 
 
 @given(ratio=_line_ratios(Regime.SUBCRITICAL), prec=st.integers(53, 256), lam=st.integers(1, 2**60))

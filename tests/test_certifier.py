@@ -314,6 +314,21 @@ def test_class2_floor_is_702_up_to_its_pinned_lambda2():
     assert asymptotics._class2_floor(13_533_126_865, wp) == 703
 
 
+@pytest.mark.parametrize("prec", (53, 128, 256))
+def test_class2_floor_is_703_where_its_quarter_root_ties_702(prec, monkeypatch):
+    # no integer lambda2 puts 2.0582 * lambda2**(1/4) within SLACK of 702
+    # (at 13,533,126,864 it is 1.6e-9 below, at the next integer 1.1e-8
+    # above), so the tie is forced here: the first integer certifiedly above
+    # a value within SLACK of 702 is 703
+    wp = prec + GUARD_BITS
+    for offset in (-SLACK, -SLACK / 2, 0, SLACK / 2, SLACK):
+        with workprec(wp):
+            tie = (mpf(702) + offset)._mpf_
+        assert dyadic_compare(tie, from_int(702), RAW_SLACK) is Comparison.INDETERMINATE
+        monkeypatch.setattr(asymptotics, "mpf_mul", lambda *args: tie)
+        assert asymptotics._class2_floor(13_533_126_864, wp) == 703
+
+
 def test_difference_windows_tiny_lambda2():
     # at lambda2 = 1 the class-3 first window is empty (sqrt(pi) - 1.1958 < 1)
     clauses = {w.clause for w in difference_windows(1)}
@@ -596,6 +611,82 @@ def test_diff_line_chooses_row_or_flat_as_the_per_pair_walk(d, lambda2, detail, 
         assert asymptotics._edge_compare(d, lambda2, wp, 0) is Comparison.INDETERMINATE
 
 
+def test_diff_line_row_is_open_in_the_band_of_an_edge_against_d_minus_slack():
+    # at d = 2**54 the pi enclosure widens each band of edge 1 to some 400
+    # lambda2, and edge 1 passes d - SLACK some 21,000 lambda2 before it
+    # passes d + SLACK.  In the band of the first, edge 1 lies certainly
+    # below d + SLACK but open against d - SLACK, and the kernel's walk
+    # switches there from row 2 to the flat bound
+    d, wp = 2**54, 128 + GUARD_BITS
+    line = DiffLine(d, wp)
+    less, greater = asymptotics._ROW_KEYS[0]
+    crossing = _crossing(("edge", 1, -1), d)
+    details = set()
+    for l2 in range(crossing - 3, crossing + 4):
+        assert (line._side(less, l2), line._side(greater, l2), line._row(l2)) == (-1, 0, -1), l2
+        assert line.bound_enclosure(l2) == asymptotics._OPEN
+        details.add(_near_diagonal_bound(d, l2, wp)[1])
+        l1 = l2 + d
+        assert line.near_diagonal_margin(l1, l2) == _kernel_margin(l1, l2, wp), l2
+    assert details == {"row2", "flat"}
+
+
+@pytest.mark.parametrize("d", (702, 703, 1000, 1001, 2**30, 2**30 + 1, 2**50, 2**50 + 1))
+@pytest.mark.parametrize("prec", (53, 128, 256))
+def test_no_cosine_window_is_open_where_the_near_diagonal_kernel_finds_none(d, prec):
+    # the kernel finds no window once d is not certifiedly below the flat
+    # edge sqrt(8*pi*l2); there q = d*d/(4*l2) lies above every window and
+    # every threshold band of the cosine lower bound, so the near-diagonal
+    # step ends before it needs the kernel's bound.  Around the flat edge and
+    # the band of the last cosine window's end, for both classes of the line
+    wp = prec + GUARD_BITS
+    line = DiffLine(d, wp)
+    flat = _crossing(("edge", 8, -1), d)
+    end = _crossing(("quarter", 8), d)
+    kernel_none = 0
+    for l2 in (*range(flat - 4, flat + 5), *range(end - 4, end + 5)):
+        if _near_diagonal_bound(d, l2, wp)[0] is None:
+            kernel_none += 1
+            assert line.lower_enclosure(l2 + d, l2) is None, l2
+            assert asymptotics._cos_lower_bound(l2 + d, l2, wp) is None, l2
+            assert line.near_diagonal_margin(l2 + d, l2) is None
+    assert kernel_none >= 4
+
+
+@given(
+    d=st.integers(702, 2**60),
+    c=st.integers(1, 2**200),
+    t=st.integers(1, 2**200),
+)
+@example(d=702, c=(3 * 702 << FIXED_BITS - 3) - 3, t=1)
+@example(d=2**40 + 1, c=3 * asymptotics.PI_FLOOR, t=asymptotics._FIXED_SLACK)
+@settings(max_examples=300, deadline=None)
+def test_low_end_last_is_the_last_lambda2_of_its_inequality(d, c, t):
+    # c/(2*(3 - r)) + t < q, r = (l2 + d)/l2, q = d*d/(4*l2), in units of
+    # 2**-FIXED_BITS; the precondition 2*c + 4*t < d puts l2 = d inside.
+    # The first example puts the larger root of the quadratic at 2*d exactly
+    c = (c - 1) % (((d << FIXED_BITS) - 6) // 2) + 1
+    t = (t - 1) % (((d << FIXED_BITS) - 2 * c - 1) // 4) + 1
+
+    def holds(l2):
+        return Fraction(c * l2, 2 * (2 * l2 - d)) + t < Fraction(d * d << FIXED_BITS, 4 * l2)
+
+    last = asymptotics._low_end_last(d, c, t)
+    assert last >= d and holds(d) and holds(last) and not holds(last + 1)
+    if c == (3 * d << FIXED_BITS - 3) - 3 and t == 1:
+        assert last == 2 * d - 1
+
+
+def test_reach_cut_is_the_first_lambda2_past_the_reach_for_every_difference():
+    # from d = 1841 on the gate starts past every reach (< 130306); below
+    # it, the float guess lies at most 0.03 above the first lambda2 past the
+    # reach, so the walk up from its integer part finds that lambda2
+    for d in range(702, 1850):
+        t = _reach_crossing(d)
+        assert asymptotics._reach_cut(d, 128 + GUARD_BITS) == (t - 1, t), d
+        assert (t == d * d // 26 + 1) is (d >= 1769), d
+
+
 class _RowLine(DiffLine):
     """A `DiffLine` whose walk takes the given row at every lambda2."""
 
@@ -804,11 +895,25 @@ def test_difference_scan_never_computes_the_oscillatory_threshold(monkeypatch):
     assert sorted(q for q, prec in conversions if prec == wp) == expected
 
 
+def test_a_subcritical_one_pair_verdict_builds_no_saddle_data(monkeypatch):
+    # the oscillatory step reads the phase angles and the half phase, not the
+    # saddle: with `saddle_data` failing, the pair keeps its verdict and margin
+    pair = PartitionPair(203001, 200001)
+    expected = certify(pair)
+    assert expected.kind is CertificateKind.NONZERO_OSCILLATORY
+
+    def no_saddle(*args, **kwargs):
+        raise AssertionError("saddle_data was called")
+
+    monkeypatch.setattr(asymptotics, "saddle_data", no_saddle)
+    assert certify(pair) == expected
+
+
 def test_scan_with_ratio_caches_equals_uncached_pairs():
     caches = (
         asymptotics.saddle_data,
-        asymptotics.gamma_angles,
         asymptotics.ratio_line,
+        asymptotics._supercritical_constants,
         asymptotics.diff_line,
     )
     for rule in (RatioRule(Fraction(6)), RatioRule(Fraction(2)), DiffRule(800)):

@@ -7,6 +7,7 @@ from binsum import cli, validators
 from binsum.asymptotics import (
     RegimeError,
     cos_lower_bound,
+    half_phase_angle,
     near_diagonal_error_bound,
     oscillation_cosine,
     oscillatory_error_bound,
@@ -32,6 +33,14 @@ CHECKS = {
     "cosine-supercritical": (
         lambda: oscillation_cosine(PartitionPair(6, 1)),
         r"^oscillation angles require 1 <= r <= 3 \+ 2\*sqrt\(2\), got r = 6$",
+    ),
+    "half-phase-supercritical": (
+        lambda: half_phase_angle(6),
+        r"^oscillation angles require 1 <= r <= 3 \+ 2\*sqrt\(2\), got r = 6$",
+    ),
+    "half-phase-below-1": (
+        lambda: half_phase_angle(0.5),
+        r"^oscillation angles require 1 <= r <= 3 \+ 2\*sqrt\(2\), got r = 1/2$",
     ),
     "diagonal-negative": (lambda: eval_diagonal(-1), "lambda must be nonnegative"),
     "polynomial-empty": (lambda: IntPolynomial(()), "coefficient list must be nonempty"),

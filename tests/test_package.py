@@ -15,7 +15,7 @@ EXPORTS = {
     "asymptotics": (
         "NearDiagonalBound", "Prediction", "Regime", "RegimeError", "SaddleData", "classify",
         "cos_lower_bound", "critical_boundary_constants", "gamma_angles", "gamma_cubic_bounds",
-        "near_diagonal_error_bound", "normalized_residual", "oscillatory_error_bound", "predict",
+        "half_phase_angle", "near_diagonal_error_bound", "normalized_residual", "oscillatory_error_bound", "predict",
         "saddle_data", "supercritical_error_bound", "supercritical_error_bound_refined",
     ),
     "certifier": (
@@ -34,7 +34,7 @@ EXPORTS = {
 
 
 def test_every_export_is_its_submodules_object():
-    assert sum(map(len, EXPORTS.values())) == 55
+    assert sum(map(len, EXPORTS.values())) == 56
     for module, names in EXPORTS.items():
         source = importlib.import_module(f"binsum.{module}")
         assert getattr(binsum, module) is source

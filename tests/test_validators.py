@@ -366,7 +366,6 @@ def test_a_validate_pass_computes_each_saddle_constant_once():
     # ratio ranges, two of them shared by several lemmas); a shared range is
     # reused within about 20 keys, so the ratio cache computes each key once
     asymptotics.saddle_data.cache_clear()
-    asymptotics.gamma_angles.cache_clear()
     keys = set()
     for lemma_id in LEMMA_IDS:
         keys.update(default_r_grid(lemma_id, 10))
