@@ -15,8 +15,8 @@ from binsum.asymptotics import (
     OSCILLATORY_BOUND_CONSTANT,
     RatioLine,
     Regime,
-    SaddleData,
     RegimeError,
+    SaddleData,
     classify,
     cos_lower_bound,
     critical_boundary_constants,
@@ -943,7 +943,7 @@ def test_head_enclosure_holds_the_supercritical_kernel(ratio, prec, near_tail, o
 
 
 # at 53 bits the cancellation in 1 - 2*rho - rho**2 leaves M of this ratio
-# no correct bit, not even its sign (ROADMAP item 16)
+# no correct bit, not even its sign (ROADMAP item 20)
 @pytest.mark.parametrize("offset", (1, 50))
 @pytest.mark.parametrize("prec", (128, 256))
 def test_head_constants_have_no_tail_where_m_underflows_the_scale(prec, offset):

@@ -15,8 +15,8 @@ EXPORTS = {
     "asymptotics": (
         "NearDiagonalBound", "Prediction", "Regime", "RegimeError", "SaddleData", "classify",
         "cos_lower_bound", "critical_boundary_constants", "gamma_angles", "gamma_cubic_bounds",
-        "half_phase_angle", "near_diagonal_error_bound", "normalized_residual", "oscillatory_error_bound", "predict",
-        "saddle_data", "supercritical_error_bound", "supercritical_error_bound_refined",
+        "half_phase_angle", "near_diagonal_error_bound", "normalized_residual", "oscillatory_error_bound",
+        "predict", "saddle_data", "supercritical_error_bound", "supercritical_error_bound_refined",
     ),
     "certifier": (
         "AllUpToRule", "Certificate", "CertificateKind", "DiffRule", "DifferenceWindow", "ListRule",
