@@ -99,12 +99,11 @@ POOL_MIN_WORK = 6 * 10**7
 # 115 against 100 ms, of 24,000 pairs 262 against 247 ms.  At 2,500 units a
 # pair a line's first 24,000 cascade pairs run in this process, and only the
 # pairs after them go to the pool.  Past them it does not pay on a ratio-2
-# line of 48,000 pairs (l2 = 100000..147999: a median 0.600 s at parallelism
-# 1 against 0.649 s at 2, five alternating fresh processes each), and it
-# gains 3 % on a difference line whose pairs past the reach cost about
-# 150 us each (--diff 1500 over l2 = 100000..159999: 6.74 against 6.52 s,
-# three each), measured on the 2-core Xeon while it gave two busy processes
-# half speed each, one core's worth in all.
+# line of 48,000 pairs (l2 = 100000..147999: a median 0.748 s at parallelism
+# 1 against 0.794 s at 2, five alternating fresh processes each), and it
+# pays 1.7 times on a difference line whose pairs past the reach cost about
+# 150 us each (--diff 1500 over l2 = 100000..159999: 8.39 against 4.86 s,
+# three each).
 CASCADE_PAIR_COST = 2500
 # A scan takes its rows in chunks, each closed once it holds CHUNK_PAIRS
 # pairs or CHUNK_WORK cost units, and a pool keeps at most
