@@ -70,6 +70,11 @@ differs from its twin at 1.  The set covers:
   decides, and the lambda1 list of the ratios 3/2, 2, 3 and 6 on one
   lambda2; and `predict` of one subcritical and one supercritical pair; each
   at --precision 53, 128 and 200, in jsonl, csv and human;
+* pairs next to 3 + 2*sqrt(2), where the saddle constants are computed
+  from ratios that tend to the threshold: one 61-digit ratio just above it
+  at lambda2 = 10**80, at --precision 53 and 128; a 33-digit ratio above it
+  at lambda2 near 10**100; and `certify` and `predict` of a 31-digit ratio
+  below it, past its oscillatory reach; in jsonl, csv and human;
 * `predict` and `plotdata` of difference 800 across lambda2 = 800**2/(8*pi)
   ~ 25,465, where `predict` switches from the oscillatory bound to the
   near-diagonal bound, `predict` in jsonl and human and `plotdata` in every
@@ -96,6 +101,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import math
 import shlex
 import sys
 from pathlib import Path
@@ -289,6 +295,38 @@ SADDLE_COMMANDS = (
     ("predict", "300007", "100001"),
     ("predict", "700003", "100001"),
 )
+
+
+def _sqrt2_convergent(digits: int, side: int) -> tuple[int, int]:
+    """The first convergent p/q of sqrt(2) whose q has `digits` digits and
+    p**2 - 2*q**2 = side, so p/q lies above sqrt(2) for side 1 and below it
+    for -1.  At a = 3q + 2p and b = q, 6ab - a**2 - b**2 = -4*side: the
+    ratio a/b lies just past 3 + 2*sqrt(2) for side 1 and short of it for -1."""
+    p, q = 1, 1
+    while len(str(q)) < digits or p * p - 2 * q * q != side:
+        p, q = p + 2 * q, p + q
+    return p, q
+
+
+def near_threshold_commands() -> list[tuple[str, ...]]:
+    """Commands on pairs next to 3 + 2*sqrt(2).  lambda1/lambda2 =
+    (floor((3 + 2*sqrt(2))*10**60) + 1)/10**60 at lambda2 = 10**80, at
+    --precision 53 and 128; the ratio of `_sqrt2_convergent(33, 1)` at the
+    first multiple of its q past 10**100; and the ratio of
+    `_sqrt2_convergent(31, -1)` at lambda2 = q*k for k = floor(10**4 *
+    reach/q) + 1, with reach = `oscillatory_bound_reach` of its
+    nd = 4/q**2, through `certify` and `predict`."""
+    a = 3 * 10**60 + math.isqrt(8 * 10**120) + 1
+    out = [("--precision", precision, "certify", str(a * 10**20), str(10**80)) for precision in ("53", "128")]
+    p, q = _sqrt2_convergent(33, 1)
+    k = 10**100 // q + 1
+    out.append(("certify", str((3 * q + 2 * p) * k), str(q * k)))
+    p, q = _sqrt2_convergent(31, -1)
+    k = 10**4 * math.isqrt(16336**4 * q**22 // 4**11) // q + 1
+    out.extend((command, str((3 * q + 2 * p) * k), str(q * k)) for command in ("certify", "predict"))
+    return out
+
+
 # difference 800 enters the flat window sqrt(8*pi*lambda2) at lambda2 =
 # 25465: below it `predict` takes the oscillatory bound, from it on the
 # near-diagonal bound of row 8
@@ -424,6 +462,8 @@ def commands() -> list[list[str]]:
     for argv in SADDLE_COMMANDS:
         for precision in ("53", "128", "200"):
             out.extend(["--format", fmt, "--precision", precision, *argv] for fmt in FORMATS)
+    for argv in near_threshold_commands():
+        out.extend(["--format", fmt, *argv] for fmt in FORMATS)
     for l1, l2 in NEAR_DIAGONAL_SWITCH_PAIRS:
         out.extend(["--format", fmt, "predict", str(l1), str(l2)] for fmt in ("jsonl", "human"))
     out.extend(["--format", fmt, *NEAR_DIAGONAL_SWITCH_PLOT] for fmt in FORMATS)
