@@ -38,12 +38,17 @@ bit for bit, and none depends on the ambient mpmath precision.
 
 Each constant is built once, by the code that reads it.  `saddle_data`
 holds the saddle alone: rho and the curvature M of a supercritical ratio,
-which its bounds read, or rho, the saddle angle alpha and the curvature
-phase beta of a subcritical one, which the validators read.  The phase
-angles gamma1 and gamma2 come from `gamma_angles` and the half phase gamma3
-from `half_phase_angle`; `predict` builds f(rho), the exponent of its
-supercritical normalizer; the factors of the supercritical bound that depend
-on the precision alone are kept per working precision
+which its bounds read, or rho and the saddle angle alpha of a subcritical
+one, which the validators read.  The phase angles gamma1 and gamma2 come
+from `gamma_angles` and the half phase gamma3 from `half_phase_angle`.
+Each of them but the subcritical rho = 1/sqrt(r) is a closed form in
+r = a/b and one square root, that of the integer numerator
+N = 6ab - a**2 - b**2 of `negated_discriminant` (`_discriminant_root`): a
+quotient of positive terms or an atan2, with no arccosine of a quotient
+that tends to 1 and no difference that cancels, so each keeps the working
+precision up to 3 + 2*sqrt(2).  `predict` builds f(rho), the exponent of
+its supercritical normalizer; the factors of the supercritical bound that
+depend on the precision alone are kept per working precision
 (`_supercritical_constants`).
 
 What depends only on the ratio lives in one object, a `RatioLine` of the
@@ -240,10 +245,10 @@ class SaddleData(NamedTuple):
     """The saddle of one ratio r > 1, at a recorded precision.
 
     Supercritical fields: rho (the real saddle) and the curvature
-    M = rho**2 f''(rho) > 0.  Subcritical fields: rho = 1/sqrt(r), the
-    saddle angle alpha and the curvature phase beta.  Fields of the other
-    regime are None.  The constants built from these are built by the code
-    that reads them (see the module docstring).
+    M = rho**2 f''(rho) > 0.  Subcritical fields: rho = 1/sqrt(r) and the
+    saddle angle alpha.  Fields of the other regime are None.  The
+    constants built from these are built by the code that reads them (see
+    the module docstring).
     """
 
     r: Fraction
@@ -252,12 +257,15 @@ class SaddleData(NamedTuple):
     rho: mpf
     M: mpf | None = None
     alpha: mpf | None = None
-    beta: mpf | None = None
 
 
-def _sqrt_fraction(q: Fraction) -> mpf:
-    """sqrt of an exact nonnegative rational at the ambient precision."""
-    return mp.sqrt(mpf(q.numerator) / mpf(q.denominator))
+def _discriminant_root(r: Fraction) -> tuple[int, int, mpf]:
+    """(a, b, sqrt(|N|)) for r = a/b in lowest terms and the numerator
+    N = 6ab - a**2 - b**2 of `negated_discriminant(r)` = N/b**2 (N and b are
+    coprime, as a and b are), so that the square root of nd, or of -nd
+    above 3 + 2*sqrt(2), is sqrt(|N|)/b.  The root is taken at the ambient
+    precision, after one rounding of N."""
+    return r.numerator, r.denominator, mp.sqrt(abs(negated_discriminant(r).numerator))
 
 
 def _oscillation_ratio(r: Fraction, prec: int) -> Fraction:
@@ -272,47 +280,60 @@ def _oscillation_ratio(r: Fraction, prec: int) -> Fraction:
 def gamma_angles(r: Fraction, prec: int = DEFAULT_PRECISION) -> tuple[mpf, mpf]:
     """The oscillation angles gamma1 = arccos((3r-1)/(2*sqrt(2)*r)) and
     gamma2 = -arccos((r-3)/(2*sqrt(2))), defined for 1 <= r <= 3 + 2*sqrt(2).
+
+    With t = sqrt(nd), nd = 6r - 1 - r**2, the sines of the two arccosines
+    are t/(2*sqrt(2)*r) and t/(2*sqrt(2)), so gamma1 = atan2(t, 3r - 1) and
+    gamma2 = -atan2(t, r - 3); scaled by b for r = a/b, the arguments are
+    the integers 3a - b and a - 3b and the root of `_discriminant_root`.
+    Each argument is within two roundings of exact, and atan2 is well
+    conditioned in both, so the angles keep the working precision up to
+    3 + 2*sqrt(2), where an arccosine of a quotient that tends to 1 would
+    lose its bits.
     """
     r = _oscillation_ratio(r, prec)
     with workprec(prec + GUARD_BITS):
-        sqrt2 = mp.sqrt(mpf(2))
-        a1 = rational_to_real(3 * r - 1, prec + GUARD_BITS) / (2 * sqrt2 * rational_to_real(r, prec + GUARD_BITS))
-        a2 = rational_to_real(r - 3, prec + GUARD_BITS) / (2 * sqrt2)
-        # rounding can push an endpoint argument infinitesimally past 1
-        a1 = min(max(a1, mpf(-1)), mpf(1))
-        a2 = min(max(a2, mpf(-1)), mpf(1))
-        return mp.acos(a1), -mp.acos(a2)
+        a, b, root = _discriminant_root(r)
+        return mp.atan2(root, 3 * a - b), -mp.atan2(root, a - 3 * b)
 
 
 def half_phase_angle(r: Fraction, prec: int = DEFAULT_PRECISION) -> mpf:
-    """The half phase gamma3 = beta/2 = arcsin((r-1)**2/(4r))/2 of the
-    subcritical main term, defined where `gamma_angles` is."""
+    """The half phase gamma3 = beta/2 of the subcritical main term, defined
+    where `gamma_angles` is, for the curvature phase beta of
+    4r*(cos(beta), sin(beta)) = ((r+1)*sqrt(nd), (r-1)**2): so
+    gamma3 = atan2((a-b)**2, (a+b)*sqrt(N))/2 for r = a/b and the root of
+    `_discriminant_root`, at the working precision up to 3 + 2*sqrt(2)."""
     r = _oscillation_ratio(r, prec)
     with workprec(prec + GUARD_BITS):
-        sin_beta = rational_to_real((r - 1) ** 2 / (4 * r), prec + GUARD_BITS)
-        return mp.asin(min(max(sin_beta, mpf(-1)), mpf(1))) / 2
+        a, b, root = _discriminant_root(r)
+        return mp.atan2((a - b) ** 2, (a + b) * root) / 2
 
 
 @functools.lru_cache(maxsize=RATIO_CACHE_SIZE)
 def saddle_data(r: Fraction, prec: int = DEFAULT_PRECISION) -> SaddleData:
-    """The saddle of the regime of r (r > 1): rho and M, or rho, alpha and beta."""
+    """The saddle of the regime of r (r > 1): rho and M, or rho and alpha.
+
+    Each but the subcritical rho = 1/sqrt(r) is a closed form in r = a/b and
+    the root of `_discriminant_root` whose terms are all positive, so
+    nothing cancels and each keeps the working precision up to
+    3 + 2*sqrt(2).  Above it, with s = sqrt(-nd) = sqrt(|N|)/b:
+    rho = (r - 1 - s)/(2r) = 2/(r - 1 + s), as (r - 1)**2 - s**2 = 4r, and
+    M = (1 - 2*rho - rho**2)/((1 + rho)*(1 - rho)**2) = 4rs/(r + 1 + s)**2,
+    as 1 - 2*rho - rho**2 = s*(3r - 1 - s)/(2r**2) and
+    (1 + rho)*(1 - rho)**2 = (3r - 1 - s)*(r + 1 + s)**2/(8r**3).  Below
+    it, with t = sqrt(nd), 2*sqrt(r)*(cos(alpha), sin(alpha)) = (r - 1, t),
+    so alpha = atan2(t, r - 1)."""
     check_precision(prec)
     r = Fraction(r)
     regime = classify(r)
     if regime is Regime.DEGENERATE:
         raise RegimeError(f"saddle data requires r > 1, got r = {r}")
     with workprec(prec + GUARD_BITS):
-        rm = rational_to_real(r, prec + GUARD_BITS)
+        a, b, root = _discriminant_root(r)
         if regime is Regime.SUPERCRITICAL:
-            rho = (rm - 1 - _sqrt_fraction(-negated_discriminant(r))) / (2 * rm)
-            m_val = (1 - 2 * rho - rho**2) / ((1 + rho) * (1 - rho) ** 2)
+            rho, m_val = 2 * b / (a - b + root), 4 * a * root / (a + b + root) ** 2
             return SaddleData(r=r, regime=regime, prec=prec, rho=rho, M=m_val)
-        rho = 1 / _sqrt_fraction(r)
-        cos_alpha = rational_to_real(r - 1, prec + GUARD_BITS) / (2 * _sqrt_fraction(r))
-        alpha = mp.acos(min(max(cos_alpha, mpf(-1)), mpf(1)))
-        cos_beta = rational_to_real(r + 1, prec + GUARD_BITS) * _sqrt_fraction(negated_discriminant(r)) / (4 * rm)
-        beta = mp.acos(min(max(cos_beta, mpf(-1)), mpf(1)))
-        return SaddleData(r=r, regime=regime, prec=prec, rho=rho, alpha=alpha, beta=beta)
+        rho = 1 / mp.sqrt(mpf(a) / mpf(b))
+        return SaddleData(r=r, regime=regime, prec=prec, rho=rho, alpha=mp.atan2(root, a - b))
 
 
 def critical_boundary_constants(prec: int = DEFAULT_PRECISION) -> tuple[mpf, mpf]:
@@ -387,7 +408,10 @@ def quartic_kernel(rho: tuple, wp: int) -> Callable[[tuple], tuple]:
     once, here."""
     one_plus, one_minus, rho2 = mpf_add(rho, fone, wp, _RND), mpf_sub(fone, rho, wp, _RND), mpf_pow_int(rho, 2, wp, _RND)
     denominator = mpf_mul_int(one_plus, 24, wp, _RND)
-    # first = (1 - 2*rho - rho**2)/(24*(1+rho)*(1-rho)**2)
+    # first = (1 - 2*rho - rho**2)/(24*(1+rho)*(1-rho)**2), M/24 by a numerator
+    # that cancels near 3 + 2*sqrt(2); there it tends to 0 while the other term
+    # stays above head, which tends to 0.364, so first is the maximum only
+    # where it is not small, and there its numerator does not cancel
     first = mpf_div(
         mpf_sub(mpf_sub(fone, mpf_mul_int(rho, 2, wp, _RND), wp, _RND), rho2, wp, _RND),
         mpf_mul(denominator, mpf_pow_int(one_minus, 2, wp, _RND), wp, _RND),
@@ -799,14 +823,16 @@ def _head_constants(factors: tuple, wp: int) -> tuple[int, int | None]:
     dropped wherever lam * rate >= wp + 16 + c + log2(lam) and lam*M >= 2.
     lam * rate - log2(lam) grows from lam * rate >= 2 > 1/log(2) on, so the
     first lam that meets both with log2(lam) raised to its bit length is a
-    cutoff for every larger lam.  tail is None when a constant underflows
-    the scale."""
+    cutoff for every larger lam.  tail is None when M is below one unit of
+    the scale.  Otherwise head and rate are 1 or more too: M < 1, as
+    (r + 1 + s)**2 >= 4(r + 1)s, puts K above 20, and M >= 2**-FIXED_BITS
+    puts rate at 3 or more after its widening."""
     m_val, c1, m_sq, c2, m_cube, _, pi_sq, _ = factors
     head = _scaled_quotient(c1, m_sq, 256, FIXED_BITS) + _scaled_quotient(c2, m_cube, 24, FIXED_BITS)
     rate = _scaled_quotient(mpf_mul(m_val, pi_sq), ftwo, 1, FIXED_BITS)
     rate -= _widening(rate, 3, wp)
     m_units = _scaled_quotient(m_val, fone, 1, FIXED_BITS)
-    if head < 1 or rate < 1 or m_units < 1:
+    if m_units < 1:
         return head, None
     # c >= -log2(K * (1 - 6u)), for K >= head * 2**-FIXED_BITS and 6u < 1/2
     c = FIXED_BITS - head.bit_length() + 2

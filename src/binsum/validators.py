@@ -49,27 +49,30 @@ call: correct rounding of +, -, *, / and sqrt, and of `mpf_pow_int` while
 the exact power has fewer than 1000 bits (u**4 up to wp = 249), and
 mpmath's accuracy of a few ulp for cos, sin, log, atan2, pi, hypot and
 larger powers.  So an enclosure can run the same chain with directed
-rounding, one bound per call.  The per-ratio constants (rho, M, a, beta
+rounding, one bound per call.  The per-ratio constants (rho, M and a
 from `saddle_data`, r and nd, and the row's Q and remainder constants) are
 computed once per ratio, the row's in the same raw form.
 
 `_LEMMAS` is the registry: one entry per lemma id, holding its default
-ratio range, its theta region and its row.  The rows, with M, the saddle
-angle a and the phase beta from `saddle_data`, nd = 6r - 1 - r**2, and the
-hypothesis region in brackets:
+ratio range, its theta region and its row.  The rows, with M and the
+saddle angle a from `saddle_data`, nd = 6r - 1 - r**2, and the hypothesis
+region in brackets:
 
   super-g-decay    (g, 0, 2M/pi**2, id, 0, 0, 0)        [r > 3+2*sqrt(2), |t| <= pi]
   super-g-strict   (g, 0, M/2, id, 0, 0, 0)             [3+2*sqrt(2) < r <= 7.686899, |t| <= pi/3]
   super-g-quartic  (g, 0, M/2, abs, 0, 0, C_g(cos t))   [r > 3+2*sqrt(2), |t| <= pi]
   super-h-cubic    (h, 0, 0, abs, 0, C_h(cos t), 0)     [same region]
-  sub-f-cubic      (f, a, sqrt(nd)/4*e^(-i*beta), abs, 0, 0.33846*(r+1)**2/r**2, 0)
+  sub-f-cubic      (f, a, ((r+1)*nd - i*sqrt(nd)*(r-1)**2)/(16r), abs, 0, 0.33846*(r+1)**2/r**2, 0)
                                                         [1 < r < 3+2*sqrt(2), a/2 <= t <= pi-a/2]
   sub-g-decay      (g, a, (r+1)*nd/(16r), id, 0, (r+1)/4, 0)   [same region]
   near1-f-cubic    (f, a, 1/2, abs, (r-1)/4, 1/3, 0)    [1 <= r <= 2.282, |t-a| <= sqrt(r-1)]
   near1-g-decay    (g, a, 1/2, id, 0, 1/2, 0)           [1 < r <= 2.11952, a/2 <= t <= 3a/2]
 
 So super-g-decay reads g(t) - g(0) <= -(2/pi**2)*M*t**2, and sub-f-cubic
-bounds |f(t) - f(a) - quadratic saddle model| by a cubic in |t - a|.
+bounds |f(t) - f(a) - quadratic saddle model| by a cubic in |t - a|.  Its Q
+is sqrt(nd)/4*e^(-i*beta) for the curvature phase beta of
+4r*(cos(beta), sin(beta)) = ((r+1)*sqrt(nd), (r-1)**2), in closed form, and
+its real part is the Q of sub-g-decay.
 """
 
 from __future__ import annotations
@@ -193,7 +196,7 @@ class _Circle:
 
     def __init__(self, sd: SaddleData):
         wp = self.wp = sd.prec + GUARD_BITS
-        self.M, self.alpha, self.beta = (None if v is None else v._mpf_ for v in (sd.M, sd.alpha, sd.beta))
+        self.M, self.alpha = (None if v is None else v._mpf_ for v in (sd.M, sd.alpha))
         rho = self.rho = sd.rho._mpf_
         nd = negated_discriminant(sd.r)
         self.r = raw_rational(sd.r.numerator, sd.r.denominator, wp)
@@ -272,11 +275,11 @@ def _super_decay_row(k: _Circle) -> tuple:
 
 
 def _sub_f_row(k: _Circle) -> tuple:
-    # Q = sqrt(nd)/4 * e^(-i*beta), a real times cos + i*sin, and
-    # R3 = 0.33846*(r+1)**2/r**2; the division by 4 is exact
+    # Q = ((r+1)*nd - i*sqrt(nd)*(r-1)**2)/(16r), its real part that of
+    # sub-g-decay, and R3 = 0.33846*(r+1)**2/r**2
     wp = k.wp
-    scale = mpf_shift(mpf_sqrt(k.nd, wp, _RND), -2)
-    Q = tuple(mpf_mul(part, scale, wp, _RND) for part in mpf_cos_sin(mpf_neg(k.beta), wp, _RND))
+    imag = mpf_mul(mpf_sqrt(k.nd, wp, _RND), mpf_pow_int(mpf_sub(k.r, fone, wp, _RND), 2, wp, _RND), wp, _RND)
+    Q = _sub_g_row(k)[2][0], mpf_neg(mpf_div(imag, mpf_mul_int(k.r, 16, wp, _RND), wp, _RND))
     R3 = mpf_mul(from_str("0.33846", wp, _RND), mpf_pow_int(mpf_add(k.r, fone, wp, _RND), 2, wp, _RND), wp, _RND)
     return k.f, k.alpha, Q, mpf_hypot, None, mpf_div(R3, mpf_pow_int(k.r, 2, wp, _RND), wp, _RND), None
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -122,10 +123,10 @@ def test_saddle_data_supercritical_r6_closed_form():
 
 
 def test_saddle_data_holds_the_saddle_alone():
-    assert SaddleData._fields == ("r", "regime", "prec", "rho", "M", "alpha", "beta")
+    assert SaddleData._fields == ("r", "regime", "prec", "rho", "M", "alpha")
     sub, sup = saddle_data(Fraction(2), 128), saddle_data(Fraction(6), 128)
-    assert sub.M is None and None not in (sub.rho, sub.alpha, sub.beta)
-    assert sup.alpha is sup.beta is None and None not in (sup.rho, sup.M)
+    assert sub.M is None and None not in (sub.rho, sub.alpha)
+    assert sup.alpha is None and None not in (sup.rho, sup.M)
 
 
 def test_saddle_data_rejects_degenerate():
@@ -162,8 +163,64 @@ def test_subcritical_angles_and_identities():
             rm = mpf(r.numerator) / r.denominator
             assert abs(mp.cos(sd.alpha) - (rm - 1) / (2 * mp.sqrt(rm))) < mpf(2) ** -100
             assert abs(mp.cos(sd.alpha) ** 2 + mp.sin(sd.alpha) ** 2 - 1) < mpf(2) ** -100
-            # gamma3 comes from the sine form, beta from the cosine form
-            assert abs(gamma3 - sd.beta / 2) < mpf(2) ** -100
+            # gamma3 against half of beta's cosine form
+            beta = mp.acos((rm + 1) * mp.sqrt(6 * rm - 1 - rm**2) / (4 * rm))
+            assert abs(gamma3 - beta / 2) < mpf(2) ** -100
+
+
+def _sqrt2_ratios(lo, hi):
+    """(3q + 2p)/q for each convergent p/q of sqrt(2) with lo <= q <= hi:
+    nd = 6r - 1 - r**2 = -4*(p**2 - 2*q**2)/q**2 = -+4/q**2, so the ratios
+    lie alternately just past 3 + 2*sqrt(2) and just short of it."""
+    p, q = 1, 1
+    while q <= hi:
+        if q >= lo:
+            yield Fraction(3 * q + 2 * p, q)
+        p, q = p + 2 * q, p + q
+
+
+_DEFINING_BITS = 4000
+
+
+def _defining_constants(r):
+    """rho and M, or alpha and gamma1-3, from their defining square-root,
+    arccosine and arcsine forms at 4,000 bits, which absorb the cancellation
+    of those forms next to 3 + 2*sqrt(2) (at most twice the 200 bits of q)."""
+    with workprec(_DEFINING_BITS):
+        rm = mpf(r.numerator) / r.denominator
+        if classify(r) is Regime.SUPERCRITICAL:
+            rho = (rm - 1 - mp.sqrt(rm**2 - 6 * rm + 1)) / (2 * rm)
+            return {"rho": rho, "M": (1 - 2 * rho - rho**2) / ((1 + rho) * (1 - rho) ** 2)}
+        return {
+            "alpha": mp.acos((rm - 1) / (2 * mp.sqrt(rm))),
+            "gamma1": mp.acos((3 * rm - 1) / (2 * mp.sqrt(2) * rm)),
+            "gamma2": -mp.acos((rm - 3) / (2 * mp.sqrt(2))),
+            "gamma3": mp.asin((rm - 1) ** 2 / (4 * rm)) / 2,
+        }
+
+
+@functools.cache
+def _threshold_references():
+    """(r, `_defining_constants(r)`) of the ratios of q from 10**20 to 10**60."""
+    return [(r, _defining_constants(r)) for r in _sqrt2_ratios(10**20, 10**60)]
+
+
+@pytest.mark.parametrize("prec", [53, 128])
+def test_saddle_constants_keep_their_precision_next_to_the_threshold(prec):
+    # every constant within a relative 2**-(prec+16) of its defining form on
+    # both sides of 3 + 2*sqrt(2), where |nd| falls to ~1e-120 and M, alpha,
+    # gamma1 and gamma2 to ~1e-60
+    assert {classify(r) for r, _ in _threshold_references()} == {Regime.SUPERCRITICAL, Regime.SUBCRITICAL}
+    for r, expected in _threshold_references():
+        sd = saddle_data(r, prec)
+        if sd.regime is Regime.SUPERCRITICAL:
+            got = {"rho": sd.rho, "M": sd.M}
+        else:
+            g1, g2 = gamma_angles(r, prec)
+            got = {"alpha": sd.alpha, "gamma1": g1, "gamma2": g2, "gamma3": half_phase_angle(r, prec)}
+        with workprec(_DEFINING_BITS):
+            for name, value in expected.items():
+                assert abs(got[name] - value) <= abs(value) * mpf(2) ** -(prec + 16), (r, name)
 
 
 def test_gamma_angles_at_one():
@@ -942,15 +999,12 @@ def test_head_enclosure_holds_the_supercritical_kernel(ratio, prec, near_tail, o
         assert hi - lo <= 2 ** (FIXED_BITS - 52)
 
 
-# at 53 bits the cancellation in 1 - 2*rho - rho**2 leaves M of this ratio
-# no correct bit, not even its sign (ROADMAP item 20)
 @pytest.mark.parametrize("offset", (1, 50))
-@pytest.mark.parametrize("prec", (128, 256))
+@pytest.mark.parametrize("prec", (53, 128, 256))
 def test_head_constants_have_no_tail_where_m_underflows_the_scale(prec, offset):
     # within 10**-60 and 5*10**-59 of 3 + 2*sqrt(2), M is 0.07 and 0.66
-    # units of 2**-FIXED_BITS: the rate of the exponential term, then M
-    # itself, rounds below one unit.  The line has no tail cutoff, so its
-    # margin is the kernel's at every lam
+    # units of 2**-FIXED_BITS, below one unit.  The line has no tail cutoff,
+    # so its margin is the kernel's at every lam
     r = _near_threshold(60, offset)
     line = RatioLine(r.numerator, r.denominator, prec)
     assert 0 < _units(line.supercritical_factors[0]) < 1

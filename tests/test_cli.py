@@ -1,5 +1,6 @@
 import contextlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -680,3 +681,36 @@ def test_a_command_started_with_its_stdout_closed_runs_and_prints_nothing(argv):
         timeout=60,
     )
     assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+# lambda1/lambda2 = (floor((3 + 2*sqrt(2))*10**60) + 1)/10**60, just past the
+# threshold, at lambda2 = 10**80
+_PAST_THRESHOLD = (str((3 * 10**60 + math.isqrt(8 * 10**120) + 1) * 10**20), str(10**80))
+
+
+def test_certify_next_to_the_threshold_exits_0_without_a_traceback(capsys):
+    # M is 3.3e-46 here, which cancellation must not round to 0 and divide by
+    code, out, err = run_cli(
+        capsys,
+        "certify",
+        "5828427124746201232436262647716171641439426816647165205764178",
+        "1000000000000001910435293584319143543207478020302322493795400",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["certificate"] == "inconclusive"
+
+
+def test_certify_just_past_the_threshold_is_not_supercritical_at_53_bits(capsys):
+    # 128 bits and more leave it inconclusive
+    code, out, _ = run_cli(capsys, "--precision", "53", "certify", *_PAST_THRESHOLD)
+    assert code == 0
+    assert json.loads(out)["certificate"] != "nonzero_supercritical"
+
+
+def test_exceptions_angle_next_to_the_threshold_does_not_depend_on_the_precision(capsys):
+    angles = []
+    for precision in ("53", "128"):
+        code, out, _ = run_cli(capsys, "--format", "jsonl", "--precision", precision, "exceptions", "1457/250", "1e6")
+        assert code == 0
+        angles.append(json.loads(out)["angle"])
+    assert angles[0] == angles[1]

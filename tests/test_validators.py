@@ -162,9 +162,10 @@ def _reference_margin(lemma_id, r, theta, sd):
         }[lemma_id]
     u = theta - sd.alpha
     nd = 6 * rm - 1 - rm**2
+    beta = mp.acos((rm + 1) * mp.sqrt(nd) / (4 * rm))
     step = f(theta) - f(sd.alpha)
     return {
-        "sub-f-cubic": abs(step + mp.sqrt(nd) / 4 * mp.expj(-sd.beta) * u**2) - mpf("0.33846") * (rm + 1) ** 2 / rm**2 * abs(u) ** 3,
+        "sub-f-cubic": abs(step + mp.sqrt(nd) / 4 * mp.expj(-beta) * u**2) - mpf("0.33846") * (rm + 1) ** 2 / rm**2 * abs(u) ** 3,
         "sub-g-decay": step.real + (rm + 1) * nd / (16 * rm) * u**2 - (rm + 1) / 4 * abs(u) ** 3,
         "near1-f-cubic": abs(step + u**2 / 2) - (abs(u) ** 3 / 3 + (rm - 1) / 4 * u**2),
         "near1-g-decay": step.real + u**2 / 2 - abs(u) ** 3 / 2,
@@ -213,7 +214,7 @@ class _MpfCircle:
     workprec(sd.prec + GUARD_BITS)."""
 
     def __init__(self, sd):
-        self.rho, self.M, self.alpha, self.beta = sd.rho, sd.M, sd.alpha, sd.beta
+        self.rho, self.M, self.alpha = sd.rho, sd.M, sd.alpha
         self.r = rational_to_real(sd.r, sd.prec + GUARD_BITS)
         self.nd = rational_to_real(negated_discriminant(sd.r), sd.prec + GUARD_BITS)
         self._two_rho, self._rho2, self._log_rho = 2 * sd.rho, sd.rho**2, mp.log(sd.rho)
@@ -257,7 +258,13 @@ _MPF_ROWS = {
     "super-g-quartic": lambda k: (k.g, 0, k.M / 2, abs, 0, 0, _mpf_quartic_coefficient(k.rho)),
     "super-h-cubic": lambda k: (k.h, 0, 0, abs, 0, _mpf_cubic_coefficient(k.rho), 0),
     "sub-f-cubic": lambda k: (
-        k.f, k.alpha, mp.sqrt(k.nd) / 4 * mp.expj(-k.beta), abs, 0, mpf("0.33846") * (k.r + 1) ** 2 / k.r**2, 0
+        k.f,
+        k.alpha,
+        mp.mpc((k.r + 1) * k.nd / (16 * k.r), -(mp.sqrt(k.nd) * (k.r - 1) ** 2 / (16 * k.r))),
+        abs,
+        0,
+        mpf("0.33846") * (k.r + 1) ** 2 / k.r**2,
+        0,
     ),
     "sub-g-decay": lambda k: (k.g, k.alpha, (k.r + 1) * k.nd / (16 * k.r), pos, 0, (k.r + 1) / 4, 0),
     "near1-f-cubic": lambda k: (k.f, k.alpha, mpf(1) / 2, abs, (k.r - 1) / 4, mpf(1) / 3, 0),
