@@ -75,6 +75,10 @@ differs from its twin at 1.  The set covers:
   at lambda2 = 10**80, at --precision 53 and 128; a 33-digit ratio above it
   at lambda2 near 10**100; and `certify` and `predict` of a 31-digit ratio
   below it, past its oscillatory reach; in jsonl, csv and human;
+* values past the double range: `predict` at lambda2 = 10**309, whose log
+  normalizer is about -10**309, in jsonl and human, and `exceptions` of a
+  ratio within about 10**-112 below 3 + 2*sqrt(2), whose main term is about
+  4*10**310, in jsonl;
 * `predict` and `plotdata` of difference 800 across lambda2 = 800**2/(8*pi)
   ~ 25,465, where `predict` switches from the oscillatory bound to the
   near-diagonal bound, `predict` in jsonl and human and `plotdata` in every
@@ -327,6 +331,18 @@ def near_threshold_commands() -> list[tuple[str, ...]]:
     return out
 
 
+def overflow_commands() -> list[list[str]]:
+    """Commands that print a value past the double range: `predict` of
+    (2*10**309 + 1, 10**309), in jsonl and human, and `exceptions` up to
+    x = 10**6 of the ratio (3q + 2p)/q of `_sqrt2_convergent(56, -1)`, whose
+    nd = 4/q**2 puts its coefficient near 2.8*10**306, in jsonl."""
+    predict = ["predict", str(2 * 10**309 + 1), str(10**309)]
+    p, q = _sqrt2_convergent(56, -1)
+    out = [["--format", fmt, *predict] for fmt in ("jsonl", "human")]
+    out.append(["--format", "jsonl", "exceptions", f"{3 * q + 2 * p}/{q}", "1e6"])
+    return out
+
+
 # difference 800 enters the flat window sqrt(8*pi*lambda2) at lambda2 =
 # 25465: below it `predict` takes the oscillatory bound, from it on the
 # near-diagonal bound of row 8
@@ -464,6 +480,7 @@ def commands() -> list[list[str]]:
             out.extend(["--format", fmt, "--precision", precision, *argv] for fmt in FORMATS)
     for argv in near_threshold_commands():
         out.extend(["--format", fmt, *argv] for fmt in FORMATS)
+    out.extend(overflow_commands())
     for l1, l2 in NEAR_DIAGONAL_SWITCH_PAIRS:
         out.extend(["--format", fmt, "predict", str(l1), str(l2)] for fmt in ("jsonl", "human"))
     out.extend(["--format", fmt, *NEAR_DIAGONAL_SWITCH_PLOT] for fmt in FORMATS)
