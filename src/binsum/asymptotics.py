@@ -36,31 +36,35 @@ precision, rounding to nearest (a division by 4 that is exact may be an
 `mpf_shift`, which gives the same tuple).  So every value equals the mpf expression's
 bit for bit, and none depends on the ambient mpmath precision.
 
-Each constant is built once, by the code that reads it.  `saddle_data`
-holds the saddle alone: rho and the curvature M of a supercritical ratio,
-which its bounds read, or rho and the saddle angle alpha of a subcritical
-one, which the validators read.  The phase angles gamma1 and gamma2 come
-from `gamma_angles` and the half phase gamma3 from `half_phase_angle`.
+Each constant is built once, by the code that reads it, and what depends
+only on the ratio lives in one object, a `RatioLine` of the ratio at one
+precision.  Its saddle (`RatioLine.saddle`) is rho and the curvature M of a
+supercritical ratio, which its bounds read, or rho and the saddle angle
+alpha of a subcritical one, which the validators read; its phase angles
+gamma1, gamma2 and the half phase gamma3 come from `RatioLine.angles`.
 Each of them but the subcritical rho = 1/sqrt(r) is a closed form in
 r = a/b and one square root, that of the integer numerator
-N = 6ab - a**2 - b**2 of `negated_discriminant` (`_discriminant_root`): a
-quotient of positive terms or an atan2, with no arccosine of a quotient
-that tends to 1 and no difference that cancels, so each keeps the working
-precision up to 3 + 2*sqrt(2).  `predict` builds f(rho), the exponent of
-its supercritical normalizer; the factors of the supercritical bound that
-depend on the precision alone are kept per working precision
-(`_supercritical_constants`).
+N = 6ab - a**2 - b**2 of `negated_discriminant`, which the line takes once
+per working precision: a quotient of positive terms or an atan2, with no
+arccosine of a quotient that tends to 1 and no difference that cancels, so
+each keeps the working precision up to 3 + 2*sqrt(2).  The line also keeps
+the factors of the bounds and the phase constants gamma1, gamma2, gamma3
+and 2*pi at the cosine's raised precision, each computed on first use.
+`predict` builds f(rho), the exponent of its supercritical normalizer; the
+factors of the supercritical bound that depend on the precision alone are
+kept per working precision (`_supercritical_constants`).  The validity
+threshold of the oscillatory bound, which no step of the cascade reads, is
+computed by `oscillatory_error_bound` alone.
 
-What depends only on the ratio lives in one object, a `RatioLine` of the
-ratio at one precision: the factors of the bounds and the phase constants
-gamma1, gamma2, gamma3 and 2*pi at the cosine's raised precision, each
-computed on first use and then kept.  The validity threshold of the
-oscillatory bound, which no step of the cascade reads, is computed by
-`oscillatory_error_bound` alone.
-`ratio_line` keeps the lines of the last few ratios, which the public
-functions (`supercritical_error_bound`, `oscillatory_error_bound` and
-`oscillation_cosine` with the half phase) and the ratio scans read; they
-wrap the kernel's result in an mpf, the cascade takes it raw.  The two
+`ratio_line` keeps the lines of the last few ratios, the one cache of a
+ratio's constants.  The public functions read it: `saddle_data` is a
+checked view of its saddle, and `supercritical_error_bound`,
+`supercritical_error_bound_refined`, `oscillatory_error_bound` and
+`oscillation_cosine` wrap its kernels' results in an mpf, where the cascade
+takes them raw.  `gamma_angles` and `half_phase_angle` read the angles of
+a line of their own.  `certify` and the scans other than ratio scans run
+each pair on a line of its own, which touches no shared cache.
+`require_regime` is the one check of a ratio's regime.  The two
 kernels that read the pair alone, `_near_diagonal_bound` and
 `_cos_lower_bound`, are the cascade's where the enclosures of a
 `DiffLine` leave its near-diagonal step open.
@@ -197,11 +201,11 @@ OSCILLATORY_BOUND_CONSTANT = 16336
 # the rounding of every mpf operation under mpmath's default context
 _RND = round_nearest
 
-# entries kept by each per-ratio cache below: `saddle_data` keyed by
-# (r, prec), `ratio_line` by (a, b, prec).  A scan line or a validator needs
-# one or two live keys at a time (the ratio at the working precision and at
-# the raised precision of `oscillation_cosine`); the bound only keeps a
-# long-running process from growing without limit.
+# entries kept by `ratio_line`, the one per-ratio cache, keyed by
+# (a, b, prec).  A ratio scan, a validator or a public function needs one
+# live key at a time (a line keeps the raised precisions of
+# `oscillation_cosine` itself); the bound only keeps a long-running process
+# from growing without limit.
 RATIO_CACHE_SIZE = 32
 
 
@@ -242,7 +246,8 @@ def classify(r: Fraction) -> Regime:
 
 
 class SaddleData(NamedTuple):
-    """The saddle of one ratio r > 1, at a recorded precision.
+    """The saddle of one ratio r > 1, at a recorded precision, as
+    `RatioLine.saddle` keeps it.
 
     Supercritical fields: rho (the real saddle) and the curvature
     M = rho**2 f''(rho) > 0.  Subcritical fields: rho = 1/sqrt(r) and the
@@ -259,81 +264,55 @@ class SaddleData(NamedTuple):
     alpha: mpf | None = None
 
 
-def _discriminant_root(r: Fraction) -> tuple[int, int, mpf]:
-    """(a, b, sqrt(|N|)) for r = a/b in lowest terms and the numerator
-    N = 6ab - a**2 - b**2 of `negated_discriminant(r)` = N/b**2 (N and b are
-    coprime, as a and b are), so that the square root of nd, or of -nd
-    above 3 + 2*sqrt(2), is sqrt(|N|)/b.  The root is taken at the ambient
-    precision, after one rounding of N."""
-    return r.numerator, r.denominator, mp.sqrt(abs(negated_discriminant(r).numerator))
+def require_regime(r, regimes: tuple[Regime, ...], requirement: str, prec: int | None = None) -> Regime:
+    """The regime of the ratio r, one of `regimes`, after `check_precision`
+    of prec when one is given; any other regime raises
+    RegimeError("<requirement>, got r = <r in lowest terms>")."""
+    if prec is not None:
+        check_precision(prec)
+    r = Fraction(r)
+    regime = ratio_regime(r.numerator, r.denominator)
+    if regime not in regimes:
+        raise RegimeError(f"{requirement}, got r = {r}")
+    return regime
+
+
+# the regimes of r > 1, and each regime alone, as `require_regime` reads them
+_SADDLE = (Regime.SUPERCRITICAL, Regime.SUBCRITICAL)
+_SUPER = (Regime.SUPERCRITICAL,)
+_SUB = (Regime.SUBCRITICAL,)
 
 
 def _oscillation_ratio(r: Fraction, prec: int) -> Fraction:
     """r as a Fraction, after checking prec and that 1 <= r <= 3 + 2*sqrt(2)."""
     check_precision(prec)
     r = Fraction(r)
-    if r != 1 and classify(r) is not Regime.SUBCRITICAL:
-        raise RegimeError(f"oscillation angles require 1 <= r <= 3 + 2*sqrt(2), got r = {r}")
+    if r != 1:
+        require_regime(r, _SUB, "oscillation angles require 1 <= r <= 3 + 2*sqrt(2)")
     return r
 
 
 def gamma_angles(r: Fraction, prec: int = DEFAULT_PRECISION) -> tuple[mpf, mpf]:
     """The oscillation angles gamma1 = arccos((3r-1)/(2*sqrt(2)*r)) and
-    gamma2 = -arccos((r-3)/(2*sqrt(2))), defined for 1 <= r <= 3 + 2*sqrt(2).
-
-    With t = sqrt(nd), nd = 6r - 1 - r**2, the sines of the two arccosines
-    are t/(2*sqrt(2)*r) and t/(2*sqrt(2)), so gamma1 = atan2(t, 3r - 1) and
-    gamma2 = -atan2(t, r - 3); scaled by b for r = a/b, the arguments are
-    the integers 3a - b and a - 3b and the root of `_discriminant_root`.
-    Each argument is within two roundings of exact, and atan2 is well
-    conditioned in both, so the angles keep the working precision up to
-    3 + 2*sqrt(2), where an arccosine of a quotient that tends to 1 would
-    lose its bits.
-    """
+    gamma2 = -arccos((r-3)/(2*sqrt(2))), defined for 1 <= r <= 3 + 2*sqrt(2),
+    as `RatioLine.angles` builds them."""
     r = _oscillation_ratio(r, prec)
-    with workprec(prec + GUARD_BITS):
-        a, b, root = _discriminant_root(r)
-        return mp.atan2(root, 3 * a - b), -mp.atan2(root, a - 3 * b)
+    return RatioLine(r.numerator, r.denominator, prec).angles(prec)[:2]
 
 
 def half_phase_angle(r: Fraction, prec: int = DEFAULT_PRECISION) -> mpf:
     """The half phase gamma3 = beta/2 of the subcritical main term, defined
-    where `gamma_angles` is, for the curvature phase beta of
-    4r*(cos(beta), sin(beta)) = ((r+1)*sqrt(nd), (r-1)**2): so
-    gamma3 = atan2((a-b)**2, (a+b)*sqrt(N))/2 for r = a/b and the root of
-    `_discriminant_root`, at the working precision up to 3 + 2*sqrt(2)."""
+    where `gamma_angles` is, as `RatioLine.angles` builds it."""
     r = _oscillation_ratio(r, prec)
-    with workprec(prec + GUARD_BITS):
-        a, b, root = _discriminant_root(r)
-        return mp.atan2((a - b) ** 2, (a + b) * root) / 2
+    return RatioLine(r.numerator, r.denominator, prec).angles(prec)[2]
 
 
-@functools.lru_cache(maxsize=RATIO_CACHE_SIZE)
 def saddle_data(r: Fraction, prec: int = DEFAULT_PRECISION) -> SaddleData:
-    """The saddle of the regime of r (r > 1): rho and M, or rho and alpha.
-
-    Each but the subcritical rho = 1/sqrt(r) is a closed form in r = a/b and
-    the root of `_discriminant_root` whose terms are all positive, so
-    nothing cancels and each keeps the working precision up to
-    3 + 2*sqrt(2).  Above it, with s = sqrt(-nd) = sqrt(|N|)/b:
-    rho = (r - 1 - s)/(2r) = 2/(r - 1 + s), as (r - 1)**2 - s**2 = 4r, and
-    M = (1 - 2*rho - rho**2)/((1 + rho)*(1 - rho)**2) = 4rs/(r + 1 + s)**2,
-    as 1 - 2*rho - rho**2 = s*(3r - 1 - s)/(2r**2) and
-    (1 + rho)*(1 - rho)**2 = (3r - 1 - s)*(r + 1 + s)**2/(8r**3).  Below
-    it, with t = sqrt(nd), 2*sqrt(r)*(cos(alpha), sin(alpha)) = (r - 1, t),
-    so alpha = atan2(t, r - 1)."""
-    check_precision(prec)
+    """The saddle of the regime of r (r > 1): rho and M, or rho and alpha,
+    the `RatioLine.saddle` of the line of r that `ratio_line` keeps."""
+    require_regime(r, _SADDLE, "saddle data requires r > 1", prec)
     r = Fraction(r)
-    regime = classify(r)
-    if regime is Regime.DEGENERATE:
-        raise RegimeError(f"saddle data requires r > 1, got r = {r}")
-    with workprec(prec + GUARD_BITS):
-        a, b, root = _discriminant_root(r)
-        if regime is Regime.SUPERCRITICAL:
-            rho, m_val = 2 * b / (a - b + root), 4 * a * root / (a + b + root) ** 2
-            return SaddleData(r=r, regime=regime, prec=prec, rho=rho, M=m_val)
-        rho = 1 / mp.sqrt(mpf(a) / mpf(b))
-        return SaddleData(r=r, regime=regime, prec=prec, rho=rho, alpha=mp.atan2(root, a - b))
+    return ratio_line(r.numerator, r.denominator, prec).saddle
 
 
 def critical_boundary_constants(prec: int = DEFAULT_PRECISION) -> tuple[mpf, mpf]:
@@ -392,10 +371,8 @@ def supercritical_error_bound(r: Fraction, lam: int, prec: int = DEFAULT_PRECISI
     back the sum bit for bit.  At lam near 1e5 this skips an exp of about
     10**-80000.
     """
-    check_precision(prec)
+    require_regime(r, _SUPER, "bound requires r > 3 + 2*sqrt(2)", prec)
     r = Fraction(r)
-    if ratio_regime(r.numerator, r.denominator) is not Regime.SUPERCRITICAL:
-        raise RegimeError(f"bound requires r > 3 + 2*sqrt(2), got r = {r}")
     if lam < 1:
         raise ValueError("lambda must be >= 1")
     return mp.make_mpf(ratio_line(r.numerator, r.denominator, prec).supercritical_bound(lam))
@@ -490,28 +467,14 @@ def supercritical_error_bound_refined(
     and lam only when lam*M*delta**2 >= 1; callers exploiting monotonicity
     must check that themselves.
     """
-    check_precision(prec)
+    require_regime(r, _SUPER, "bound requires r > 3 + 2*sqrt(2)", prec)
     r = Fraction(r)
-    if classify(r) is not Regime.SUPERCRITICAL:
-        raise RegimeError(f"bound requires r > 3 + 2*sqrt(2), got r = {r}")
     if r > REFINED_BOUND_MAX_RATIO:
         raise ValueError(f"refined bound requires r <= {REFINED_BOUND_MAX_RATIO}, got {r}")
     if lam < 1:
         raise ValueError("lambda must be >= 1")
-    d = check_delta(delta, prec)
-    sd = saddle_data(r, prec)
-    with workprec(prec + GUARD_BITS):
-        m_val = sd.M
-        lamf = mpf(lam)
-        c = mp.cos(d)
-        cg = mp.make_mpf(quartic_kernel(sd.rho._mpf_, mp.prec)(c._mpf_))
-        ch = mp.make_mpf(cubic_kernel(sd.rho._mpf_, mp.prec)(c._mpf_))
-        t1 = 3 * cg / (lamf * m_val**2)
-        t2 = 15 * ch**2 / (2 * lamf * m_val**3)
-        tail = (mp.sqrt(mpf(2)) / (d * mp.sqrt(mp.pi * lamf * m_val)) + (1 - d / mp.pi) * mp.sqrt(2 * mp.pi * lamf * m_val)) * mp.exp(
-            -lamf * m_val * d**2 / 2
-        )
-        return t1 + t2 + tail
+    check_delta(delta, prec)
+    return ratio_line(r.numerator, r.denominator, prec).refined_bound(lam, delta)
 
 
 def _oscillatory_bound(nd_power: tuple, lam: int, wp: int) -> tuple:
@@ -538,9 +501,8 @@ def oscillatory_bound_reach(r: Fraction) -> int:
     reach implies the bound's validity threshold: reach ~ 16336**2/nd**5.5 and
     nd <= 8 put every lam above it past 61 times the threshold, for every r.
     """
+    require_regime(r, _SUB, "bound requires 1 < r < 3 + 2*sqrt(2)")
     r = Fraction(r)
-    if classify(r) is not Regime.SUBCRITICAL:
-        raise RegimeError(f"bound requires 1 < r < 3 + 2*sqrt(2), got r = {r}")
     return _oscillatory_reach(r.numerator, r.denominator)
 
 
@@ -555,10 +517,8 @@ def oscillatory_error_bound(
     Returns (bound, validity_threshold); the bound value is meaningful only
     at or above the threshold.
     """
-    check_precision(prec)
+    require_regime(r, _SUB, "bound requires 1 < r < 3 + 2*sqrt(2)", prec)
     r = Fraction(r)
-    if ratio_regime(r.numerator, r.denominator) is not Regime.SUBCRITICAL:
-        raise RegimeError(f"bound requires 1 < r < 3 + 2*sqrt(2), got r = {r}")
     if lam < 1:
         raise ValueError("lambda must be >= 1")
     line = ratio_line(r.numerator, r.denominator, prec)
@@ -608,8 +568,7 @@ def near_diagonal_error_bound(pair: PartitionPair, prec: int = DEFAULT_PRECISION
         raise ValueError(
             f"near-diagonal bound requires lambda1 - lambda2 >= {NEAR_DIAGONAL_MIN_DIFFERENCE}, got {d}"
         )
-    if ratio_regime(pair.lambda1, l2) is not Regime.SUBCRITICAL:
-        raise RegimeError(f"near-diagonal bound requires a subcritical ratio, got r = {pair.ratio}")
+    require_regime(pair.ratio, _SUB, "near-diagonal bound requires a subcritical ratio")
     value, detail = _near_diagonal_bound(d, l2, prec + GUARD_BITS)
     if value is None:
         return NearDiagonalBound(None, False, detail)
@@ -668,10 +627,10 @@ def oscillation_cosine(
     """
     r, p_eff = pair.ratio, _phase_precision(prec, pair.lambda1)
     if half_phase:
-        phase = ratio_line(r.numerator, r.denominator, prec).phase(p_eff)[0]
-    else:
-        g1, g2 = gamma_angles(r, p_eff)
-        phase = g1._mpf_, g2._mpf_, None, _two_pi(p_eff)
+        require_regime(r, _SADDLE, "saddle data requires r > 1")
+    _oscillation_ratio(r, p_eff)
+    g1, g2, g3, two_pi = ratio_line(r.numerator, r.denominator, prec).phase(p_eff)[0]
+    phase = g1, g2, g3 if half_phase else None, two_pi
     cosv, angle = _reduced_cosine(phase, pair.lambda1, pair.lambda2, p_eff + GUARD_BITS)
     return mp.make_mpf(cosv), mp.make_mpf(angle)
 
@@ -868,22 +827,27 @@ class RatioLine:
     kernels that read them, and the verdict and margin of each saddle step
     of the certification cascade.
 
-    The regime is exact and set here.  Every other constant is computed on
-    first use and then kept: for a subcritical ratio the exact reach of
-    `oscillatory_bound_reach` (the oscillatory gate of a pair near the
-    diagonal reads its `DiffLine` instead, so that pair's line never
-    computes it), the raw factors of the two bounds, the integer constants
-    of the enclosures (each converted from a raw tuple by
-    `_scaled_quotient`), and the half-phase constants of each p_eff that
-    the line reaches (one or two, as p_eff steps with lambda1's bit length).
-    `ratio_line` keeps the lines of the last few ratios, which the public
-    functions and the ratio scans read; `certify` and the other scans build
-    a line of each pair, whose ratio is its own.  So a pair of a line pays
+    The regime is exact and set here, and the line checks nothing else:
+    call each bound, the saddle and the angles only on a line of their
+    regime (`require_regime` checks a public function's ratio).  Every
+    other constant is computed on first use and then kept: the root
+    sqrt(|N|) of each working precision (`_root`, taken once per precision
+    and shared by the saddle and the angles), the saddle, for a
+    subcritical ratio the exact reach of `oscillatory_bound_reach` (the
+    oscillatory gate of a pair near the diagonal reads its `DiffLine`
+    instead, so that pair's line never computes it), the raw factors of the
+    two bounds, the integer constants of the enclosures (each converted
+    from a raw tuple by `_scaled_quotient`), and the half-phase constants of
+    each p_eff that the line reaches (one or two, as p_eff steps with
+    lambda1's bit length).  `ratio_line` keeps the lines of the last few
+    ratios, which the public functions and the ratio scans read; `certify`
+    and the other scans build a line of each pair, whose ratio is its own
+    and which touches no shared cache.  So a pair of a line pays
     for no Fraction, cache lookup or mpf object: each kernel method is one
     call of the raw kernel of its formula, and returns a raw tuple, rounded
-    at prec + GUARD_BITS bits (the cosine at p_eff + GUARD_BITS).  Call each
-    bound only on a line of its regime.  `delta`, when given, is the split
-    angle of the refined supercritical bound, which `certify` passes on.
+    at prec + GUARD_BITS bits (the cosine at p_eff + GUARD_BITS).  `delta`,
+    when given, is the split angle of the refined supercritical bound
+    (`refined_bound`), which `certify` passes on.
 
     `supercritical_margin` and `oscillatory_margin` decide a saddle step's
     comparison and its 53-bit margin.  They read integer enclosures (in
@@ -900,6 +864,7 @@ class RatioLine:
     def __init__(self, a: int, b: int, prec: int = DEFAULT_PRECISION, delta=None) -> None:
         self.a, self.b, self.prec, self.wp, self.delta = a, b, prec, prec + GUARD_BITS, delta
         self.regime = ratio_regime(a, b)
+        self._roots: dict[int, mpf] = {}
         self._phases: dict[int, tuple[tuple, tuple]] = {}
 
     @functools.cached_property
@@ -912,12 +877,65 @@ class RatioLine:
         """r in lowest terms."""
         return Fraction(self.a, self.b)
 
+    def _root(self, wp: int) -> mpf:
+        """sqrt(|N|) at wp bits, taken once per wp, for the numerator
+        N = 6ab - a**2 - b**2 of `negated_discriminant` of r = a/b in lowest
+        terms (N and b are coprime, as a and b are), so that the square root
+        of nd, or of -nd above 3 + 2*sqrt(2), is sqrt(|N|)/b."""
+        if wp not in self._roots:
+            with workprec(wp):
+                self._roots[wp] = mp.sqrt(abs(negated_discriminant(self.ratio).numerator))
+        return self._roots[wp]
+
+    @functools.cached_property
+    def saddle(self) -> SaddleData:
+        """The saddle of a line with r > 1, at the line's precision.
+
+        Each but the subcritical rho = 1/sqrt(r) is a closed form in r = a/b
+        (lowest terms) and the root of `_root` whose terms are all positive,
+        so nothing cancels and each keeps the working precision up to
+        3 + 2*sqrt(2).  Above it, with s = sqrt(-nd) = sqrt(|N|)/b:
+        rho = (r - 1 - s)/(2r) = 2/(r - 1 + s), as (r - 1)**2 - s**2 = 4r, and
+        M = (1 - 2*rho - rho**2)/((1 + rho)*(1 - rho)**2) = 4rs/(r + 1 + s)**2,
+        as 1 - 2*rho - rho**2 = s*(3r - 1 - s)/(2r**2) and
+        (1 + rho)*(1 - rho)**2 = (3r - 1 - s)*(r + 1 + s)**2/(8r**3).  Below
+        it, with t = sqrt(nd), 2*sqrt(r)*(cos(alpha), sin(alpha)) = (r - 1, t),
+        so alpha = atan2(t, r - 1)."""
+        r = self.ratio
+        a, b, root = r.numerator, r.denominator, self._root(self.wp)
+        with workprec(self.wp):
+            if self.regime is Regime.SUPERCRITICAL:
+                rho, m_val = 2 * b / (a - b + root), 4 * a * root / (a + b + root) ** 2
+                return SaddleData(r=r, regime=self.regime, prec=self.prec, rho=rho, M=m_val)
+            rho = 1 / mp.sqrt(mpf(a) / mpf(b))
+            return SaddleData(r=r, regime=self.regime, prec=self.prec, rho=rho, alpha=mp.atan2(root, a - b))
+
+    def angles(self, p: int) -> tuple[mpf, mpf, mpf]:
+        """gamma1, gamma2 and gamma3 at p + GUARD_BITS bits, for
+        1 <= r <= 3 + 2*sqrt(2), unchecked.
+
+        With t = sqrt(nd), nd = 6r - 1 - r**2, the sines of the arccosines
+        gamma1 = arccos((3r-1)/(2*sqrt(2)*r)) and
+        gamma2 = -arccos((r-3)/(2*sqrt(2))) are t/(2*sqrt(2)*r) and
+        t/(2*sqrt(2)), so gamma1 = atan2(t, 3r - 1) and
+        gamma2 = -atan2(t, r - 3); scaled by b for r = a/b, the arguments are
+        the integers 3a - b and a - 3b and the root of `_root`.  The half
+        phase gamma3 = beta/2 of the subcritical main term, for the curvature
+        phase beta of 4r*(cos(beta), sin(beta)) = ((r+1)*sqrt(nd), (r-1)**2),
+        is atan2((a-b)**2, (a+b)*sqrt(N))/2.  Each argument is within two
+        roundings of exact, and atan2 is well conditioned in both, so the
+        angles keep the working precision up to 3 + 2*sqrt(2), where an
+        arccosine of a quotient that tends to 1 would lose its bits."""
+        a, b, root = self.ratio.numerator, self.ratio.denominator, self._root(p + GUARD_BITS)
+        with workprec(p + GUARD_BITS):
+            return mp.atan2(root, 3 * a - b), -mp.atan2(root, a - 3 * b), mp.atan2((a - b) ** 2, (a + b) * root) / 2
+
     @functools.cached_property
     def supercritical_factors(self) -> tuple:
         """The lambda-independent factors of `supercritical_error_bound`, raw:
         M, 3*crit*pi**5, M**2, 5*crit, M**3, sqrt(2), pi**2 and pi**1.5, each
         rounded exactly as the bound's formula rounds it."""
-        m_val = saddle_data(self.ratio, self.prec).M
+        m_val = self.saddle.M
         c1, c2, sqrt2, pi_sq, pi_15 = _supercritical_constants(self.wp)
         with workprec(self.wp):
             return m_val._mpf_, c1, (m_val**2)._mpf_, c2, (m_val**3)._mpf_, sqrt2, pi_sq, pi_15
@@ -945,16 +963,28 @@ class RatioLine:
         (`_fixed_phase`)."""
         phase = self._phases.get(p_eff)
         if phase is None:
-            if self.regime is Regime.DEGENERATE:
-                raise RegimeError(f"saddle data requires r > 1, got r = {self.ratio}")
-            g1, g2 = gamma_angles(self.ratio, p_eff)
-            raw = g1._mpf_, g2._mpf_, half_phase_angle(self.ratio, p_eff)._mpf_, _two_pi(p_eff)
+            raw = (*(g._mpf_ for g in self.angles(p_eff)), _two_pi(p_eff))
             phase = self._phases[p_eff] = raw, _fixed_phase(raw)
         return phase
 
     def supercritical_bound(self, lam: int) -> tuple:
         """`supercritical_error_bound(r, lam, prec)`, raw."""
         return _supercritical_bound(self.supercritical_factors, lam, self.wp)
+
+    def refined_bound(self, lam: int, delta) -> mpf:
+        """`supercritical_error_bound_refined(r, lam, delta, prec)`, unchecked."""
+        sd = self.saddle
+        with workprec(self.wp):
+            m_val, lamf, d = sd.M, mpf(lam), mpf(delta)
+            c = mp.cos(d)
+            cg = mp.make_mpf(quartic_kernel(sd.rho._mpf_, mp.prec)(c._mpf_))
+            ch = mp.make_mpf(cubic_kernel(sd.rho._mpf_, mp.prec)(c._mpf_))
+            t1 = 3 * cg / (lamf * m_val**2)
+            t2 = 15 * ch**2 / (2 * lamf * m_val**3)
+            tail = (mp.sqrt(mpf(2)) / (d * mp.sqrt(mp.pi * lamf * m_val)) + (1 - d / mp.pi) * mp.sqrt(2 * mp.pi * lamf * m_val)) * mp.exp(
+                -lamf * m_val * d**2 / 2
+            )
+            return t1 + t2 + tail
 
     def oscillatory_bound(self, lam: int) -> tuple:
         """The bound of `oscillatory_error_bound(r, lam, prec)`, raw."""
@@ -1607,9 +1637,7 @@ def predict(pair: PartitionPair, prec: int = DEFAULT_PRECISION) -> Prediction:
     if pair.lambda2 < 1:
         raise ValueError("prediction requires lambda2 >= 1")
     r = pair.ratio
-    regime = classify(r)
-    if regime is Regime.DEGENERATE:
-        raise RegimeError(f"prediction requires r > 1, got r = {r}")
+    regime = require_regime(r, _SADDLE, "prediction requires r > 1")
     lam = pair.lambda2
     if regime is Regime.SUPERCRITICAL:
         sd = saddle_data(r, prec)

@@ -68,7 +68,6 @@ from .asymptotics import (
     check_delta,
     diff_line,
     ratio_line,
-    supercritical_error_bound_refined,
 )
 # bound here because `binsum` exports them from here and perfbench traces the `intervals` command's call
 from .asymptotics import DifferenceWindow, difference_windows
@@ -208,7 +207,7 @@ def _supercritical_step(line: RatioLine, l1: int, l2: int) -> tuple | None:
         return l1, _SUPERCRITICAL, "supercritical saddle bound", margin, None, None, None, None, 0
     if line.delta is None or line.ratio > REFINED_BOUND_MAX_RATIO:
         return None
-    margin = certified_margin(fone, supercritical_error_bound_refined(line.ratio, l2, line.delta, line.prec)._mpf_)
+    margin = certified_margin(fone, line.refined_bound(l2, line.delta)._mpf_)
     if margin is None:
         return None
     return l1, _SUPERCRITICAL, "refined supercritical saddle bound", margin, None, None, None, None, 0

@@ -362,10 +362,16 @@ def cmd_poly(args, config: RunConfig) -> int:
 def cmd_exceptions(args, config: RunConfig) -> int:
     import json
 
+    from mpmath import mpf
+
     from .exceptions import exception_report
 
+    # json.dumps(report, sort_keys=True), but an mpf as format_float writes
+    # it with spec "", where json.dumps would write a float past the double
+    # range as Infinity
     report = exception_report(args.ratio, args.x, args.depth, config.precision_bits)
-    print(json.dumps(report, sort_keys=True))
+    items = (f"{json.dumps(k)}: {format_float(v, '') if isinstance(v, mpf) else json.dumps(v)}" for k, v in sorted(report.items()))
+    print("{" + ", ".join(items) + "}")
     return 0
 
 

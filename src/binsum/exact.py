@@ -145,8 +145,9 @@ _sieved_primes: list[int] = []
 _sieved_to = 1
 
 
-def _primes_upto(n: int) -> list[int]:
-    """The primes p <= n, by the sieve of Eratosthenes, kept for later calls."""
+def primes_upto(n: int) -> list[int]:
+    """The primes p <= n, by the sieve of Eratosthenes, kept for later calls:
+    the one prime source of the package."""
     global _sieved_primes, _sieved_to
     if n > _sieved_to:
         sieve = bytearray([1]) * (n + 1)
@@ -182,7 +183,7 @@ def _factorial_ratio(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[list[i
     neighbouring cuts share one exponent, found once for the whole run.
     """
     top = max(*num, *den)
-    primes = _primes_upto(top)
+    primes = primes_upto(top)
     up: list[int] = []
     down: list[int] = []
     low = max(1, math.isqrt(top), round(top ** (2 / 3)))

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from mpmath import mp, mpf, workprec
 
-from .asymptotics import Regime, RegimeError, classify, gamma_angles, negated_discriminant
+from .asymptotics import Regime, classify, gamma_angles, negated_discriminant, require_regime
 from .numerics import DEFAULT_PRECISION, GUARD_BITS, SLACK, Comparison, certified_compare, check_precision
 
 
@@ -108,11 +108,8 @@ def exception_count_bound(r: Fraction, x, prec: int = DEFAULT_PRECISION) -> Exce
     For supercritical r the count is bounded by a constant depending only on
     r and a flag result is returned instead.  Every ratio needs a finite x >= 1.
     """
-    check_precision(prec)
+    regime = require_regime(r, (Regime.SUPERCRITICAL, Regime.SUBCRITICAL), "exception counting requires r > 1", prec)
     r = Fraction(r)
-    regime = classify(r)
-    if regime is Regime.DEGENERATE:
-        raise RegimeError(f"exception counting requires r > 1, got r = {r}")
     with workprec(prec + GUARD_BITS):
         xv = mpf(x)
         if not (mp.isfinite(xv) and xv >= 1):
@@ -131,15 +128,15 @@ def exception_report(r: Fraction, x: float, depth: int, prec: int) -> dict:
     """The `exceptions` payload of ratio r up to x: the count bound of
     `exception_count_bound`, and for a subcritical r the angle
     (gamma1*a + gamma2*b)/b of r = a/b with its continued fraction to
-    `depth` quotients.  The bound comes first, so a bad x or ratio fails
-    before any angle work."""
+    `depth` quotients, the coefficient and main term as mpfs or None.  The
+    bound comes first, so a bad x or ratio fails before any angle work."""
     count = exception_count_bound(r, x, prec)
     payload = {
         "ratio": str(r),
         "x": x,
         "kind": count.kind,
-        "coefficient": None if count.coefficient is None else float(count.coefficient),
-        "main_term": None if count.value is None else float(count.value),
+        "coefficient": count.coefficient,
+        "main_term": count.value,
         "remainder": "unquantified",
     }
     if classify(r) is Regime.SUBCRITICAL:

@@ -172,7 +172,14 @@ def certified_margin(a: tuple, b: tuple) -> float | None:
     return rounded_margin(a, b)
 
 
-def format_float(x) -> str:
-    """A float or mpf at 17 significant digits, which round-trips a float
-    losslessly; empty for a missing value (CSV cell)."""
-    return "" if x is None else format(float(x), FLOAT_SPEC)
+def format_float(x, spec: str = FLOAT_SPEC) -> str:
+    """A float or mpf as its float formatted by spec: by default at 17
+    significant digits, which round-trips a float losslessly, and with spec
+    "" as its shortest repr, as json.dumps writes a float.  An mpf past the
+    double range is its own decimal at 17 significant digits instead, a
+    number in JSON and CSV alike where its float would print as inf.  Empty
+    for a missing value (CSV cell)."""
+    if x is None:
+        return ""
+    value = float(x)
+    return mp.nstr(x, 17) if math.isinf(value) and mp.isfinite(x) else format(value, spec)

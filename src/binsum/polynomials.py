@@ -14,12 +14,11 @@ actual parameter pairs).
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact import PartitionPair
+from .exact import PartitionPair, primes_upto
 
 
 class _Polynomial(NamedTuple):
@@ -202,15 +201,6 @@ def tilde_prefactor(pair: PartitionPair) -> Fraction:
     )
 
 
-def _primes():
-    """2, 3, 5, 7, ... by trial division by the primes found so far."""
-    found: list[int] = []
-    for n in itertools.count(2):
-        if all(n % q for q in itertools.takewhile(lambda q: q * q <= n, found)):
-            found.append(n)
-            yield n
-
-
 def _horner_mod(coeffs: list[int], x: int, m: int) -> int:
     """poly(x) mod m for ascending `coeffs` already reduced mod m."""
     acc = 0
@@ -346,11 +336,16 @@ def integer_roots(poly: IntPolynomial, search_bound: int) -> list[int]:
     if len(coeffs) == 1:
         return sorted(roots)
     coeffs = _squarefree_part(_primitive(coeffs))
-    for p in _primes():
-        if coeffs[-1] % p:
-            residues = _simple_roots_mod_p(coeffs, p)
-            if residues is not None:
-                break
+    # the primes in order, up to a limit doubled until one is good; a prime
+    # below the old limit is tried again only when all of them failed
+    limit, residues = 32, None
+    while residues is None:
+        limit *= 2
+        for p in primes_upto(limit):
+            if coeffs[-1] % p:
+                residues = _simple_roots_mod_p(coeffs, p)
+                if residues is not None:
+                    break
     modulus = p
     derivative = _derivative(coeffs)
     while modulus <= 2 * search_bound and residues:

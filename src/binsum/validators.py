@@ -115,10 +115,10 @@ from .asymptotics import (
     REFINED_BOUND_MAX_RATIO,
     Regime,
     SaddleData,
-    classify,
     cubic_kernel,
     negated_discriminant,
     quartic_kernel,
+    require_regime,
     saddle_data,
 )
 from .lemmas import LEMMA_IDS
@@ -142,30 +142,23 @@ class LemmaReport(NamedTuple):
     passed: bool
 
 
-def _require_supercritical(r: Fraction) -> None:
-    if classify(r) is not Regime.SUPERCRITICAL:
-        raise ValueError(f"inequality requires r > 3 + 2*sqrt(2), got r = {r}")
-
-
-def _require_subcritical(r: Fraction) -> None:
-    if classify(r) is not Regime.SUBCRITICAL:
-        raise ValueError(f"inequality requires 1 < r < 3 + 2*sqrt(2), got r = {r}")
+_SUPER_REQUIREMENT = "inequality requires r > 3 + 2*sqrt(2)"
 
 
 def _super_region(r: Fraction, prec: int) -> tuple[mpf, mpf]:
-    _require_supercritical(r)
+    require_regime(r, (Regime.SUPERCRITICAL,), _SUPER_REQUIREMENT)
     return -mp.pi, mp.pi
 
 
 def _super_strict_region(r: Fraction, prec: int) -> tuple[mpf, mpf]:
-    _require_supercritical(r)
+    require_regime(r, (Regime.SUPERCRITICAL,), _SUPER_REQUIREMENT)
     if r > REFINED_BOUND_MAX_RATIO:
         raise ValueError(f"inequality requires r <= {REFINED_BOUND_MAX_RATIO}, got r = {r}")
     return -mp.pi / 3, mp.pi / 3
 
 
 def _sub_region(r: Fraction, prec: int) -> tuple[mpf, mpf]:
-    _require_subcritical(r)
+    require_regime(r, (Regime.SUBCRITICAL,), "inequality requires 1 < r < 3 + 2*sqrt(2)")
     alpha = saddle_data(r, prec).alpha
     return alpha / 2, mp.pi - alpha / 2
 

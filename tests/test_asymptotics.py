@@ -64,9 +64,10 @@ from binsum.numerics import (
     rational_to_real,
 )
 
-# the caches that the constants of a ratio pass through: its saddle, its
-# line, and the factors of the supercritical bound kept per precision
-RATIO_CACHES = (saddle_data, ratio_line, _supercritical_constants)
+# the caches that the constants of a ratio pass through: its line, which
+# holds its saddle, and the factors of the supercritical bound kept per
+# precision
+RATIO_CACHES = (ratio_line, _supercritical_constants)
 
 
 def test_classification_is_exact():
@@ -739,9 +740,14 @@ def _clear_ratio_caches():
         cached.cache_clear()
 
 
+def _fresh_saddle(r, prec):
+    """The saddle of r at prec from a line of its own, which no cache holds."""
+    return RatioLine(r.numerator, r.denominator, prec).saddle
+
+
 def _reference_supercritical_bound(r, lam, prec):
     """`supercritical_error_bound` as one formula, every factor rebuilt."""
-    sd = saddle_data.__wrapped__(r, prec)
+    sd = _fresh_saddle(r, prec)
     with workprec(prec + GUARD_BITS):
         m_val = sd.M
         lamf = mpf(lam)
@@ -784,7 +790,7 @@ def _cold_and_warm(r, prec, other_prec, compute):
 @settings(max_examples=400, deadline=None)
 def test_supercritical_caches_are_bit_identical(r, lam, prec, other_prec):
     got = _cold_and_warm(r, prec, other_prec, lambda: (saddle_data(r, prec), supercritical_error_bound(r, lam, prec)))
-    assert got == _bits((saddle_data.__wrapped__(r, prec), _reference_supercritical_bound(r, lam, prec)))
+    assert got == _bits((_fresh_saddle(r, prec), _reference_supercritical_bound(r, lam, prec)))
 
 
 # the scanned supercritical lines, ratios on either side of them, and one
@@ -798,7 +804,7 @@ NEAR_THRESHOLD_RATIO = _near_threshold(35, 1)
 def _tail_dropped(r, lam, prec):
     """The stated cutoff of `supercritical_error_bound`: lam*M >= 1 and
     x = lam*M*pi**2/2 > prec + GUARD_BITS + 16 - E, where 2**(E-1) <= t1 + t2 < 2**E."""
-    m_val = saddle_data.__wrapped__(r, prec).M
+    m_val = _fresh_saddle(r, prec).M
     wp = prec + GUARD_BITS
     with workprec(wp):
         crit = 3 + 2 * mp.sqrt(mpf(2))
@@ -835,7 +841,7 @@ def test_subcritical_caches_are_bit_identical(r, lam, prec, other_prec):
 
     got = _cold_and_warm(r, prec, other_prec, compute)
     phase = (*gamma_angles(r, prec), half_phase_angle(r, prec), mp.make_mpf(_two_pi(prec)))
-    uncached = (saddle_data.__wrapped__(r, prec), phase, _reference_oscillatory_bound(r, lam, prec))
+    uncached = (_fresh_saddle(r, prec), phase, _reference_oscillatory_bound(r, lam, prec))
     assert got == _bits(uncached)
 
 
@@ -935,6 +941,23 @@ def test_reduced_cosine_kernel_is_bit_identical_to_mpf_arithmetic(pair, prec, ha
     assert _reduced_cosine(phase, pair.lambda1, pair.lambda2, p_eff + GUARD_BITS) == expected
     if half_phase:
         assert RatioLine(pair.lambda1, pair.lambda2, prec).cosine(pair.lambda1, pair.lambda2) == expected[0]
+
+
+def test_a_cold_subcritical_line_takes_its_root_once_per_working_precision(monkeypatch):
+    # r = 7/3 in other terms, N = 6*7*3 - 7**2 - 3**2 = 68.  At prec 256 a
+    # pair with lambda1 below 2**128 has p_eff = 256, so its phase shares the
+    # saddle's working precision; lambda1 near 2**140 raises p_eff
+    saddle = _bits(saddle_data(Fraction(7, 3), 256))
+    sqrt, precisions = mp.sqrt, []
+    monkeypatch.setattr(mp, "sqrt", lambda x: (x == 68 and precisions.append(mp.prec)) or sqrt(x))
+    line = RatioLine(14, 6, 256)
+    small, large = (7000, 3000), (7 * 2**137, 3 * 2**137)
+    line.cosine(*small)
+    assert precisions == [256 + GUARD_BITS]
+    assert _bits(line.saddle) == saddle
+    line.cosine(*large)
+    line.cosine(*small)
+    assert precisions == [256 + GUARD_BITS, _phase_precision(256, large[0]) + GUARD_BITS]
 
 
 @given(b=st.integers(1, 40), a_over_b=st.integers(1, 4), bits=st.integers(10, 90), prec=st.integers(53, 256))

@@ -911,7 +911,6 @@ def test_a_subcritical_one_pair_verdict_builds_no_saddle_data(monkeypatch):
 
 def test_scan_with_ratio_caches_equals_uncached_pairs():
     caches = (
-        asymptotics.saddle_data,
         asymptotics.ratio_line,
         asymptotics._supercritical_constants,
         asymptotics.diff_line,
@@ -924,6 +923,39 @@ def test_scan_with_ratio_caches_equals_uncached_pairs():
                 cached.cache_clear()
             expected.append((l2, certify(PartitionPair(record[0], l2), budget=0)))
         assert report.jsonl_lines() == _one_pair_rows(expected).jsonl_lines()
+
+
+def _ratio_cache_infos():
+    """The cache_info of each module-level cache that asymptotics defines and
+    keys by a ratio: every one but those keyed by a precision or a
+    difference alone."""
+    other = (asymptotics.diff_line, asymptotics._supercritical_constants, asymptotics._near_diagonal_constants)
+    return {
+        name: f.cache_info()
+        for name, f in vars(asymptotics).items()
+        if hasattr(f, "cache_info") and f.__module__ == asymptotics.__name__ and f not in other
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("certify", "600000", "100000"),
+        # the plain bound fails at lambda2 = 50 and the refined one decides
+        ("certify", "300", "50", "--delta", "1.0"),
+        # past the reach the oscillatory step fails, and the window step decides
+        ("scan", "--l2", "130400..130400", "--diff", "1500"),
+        ("scan", "--l2", "40000..40000", "--l1-list", "240000"),
+    ],
+)
+def test_a_cold_one_pair_line_leaves_every_ratio_cache_unchanged(capsys, argv):
+    from binsum.cli import main
+
+    before = _ratio_cache_infos()
+    assert "ratio_line" in before
+    assert main(["--budget", "0", *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["certificate"].startswith("nonzero_")
+    assert _ratio_cache_infos() == before
 
 
 @st.composite

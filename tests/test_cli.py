@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -714,3 +715,48 @@ def test_exceptions_angle_next_to_the_threshold_does_not_depend_on_the_precision
         assert code == 0
         angles.append(json.loads(out)["angle"])
     assert angles[0] == angles[1]
+
+
+def _strict_json(text):
+    """json.loads of text that refuses NaN, Infinity and -Infinity, with every
+    float read as its exact Decimal."""
+
+    def reject(name):
+        raise ValueError(f"{name} is not a JSON number")
+
+    return json.loads(text, parse_constant=reject, parse_float=Decimal)
+
+
+def test_predict_past_the_double_range_prints_a_json_number(capsys):
+    # the log normalizer, about -(l1 + l2)/2 * log(2) = -1.04e309, is past the
+    # largest double; jsonl writes its 17 significant digits, as human does
+    l1, l2 = str(2 * 10**309 + 1), str(10**309)
+    code, out, _ = run_cli(capsys, "predict", l1, l2)
+    assert code == 0
+    row = _strict_json(out)
+    log_normalizer = row["log_normalizer"]
+    assert Decimal("-1.0398e309") < log_normalizer < Decimal("-1.0397e309")
+    assert len(log_normalizer.as_tuple().digits) <= 17
+    assert 0 < row["error_bound"] < 1
+    text = out.rsplit('"log_normalizer":', 1)[1].rstrip("}\n")
+    code, out, _ = run_cli(capsys, "--format", "human", "predict", l1, l2)
+    assert code == 0
+    assert f"log normalizer  {text}\n" in out
+
+
+def test_exceptions_past_the_double_range_prints_a_json_number(capsys):
+    # r = (3q + 2p)/q for the first convergent p/q of sqrt(2) with
+    # p**2 - 2*q**2 = -1 and q > 10**55: nd = 4/q**2, so the coefficient is
+    # near 2.8e306 and the main term, 1000*log(10**6) times that, past the
+    # largest double
+    p, q = 1, 1
+    while q <= 10**55 or p * p - 2 * q * q != -1:
+        p, q = p + 2 * q, p + q
+    code, out, _ = run_cli(capsys, "exceptions", f"{3 * q + 2 * p}/{q}", "1e6")
+    assert code == 0
+    payload = _strict_json(out)
+    # a value within the double range keeps the bytes of json.dumps
+    assert '"coefficient": 2.840821156456889e+306, ' in out
+    main_term = payload["main_term"]
+    assert abs(main_term / (payload["coefficient"] * 1000 * Decimal(10**6).ln()) - 1) < Decimal("1e-15")
+    assert len(main_term.as_tuple().digits) <= 17

@@ -86,9 +86,33 @@ def test_identity_exits_1_on_the_first_scan_that_differs_from_its_parallelism_1_
     monkeypatch.setattr(tool, "commands", lambda: argvs)
     assert tool.main() == 0
     assert capsys.readouterr().out.count("\n") == 4
-    real_run = tool.run
-    monkeypatch.setattr(tool, "run", lambda argv: ("0" * 64, 0) if "--parallelism" in argv else real_run(argv))
+    real_output = tool.output
+    monkeypatch.setattr(tool, "output", lambda argv: ("", 0) if "--parallelism" in argv else real_output(argv))
     assert tool.main() == 1
     out, err = capsys.readouterr()
     assert out.count("\n") == 4
     assert err == "error: --parallelism 2 scan --l2 1..3 --diff 1 differs from scan --l2 1..3 --diff 1\n"
+
+
+@pytest.mark.parametrize("line", ['{"x":-inf}', '{"x": Infinity}', '{"x": NaN}', '[-Infinity]', '{"x":'])
+def test_identity_exits_1_on_the_first_jsonl_command_that_prints_loose_json(monkeypatch, capsys, line):
+    # after the twin check, the first --format jsonl command with a line that
+    # strict json.loads rejects; a csv or human command may print anything
+    tool = _load_tool()
+    argvs = [["--format", "human", "predict", "3", "1"], ["--format", "jsonl", "predict", "3", "1"], ["--format", "jsonl", "predict", "5", "1"]]
+    monkeypatch.setattr(tool, "commands", lambda: argvs)
+    monkeypatch.setattr(tool, "output", lambda argv: (f'{{"x": 1e400}}\n{line}\n', 0))
+    assert tool.main() == 1
+    assert capsys.readouterr().err == "error: --format jsonl predict 3 1 prints a line that is not strict JSON\n"
+    monkeypatch.setattr(tool, "output", lambda argv: ('{"x": 1e400}\n[1.5, null]\n', 0))
+    assert tool.main() == 0
+
+
+def test_the_identity_commands_past_the_double_range_print_strict_json():
+    tool = _load_tool()
+    overflow = tool.overflow_commands()
+    assert [argv[1] for argv in overflow] == ["jsonl", "human", "jsonl"]
+    for argv in overflow:
+        if tool.jsonl(argv):
+            text, code = tool.output(argv)
+            assert code == 0 and tool.strict_json(text)

@@ -369,13 +369,14 @@ def _mpf_refined_bound(r, lam, delta, prec):
 
 def test_a_validate_pass_computes_each_saddle_constant_once():
     # one pass over the eight lemmas at the 10x8 grid of the proof-check
-    # workload touches 48 distinct (r, prec) keys of `saddle_data` (five
-    # ratio ranges, two of them shared by several lemmas); a shared range is
-    # reused within about 20 keys, so the ratio cache computes each key once
-    asymptotics.saddle_data.cache_clear()
+    # workload touches 48 distinct (r, prec) keys of `saddle_data`, each the
+    # line of one ratio (five ratio ranges, two of them shared by several
+    # lemmas); a shared range is reused within about 20 keys, so the ratio
+    # cache builds each line, and its saddle, once
+    asymptotics.ratio_line.cache_clear()
     keys = set()
     for lemma_id in LEMMA_IDS:
         keys.update(default_r_grid(lemma_id, 10))
         validate_inequality(lemma_id, grid_size=(10, 8))
-    assert asymptotics.saddle_data.cache_info().misses == len(keys) == 48
-    assert asymptotics.saddle_data.cache_parameters()["maxsize"] == RATIO_CACHE_SIZE
+    assert asymptotics.ratio_line.cache_info().misses == len(keys) == 48
+    assert asymptotics.ratio_line.cache_parameters()["maxsize"] == RATIO_CACHE_SIZE

@@ -12,7 +12,10 @@ is printed:
 Diff the files of two checkouts to see which commands changed their output
 bytes or their exit code.  Every scan runs at --parallelism 1 and 2; the
 harness exits 1 and names the first scan whose hash or exit code at 2
-differs from its twin at 1.  The set covers:
+differs from its twin at 1.  Failing that, it exits 1 and names the first
+--format jsonl command with a line of stdout that is not strict JSON: one
+that `json.loads` rejects, or reads only by taking NaN, Infinity or
+-Infinity.  The set covers:
 
 * every scan of the scan-exact, scan-exact-par2 and scan-lines workloads,
   seeds 1-3, in jsonl, csv and human, at --parallelism 1 and 2;
@@ -105,6 +108,7 @@ import contextlib
 import hashlib
 import importlib.util
 import io
+import json
 import math
 import shlex
 import sys
@@ -500,8 +504,8 @@ def commands() -> list[list[str]]:
     return [list(argv) for argv in dict.fromkeys(map(tuple, out))]
 
 
-def run(argv: list[str]) -> tuple[str, object]:
-    """sha256 of the stdout of `binsum argv` and its exit code; stderr is dropped."""
+def output(argv: list[str]) -> tuple[str, object]:
+    """The stdout of `binsum argv` and its exit code; stderr is dropped."""
     from binsum import cli
 
     out = io.StringIO()
@@ -510,7 +514,33 @@ def run(argv: list[str]) -> tuple[str, object]:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse rejects an argument
             code = exc.code
-    return hashlib.sha256(out.getvalue().encode()).hexdigest(), code
+    return out.getvalue(), code
+
+
+def run(argv: list[str]) -> tuple[str, object]:
+    """sha256 of the stdout of `binsum argv` and its exit code."""
+    text, code = output(argv)
+    return hashlib.sha256(text.encode()).hexdigest(), code
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def strict_json(text: str) -> bool:
+    """Whether every line of text is JSON that `json.loads` reads without
+    taking NaN, Infinity or -Infinity."""
+    try:
+        for line in text.splitlines():
+            json.loads(line, parse_constant=_reject_constant)
+    except ValueError:
+        return False
+    return True
+
+
+def jsonl(argv: list[str]) -> bool:
+    """Whether argv asks for --format jsonl."""
+    return "--format" in argv and argv[argv.index("--format") + 1] == "jsonl"
 
 
 def serial_twin(argv: list[str]) -> list[str] | None:
@@ -525,16 +555,22 @@ def serial_twin(argv: list[str]) -> list[str] | None:
 
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
-    results = {}
+    results, loose = {}, None
     for argv in commands():
-        digest, code = run(argv)
+        text, code = output(argv)
+        digest = hashlib.sha256(text.encode()).hexdigest()
         results[tuple(argv)] = digest, code
         print(f"{digest} {code} {shlex.join(argv)}", flush=True)
+        if loose is None and jsonl(argv) and not strict_json(text):
+            loose = argv
     for argv, result in results.items():
         twin = serial_twin(list(argv))
         if twin is not None and results.get(tuple(twin)) != result:
             print(f"error: {shlex.join(argv)} differs from {shlex.join(twin)}", file=sys.stderr)
             return 1
+    if loose is not None:
+        print(f"error: {shlex.join(loose)} prints a line that is not strict JSON", file=sys.stderr)
+        return 1
     return 0
 
 
