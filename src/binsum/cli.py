@@ -370,8 +370,8 @@ def cmd_exceptions(args, config: RunConfig) -> int:
     # it with spec "", where json.dumps would write a float past the double
     # range as Infinity
     report = exception_report(args.ratio, args.x, args.depth, config.precision_bits)
-    items = (f"{json.dumps(k)}: {format_float(v, '') if isinstance(v, mpf) else json.dumps(v)}" for k, v in sorted(report.items()))
-    print("{" + ", ".join(items) + "}")
+    items = sorted(report.items())
+    print("{" + ", ".join(f"{json.dumps(k)}: {format_float(v, '') if isinstance(v, mpf) else json.dumps(v)}" for k, v in items) + "}")
     return 0
 
 
