@@ -264,6 +264,12 @@ class SaddleData(NamedTuple):
     alpha: mpf | None = None
 
 
+# the regimes of r > 1, and each regime alone, as `require_regime` reads them
+SADDLE_REGIMES = (Regime.SUPERCRITICAL, Regime.SUBCRITICAL)
+SUPERCRITICAL_ONLY = (Regime.SUPERCRITICAL,)
+SUBCRITICAL_ONLY = (Regime.SUBCRITICAL,)
+
+
 def require_regime(r, regimes: tuple[Regime, ...], requirement: str, prec: int | None = None) -> Regime:
     """The regime of the ratio r, one of `regimes`, after `check_precision`
     of prec when one is given; any other regime raises
@@ -277,18 +283,12 @@ def require_regime(r, regimes: tuple[Regime, ...], requirement: str, prec: int |
     return regime
 
 
-# the regimes of r > 1, and each regime alone, as `require_regime` reads them
-_SADDLE = (Regime.SUPERCRITICAL, Regime.SUBCRITICAL)
-_SUPER = (Regime.SUPERCRITICAL,)
-_SUB = (Regime.SUBCRITICAL,)
-
-
 def _oscillation_ratio(r: Fraction, prec: int) -> Fraction:
     """r as a Fraction, after checking prec and that 1 <= r <= 3 + 2*sqrt(2)."""
     check_precision(prec)
     r = Fraction(r)
     if r != 1:
-        require_regime(r, _SUB, "oscillation angles require 1 <= r <= 3 + 2*sqrt(2)")
+        require_regime(r, SUBCRITICAL_ONLY, "oscillation angles require 1 <= r <= 3 + 2*sqrt(2)")
     return r
 
 
@@ -310,7 +310,7 @@ def half_phase_angle(r: Fraction, prec: int = DEFAULT_PRECISION) -> mpf:
 def saddle_data(r: Fraction, prec: int = DEFAULT_PRECISION) -> SaddleData:
     """The saddle of the regime of r (r > 1): rho and M, or rho and alpha,
     the `RatioLine.saddle` of the line of r that `ratio_line` keeps."""
-    require_regime(r, _SADDLE, "saddle data requires r > 1", prec)
+    require_regime(r, SADDLE_REGIMES, "saddle data requires r > 1", prec)
     r = Fraction(r)
     return ratio_line(r.numerator, r.denominator, prec).saddle
 
@@ -371,7 +371,7 @@ def supercritical_error_bound(r: Fraction, lam: int, prec: int = DEFAULT_PRECISI
     back the sum bit for bit.  At lam near 1e5 this skips an exp of about
     10**-80000.
     """
-    require_regime(r, _SUPER, "bound requires r > 3 + 2*sqrt(2)", prec)
+    require_regime(r, SUPERCRITICAL_ONLY, "bound requires r > 3 + 2*sqrt(2)", prec)
     r = Fraction(r)
     if lam < 1:
         raise ValueError("lambda must be >= 1")
@@ -467,7 +467,7 @@ def supercritical_error_bound_refined(
     and lam only when lam*M*delta**2 >= 1; callers exploiting monotonicity
     must check that themselves.
     """
-    require_regime(r, _SUPER, "bound requires r > 3 + 2*sqrt(2)", prec)
+    require_regime(r, SUPERCRITICAL_ONLY, "bound requires r > 3 + 2*sqrt(2)", prec)
     r = Fraction(r)
     if r > REFINED_BOUND_MAX_RATIO:
         raise ValueError(f"refined bound requires r <= {REFINED_BOUND_MAX_RATIO}, got {r}")
@@ -501,7 +501,7 @@ def oscillatory_bound_reach(r: Fraction) -> int:
     reach implies the bound's validity threshold: reach ~ 16336**2/nd**5.5 and
     nd <= 8 put every lam above it past 61 times the threshold, for every r.
     """
-    require_regime(r, _SUB, "bound requires 1 < r < 3 + 2*sqrt(2)")
+    require_regime(r, SUBCRITICAL_ONLY, "bound requires 1 < r < 3 + 2*sqrt(2)")
     r = Fraction(r)
     return _oscillatory_reach(r.numerator, r.denominator)
 
@@ -517,7 +517,7 @@ def oscillatory_error_bound(
     Returns (bound, validity_threshold); the bound value is meaningful only
     at or above the threshold.
     """
-    require_regime(r, _SUB, "bound requires 1 < r < 3 + 2*sqrt(2)", prec)
+    require_regime(r, SUBCRITICAL_ONLY, "bound requires 1 < r < 3 + 2*sqrt(2)", prec)
     r = Fraction(r)
     if lam < 1:
         raise ValueError("lambda must be >= 1")
@@ -568,7 +568,7 @@ def near_diagonal_error_bound(pair: PartitionPair, prec: int = DEFAULT_PRECISION
         raise ValueError(
             f"near-diagonal bound requires lambda1 - lambda2 >= {NEAR_DIAGONAL_MIN_DIFFERENCE}, got {d}"
         )
-    require_regime(pair.ratio, _SUB, "near-diagonal bound requires a subcritical ratio")
+    require_regime(pair.ratio, SUBCRITICAL_ONLY, "near-diagonal bound requires a subcritical ratio")
     value, detail = _near_diagonal_bound(d, l2, prec + GUARD_BITS)
     if value is None:
         return NearDiagonalBound(None, False, detail)
@@ -627,7 +627,7 @@ def oscillation_cosine(
     """
     r, p_eff = pair.ratio, _phase_precision(prec, pair.lambda1)
     if half_phase:
-        require_regime(r, _SADDLE, "saddle data requires r > 1")
+        require_regime(r, SADDLE_REGIMES, "saddle data requires r > 1")
     _oscillation_ratio(r, p_eff)
     g1, g2, g3, two_pi = ratio_line(r.numerator, r.denominator, prec).phase(p_eff)[0]
     phase = g1, g2, g3 if half_phase else None, two_pi
@@ -1637,7 +1637,7 @@ def predict(pair: PartitionPair, prec: int = DEFAULT_PRECISION) -> Prediction:
     if pair.lambda2 < 1:
         raise ValueError("prediction requires lambda2 >= 1")
     r = pair.ratio
-    regime = require_regime(r, _SADDLE, "prediction requires r > 1")
+    regime = require_regime(r, SADDLE_REGIMES, "prediction requires r > 1")
     lam = pair.lambda2
     if regime is Regime.SUPERCRITICAL:
         sd = saddle_data(r, prec)

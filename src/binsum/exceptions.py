@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from mpmath import mp, mpf, workprec
 
-from .asymptotics import Regime, classify, gamma_angles, negated_discriminant, require_regime
+from .asymptotics import SADDLE_REGIMES, Regime, classify, gamma_angles, negated_discriminant, require_regime
 from .numerics import DEFAULT_PRECISION, GUARD_BITS, SLACK, Comparison, certified_compare, check_precision
 
 
@@ -108,7 +108,7 @@ def exception_count_bound(r: Fraction, x, prec: int = DEFAULT_PRECISION) -> Exce
     For supercritical r the count is bounded by a constant depending only on
     r and a flag result is returned instead.  Every ratio needs a finite x >= 1.
     """
-    regime = require_regime(r, (Regime.SUPERCRITICAL, Regime.SUBCRITICAL), "exception counting requires r > 1", prec)
+    regime = require_regime(r, SADDLE_REGIMES, "exception counting requires r > 1", prec)
     r = Fraction(r)
     with workprec(prec + GUARD_BITS):
         xv = mpf(x)

@@ -201,6 +201,16 @@ def tilde_prefactor(pair: PartitionPair) -> Fraction:
     )
 
 
+def _sieved_primes():
+    """2, 3, 5, 7, ... read from `primes_upto`, whose limit doubles each time
+    the walk passes it."""
+    limit, start = 64, 0
+    while True:
+        primes = primes_upto(limit)
+        yield from primes[start:]
+        limit, start = 2 * limit, len(primes)
+
+
 def _horner_mod(coeffs: list[int], x: int, m: int) -> int:
     """poly(x) mod m for ascending `coeffs` already reduced mod m."""
     acc = 0
@@ -336,16 +346,11 @@ def integer_roots(poly: IntPolynomial, search_bound: int) -> list[int]:
     if len(coeffs) == 1:
         return sorted(roots)
     coeffs = _squarefree_part(_primitive(coeffs))
-    # the primes in order, up to a limit doubled until one is good; a prime
-    # below the old limit is tried again only when all of them failed
-    limit, residues = 32, None
-    while residues is None:
-        limit *= 2
-        for p in primes_upto(limit):
-            if coeffs[-1] % p:
-                residues = _simple_roots_mod_p(coeffs, p)
-                if residues is not None:
-                    break
+    for p in _sieved_primes():
+        if coeffs[-1] % p:
+            residues = _simple_roots_mod_p(coeffs, p)
+            if residues is not None:
+                break
     modulus = p
     derivative = _derivative(coeffs)
     while modulus <= 2 * search_bound and residues:

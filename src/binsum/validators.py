@@ -113,7 +113,8 @@ from mpmath.libmp import (
 
 from .asymptotics import (
     REFINED_BOUND_MAX_RATIO,
-    Regime,
+    SUBCRITICAL_ONLY,
+    SUPERCRITICAL_ONLY,
     SaddleData,
     cubic_kernel,
     negated_discriminant,
@@ -146,19 +147,19 @@ _SUPER_REQUIREMENT = "inequality requires r > 3 + 2*sqrt(2)"
 
 
 def _super_region(r: Fraction, prec: int) -> tuple[mpf, mpf]:
-    require_regime(r, (Regime.SUPERCRITICAL,), _SUPER_REQUIREMENT)
+    require_regime(r, SUPERCRITICAL_ONLY, _SUPER_REQUIREMENT)
     return -mp.pi, mp.pi
 
 
 def _super_strict_region(r: Fraction, prec: int) -> tuple[mpf, mpf]:
-    require_regime(r, (Regime.SUPERCRITICAL,), _SUPER_REQUIREMENT)
+    require_regime(r, SUPERCRITICAL_ONLY, _SUPER_REQUIREMENT)
     if r > REFINED_BOUND_MAX_RATIO:
         raise ValueError(f"inequality requires r <= {REFINED_BOUND_MAX_RATIO}, got r = {r}")
     return -mp.pi / 3, mp.pi / 3
 
 
 def _sub_region(r: Fraction, prec: int) -> tuple[mpf, mpf]:
-    require_regime(r, (Regime.SUBCRITICAL,), "inequality requires 1 < r < 3 + 2*sqrt(2)")
+    require_regime(r, SUBCRITICAL_ONLY, "inequality requires 1 < r < 3 + 2*sqrt(2)")
     alpha = saddle_data(r, prec).alpha
     return alpha / 2, mp.pi - alpha / 2
 

@@ -897,15 +897,16 @@ def test_difference_scan_never_computes_the_oscillatory_threshold(monkeypatch):
 
 def test_a_subcritical_one_pair_verdict_builds_no_saddle_data(monkeypatch):
     # the oscillatory step reads the phase angles and the half phase, not the
-    # saddle: with `saddle_data` failing, the pair keeps its verdict and margin
+    # saddle: with every line's saddle failing, the pair keeps its verdict and
+    # margin
     pair = PartitionPair(203001, 200001)
     expected = certify(pair)
     assert expected.kind is CertificateKind.NONZERO_OSCILLATORY
 
     def no_saddle(*args, **kwargs):
-        raise AssertionError("saddle_data was called")
+        raise AssertionError("the saddle was built")
 
-    monkeypatch.setattr(asymptotics, "saddle_data", no_saddle)
+    monkeypatch.setattr(asymptotics.RatioLine, "saddle", property(no_saddle))
     assert certify(pair) == expected
 
 
