@@ -88,7 +88,9 @@ that `json.loads` rejects, or reads only by taking NaN, Infinity or
   format;
 * `validate` for every lemma at two grids, and on the 4x5 grid also at
   --precision 53 and 200, in jsonl and human, and at the other two grid
-  shapes of the proof-check workload, 9x9 and 10x8, in jsonl;
+  shapes of the proof-check workload, 9x9 and 10x8, in jsonl; and for
+  every lemma at the default 50x50 grid, in jsonl, and on the 9x9 grid at
+  --precision 53 and 400, in jsonl and human;
 * scans whose rule yields its last pair far inside a long lambda2 range,
   and a ratio with a denominator whose range starts off a multiple of it,
   in the same formats and at the same parallelism;
@@ -495,6 +497,10 @@ def commands() -> list[list[str]]:
             argv = ["--precision", precision, "validate", "--lemma", lemma, "--grid", "4x5"]
             out.extend(["--format", fmt, *argv] for fmt in ("jsonl", "human"))
         out.extend(["--format", "jsonl", "validate", "--lemma", lemma, "--grid", grid] for grid in ("9x9", "10x8"))
+        out.append(["--format", "jsonl", "validate", "--lemma", lemma])
+        for precision in ("53", "400"):
+            argv = ["--precision", precision, "validate", "--lemma", lemma, "--grid", "9x9"]
+            out.extend(["--format", fmt, *argv] for fmt in ("jsonl", "human"))
     for l1, l2 in ((40, 17), (300, 100), (31, 31)):
         out.extend(["eval", str(l1), str(l2), "--route", route] for route in ROUTES)
     for l1, l2 in CANCEL_PAIRS:
