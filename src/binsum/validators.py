@@ -51,10 +51,89 @@ mpmath's accuracy of a few ulp for cos, sin, log, atan2, pi, hypot and
 larger powers.  So an enclosure can run the same chain with directed
 rounding, one bound per call.  The per-ratio constants (rho, M and a
 from `saddle_data`, r and nd, and the row's Q and remainder constants) are
-computed once per ratio, the row's in the same raw form.
+computed once per ratio, the row's in the same raw form, and only for a
+ratio that holds a candidate of the screen.
+
+The screen.  The raw chain costs 40-90 us a point, nearly all of it in
+`mpf_log`, `mpf_atan2` and `mpf_cos_sin`, and a report names one point.
+So `validate_inequality` first takes every grid point's margin m in IEEE
+doubles (`_Floats`, `_screen`), with a bound E(theta) on |m - raw margin|,
+and runs `_margin` only on the candidates.  A point is not a candidate
+when m + E < max(m' - E') over the whole grid: then its raw margin lies
+below that of another point, so it is neither the worst point nor tied
+with it.  Rounding is monotone, so the test on the rounded sums implies
+the one on the exact ones.  The candidates run in grid order under the
+first-wins `mpf_gt` rule, so `max_margin`, `worst_r`, `worst_theta` and
+`passed` are the kernel's bit for bit, and `points` counts the whole grid.
+A point is always a candidate when its double pass cannot run (float(r)
+overflows, a log argument is not positive, a divisor is 0) or ends in an
+E that is not below 2**-20; then every point of a ratio whose constants
+leave the double range is a candidate.  Doubles, and not a cheaper
+mpmath or a fixed-point twin (measured on a 2-core Xeon, CPython 3.11.7,
+mpmath 1.3.0): a double margin with its bound takes 4-7 us a point as
+written here, of which the f values themselves take about 2 us; mpmath at
+53 bits is only about 1.5x
+cheaper than at 152 (`log` 2.9 vs 4.1 us, `atan2` 4.8 vs 6.2 us,
+`cos_sin` 3.9 vs 7.1 us); and a twin in the manner of
+`asymptotics._fixed_cos`, 13 Horner steps at 96 bits, would cost 10-20 us.
+
+What E trusts, with eta = 2**-47: that IEEE +, -, *, / and sqrt round to
+nearest (relative error 2**-53), as float() of a Fraction and to_float of
+an mpf do; that libm's log, log1p, atan2, cos and sin, and math.hypot,
+are each within eta of their exact results, 32 ulp, far looser than the
+one or two ulp that glibc's manual lists for them; and that each libmp
+call of the raw chain is within eta_r = 2**(4 - wp) (16 ulp at wp bits).
+E bounds the first-order error terms of both chains against the margin
+taken exactly at the raw chain's inputs (rho, M, a and theta as rounded
+at wp bits, r exact).  A second-order term is a product of two
+first-order relative errors, each below E < 2**-20 of its scale, so the
+factor 2 in E covers them, and E's own roundings.  Every bound below is
+absolute, with A+- = |1 +- z|**2 = 1 +- 2*rho*cos t + rho**2 >=
+(1 - rho)**2 > 0 taken per point, and P = rho*(r/A+ + 1/A-):
+
+- theta: a grid theta is within 4*eta of its raw twin (`_cells` sums and
+  multiplies doubles within 2**-51 of lo, the width and the cell
+  fraction, all below 8), an explicit theta and the centre c within
+  eta/16; so u = |t - c| is within 16*eta (u < 8), and cos t and sin t
+  within 5*eta.
+- g: the pass leaves out the -log(rho) of g, which cancels in
+  g(t) - g(c), and takes log(A+-) as log1p(rho*(rho +- 2*cos t)), whose
+  argument is within 20*rho*eta.  So log(A+-) is within
+  20*rho*eta/A+- + eta*|log(A+-)|, and (r*log(A+) + log(A-))/2 within
+  eta*(10*P + 3*L), L = r*|log(A+)| + |log(A-)|, with the share of the
+  subtraction of its value at c.
+- h: atan2(Y, X) has the gradient (X, -Y)/A.  Y = rho*sin t is within
+  7*rho*eta, X = 1 +- rho*cos t within 7*rho*eta + eta*|X|, and |X|,
+  |Y| <= sqrt(A) <= 2, so atan2 is within eta*(22*rho/A + |atan2|), and
+  r*atan2+ + atan2- - t within eta*(22*P + 6*L' + 2*|t| + 4),
+  L' = r*|atan2+| + |atan2-|, with the share of the subtraction at c.
+- model: a row constant is at most 8 roundings from r, nd and r - 1 (each
+  converted from its exact Fraction), rho and M, so it is within 16*eta
+  relative; q*u**2 is within eta*|q|*(32*u + 18*u**2), and each sum and
+  the side add eta times their size (pos and abs add nothing).
+- remainder: u**n, by n - 1 products, is within eta*(16*n*u**(n-1) +
+  (n-1)*u**n), so R*u**n is within eta*|R|*(16*n*u**(n-1) + n*u**n) +
+  e_R*u**n, with e_R = 16*eta*|R| for a constant and 256*eta for C_g and
+  C_h: for rho < sqrt(2) - 1 each of their numerators is below 4 in size,
+  each divisor above 1 and |dC/dc| below 2, so their twenty-odd roundings
+  and the error of cos t stay well inside it.  Each sum adds eta*|sum|,
+  and m = left - right adds eta*|m|.
+- raw: the raw chain's errors are these terms with eta_r for eta, at most
+  2**-26 of them and so inside the factor 2, but for two that the double
+  pass does not share: it takes log(A) of a rounded A (within
+  12*eta_r), which r multiplies without the factor rho, and it subtracts
+  log(rho) twice.  Both lie below eta_r*(32*(r+1)/(1 - rho)**2 +
+  4*|log(rho)|) per ratio, to which 2**-1000 is added in eta_r: a double
+  that underflows loses at most 2**-1075, and r/(1 - rho)**2 bounds what
+  any such loss is multiplied by.
+
+E is twice the sum of these terms.  A test checks |m - raw margin| <= E
+at random points and precisions, and that E stays below 2**-30 inside
+each lemma's default ranges, so that the screen prunes; on the grids of
+the proof-check workload at most a few points per lemma run the chain.
 
 `_LEMMAS` is the registry: one entry per lemma id, holding its default
-ratio range, its theta region and its row.  The rows, with M and the
+ratio range, its theta region and its row, raw and in doubles.  The rows, with M and the
 saddle angle a from `saddle_data`, nd = 6r - 1 - r**2, and the hypothesis
 region in brackets:
 
@@ -77,7 +156,9 @@ its real part is the Q of sub-g-decay.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import pos
 from typing import Callable, NamedTuple, Sequence
 
 from mpmath import mp, mpf, workprec
@@ -235,11 +316,14 @@ def _margin(wp: int, F: Callable, c: tuple, Q: tuple, side: Callable, R2, R3, R4
     `mpf_pos`, `mpf_abs`, or `mpf_hypot`, the modulus.  A remainder
     coefficient is None (no term), a raw number, or a kernel of cos(theta),
     which F returns next to its value.  F(c) comes from F itself, so the
-    margin at theta = c is exactly 0."""
+    margin at theta = c is exactly 0, and there it is returned without the
+    chain."""
     F_c = F(c)[0]
     terms = [(n, R) for n, R in ((2, R2), (3, R3), (4, R4)) if R is not None]
 
     def margin(t: tuple) -> tuple:
+        if t == c:
+            return fzero
         u = mpf_abs(mpf_sub(t, c, wp, _RND), wp, _RND)
         value, cos_t = F(t)
         step = [mpf_sub(v, v_c, wp, _RND) for v, v_c in zip(value, F_c)]
@@ -254,6 +338,144 @@ def _margin(wp: int, F: Callable, c: tuple, Q: tuple, side: Callable, R2, R3, R4
         return left if right is None else mpf_sub(left, right, wp, _RND)
 
     return margin
+
+
+# The screen's error model (module docstring): each double operation,
+# conversion and libm call is within a relative error _ETA of its exact
+# result; a bound E at or past _SCREEN_LIMIT proves nothing, and such a point
+# is a candidate, as is one whose double pass cannot run.
+_ETA = 2.0**-47
+_SCREEN_LIMIT = 2.0**-20
+_UNSCREENED = (-math.inf, math.inf)
+
+
+def _to_double(x: mpf) -> float:
+    return to_float(x._mpf_, rnd=_RND)
+
+
+class _Floats:
+    """The double twin of `_Circle`: g, h and f at z = rho*e^(i*theta) for
+    the ratio of `sd`, each at a double theta, returning its value parts,
+    their absolute error bounds and the cos(theta) it took.  g leaves out
+    its -log(rho), which cancels in F(theta) - F(c).  Building it raises
+    OverflowError, ValueError or ZeroDivisionError where the ratio's
+    constants leave the double range."""
+
+    def __init__(self, sd: SaddleData):
+        self.r = float(sd.r)
+        rho = self.rho = _to_double(sd.rho)
+        self.M, self.alpha = (None if v is None else _to_double(v) for v in (sd.M, sd.alpha))
+        self.r_minus_1, self.nd = float(sd.r - 1), float(negated_discriminant(sd.r))
+        # the raw chain's error beyond its share of the terms of this one
+        self.raw = (2.0 ** (4 - sd.prec - GUARD_BITS) + 2.0**-1000) * (
+            32 * (self.r + 1) / ((1 - rho) * (1 - rho)) + 4 * abs(math.log(rho))
+        )
+
+    def _g(self, c: float) -> tuple[float, float]:
+        r, rho = self.r, self.rho
+        plus, minus = rho * (rho + 2 * c), rho * (rho - 2 * c)  # |1 +- z|**2 - 1
+        log_plus, log_minus = math.log1p(plus), math.log1p(minus)
+        p = rho * (r / (1 + plus) + 1 / (1 + minus))
+        return (r * log_plus + log_minus) / 2, _ETA * (10 * p + 3 * (r * abs(log_plus) + abs(log_minus)))
+
+    def _h(self, t: float, c: float, s: float) -> tuple[float, float]:
+        r, rho = self.r, self.rho
+        y, x_plus, x_minus = rho * s, 1 + rho * c, 1 - rho * c
+        plus, minus = math.atan2(y, x_plus), math.atan2(-y, x_minus)
+        p = rho * (r / (x_plus * x_plus + y * y) + 1 / (x_minus * x_minus + y * y))
+        return r * plus + minus - t, _ETA * (22 * p + 6 * (r * abs(plus) + abs(minus)) + 2 * abs(t) + 4)
+
+    def g(self, t: float) -> tuple:
+        c = math.cos(t)
+        value, err = self._g(c)
+        return (value,), (err,), c
+
+    def h(self, t: float) -> tuple:
+        c = math.cos(t)
+        value, err = self._h(t, c, math.sin(t))
+        return (value,), (err,), c
+
+    def f(self, t: float) -> tuple:
+        c = math.cos(t)
+        (g, g_err), (h, h_err) = self._g(c), self._h(t, c, math.sin(t))
+        return (g, h), (g_err, h_err), c
+
+
+def _quartic_floats(rho: float) -> Callable[[float], tuple[float, float]]:
+    """c -> (C_g(r, c), its error bound) in doubles, as
+    `asymptotics.quartic_kernel` forms it."""
+    rho2, one_minus2 = rho * rho, (1 - rho) * (1 - rho)
+    denominator = 24 * (1 + rho) * one_minus2
+    first = (1 - 2 * rho - rho2) / denominator
+    head = (rho2 * rho2 + 6 * rho2 * rho + 2 * rho2 + 4 * rho - 1) / (denominator * one_minus2)
+    scale, base = 4 * (1 - rho2), 1 + rho2
+
+    def coefficient(c: float) -> tuple[float, float]:
+        return max(first, head + rho / (scale * (base + 2 * rho * c))), 256 * _ETA
+
+    return coefficient
+
+
+def _cubic_floats(rho: float) -> Callable[[float], tuple[float, float]]:
+    """c -> (C_h(r, c), its error bound) in doubles, as
+    `asymptotics.cubic_kernel` forms it."""
+    rho2, one_minus = rho * rho, 1 - rho
+    base = 1 + rho2
+    f1 = base * (rho2 + 4 * rho - 1) / (6 * one_minus * one_minus * one_minus * (1 + rho) * (1 + rho))
+    scale, base2, four_rho2 = 6 * one_minus, base * base, 4 * rho2
+
+    def coefficient(c: float) -> tuple[float, float]:
+        f2 = base * (1 - 2 * rho * (1 + c) - rho2) / (scale * (base2 - four_rho2 * c * c))
+        return max(f1, f2, 0.0), 256 * _ETA
+
+    return coefficient
+
+
+def _screen(d: _Floats, F: Callable, c: float, Q: tuple, side: Callable, R2, R3, R4) -> Callable:
+    """theta -> (m - E, m + E) for the double margin m of one lemma at a
+    double theta and its bound E (module docstring), which encloses the raw
+    `_margin` of the same row; `_UNSCREENED` where the pass cannot run or E
+    proves nothing.  The arguments are those of `_margin` in doubles, with
+    F from `_Floats` and a remainder kernel returning its error bound next
+    to its value."""
+    F_c, err_c, _ = F(c)
+    terms = [(n, R) for n, R in ((2, R2), (3, R3), (4, R4)) if R is not None]
+
+    def bounds(t: float) -> tuple[float, float]:
+        try:
+            u = abs(t - c)
+            value, err, cos_t = F(t)
+            step = [v - v_c for v, v_c in zip(value, F_c)]
+            errs = [e + e_c for e, e_c in zip(err, err_c)]
+            powers = (1.0, u, u * u, u * u * u, u * u * u * u)
+            for i, q in enumerate(Q):
+                step[i] += q * powers[2]
+                errs[i] += _ETA * (abs(q) * (32 * u + 18 * powers[2]) + abs(step[i]))
+            left = side(*step)
+            e = errs[0] if len(step) == 1 else errs[0] + errs[1] + _ETA * left
+            right = 0.0
+            for n, R in terms:
+                value, e_R = R(cos_t) if callable(R) else (R, 16 * _ETA * abs(R))
+                right += value * powers[n]
+                e += _ETA * abs(value) * (16 * n * powers[n - 1] + n * powers[n]) + e_R * powers[n] + _ETA * abs(right)
+            m = left - right
+            bound = 2 * (e + _ETA * abs(m) + d.raw)
+        except (ArithmeticError, ValueError):
+            return _UNSCREENED
+        return (m - bound, m + bound) if bound < _SCREEN_LIMIT else _UNSCREENED
+
+    return bounds
+
+
+def _screen_line(floats_row: Callable, sd: SaddleData, thetas: list[float]) -> list[tuple[float, float]]:
+    """The `_screen` bounds of one ratio's double thetas, all `_UNSCREENED`
+    where the ratio's double constants cannot be formed."""
+    try:
+        d = _Floats(sd)
+        bounds = _screen(d, *floats_row(d))
+    except (ArithmeticError, ValueError):
+        return [_UNSCREENED] * len(thetas)
+    return [bounds(t) for t in thetas]
 
 
 _SUPER = ((Fraction(584, 100), Fraction(12)), _super_region)
@@ -292,24 +514,53 @@ def _near1_f_row(k: _Circle) -> tuple:
     return k.f, k.alpha, (fhalf,), mpf_hypot, R2, mpf_div(fone, from_int(3), k.wp, _RND), None
 
 
+def _sub_f_floats(d: _Floats) -> tuple:
+    r, r_plus_1 = d.r, d.r + 1
+    Q = _sub_g_floats(d)[2][0], -(math.sqrt(d.nd) * (d.r_minus_1 * d.r_minus_1) / (16 * r))
+    return d.f, d.alpha, Q, math.hypot, None, 0.33846 * (r_plus_1 * r_plus_1) / (r * r), None
+
+
+def _sub_g_floats(d: _Floats) -> tuple:
+    r_plus_1 = d.r + 1
+    return d.g, d.alpha, (r_plus_1 * d.nd / (16 * d.r),), pos, None, r_plus_1 / 4, None
+
+
 # The registry: lemma id -> (default ratio range, theta region of the
-# hypothesis at (r, prec), row), one entry per id of `LEMMA_IDS` in its
-# order, which is that of the table above.  A region function runs under
-# workprec(prec + GUARD_BITS) and raises ValueError for an r outside the
-# hypothesis.  A row maps the _Circle k of one ratio to the raw arguments
-# (F, c, Q, side, R2, R3, R4) of `_margin`; M/2 is an exact halving.
-_LEMMAS: dict[str, tuple[tuple[Fraction, Fraction], Callable, Callable]] = dict(
+# hypothesis at (r, prec), row, double row), one entry per id of
+# `LEMMA_IDS` in its order, which is that of the table above.  A region
+# function runs under workprec(prec + GUARD_BITS) and raises ValueError for
+# an r outside the hypothesis.  A row maps the _Circle k of one ratio to the
+# raw arguments (F, c, Q, side, R2, R3, R4) of `_margin`; M/2 is an exact
+# halving.  A double row maps the _Floats d of the ratio to the same
+# arguments in doubles, those of `_screen`.
+_LEMMAS: dict[str, tuple[tuple[Fraction, Fraction], Callable, Callable, Callable]] = dict(
     zip(
         LEMMA_IDS,
         (
-            (*_SUPER, _super_decay_row),
-            (*_SUPER_STRICT, lambda k: (k.g, fzero, (mpf_shift(k.M, -1),), mpf_pos, None, None, None)),
-            (*_SUPER, lambda k: (k.g, fzero, (mpf_shift(k.M, -1),), mpf_abs, None, None, quartic_kernel(k.rho, k.wp))),
-            (*_SUPER, lambda k: (k.h, fzero, (), mpf_abs, None, cubic_kernel(k.rho, k.wp), None)),
-            (*_SUB, _sub_f_row),
-            (*_SUB, _sub_g_row),
-            (*_NEAR1_F, _near1_f_row),
-            (*_NEAR1_G, lambda k: (k.g, k.alpha, (fhalf,), mpf_pos, None, fhalf, None)),
+            (*_SUPER, _super_decay_row, lambda d: (d.g, 0.0, (2 * d.M / (math.pi * math.pi),), pos, None, None, None)),
+            (
+                *_SUPER_STRICT,
+                lambda k: (k.g, fzero, (mpf_shift(k.M, -1),), mpf_pos, None, None, None),
+                lambda d: (d.g, 0.0, (d.M / 2,), pos, None, None, None),
+            ),
+            (
+                *_SUPER,
+                lambda k: (k.g, fzero, (mpf_shift(k.M, -1),), mpf_abs, None, None, quartic_kernel(k.rho, k.wp)),
+                lambda d: (d.g, 0.0, (d.M / 2,), abs, None, None, _quartic_floats(d.rho)),
+            ),
+            (
+                *_SUPER,
+                lambda k: (k.h, fzero, (), mpf_abs, None, cubic_kernel(k.rho, k.wp), None),
+                lambda d: (d.h, 0.0, (), abs, None, _cubic_floats(d.rho), None),
+            ),
+            (*_SUB, _sub_f_row, _sub_f_floats),
+            (*_SUB, _sub_g_row, _sub_g_floats),
+            (*_NEAR1_F, _near1_f_row, lambda d: (d.f, d.alpha, (0.5,), math.hypot, d.r_minus_1 / 4, 1 / 3, None)),
+            (
+                *_NEAR1_G,
+                lambda k: (k.g, k.alpha, (fhalf,), mpf_pos, None, fhalf, None),
+                lambda d: (d.g, d.alpha, (0.5,), pos, None, 0.5, None),
+            ),
         ),
         strict=True,
     )
@@ -341,23 +592,28 @@ def default_r_grid(lemma_id: str, n_r: int) -> list[Fraction]:
 
 def region_theta_grid(lemma_id: str, r: Fraction, n_theta: int, prec: int = DEFAULT_PRECISION) -> list[mpf]:
     """n_theta angles strictly inside the lemma's theta region for this r."""
-    return [mp.make_mpf(t) for t in _spread(*_theta_region(_lemma(lemma_id)[1], r, prec), n_theta, prec)]
+    doubles, midpoint = _cells(*_theta_region(_lemma(lemma_id)[1], r, prec), n_theta, prec)
+    return [mp.make_mpf(midpoint(j)) for j in range(len(doubles))]
 
 
-def _spread(lo: mpf, hi: mpf, n_theta: int, prec: int) -> list[tuple]:
-    """n_theta cell midpoints lo + (2j+1)/(2*n_theta)*(hi - lo) of [lo, hi],
-    raw at prec + GUARD_BITS bits, or [lo] for a degenerate interval."""
+def _cells(lo: mpf, hi: mpf, n_theta: int, prec: int) -> tuple[list[float], Callable[[int], tuple]]:
+    """The n_theta cell midpoints lo + (2j+1)/(2*n_theta)*(hi - lo) of
+    [lo, hi], or lo alone for a degenerate interval: as doubles, each within
+    2**-48 of its raw twin, and as j -> the raw midpoint at prec +
+    GUARD_BITS bits."""
     wp = prec + GUARD_BITS
     with workprec(wp):
         lo, hi = lo._mpf_, hi._mpf_  # an end such as mp.pi takes its bits here
     width = mpf_sub(hi, lo, wp, _RND)
     if width == fzero:
-        return [lo]
+        return [to_float(lo, rnd=_RND)], lambda j: lo
     cells = from_int(2 * n_theta)
-    return [
-        mpf_add(lo, mpf_mul(mpf_div(from_int(2 * j + 1), cells, wp, _RND), width, wp, _RND), wp, _RND)
-        for j in range(n_theta)
-    ]
+
+    def midpoint(j: int) -> tuple:
+        return mpf_add(lo, mpf_mul(mpf_div(from_int(2 * j + 1), cells, wp, _RND), width, wp, _RND), wp, _RND)
+
+    lo_f, width_f = to_float(lo, rnd=_RND), to_float(width, rnd=_RND)
+    return [lo_f + (2 * j + 1) / (2 * n_theta) * width_f for j in range(n_theta)], midpoint
 
 
 def validate_inequality(
@@ -376,19 +632,18 @@ def validate_inequality(
     an argument error when outside; that is not a lemma violation.
     """
     check_precision(prec)
-    _, region, row = _lemma(lemma_id)
+    _, region, row, floats_row = _lemma(lemma_id)
     n_r, n_theta = grid_size
     if n_r < 1 or n_theta < 1:
         raise ValueError(f"grid size must be at least 1x1, got {n_r}x{n_theta}")
     rs = [Fraction(r) for r in r_grid] if r_grid is not None else default_r_grid(lemma_id, n_r)
     if not rs or (theta_grid is not None and len(theta_grid) == 0):
         raise ValueError("empty grid")
-    worst = None
-    points = 0
+    lines = []
     for r in rs:
         lo, hi = _theta_region(region, r, prec)
         if theta_grid is None:
-            thetas = _spread(lo, hi, n_theta, prec)
+            doubles, theta = _cells(lo, hi, n_theta, prec)
         else:
             with workprec(prec + GUARD_BITS):
                 thetas = [mpf(t) for t in theta_grid]
@@ -398,11 +653,24 @@ def validate_inequality(
                         f"theta = {t} outside the hypothesis region [{lo}, {hi}] of {lemma_id} at r = {r}"
                     )
             thetas = [t._mpf_ for t in thetas]
-        k = _Circle(saddle_data(r, prec))
+            doubles, theta = [to_float(t, rnd=_RND) for t in thetas], thetas.__getitem__
+        sd = saddle_data(r, prec)
+        lines.append((r, sd, theta, _screen_line(floats_row, sd, doubles)))
+    # No point whose upper bound lies below some point's lower bound can be
+    # the worst, nor tie with it; the rest run the kernel in grid order.
+    floor = max(lower for *_, bounds in lines for lower, _ in bounds)
+    worst = None
+    points = 0
+    for r, sd, theta, bounds in lines:
+        points += len(bounds)
+        candidates = [j for j, (_, upper) in enumerate(bounds) if not upper < floor]
+        if not candidates:
+            continue
+        k = _Circle(sd)
         margin = _margin(k.wp, *row(k))
-        for t in thetas:
+        for j in candidates:
+            t = theta(j)
             m = margin(t)
-            points += 1
             if worst is None or mpf_gt(m, worst[0]):
                 worst = (m, r, t)
     max_margin, worst_r, worst_theta = worst
