@@ -5,10 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf, workprec
+from mpmath.libmp import mpf_gt, mpf_le, round_nearest, to_float
 
 from binsum import asymptotics, validators
 from binsum.asymptotics import RATIO_CACHE_SIZE, RegimeError, negated_discriminant, saddle_data
-from binsum.numerics import GUARD_BITS, rational_to_real
+from binsum.numerics import GUARD_BITS, RAW_SLACK, rational_to_real
 from binsum.validators import LEMMA_IDS, default_r_grid, region_theta_grid, validate_inequality
 
 
@@ -380,3 +381,144 @@ def test_a_validate_pass_computes_each_saddle_constant_once():
         validate_inequality(lemma_id, grid_size=(10, 8))
     assert asymptotics.ratio_line.cache_info().misses == len(keys) == 48
     assert asymptotics.ratio_line.cache_parameters()["maxsize"] == RATIO_CACHE_SIZE
+
+
+# The double screen: every point's margin in doubles with a bound E, and the
+# raw kernel only where the worst point can be.
+
+
+def _screen_bounds(lemma_id, r, theta, prec):
+    """The screen's (m - E, m + E) at one raw theta, taken in doubles."""
+    sd = saddle_data(r, prec)
+    d = validators._Floats(sd)
+    bounds = validators._screen(d, *validators._LEMMAS[lemma_id][3](d))
+    return bounds(to_float(theta._mpf_, rnd=round_nearest))
+
+
+def _assert_enclosed(lemma_id, r, theta, prec):
+    lower, upper = _screen_bounds(lemma_id, r, theta, prec)
+    raw = _margin(lemma_id, r, theta, prec)
+    assert lower <= raw <= upper, (lemma_id, r, theta, prec)
+    assert (upper - lower) / 2 < 2.0**-30, (lemma_id, r, theta, prec)
+
+
+@pytest.mark.parametrize("prec", [53, 128, 400])
+@pytest.mark.parametrize("lemma_id", LEMMA_IDS)
+@settings(max_examples=20, deadline=None)
+@given(r_step=_R_STEPS, where=_WHERE, x=_THETA_STEPS)
+@example(r_step=0, where="lo", x=0)
+@example(r_step=0, where="hi", x=0)
+@example(r_step=1000, where="lo", x=0)
+@example(r_step=1000, where="hi", x=0)
+def test_the_double_margin_encloses_the_raw_margin(lemma_id, prec, r_step, where, x):
+    # |m - raw margin| <= E anywhere in the default ratio range and the theta
+    # region, their ends included, and E stays far below the margins' spread
+    r, _, theta = _point(lemma_id, prec, r_step, where, x)
+    _assert_enclosed(lemma_id, r, theta, prec)
+
+
+# r just above 3 + 2*sqrt(2) = 5.8284271247..., and far out on the
+# supercritical side, where rho is about 1/r
+_SUPER_EDGE_RATIOS = (Fraction(58284272, 10**7), Fraction(10**6))
+
+
+@pytest.mark.parametrize("prec", [53, 128, 400])
+@pytest.mark.parametrize("lemma_id", [lemma for lemma in LEMMA_IDS if lemma.startswith("super-")])
+def test_the_double_margin_encloses_the_raw_margin_at_the_supercritical_edges(lemma_id, prec):
+    for r in _SUPER_EDGE_RATIOS:
+        if lemma_id == "super-g-strict" and r > 8:
+            continue  # outside its hypothesis
+        sd = saddle_data(r, prec)
+        with workprec(prec + GUARD_BITS):
+            lo, hi = _region(lemma_id, r, sd)
+            thetas = [lo, hi, mpf(0), *(lo + (hi - lo) * k / 7 for k in range(1, 7))]
+        for theta in thetas:
+            _assert_enclosed(lemma_id, r, theta, prec)
+
+
+def _all_kernel_report(lemma_id, r_grid=None, theta_grid=None, prec=128, grid_size=(50, 50)):
+    """`validate_inequality` with the raw margin at every grid point: the
+    reference that the screened reports must equal."""
+    n_r, n_theta = grid_size
+    rs = r_grid if r_grid is not None else default_r_grid(lemma_id, n_r)
+    worst, points = None, 0
+    for r in rs:
+        if theta_grid is None:
+            thetas = [t._mpf_ for t in region_theta_grid(lemma_id, r, n_theta, prec)]
+        else:
+            with workprec(prec + GUARD_BITS):
+                thetas = [mpf(t)._mpf_ for t in theta_grid]
+        k = validators._Circle(saddle_data(r, prec))
+        margin = validators._margin(k.wp, *validators._LEMMAS[lemma_id][2](k))
+        for t in thetas:
+            m = margin(t)
+            points += 1
+            if worst is None or mpf_gt(m, worst[0]):
+                worst = (m, r, t)
+    m, r, t = worst
+    return validators.LemmaReport(
+        lemma_id, points, to_float(m, rnd=round_nearest), r, to_float(t, rnd=round_nearest), mpf_le(m, RAW_SLACK)
+    )
+
+
+@pytest.mark.parametrize("grid_size", [(8, 10), (9, 9), (10, 8)])
+@pytest.mark.parametrize("lemma_id", LEMMA_IDS)
+def test_a_screened_report_is_the_all_kernel_report_on_the_proof_check_grids(lemma_id, grid_size):
+    assert validate_inequality(lemma_id, grid_size=grid_size) == _all_kernel_report(lemma_id, grid_size=grid_size)
+
+
+@pytest.mark.parametrize("prec", [53, 400])
+@pytest.mark.parametrize("lemma_id", [lemma for lemma in LEMMA_IDS if lemma.startswith("super-")])
+def test_a_screened_report_keeps_the_first_of_symmetric_ties(lemma_id, prec):
+    # g is even and |h| odd in theta, so +-theta tie bit for bit; the first
+    # in grid order is the worst point, as the kernel alone reports it
+    rs, thetas = [Fraction(7), Fraction(15, 2)], ["-0.9", "-0.3", "0.3", "0.9"]
+    report = validate_inequality(lemma_id, r_grid=rs, theta_grid=thetas, prec=prec)
+    assert report == _all_kernel_report(lemma_id, r_grid=rs, theta_grid=thetas, prec=prec)
+    assert report.worst_theta < 0
+    for grid_size in ((4, 6), (5, 7)):
+        report = validate_inequality(lemma_id, grid_size=grid_size, prec=prec)
+        assert report == _all_kernel_report(lemma_id, grid_size=grid_size, prec=prec)
+
+
+@pytest.mark.parametrize("lemma_id", LEMMA_IDS)
+def test_a_screened_report_at_the_centre_alone_is_zero(lemma_id):
+    r = Fraction(7) if lemma_id.startswith("super-") else Fraction(21, 10)
+    with workprec(128 + GUARD_BITS):
+        centre = mpf(0) if lemma_id.startswith("super-") else saddle_data(r, 128).alpha
+    report = validate_inequality(lemma_id, r_grid=[r], theta_grid=[centre])
+    assert report == _all_kernel_report(lemma_id, r_grid=[r], theta_grid=[centre])
+    assert report.max_margin == 0.0
+
+
+def test_a_ratio_past_the_double_range_runs_the_kernel_at_every_point():
+    # float(r) overflows, so every point is a candidate and the report is the
+    # kernel's, whatever the kernel makes of such an r
+    r = Fraction(10**400)
+    lo, hi = validators._theta_region(validators._LEMMAS["super-g-decay"][1], r, 128)
+    doubles, _ = validators._cells(lo, hi, 7, 128)
+    floats_row = validators._LEMMAS["super-g-decay"][3]
+    assert validators._screen_line(floats_row, saddle_data(r, 128), doubles) == [validators._UNSCREENED] * 7
+    report = validate_inequality("super-g-decay", r_grid=[r], grid_size=(1, 7))
+    assert report == _all_kernel_report("super-g-decay", r_grid=[r], grid_size=(1, 7))
+
+
+def test_the_proof_check_grids_run_the_raw_chain_on_at_most_four_points_per_lemma(monkeypatch):
+    # at the default precision the screen leaves 1-2 points per lemma on the
+    # 8x10 and 10x8 grids; on 9x9 the centre of the super and near1 lemmas
+    # is a grid point of every ratio, whose margin is an exact 0 that the
+    # kernel returns without running its chain
+    runs = []
+    for name in ("g", "h", "f"):
+        method = getattr(validators._Circle, name)
+        monkeypatch.setattr(validators._Circle, name, lambda self, t, method=method: runs.append(t) or method(self, t))
+    margin = validators._margin
+    builds = []
+    monkeypatch.setattr(validators, "_margin", lambda *args: builds.append(args) or margin(*args))
+    for grid_size in ((8, 10), (9, 9), (10, 8)):
+        for lemma_id in LEMMA_IDS:
+            runs.clear()
+            builds.clear()
+            validate_inequality(lemma_id, grid_size=grid_size)
+            # each built margin takes F at its centre once
+            assert len(runs) - len(builds) <= 4, (lemma_id, grid_size)
