@@ -65,17 +65,17 @@ with it.  Rounding is monotone, so the test on the rounded sums implies
 the one on the exact ones.  The candidates run in grid order under the
 first-wins `mpf_gt` rule, so `max_margin`, `worst_r`, `worst_theta` and
 `passed` are the kernel's bit for bit, and `points` counts the whole grid.
-A point is always a candidate when its double pass cannot run (float(r)
-overflows, a log argument is not positive, a divisor is 0) or ends in an
-E that is not below 2**-20; then every point of a ratio whose constants
-leave the double range is a candidate.  Doubles, and not a cheaper
-mpmath or a fixed-point twin (measured on a 2-core Xeon, CPython 3.11.7,
-mpmath 1.3.0): a double margin with its bound takes 4-7 us a point as
-written here, of which the f values themselves take about 2 us; mpmath at
-53 bits is only about 1.5x
-cheaper than at 152 (`log` 2.9 vs 4.1 us, `atan2` 4.8 vs 6.2 us,
-`cos_sin` 3.9 vs 7.1 us); and a twin in the manner of
-`asymptotics._fixed_cos`, 13 Horner steps at 96 bits, would cost 10-20 us.
+Every point of a ratio is a candidate when its double pass cannot run
+(float(r) overflows, a log argument is not positive, a divisor is 0), and
+a point is one when its E is not below 2**-20.
+
+Doubles, and not a cheaper mpmath or a fixed-point twin (measured on a
+2-core Xeon, CPython 3.11.7, mpmath 1.3.0): a double margin with its bound
+takes 4-7 us a point as written here, the f values about 2 us of it;
+mpmath at 53 bits is only about 1.5x cheaper than at 152 (`log` 2.9 vs
+4.1 us, `atan2` 4.8 vs 6.2 us, `cos_sin` 3.9 vs 7.1 us); and a twin in
+the manner of `asymptotics._fixed_cos`, 13 Horner steps at 96 bits, would
+cost 10-20 us.
 
 What E trusts, with eta = 2**-47: that IEEE +, -, *, / and sqrt round to
 nearest (relative error 2**-53), as float() of a Fraction and to_float of
@@ -434,34 +434,31 @@ def _cubic_floats(rho: float) -> Callable[[float], tuple[float, float]]:
 def _screen(d: _Floats, F: Callable, c: float, Q: tuple, side: Callable, R2, R3, R4) -> Callable:
     """theta -> (m - E, m + E) for the double margin m of one lemma at a
     double theta and its bound E (module docstring), which encloses the raw
-    `_margin` of the same row; `_UNSCREENED` where the pass cannot run or E
-    proves nothing.  The arguments are those of `_margin` in doubles, with
+    `_margin` of the same row; `_UNSCREENED` where E is not below
+    `_SCREEN_LIMIT` (inf and nan included).  The arguments are those of `_margin` in doubles, with
     F from `_Floats` and a remainder kernel returning its error bound next
     to its value."""
     F_c, err_c, _ = F(c)
     terms = [(n, R) for n, R in ((2, R2), (3, R3), (4, R4)) if R is not None]
 
     def bounds(t: float) -> tuple[float, float]:
-        try:
-            u = abs(t - c)
-            value, err, cos_t = F(t)
-            step = [v - v_c for v, v_c in zip(value, F_c)]
-            errs = [e + e_c for e, e_c in zip(err, err_c)]
-            powers = (1.0, u, u * u, u * u * u, u * u * u * u)
-            for i, q in enumerate(Q):
-                step[i] += q * powers[2]
-                errs[i] += _ETA * (abs(q) * (32 * u + 18 * powers[2]) + abs(step[i]))
-            left = side(*step)
-            e = errs[0] if len(step) == 1 else errs[0] + errs[1] + _ETA * left
-            right = 0.0
-            for n, R in terms:
-                value, e_R = R(cos_t) if callable(R) else (R, 16 * _ETA * abs(R))
-                right += value * powers[n]
-                e += _ETA * abs(value) * (16 * n * powers[n - 1] + n * powers[n]) + e_R * powers[n] + _ETA * abs(right)
-            m = left - right
-            bound = 2 * (e + _ETA * abs(m) + d.raw)
-        except (ArithmeticError, ValueError):
-            return _UNSCREENED
+        u = abs(t - c)
+        value, err, cos_t = F(t)
+        step = [v - v_c for v, v_c in zip(value, F_c)]
+        errs = [e + e_c for e, e_c in zip(err, err_c)]
+        powers = (1.0, u, u * u, u * u * u, u * u * u * u)
+        for i, q in enumerate(Q):
+            step[i] += q * powers[2]
+            errs[i] += _ETA * (abs(q) * (32 * u + 18 * powers[2]) + abs(step[i]))
+        left = side(*step)
+        e = errs[0] if len(step) == 1 else errs[0] + errs[1] + _ETA * left
+        right = 0.0
+        for n, R in terms:
+            value, e_R = R(cos_t) if callable(R) else (R, 16 * _ETA * abs(R))
+            right += value * powers[n]
+            e += _ETA * abs(value) * (16 * n * powers[n - 1] + n * powers[n]) + e_R * powers[n] + _ETA * abs(right)
+        m = left - right
+        bound = 2 * (e + _ETA * abs(m) + d.raw)
         return (m - bound, m + bound) if bound < _SCREEN_LIMIT else _UNSCREENED
 
     return bounds
@@ -469,13 +466,15 @@ def _screen(d: _Floats, F: Callable, c: float, Q: tuple, side: Callable, R2, R3,
 
 def _screen_line(floats_row: Callable, sd: SaddleData, thetas: list[float]) -> list[tuple[float, float]]:
     """The `_screen` bounds of one ratio's double thetas, all `_UNSCREENED`
-    where the ratio's double constants cannot be formed."""
+    where the double pass cannot run: the ratio's constants leave the double
+    range, or a log argument or a divisor comes out 0 or less (none does
+    inside the regions while they fit)."""
     try:
         d = _Floats(sd)
         bounds = _screen(d, *floats_row(d))
+        return [bounds(t) for t in thetas]
     except (ArithmeticError, ValueError):
         return [_UNSCREENED] * len(thetas)
-    return [bounds(t) for t in thetas]
 
 
 _SUPER = ((Fraction(584, 100), Fraction(12)), _super_region)
@@ -629,7 +628,9 @@ def validate_inequality(
     points strictly inside the hypothesis region is generated (theta chosen
     per r, since the admissible angles depend on r).  Explicitly supplied
     grid points are checked against the hypothesis region and rejected with
-    an argument error when outside; that is not a lemma violation.
+    an argument error when outside; that is not a lemma violation.  Every
+    point is screened in doubles first, and the raw margin runs only where
+    the worst point can be (module docstring).
     """
     check_precision(prec)
     _, region, row, floats_row = _lemma(lemma_id)
