@@ -54,7 +54,7 @@ from `saddle_data`, r and nd, and the row's Q and remainder constants) are
 computed once per ratio, the row's in the same raw form, and only for a
 ratio that holds a candidate of the screen.
 
-The screen.  The raw chain costs 40-90 us a point, nearly all of it in
+The screen.  The raw chain costs 30-110 us a point, most of it in
 `mpf_log`, `mpf_atan2` and `mpf_cos_sin`, and a report names one point.
 So `validate_inequality` first takes every grid point's margin m in IEEE
 doubles (`_Floats`, `_screen`), with a bound E(theta) on |m - raw margin|,
@@ -81,7 +81,7 @@ What E trusts, with eta = 2**-47: that IEEE +, -, *, / and sqrt round to
 nearest (relative error 2**-53), as float() of a Fraction and to_float of
 an mpf do; that libm's log, log1p, atan2, cos and sin, and math.hypot,
 are each within eta of their exact results, 32 ulp, far looser than the
-one or two ulp that glibc's manual lists for them; and that each libmp
+few ulp that glibc's manual lists for them; and that each libmp
 call of the raw chain is within eta_r = 2**(4 - wp) (16 ulp at wp bits).
 E bounds the first-order error terms of both chains against the margin
 taken exactly at the raw chain's inputs (rho, M, a and theta as rounded
@@ -133,9 +133,9 @@ each lemma's default ranges, so that the screen prunes; on the grids of
 the proof-check workload at most a few points per lemma run the chain.
 
 `_LEMMAS` is the registry: one entry per lemma id, holding its default
-ratio range, its theta region and its row, raw and in doubles.  The rows, with M and the
-saddle angle a from `saddle_data`, nd = 6r - 1 - r**2, and the hypothesis
-region in brackets:
+ratio range, its theta region and its row, raw and in doubles.  The rows,
+with M and the saddle angle a from `saddle_data`, nd = 6r - 1 - r**2, and
+the hypothesis region in brackets:
 
   super-g-decay    (g, 0, 2M/pi**2, id, 0, 0, 0)        [r > 3+2*sqrt(2), |t| <= pi]
   super-g-strict   (g, 0, M/2, id, 0, 0, 0)             [3+2*sqrt(2) < r <= 7.686899, |t| <= pi/3]
