@@ -61,6 +61,11 @@ that `json.loads` rejects, or reads only by taking NaN, Infinity or
 * `intervals`, `poly`, `exceptions` and `plotdata` in every format, and
   `intervals` past the lambda2 where the floor of clause class2-a leaves
   702, at the default precision and at --precision 53;
+* `poly` root searches, in jsonl: the c rows 36-43 and the tilde families
+  l = 36-43 in every parity, as the proof-check workload draws them, at
+  --roots 10**9; row 43, whose root 43 sits at the edge of the search
+  bound, at --roots 0, 42 and 43; and the tilde families (100, 0, 1) and
+  (350, 0, 1), of differences 201 and 701, at --roots 10**9;
 * `exceptions` whose continued fraction truncates (ratio 2 at depth 60 and
   200, and ratio 1457/250 just below 3 + 2*sqrt(2)), at the default
   precision and at --precision 53;
@@ -470,6 +475,13 @@ def commands() -> list[list[str]]:
             tails.append(["validate", "--lemma", lemma, "--grid", grid])
     for tail in tails:
         out.extend(["--format", fmt, *tail] for fmt in FORMATS)
+    roots = ["--roots", "1000000000"]
+    polys = [["--c", str(n), *roots] for n in range(36, 44)]
+    polys += [["--tilde", str(l), e1, e2, *roots] for l in range(36, 44) for e1 in "01" for e2 in "01"]
+    polys += [["--c", "43", "--roots", bound] for bound in ("0", "42", "43")]
+    polys += [["--tilde", l, "0", "1", *roots] for l in ("100", "350")]
+    # two of them are tails, which run them in every format already
+    out.extend(["--format", "jsonl", "poly", *argv] for argv in polys if ["poly", *argv] not in tails)
     # the window table past lambda2 = CLASS2_FLOOR_702, where the floor of
     # clause class2-a is an `mpf_pow` of lambda2: at that lambda2 (floor
     # 702), at the first floor of 703, and past 2**1000
