@@ -10,13 +10,22 @@ nonvanishing over whole parameter lines, which is the desk-scale stand-in
 for full irreducibility computations (an irreducible polynomial of degree
 at least two has no integer zero, and only integer zeros correspond to
 actual parameter pairs).
+
+`integer_roots` walks the polynomial f itself, squarefree or not, up to the
+first prime at which every root of f is simple: by Hensel's lemma each such
+root lifts in one way only, so the lifts of those roots hold every integer
+root.  One table of exact values f(0), f(1), ... gives the roots modulo
+each prime, and the lifts stop once the modulus passes twice a power-of-two
+form of Fujiwara's root bound (Tohoku Math. J. 10, 1916) or of the caller's
+bound, whichever is smaller.  Only when more primes than deg f have failed,
+as on a repeated linear factor, is f replaced by its squarefree part.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .exact import PartitionPair, primes_upto
 
@@ -64,10 +73,7 @@ class IntPolynomial(_Polynomial):
 
     def scaled_value(self, x: int) -> int:
         """The integer numerator polynomial evaluated at x (Horner)."""
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+        return _value(self.coefficients, x)
 
     def value(self, x: int) -> Fraction:
         return Fraction(self.scaled_value(x), self.scale)
@@ -169,13 +175,20 @@ def tilde_poly(l: int, eps1: int, eps2: int) -> IntPolynomial:
     coeffs = [0] * (l + 2)
     jmax = l - 1 if (eps1, eps2) == (1, 0) else l
     # term = k(k-1)...(k-j+1) * (k+j+1+eps1)...(k+l+eps1*eps2); stepping to
-    # j + 1 multiplies in (k - j) and divides out (k + j + 1 + eps1) exactly
+    # j + 1 multiplies in (k - j) and divides out (k + a), a = j + 1 + eps1,
+    # exactly.  The quotient q of term*(k - j) by (k + a) has the top
+    # coefficient of term and q_(i-1) = term_(i-1) - j*term_i - a*q_i, so one
+    # descending pass updates term in place
     term = _prod_linear_range(1 + eps1, l + eps1 * eps2)
     for j in range(jmax + 1):
         w = math.comb(n, 2 * j + eps1)
         _poly_add_scaled(coeffs, term, -w if j % 2 else w)
         if j < jmax:
-            term, _ = _divide_linear(_poly_mul_linear(term, -j), -(j + 1 + eps1))
+            a, above = j + 1 + eps1, term[-1]
+            for i in range(len(term) - 1, 0, -1):
+                below = term[i - 1]
+                term[i - 1] = below - j * above - a * term[i]
+                above = below
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return IntPolynomial(tuple(coeffs), 1, "tilde", (l, eps1, eps2)).reduced()
@@ -211,11 +224,11 @@ def _sieved_primes():
         limit, start = 2 * limit, len(primes)
 
 
-def _horner_mod(coeffs: list[int], x: int, m: int) -> int:
-    """poly(x) mod m for ascending `coeffs` already reduced mod m."""
+def _value(coeffs: Sequence[int], x: int) -> int:
+    """poly(x) for ascending `coeffs`, exactly (Horner)."""
     acc = 0
     for c in reversed(coeffs):
-        acc = (acc * x + c) % m
+        acc = acc * x + c
     return acc
 
 
@@ -253,48 +266,13 @@ def _pseudo_divide(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     return q, a
 
 
-def _gcd_degree_mod(a: list[int], b: list[int], q: int) -> int:
-    """Degree of gcd(a, b) over the field of q elements, for a prime q
-    dividing neither leading coefficient."""
-
-    def trimmed(poly: list[int]) -> list[int]:
-        while poly and poly[-1] == 0:
-            poly.pop()
-        return poly
-
-    a = trimmed([c % q for c in a])
-    b = trimmed([c % q for c in b])
-    while b:
-        inv = pow(b[-1], -1, q)
-        while len(a) >= len(b):
-            c, shift = a[-1] * inv % q, len(a) - len(b)
-            for i, y in enumerate(b):
-                a[shift + i] = (a[shift + i] - c * y) % q
-            trimmed(a)
-        a, b = b, a
-    return len(a) - 1
-
-
-# a Mersenne prime, so no search is needed; a leading coefficient it divides
-# sends the polynomial to the exact remainder sequence
-_SQUAREFREE_TEST_PRIME = 2**61 - 1
-
-
 def _squarefree_part(coeffs: list[int]) -> list[int]:
     """f / gcd(f, f') for a primitive f of degree >= 1 with a positive
-    leading coefficient: the same roots, each simple.
-
-    A repeated factor of f divides f' too, so it divides gcd(f, f') modulo
-    every prime q not dividing the leading coefficient: when that gcd is
-    constant modulo _SQUAREFREE_TEST_PRIME, f is squarefree and is returned
-    as it is.  Otherwise the gcd g comes from a primitive remainder sequence
-    over the integers, and f / g is the primitive part of the pseudo-quotient.
+    leading coefficient: the same roots, each simple.  The gcd g comes from a
+    primitive remainder sequence over the integers, and f / g is the
+    primitive part of the pseudo-quotient.
     """
-    df = _derivative(coeffs)
-    q = _SQUAREFREE_TEST_PRIME
-    if coeffs[-1] % q and _gcd_degree_mod(coeffs, df, q) == 0:
-        return coeffs
-    a, b = coeffs, _primitive(df)
+    a, b = coeffs, _primitive(_derivative(coeffs))
     while True:
         r = _pseudo_divide(a, b)[1]
         if not r:
@@ -302,34 +280,70 @@ def _squarefree_part(coeffs: list[int]) -> list[int]:
         a, b = b, _primitive(r)
 
 
-def _simple_roots_mod_p(coeffs: list[int], p: int) -> list[int] | None:
-    """The roots of the polynomial modulo p, or None at the first multiple root."""
-    f = [c % p for c in coeffs]
-    df = [c % p for c in _derivative(coeffs)]
-    roots = []
-    for x in range(p):
-        if _horner_mod(f, x, p) == 0:
-            if _horner_mod(df, x, p) == 0:
-                return None
-            roots.append(x)
-    return roots
+def _root_bound(coeffs: list[int]) -> int:
+    """A power of two B with |x| < B at every complex root x of the
+    polynomial (ascending `coeffs`, nonzero constant term, degree n >= 1).
+
+    Fujiwara's bound is 2 * max_i |a_(n-i) / a_n|**(1/i), with the i = n
+    term halved.  Each ratio is below 2**(len(a_(n-i)) - len(a_n) + 1) in
+    bit lengths, so its i-th root is below 2 to that exponent over i,
+    rounded up; zero coefficients add no term.
+    """
+    n, top = len(coeffs) - 1, coeffs[-1].bit_length()
+    e = max(-((top - 1 - c.bit_length()) // (n - i)) for i, c in enumerate(coeffs[:-1]) if c)
+    return 2 << max(e, 0)
+
+
+def _simple_residues(coeffs: list[int], max_failures: float) -> tuple[int, list[int], list[int], list[int]] | None:
+    """(p, roots of f mod p, f at those roots, f' mod p at them) for the
+    first prime p at which every root of f mod p is simple; None once more
+    than `max_failures` primes have failed.
+
+    The residues are read from one table of exact values f(0), f(1), ...,
+    extended as p grows, and f' is evaluated only where f vanishes mod p.
+    """
+    derivative = _derivative(coeffs)
+    table: list[int] = []
+    for passed, p in enumerate(_sieved_primes()):
+        if passed > max_failures:
+            return None
+        table.extend(_value(coeffs, x) for x in range(len(table), p))
+        residues = [x for x in range(p) if table[x] % p == 0]
+        slopes = []
+        for x in residues:
+            slopes.append(_value(derivative, x) % p)
+            if slopes[-1] == 0:
+                break
+        else:
+            return p, residues, [table[x] for x in residues], slopes
 
 
 def integer_roots(poly: IntPolynomial, search_bound: int) -> list[int]:
     """All integer roots x with |x| <= search_bound, complete within the bound.
 
-    After the zero roots and the content are stripped, f is replaced by its
-    squarefree part f / gcd(f, f'), which has the same roots, each simple.
-    Then take the smallest prime p that does not divide the leading
-    coefficient and at which every root of f modulo p is simple (f' does
-    not vanish there).  Only the finitely many primes dividing the
-    discriminant of the squarefree f can fail, so the search ends.  Each
-    integer root x of f reduces to one of those roots, and a simple root
-    modulo p has exactly one lift modulo p**e for every e (Hensel's lemma),
-    so Newton-lifting every root to a modulus p**e > 2*search_bound leaves
-    x as the symmetric representative of one lift.  Every representative
-    within the bound is verified by exact evaluation.  The scale is
-    irrelevant to the roots.
+    The walk takes f, the input with its zero roots and its content
+    stripped, and looks for the smallest prime p at which every root of f
+    modulo p is simple (f' does not vanish there).  Each integer root x of f
+    reduces to one of those roots, and a simple root modulo p has exactly
+    one lift modulo p**e for every e (Hensel's lemma).  Only the roots
+    modulo p need be simple: that holds whether f is squarefree or not, and
+    whether p divides the leading coefficient or not (f is primitive, so it
+    is not 0 modulo p).  Every root modulo p is Newton-lifted until
+    p**e > 2 * min(search_bound, B), with B the power of two of
+    `_root_bound` above every |root|, which leaves x as the symmetric
+    representative of one lift.  Each representative within both bounds is
+    verified by exact evaluation.  The scale is irrelevant to the roots.
+
+    A repeated linear factor of f is a multiple root modulo every prime
+    that does not divide its leading coefficient, so on such an f the walk
+    would not end; on a squarefree f only the finitely many primes dividing
+    the leading coefficient or the discriminant can fail.  So once more
+    primes than deg f have failed, f is replaced by its squarefree part
+    f / gcd(f, f'), which has the same roots, each simple, and the walk
+    starts again on it and ends.  The count is not a tuning: by then the
+    table holds f at more than deg f points, each O(deg f) big-integer
+    steps, so the walk has already cost the O((deg f)**2) steps of the
+    remainder sequence that the gcd takes.
     """
     if poly.is_zero:
         raise ValueError("the zero polynomial has every integer as a root")
@@ -345,27 +359,28 @@ def integer_roots(poly: IntPolynomial, search_bound: int) -> list[int]:
         roots.add(0)
     if len(coeffs) == 1:
         return sorted(roots)
-    coeffs = _squarefree_part(_primitive(coeffs))
-    for p in _sieved_primes():
-        if coeffs[-1] % p:
-            residues = _simple_roots_mod_p(coeffs, p)
-            if residues is not None:
-                break
-    modulus = p
+    coeffs = _primitive(coeffs)
+    walk = _simple_residues(coeffs, len(coeffs) - 1)
+    if walk is None:
+        coeffs = _squarefree_part(coeffs)
+        walk = _simple_residues(coeffs, math.inf)
+    p, residues, values, slopes = walk
+    reach = min(search_bound, _root_bound(coeffs))
     derivative = _derivative(coeffs)
-    while modulus <= 2 * search_bound and residues:
-        modulus *= modulus
-        f = [c % modulus for c in coeffs]
-        df = [c % modulus for c in derivative]
-        residues = [
-            (x - _horner_mod(f, x, modulus) * pow(_horner_mod(df, x, modulus), -1, modulus)) % modulus
-            for x in residues
-        ]
+    modulus = p
+    while modulus <= 2 * reach and residues:
+        lifted = modulus * modulus
+        if modulus > p:  # the table gave the values for the first lift only
+            values = [_value(coeffs, x) for x in residues]
+            slopes = [_value(derivative, x) for x in residues]
+        # f(x) is divisible by the modulus, so f'(x) matters only modulo it
+        residues = [(x - v % lifted * pow(s, -1, modulus)) % lifted for x, v, s in zip(residues, values, slopes)]
+        modulus = lifted
     half = modulus // 2
     for x in residues:
         if x > half:
             x -= modulus
-        if abs(x) <= search_bound and poly.scaled_value(x) == 0:
+        if abs(x) <= reach and poly.scaled_value(x) == 0:
             roots.add(x)
     return sorted(roots)
 

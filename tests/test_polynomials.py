@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from binsum import polynomials
 from binsum.exact import PartitionPair, eval_direct
 from binsum.polynomials import (
     IntPolynomial,
@@ -163,9 +164,10 @@ def test_integer_roots_respects_bound():
     assert integer_roots(poly, 10**7) == [big]
 
 
-def _product_of_linear_factors(factors: list[tuple[int, int]], multiplier: int = 1) -> IntPolynomial:
-    """multiplier * prod (a*X - b) as an IntPolynomial."""
-    coeffs = [multiplier]
+def _product_of_linear_factors(factors: list[tuple[int, int]], multiplier: int | tuple[int, ...] = 1) -> IntPolynomial:
+    """multiplier * prod (a*X - b) as an IntPolynomial; the multiplier is an
+    integer or a polynomial given by its ascending coefficients."""
+    coeffs = list(multiplier) if isinstance(multiplier, tuple) else [multiplier]
     for a, b in factors:
         out = [0] * (len(coeffs) + 1)
         for i, c in enumerate(coeffs):
@@ -175,11 +177,22 @@ def _product_of_linear_factors(factors: list[tuple[int, int]], multiplier: int =
     return IntPolynomial(tuple(coeffs))
 
 
+def _squared(q: tuple[int, ...]) -> tuple[int, ...]:
+    """The ascending coefficients of q**2."""
+    return tuple(sum(q[i] * q[k - i] for i in range(len(q)) if 0 <= k - i < len(q)) for k in range(2 * len(q) - 1))
+
+
+# squares of irreducible quadratics: f is not squarefree, yet its repeated
+# factor has a multiple root only modulo the primes at which it splits
+_SQUARED_QUADRATICS = tuple(_squared(q) for q in ((1, 0, 1), (-2, 0, 1), (1, 1, 1), (3, 0, -2), (7, -3, 1)))
+
+
 @st.composite
 def _linear_factor_products(draw):
     """(bound, factors, multiplier): integer roots at and just past the bound,
     zero, repeated factors, and non-monic factors whose roots are integral or
-    not, so the leading coefficient may be divisible by 2, 3 and 5."""
+    not, so the leading coefficient may be divisible by 2, 3 and 5; the
+    multiplier is an integer or the square of an irreducible quadratic."""
     bound = draw(st.integers(0, 2000))
     edge = st.sampled_from([bound, -bound, bound + 1, -bound - 1, 0])
     root = st.one_of(edge, st.integers(-bound - 3, bound + 3))
@@ -187,7 +200,7 @@ def _linear_factor_products(draw):
     scaled = st.builds(lambda a, x, s: (a, a * x + s), st.sampled_from([2, 3, 5, 6, 10, 15, 30]), root, st.integers(0, 2))
     factor = st.one_of(monic, scaled)
     factors = draw(st.lists(st.tuples(factor, st.integers(1, 3)), min_size=1, max_size=4))
-    multiplier = draw(st.sampled_from([1, -1, 2, -6, 30]))
+    multiplier = draw(st.sampled_from([1, -1, 2, -6, 30, *_SQUARED_QUADRATICS]))
     return bound, [f for f, times in factors for _ in range(times)], multiplier
 
 
@@ -195,6 +208,9 @@ def _linear_factor_products(draw):
 @given(_linear_factor_products())
 @example((2000, [(1, 2000), (1, 2000), (1, -2001), (1, 0)], 1))
 @example((7, [(30, 7), (2, -14), (3, 3)], -6))
+@example((1000, [(1, 5), (1, -7), (2, 6)], _SQUARED_QUADRATICS[0]))
+@example((50, [(1, 3), (1, 3), (1, -4)], _SQUARED_QUADRATICS[1]))
+@example((40, [(1, 40), (3, -1), (1, -40)], _SQUARED_QUADRATICS[4]))
 def test_integer_roots_match_brute_force(case):
     bound, factors, multiplier = case
     poly = _product_of_linear_factors(factors, multiplier)
@@ -212,6 +228,53 @@ def test_integer_roots_of_a_repeated_factor():
     # squarefree test takes the exact remainder sequence instead
     poly = _product_of_linear_factors([(2**61 - 1, 1), (1, -4), (1, -4), (1, 9)])
     assert integer_roots(poly, 10**9) == [-4, 9]
+
+
+def test_the_proof_check_families_never_take_the_squarefree_part(monkeypatch):
+    # the walk on f itself ends at a prime where every root is simple; only
+    # a repeated linear factor, a multiple root modulo every prime, sends it
+    # to the squarefree part
+    squarefree = polynomials._squarefree_part
+    calls = []
+    monkeypatch.setattr(polynomials, "_squarefree_part", lambda coeffs: calls.append(coeffs) or squarefree(coeffs))
+    for lambda2 in range(36, 44):
+        assert integer_roots(c_poly(lambda2), 10**9) == ([lambda2] if lambda2 % 2 else []), lambda2
+    for l in range(36, 44):
+        for eps1 in (0, 1):
+            for eps2 in (0, 1):
+                assert integer_roots(tilde_poly(l, eps1, eps2), 10**9) == [], (l, eps1, eps2)
+    # (X**2 + 1)**2 has simple roots (none) modulo every prime 3 mod 4
+    assert integer_roots(_product_of_linear_factors([(1, 5), (1, -7)], _SQUARED_QUADRATICS[0]), 100) == [-7, 5]
+    assert calls == []
+    assert integer_roots(_product_of_linear_factors([(1, 5), (1, 5), (1, -7)]), 100) == [-7, 5]
+    assert len(calls) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 40), st.integers(-(10**12), 10**12).filter(bool)), min_size=1, max_size=8),
+    st.sampled_from([1, -1, 3, -10]),
+)
+@example([(1, 1)], 1)
+@example([(1, 2**20)], 1)
+@example([(1, 1 - 2**20), (1, 2**20 - 1)], -1)
+@example([(40, 1), (40, -1)], 3)
+def test_the_root_bound_is_a_power_of_two_above_every_root(factors, multiplier):
+    # the roots of a*X - b are b/a, all nonzero, as integer_roots needs
+    bound = polynomials._root_bound(list(_product_of_linear_factors(factors, multiplier).coefficients))
+    assert bound > 0 and bound & (bound - 1) == 0
+    assert max(abs(Fraction(b, a)) for a, b in factors) < bound
+
+
+@pytest.mark.parametrize("n", [2, 8, 12])
+@pytest.mark.parametrize("j", [1, 5, 20])
+def test_the_root_bound_is_tight_where_fujiwara_is(n, j):
+    # X**n - sum_i (2**(i*j) - 1) X**(n-i) is negative at 2**j, so it has a
+    # real root above 2**j, and each ratio sits just below its power of two:
+    # no bound below 2**(j + 1) may be returned
+    coeffs = [-(2 ** (i * j) - 1) for i in range(n, 0, -1)] + [1]
+    assert polynomials._value(coeffs, 2**j) < 0
+    assert polynomials._root_bound(coeffs) == 2 ** (j + 1)
 
 
 def test_integer_roots_zero_polynomial_rejected():
