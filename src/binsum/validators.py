@@ -52,7 +52,9 @@ larger powers.  So an enclosure can run the same chain with directed
 rounding, one bound per call.  The per-ratio constants (rho, M and a
 from `saddle_data`, r and nd, and the row's Q and remainder constants) are
 computed once per ratio, the row's in the same raw form, and only for a
-ratio that holds a candidate of the screen.
+ratio that holds a candidate of the screen off the centre: the margin at
+theta = c is an exact 0 without them, and under first wins a later tie at
+that 0 cannot become the worst point.
 
 The screen.  The raw chain costs 30-110 us a point, most of it in
 `mpf_log`, `mpf_atan2` and `mpf_cos_sin`, and a report names one point.
@@ -263,15 +265,22 @@ def _near1_g_region(r: Fraction, prec: int) -> tuple[mpf, mpf]:
     return alpha / 2, 3 * alpha / 2
 
 
+def _centre(sd: SaddleData) -> tuple:
+    """The raw centre c of every row at the ratio of `sd`: the saddle angle
+    alpha of a subcritical ratio, 0 for a supercritical one, which has none."""
+    return fzero if sd.alpha is None else sd.alpha._mpf_
+
+
 class _Circle:
     """g, h and f = g + i*h at z = rho*e^(i*theta) for the ratio of `sd`, raw
     at wp = sd.prec + GUARD_BITS, with the real constants of the ratio
-    computed once.  Each takes a raw theta and returns its value as a tuple
-    of parts, (g,), (h,) or (g, h), and the cos(theta) it took."""
+    computed once and the rows' centre from `_centre`.  Each takes a raw
+    theta and returns its value as a tuple of parts, (g,), (h,) or (g, h),
+    and the cos(theta) it took."""
 
     def __init__(self, sd: SaddleData):
         wp = self.wp = sd.prec + GUARD_BITS
-        self.M, self.alpha = (None if v is None else v._mpf_ for v in (sd.M, sd.alpha))
+        self.M, self.centre = None if sd.M is None else sd.M._mpf_, _centre(sd)
         rho = self.rho = sd.rho._mpf_
         nd = negated_discriminant(sd.r)
         self.r = raw_rational(sd.r.numerator, sd.r.denominator, wp)
@@ -486,7 +495,7 @@ _NEAR1_G = ((Fraction(101, 100), Fraction(211, 100)), _near1_g_region)
 def _super_decay_row(k: _Circle) -> tuple:
     # Q = 2/pi**2 * M
     q = mpf_mul(mpf_rdiv_int(2, mpf_pow_int(mpf_pi(k.wp, _RND), 2, k.wp, _RND), k.wp, _RND), k.M, k.wp, _RND)
-    return k.g, fzero, (q,), mpf_pos, None, None, None
+    return k.g, k.centre, (q,), mpf_pos, None, None, None
 
 
 def _sub_f_row(k: _Circle) -> tuple:
@@ -496,7 +505,7 @@ def _sub_f_row(k: _Circle) -> tuple:
     imag = mpf_mul(mpf_sqrt(k.nd, wp, _RND), mpf_pow_int(mpf_sub(k.r, fone, wp, _RND), 2, wp, _RND), wp, _RND)
     Q = _sub_g_row(k)[2][0], mpf_neg(mpf_div(imag, mpf_mul_int(k.r, 16, wp, _RND), wp, _RND))
     R3 = mpf_mul(from_str("0.33846", wp, _RND), mpf_pow_int(mpf_add(k.r, fone, wp, _RND), 2, wp, _RND), wp, _RND)
-    return k.f, k.alpha, Q, mpf_hypot, None, mpf_div(R3, mpf_pow_int(k.r, 2, wp, _RND), wp, _RND), None
+    return k.f, k.centre, Q, mpf_hypot, None, mpf_div(R3, mpf_pow_int(k.r, 2, wp, _RND), wp, _RND), None
 
 
 def _sub_g_row(k: _Circle) -> tuple:
@@ -504,13 +513,13 @@ def _sub_g_row(k: _Circle) -> tuple:
     wp = k.wp
     r_plus_1 = mpf_add(k.r, fone, wp, _RND)
     q = mpf_div(mpf_mul(r_plus_1, k.nd, wp, _RND), mpf_mul_int(k.r, 16, wp, _RND), wp, _RND)
-    return k.g, k.alpha, (q,), mpf_pos, None, mpf_shift(r_plus_1, -2), None
+    return k.g, k.centre, (q,), mpf_pos, None, mpf_shift(r_plus_1, -2), None
 
 
 def _near1_f_row(k: _Circle) -> tuple:
     # R2 = (r-1)/4, exactly a quarter of the rounded r - 1, and R3 = 1/3
     R2 = mpf_shift(mpf_sub(k.r, fone, k.wp, _RND), -2)
-    return k.f, k.alpha, (fhalf,), mpf_hypot, R2, mpf_div(fone, from_int(3), k.wp, _RND), None
+    return k.f, k.centre, (fhalf,), mpf_hypot, R2, mpf_div(fone, from_int(3), k.wp, _RND), None
 
 
 def _sub_f_floats(d: _Floats) -> tuple:
@@ -539,17 +548,17 @@ _LEMMAS: dict[str, tuple[tuple[Fraction, Fraction], Callable, Callable, Callable
             (*_SUPER, _super_decay_row, lambda d: (d.g, 0.0, (2 * d.M / (math.pi * math.pi),), pos, None, None, None)),
             (
                 *_SUPER_STRICT,
-                lambda k: (k.g, fzero, (mpf_shift(k.M, -1),), mpf_pos, None, None, None),
+                lambda k: (k.g, k.centre, (mpf_shift(k.M, -1),), mpf_pos, None, None, None),
                 lambda d: (d.g, 0.0, (d.M / 2,), pos, None, None, None),
             ),
             (
                 *_SUPER,
-                lambda k: (k.g, fzero, (mpf_shift(k.M, -1),), mpf_abs, None, None, quartic_kernel(k.rho, k.wp)),
+                lambda k: (k.g, k.centre, (mpf_shift(k.M, -1),), mpf_abs, None, None, quartic_kernel(k.rho, k.wp)),
                 lambda d: (d.g, 0.0, (d.M / 2,), abs, None, None, _quartic_floats(d.rho)),
             ),
             (
                 *_SUPER,
-                lambda k: (k.h, fzero, (), mpf_abs, None, cubic_kernel(k.rho, k.wp), None),
+                lambda k: (k.h, k.centre, (), mpf_abs, None, cubic_kernel(k.rho, k.wp), None),
                 lambda d: (d.h, 0.0, (), abs, None, _cubic_floats(d.rho), None),
             ),
             (*_SUB, _sub_f_row, _sub_f_floats),
@@ -557,7 +566,7 @@ _LEMMAS: dict[str, tuple[tuple[Fraction, Fraction], Callable, Callable, Callable
             (*_NEAR1_F, _near1_f_row, lambda d: (d.f, d.alpha, (0.5,), math.hypot, d.r_minus_1 / 4, 1 / 3, None)),
             (
                 *_NEAR1_G,
-                lambda k: (k.g, k.alpha, (fhalf,), mpf_pos, None, fhalf, None),
+                lambda k: (k.g, k.centre, (fhalf,), mpf_pos, None, fhalf, None),
                 lambda d: (d.g, d.alpha, (0.5,), pos, None, 0.5, None),
             ),
         ),
@@ -662,16 +671,22 @@ def validate_inequality(
     floor = max(lower for *_, bounds in lines for lower, _ in bounds)
     worst = None
     points = 0
+    # The margin at the centre is an exact 0 (`_margin`), so a ratio builds
+    # its raw row only for a candidate off the centre.
     for r, sd, theta, bounds in lines:
         points += len(bounds)
-        candidates = [j for j, (_, upper) in enumerate(bounds) if not upper < floor]
-        if not candidates:
-            continue
-        k = _Circle(sd)
-        margin = _margin(k.wp, *row(k))
-        for j in candidates:
+        centre, margin = _centre(sd), None
+        for j, (_, upper) in enumerate(bounds):
+            if upper < floor:
+                continue
             t = theta(j)
-            m = margin(t)
+            if t == centre:
+                m = fzero
+            else:
+                if margin is None:
+                    k = _Circle(sd)
+                    margin = _margin(k.wp, *row(k))
+                m = margin(t)
             if worst is None or mpf_gt(m, worst[0]):
                 worst = (m, r, t)
     max_margin, worst_r, worst_theta = worst

@@ -522,3 +522,20 @@ def test_the_proof_check_grids_run_the_raw_chain_on_at_most_four_points_per_lemm
             validate_inequality(lemma_id, grid_size=grid_size)
             # each built margin takes F at its centre once
             assert len(runs) - len(builds) <= 4, (lemma_id, grid_size)
+
+
+def test_the_proof_check_grids_build_the_raw_row_of_at_most_four_ratios_per_lemma(monkeypatch):
+    # on 9x9 every ratio of the super and near1 lemmas has its centre on the
+    # grid, a candidate whose margin is an exact 0; a ratio builds its raw
+    # row only for a candidate off the centre, so these lemmas build 0-4
+    # rows there instead of 9, and 1 on the other two grids
+    circle = validators._Circle
+    built = []
+    monkeypatch.setattr(validators, "_Circle", lambda sd: built.append(sd.r) or circle(sd))
+    for grid_size in ((8, 10), (9, 9), (10, 8)):
+        for lemma_id in LEMMA_IDS:
+            built.clear()
+            report = validate_inequality(lemma_id, grid_size=grid_size)
+            assert len(built) <= (4 if grid_size == (9, 9) else 1), (lemma_id, grid_size)
+            if grid_size == (9, 9) and lemma_id.startswith("super-"):
+                assert built == [] and report.max_margin == 0.0, lemma_id
